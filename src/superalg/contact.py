@@ -267,7 +267,7 @@ def span_algebra(
         if d not in solvers:
             idx_map, dim = field_basis_index(coords, d)
             members = by_degree.get(d, [])
-            vecs = [gens[g][1].coordinates(idx_map, dim) for g in members]
+            vecs = [gens[g][1].coordinates(idx_map) for g in members]
             solvers[d] = (idx_map, dim, SpanSolver(vecs, dim), members)
         return solvers[d]
 
@@ -287,7 +287,7 @@ def span_algebra(
             if not br:
                 continue
             idx_map, dim, solver, members = solver_for(d)
-            sol = solver.solve(br.coordinates(idx_map, dim))
+            sol = solver.solve(br.coordinates(idx_map))
             if sol is None:
                 raise ValueError(f"span does not close at [{gens[a][0]},{gens[b][0]}]")
             val = {members[j]: c for j, c in enumerate(sol) if c}
@@ -300,7 +300,7 @@ def span_algebra(
         cartan=cartan,
         raising=raising,
         lowering=lowering,
-        field="Q" if coords.field is FIELD_Q else "Q(i)",
+        field=coords.field.name,
         name=name,
     )
     alg.fields = {gens[a][0]: gens[a][1] for a in range(nn)}

@@ -407,8 +407,10 @@ def structural_subspaces(n: int) -> dict:
         center = list(out["even"])
         odd_minus = list(out["odd"])
     else:
+        # the top monomial is central; for n = 1 it is also the generator
+        # itself, which odd_minus must keep so a fixed generator has no tail
         center = out["even"] + [s for s in subsets if len(s) == n]
-        odd_minus = [s for s in subsets if len(s) % 2 == 1 and len(s) < n]
+        odd_minus = [s for s in subsets if len(s) % 2 == 1 and (len(s) < n or len(s) == 1)]
     out["center"] = center
     out["odd_minus"] = odd_minus
     out["center_cap_G2"] = [s for s in center if len(s) >= 2]

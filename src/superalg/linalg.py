@@ -2,13 +2,18 @@
 
 Everything upstream (prolongations, cohomology, real forms) reduces to ranks,
 kernels, intersections and quotients computed here.  The elimination is plain
-Gauss-Jordan with a pinned deterministic pivot rule: columns are processed left
-to right and within a column the lowest-index remaining row wins, pivots are
-scaled to 1.  Reduced row echelon form is unique, so every downstream basis and
-golden file is reproducible bit for bit.
+Gauss-Jordan with pivots scaled to 1 and columns processed left to right.
+Within a column the sparse path takes the remaining row with the fewest
+nonzeros (ties to the lowest index), which keeps fill-in down on tall, very
+sparse matrices; the dense path takes the lowest-index remaining row.  The
+choice of pivot row does not change the result: the pivot columns and the
+fully reduced pivot rows are determined by the row space alone, because the
+reduced row echelon form is unique.  So every downstream basis and golden file
+is reproducible bit for bit.
 
 Matrices below roughly 64x64 run on dense lists; larger ones use dict-of-dict
-rows (cohomology differentials are large but very sparse).
+rows (cohomology differentials are large but very sparse).  Vectors are dense
+lists or dicts {index: scalar} holding only nonzeros; SpanSolver accepts both.
 """
 
 from __future__ import annotations
@@ -165,10 +170,9 @@ def _rref_sparse(rows, cols):
         occ = occupancy.get(c)
         if not occ:
             continue
-        cand = [r for r in occ if r in remaining]
-        if not cand:
+        pr = min((r for r in occ if r in remaining), key=lambda r: (len(work[r]), r), default=-1)
+        if pr < 0:
             continue
-        pr = min(cand)
         remaining.discard(pr)
         prow = work[pr]
         piv = prow[c]
@@ -295,7 +299,6 @@ class SpanSolver:
 
     def __init__(self, vectors, dim):
         self.dim = dim
-        self.nvec = 0
         vecs = list(vectors)
         self.nvec = len(vecs)
         rows = []
@@ -304,48 +307,56 @@ class SpanSolver:
             row[dim + j] = rational(1)
             rows.append(row)
         pivot_cols, rref = rref_rows(rows, dim + self.nvec)
-        self.pivots = []
+        # pivot column -> (its row restricted to the ambient space, combination part)
+        self.pivots = {}
         for c, row in zip(pivot_cols, rref):
             if c < dim:
-                self.pivots.append((c, row))
-        self.pivot_cols = [c for c, _ in self.pivots]
+                self.pivots[c] = (
+                    {cc: v for cc, v in row.items() if cc < dim},
+                    {cc - dim: v for cc, v in row.items() if cc >= dim},
+                )
+        self.pivot_cols = list(self.pivots)
         self.rank = len(self.pivots)
 
     def reduce(self, vec, want_combo=False):
-        """Canonical representative of vec modulo the span (and the combination used)."""
+        """Canonical representative of vec modulo the span (and the combination used).
+
+        vec is a dense list or a dict {index: scalar}; the residual comes back
+        in the same form (a dict holds only nonzeros, so an empty dict is zero).
+        The pivot rows are fully reduced: each has no entry in any other pivot
+        column, so clearing one pivot column never touches another, and one
+        pass over the pivot columns present in vec is the whole elimination.
+        """
         t = _vec_to_dict(vec)
         combo = {} if want_combo else None
-        for c, row in self.pivots:
-            f = t.get(c)
-            if not f:
-                continue
+        for c in [c for c in t if c in self.pivots]:
+            f = t[c]
+            row, row_combo = self.pivots[c]
             for cc, v in row.items():
-                if cc >= self.dim:
-                    if want_combo:
-                        j = cc - self.dim
-                        nv = combo.get(j, ZERO) + f * v
-                        if nv:
-                            combo[j] = nv
-                        elif j in combo:
-                            del combo[j]
-                    continue
                 nv = t.get(cc, ZERO) - f * v
                 if nv:
                     t[cc] = nv
-                elif cc in t:
+                else:
                     del t[cc]
-        residual = _dict_to_vec(t, self.dim)
+            if want_combo:
+                for j, v in row_combo.items():
+                    nv = combo.get(j, ZERO) + f * v
+                    if nv:
+                        combo[j] = nv
+                    else:
+                        del combo[j]
+        residual = t if isinstance(vec, dict) else _dict_to_vec(t, self.dim)
         if want_combo:
             return residual, combo
         return residual
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self.reduce(_vec_to_dict(vec))
 
     def solve(self, vec):
         """Coefficients over the original vectors reproducing vec, or None."""
-        residual, combo = self.reduce(vec, want_combo=True)
-        if any(residual):
+        residual, combo = self.reduce(_vec_to_dict(vec), want_combo=True)
+        if residual:
             return None
         out = [ZERO] * self.nvec
         for j, v in combo.items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from .scalars import FIELD_Q, ZERO
+from .scalars import FIELD_Q, ZERO, as_field
 
 Monomial = Tuple[Tuple[int, int], ...]
 
@@ -23,7 +23,10 @@ ONE_MONO: Monomial = ()
 
 
 class Coords:
-    """A coordinate system: names with parities, optional degrees and a field."""
+    """A coordinate system: names with parities, optional degrees and a field.
+
+    The field is FIELD_Q, FIELD_QI or one of their names ("Q", "Q(i)", ...).
+    """
 
     def __init__(self, names, parities, degrees=None, field=FIELD_Q):
         self.names = list(names)
@@ -33,7 +36,7 @@ class Coords:
         self.degrees = list(degrees) if degrees is not None else None
         if self.degrees is not None and len(self.degrees) != len(self.names):
             raise ValueError("degrees length mismatch")
-        self.field = field
+        self.field = as_field(field)
         self.index = {n: k for k, n in enumerate(self.names)}
         if len(self.index) != len(self.names):
             raise ValueError("duplicate coordinate names")
@@ -98,6 +101,33 @@ def _mono_mul(m1: Monomial, m2: Monomial, coords: Coords):
         merged[v] = merged.get(v, 0) + e
     mono = tuple(sorted(merged.items()))
     return mono, sign
+
+
+def _scaled(c, k: int):
+    """c * k for a small integer k, without a multiplication when k is +-1."""
+    if k == 1:
+        return c
+    if k == -1:
+        return -c
+    return c * k
+
+
+def _mono_deriv(mono: Monomial, var: int, e: int, parities):
+    """Left derivative of a monomial containing var^e: (monomial, integer factor).
+
+    Moving d/dθ for an odd θ past the odd factors to its left costs a sign each.
+    """
+    if parities[var]:
+        k = 1
+        for v, _ in mono:
+            if v >= var:
+                break
+            if parities[v]:
+                k = -k
+        return tuple(t for t in mono if t[0] != var), k
+    if e == 1:
+        return tuple(t for t in mono if t[0] != var), 1
+    return tuple((v, ee if v != var else ee - 1) for v, ee in mono), e
 
 
 class Polynomial:
@@ -171,39 +201,22 @@ class Polynomial:
 
     def deriv(self, var: int) -> "Polynomial":
         """Left partial derivative with respect to coordinate var."""
-        coords = self.coords
-        odd_var = coords.parities[var] == 1
+        parities = self.coords.parities
         out: Dict[Monomial, object] = {}
         for mono, c in self.terms.items():
-            entry = None
             for v, e in mono:
                 if v == var:
-                    entry = (v, e)
                     break
-            if entry is None:
-                continue
-            if odd_var:
-                sign = 1
-                for v, e in mono:
-                    if v >= var:
-                        break
-                    if coords.parities[v]:
-                        sign = -sign
-                new_mono = tuple((v, e) for v, e in mono if v != var)
-                coef = c if sign > 0 else -c
             else:
-                e = entry[1]
-                coef = c * e
-                if e == 1:
-                    new_mono = tuple((v, ee) for v, ee in mono if v != var)
-                else:
-                    new_mono = tuple((v, ee if v != var else ee - 1) for v, ee in mono)
+                continue
+            new_mono, k = _mono_deriv(mono, var, e, parities)
+            coef = _scaled(c, k)
             nv = out.get(new_mono, ZERO) + coef
             if nv:
                 out[new_mono] = nv
             elif new_mono in out:
                 del out[new_mono]
-        return Polynomial(coords, out)
+        return Polynomial(self.coords, out)
 
     def parity(self):
         """Parity if homogeneous, raises otherwise (None for the zero polynomial)."""
@@ -302,12 +315,9 @@ class VectorField:
         return VectorField(self.coords, {v: p.scale(s) for v, p in self.coeffs.items()})
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        out = self.coords.zero()
-        for v, f in self.coeffs.items():
-            d = poly.deriv(v)
-            if d:
-                out = out + f * d
-        return out
+        out: Dict[Monomial, object] = {}
+        _add_applied(out, self, poly, 1)
+        return Polynomial(self.coords, out)
 
     def parity(self):
         ps = set()
@@ -332,33 +342,26 @@ class VectorField:
         return ds.pop()
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """[X, Y] = X Y - (-1)^{p(X)p(Y)} Y X as superderivations."""
+        """[X, Y] = X Y - (-1)^{p(X)p(Y)} Y X as superderivations.
+
+        Coefficientwise [X, Y]_v = X(g_v) - (-1)^{p(X)p(Y)} Y(f_v); every term
+        goes straight into one dict per output variable.
+        """
         px = self.parity()
         py = other.parity()
         if px is None or py is None:
-            if px is None and py is None:
-                return VectorField(self.coords)
-            # zero field on either side
             return VectorField(self.coords)
         sign = -1 if (px and py) else 1
-        out: Dict[int, Polynomial] = {}
+        out: Dict[int, Dict[Monomial, object]] = {}
         for v, g in other.coeffs.items():
-            p = self.apply(g)
-            if p:
-                out[v] = out.get(v, self.coords.zero()) + p
+            _add_applied(out.setdefault(v, {}), self, g, 1)
         for v, f in self.coeffs.items():
-            p = other.apply(f)
-            if p:
-                out[v] = out.get(v, self.coords.zero()) - p.scale(sign)
-        return VectorField(self.coords, out)
+            _add_applied(out.setdefault(v, {}), other, f, -sign)
+        return VectorField(self.coords, {v: Polynomial(self.coords, t) for v, t in out.items()})
 
-    def coordinates(self, monomial_index: Dict[Tuple[int, Monomial], int], dim: int):
-        """Flatten into a vector over an index (var, monomial) -> position."""
-        vec = [ZERO] * dim
-        for v, f in self.coeffs.items():
-            for m, c in f.terms.items():
-                vec[monomial_index[(v, m)]] = c
-        return vec
+    def coordinates(self, monomial_index: Dict[Tuple[int, Monomial], int]) -> Dict[int, object]:
+        """Sparse vector {position: coefficient} over an index (var, monomial) -> position."""
+        return {monomial_index[(v, m)]: c for v, f in self.coeffs.items() for m, c in f.terms.items()}
 
     def __str__(self):
         if not self.coeffs:
@@ -369,6 +372,28 @@ class VectorField:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _add_applied(acc: Dict[Monomial, object], X: VectorField, g: Polynomial, s: int):
+    """acc += s * X(g), term by term, where acc maps monomials to nonzero scalars."""
+    coords = X.coords
+    parities = coords.parities
+    for mono, c in g.terms.items():
+        for w, e in mono:
+            f = X.coeffs.get(w)
+            if f is None:
+                continue
+            dmono, k = _mono_deriv(mono, w, e, parities)
+            for m1, c1 in f.terms.items():
+                r = _mono_mul(m1, dmono, coords)
+                if r is None:
+                    continue
+                mono_out, sign = r
+                nv = acc.get(mono_out, ZERO) + _scaled(c1 * c, s * k * sign)
+                if nv:
+                    acc[mono_out] = nv
+                elif mono_out in acc:
+                    del acc[mono_out]
 
 
 def coordinate_field(coords: Coords, var, poly: Optional[Polynomial] = None) -> VectorField:

@@ -71,8 +71,7 @@ def realize_negative(nonpos: LieSuperAlgebra) -> Tuple[Coords, Dict[int, VectorF
     names = [nonpos.ident(k) for k in neg]
     parities = [nonpos.parity(k) for k in neg]
     degrees = [-nonpos.degree(k) for k in neg]
-    field = _scalar_field(nonpos)
-    coords = Coords(names, parities, degrees, field=field)
+    coords = Coords(names, parities, degrees, field=nonpos.field)
     pos_of = {k: c for c, k in enumerate(neg)}
     fields: Dict[int, VectorField] = {}
     for k in neg:
@@ -111,12 +110,6 @@ def realize_negative(nonpos: LieSuperAlgebra) -> Tuple[Coords, Dict[int, VectorF
     return coords, fields
 
 
-def _scalar_field(alg: LieSuperAlgebra):
-    from .scalars import FIELD_Q, FIELD_QI
-
-    return FIELD_QI if alg.field == "Q(i)" else FIELD_Q
-
-
 def _field_coords_weights(coords: Coords, nonpos: LieSuperAlgebra, neg: List[int]):
     """Weights of the coordinates (negated) and derivatives (plain), or None."""
     wts = []
@@ -145,26 +138,22 @@ def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dic
         total += dim
 
     def stacked(Y: VectorField):
-        vec = [ZERO] * total
+        vec = {}
         for (e, idx, dim), off in zip(blocks, offsets):
-            br = Y.bracket(neg_fields[e])
-            for v, poly in br.coeffs.items():
-                for m, c in poly.terms.items():
-                    vec[off + idx[(v, m)]] = c
+            for pos, c in Y.bracket(neg_fields[e]).coordinates(idx).items():
+                vec[off + pos] = c
         return vec
 
     cand_cols = [stacked(Y) for Y in cand]
     solver = SpanSolver(cand_cols, total)
     out: Dict[int, VectorField] = {}
     for k in zero:
-        target = [ZERO] * total
+        target = {}
         for (e, idx, dim), off in zip(blocks, offsets):
             val = nonpos._table.get((k, e), {})
             for t, c in val.items():
-                f = neg_fields[t]
-                for v, poly in f.coeffs.items():
-                    for m, cm in poly.terms.items():
-                        target[off + idx[(v, m)]] = target[off + idx[(v, m)]] + c * cm
+                for pos, cm in neg_fields[t].coordinates(idx).items():
+                    target[off + pos] = target.get(off + pos, ZERO) + c * cm
         sol = solver.solve(target)
         if sol is None:
             raise ProlongError(f"degree-0 action of {nonpos.ident(k)} is not realizable")
@@ -249,7 +238,7 @@ def prolong(
         if d in solvers:
             return solvers[d]
         idx, dim = field_basis_index(coords, d)
-        vecs = [f.coordinates(idx, dim) for f in comp_fields.get(d, [])]
+        vecs = [f.coordinates(idx) for f in comp_fields.get(d, [])]
         solver = SpanSolver(vecs, dim)
         solvers[d] = (idx, dim, solver)
         return solvers[d]
@@ -284,10 +273,8 @@ def _prolong_block(cand, neg, nonpos, neg_fields, comp_fields, coords, k, method
             vec = [ZERO] * total
             off = 0
             for e, idx, dim, _ in constraints:
-                br = X.bracket(neg_fields[e])
-                for v, poly in br.coeffs.items():
-                    for m, c in poly.terms.items():
-                        vec[off + idx[(v, m)]] = c
+                for pos, c in X.bracket(neg_fields[e]).coordinates(idx).items():
+                    vec[off + pos] = c
                 off += dim
             img.append(vec)
         tuple_space = []
@@ -296,9 +283,8 @@ def _prolong_block(cand, neg, nonpos, neg_fields, comp_fields, coords, k, method
             d = k + nonpos.degree(e)
             for f in comp_fields.get(d, []):
                 vec = [ZERO] * total
-                for v, poly in f.coeffs.items():
-                    for m, c in poly.terms.items():
-                        vec[off + idx[(v, m)]] = c
+                for pos, c in f.coordinates(idx).items():
+                    vec[off + pos] = c
                 tuple_space.append(vec)
             off += dim
         meet = intersect_subspaces(img, tuple_space, total)
@@ -312,29 +298,15 @@ def _prolong_block(cand, neg, nonpos, neg_fields, comp_fields, coords, k, method
         return _fields_from_coeffs(sols, cand, coords)
 
     # kernel method: stack residuals after reducing mod the known spans
-    rows: List[dict] = []
-    row_count = 0
-    cols = []
-    for X in cand:
-        col = {}
+    entries = {}
+    row_count = sum(dim for _, _, dim, _ in constraints)
+    for j, X in enumerate(cand):
         off = 0
         for e, idx, dim, solver in constraints:
-            br = X.bracket(neg_fields[e])
-            vec = [ZERO] * dim
-            for v, poly in br.coeffs.items():
-                for m, c in poly.terms.items():
-                    vec[idx[(v, m)]] = c
-            residual = solver.reduce(vec)
-            for pos, val in enumerate(residual):
-                if val:
-                    col[off + pos] = val
+            residual = solver.reduce(X.bracket(neg_fields[e]).coordinates(idx))
+            for pos, val in residual.items():
+                entries[(off + pos, j)] = val
             off += dim
-        cols.append(col)
-        row_count = max(row_count, off)
-    entries = {}
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            entries[(r, c)] = v
     mat = SparseMatrix(row_count or 1, len(cand), entries)
     kern = kernel_basis(mat)
     return _fields_from_coeffs(kern, cand, coords)
@@ -382,7 +354,7 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
     def solver_for(d):
         if d not in solvers:
             idx, dim = field_basis_index(coords, d)
-            vecs = [all_fields[index_of[(d, j)]].coordinates(idx, dim) for j in range(len(comp_fields.get(d, [])))]
+            vecs = [all_fields[index_of[(d, j)]].coordinates(idx) for j in range(len(comp_fields.get(d, [])))]
             solvers[d] = (idx, dim, SpanSolver(vecs, dim), [index_of[(d, j)] for j in range(len(vecs))])
         return solvers[d]
 
@@ -399,8 +371,7 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
             if not br:
                 continue
             idx, dim, solver, members = solver_for(d)
-            vec = br.coordinates(idx, dim)
-            sol = solver.solve(vec)
+            sol = solver.solve(br.coordinates(idx))
             if sol is None:
                 raise ProlongError(
                     f"prolong bracket [{basis[a].id},{basis[b].id}] is not closed in degree {d}"

@@ -14,7 +14,7 @@ try:
         return _mpq(num, den)
 
     _RAT_TYPES = (type(_mpq(0)), int)
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the "gmp" extra in pyproject.toml)
     from fractions import Fraction as _mpq
 
     def rational(num=0, den=1):
@@ -227,6 +227,15 @@ def field_by_name(name: str):
     if name in ("Q(i)", "QQ(i)", "gaussian"):
         return FIELD_QI
     raise ValueError(f"unknown field {name!r}")
+
+
+def as_field(field):
+    """The field descriptor for a descriptor or a name accepted by field_by_name."""
+    if isinstance(field, str):
+        return field_by_name(field)
+    if field is FIELD_Q or field is FIELD_QI:
+        return field
+    raise ValueError(f"unknown field {field!r}")
 
 
 # -- serialization ---------------------------------------------------------

@@ -140,6 +140,20 @@ def test_structural_subspaces():
     assert set(sub3["odd_minus"]) == {(0,), (1,), (2,)}
 
 
+def test_structural_subspaces_n1_keeps_the_generator_in_odd_minus():
+    # for n = 1 the central top monomial is theta itself; dropping it from
+    # odd_minus left every fixed generator with a non-central tail
+    sub1 = structural_subspaces(1)
+    assert set(sub1["odd_minus"]) == {(0,)}
+    assert set(sub1["center"]) == {(), (0,)}
+    assert sub1["center_cap_G2"] == []
+    rng = random.Random(31)
+    for _ in range(5):
+        rho, _ = random_real_structure(1, rng)
+        ts = normalize_generators(rho)
+        assert CanonicalIso(rho, ts).check()
+
+
 def test_rho_preserves_nilpotent_ideal():
     rng = random.Random(13)
     for n in (2, 3):

@@ -1,5 +1,9 @@
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from superalg import linalg
 from superalg.linalg import (
     SparseMatrix,
     SpanSolver,
@@ -11,7 +15,7 @@ from superalg.linalg import (
     row_space_basis,
     rref_rows,
 )
-from superalg.scalars import FIELD_Q, FIELD_QI, rational
+from superalg.scalars import FIELD_Q, FIELD_QI, ZERO, gaussian, rational
 
 from oracles import dense_rank_fraction_free
 
@@ -155,3 +159,99 @@ def test_primitive_integer_vector():
     v = [rational(-2, 3), rational(4, 9), rational(0)]
     assert primitive_integer_vector(v) == [3, -2, 0]
     assert primitive_integer_vector([rational(0)] * 3) == [0, 0, 0]
+
+
+# -- sparsest-row pivots and dict vectors ------------------------------------
+
+RATIONALS = st.builds(rational, st.integers(-6, 6), st.integers(1, 5))
+SCALARS = {
+    "Q": RATIONALS,
+    "Q(i)": st.builds(gaussian, RATIONALS, RATIONALS),
+}
+
+
+@st.composite
+def tall_sparse_rows(draw):
+    """Row dicts of a tall, very sparse matrix: about one nonzero per row."""
+    field = draw(st.sampled_from(sorted(SCALARS)))
+    cols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(1, 30))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, nrows - 1), st.integers(0, cols - 1), SCALARS[field]),
+            max_size=nrows + 4,
+        )
+    )
+    rows = [{} for _ in range(nrows)]
+    for r, c, v in cells:
+        if v:
+            rows[r][c] = v
+        else:
+            rows[r].pop(c, None)
+    return rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_sparse_rows())
+@example(([{}], 1))
+@example(([{0: rational(3)}], 1))
+@example(([{}, {}, {1: rational(2)}, {}], 3))
+def test_sparsest_row_pivots_give_the_dense_rref_and_the_oracle_rank(case):
+    rows, cols = case
+    sparse = linalg._rref_sparse(rows, cols)
+    assert sparse == linalg._rref_dense(rows, cols)
+    dense = [[r.get(c, ZERO) for c in range(cols)] for r in rows]
+    assert len(sparse[0]) == dense_rank_fraction_free(dense)
+
+
+def test_sparsest_row_pivot_breaks_ties_by_lowest_index():
+    # rows 1 and 2 both have one nonzero in column 0, row 0 has two
+    one = rational(1)
+    rows = [{0: one, 1: one}, {0: rational(2)}, {0: rational(3)}]
+    pivots, rref = linalg._rref_sparse(rows, 2)
+    assert pivots == [0, 1]
+    assert rref == [{0: one}, {1: one}]
+    assert linalg._rref_dense(rows, 2) == (pivots, rref)
+
+
+def _as_dict(vec):
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def test_span_solver_dict_and_list_inputs_agree():
+    rng = random.Random(71)
+    for trial in range(40):
+        dim = rng.randint(1, 7)
+        field = FIELD_QI if trial % 4 == 0 else FIELD_Q
+        vecs = [
+            [field.random(rng) if rng.random() < 0.4 else ZERO for _ in range(dim)]
+            for _ in range(rng.randint(0, 4))
+        ]
+        # mixed input forms for the spanning set too
+        solver = SpanSolver([_as_dict(v) if k % 2 else v for k, v in enumerate(vecs)], dim)
+        queries = [[field.random(rng) if rng.random() < 0.5 else ZERO for _ in range(dim)] for _ in range(3)]
+        for coeffs in ([field.random(rng) for _ in vecs] for _ in range(2)):
+            queries.append([sum((c * v[i] for c, v in zip(coeffs, vecs)), ZERO) for i in range(dim)])
+        for q in queries:
+            as_list = solver.reduce(q)
+            as_dict = solver.reduce(_as_dict(q))
+            assert isinstance(as_list, list) and len(as_list) == dim
+            assert isinstance(as_dict, dict) and all(as_dict.values())
+            assert as_dict == _as_dict(as_list)
+            res_l, combo_l = solver.reduce(q, want_combo=True)
+            res_d, combo_d = solver.reduce(_as_dict(q), want_combo=True)
+            assert res_l == as_list and res_d == as_dict and combo_l == combo_d
+            assert solver.solve(q) == solver.solve(_as_dict(q))
+            assert solver.contains(q) == solver.contains(_as_dict(q)) == (not as_dict)
+            assert (solver.solve(q) is None) == (not solver.contains(q))
+
+
+def test_span_solver_residual_at_index_zero_is_not_zero():
+    # the residual {0: 1} has only the falsy key 0: any() over the dict is False
+    one = rational(1)
+    solver = SpanSolver([{1: one}], 2)
+    assert solver.reduce({0: one}) == {0: one}
+    assert solver.reduce([one, ZERO]) == [one, ZERO]
+    assert not solver.contains({0: one}) and not solver.contains([one, ZERO])
+    assert solver.solve({0: one}) is None and solver.solve([one, ZERO]) is None
+    assert solver.solve({0: ZERO, 1: rational(3)}) == [rational(3)]

@@ -160,3 +160,74 @@ def test_gaussian_coefficients_work():
     Y = coordinate_field(c, "x")
     b = X.bracket(Y)
     assert b.degree() == 0
+
+
+def random_homogeneous_field(coords, rng, parity, field=FIELD_Q, max_terms=5):
+    """A sum of several monomial fields, all of the given parity."""
+    from superalg.polyvf import mono_parity
+
+    monos = [m for d in range(4) for m in monomials_of_degree(coords, d)]
+    slots = [(v, m) for v in range(len(coords)) for m in monos
+             if (mono_parity(m, coords) + coords.parities[v]) % 2 == parity]
+    coeffs = {}
+    for _ in range(rng.randint(1, max_terms)):
+        v, m = rng.choice(slots)
+        terms = coeffs.setdefault(v, {})
+        terms[m] = terms.get(m, field.zero) + field.random(rng)
+    return VectorField(coords, {v: Polynomial(coords, t) for v, t in coeffs.items()})
+
+
+def reference_apply(Z, h):
+    """Z(h) = sum_w z_w * dh/dw through Polynomial products and derivatives."""
+    out = Z.coords.zero()
+    for w, z in Z.coeffs.items():
+        out = out + z * h.deriv(w)
+    return out
+
+
+def reference_bracket(X, Y):
+    """[X, Y]_v = X(g_v) - (-1)^{p(X)p(Y)} Y(f_v)."""
+    coords = X.coords
+    px, py = X.parity(), Y.parity()
+    if px is None or py is None:
+        return VectorField(coords)
+    sign = -1 if (px and py) else 1
+    out = {}
+    for v, g in Y.coeffs.items():
+        out[v] = out.get(v, coords.zero()) + reference_apply(X, g)
+    for v, f in X.coeffs.items():
+        out[v] = out.get(v, coords.zero()) - reference_apply(Y, f).scale(sign)
+    return VectorField(coords, out)
+
+
+def test_bracket_matches_the_apply_formula_on_random_homogeneous_fields():
+    rng = random.Random(97)
+    odd_odd = 0
+    for trial in range(150):
+        field = FIELD_QI if trial % 5 == 0 else FIELD_Q
+        c = Coords(["x", "y", "θ1", "θ2", "θ3"], [0, 0, 1, 1, 1], field=field)
+        px, py = rng.randint(0, 1), rng.randint(0, 1)
+        X = random_homogeneous_field(c, rng, px, field)
+        Y = random_homogeneous_field(c, rng, py, field)
+        br = X.bracket(Y)
+        assert br == reference_bracket(X, Y)
+        odd_odd += bool(px and py and br)
+        g = random_poly(c, rng, field=field)
+        assert X.apply(g) == reference_apply(X, g)
+    assert odd_odd > 10
+
+
+def test_coordinates_are_a_sparse_dict():
+    c = xy_theta()
+    X = VectorField(c, {0: c.var("θ1") * c.var("θ2"), 2: c.var("x").scale(rational(3))})
+    index = {(0, ((2, 1), (3, 1))): 4, (2, ((0, 1),)): 0, (1, ((0, 1),)): 1}
+    assert X.coordinates(index) == {4: rational(1), 0: rational(3)}
+    assert VectorField(c).coordinates(index) == {}
+
+
+def test_coords_accept_field_names_and_reject_unknown_fields():
+    assert Coords(["x"], [0], field="Q(i)").field is FIELD_QI
+    assert Coords(["x"], [0], field="Q").field is FIELD_Q
+    for bad in ("Q(j)", 2, None):
+        with pytest.raises(ValueError):
+            Coords(["x"], [0], field=bad)

@@ -355,3 +355,19 @@ def test_nonfaithful_rejected():
         g = from_matrices(gens, [0, 0], real=True)
         act = tautological_action(g)
         cartan_prolong(act.module, act, 1)
+
+
+def test_contact_algebras_accept_field_names_and_reject_unknown_fields():
+    from superalg.scalars import FIELD_QI
+
+    named = contact_algebra(0, 2, 4, field="Q(i)")
+    assert named.field == "Q(i)"
+    assert named.to_document() == contact_algebra(0, 2, 4, field=FIELD_QI).to_document()
+    named = pericontact_algebra(1, 2, field="Q(i)")
+    assert named.field == "Q(i)"
+    assert named.to_document() == pericontact_algebra(1, 2, field=FIELD_QI).to_document()
+    for bad in ("Q(j)", 7):
+        with pytest.raises(ValueError, match="unknown field"):
+            contact_algebra(0, 2, 2, field=bad)
+        with pytest.raises(ValueError, match="unknown field"):
+            pericontact_algebra(1, 2, field=bad)
