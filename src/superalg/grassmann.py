@@ -533,9 +533,10 @@ class CanonicalIso:
         """Bijectivity and multiplicativity on all monomial basis pairs."""
         if self._solver.rank != 2 ** self.n:
             return False
-        for a in self.monomials:
-            for b in self.monomials:
-                if self.apply(a * b) != self.apply(a) * self.apply(b):
+        images = [self.apply(m) for m in self.monomials]
+        for a, image_a in zip(self.monomials, images):
+            for b, image_b in zip(self.monomials, images):
+                if self.apply(a * b) != image_a * image_b:
                     return False
         return True
 

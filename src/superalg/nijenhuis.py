@@ -15,20 +15,43 @@ pointwise.
 
 from __future__ import annotations
 
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Sequence
 
-from .linalg import SpanSolver, SparseMatrix, kernel_basis, rank, row_space_basis
-from .polyvf import Coords, Polynomial, VectorField, coordinate_field, monomials_of_degree
+from .linalg import SparseMatrix, kernel_basis, rank
+from .polyvf import (
+    Coords,
+    Monomial,
+    Polynomial,
+    VectorField,
+    add_product,
+    coordinate_field,
+    fields_of_degree,
+    mono_parity,
+)
 from .scalars import ZERO, rational
 
 
 class EndomorphismField:
-    """A (1,1)-tensor field: columns[a] is the image J(d_a) as a vector field."""
+    """A (1,1)-tensor field: columns[a] is the image J(d_a) as a vector field.
+
+    Immutable: `columns` is a read-only view of a private copy and no
+    attribute can be rebound.  That lets the structure-only work be done once
+    per structure, on first use: the sign s with J^2 = s*id (`square`) and the
+    odd frame components N(d_a, d_b).
+    """
 
     def __init__(self, coords: Coords, columns: Dict[int, VectorField], parity: int):
         self.coords = coords
-        self.columns = columns
+        self.columns = MappingProxyType(dict(columns))
         self.parity = parity
+        self._odd_frames: Dict[tuple, VectorField] = {}
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"EndomorphismField.{name} is read-only")
+        super().__setattr__(name, value)
 
     @classmethod
     def from_constant_matrix(cls, coords: Coords, entries: Dict[tuple, object], parity: int):
@@ -40,27 +63,17 @@ class EndomorphismField:
 
     def apply(self, X: VectorField) -> VectorField:
         """J(X) for X = sum f_a d_a: function-linear, J(f_a d_a) = +-f_a J(d_a)."""
-        out = VectorField(self.coords)
+        out: Dict[int, Dict[Monomial, object]] = {}
         for a, f in X.coeffs.items():
             col = self.columns.get(a)
             if col is None:
                 continue
+            if self.parity:
+                # odd tensor passing a coefficient costs the Koszul sign
+                f = _koszul(f)
             for b, g in col.coeffs.items():
-                if self.parity:
-                    # odd tensor passing a coefficient costs the Koszul sign
-                    from .polyvf import mono_parity
-
-                    adj = {
-                        m: (-c if mono_parity(m, self.coords) else c)
-                        for m, c in f.terms.items()
-                    }
-                    coef = Polynomial(self.coords, adj)
-                else:
-                    coef = f
-                term = coef * g
-                if term:
-                    out = out + VectorField(self.coords, {b: term})
-        return out
+                add_product(out.setdefault(b, {}), f, g)
+        return VectorField(self.coords, {b: Polynomial(self.coords, t) for b, t in out.items()})
 
     def square_is(self, sign: int) -> bool:
         """Whether J(J(d_a)) = sign * d_a for every coordinate direction."""
@@ -70,6 +83,20 @@ class EndomorphismField:
             if img != expected:
                 return False
         return True
+
+    @cached_property
+    def square(self):
+        """The sign s with J^2 = s*id, or None; computed on first use, once per structure."""
+        for sign in (-1, 1):
+            if self.square_is(sign):
+                return sign
+        return None
+
+
+def _koszul(f: Polynomial) -> Polynomial:
+    """f with its odd monomials negated: the sign of passing an odd operator past f."""
+    coords = f.coords
+    return Polynomial(coords, {m: (-c if mono_parity(m, coords) else c) for m, c in f.terms.items()})
 
 
 def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, variant: str = "even") -> VectorField:
@@ -81,12 +108,13 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
     coefficient ring, so the tensor is defined by its frame components
     N(d_a, d_b) and extended function-linearly; that extension is what makes
     the value at a point depend only on the pointwise values of X and Y.
+    Each frame component is evaluated once per structure and kept on J.
     """
     if variant not in ("even", "odd"):
         raise ValueError("variant must be 'even' or 'odd'")
-    if variant == "even" and not J.square_is(-1):
+    if variant == "even" and J.square != -1:
         raise ValueError("even variant expects J^2 = -id")
-    if variant == "odd" and not (J.square_is(-1) or J.square_is(1)):
+    if variant == "odd" and J.square is None:
         raise ValueError("odd variant expects J^2 = -id or +id")
     if variant == "even":
         JX, JY = J.apply(X), J.apply(Y)
@@ -97,26 +125,20 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
             - X.bracket(Y)
         )
     coords = J.coords
-    from .polyvf import mono_parity
-
-    out = VectorField(coords)
+    frames = J._odd_frames
+    out: Dict[int, Dict[Monomial, object]] = {}
     for a, f in X.coeffs.items():
         for b, g in Y.coeffs.items():
-            comp = _odd_frame_component(J, a, b)
+            comp = frames.get((a, b))
+            if comp is None:
+                comp = frames[(a, b)] = _odd_frame_component(J, a, b)
             if not comp:
                 continue
             # Koszul: the coefficient of Y passes the first tensor slot
-            pa = coords.parities[a]
-            adj = {
-                m: (-c if (pa and mono_parity(m, coords)) else c)
-                for m, c in g.terms.items()
-            }
-            coef = f * Polynomial(coords, adj)
-            if coef:
-                out = out + VectorField(
-                    coords, {v: coef * p for v, p in comp.coeffs.items()}
-                )
-    return out
+            coef = f * (_koszul(g) if coords.parities[a] else g)
+            for v, p in comp.coeffs.items():
+                add_product(out.setdefault(v, {}), coef, p)
+    return VectorField(coords, {v: Polynomial(coords, t) for v, t in out.items()})
 
 
 def _odd_frame_component(J: EndomorphismField, a: int, b: int) -> VectorField:
@@ -175,8 +197,6 @@ def standard_odd_structure(n: int, square: int) -> EndomorphismField:
 def monomial_fields_up_to(coords: Coords, degree: int) -> List[VectorField]:
     out = []
     for d in range(-1, degree + 1):
-        from .polyvf import fields_of_degree
-
         out.extend(fields_of_degree(coords, d))
     return out
 
@@ -229,8 +249,6 @@ def sp_matrices(B: Sequence[Sequence[object]]):
             row = {}
             for q, (r, c) in enumerate(slots):
                 coef = ZERO
-                if r == j and True:
-                    coef = coef + B[i][r] * 0
                 # (B S)_{ij} = sum_k B[i][k] S[k][j]; (S^t B)_{ij} = sum_k S[k][i] B[k][j]
                 if c == j:
                     coef = coef + B[i][r]

@@ -180,20 +180,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         out: Dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                r = _mono_mul(m1, m2, self.coords)
-                if r is None:
-                    continue
-                mono, sign = r
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                nv = out.get(mono, ZERO) + c
-                if nv:
-                    out[mono] = nv
-                elif mono in out:
-                    del out[mono]
+        add_product(out, self, other)
         return Polynomial(self.coords, out)
 
     def __rmul__(self, other):
@@ -394,6 +381,25 @@ def _add_applied(acc: Dict[Monomial, object], X: VectorField, g: Polynomial, s: 
                     acc[mono_out] = nv
                 elif mono_out in acc:
                     del acc[mono_out]
+
+
+def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):
+    """acc += f * g, term by term, where acc maps monomials to nonzero scalars."""
+    coords = f.coords
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            r = _mono_mul(m1, m2, coords)
+            if r is None:
+                continue
+            mono, sign = r
+            c = c1 * c2
+            if sign < 0:
+                c = -c
+            nv = acc.get(mono, ZERO) + c
+            if nv:
+                acc[mono] = nv
+            elif mono in acc:
+                del acc[mono]
 
 
 def coordinate_field(coords: Coords, var, poly: Optional[Polynomial] = None) -> VectorField:

@@ -185,6 +185,22 @@ def test_normalization_random_campaign_small():
             assert iso.check()
 
 
+def test_check_rejects_generators_that_are_not_an_isomorphism():
+    # shifted generators span the real form but square to nonzero, so
+    # multiplicativity fails; repeated ones do not span it, so the rank fails
+    rng = random.Random(37)
+    for n in (2, 3):
+        rho, _ = random_real_structure(n, rng)
+        ts = normalize_generators(rho)
+        assert CanonicalIso(rho, ts).check()
+        shifted = CanonicalIso(rho, [ts[0], ts[1] + GrassmannElement.one(n)] + ts[2:])
+        assert shifted._solver.rank == 2 ** n
+        assert not shifted.check()
+        repeated = CanonicalIso(rho, [ts[0], ts[0]] + ts[2:])
+        assert repeated._solver.rank < 2 ** n
+        assert not repeated.check()
+
+
 def test_pairwise_isomorphism():
     rng = random.Random(29)
     rho1, _ = random_real_structure(2, rng)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from superalg import nijenhuis
 from superalg.nijenhuis import (
     EndomorphismField,
     coboundary_2cochain,
@@ -13,7 +14,7 @@ from superalg.nijenhuis import (
     symplectic_obstruction_map,
     tensoriality_defect,
 )
-from superalg.polyvf import Coords, Polynomial, monomials_of_degree
+from superalg.polyvf import Coords, Polynomial, VectorField, coordinate_field, mono_parity, monomials_of_degree
 from superalg.scalars import FIELD_Q, ZERO, rational
 
 
@@ -84,14 +85,150 @@ def test_tensoriality():
     coords = J.coords
     fields = monomial_fields_up_to(coords, 1)
     monos = [m for d in range(3) for m in monomials_of_degree(coords, d)]
-    from superalg.polyvf import mono_parity
-
     even_monos = [m for m in monos if mono_parity(m, coords) == 0]
     for _ in range(12):
         X = rng.choice(fields)
         Y = rng.choice(fields)
         f = Polynomial(coords, {rng.choice(even_monos): FIELD_Q.random(rng)})
         assert not tensoriality_defect(J, X, Y, f, "even")
+
+
+def curved_odd_structure(s):
+    """Odd J = A J0 A^-1 on R^{2|2} with J^2 = s; its frame components are not all 0.
+
+    J d_x1 = d_θ1 + x_2 d_θ2, J d_x2 = d_θ2, J d_θ1 = s d_x1 - s x_2 d_x2, J d_θ2 = s d_x2.
+    """
+    coords = Coords(["x_1", "x_2", "θ_1", "θ_2"], [0, 0, 1, 1])
+    one, x2 = coords.one(), coords.var("x_2")
+    cols = {
+        0: VectorField(coords, {2: one, 3: x2}),
+        1: VectorField(coords, {3: one}),
+        2: VectorField(coords, {0: one.scale(s), 1: x2.scale(-s)}),
+        3: VectorField(coords, {1: one.scale(s)}),
+    }
+    return EndomorphismField(coords, cols, parity=1)
+
+
+def curved_test_fields(coords):
+    x1, x2, t1, t2 = (coords.var(k) for k in range(4))
+    return [
+        VectorField(coords, {0: x2 * t1, 2: x1 * x1 + t1 * t2}),
+        VectorField(coords, {1: x1 + x2, 3: x1 * t2}),
+        VectorField(coords, {0: coords.one(), 1: x1, 2: t2, 3: x2 * x2}),
+    ]
+
+
+# the (a, b) with N(d_a, d_b) != 0 for either sign of the curved odd J
+CURVED_FRAME_PAIRS = {(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 0), (3, 2)}
+
+# N(X_i, X_j) for the curved odd J and curved_test_fields, keyed by (s, (i, j))
+CURVED_VALUES = {
+    (-1, (0, 1)): "((-1)*x_1*x_2*θ_1 + (1)*x_1^3*θ_2 + (-1)*x_2^2*θ_1)∂_x_2 + ((1)*x_1*x_2*θ_1*θ_2"
+    " + (1)*x_1*θ_1*θ_2 + (1)*x_1^2*x_2 + (1)*x_1^3 + (1)*x_2*θ_1*θ_2)∂_θ_2",
+    (-1, (1, 2)): "((1)*x_1 + (1)*x_2)∂_x_2 + ((-1)*x_2*θ_2)∂_θ_2",
+    (-1, (2, 1)): "((-1)*x_1 + (-1)*x_2)∂_x_2 + ((2)*x_1*θ_2 + (1)*x_2*θ_2)∂_θ_2",
+    (-1, (2, 2)): "((-2)*x_2^2*θ_2)∂_x_2 + ((-2)*x_2*θ_2 + (2)*x_2^2)∂_θ_2",
+    (1, (0, 1)): "((1)*x_1*x_2*θ_1 + (1)*x_1^3*θ_2 + (1)*x_2^2*θ_1)∂_x_2 + ((-1)*x_1*x_2*θ_1*θ_2"
+    " + (-1)*x_1*θ_1*θ_2 + (-1)*x_1^2*x_2 + (-1)*x_1^3 + (-1)*x_2*θ_1*θ_2)∂_θ_2",
+    (1, (1, 2)): "((-1)*x_1 + (-1)*x_2)∂_x_2 + ((1)*x_2*θ_2)∂_θ_2",
+    (1, (2, 1)): "((1)*x_1 + (1)*x_2)∂_x_2 + ((-2)*x_1*θ_2 + (-1)*x_2*θ_2)∂_θ_2",
+    (1, (2, 2)): "((-2)*x_2^2*θ_2)∂_x_2 + ((2)*x_2*θ_2 + (-2)*x_2^2)∂_θ_2",
+}
+
+
+@pytest.mark.parametrize("s", (-1, 1))
+def test_curved_odd_frame_components(s):
+    J = curved_odd_structure(s)
+    assert J.square == s
+    d = [coordinate_field(J.coords, a) for a in range(4)]
+    nonzero = {(a, b) for a in range(4) for b in range(4) if nijenhuis_tensor(J, d[a], d[b], "odd")}
+    assert nonzero == CURVED_FRAME_PAIRS
+
+
+@pytest.mark.parametrize("s", (-1, 1))
+def test_curved_odd_values_agree_on_cold_and_warm_frame_cache(s):
+    J = curved_odd_structure(s)
+    fields = curved_test_fields(J.coords)
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    cold = {(i, j): nijenhuis_tensor(J, fields[i], fields[j], "odd") for i, j in pairs}
+    warm = {(i, j): nijenhuis_tensor(J, fields[i], fields[j], "odd") for i, j in pairs}
+    assert cold == warm
+    assert not cold[(0, 0)] and not cold[(1, 1)]
+    for (sign, ij), text in CURVED_VALUES.items():
+        if sign == s:
+            assert str(cold[ij]) == text
+
+
+def test_square_and_frames_are_evaluated_once_per_structure(monkeypatch):
+    squares, frames = [], []
+    square_is = EndomorphismField.square_is
+    frame_component = nijenhuis._odd_frame_component
+
+    def counted_square(self, sign):
+        squares.append(sign)
+        return square_is(self, sign)
+
+    def counted_frame(J, a, b):
+        frames.append((a, b))
+        return frame_component(J, a, b)
+
+    monkeypatch.setattr(EndomorphismField, "square_is", counted_square)
+    monkeypatch.setattr(nijenhuis, "_odd_frame_component", counted_frame)
+    for J, variant in (
+        (standard_even_structure(1, 0), "even"),
+        (standard_odd_structure(1, 1), "odd"),
+        (curved_odd_structure(1), "odd"),
+    ):
+        squares.clear()
+        frames.clear()
+        fields = monomial_fields_up_to(J.coords, 1)
+        for X in fields:
+            for Y in fields:
+                nijenhuis_tensor(J, X, Y, variant)
+        assert 1 <= len(squares) <= 2
+        assert len(frames) == len(set(frames)) <= len(J.coords) ** 2
+
+
+def test_bad_square_and_bad_variant_raise_on_every_call():
+    coords = Coords(["x", "θ"], [0, 1])
+    J = EndomorphismField.from_constant_matrix(coords, {(1, 0): rational(1), (0, 1): rational(2)}, parity=1)
+    assert J.square is None
+    X = coordinate_field(coords, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            nijenhuis_tensor(J, X, X, "odd")
+        with pytest.raises(ValueError):
+            nijenhuis_tensor(J, X, X, "even")
+    with pytest.raises(ValueError):
+        nijenhuis_tensor(standard_odd_structure(1, 1), X, X, "both")
+
+
+def test_endomorphism_field_is_immutable():
+    coords = Coords(["x", "θ"], [0, 1])
+    cols = {0: coordinate_field(coords, 1), 1: coordinate_field(coords, 0)}
+    J = EndomorphismField(coords, cols, parity=1)
+    with pytest.raises(TypeError):
+        J.columns[0] = cols[1]
+    with pytest.raises(AttributeError):
+        J.parity = 0
+    cols[0] = cols[1]  # the caller's dict is not the structure's
+    assert J.columns[0] == coordinate_field(coords, 1)
+    assert J.square == 1
+
+
+@pytest.mark.parametrize("square", (-1, 1))
+def test_odd_tensoriality(square):
+    rng = random.Random(5)
+    for J in (standard_odd_structure(1, square), curved_odd_structure(square)):
+        coords = J.coords
+        fields = monomial_fields_up_to(coords, 1)
+        monos = [m for d in range(3) for m in monomials_of_degree(coords, d)]
+        even_monos = [m for m in monos if mono_parity(m, coords) == 0]
+        for _ in range(20):
+            X = rng.choice(fields)
+            Y = rng.choice(fields)
+            f = Polynomial(coords, {rng.choice(even_monos): FIELD_Q.random(rng)})
+            assert not tensoriality_defect(J, X, Y, f, "odd")
 
 
 def symplectic_B(dim):
