@@ -383,10 +383,6 @@ class LieSuperAlgebra:
 # given real or complex span.
 
 
-def matrix_from_dict(n, entries):
-    return {rc: v for rc, v in entries.items() if v}
-
-
 def supercommutator(a, b, pa, pb, row_parity):
     sign = -1 if (pa and pb) else 1
     out = {}

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Element, LieSuperAlgebra
-from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis, rref_rows
+from .algebra import LieSuperAlgebra
+from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis
 from .scalars import GaussianRational, ZERO, format_scalar, rational
 from .spaces import admissible_words, sort_word
 
@@ -78,10 +78,6 @@ def cochain_block_key(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
     return (parity, tuple(a - b for a, b in zip(tw, wt)))
 
 
-SIGN_ACTION_PC = 1  # include p(c) in the action Koszul factor
-SIGN_BRACKET_PP = 1  # include p(x_i)p(x_j) in the bracket term
-
-
 def differential_matrix(
     g: LieSuperAlgebra,
     neg: NegativePart,
@@ -126,7 +122,7 @@ def differential_matrix(
             a_pos = word[i]
             a_global = neg.indices[a_pos]
             rest = word[:i] + word[i + 1 :]
-            exp = i + neg.parities[a_pos] * ((cochain_parity * SIGN_ACTION_PC) + pref[i])
+            exp = i + neg.parities[a_pos] * (cochain_parity + pref[i])
             sign = -1 if exp % 2 else 1
             # [e_a, b] expansions: contributes entry at rows (word, t)
             for b in range(len(g)):
@@ -145,7 +141,7 @@ def differential_matrix(
                 if not val:
                     continue
                 rest = tuple(w for l, w in enumerate(word) if l != i and l != j)
-                exp = i + j + pa * pref[i] + pb * pref[j] + (pa * pb * SIGN_BRACKET_PP)
+                exp = i + j + pa * pref[i] + pb * pref[j] + pa * pb
                 base_sign = -1 if exp % 2 else 1
                 for m_global, gamma in val.items():
                     m_pos = neg.pos.get(m_global)
@@ -180,36 +176,6 @@ class Cochain:
             raise ValueError("cochain is not parity homogeneous")
         self.parity = parity if parities == set() else parities.pop()
 
-    def evaluate(self, arg_indices: Sequence[int]) -> Element:
-        """Value on g_minus basis arguments given by global indices (any order)."""
-        neg = NegativePart(self.g)
-        word = tuple(neg.pos[a] for a in arg_indices)
-        res = sort_word(word, neg.parities, "exterior")
-        if res is None:
-            return {}
-        canon, sigma = res
-        out: Element = {}
-        for (w, t), c in self.coeffs.items():
-            if w == canon:
-                out[t] = -c if sigma < 0 else c
-        return out
-
-
-def coboundary(c: Cochain) -> Cochain:
-    """d(c), computed against the canonical basis of C^{k+1} in the same degree."""
-    g = c.g
-    neg = NegativePart(g)
-    cols = sorted(c.coeffs)
-    rows = cochain_basis(g, neg, c.k + 1, c.z_degree)
-    if c.parity is None:
-        return Cochain(g, c.k + 1, c.z_degree, {})
-    mat = differential_matrix(g, neg, c.k, c.z_degree, cols, rows, c.parity)
-    vec = [c.coeffs[key] for key in cols]
-    out = mat.mul_vector(vec)
-    coeffs = {rows[i]: v for i, v in enumerate(out) if v}
-    return Cochain(g, c.k + 1, c.z_degree, coeffs)
-
-
 def cochain_action(g: LieSuperAlgebra, h: int, c: Cochain) -> Cochain:
     """The g0-module structure on cochains, evaluated on canonical words:
 
@@ -235,7 +201,7 @@ def cochain_action(g: LieSuperAlgebra, h: int, c: Cochain) -> Cochain:
         for word in admissible_words(neg.parities, c.k, "exterior"):
             pref = 0
             for i, w in enumerate(word):
-                exp = ph * ((SIGN_ACTION_PC * pc) + pref)
+                exp = ph * (pc + pref)
                 sign = -1 if exp % 2 else 1
                 a_global = neg.indices[w]
                 for m_global, hv in g._table.get((h, a_global), {}).items():
@@ -356,15 +322,6 @@ class DegreeCohomology:
         coeffs = {b.c2basis[i]: v for i, v in enumerate(b.reps[ri]) if v}
         return Cochain(self.g, 2, self.z_degree, coeffs, parity=b.parity)
 
-    def global_coords_of(self, bi, vec):
-        out = [ZERO] * self.dim_h2
-        cc = self.blocks[bi].class_coords(vec)
-        if cc is None:
-            return None
-        for i, v in enumerate(cc):
-            out[self.offsets[bi] + i] = v
-        return out
-
     def _shifted_key(self, key, h):
         ph = self.g.parity(h)
         wh = self.g.space.basis[h].weight
@@ -425,15 +382,14 @@ class DegreeCohomology:
         mat = SparseMatrix(max(len(row_index), 1), b.dim_h2, entries)
         return row_space_basis(kernel_basis(mat), b.dim_h2)
 
-    def weight_vectors(self, mode: str = "highest"):
-        """Per (weight, parity): the classes killed by all raisings (or lowerings).
+    def weight_vectors(self):
+        """Per (weight, parity): the highest-weight classes, killed by all raisings.
 
         Returns a list of dicts with weight, parity, multiplicity and the
         vectors in block-class coordinates.
         """
         g = self.g
-        ops_ids = g.raising if mode == "highest" else g.lowering
-        ops = [g.index(s) for s in ops_ids]
+        ops = [g.index(s) for s in g.raising]
         out = []
         for bi, b in enumerate(self.blocks):
             if not b.dim_h2:
@@ -454,29 +410,6 @@ class DegreeCohomology:
                 )
         return out
 
-    def even_weight_vectors(self, mode: str = "highest"):
-        """Weight vectors with respect to the even part of the raising set only."""
-        g = self.g
-        ops_ids = g.raising if mode == "highest" else g.lowering
-        ops = [g.index(s) for s in ops_ids if g.parity(g.index(s)) == 0]
-        out = []
-        for bi, b in enumerate(self.blocks):
-            if not b.dim_h2:
-                continue
-            vecs = self.operator_kernel_on_block(bi, ops) if ops else []
-            if vecs:
-                out.append(
-                    {
-                        "block": bi,
-                        "weight": b.weight,
-                        "parity": b.parity,
-                        "count": len(vecs),
-                        "vectors": vecs,
-                    }
-                )
-        return out
-
-
 def apply_i_cochain(g: LieSuperAlgebra, coeffs: Dict[CKey, object]):
     """Post-compose a cochain with multiplication by i, or None off the i-domain."""
     if g.i_op is None:
@@ -496,7 +429,7 @@ def apply_i_cochain(g: LieSuperAlgebra, coeffs: Dict[CKey, object]):
     return out
 
 
-def i_pairing(deg: DegreeCohomology, mode: str = "highest"):
+def i_pairing(deg: DegreeCohomology):
     """Partition the weight-vector classes into i-pairs and leftovers.
 
     With a total i operator (realifications) the pairing is literal: the
@@ -511,7 +444,7 @@ def i_pairing(deg: DegreeCohomology, mode: str = "highest"):
     if g.i_op is None:
         raise ValueError("algebra carries no i operator")
     total = all(k in g.i_op for k in range(len(g)))
-    wvs = deg.weight_vectors(mode)
+    wvs = deg.weight_vectors()
     pairs = []
     unpaired = []
     undetermined = []
@@ -676,10 +609,6 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
     return pairs, unpaired, []
 
 
-def _expand_hw(hw, j):
-    return hw[j]
-
-
 def _greedy_pairs(nhw, image_of, label):
     """Pair basis directions with their i-images, tracking the used span."""
     pairs = []
@@ -733,46 +662,27 @@ def _c2_to_vec(deg: DegreeCohomology, bi: int, coeffs):
     return vec
 
 
-def _fmt_weight(w, sign: int = 1):
+def _fmt_weight(w):
     if w is None:
         return None
     out = []
     for x in w:
         if isinstance(x, GaussianRational):
             if x.im:
-                out.append(format_scalar(x * sign))
+                out.append(format_scalar(x))
                 continue
             x = x.re
         num = int(x.numerator) if hasattr(x, "numerator") else int(x)
         den = int(x.denominator) if hasattr(x, "denominator") else 1
-        num *= sign
         out.append(num if den == 1 else f"{num}/{den}")
     return out
 
 
 def _fmt_scalar_list(vec):
-    from .scalars import format_scalar
-
     return [format_scalar(v) for v in vec]
 
 
 # -- submodule structure -------------------------------------------------------
-
-
-def _mat_mul(a: dict, b: dict, n: int) -> dict:
-    bt: Dict[int, list] = {}
-    for (r, c), v in b.items():
-        bt.setdefault(r, []).append((c, v))
-    out: Dict[Tuple[int, int], object] = {}
-    for (r, c), v in a.items():
-        for (c2, w) in bt.get(c, ()):  # a[r,c] b[c,c2]
-            key = (r, c2)
-            nv = out.get(key, ZERO) + v * w
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-    return out
 
 
 def _mat_vec(mat: dict, vec, n: int):
@@ -798,191 +708,6 @@ def generated_submodule(deg: DegreeCohomology, vectors, mats):
         if len(nb) == len(basis):
             return nb
         basis = nb
-
-
-def action_algebra(deg: DegreeCohomology, cap: int = 6000):
-    """Basis of the unital matrix algebra generated by the g0 action on H^2."""
-    g = deg.g
-    n = deg.dim_h2
-    gens = [deg.action_matrix(h) for h in g.component_indices(0)]
-    ident = {(i, i): rational(1) for i in range(n)}
-    basis_mats = [ident]
-    vecs = [{i * n + i: rational(1) for i in range(n)}]
-    solver = SpanSolver(vecs, n * n)
-    worklist = [ident]
-    while worklist:
-        m = worklist.pop()
-        for gmat in gens:
-            prod = _mat_mul(gmat, m, n)
-            vec = {r * n + c: v for (r, c), v in prod.items()}
-            if not solver.contains(vec):
-                basis_mats.append(prod)
-                vecs.append(vec)
-                solver = SpanSolver(vecs, n * n)
-                worklist.append(prod)
-                if len(basis_mats) > cap:
-                    raise RuntimeError("action algebra closure exceeded the cap")
-    return basis_mats
-
-
-def algebra_radical(basis_mats, n):
-    """Dickson: x in rad(A) iff tr(x y) = 0 for every y in the algebra basis."""
-    traces = []
-    for y in basis_mats:
-        row = {}
-        for j, x in enumerate(basis_mats):
-            t = ZERO
-            for (r, c), v in x.items():
-                w = y.get((c, r))
-                if w:
-                    t = t + v * w
-            if t:
-                row[j] = t
-        traces.append(row)
-    entries = {}
-    for ridx, row in enumerate(traces):
-        for j, v in row.items():
-            entries[(ridx, j)] = v
-    mat = SparseMatrix(max(len(traces), 1), len(basis_mats), entries)
-    kern = kernel_basis(mat)
-    rad = []
-    for k in kern:
-        m: Dict[Tuple[int, int], object] = {}
-        for j, coef in enumerate(k):
-            if coef:
-                for rc, v in basis_mats[j].items():
-                    nv = m.get(rc, ZERO) + coef * v
-                    if nv:
-                        m[rc] = nv
-                    elif rc in m:
-                        del m[rc]
-        if m:
-            rad.append(m)
-    return rad
-
-
-def socle_series(deg: DegreeCohomology):
-    """Ascending chain 0 < S_1 < S_2 < ... = H^2 with S_{k+1}/S_k = socle.
-
-    S_1 = annihilator of rad(A); S_{k+1} = preimage of the socle of the
-    quotient, computed as {v : rad . v in S_k}.
-    """
-    n = deg.dim_h2
-    if n == 0:
-        return []
-    mats = action_algebra(deg)
-    rad = algebra_radical(mats, n)
-    chain = []
-    current: list = []
-    while True:
-        solver = SpanSolver(current, n) if current else None
-        rows = []
-        for m in rad:
-            for j in range(n):
-                unit = [rational(1) if i == j else ZERO for i in range(n)]
-                img = _mat_vec(m, unit, n)
-                if solver is not None:
-                    img = solver.reduce(img)
-                rows.append((j, img))
-        entries = {}
-        ridx = 0
-        by_m = {}
-        for idx, (j, img) in enumerate(rows):
-            mnum = idx // n
-            for pos, v in enumerate(img):
-                if v:
-                    entries[(mnum * n + pos, j)] = v
-        mat = SparseMatrix(len(rad) * n if rad else 1, n, entries)
-        nxt = row_space_basis(kernel_basis(mat), n)
-        if len(nxt) == len(current):
-            # no growth: the remaining quotient is semisimple; close the chain
-            if len(current) < n:
-                chain.append([ _unit_vec(i, n) for i in range(n) ])
-            break
-        chain.append(nxt)
-        current = nxt
-        if len(current) == n:
-            break
-    return chain
-
-
-def _unit_vec(i, n):
-    return [rational(1) if j == i else ZERO for j in range(n)]
-
-
-def submodule_lattice(deg: DegreeCohomology, mode: str = "highest"):
-    """Generated modules of the weight-vector classes plus the socle chain."""
-    g = deg.g
-    n = deg.dim_h2
-    mats = [deg.action_matrix(h) for h in g.component_indices(0)]
-    wvs = deg.weight_vectors(mode)
-    hw_list = []
-    for entry in wvs:
-        bi = entry["block"]
-        for j, v in enumerate(entry["vectors"]):
-            gv = [ZERO] * n
-            for i, val in enumerate(v):
-                gv[deg.offsets[bi] + i] = val
-            hw_list.append(
-                {
-                    "weight": _fmt_weight(entry["weight"]),
-                    "parity": entry["parity"],
-                    "index": j,
-                    "vector": gv,
-                }
-            )
-    generated = []
-    for item in hw_list:
-        mod = generated_submodule(deg, [item["vector"]], mats)
-        generated.append(mod)
-    chain = socle_series(deg)
-    # weight-vector content of each node
-    def hw_content(subspace):
-        solver = SpanSolver(subspace, n)
-        content = {}
-        for item, mod in zip(hw_list, generated):
-            if solver.contains(item["vector"]):
-                key = (str(item["weight"]), item["parity"])
-                content[key] = content.get(key, 0) + 1
-        return {f"{k[0]}|parity{k[1]}": v for k, v in sorted(content.items())}
-
-    nodes = []
-    seen = []
-    for source, sub in (
-        [("generated", m) for m in generated] + [("socle", s) for s in chain]
-    ):
-        canon = row_space_basis(sub, n)
-        sig = tuple(tuple((i, str(v)) for i, v in enumerate(row) if v) for row in canon)
-        if sig in seen:
-            continue
-        seen.append(sig)
-        nodes.append({"dim": len(canon), "basis": canon, "sources": [source]})
-    # containment relations
-    contains = []
-    for a in range(len(nodes)):
-        sa = SpanSolver(nodes[a]["basis"], n)
-        for bidx in range(len(nodes)):
-            if a == bidx:
-                continue
-            if nodes[bidx]["dim"] <= nodes[a]["dim"] and all(
-                sa.contains(v) for v in nodes[bidx]["basis"]
-            ):
-                contains.append((a, bidx))
-    return {
-        "degree": deg.z_degree,
-        "weight_vector_count": len(hw_list),
-        "nodes": [
-            {
-                "dim": node["dim"],
-                "weight_content": hw_content(node["basis"]),
-                "sources": node["sources"],
-            }
-            for node in nodes
-        ],
-        "contains": contains,
-        "socle_chain_dims": [len(s) for s in chain],
-        "socle_chain_content": [hw_content(s) for s in chain],
-    }
 
 
 # -- reports --------------------------------------------------------------------
@@ -1024,29 +749,18 @@ def wess_zumino_flags(dims: Dict[int, int]) -> Dict[int, bool]:
     return flags
 
 
-def h2_by_degree(
-    g_star: LieSuperAlgebra,
-    degrees: Sequence[int],
-    *,
-    weight_mode: str = "highest",
-    even_weights_only: bool = False,
-    with_i_pairs: bool = True,
-    with_lattice: bool = False,
-    weight_label_sign: int = 1,
-) -> dict:
+def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
     """Per-degree H^2 report for a graded algebra with negative part.
 
-    Returns a JSON-ready dict: dims, representatives, weight-vector tables,
-    i-pairs where an i operator exists, submodule data on request.
+    Returns a JSON-ready dict: dims, representatives, highest-weight vector
+    tables where Cartan data exists, and i-pairs where an i operator exists.
     """
     neg = NegativePart(g_star)
     degrees = sorted(degrees)
     per_degree = {}
     dims = {}
-    objects: Dict[int, DegreeCohomology] = {}
     for d in degrees:
         deg = DegreeCohomology(g_star, d)
-        objects[d] = deg
         dims[d] = deg.dim_h2
         reps = []
         for (bi, ri) in deg.classes():
@@ -1054,7 +768,7 @@ def h2_by_degree(
             coeffs = {b.c2basis[i]: v for i, v in enumerate(b.reps[ri]) if v}
             reps.append(
                 {
-                    "weight": _fmt_weight(b.weight, weight_label_sign),
+                    "weight": _fmt_weight(b.weight),
                     "parity": b.parity,
                     "expression": format_cochain(g_star, neg, coeffs),
                 }
@@ -1066,194 +780,27 @@ def h2_by_degree(
             "representatives": reps,
         }
         if g_star.cartan and deg.dim_h2:
-            wvs = (
-                deg.even_weight_vectors(weight_mode)
-                if even_weights_only
-                else deg.weight_vectors(weight_mode)
-            )
+            wvs = deg.weight_vectors()
             entry["weight_vectors"] = [
                 {
-                    "weight": _fmt_weight(deg.blocks[w["block"]].weight, weight_label_sign),
+                    "weight": _fmt_weight(deg.blocks[w["block"]].weight),
                     "parity": w["parity"],
                     "count": w["count"],
                 }
                 for w in wvs
             ]
             entry["weight_vector_total"] = sum(w["count"] for w in wvs)
-        if with_i_pairs and g_star.i_op is not None and deg.dim_h2:
-            entry["i_pairing"] = i_pairing(deg, weight_mode)
-        if with_lattice and deg.dim_h2:
-            entry["submodules"] = submodule_lattice(deg, weight_mode)
+        if g_star.i_op is not None and deg.dim_h2:
+            entry["i_pairing"] = i_pairing(deg)
         per_degree[d] = entry
     flags = wess_zumino_flags(dims)
     for d in degrees:
         per_degree[d]["conditional"] = flags[d]
     return {
-        "weight_mode": weight_mode,
+        "weight_mode": "highest",  # weight vectors are always highest-weight
         "truncation": g_star.truncation,
         "degrees": {str(d): per_degree[d] for d in degrees},
         "h2_dims": {str(d): dims[d] for d in degrees},
     }
 
 
-def g0_action_on_h2(deg: DegreeCohomology, mode: str = "highest", even_only: bool = False, label_sign: int = 1) -> dict:
-    """Refined weight report: multiplicities split by parity, per weight."""
-    wvs = deg.even_weight_vectors(mode) if even_only else deg.weight_vectors(mode)
-    by_weight: Dict[str, Dict[int, int]] = {}
-    for w in wvs:
-        key = str(_fmt_weight(deg.blocks[w["block"]].weight, label_sign))
-        by_weight.setdefault(key, {0: 0, 1: 0})[w["parity"]] += w["count"]
-    return {
-        "degree": deg.z_degree,
-        "mode": mode,
-        "weights": {
-            k: {"even": v[0], "odd": v[1], "multiplicity": f"{v[0]}|{v[1]}"}
-            for k, v in sorted(by_weight.items())
-        },
-    }
-
-
-def layered_weight_vectors(deg: DegreeCohomology, mode: str = "highest"):
-    """Weight-vector counts of the socle-series subquotients.
-
-    For an indecomposable H^2 the plain kernel-of-raisings sees only the
-    bottom constituents; counting through the socle layers recovers one
-    weight-vector family per irreducible constituent.
-    """
-    g = deg.g
-    n = deg.dim_h2
-    if n == 0:
-        return []
-    chain = socle_series(deg)
-    ops_ids = g.raising if mode == "highest" else g.lowering
-    ops = [g.index(s) for s in ops_ids]
-    mats = {h: deg.action_matrix(h) for h in set(ops) | {g.index(s) for s in g.cartan}}
-    all_mats = [deg.action_matrix(h) for h in g.component_indices(0)]
-    prev: list = []
-    layers = []
-    for S in chain:
-        prev_solver = SpanSolver(prev, n) if prev else None
-        layer_reps = []
-        for v in S:
-            red = prev_solver.reduce(v) if prev_solver else v
-            layer_reps.append(red)
-        layer_basis = row_space_basis(layer_reps, n)
-        if not layer_basis:
-            prev = S
-            continue
-        lsolver = SpanSolver(layer_basis, n)
-        m = len(layer_basis)
-
-        def act(h, vec):
-            img = _mat_vec(mats[h], vec, n)
-            if prev_solver:
-                img = prev_solver.reduce(img)
-            return lsolver.solve(img)
-
-        # block structure: each layer basis vector sits in one (parity, weight) block
-        keys = []
-        for v in layer_basis:
-            key = None
-            for bj, block in enumerate(deg.blocks):
-                lo = deg.offsets[bj]
-                if any(v[lo : lo + block.dim_h2]):
-                    key = (block.parity, block.weight)
-                    break
-            keys.append(key)
-        by_key: Dict[tuple, list] = {}
-        for j, key in enumerate(keys):
-            by_key.setdefault(key, []).append(j)
-        layer_entry = []
-        for key in sorted(by_key, key=lambda k: (k[0], str(k[1]))):
-            members = by_key[key]
-            rows = []
-            for h in ops:
-                for j in members:
-                    sol = act(h, layer_basis[j])
-                    if sol is None:
-                        raise ValueError("socle layer is not action stable")
-                    rows.append((h, j, sol))
-            entries = {}
-            ridx = {}
-            for (h, j, sol) in rows:
-                for pos, val in enumerate(sol):
-                    if val:
-                        rkey = (h, pos)
-                        if rkey not in ridx:
-                            ridx[rkey] = len(ridx)
-                        entries[(ridx[rkey], members.index(j))] = val
-            mat = SparseMatrix(max(len(ridx), 1), len(members), entries)
-            kern = row_space_basis(kernel_basis(mat), len(members)) if ops else [
-                _unit_vec(i, len(members)) for i in range(len(members))
-            ]
-            if kern:
-                layer_entry.append(
-                    {
-                        "weight": _fmt_weight(key[1]),
-                        "parity": key[0],
-                        "count": len(kern),
-                        "members": members,
-                        "vectors": kern,
-                    }
-                )
-        layers.append({"layer_dim": m, "weight_vectors": layer_entry, "basis": layer_basis})
-        prev = S
-    return layers
-
-
-def layered_i_pair_count(deg: DegreeCohomology, mode: str = "highest"):
-    """i-pairs of the layered weight classes, via the induced i on each layer."""
-    g = deg.g
-    if g.i_op is None:
-        raise ValueError("algebra carries no i operator")
-    total = all(k in g.i_op for k in range(len(g)))
-    n = deg.dim_h2
-    layers = layered_weight_vectors(deg, mode)
-    if not total:
-        raise ValueError("layered pairing needs a total i operator")
-    # global matrix of I on H^2
-    entries = {}
-    for bi, b in enumerate(deg.blocks):
-        for ri in range(b.dim_h2):
-            coeffs = _class_to_c2(deg, bi, _unit_vec(ri, b.dim_h2))
-            ivec = _c2_to_vec(deg, bi, apply_i_cochain(g, coeffs))
-            cc = b.class_coords(ivec)
-            for i, v in enumerate(cc):
-                if v:
-                    entries[(deg.offsets[bi] + i, deg.offsets[bi] + ri)] = v
-    pairs = 0
-    classes = 0
-    chain_prev: list = []
-    for layer in layers:
-        basis = layer["basis"]
-        prev_solver = SpanSolver(chain_prev, n) if chain_prev else None
-        lsolver = SpanSolver(basis, n)
-        for entry in layer["weight_vectors"]:
-            classes += entry["count"]
-            used: list = []
-            m = len(entry["members"])
-            vecs = []
-            for kv in entry["vectors"]:
-                gv = [ZERO] * n
-                for pos, coef in enumerate(kv):
-                    if coef:
-                        for i, val in enumerate(basis[entry["members"][pos]]):
-                            gv[i] = gv[i] + coef * val
-                vecs.append(gv)
-            vsolver = SpanSolver(vecs, n)
-            for j, gv in enumerate(vecs):
-                unit = _unit_vec(j, len(vecs))
-                if used and SpanSolver(used, len(vecs)).contains(unit):
-                    continue
-                img = _mat_vec(entries, gv, n)
-                if prev_solver:
-                    img = prev_solver.reduce(img)
-                sol = vsolver.solve(img)
-                if sol is None or not any(sol):
-                    used.append(unit)
-                    continue
-                pairs += 1
-                used.append(unit)
-                used.append(sol)
-        chain_prev = chain_prev + [v for v in basis]
-    return {"degree": deg.z_degree, "classes": classes, "pairs": pairs}

@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over QQ and QQ(i).
 
 Everything upstream (prolongations, cohomology, real forms) reduces to ranks,
-kernels, intersections and quotients computed here.  The elimination is plain
+kernels, row spaces and span reductions computed here.  The elimination is plain
 Gauss-Jordan with pivots scaled to 1 and columns processed left to right.
 Within a column the sparse path takes the remaining row with the fewest
 nonzeros (ties to the lowest index), which keeps fill-in down on tall, very
@@ -51,24 +51,9 @@ class SparseMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
-    def from_columns(cls, columns, dim=None):
-        columns = list(columns)
-        if dim is None:
-            dim = len(columns[0]) if columns else 0
-        entries = {}
-        for c, vec in enumerate(columns):
-            for r, v in enumerate(vec):
-                if v:
-                    entries[(r, c)] = v
-        return cls(dim, len(columns), entries)
-
-    @classmethod
     def identity(cls, n):
         one = rational(1)
         return cls(n, n, {(k, k): one for k in range(n)})
-
-    def get(self, r, c):
-        return self.entries.get((r, c), ZERO)
 
     def to_dense(self):
         data = [[ZERO] * self.cols for _ in range(self.rows)]
@@ -81,11 +66,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def mul_vector(self, vec):
         out = [ZERO] * self.rows
@@ -234,62 +214,6 @@ def row_space_basis(vectors, dim):
     return [_dict_to_vec(r, dim) for r in rref]
 
 
-def intersect_subspaces(a, b, dim=None):
-    """Basis of span(a) & span(b); vectors live in a common ambient dimension."""
-    a = [list(v) for v in a]
-    b = [list(v) for v in b]
-    if dim is None:
-        if a:
-            dim = len(a[0])
-        elif b:
-            dim = len(b[0])
-        else:
-            return []
-    for v in a + b:
-        if len(v) != dim:
-            raise ValueError("ambient dimensions differ")
-    if not a or not b:
-        return []
-    na = len(a)
-    rows = []
-    for i in range(dim):
-        row = {}
-        for j, v in enumerate(a):
-            if v[i]:
-                row[j] = v[i]
-        for j, v in enumerate(b):
-            if v[i]:
-                row[na + j] = -v[i]
-        rows.append(row)
-    kern = kernel_basis(SparseMatrix(dim, na + len(b), _rows_to_entries(rows)))
-    meet = []
-    for k in kern:
-        vec = [ZERO] * dim
-        for j, v in enumerate(a):
-            cj = k[j]
-            if cj:
-                for i in range(dim):
-                    if v[i]:
-                        vec[i] = vec[i] + cj * v[i]
-        meet.append(vec)
-    return row_space_basis(meet, dim)
-
-
-def quotient_representatives(space_dim: int, subspace):
-    """Standard basis vectors completing the subspace to a basis of the space."""
-    rows = [_vec_to_dict(v) for v in subspace]
-    pivot_cols, _ = rref_rows(rows, space_dim)
-    pivot_set = set(pivot_cols)
-    reps = []
-    one = rational(1)
-    for j in range(space_dim):
-        if j not in pivot_set:
-            vec = [ZERO] * space_dim
-            vec[j] = one
-            reps.append(vec)
-    return reps
-
-
 class SpanSolver:
     """Reduce against / express in a fixed spanning set, built once, queried often.
 
@@ -376,15 +300,6 @@ def _dict_to_vec(d, dim):
         if c < dim:
             out[c] = v
     return out
-
-
-def _rows_to_entries(rows):
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            if v:
-                entries[(r, c)] = v
-    return entries
 
 
 def primitive_integer_vector(vec):

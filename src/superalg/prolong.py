@@ -7,21 +7,21 @@ components are computed degree by degree:
 
   g_k = { X of degree k : [X, realization of g_j] lies in g_{k+j} for all j<0 }
 
-which for depth 1 is evaluated literally as an intersection of the image of
-X -> ([X, d_1], ..., [X, d_n]) with the tuple space of the previous component,
-and for deeper gradings as a kernel of reduction residuals.  The bracket on
-the result is the bracket of the realized fields, re-expanded in the computed
-basis; closure is checked, never assumed.
+Within each (parity, weight) block of degree-k candidate fields this is the
+kernel of the map sending X to the residuals of its brackets [X, g_j] modulo
+the realized span of g_{k+j}; the same computation serves depth 1 and 2.  The
+bracket on the result is the bracket of the realized fields, re-expanded in
+the computed basis; closure is checked, never assumed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .algebra import Element, LieSuperAlgebra
-from .constructors import Action, combine_nonpositive
-from .linalg import SpanSolver, SparseMatrix, intersect_subspaces, kernel_basis, rref_rows
-from .polyvf import Coords, Polynomial, VectorField, coordinate_field, field_basis_index, fields_of_degree
+from .algebra import Element, LieSuperAlgebra, from_matrices
+from .constructors import Action, abelian_negative, combine_nonpositive
+from .linalg import SpanSolver, SparseMatrix, kernel_basis, row_space_basis
+from .polyvf import Coords, Polynomial, VectorField, coordinate_field, field_basis_index, fields_of_degree, mono_parity
 from .scalars import ZERO, rational
 from .spaces import BasisVector, SuperSpace
 
@@ -178,8 +178,6 @@ def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dic
 
 def _candidate_blocks(coords: Coords, k: int, weights):
     """Split the degree-k candidate fields by (parity, weight) for determinism."""
-    from .polyvf import mono_parity
-
     cand = fields_of_degree(coords, k)
     blocks: Dict[Tuple, List[VectorField]] = {}
     for f in cand:
@@ -198,26 +196,16 @@ def _candidate_blocks(coords: Coords, k: int, weights):
     return dict(sorted(blocks.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))))
 
 
-def prolong(
-    nonpos: LieSuperAlgebra,
-    max_degree: int,
-    *,
-    method: str = "auto",
-) -> ProlongResult:
+def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     """Extend a nonpositively graded algebra to degrees <= max_degree.
 
-    method "intersection" stacks bracket images and intersects with the tuple
-    space of the previous components (depth-1 only); "kernel" solves the
-    residual equations directly; "auto" picks intersection for depth 1.
+    Each positive component is the kernel of the bracket residuals modulo the
+    components already computed, one (parity, weight) candidate block at a
+    time, in the RREF basis over the candidate monomial fields.
     """
     coords, neg_fields = realize_negative(nonpos)
     zero_fields = realize_degree_zero(nonpos, coords, neg_fields)
     neg = nonpos.negative_indices()
-    depth = -min(nonpos.degree(j) for j in neg)
-    if method == "auto":
-        method = "intersection" if depth == 1 else "kernel"
-    if method == "intersection" and depth != 1:
-        raise ProlongError("intersection method applies to depth-1 inputs")
 
     weights = _field_coords_weights(coords, nonpos, neg)
 
@@ -248,7 +236,7 @@ def prolong(
         new_fields: List[VectorField] = []
         for key, cand in blocks.items():
             new_fields.extend(
-                _prolong_block(cand, neg, nonpos, neg_fields, comp_fields, coords, k, method, component_solver)
+                _prolong_block(cand, neg, nonpos, neg_fields, coords, k, component_solver)
             )
         comp_fields[k] = new_fields
         comp_ids[k] = [f"g{k}[{j}]" for j in range(len(new_fields))]
@@ -257,49 +245,15 @@ def prolong(
     return _assemble(nonpos, coords, comp_fields, comp_ids, max_degree)
 
 
-def _prolong_block(cand, neg, nonpos, neg_fields, comp_fields, coords, k, method, component_solver):
+def _prolong_block(cand, neg, nonpos, neg_fields, coords, k, component_solver):
+    """Kernel of the bracket residuals of one candidate block, stacked over g_minus."""
     if not cand:
         return []
-    constraints = []  # per negative e: (idx map, dim, reducing solver)
+    constraints = []  # per negative e: (e, idx map, dim, reducing solver)
     for e in neg:
-        d = k + nonpos.degree(e)
-        idx, dim, solver = component_solver(d)
+        idx, dim, solver = component_solver(k + nonpos.degree(e))
         constraints.append((e, idx, dim, solver))
-
-    if method == "intersection":
-        total = sum(dim for _, _, dim, _ in constraints)
-        img = []
-        for X in cand:
-            vec = [ZERO] * total
-            off = 0
-            for e, idx, dim, _ in constraints:
-                for pos, c in X.bracket(neg_fields[e]).coordinates(idx).items():
-                    vec[off + pos] = c
-                off += dim
-            img.append(vec)
-        tuple_space = []
-        off = 0
-        for e, idx, dim, _ in constraints:
-            d = k + nonpos.degree(e)
-            for f in comp_fields.get(d, []):
-                vec = [ZERO] * total
-                for pos, c in f.coordinates(idx).items():
-                    vec[off + pos] = c
-                tuple_space.append(vec)
-            off += dim
-        meet = intersect_subspaces(img, tuple_space, total)
-        back = SpanSolver(img, total)
-        sols = []
-        for w in meet:
-            sol = back.solve(w)
-            if sol is None:
-                raise ProlongError("intersection pullback failed")
-            sols.append(sol)
-        return _fields_from_coeffs(sols, cand, coords)
-
-    # kernel method: stack residuals after reducing mod the known spans
     entries = {}
-    row_count = sum(dim for _, _, dim, _ in constraints)
     for j, X in enumerate(cand):
         off = 0
         for e, idx, dim, solver in constraints:
@@ -307,18 +261,16 @@ def _prolong_block(cand, neg, nonpos, neg_fields, comp_fields, coords, k, method
             for pos, val in residual.items():
                 entries[(off + pos, j)] = val
             off += dim
+    row_count = sum(dim for _, _, dim, _ in constraints)
     mat = SparseMatrix(row_count or 1, len(cand), entries)
-    kern = kernel_basis(mat)
-    return _fields_from_coeffs(kern, cand, coords)
+    return _fields_from_coeffs(kernel_basis(mat), cand, coords)
 
 
 def _fields_from_coeffs(vectors, cand, coords):
     """Canonicalize coefficient vectors by RREF, then rebuild fields.
 
-    Makes the computed component basis independent of the solution method.
+    Makes the computed component basis independent of the kernel basis found.
     """
-    from .linalg import row_space_basis
-
     canon = row_space_basis(vectors, len(cand))
     out = []
     for vec in canon:
@@ -418,8 +370,6 @@ def cartan_prolong(g_minus1, g0_action: Action, max_degree: int) -> ProlongResul
     Accepts either a SuperSpace for g_minus1 or a degree -1 abelian algebra
     (whose i_op, if any, rides along).
     """
-    from .constructors import abelian_negative
-
     if isinstance(g_minus1, SuperSpace):
         g_minus = abelian_negative(g_minus1)
     else:
@@ -427,7 +377,7 @@ def cartan_prolong(g_minus1, g0_action: Action, max_degree: int) -> ProlongResul
     if not g0_action.is_faithful():
         raise ProlongError("g0 does not act faithfully on g_minus1")
     nonpos = combine_nonpositive(g_minus, g0_action)
-    return prolong(nonpos, max_degree, method="intersection")
+    return prolong(nonpos, max_degree)
 
 
 def generalized_prolong(g_minus: LieSuperAlgebra, g0_action: Action, max_degree: int) -> ProlongResult:
@@ -439,13 +389,12 @@ def generalized_prolong(g_minus: LieSuperAlgebra, g0_action: Action, max_degree:
     gradefail = nonpos.check_grading()
     if gradefail:
         raise ProlongError(f"action does not preserve the grading: {gradefail[0]}")
-    return prolong(nonpos, max_degree, method="kernel")
+    return prolong(nonpos, max_degree)
 
 
 def prolong_nonpositive(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     """Prolong an already-combined nonpositive algebra."""
-    depth = -min(nonpos.degree(k) for k in nonpos.negative_indices())
-    return prolong(nonpos, max_degree, method="intersection" if depth == 1 else "kernel")
+    return prolong(nonpos, max_degree)
 
 
 def realize_as_vector_fields(p: ProlongResult) -> Dict[str, VectorField]:
@@ -458,8 +407,6 @@ def degree_zero_derivations(g_minus: LieSuperAlgebra) -> Action:
     Solved from the linearized Leibniz constraint, separately for even and odd
     derivations; the result's bracket is the supercommutator of the matrices.
     """
-    from .algebra import from_matrices
-
     n = len(g_minus)
     parities = [g_minus.parity(k) for k in range(n)]
     degrees = [g_minus.degree(k) for k in range(n)]

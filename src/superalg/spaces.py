@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Tuple
 
 EVEN = 0
@@ -68,26 +68,6 @@ class SuperSpace:
 
     def __repr__(self):
         return f"SuperSpace({self.sdim_str()}, {[b.id for b in self.basis]!r})"
-
-
-class GradedSuperSpace:
-    """Components keyed by integer degree; each basis vector knows its degree."""
-
-    def __init__(self, components: dict):
-        self.components = dict(sorted(components.items()))
-        for d, space in self.components.items():
-            for b in space:
-                if b.degree is not None and b.degree != d:
-                    raise ValueError(f"{b.id} has degree {b.degree}, placed in component {d}")
-
-    def degrees(self):
-        return list(self.components)
-
-    def component(self, d) -> SuperSpace:
-        return self.components.get(d, SuperSpace([]))
-
-    def total_dim(self):
-        return sum(len(s) for s in self.components.values())
 
 
 def koszul_sign(permutation: Sequence[int], parities: Sequence[int]) -> int:

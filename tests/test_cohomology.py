@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from superalg.algebra import realify
 from superalg.cohomology import NegativePart, cochain_basis, cochain_block_key, differential_matrix, h2_by_degree
-from superalg.constructors import build_minkowski_g0
+from superalg.constructors import build_complexified_minkowski, build_minkowski_g0
 from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.prolong import prolong_nonpositive
 from superalg.scalars import ZERO
@@ -10,28 +13,57 @@ from superalg.scalars import ZERO
 from oracles import dense_rank_fraction_free
 
 
+def report_digest(report):
+    """SHA-256 of the canonical JSON form of an h2_by_degree report."""
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def mink1_conformal():
+    return prolong_nonpositive(build_minkowski_g0(1, "conformal"), 2).algebra
+
+
 @pytest.fixture(scope="module")
 def mink1_reduced():
     return prolong_nonpositive(build_minkowski_g0(1, "reduced"), 2).algebra
 
 
+# The digests pin each whole report (representatives, weight vectors, i-pairs),
+# not only its dims; the same values are pinned by the benchmark's h2_sweep.
 @pytest.mark.parametrize(
-    "build, dims",
+    "build, dims, sha256",
     [
-        (lambda: prolong_nonpositive(build_minkowski_g0(1, "conformal"), 2).algebra, [0, 0, 8]),
-        (lambda: realify(contact_algebra(0, 2, 2, field="Q(i)")), [0, 0, 0]),
-        (lambda: pericontact_algebra(1, 2), [0, 0, 0]),
+        (mink1_conformal, [0, 0, 8], "f40b85fa744f0a0976f000c80d0c6405b66d5b66cfdc04f4ad6f9adf447cca9a"),
+        (
+            lambda: realify(contact_algebra(0, 2, 2, field="Q(i)")),
+            [0, 0, 0],
+            "468853083bacc5d00f523c26c264dbd95f4d80be354e6525c732c85bca85dfd9",
+        ),
+        (lambda: pericontact_algebra(1, 2), [0, 0, 0], "8c75441ecb2cf4739404ff346312c616ff0830c13431f1f7d464c90a79b48d74"),
     ],
     ids=["minkowski-N1-conformal", "k(1|2)^R", "m(1|1)"],
 )
-def test_h2_dims_in_degrees_1_to_3(build, dims):
+def test_h2_dims_in_degrees_1_to_3(build, dims, sha256):
     report = h2_by_degree(build(), (1, 2, 3))
     assert [report["h2_dims"][str(d)] for d in (1, 2, 3)] == dims
+    assert report_digest(report) == sha256
 
 
 def test_h2_dims_minkowski_n1_reduced(mink1_reduced):
     report = h2_by_degree(mink1_reduced, (1, 2, 3))
     assert [report["h2_dims"][str(d)] for d in (1, 2, 3)] == [4, 6, 8]
+    assert report_digest(report) == "77d3767ee941e9a2e1e3823ffeb9a97e2b8907e61b2ff29e9a38833014baaa23"
+
+
+def test_total_i_pairing_of_realified_complexified_minkowski():
+    # i is defined on every basis vector, so H^2 splits into literal i-pairs
+    report = h2_by_degree(realify(build_complexified_minkowski(1)), (1,))
+    assert report["h2_dims"] == {"1": 32}
+    pairing = report["degrees"]["1"]["i_pairing"]
+    assert pairing["mode"] == "total"
+    assert pairing["pair_count"] == 16
+    assert pairing["unpaired"] == [] and pairing["undetermined"] == []
+    assert report_digest(report) == "a5329ff8d3004108aa81add8ec026aeab74949569f2b55803b3b4a5502836615"
 
 
 def _blocks(g, neg, z):
@@ -54,11 +86,11 @@ def _compose(d2, d1):
     return prod
 
 
-def test_d2_d1_vanishes_on_every_block_of_minkowski_n1_reduced(mink1_reduced):
-    g = mink1_reduced
+def _check_d_squared_and_h2(g, expected_h2_dims):
+    """d2∘d1 = 0 and dim H^2 = dim C^2 - rank d2 - rank d1 on every block, Z-degrees 1..3."""
     neg = NegativePart(g)
     nontrivial = 0
-    for z, expected_h2 in zip((1, 2, 3), (4, 6, 8)):
+    for z, expected_h2 in zip((1, 2, 3), expected_h2_dims):
         h2 = 0
         for key, basis in _blocks(g, neg, z).items():
             d1 = differential_matrix(g, neg, 1, z, basis[1], basis[2], key[0])
@@ -67,5 +99,18 @@ def test_d2_d1_vanishes_on_every_block_of_minkowski_n1_reduced(mink1_reduced):
             nontrivial += bool(d1.nnz() and d2.nnz())
             # dim H^2 = dim C^2 - rank d2 - rank d1, ranks from the oracle
             h2 += len(basis[2]) - dense_rank_fraction_free(d2.to_dense()) - dense_rank_fraction_free(d1.to_dense())
-        assert h2 == expected_h2
+        assert h2 == expected_h2, z
     assert nontrivial > 0
+
+
+def test_d2_d1_vanishes_on_every_block_of_minkowski_n1_reduced(mink1_reduced):
+    _check_d_squared_and_h2(mink1_reduced, (4, 6, 8))
+
+
+@pytest.mark.parametrize(
+    "build, h2_dims",
+    [(mink1_conformal, (0, 0, 8)), (lambda: contact_algebra(1, 2, 3), (0, 0, 0))],
+    ids=["minkowski-N1-conformal", "k(3|2)"],
+)
+def test_d2_d1_vanishes_on_every_block(build, h2_dims):
+    _check_d_squared_and_h2(build(), h2_dims)

@@ -7,12 +7,9 @@ from superalg import linalg
 from superalg.linalg import (
     SparseMatrix,
     SpanSolver,
-    intersect_subspaces,
     kernel_basis,
     primitive_integer_vector,
-    quotient_representatives,
     rank,
-    row_space_basis,
     rref_rows,
 )
 from superalg.scalars import FIELD_Q, FIELD_QI, ZERO, gaussian, rational
@@ -102,44 +99,6 @@ def test_rref_dense_sparse_agree():
         dense = linalg._rref_dense(m.row_dicts(), 9)
         sparse = linalg._rref_sparse(m.row_dicts(), 9)
         assert dense == sparse
-
-
-def test_intersect_trivial_cases():
-    e = [[rational(1), rational(0)], [rational(0), rational(1)]]
-    full = intersect_subspaces(e, e)
-    assert len(full) == 2
-    a = [[rational(1), rational(0), rational(0), rational(0)],
-         [rational(0), rational(1), rational(0), rational(0)]]
-    b = [[rational(0), rational(0), rational(1), rational(0)],
-         [rational(0), rational(0), rational(0), rational(1)]]
-    assert intersect_subspaces(a, b) == []
-
-
-def test_intersect_dimension_formula():
-    # dim(a & b) = dim a + dim b - rank[a|b] for random 3-dim subspaces of Q^5
-    rng = random.Random(41)
-    for _ in range(15):
-        a = [[FIELD_Q.random(rng) for _ in range(5)] for _ in range(3)]
-        b = [[FIELD_Q.random(rng) for _ in range(5)] for _ in range(3)]
-        da = len(row_space_basis(a, 5))
-        db = len(row_space_basis(b, 5))
-        joint = dense_rank_fraction_free(a + b)
-        meet = intersect_subspaces(a, b)
-        assert len(meet) == da + db - joint
-        solver = SpanSolver(a, 5)
-        solver_b = SpanSolver(b, 5)
-        for v in meet:
-            assert solver.contains(v) and solver_b.contains(v)
-
-
-def test_quotient_representatives():
-    assert quotient_representatives(2, [[rational(1), rational(0)], [rational(0), rational(1)]]) == []
-    reps = quotient_representatives(2, [])
-    assert len(reps) == 2
-    reps = quotient_representatives(3, [[rational(1), rational(1), rational(0)]])
-    assert len(reps) == 2
-    stacked = [[rational(1), rational(1), rational(0)]] + reps
-    assert dense_rank_fraction_free(stacked) == 3
 
 
 def test_span_solver_roundtrip():
