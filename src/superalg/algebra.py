@@ -483,8 +483,7 @@ def from_matrices(
                 raise ValueError(
                     f"bracket [{basis[i].id},{basis[j].id}] leaves the span of the generators"
                 )
-            val = {k: c for k, c in enumerate(coeffs) if c}
-            brackets[(i, j)] = val
+            brackets[(i, j)] = dict(sorted(coeffs.items()))
     i_op = None
     if install_i:
         # multiplication by i on the block parameters: the generator naming

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LieSuperAlgebra
 from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis
-from .scalars import GaussianRational, ZERO, format_scalar, rational
+from .scalars import GaussianRational, ONE, ZERO, format_scalar
 from .spaces import admissible_words, sort_word
 
 Word = Tuple[int, ...]
@@ -194,7 +194,9 @@ def cochain_action(g: LieSuperAlgebra, h: int, c: Cochain) -> Cochain:
         elif key in out:
             del out[key]
 
+    by_word: Dict[Word, list] = {}
     for (word, t), cval in c.coeffs.items():
+        by_word.setdefault(word, []).append((t, cval))
         for tt, hv in g._table.get((h, t), {}).items():
             add((word, tt), cval * hv)
     if any(g._table.get((h, neg.indices[p]), {}) for p in range(len(neg.indices))):
@@ -213,9 +215,8 @@ def cochain_action(g: LieSuperAlgebra, h: int, c: Cochain) -> Cochain:
                     if res is None:
                         continue
                     new_word, sigma = res
-                    for (w2, t), cval in c.coeffs.items():
-                        if w2 == new_word:
-                            add((word, t), -hv * cval * sign * sigma)
+                    for t, cval in by_word.get(new_word, ()):
+                        add((word, t), -hv * cval * sign * sigma)
                 pref += neg.parities[w]
     return Cochain(
         g, c.k, c.z_degree, out, parity=(pc + ph) % 2 if c.parity is not None else None
@@ -236,15 +237,11 @@ class Block:
         self.c2basis = c2basis
         self.c2pos = {k: i for i, k in enumerate(c2basis)}
         d2 = differential_matrix(g, neg, 2, z_degree, c2basis, c3basis, self.parity)
-        self.z2 = kernel_basis(d2)
+        self.z2 = kernel_basis(d2.row_dicts(), d2.cols)
         d1 = differential_matrix(g, neg, 1, z_degree, c1basis, c2basis, self.parity)
-        b2cols = []
-        for j in range(len(c1basis)):
-            col = [ZERO] * len(c2basis)
-            for (r, c), v in d1.entries.items():
-                if c == j:
-                    col[r] = v
-            b2cols.append(col)
+        b2cols = [{} for _ in c1basis]
+        for (r, c), v in d1.entries.items():
+            b2cols[c][r] = v
         self.b2_solver = SpanSolver(b2cols, len(c2basis))
         self.dim_z2 = len(self.z2)
         self.dim_b2 = self.b2_solver.rank
@@ -254,10 +251,10 @@ class Block:
         self.rep_solver = SpanSolver(self.reps, len(c2basis)) if self.reps else None
 
     def class_coords(self, vec):
-        """Coordinates of [vec] over the representatives, or None if not a class."""
-        if not self.reps:
-            return [] if not any(self.b2_solver.reduce(vec)) else None
+        """Coordinates {i: c} of [vec] over the representatives, or None if not a class."""
         residual = self.b2_solver.reduce(vec)
+        if not self.reps:
+            return None if residual else {}
         return self.rep_solver.solve(residual)
 
 
@@ -319,7 +316,7 @@ class DegreeCohomology:
 
     def rep_cochain(self, bi: int, ri: int) -> Cochain:
         b = self.blocks[bi]
-        coeffs = {b.c2basis[i]: v for i, v in enumerate(b.reps[ri]) if v}
+        coeffs = {b.c2basis[i]: v for i, v in b.reps[ri].items()}
         return Cochain(self.g, 2, self.z_degree, coeffs, parity=b.parity)
 
     def _shifted_key(self, key, h):
@@ -348,16 +345,12 @@ class DegreeCohomology:
                 if ti is None:
                     raise ValueError("action image leaves the computed blocks")
                 tb = self.blocks[ti]
-                vec = [ZERO] * len(tb.c2basis)
-                for k2, v in hc.coeffs.items():
-                    vec[tb.c2pos[k2]] = v
-                cc = tb.class_coords(vec)
+                cc = tb.class_coords({tb.c2pos[k2]: v for k2, v in hc.coeffs.items()})
                 if cc is None:
                     raise ValueError("action image is not a cocycle class")
                 col = self.offsets[bi] + ri
-                for i, v in enumerate(cc):
-                    if v:
-                        entries[(self.offsets[ti] + i, col)] = v
+                for i, v in cc.items():
+                    entries[(self.offsets[ti] + i, col)] = v
         self._action_cache[h] = entries
         return entries
 
@@ -366,21 +359,13 @@ class DegreeCohomology:
         b = self.blocks[bi]
         if not b.dim_h2:
             return []
-        rows = []
+        lo = self.offsets[bi]
+        rows: Dict[Tuple[int, int], dict] = {}
         for h in ops:
-            mat = self.action_matrix(h)
-            for (r, c), v in mat.items():
-                if self.offsets[bi] <= c < self.offsets[bi] + b.dim_h2:
-                    rows.append((r, c - self.offsets[bi], v, h))
-        entries = {}
-        row_index = {}
-        for (r, c, v, h) in rows:
-            key = (h, r)
-            if key not in row_index:
-                row_index[key] = len(row_index)
-            entries[(row_index[key], c)] = v
-        mat = SparseMatrix(max(len(row_index), 1), b.dim_h2, entries)
-        return row_space_basis(kernel_basis(mat), b.dim_h2)
+            for (r, c), v in self.action_matrix(h).items():
+                if lo <= c < lo + b.dim_h2:
+                    rows.setdefault((h, r), {})[c - lo] = v
+        return row_space_basis(kernel_basis(list(rows.values()), b.dim_h2), b.dim_h2)
 
     def weight_vectors(self):
         """Per (weight, parity): the highest-weight classes, killed by all raisings.
@@ -394,10 +379,7 @@ class DegreeCohomology:
         for bi, b in enumerate(self.blocks):
             if not b.dim_h2:
                 continue
-            vecs = self.operator_kernel_on_block(bi, ops) if ops else [
-                [rational(1) if i == j else ZERO for i in range(b.dim_h2)]
-                for j in range(b.dim_h2)
-            ]
+            vecs = self.operator_kernel_on_block(bi, ops) if ops else [{j: ONE} for j in range(b.dim_h2)]
             if vecs:
                 out.append(
                     {
@@ -494,12 +476,7 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
     g = deg.g
     n = deg.dim_h2
     mats = [deg.action_matrix(h) for h in g.component_indices(0)]
-    gvecs = []
-    for v in hw:
-        gv = [ZERO] * n
-        for i, val in enumerate(v):
-            gv[deg.offsets[bi] + i] = val
-        gvecs.append(gv)
+    gvecs = [{deg.offsets[bi] + i: val for i, val in v.items()} for v in hw]
     M = generated_submodule(deg, gvecs, mats)
     m = len(M)
     msolver = SpanSolver(M, n)
@@ -507,24 +484,21 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
     par = []
     for vec in M:
         ps = set()
-        for pos, val in enumerate(vec):
-            if val:
-                for bj, block in enumerate(deg.blocks):
-                    if deg.offsets[bj] <= pos < deg.offsets[bj] + block.dim_h2:
-                        ps.add(block.parity)
+        for pos in vec:
+            for bj, block in enumerate(deg.blocks):
+                if deg.offsets[bj] <= pos < deg.offsets[bj] + block.dim_h2:
+                    ps.add(block.parity)
         par.append(ps.pop() if len(ps) == 1 else None)
     # restricted action matrices
     acts = []
     for mat in mats:
         A = {}
         for j, vec in enumerate(M):
-            img = _mat_vec(mat, vec, n)
-            sol = msolver.solve(img)
+            sol = msolver.solve(_mat_vec(mat, vec))
             if sol is None:
                 raise ValueError("generated module is not action closed")
-            for i, val in enumerate(sol):
-                if val:
-                    A[(i, j)] = val
+            for i, val in sol.items():
+                A[(i, j)] = val
         acts.append(A)
     # parity-even commutant: unknowns X[(r,c)] with par r == par c
     slots = [
@@ -551,11 +525,7 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
                 row = {q: v for q, v in row.items() if v}
                 if row:
                     rows.append(row)
-    entries = {}
-    for ridx, row in enumerate(rows):
-        for q, v in row.items():
-            entries[(ridx, q)] = v
-    comm = kernel_basis(SparseMatrix(max(len(rows), 1), len(slots), entries))
+    comm = kernel_basis(rows, len(slots))
     # restrict the commutant to the weight space
     nhw = len(hw)
     wcoords = [msolver.solve(gv) for gv in gvecs]
@@ -564,18 +534,11 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
     wsolver = SpanSolver(wcoords, m)
     restricted = []
     for X in comm:
-        matX = {}
-        for q, v in enumerate(X):
-            if v:
-                matX[slots[q]] = v
+        matX = {slots[q]: v for q, v in X.items()}
         ok = True
         rows_w = []
         for w in wcoords:
-            img = [ZERO] * m
-            for (r, c), v in matX.items():
-                if w[c]:
-                    img[r] = img[r] + v * w[c]
-            sol = wsolver.solve(img)
+            sol = wsolver.solve(_mat_vec(matX, w))
             if sol is None:
                 ok = False
                 break
@@ -587,13 +550,13 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
     unpaired = []
     used: list = []
     for j in range(nhw):
-        unit = [rational(1) if i == j else ZERO for i in range(nhw)]
+        unit = {j: ONE}
         if used and SpanSolver(used, nhw).contains(unit):
             continue
         partner = None
         for R in restricted:
-            img = list(R[j])
-            if not any(img):
+            img = R[j]
+            if not img:
                 continue
             test = used + [unit]
             if not SpanSolver(test, nhw).contains(img):
@@ -603,7 +566,7 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
             unpaired.append(label(j))
             used.append(unit)
         else:
-            pairs.append((label(j), {"partner_combination": _fmt_scalar_list(partner)}))
+            pairs.append((label(j), {"partner_combination": _fmt_scalar_list(partner, nhw)}))
             used.append(unit)
             used.append(partner)
     return pairs, unpaired, []
@@ -616,7 +579,7 @@ def _greedy_pairs(nhw, image_of, label):
     undetermined = []
     used: list = []
     for j in range(nhw):
-        unit = [rational(1) if i == j else ZERO for i in range(nhw)]
+        unit = {j: ONE}
         if used and SpanSolver(used, nhw).contains(unit):
             continue
         img = image_of(j)
@@ -624,11 +587,11 @@ def _greedy_pairs(nhw, image_of, label):
             undetermined.append(label(j))
             used.append(unit)
             continue
-        if not any(img):
+        if not img:
             unpaired.append(label(j))
             used.append(unit)
             continue
-        pairs.append((label(j), {"partner_combination": _fmt_scalar_list(img)}))
+        pairs.append((label(j), {"partner_combination": _fmt_scalar_list(img, nhw)}))
         used.append(unit)
         used.append(img)
     return pairs, unpaired, undetermined
@@ -638,28 +601,20 @@ def _class_to_c2(deg: DegreeCohomology, bi: int, class_vec):
     """Lift class coordinates to a representative's C^2 coefficient dict."""
     b = deg.blocks[bi]
     out = {}
-    for i, coef in enumerate(class_vec):
-        if not coef:
-            continue
-        for pos, v in enumerate(b.reps[i]):
-            if v:
-                key = b.c2basis[pos]
-                nv = out.get(key, ZERO) + coef * v
-                if nv:
-                    out[key] = nv
-                elif key in out:
-                    del out[key]
+    for i, coef in class_vec.items():
+        for pos, v in b.reps[i].items():
+            key = b.c2basis[pos]
+            nv = out.get(key, ZERO) + coef * v
+            if nv:
+                out[key] = nv
+            elif key in out:
+                del out[key]
     return out
 
 
 def _c2_to_vec(deg: DegreeCohomology, bi: int, coeffs):
-    b = deg.blocks[bi]
-    vec = [ZERO] * len(b.c2basis)
-    if coeffs is None:
-        return vec
-    for key, v in coeffs.items():
-        vec[b.c2pos[key]] = v
-    return vec
+    pos = deg.blocks[bi].c2pos
+    return {pos[key]: v for key, v in coeffs.items()} if coeffs is not None else {}
 
 
 def _fmt_weight(w):
@@ -678,18 +633,25 @@ def _fmt_weight(w):
     return out
 
 
-def _fmt_scalar_list(vec):
-    return [format_scalar(v) for v in vec]
+def _fmt_scalar_list(vec, n):
+    """A dict vector printed as a dense list of length n."""
+    return [format_scalar(vec.get(i, ZERO)) for i in range(n)]
 
 
 # -- submodule structure -------------------------------------------------------
 
 
-def _mat_vec(mat: dict, vec, n: int):
-    out = [ZERO] * n
+def _mat_vec(mat: dict, vec):
+    """Image of a dict vector under a matrix {(row, col): scalar}."""
+    out = {}
     for (r, c), v in mat.items():
-        if vec[c]:
-            out[r] = out[r] + v * vec[c]
+        x = vec.get(c)
+        if x:
+            nv = out.get(r, ZERO) + v * x
+            if nv:
+                out[r] = nv
+            else:
+                del out[r]
     return out
 
 
@@ -701,8 +663,8 @@ def generated_submodule(deg: DegreeCohomology, vectors, mats):
         new = list(basis)
         for v in basis:
             for m in mats:
-                img = _mat_vec(m, v, n)
-                if any(img):
+                img = _mat_vec(m, v)
+                if img:
                     new.append(img)
         nb = row_space_basis(new, n)
         if len(nb) == len(basis):
@@ -765,7 +727,7 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
         reps = []
         for (bi, ri) in deg.classes():
             b = deg.blocks[bi]
-            coeffs = {b.c2basis[i]: v for i, v in enumerate(b.reps[ri]) if v}
+            coeffs = {b.c2basis[i]: v for i, v in b.reps[ri].items()}
             reps.append(
                 {
                     "weight": _fmt_weight(b.weight),

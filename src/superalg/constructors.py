@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Element, LieSuperAlgebra, from_matrices, realify
-from .linalg import SpanSolver, kernel_basis, SparseMatrix
+from .linalg import SpanSolver
 from .scalars import FIELD_Q, FIELD_QI, GaussianRational, I, ZERO, rational
 from .spaces import BasisVector, EVEN, ODD, SuperSpace
 

@@ -290,9 +290,8 @@ def span_algebra(
             sol = solver.solve(br.coordinates(idx_map))
             if sol is None:
                 raise ValueError(f"span does not close at [{gens[a][0]},{gens[b][0]}]")
-            val = {members[j]: c for j, c in enumerate(sol) if c}
-            if val:
-                brackets[(a, b)] = val
+            if sol:
+                brackets[(a, b)] = {members[j]: c for j, c in sorted(sol.items())}
     alg = LieSuperAlgebra(
         space,
         brackets,

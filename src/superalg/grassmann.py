@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import SpanSolver, SparseMatrix, kernel_basis, row_space_basis
+from .linalg import SpanSolver, kernel_basis, rank, row_space_basis
 from .scalars import (
     FIELD_QI,
     GaussianRational,
     I,
+    ONE,
     ZERO,
     as_gaussian,
     conjugate_scalar,
@@ -221,16 +222,18 @@ class RealStructure:
         return subsets, pos
 
     def element_to_vec(self, a: GrassmannElement, pos):
-        vec = [ZERO] * (2 * len(pos))
+        vec = {}
         for s, c in a.terms.items():
-            vec[2 * pos[s]] = c.re
-            vec[2 * pos[s] + 1] = c.im
+            if c.re:
+                vec[2 * pos[s]] = c.re
+            if c.im:
+                vec[2 * pos[s] + 1] = c.im
         return vec
 
     def vec_to_element(self, vec, subsets):
         terms = {}
         for k, s in enumerate(subsets):
-            re, im = vec[2 * k], vec[2 * k + 1]
+            re, im = vec.get(2 * k, ZERO), vec.get(2 * k + 1, ZERO)
             if re or im:
                 terms[s] = GaussianRational(re, im)
         return GrassmannElement(self.n, terms)
@@ -300,10 +303,7 @@ def random_real_structure(n: int, rng: random.Random, cubic_terms: int = 2):
     discarded = 0
     while True:
         M = [[FIELD_QI.random(rng, 2) for _ in range(n)] for _ in range(n)]
-        dense = [[as_gaussian(M[r][c]) for c in range(n)] for r in range(n)]
-        from .linalg import rank as _rank
-
-        if _rank(SparseMatrix.from_dense(dense)) != n:
+        if rank([{c: as_gaussian(x) for c, x in enumerate(row) if x} for row in M], n) != n:
             discarded += 1
             continue
         break
@@ -335,13 +335,7 @@ class _Automorphism:
         self._cache: Dict[Subset, GrassmannElement] = {(): GrassmannElement.one(n)}
         subsets = all_subsets(n)
         pos = {s: k for k, s in enumerate(subsets)}
-        cols = []
-        for s in subsets:
-            img = self.monomial_image(s)
-            vec = [gaussian(0)] * len(subsets)
-            for t, c in img.terms.items():
-                vec[pos[t]] = c
-            cols.append(vec)
+        cols = [{pos[t]: c for t, c in self.monomial_image(s).terms.items()} for s in subsets]
         self._solver = SpanSolver(cols, len(subsets))
         self._subsets = subsets
         self._pos = pos
@@ -363,17 +357,10 @@ class _Automorphism:
         return out
 
     def inverse_image(self, a: GrassmannElement) -> GrassmannElement:
-        vec = [gaussian(0)] * len(self._subsets)
-        for s, c in a.terms.items():
-            vec[self._pos[s]] = c
-        sol = self._solver.solve(vec)
+        sol = self._solver.solve({self._pos[s]: c for s, c in a.terms.items()})
         if sol is None:
             raise ValueError("not an automorphism")
-        terms = {}
-        for k, c in enumerate(sol):
-            if c:
-                terms[self._subsets[k]] = c
-        return GrassmannElement(self.n, terms)
+        return GrassmannElement(self.n, {self._subsets[k]: c for k, c in sorted(sol.items())})
 
 
 # -- fixed spaces and structural subspaces ------------------------------------
@@ -383,15 +370,16 @@ def real_form_basis(rho: RealStructure) -> List[GrassmannElement]:
     """Real basis of RE_rho = {a : rho(a) = a}; dimension is exactly 2^n."""
     entries, subsets, pos = rho.realified_matrix()
     dim = 2 * len(subsets)
-    eye = {(k, k): rational(1) for k in range(dim)}
-    diff = dict(entries)
-    for k in range(dim):
-        v = diff.get((k, k), ZERO) - rational(1)
+    rows = [{} for _ in range(dim)]
+    for (r, c), v in entries.items():
+        rows[r][c] = v
+    for k, row in enumerate(rows):
+        v = row.get(k, ZERO) - ONE
         if v:
-            diff[(k, k)] = v
-        elif (k, k) in diff:
-            del diff[(k, k)]
-    kern = kernel_basis(SparseMatrix(dim, dim, diff))
+            row[k] = v
+        else:
+            row.pop(k, None)
+    kern = kernel_basis(rows, dim)
     return [rho.vec_to_element(v, subsets) for v in kern]
 
 
@@ -438,16 +426,20 @@ def normalize_generators(rho: RealStructure) -> List[GrassmannElement]:
     b1 = [a for a in fixed if a.in_nilpotent_ideal()]
     # deterministic selection: greedily keep vectors with new degree-1 pivots
     chosen: List[GrassmannElement] = []
-    proj_rows: List[List[object]] = []
+    proj_rows: List[dict] = []
     for a in b1:
-        row = []
+        row = {}
         for j in range(n):
-            c = a.terms.get((j,), gaussian(0))
-            row.extend([c.re, c.im])
-        cand = proj_rows + [row]
-        if len(row_space_basis(cand, 2 * n)) > len(proj_rows):
+            c = a.terms.get((j,))
+            if c is not None:
+                if c.re:
+                    row[2 * j] = c.re
+                if c.im:
+                    row[2 * j + 1] = c.im
+        cand = row_space_basis(proj_rows + [row], 2 * n)
+        if len(cand) > len(proj_rows):
             chosen.append(a)
-            proj_rows = row_space_basis(cand, 2 * n)
+            proj_rows = cand
             if len(chosen) == n:
                 break
     if len(chosen) != n:
@@ -523,11 +515,7 @@ class CanonicalIso:
         sol = self._solver.solve(vec)
         if sol is None:
             raise ValueError("element is not in the real form")
-        terms = {}
-        for k, c in enumerate(sol):
-            if c:
-                terms[self.subsets[k]] = GaussianRational(c)
-        return GrassmannElement(self.n, terms)
+        return GrassmannElement(self.n, {self.subsets[k]: GaussianRational(c) for k, c in sorted(sol.items())})
 
     def check(self) -> bool:
         """Bijectivity and multiplicativity on all monomial basis pairs."""

@@ -1,26 +1,26 @@
 """Exact sparse linear algebra over QQ and QQ(i).
 
 Everything upstream (prolongations, cohomology, real forms) reduces to ranks,
-kernels, row spaces and span reductions computed here.  The elimination is plain
-Gauss-Jordan with pivots scaled to 1 and columns processed left to right.
-Within a column the sparse path takes the remaining row with the fewest
-nonzeros (ties to the lowest index), which keeps fill-in down on tall, very
-sparse matrices; the dense path takes the lowest-index remaining row.  The
-choice of pivot row does not change the result: the pivot columns and the
-fully reduced pivot rows are determined by the row space alone, because the
-reduced row echelon form is unique.  So every downstream basis and golden file
-is reproducible bit for bit.
+kernels, row spaces and span reductions computed here.
 
-Matrices below roughly 64x64 run on dense lists; larger ones use dict-of-dict
-rows (cohomology differentials are large but very sparse).  Vectors are dense
-lists or dicts {index: scalar} holding only nonzeros; SpanSolver accepts both.
+There is one vector form: a dict {index: scalar} holding only nonzeros, so an
+empty dict is the zero vector.  Test a vector by truthiness, never with any():
+a vector whose only nonzero sits at index 0 has the falsy key 0.  Matrices are
+lists of such row dicts together with a column count.
+
+There is one elimination routine, rref_rows: Gauss-Jordan with pivots scaled
+to 1 and columns processed left to right.  Within a column it takes the
+remaining row with the fewest nonzeros (ties to the lowest index), which keeps
+fill-in down on tall, very sparse matrices.  The choice of pivot row does not
+change the result: the pivot columns and the fully reduced pivot rows are
+determined by the row space alone, because the reduced row echelon form is
+unique.  So every downstream basis and golden file is reproducible bit for
+bit.
 """
 
 from __future__ import annotations
 
-from .scalars import ZERO, rational
-
-DENSE_LIMIT = 64
+from .scalars import ONE, ZERO
 
 
 class SparseMatrix:
@@ -39,41 +39,11 @@ class SparseMatrix:
                 if v:
                     self.entries[(r, c)] = v
 
-    @classmethod
-    def from_dense(cls, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(data):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def identity(cls, n):
-        one = rational(1)
-        return cls(n, n, {(k, k): one for k in range(n)})
-
-    def to_dense(self):
-        data = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            data[r][c] = v
-        return data
-
     def row_dicts(self):
         rows = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def mul_vector(self, vec):
-        out = [ZERO] * self.rows
-        for (r, c), v in self.entries.items():
-            x = vec[c]
-            if x:
-                out[r] = out[r] + v * x
-        return out
 
     def nnz(self):
         return len(self.entries)
@@ -82,63 +52,13 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-# -- elimination core --------------------------------------------------------
-
-
 def rref_rows(rows, cols):
-    """Reduced row echelon form of a list of row dicts.
+    """Reduced row echelon form of a list of row dicts with columns in range(cols).
 
     Returns (pivot_cols, rref) where rref[k] is the row whose pivot is
     pivot_cols[k], scaled to pivot 1, fully reduced.  Input rows are not
     mutated.  The result is the canonical RREF of the row space.
     """
-    if len(rows) < DENSE_LIMIT and cols < DENSE_LIMIT:
-        return _rref_dense(rows, cols)
-    return _rref_sparse(rows, cols)
-
-
-def _rref_dense(rows, cols):
-    work = []
-    for r in rows:
-        row = [ZERO] * cols
-        for c, v in r.items():
-            row[c] = v
-        work.append(row)
-    nrows = len(work)
-    used = [False] * nrows
-    pivots = []
-    for c in range(cols):
-        pr = -1
-        for r in range(nrows):
-            if not used[r] and work[r][c]:
-                pr = r
-                break
-        if pr < 0:
-            continue
-        used[pr] = True
-        piv = work[pr][c]
-        if piv != 1:
-            inv = 1 / piv
-            work[pr] = [v * inv for v in work[pr]]
-        prow = work[pr]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            f = work[r][c]
-            if f:
-                wr = work[r]
-                for cc in range(c, cols):
-                    pv = prow[cc]
-                    if pv:
-                        wr[cc] = wr[cc] - f * pv
-        pivots.append((c, pr))
-    out = []
-    for c, pr in pivots:
-        out.append({cc: v for cc, v in enumerate(work[pr]) if v})
-    return [c for c, _ in pivots], out
-
-
-def _rref_sparse(rows, cols):
     work = [dict(r) for r in rows]
     occupancy = {}
     for ridx, r in enumerate(work):
@@ -181,56 +101,48 @@ def _rref_sparse(rows, cols):
     return [c for c, _ in pivots], [work[pr] for _, pr in pivots]
 
 
-# -- public operations -------------------------------------------------------
+def rank(rows, cols) -> int:
+    return len(rref_rows(rows, cols)[0])
 
 
-def rank(m: SparseMatrix) -> int:
-    pivots, _ = rref_rows(m.row_dicts(), m.cols)
-    return len(pivots)
-
-
-def kernel_basis(m: SparseMatrix):
-    """Basis of {v : m v = 0} as dense column vectors, one per free column."""
-    pivot_cols, rows = rref_rows(m.row_dicts(), m.cols)
+def kernel_basis(rows, cols):
+    """Basis of {v : row . v = 0 for every row}, one vector per free column, ascending."""
+    pivot_cols, rref = rref_rows(rows, cols)
     pivot_set = set(pivot_cols)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        vec = [ZERO] * m.cols
-        vec[f] = rational(1)
-        for p, row in zip(pivot_cols, rows):
-            v = row.get(f)
-            if v:
-                vec[p] = -v
-        basis.append(vec)
-    return basis
+    basis = {f: {f: ONE} for f in range(cols) if f not in pivot_set}
+    for p, row in zip(pivot_cols, rref):
+        for f, v in row.items():
+            if f != p:
+                basis[f][p] = -v
+    return list(basis.values())
 
 
 def row_space_basis(vectors, dim):
     """Canonical (RREF) basis of the span of the given vectors."""
-    rows = [_vec_to_dict(v) for v in vectors]
-    _, rref = rref_rows(rows, dim)
-    return [_dict_to_vec(r, dim) for r in rref]
+    return rref_rows(list(vectors), dim)[1]
 
 
 class SpanSolver:
     """Reduce against / express in a fixed spanning set, built once, queried often.
 
     Keeps the RREF of the span together with the combination bookkeeping, so
-    solve() recovers coordinates with respect to the original vectors.
+    solve() recovers coordinates with respect to the original vectors.  The
+    spanning vectors must have their indices in range(dim): index dim + j
+    holds the combination column of vector j.
     """
 
     def __init__(self, vectors, dim):
-        self.dim = dim
-        vecs = list(vectors)
-        self.nvec = len(vecs)
         rows = []
-        for j, v in enumerate(vecs):
-            row = _vec_to_dict(v)
-            row[dim + j] = rational(1)
+        for j, v in enumerate(vectors):
+            row = {}
+            for c, x in v.items():
+                if x:
+                    if not 0 <= c < dim:
+                        raise ValueError(f"vector {j} has index {c} outside range({dim})")
+                    row[c] = x
+            row[dim + j] = ONE
             rows.append(row)
-        pivot_cols, rref = rref_rows(rows, dim + self.nvec)
+        pivot_cols, rref = rref_rows(rows, dim + len(rows))
         # pivot column -> (its row restricted to the ambient space, combination part)
         self.pivots = {}
         for c, row in zip(pivot_cols, rref):
@@ -239,19 +151,17 @@ class SpanSolver:
                     {cc: v for cc, v in row.items() if cc < dim},
                     {cc - dim: v for cc, v in row.items() if cc >= dim},
                 )
-        self.pivot_cols = list(self.pivots)
         self.rank = len(self.pivots)
 
     def reduce(self, vec, want_combo=False):
         """Canonical representative of vec modulo the span (and the combination used).
 
-        vec is a dense list or a dict {index: scalar}; the residual comes back
-        in the same form (a dict holds only nonzeros, so an empty dict is zero).
+        The residual is a new dict of nonzeros, empty when vec lies in the span.
         The pivot rows are fully reduced: each has no entry in any other pivot
         column, so clearing one pivot column never touches another, and one
         pass over the pivot columns present in vec is the whole elimination.
         """
-        t = _vec_to_dict(vec)
+        t = {c: x for c, x in vec.items() if x}
         combo = {} if want_combo else None
         for c in [c for c in t if c in self.pivots]:
             f = t[c]
@@ -269,41 +179,21 @@ class SpanSolver:
                         combo[j] = nv
                     else:
                         del combo[j]
-        residual = t if isinstance(vec, dict) else _dict_to_vec(t, self.dim)
         if want_combo:
-            return residual, combo
-        return residual
+            return t, combo
+        return t
 
     def contains(self, vec) -> bool:
-        return not self.reduce(_vec_to_dict(vec))
+        return not self.reduce(vec)
 
     def solve(self, vec):
-        """Coefficients over the original vectors reproducing vec, or None."""
-        residual, combo = self.reduce(_vec_to_dict(vec), want_combo=True)
-        if residual:
-            return None
-        out = [ZERO] * self.nvec
-        for j, v in combo.items():
-            out[j] = v
-        return out
-
-
-def _vec_to_dict(v):
-    if isinstance(v, dict):
-        return {c: x for c, x in v.items() if x}
-    return {c: x for c, x in enumerate(v) if x}
-
-
-def _dict_to_vec(d, dim):
-    out = [ZERO] * dim
-    for c, v in d.items():
-        if c < dim:
-            out[c] = v
-    return out
+        """Coefficients {j: c} over the original vectors reproducing vec, or None."""
+        residual, combo = self.reduce(vec, want_combo=True)
+        return None if residual else combo
 
 
 def primitive_integer_vector(vec):
-    """Scale a rational vector to coprime integers with positive leading entry.
+    """Scale a list of rational scalars to coprime integers with positive leading entry.
 
     Gaussian entries are scaled jointly (treating re and im as components);
     the returned list then contains Gaussian integers.

@@ -19,7 +19,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Sequence
 
-from .linalg import SparseMatrix, kernel_basis, rank
+from .linalg import kernel_basis, rank
 from .polyvf import (
     Coords,
     Monomial,
@@ -212,7 +212,7 @@ def symplectic_obstruction_map(c: Dict[tuple, object], B: Sequence[Sequence[obje
     totally antisymmetric 3-form as {(i<j<k): scalar}.
     """
     dim = len(B)
-    if rank(SparseMatrix.from_dense(B)) != dim:
+    if rank([{k: v for k, v in enumerate(row) if v} for row in B], dim) != dim:
         raise ValueError("B must be nondegenerate")
     for i in range(dim):
         for j in range(dim):
@@ -258,18 +258,12 @@ def sp_matrices(B: Sequence[Sequence[object]]):
                     row[q] = coef
             if row:
                 rows.append(row)
-    entries = {}
-    for ridx, row in enumerate(rows):
-        for q, v in row.items():
-            entries[(ridx, q)] = v
-    kern = kernel_basis(SparseMatrix(max(len(rows), 1), len(slots), entries))
     mats = []
-    for vec in kern:
+    for vec in kernel_basis(rows, len(slots)):
         m = [[ZERO] * dim for _ in range(dim)]
-        for q, v in enumerate(vec):
-            if v:
-                r, cc = slots[q]
-                m[r][cc] = v
+        for q, v in vec.items():
+            r, cc = slots[q]
+            m[r][cc] = v
         mats.append(m)
     return mats
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 from .algebra import Element, LieSuperAlgebra, from_matrices
 from .constructors import Action, abelian_negative, combine_nonpositive
-from .linalg import SpanSolver, SparseMatrix, kernel_basis, row_space_basis
+from .linalg import SpanSolver, kernel_basis, row_space_basis
 from .polyvf import Coords, Polynomial, VectorField, coordinate_field, field_basis_index, fields_of_degree, mono_parity
 from .scalars import ZERO, rational
 from .spaces import BasisVector, SuperSpace
@@ -158,9 +158,8 @@ def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dic
         if sol is None:
             raise ProlongError(f"degree-0 action of {nonpos.ident(k)} is not realizable")
         Y = VectorField(coords)
-        for j, c in enumerate(sol):
-            if c:
-                Y = Y + cand[j].scale(c)
+        for j, c in sorted(sol.items()):
+            Y = Y + cand[j].scale(c)
         out[k] = Y
     # homomorphism check on degree 0 (also catches any ambiguity in the solve)
     for a in zero:
@@ -253,17 +252,15 @@ def _prolong_block(cand, neg, nonpos, neg_fields, coords, k, component_solver):
     for e in neg:
         idx, dim, solver = component_solver(k + nonpos.degree(e))
         constraints.append((e, idx, dim, solver))
-    entries = {}
+    rows: Dict[int, dict] = {}
     for j, X in enumerate(cand):
         off = 0
         for e, idx, dim, solver in constraints:
             residual = solver.reduce(X.bracket(neg_fields[e]).coordinates(idx))
             for pos, val in residual.items():
-                entries[(off + pos, j)] = val
+                rows.setdefault(off + pos, {})[j] = val
             off += dim
-    row_count = sum(dim for _, _, dim, _ in constraints)
-    mat = SparseMatrix(row_count or 1, len(cand), entries)
-    return _fields_from_coeffs(kernel_basis(mat), cand, coords)
+    return _fields_from_coeffs(kernel_basis(list(rows.values()), len(cand)), cand, coords)
 
 
 def _fields_from_coeffs(vectors, cand, coords):
@@ -275,9 +272,8 @@ def _fields_from_coeffs(vectors, cand, coords):
     out = []
     for vec in canon:
         X = VectorField(coords)
-        for j, c in enumerate(vec):
-            if c:
-                X = X + cand[j].scale(c)
+        for j, c in sorted(vec.items()):
+            X = X + cand[j].scale(c)
         out.append(X)
     return out
 
@@ -328,9 +324,8 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
                 raise ProlongError(
                     f"prolong bracket [{basis[a].id},{basis[b].id}] is not closed in degree {d}"
                 )
-            val = {members[j]: c for j, c in enumerate(sol) if c}
-            if val:
-                brackets[(a, b)] = val
+            if sol:
+                brackets[(a, b)] = {members[j]: c for j, c in sorted(sol.items())}
 
     # carry annotations from the input
     i_op = None
@@ -453,17 +448,8 @@ def degree_zero_derivations(g_minus: LieSuperAlgebra) -> Action:
                             add((r, j), -sgn * c2)
                     if row:
                         rows.append(row)
-        entries = {}
-        for ridx, row in enumerate(rows):
-            for q, v in row.items():
-                entries[(ridx, q)] = v
-        mat = SparseMatrix(max(len(rows), 1), len(slots), entries)
-        for v in kernel_basis(mat):
-            m = {}
-            for q, val in enumerate(v):
-                if val:
-                    m[slots[q]] = val
-            gens.append((p_d, m))
+        for v in kernel_basis(rows, len(slots)):
+            gens.append((p_d, {slots[q]: val for q, val in sorted(v.items())}))
     items = []
     for num, (p_d, m) in enumerate(gens):
         items.append((f"D_{num + 1}", p_d, 0, m))
@@ -508,7 +494,7 @@ def align_graded(
             continue
         solver = SpanSolver(cols, rows_dim)
         for k in [k for k in range(len(A)) if A.degree(k) == d]:
-            target_vec = [ZERO] * rows_dim
+            target_vec = {}
             pos = 0
             for e in neg1:
                 val = A._table.get((k, e), {})
@@ -526,7 +512,7 @@ def align_graded(
             sol = solver.solve(target_vec)
             if sol is None:
                 raise ProlongError(f"cannot align {A.ident(k)} in degree {d}")
-            phi[k] = {targets[j]: c for j, c in enumerate(sol) if c}
+            phi[k] = {targets[j]: c for j, c in sorted(sol.items())}
     # verify homomorphism property on all in-range pairs
     maxd = max_degree
     mind = min(A.degrees())

@@ -1,13 +1,14 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the library's own elimination and enumeration code
-paths: the rank oracle is dense fraction-free Gaussian elimination, the
-dimension oracles enumerate admissible index words directly.
+paths: the rank oracle is dense fraction-free Gaussian elimination, the RREF
+oracle is dense Gauss-Jordan with lowest-index pivot rows, the dimension
+oracles enumerate admissible index words directly.
 """
 
 from itertools import product
 
-from superalg.scalars import rational
+from superalg.scalars import ZERO, rational
 
 
 def dense_rank_fraction_free(dense):
@@ -34,6 +35,30 @@ def dense_rank_fraction_free(dense):
         if r == nrows:
             break
     return r
+
+
+def dense_rref(rows, cols):
+    """(pivot_cols, rref) of a list of row dicts, eliminated on dense lists.
+
+    Each column takes the lowest-index remaining row as pivot; the rows come
+    back as dicts of nonzeros, like superalg.linalg.rref_rows.
+    """
+    work = [[r.get(c, ZERO) for c in range(cols)] for r in rows]
+    used = [False] * len(work)
+    pivots = []
+    for c in range(cols):
+        pr = next((r for r in range(len(work)) if not used[r] and work[r][c]), -1)
+        if pr < 0:
+            continue
+        used[pr] = True
+        piv = work[pr][c]
+        work[pr] = [v / piv for v in work[pr]]
+        for r in range(len(work)):
+            f = work[r][c]
+            if r != pr and f:
+                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
+        pivots.append((c, pr))
+    return [c for c, _ in pivots], [{cc: v for cc, v in enumerate(work[pr]) if v} for _, pr in pivots]
 
 
 def count_admissible_words(parities, k, evens_strict):

@@ -75,6 +75,13 @@ def _blocks(g, neg, z):
     return out
 
 
+def _dense(m):
+    data = [[ZERO] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        data[r][c] = v
+    return data
+
+
 def _compose(d2, d1):
     by_row = {}
     for (r, j), v in d1.entries.items():
@@ -98,7 +105,7 @@ def _check_d_squared_and_h2(g, expected_h2_dims):
             assert not any(_compose(d2, d1).values()), (z, key)
             nontrivial += bool(d1.nnz() and d2.nnz())
             # dim H^2 = dim C^2 - rank d2 - rank d1, ranks from the oracle
-            h2 += len(basis[2]) - dense_rank_fraction_free(d2.to_dense()) - dense_rank_fraction_free(d1.to_dense())
+            h2 += len(basis[2]) - dense_rank_fraction_free(_dense(d2)) - dense_rank_fraction_free(_dense(d1))
         assert h2 == expected_h2, z
     assert nontrivial > 0
 

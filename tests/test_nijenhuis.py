@@ -269,7 +269,7 @@ def test_symplectic_map_dim2_everything_vanishes():
 
 def test_symplectic_map_injective_on_h2_dim4():
     # degree-1 structure functions of sp(4) inject into the 3-forms
-    from superalg.linalg import SparseMatrix, SpanSolver, rank as mrank
+    from superalg.linalg import SpanSolver, row_space_basis
 
     dim = 4
     B = symplectic_B(dim)
@@ -282,10 +282,9 @@ def test_symplectic_map_injective_on_h2_dim4():
             S = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
             S[u] = mat
             c = coboundary_2cochain(S)
-            vec = []
-            for (i, j) in pair_list:
-                vec.extend(c.get((i, j), [ZERO] * dim))
-            cols.append(vec)
+            cols.append(
+                {p * dim + t: x for p, ij in enumerate(pair_list) for t, x in enumerate(c.get(ij, ())) if x}
+            )
     nspace = len(pair_list) * dim
     b2 = SpanSolver(cols, nspace)
     assert b2.rank == 20  # 40 generators minus the 20-dim first prolongation
@@ -295,28 +294,19 @@ def test_symplectic_map_injective_on_h2_dim4():
     reps = []
     import itertools
 
-    for (i, j) in pair_list:
-        for t in range(dim):
-            vec = [ZERO] * nspace
-            vec[pair_list.index((i, j)) * dim + t] = rational(1)
-            red = b2.reduce(vec)
-            if any(red):
-                reps.append(red)
-    reps = [list(r) for r in reps]
-    from superalg.linalg import row_space_basis
-
+    for q in range(nspace):
+        red = b2.reduce({q: rational(1)})
+        if red:
+            reps.append(red)
     rep_basis = row_space_basis(reps, nspace)
     assert len(rep_basis) == 4
     images = []
     for r in rep_basis:
         c = {}
         for pi, (i, j) in enumerate(pair_list):
-            vec = r[pi * dim : (pi + 1) * dim]
+            vec = [r.get(pi * dim + t, ZERO) for t in range(dim)]
             if any(vec):
-                c[(i, j)] = list(vec)
+                c[(i, j)] = vec
         C = symplectic_obstruction_map(c, B)
-        img = [ZERO] * 4
-        for t, (a, b, cc) in enumerate(itertools.combinations(range(dim), 3)):
-            img[t] = C.get((a, b, cc), ZERO)
-        images.append(img)
+        images.append({t: C[abc] for t, abc in enumerate(itertools.combinations(range(dim), 3)) if abc in C})
     assert len(row_space_basis(images, 4)) == 4

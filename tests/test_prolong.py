@@ -195,17 +195,17 @@ def _extend_zero(A, B, base):
     solver = SpanSolver(cols, len(neg) * len(B))
     out = dict(base)
     for k in zero_A:
-        vec = [ZERO] * (len(neg) * len(B))
+        vec = {}
         pos = 0
         for e in neg:
             val = A._table.get((k, e), {})
             for t, c in val.items():
                 for m, cm in base[A.ident(t)].items():
-                    vec[pos + m] = vec[pos + m] + c * cm
+                    vec[pos + m] = vec.get(pos + m, ZERO) + c * cm
             pos += len(B)
         sol = solver.solve(vec)
         assert sol is not None, f"cannot align degree-0 {A.ident(k)}"
-        out[A.ident(k)] = {zero_B[j]: c for j, c in enumerate(sol) if c}
+        out[A.ident(k)] = {zero_B[j]: c for j, c in sorted(sol.items())}
     return out
 
 
