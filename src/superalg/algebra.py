@@ -13,10 +13,10 @@ or QQ(i)); every constructor in this package funnels through the validation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver
-from .scalars import ZERO, format_scalar, parse_scalar, real_imag
+from .scalars import FIELD_Q, FIELD_QI, ZERO, as_field, format_scalar, parse_scalar, real_imag
 from .spaces import EVEN, ODD, BasisVector, SuperSpace
 
 Element = Dict[int, object]  # sparse coefficient vector over the basis
@@ -37,9 +37,8 @@ class LieSuperAlgebra:
         raising: Optional[List[str]] = None,
         lowering: Optional[List[str]] = None,
         i_op: Optional[Dict[int, Element]] = None,
-        field: str = "Q",
+        field=FIELD_Q,
         name: str = "",
-        validate: bool = True,
     ):
         self.space = space
         self.truncation = truncation
@@ -47,11 +46,11 @@ class LieSuperAlgebra:
         self.raising = list(raising) if raising else []
         self.lowering = list(lowering) if lowering else []
         self.i_op = dict(i_op) if i_op else None
-        self.field = field
+        self.field = as_field(field)
         self.name = name
         self._table: Dict[Tuple[int, int], Element] = {}
         for (i, j), val in brackets.items():
-            self._set_bracket(i, j, val, validate=validate)
+            self._set_bracket(i, j, val)
 
     # -- basic access --------------------------------------------------------
 
@@ -93,13 +92,13 @@ class LieSuperAlgebra:
 
     # -- bracket table ---------------------------------------------------------
 
-    def _set_bracket(self, i, j, val, validate=True):
+    def _set_bracket(self, i, j, val):
         val = {k: c for k, c in val.items() if c}
         sign = -1 if (self.parity(i) and self.parity(j)) else 1
         mirror = {k: -sign * c for k, c in val.items()}
         for key, v in (((i, j), val), ((j, i), mirror)):
             old = self._table.get(key)
-            if old is not None and validate and old != v:
+            if old is not None and old != v:
                 raise ValueError(f"inconsistent bracket for {self.ident(key[0])},{self.ident(key[1])}")
             if v:
                 self._table[key] = v
@@ -135,15 +134,6 @@ class LieSuperAlgebra:
 
     def element(self, coeffs: Dict[str, object]) -> Element:
         return {self.index(ident): c for ident, c in coeffs.items() if c}
-
-    def ad_matrix(self, ident_or_idx) -> Dict[Tuple[int, int], object]:
-        """Matrix entries (target, source) of ad(x) on the basis."""
-        h = ident_or_idx if isinstance(ident_or_idx, int) else self.index(ident_or_idx)
-        out = {}
-        for j in range(len(self)):
-            for k, c in self._table.get((h, j), {}).items():
-                out[(k, j)] = c
-        return out
 
     # -- validation ------------------------------------------------------------
 
@@ -253,23 +243,6 @@ class LieSuperAlgebra:
 
         return rational(1)
 
-    def apply_i(self, x: Element) -> Optional[Element]:
-        """Multiply an element by i, or None when it leaves the i-stable domain."""
-        if not self.i_op:
-            return None
-        out: Element = {}
-        for k, c in x.items():
-            img = self.i_op.get(k)
-            if img is None:
-                return None
-            for t, ct in img.items():
-                nv = out.get(t, ZERO) + c * ct
-                if nv:
-                    out[t] = nv
-                elif t in out:
-                    del out[t]
-        return out
-
     # -- weights ---------------------------------------------------------------
 
     def assign_weights(self):
@@ -319,7 +292,7 @@ class LieSuperAlgebra:
         doc = {
             "format": "lie-superalgebra/1",
             "name": self.name,
-            "field": self.field,
+            "field": self.field.name,
             "basis": basis,
             "brackets": constants,
         }
@@ -429,16 +402,15 @@ def _vectorize_matrix(entries, n, real: bool):
                 vec[2 * (r * n + c)] = re
             if im:
                 vec[2 * (r * n + c) + 1] = im
-        return vec, 2 * n * n
-    vec = {(r * n + c): v for (r, c), v in entries.items()}
-    return vec, n * n
+        return vec
+    return {(r * n + c): v for (r, c), v in entries.items()}
 
 
 def from_matrices(
     generators: Sequence[Tuple[str, int, Optional[int], dict]],
     row_parity: Sequence[int],
     *,
-    real: bool = False,
+    field=FIELD_QI,
     name: str = "",
     cartan=None,
     raising=None,
@@ -448,10 +420,14 @@ def from_matrices(
     """Build an algebra from supermatrix generators, expanding brackets in their span.
 
     generators: (id, parity, degree, {(r,c): scalar}) with scalars in QQ(i).
-    real=True treats the matrix space over QQ (for real forms cut out inside a
-    complex matrix algebra); real=False expands over QQ(i).
+    field is FIELD_Q or FIELD_QI, or its name as scalars.as_field accepts it.
+    Over QQ the matrix space is treated as a real space, for real forms cut out
+    inside a complex matrix algebra; over QQ(i) brackets expand in the complex
+    span.
     install_i=True records multiplication by i as a (possibly partial) basis map.
     """
+    field = as_field(field)
+    real = field is FIELD_Q
     n = len(row_parity)
     mats = []
     basis = []
@@ -463,12 +439,8 @@ def from_matrices(
         basis.append(BasisVector(ident, parity, degree))
         mats.append(entries)
     space = SuperSpace(basis)
-    vecs = []
-    dim = None
-    for m in mats:
-        v, dim = _vectorize_matrix(m, n, real)
-        vecs.append(v)
-    solver = SpanSolver(vecs, dim)
+    vecs = [_vectorize_matrix(m, n, real) for m in mats]
+    solver = SpanSolver(vecs, 2 * n * n if real else n * n)
     if solver.rank != len(mats):
         raise ValueError("generators are not linearly independent over the requested field")
     brackets: Dict[Tuple[int, int], Element] = {}
@@ -477,7 +449,7 @@ def from_matrices(
             comm = supercommutator(mats[i], mats[j], basis[i].parity, basis[j].parity, row_parity)
             if not comm:
                 continue
-            vec, _ = _vectorize_matrix(comm, n, real)
+            vec = _vectorize_matrix(comm, n, real)
             coeffs = solver.solve(vec)
             if coeffs is None:
                 raise ValueError(
@@ -504,7 +476,7 @@ def from_matrices(
         raising=raising,
         lowering=lowering,
         i_op=i_op,
-        field="Q" if real else "Q(i)",
+        field=field,
         name=name,
     )
     alg.matrices = mats
@@ -518,7 +490,7 @@ def realify(g: LieSuperAlgebra) -> LieSuperAlgebra:
     Brackets follow [iX, Y] = i[X, Y] and [iX, iY] = -[X, Y]; parities and
     degrees are preserved.
     """
-    if g.field != "Q(i)":
+    if g.field is not FIELD_QI:
         raise ValueError("realify expects an algebra over Q(i)")
     n = len(g)
     basis = []
@@ -570,6 +542,6 @@ def realify(g: LieSuperAlgebra) -> LieSuperAlgebra:
         raising=raising,
         lowering=lowering,
         i_op=i_op,
-        field="Q",
+        field=FIELD_Q,
         name=(g.name + "^R") if g.name else "",
     )

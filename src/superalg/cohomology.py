@@ -60,7 +60,7 @@ class NegativePart:
 def cochain_basis(g: LieSuperAlgebra, neg: NegativePart, k: int, z_degree: int) -> List[CKey]:
     """Canonical basis of C^k in the given Z-degree."""
     out: List[CKey] = []
-    for word in admissible_words(neg.parities, k, "exterior"):
+    for word in admissible_words(neg.parities, k):
         s = neg.word_degree(word)
         targets = g.component_indices(z_degree + s)
         for t in targets:
@@ -147,7 +147,7 @@ def differential_matrix(
                     m_pos = neg.pos.get(m_global)
                     if m_pos is None:
                         continue
-                    sorted_word = sort_word((m_pos,) + rest, neg.parities, "exterior")
+                    sorted_word = sort_word((m_pos,) + rest, neg.parities)
                     if sorted_word is None:
                         continue
                     new_word, sigma = sorted_word
@@ -200,7 +200,7 @@ def cochain_action(g: LieSuperAlgebra, h: int, c: Cochain) -> Cochain:
         for tt, hv in g._table.get((h, t), {}).items():
             add((word, tt), cval * hv)
     if any(g._table.get((h, neg.indices[p]), {}) for p in range(len(neg.indices))):
-        for word in admissible_words(neg.parities, c.k, "exterior"):
+        for word in admissible_words(neg.parities, c.k):
             pref = 0
             for i, w in enumerate(word):
                 exp = ph * (pc + pref)
@@ -211,7 +211,7 @@ def cochain_action(g: LieSuperAlgebra, h: int, c: Cochain) -> Cochain:
                     if m_pos is None:
                         continue
                     modified = word[:i] + (m_pos,) + word[i + 1 :]
-                    res = sort_word(modified, neg.parities, "exterior")
+                    res = sort_word(modified, neg.parities)
                     if res is None:
                         continue
                     new_word, sigma = res

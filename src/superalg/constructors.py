@@ -19,18 +19,17 @@ from .spaces import BasisVector, EVEN, ODD, SuperSpace
 ONE = rational(1)
 
 
-def _unit(r, c, v=None):
-    return {(r, c): v if v is not None else ONE}
+def _unit(r, c):
+    return {(r, c): ONE}
 
 
 # -- gl and sl ----------------------------------------------------------------
 
 
-def build_gl(m: int, n: int, field: str = "Q(i)") -> LieSuperAlgebra:
+def build_gl(m: int, n: int, field=FIELD_QI) -> LieSuperAlgebra:
     """gl(m|n) on matrix units E_{a,b}; Cartan = diagonal, raising = upper units."""
     if m + n < 1:
         raise ValueError("need m+n >= 1")
-    real = field in ("Q", "QQ")
     parity = [EVEN] * m + [ODD] * n
     gens = []
     cartan, raising, lowering = [], [], []
@@ -44,24 +43,16 @@ def build_gl(m: int, n: int, field: str = "Q(i)") -> LieSuperAlgebra:
                 raising.append(ident)
             else:
                 lowering.append(ident)
-    alg = from_matrices(
-        gens,
-        parity,
-        real=real,
-        name=f"gl({m}|{n};{'Q' if real else 'C'})",
-        cartan=cartan,
-        raising=raising,
-        lowering=lowering,
-    )
+    alg = from_matrices(gens, parity, field=field, cartan=cartan, raising=raising, lowering=lowering)
+    alg.name = f"gl({m}|{n};{'Q' if alg.field is FIELD_Q else 'C'})"
     alg.assign_weights()
     return alg
 
 
-def build_sl(m: int, n: int, field: str = "Q(i)") -> LieSuperAlgebra:
+def build_sl(m: int, n: int, field=FIELD_QI) -> LieSuperAlgebra:
     """sl(m|n): supertraceless part of gl(m|n).  Requires m != n."""
     if m == n:
         raise ValueError("sl(n|n) has a center; not needed here")
-    real = field in ("Q", "QQ")
     parity = [EVEN] * m + [ODD] * n
     str_sign = [1] * m + [-1] * n
     gens = []
@@ -80,15 +71,8 @@ def build_sl(m: int, n: int, field: str = "Q(i)") -> LieSuperAlgebra:
         ident = f"H_{{{a + 1}}}"
         gens.append((ident, EVEN, None, {(a, a): ONE, (a + 1, a + 1): -s}))
         cartan.append(ident)
-    alg = from_matrices(
-        gens,
-        parity,
-        real=real,
-        name=f"sl({m}|{n};{'Q' if real else 'C'})",
-        cartan=cartan,
-        raising=raising,
-        lowering=lowering,
-    )
+    alg = from_matrices(gens, parity, field=field, cartan=cartan, raising=raising, lowering=lowering)
+    alg.name = f"sl({m}|{n};{'Q' if alg.field is FIELD_Q else 'C'})"
     alg.assign_weights()
     return alg
 
@@ -96,7 +80,7 @@ def build_sl(m: int, n: int, field: str = "Q(i)") -> LieSuperAlgebra:
 # -- the queer family ---------------------------------------------------------
 
 
-def build_q(n: int, variant: str, field: str = "Q") -> LieSuperAlgebra:
+def build_q(n: int, variant: str, field=FIELD_Q) -> LieSuperAlgebra:
     """q_J / q_Pi(n): supermatrices (A,B;tB,A) with t=-1 for J, +1 for Pi.
 
     The even part is gl(n) embedded diagonally; the odd generators are the
@@ -107,7 +91,6 @@ def build_q(n: int, variant: str, field: str = "Q") -> LieSuperAlgebra:
     if variant not in ("J", "Pi", "Π"):
         raise ValueError("variant must be 'J' or 'Pi'")
     tau = -1 if variant == "J" else 1
-    real = field in ("Q", "QQ")
     parity = [EVEN] * n + [ODD] * n
     gens = []
     cartan, raising, lowering = [], [], []
@@ -134,7 +117,7 @@ def build_q(n: int, variant: str, field: str = "Q") -> LieSuperAlgebra:
     alg = from_matrices(
         gens,
         parity,
-        real=real,
+        field=field,
         name=f"q_{variant}({n})",
         cartan=cartan,
         raising=raising,
@@ -147,7 +130,7 @@ def build_q(n: int, variant: str, field: str = "Q") -> LieSuperAlgebra:
 # -- nilpotent negative parts ---------------------------------------------------
 
 
-def build_hei(n2: int, m: int, field: str = "Q") -> LieSuperAlgebra:
+def build_hei(n2: int, m: int, field=FIELD_Q) -> LieSuperAlgebra:
     """Heisenberg hei(n2|m): [v,w] = B(v,w) z with B even antisymmetric.
 
     Basis p_i, q_i (even), xi_j, eta_j and a last theta when m is odd (odd
@@ -182,7 +165,7 @@ def build_hei(n2: int, m: int, field: str = "Q") -> LieSuperAlgebra:
     return LieSuperAlgebra(space, brackets, field=field, name=f"hei({n2}|{m})")
 
 
-def build_ab(n: int, field: str = "Q") -> LieSuperAlgebra:
+def build_ab(n: int, field=FIELD_Q) -> LieSuperAlgebra:
     """Antibracket algebra ab(n): odd central z, [q_i, ξ_i] = z."""
     basis = []
     for i in range(n):
@@ -440,7 +423,7 @@ def build_minkowski_negative(N: int) -> LieSuperAlgebra:
     gens.append(("T_{1,2}+T_{2,1}", EVEN, -2, {(K0, 1): ONE, (K0 + 1, 0): ONE}))
     gens.append(("i(T_{1,2}-T_{2,1})", EVEN, -2, {(K0, 1): I, (K0 + 1, 0): -I}))
     return from_matrices(
-        gens, parity, real=True, name=f"mink{N}-", install_i=True
+        gens, parity, field=FIELD_Q, name=f"mink{N}-", install_i=True
     )
 
 
@@ -529,7 +512,7 @@ def build_minkowski_g0(N: int, case: str) -> LieSuperAlgebra:
     alg = from_matrices(
         gens,
         parity,
-        real=True,
+        field=FIELD_Q,
         name=f"mink{N}-{case}",
         cartan=cartan,
         raising=raising,
@@ -594,7 +577,7 @@ def build_complexified_minkowski(N: int) -> LieSuperAlgebra:
                 {(J0 + r, J0 + r): ONE, (J0, J0): -ONE},
             )
         )
-    return from_matrices(gens, parity, real=False, name=f"mink{N}^C")
+    return from_matrices(gens, parity, field=FIELD_QI, name=f"mink{N}^C")
 
 
 # -- realified tautological pairs -------------------------------------------------
@@ -618,5 +601,5 @@ def realified_matrix_pair(g_complex: LieSuperAlgebra) -> Tuple[LieSuperAlgebra, 
     action = Action(action.algebra, module, action.matrices)
     g_minus = abelian_negative(module)
     g_minus.i_op = module_i_operator(module)
-    g_minus.field = "Q"
+    g_minus.field = FIELD_Q
     return g_minus, action

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import Element, LieSuperAlgebra
 from .linalg import SpanSolver
-from .polyvf import Coords, OneForm, Polynomial, VectorField, coordinate_field, field_basis_index, mono_parity, mono_str, monomials_of_degree
+from .polyvf import Coords, OneForm, Polynomial, VectorField, coordinate_field, field_basis_index, monomials_of_degree
 from .scalars import FIELD_Q, rational
 from .spaces import BasisVector, SuperSpace
 
@@ -299,7 +299,7 @@ def span_algebra(
         cartan=cartan,
         raising=raising,
         lowering=lowering,
-        field=coords.field.name,
+        field=coords.field,
         name=name,
     )
     alg.fields = {gens[a][0]: gens[a][1] for a in range(nn)}

@@ -24,7 +24,6 @@ from .scalars import (
     ONE,
     ZERO,
     as_gaussian,
-    conjugate_scalar,
     format_scalar,
     gaussian,
     parse_scalar,
@@ -106,14 +105,8 @@ class GrassmannElement:
     def conjugate(self):
         return GrassmannElement(self.n, {s: c.conjugate() for s, c in self.terms.items()})
 
-    def degree_part(self, predicate):
-        return GrassmannElement(self.n, {s: c for s, c in self.terms.items() if predicate(len(s))})
-
     def is_odd(self):
         return bool(self.terms) and all(len(s) % 2 == 1 for s in self.terms)
-
-    def is_even(self):
-        return all(len(s) % 2 == 0 for s in self.terms)
 
     def in_nilpotent_ideal(self):
         return () not in self.terms
@@ -292,7 +285,7 @@ def rho_tr(n: int) -> RealStructure:
     return make_real_structure(images)
 
 
-def random_real_structure(n: int, rng: random.Random, cubic_terms: int = 2):
+def random_real_structure(n: int, rng: random.Random):
     """g . conj . g^{-1} for a random polynomial automorphism g; always valid.
 
     Returns (rho, discarded) where discarded counts candidates rejected for a
@@ -314,7 +307,7 @@ def random_real_structure(n: int, rng: random.Random, cubic_terms: int = 2):
         for k in range(n):
             if M[j][k]:
                 terms[(k,)] = M[j][k]
-        for _ in range(cubic_terms):
+        for _ in range(2):
             if cubics:
                 s = rng.choice(cubics)
                 c = FIELD_QI.random(rng, 2)

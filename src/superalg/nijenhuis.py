@@ -1,4 +1,4 @@
-"""Analytic obstruction oracles: Nijenhuis tensors and the symplectic 3-form map.
+"""Analytic obstruction oracles: Nijenhuis tensors of endomorphism fields.
 
 The Nijenhuis tensor of an endomorphism field J on a coordinate superspace is
 evaluated symbolically for polynomial vector fields:
@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from .linalg import kernel_basis, rank
 from .polyvf import (
     Coords,
     Monomial,
@@ -30,7 +29,7 @@ from .polyvf import (
     fields_of_degree,
     mono_parity,
 )
-from .scalars import ZERO, rational
+from .scalars import rational
 
 
 class EndomorphismField:
@@ -200,82 +199,3 @@ def monomial_fields_up_to(coords: Coords, degree: int) -> List[VectorField]:
         out.extend(fields_of_degree(coords, d))
     return out
 
-
-# -- symplectic obstruction -------------------------------------------------------
-
-
-def symplectic_obstruction_map(c: Dict[tuple, object], B: Sequence[Sequence[object]]):
-    """C(u,v,w) = B(c(u,v),w) + B(c(v,w),u) + B(c(w,u),v) as a 3-form.
-
-    c maps ordered index pairs (i < j) to value vectors in V (lists); B is a
-    nondegenerate antisymmetric matrix on the even space V.  Returns the
-    totally antisymmetric 3-form as {(i<j<k): scalar}.
-    """
-    dim = len(B)
-    if rank([{k: v for k, v in enumerate(row) if v} for row in B], dim) != dim:
-        raise ValueError("B must be nondegenerate")
-    for i in range(dim):
-        for j in range(dim):
-            if B[i][j] != -B[j][i]:
-                raise ValueError("B must be antisymmetric")
-
-    def cval(i, j):
-        if i == j:
-            return [ZERO] * dim
-        if i < j:
-            return c.get((i, j), [ZERO] * dim)
-        return [-x for x in c.get((j, i), [ZERO] * dim)]
-
-    def pair(vec, k):
-        return sum((vec[m] * B[m][k] for m in range(dim)), ZERO)
-
-    out = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                val = pair(cval(i, j), k) + pair(cval(j, k), i) + pair(cval(k, i), j)
-                if val:
-                    out[(i, j, k)] = val
-    return out
-
-
-def sp_matrices(B: Sequence[Sequence[object]]):
-    """Basis of sp(V, B) = {S : B S + S^t B = 0} as dense matrices."""
-    dim = len(B)
-    slots = [(r, c) for r in range(dim) for c in range(dim)]
-    rows = []
-    for i in range(dim):
-        for j in range(dim):
-            row = {}
-            for q, (r, c) in enumerate(slots):
-                coef = ZERO
-                # (B S)_{ij} = sum_k B[i][k] S[k][j]; (S^t B)_{ij} = sum_k S[k][i] B[k][j]
-                if c == j:
-                    coef = coef + B[i][r]
-                if c == i:
-                    coef = coef + B[r][j]
-                if coef:
-                    row[q] = coef
-            if row:
-                rows.append(row)
-    mats = []
-    for vec in kernel_basis(rows, len(slots)):
-        m = [[ZERO] * dim for _ in range(dim)]
-        for q, v in vec.items():
-            r, cc = slots[q]
-            m[r][cc] = v
-        mats.append(m)
-    return mats
-
-
-def coboundary_2cochain(S: Sequence[Sequence[object]]):
-    """c(u,v) = S(u)v - S(v)u for S in Hom(V, End V): here S[u] is a matrix list."""
-    dim = len(S[0])
-    out = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            # S(e_i) e_j - S(e_j) e_i
-            vec = [S[i][r][j] - S[j][r][i] for r in range(dim)]
-            if any(vec):
-                out[(i, j)] = vec
-    return out

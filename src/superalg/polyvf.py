@@ -13,7 +13,7 @@ to the polynomial coefficient of its partial derivative.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .scalars import FIELD_Q, ZERO, as_field
 
@@ -25,7 +25,7 @@ ONE_MONO: Monomial = ()
 class Coords:
     """A coordinate system: names with parities, optional degrees and a field.
 
-    The field is FIELD_Q, FIELD_QI or one of their names ("Q", "Q(i)", ...).
+    The field is FIELD_Q or FIELD_QI, or one of their names, 'Q' or 'Q(i)'.
     """
 
     def __init__(self, names, parities, degrees=None, field=FIELD_Q):
@@ -222,9 +222,6 @@ class Polynomial:
             raise ValueError(f"non-homogeneous polynomial: {self}")
         return ds.pop()
 
-    def constant_term(self):
-        return self.terms.get(ONE_MONO, ZERO)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -402,9 +399,9 @@ def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):
                 del acc[mono]
 
 
-def coordinate_field(coords: Coords, var, poly: Optional[Polynomial] = None) -> VectorField:
+def coordinate_field(coords: Coords, var) -> VectorField:
     k = var if isinstance(var, int) else coords.index[var]
-    return VectorField(coords, {k: poly if poly is not None else coords.one()})
+    return VectorField(coords, {k: coords.one()})
 
 
 def fields_of_degree(coords: Coords, d: int):
@@ -471,18 +468,3 @@ class OneForm:
             }
             out = out + Polynomial(self.coords, adjusted) * g
         return out
-
-    def lie_derive(self, X: VectorField) -> "OneForm":
-        """L_X omega via [L_X, iota_Y] = iota_{[X,Y]} on coordinate fields."""
-        px = X.parity()
-        if px is None:
-            return OneForm(self.coords, {})
-        out = {}
-        for b in range(len(self.coords)):
-            db = coordinate_field(self.coords, b)
-            s = px * (self.coords.parities[b] + 1)
-            sign = -1 if s % 2 else 1
-            val = (X.apply(self.pair(db)) - self.pair(X.bracket(db))).scale(sign)
-            if val:
-                out[b] = val
-        return OneForm(self.coords, out)

@@ -392,10 +392,6 @@ def prolong_nonpositive(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResu
     return prolong(nonpos, max_degree)
 
 
-def realize_as_vector_fields(p: ProlongResult) -> Dict[str, VectorField]:
-    return dict(p.realization)
-
-
 def degree_zero_derivations(g_minus: LieSuperAlgebra) -> Action:
     """All grading-preserving superderivations of g_minus, as an Action.
 
@@ -453,7 +449,7 @@ def degree_zero_derivations(g_minus: LieSuperAlgebra) -> Action:
     items = []
     for num, (p_d, m) in enumerate(gens):
         items.append((f"D_{num + 1}", p_d, 0, m))
-    alg = from_matrices(items, parities, real=(g_minus.field != "Q(i)"), name=f"der0({g_minus.name})")
+    alg = from_matrices(items, parities, field=g_minus.field, name=f"der0({g_minus.name})")
     return Action(alg, g_minus.space, [m for _, _, _, m in items])
 
 

@@ -58,10 +58,6 @@ class GaussianRational:
         """re^2 + im^2, a rational >= 0, zero iff the value is zero."""
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -221,20 +217,11 @@ FIELD_Q = RationalField()
 FIELD_QI = GaussianRationalField()
 
 
-def field_by_name(name: str):
-    if name in ("Q", "QQ", "rational"):
-        return FIELD_Q
-    if name in ("Q(i)", "QQ(i)", "gaussian"):
-        return FIELD_QI
-    raise ValueError(f"unknown field {name!r}")
-
-
 def as_field(field):
-    """The field descriptor for a descriptor or a name accepted by field_by_name."""
-    if isinstance(field, str):
-        return field_by_name(field)
-    if field is FIELD_Q or field is FIELD_QI:
-        return field
+    """The field descriptor for FIELD_Q or FIELD_QI, or for its name "Q" or "Q(i)"."""
+    for f in (FIELD_Q, FIELD_QI):
+        if field is f or field == f.name:
+            return f
     raise ValueError(f"unknown field {field!r}")
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from superalg.constructors import (
     realified_matrix_pair,
     tautological_action,
 )
-from superalg.scalars import GaussianRational, I, gaussian, rational
+from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, I, gaussian, rational
 from superalg.spaces import BasisVector, SuperSpace
 
 from oracles import matrix_supercommutator
@@ -121,7 +122,7 @@ def test_realify_block_form_matches_direct_real_construction():
             blk[(r, c + n)] = -v
         gens.append(("i" + gc.ident(k), gc.parity(k), None, blk))
     parity = [0, 1, 0, 1]
-    direct = from_matrices(gens, parity, real=True, name="block")
+    direct = from_matrices(gens, parity, field="Q", name="block")
     for i in range(len(gr)):
         for j in range(len(gr)):
             assert gr._table.get((i, j), {}) == direct._table.get((i, j), {})
@@ -281,6 +282,47 @@ def test_serialization_roundtrip():
     g2 = LieSuperAlgebra.from_document(doc)
     assert g2.to_document() == doc
     assert g2.check_super_jacobi() == []
+
+
+def test_matrix_constructors_take_the_field_by_descriptor_or_name():
+    for build, label in ((lambda f: build_gl(1, 1, field=f), "gl(1|1;Q)"), (lambda f: build_sl(2, 1, field=f), "sl(2|1;Q)")):
+        doc = build(FIELD_Q).to_document()
+        assert doc == build("Q").to_document()
+        assert doc["name"] == label and doc["field"] == "Q"
+    assert build_q(2, "J", field=FIELD_Q).to_document() == build_q(2, "J", field="Q").to_document()
+    assert build_gl(1, 1, field=FIELD_QI).to_document() == build_gl(1, 1).to_document()
+    assert build_gl(1, 1).name == "gl(1|1;C)" and build_gl(1, 1).field is FIELD_QI
+
+
+def test_unknown_field_names_are_rejected():
+    constructors = (
+        lambda f: build_gl(1, 1, field=f),
+        lambda f: build_sl(2, 1, field=f),
+        lambda f: build_q(1, "J", field=f),
+        lambda f: build_hei(2, 1, field=f),
+        lambda f: build_ab(1, field=f),
+        lambda f: from_matrices([], [0], field=f),
+    )
+    doc = build_hei(2, 1).to_document()
+    for bad in ("bogus", "rational", "QQ", None):
+        for build in constructors:
+            with pytest.raises(ValueError, match="unknown field"):
+                build(bad)
+        with pytest.raises(ValueError, match="unknown field"):
+            LieSuperAlgebra.from_document({**doc, "field": bad})
+
+
+def test_gaussian_document_is_json():
+    doc = build_hei(2, 1, field=FIELD_QI).to_document()
+    assert json.loads(json.dumps(doc))["field"] == "Q(i)"
+    assert LieSuperAlgebra.from_document(doc).field is FIELD_QI
+
+
+def test_zero_generators_give_the_zero_algebra():
+    for field in (FIELD_Q, FIELD_QI):
+        g = from_matrices([], [0, 1], field=field)
+        assert g.dim() == 0 and g.field is field
+        assert g.to_document()["brackets"] == []
 
 
 def test_action_representation_check():

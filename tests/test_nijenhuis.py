@@ -5,17 +5,14 @@ import pytest
 from superalg import nijenhuis
 from superalg.nijenhuis import (
     EndomorphismField,
-    coboundary_2cochain,
     monomial_fields_up_to,
     nijenhuis_tensor,
-    sp_matrices,
     standard_even_structure,
     standard_odd_structure,
-    symplectic_obstruction_map,
     tensoriality_defect,
 )
 from superalg.polyvf import Coords, Polynomial, VectorField, coordinate_field, mono_parity, monomials_of_degree
-from superalg.scalars import FIELD_Q, ZERO, rational
+from superalg.scalars import FIELD_Q, rational
 
 
 def test_flat_even_structure_squares():
@@ -230,83 +227,3 @@ def test_odd_tensoriality(square):
             f = Polynomial(coords, {rng.choice(even_monos): FIELD_Q.random(rng)})
             assert not tensoriality_defect(J, X, Y, f, "odd")
 
-
-def symplectic_B(dim):
-    n = dim // 2
-    B = [[ZERO] * dim for _ in range(dim)]
-    for k in range(n):
-        B[k][n + k] = rational(1)
-        B[n + k][k] = rational(-1)
-    return B
-
-
-def test_symplectic_map_kills_coboundaries():
-    rng = random.Random(17)
-    for dim in (2, 4):
-        B = symplectic_B(dim)
-        basis = sp_matrices(B)
-        assert len(basis) == dim * (dim + 1) // 2  # dim sp(2n) = n(2n+1)
-        for _ in range(10):
-            S = []
-            for _i in range(dim):
-                m = [[ZERO] * dim for _ in range(dim)]
-                for mat in basis:
-                    coef = FIELD_Q.random(rng)
-                    for r in range(dim):
-                        for c in range(dim):
-                            m[r][c] = m[r][c] + coef * mat[r][c]
-                S.append(m)
-            c = coboundary_2cochain(S)
-            C = symplectic_obstruction_map(c, B)
-            assert C == {}
-
-
-def test_symplectic_map_dim2_everything_vanishes():
-    B = symplectic_B(2)
-    c = {(0, 1): [rational(3), rational(-2)]}
-    assert symplectic_obstruction_map(c, B) == {}
-
-
-def test_symplectic_map_injective_on_h2_dim4():
-    # degree-1 structure functions of sp(4) inject into the 3-forms
-    from superalg.linalg import SpanSolver, row_space_basis
-
-    dim = 4
-    B = symplectic_B(dim)
-    basis = sp_matrices(B)
-    # B^2 = image of d: Hom(V, sp) -> Hom(L^2 V, V)
-    pair_list = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    cols = []
-    for u in range(dim):
-        for mat in basis:
-            S = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-            S[u] = mat
-            c = coboundary_2cochain(S)
-            cols.append(
-                {p * dim + t: x for p, ij in enumerate(pair_list) for t, x in enumerate(c.get(ij, ())) if x}
-            )
-    nspace = len(pair_list) * dim
-    b2 = SpanSolver(cols, nspace)
-    assert b2.rank == 20  # 40 generators minus the 20-dim first prolongation
-    h2 = 24 - b2.rank
-    assert h2 == 4
-    # the induced map on representatives has full rank h2 = dim L^3 V* = 4
-    reps = []
-    import itertools
-
-    for q in range(nspace):
-        red = b2.reduce({q: rational(1)})
-        if red:
-            reps.append(red)
-    rep_basis = row_space_basis(reps, nspace)
-    assert len(rep_basis) == 4
-    images = []
-    for r in rep_basis:
-        c = {}
-        for pi, (i, j) in enumerate(pair_list):
-            vec = [r.get(pi * dim + t, ZERO) for t in range(dim)]
-            if any(vec):
-                c[(i, j)] = vec
-        C = symplectic_obstruction_map(c, B)
-        images.append({t: C[abc] for t, abc in enumerate(itertools.combinations(range(dim), 3)) if abc in C})
-    assert len(row_space_basis(images, 4)) == 4

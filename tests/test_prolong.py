@@ -28,9 +28,9 @@ from superalg.prolong import (
     degree_zero_derivations,
     generalized_prolong,
     prolong_nonpositive,
-    realize_as_vector_fields,
 )
-from superalg.scalars import rational
+from superalg.cohomology import h2_by_degree
+from superalg.scalars import FIELD_QI, rational
 from superalg.spaces import BasisVector, SuperSpace
 
 
@@ -48,7 +48,25 @@ def sp2_action():
         ("X", 0, None, {(0, 1): rational(1)}),
         ("Y", 0, None, {(1, 0): rational(1)}),
     ]
-    g = from_matrices(gens, [0, 0], real=True, name="sp(2)")
+    g = from_matrices(gens, [0, 0], field="Q", name="sp(2)")
+    return tautological_action(g)
+
+
+def sp4_action():
+    # sp(4) on Q^4: [[A, B], [C, -A^t]] with B and C symmetric
+    from superalg.algebra import from_matrices
+
+    one = rational(1)
+    gens = []
+    for r in range(2):
+        for c in range(2):
+            gens.append((f"A_{{{r + 1},{c + 1}}}", 0, None, {(r, c): one, (2 + c, 2 + r): -one}))
+    for name, dr, dc in (("B", 0, 2), ("C", 2, 0)):
+        for r in range(2):
+            for c in range(r, 2):
+                unit = {(dr + r, dc + c): one, (dr + c, dc + r): one}
+                gens.append((f"{name}_{{{r + 1},{c + 1}}}", 0, None, unit))
+    g = from_matrices(gens, [0, 0, 0, 0], field="Q", name="sp(4)")
     return tautological_action(g)
 
 
@@ -60,7 +78,7 @@ def o3_action():
         ("R2", 0, None, {(0, 2): rational(1), (2, 0): rational(-1)}),
         ("R3", 0, None, {(1, 2): rational(1), (2, 1): rational(-1)}),
     ]
-    g = from_matrices(gens, [0, 0, 0], real=True, name="o(3)")
+    g = from_matrices(gens, [0, 0, 0], field="Q", name="o(3)")
     return tautological_action(g)
 
 
@@ -75,6 +93,19 @@ def test_h2_pattern_sp2():
     res = cartan_prolong(act.module, act, 1)
     assert res.component_dims()[1] == 4  # S^3 V*
     assert res.algebra.check_super_jacobi() == []
+
+
+def test_sp4_prolong_and_h2():
+    # the symplectic form's degree-1 classes: dim H^2 = 24 - 20 = 4 = dim L^3 V*
+    act = sp4_action()
+    res = cartan_prolong(act.module, act, 2)
+    assert res.component_dims() == {-1: 4, 0: 10, 1: 20, 2: 35}
+    report = h2_by_degree(res.algebra, (1, 2))
+    dims = {
+        d: tuple(report["degrees"][d][key] for key in ("dim_Z2", "dim_B2", "dim_H2"))
+        for d in ("1", "2")
+    }
+    assert dims == {"1": (24, 20, 4), "2": (45, 45, 0)}
 
 
 def test_metric_rigidity_o3():
@@ -99,7 +130,7 @@ def test_gl_prolong_is_full_polynomial_field_space():
 def test_prolong_brackets_match_realization():
     act = gl_action(1, 1)
     res = cartan_prolong(act.module, act, 2)
-    fields = realize_as_vector_fields(res)
+    fields = res.realization
     g = res.algebra
     for i in range(len(g)):
         for j in range(len(g)):
@@ -325,8 +356,6 @@ def test_minkowski_conformal_prolong_dims():
 
 def test_realified_prolong_matches_realified_complex_contact():
     # two k(1|2)^R constructions: realified complex span vs real generalized prolong
-    from superalg.scalars import FIELD_QI
-
     kC = contact_algebra(0, 2, 2, field=FIELD_QI)
     kR = realify(kC)
     heiC = build_hei(0, 2, field="Q")
@@ -364,19 +393,17 @@ def test_nonfaithful_rejected():
     # a g0 with a zero action matrix is not faithful
     gens = [("Z", 0, None, {})]
     with pytest.raises(Exception):
-        g = from_matrices(gens, [0, 0], real=True)
+        g = from_matrices(gens, [0, 0], field="Q")
         act = tautological_action(g)
         cartan_prolong(act.module, act, 1)
 
 
 def test_contact_algebras_accept_field_names_and_reject_unknown_fields():
-    from superalg.scalars import FIELD_QI
-
     named = contact_algebra(0, 2, 4, field="Q(i)")
-    assert named.field == "Q(i)"
+    assert named.field is FIELD_QI
     assert named.to_document() == contact_algebra(0, 2, 4, field=FIELD_QI).to_document()
     named = pericontact_algebra(1, 2, field="Q(i)")
-    assert named.field == "Q(i)"
+    assert named.field is FIELD_QI
     assert named.to_document() == pericontact_algebra(1, 2, field=FIELD_QI).to_document()
     for bad in ("Q(j)", 7):
         with pytest.raises(ValueError, match="unknown field"):

@@ -1,86 +1,30 @@
-from itertools import permutations
 from math import comb
 
-import pytest
-
-from superalg.spaces import (
-    BasisVector,
-    SuperSpace,
-    admissible_words,
-    dual,
-    koszul_sign,
-    parity_flip,
-    sort_word,
-    super_exterior_power,
-    super_symmetric_power,
-)
+from superalg.spaces import admissible_words, sort_word
 
 from oracles import count_admissible_words
 
 
-def mk_space(parities, graded=False):
-    return SuperSpace(
-        [
-            BasisVector(f"e{k}", p, degree=(-1 if graded else None))
-            for k, p in enumerate(parities)
-        ]
-    )
-
-
-def test_koszul_sign_basics():
-    assert koszul_sign([1, 0], [0, 0]) == 1  # two evens: plain factor +1
-    assert koszul_sign([1, 0], [1, 1]) == -1  # two odds
-    assert koszul_sign([0, 1, 2], [1, 1, 1]) == 1  # identity
-
-
-def test_koszul_sign_composition():
-    parities = [1, 0, 1, 1]
-    for p in permutations(range(4)):
-        for q in permutations(range(4)):
-            pq = [p[q[k]] for k in range(4)]
-            # sign of composite = product of signs with permuted parities
-            s_q = koszul_sign(q, [parities[p[k]] for k in range(4)])
-            assert koszul_sign(pq, parities) == koszul_sign(p, parities) * s_q
-
-
-def test_koszul_sign_rejects_malformed():
-    with pytest.raises(ValueError):
-        koszul_sign([0, 0], [0, 0])
-
-
 def test_sort_word_exterior():
     parities = [0, 0, 1]
-    assert sort_word((1, 0), parities, "exterior") == ((0, 1), -1)
-    assert sort_word((2, 2), parities, "exterior") == ((2, 2), 1)
-    assert sort_word((0, 0), parities, "exterior") is None
+    assert sort_word((1, 0), parities) == ((0, 1), -1)
+    assert sort_word((2, 2), parities) == ((2, 2), 1)
+    assert sort_word((0, 0), parities) is None
     # odd past even flips sign under the exterior convention
-    assert sort_word((2, 0), parities, "exterior") == ((0, 2), -1)
-
-
-def test_sort_word_symmetric():
-    parities = [0, 1, 1]
-    assert sort_word((1, 1), parities, "symmetric") is None
-    assert sort_word((2, 1), parities, "symmetric") == ((1, 2), -1)
-    assert sort_word((1, 0), parities, "symmetric") == ((0, 1), 1)
+    assert sort_word((2, 0), parities) == ((0, 2), -1)
 
 
 def test_exterior_power_dimensions_trivial():
-    assert len(super_exterior_power(mk_space([0, 0]), 2)) == 1
-    assert len(super_exterior_power(mk_space([1]), 2)) == 1  # odd square survives
+    assert admissible_words([0, 0], 2) == [(0, 1)]
+    assert admissible_words([1], 2) == [(0, 0)]  # odd square survives
+    for parities, k in (([0, 0], 2), ([1], 2)):
+        assert len(admissible_words(parities, k)) == count_admissible_words(parities, k, evens_strict=True)
 
 
 def test_exterior_power_2_2_cube_by_enumeration():
     # brute-force oracle over admissible words
-    space = mk_space([0, 0, 1, 1])
     expected = count_admissible_words([0, 0, 1, 1], 3, evens_strict=True)
-    assert len(super_exterior_power(space, 3)) == expected
-
-
-def test_symmetric_power_dimensions():
-    assert len(super_symmetric_power(mk_space([0]), 2)) == 1
-    assert len(super_symmetric_power(mk_space([1, 1]), 2)) == 1
-    expected = count_admissible_words([0, 0, 1], 3, evens_strict=False)
-    assert len(super_symmetric_power(mk_space([0, 0, 1]), 3)) == expected
+    assert len(admissible_words([0, 0, 1, 1], 3)) == expected
 
 
 def test_dimension_closed_form_small_range():
@@ -88,7 +32,6 @@ def test_dimension_closed_form_small_range():
     for p in range(5):
         for q in range(5):
             parities = [0] * p + [1] * q
-            space = mk_space(parities)
             def multiset(q, j):
                 if j == 0:
                     return 1
@@ -96,27 +39,4 @@ def test_dimension_closed_form_small_range():
 
             for k in range(5):
                 closed = sum(comb(p, k - j) * multiset(q, j) for j in range(k + 1))
-                assert len(super_exterior_power(space, k)) == closed
-                assert len(admissible_words(parities, k, "exterior")) == closed
-
-
-def test_exterior_of_flip_is_symmetric():
-    for parities in ([0, 0, 1], [1, 1], [0, 1, 1, 0]):
-        space = mk_space(parities)
-        for k in range(4):
-            assert len(super_exterior_power(parity_flip(space), k)) == len(
-                super_symmetric_power(space, k)
-            )
-
-
-def test_dual_roundtrip_and_degrees():
-    space = SuperSpace(
-        [BasisVector("Q_{1,1}", 1, degree=-1), BasisVector("T_{1,1}", 0, degree=-2)]
-    )
-    d = dual(space)
-    assert [b.id for b in d] == ["Q_{1,1}*", "T_{1,1}*"]
-    assert [b.degree for b in d] == [1, 2]
-    assert d.sdim == space.sdim
-    dd = dual(d)
-    assert [b.id for b in dd] == [b.id for b in space]
-    assert [b.degree for b in dd] == [b.degree for b in space]
+                assert len(admissible_words(parities, k)) == closed
