@@ -40,6 +40,14 @@ class NegativePart:
         self.degrees = [g.degree(k) for k in self.indices]
         self.weights = [g.space.basis[k].weight for k in self.indices]
         self.has_weights = all(w is not None for w in self.weights)
+        self._word_keys: Dict[Word, tuple] = {}
+
+    def word_key(self, word: Word) -> tuple:
+        """(parity, weight) of a word, computed on its first use and kept."""
+        key = self._word_keys.get(word)
+        if key is None:
+            key = self._word_keys[word] = (self.word_parity(word), self.word_weight(word))
+        return key
 
     def word_parity(self, word: Word) -> int:
         return sum(self.parities[i] for i in word) % 2
@@ -70,8 +78,8 @@ def cochain_basis(g: LieSuperAlgebra, neg: NegativePart, k: int, z_degree: int) 
 
 def cochain_block_key(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
     word, t = key
-    parity = (g.parity(t) + neg.word_parity(word)) % 2
-    wt = neg.word_weight(word)
+    word_parity, wt = neg.word_key(word)
+    parity = (g.parity(t) + word_parity) % 2
     tw = g.space.basis[t].weight
     if wt is None or tw is None:
         return (parity, None)

@@ -4,7 +4,7 @@ A real structure is an antilinear involutive algebra automorphism rho of
 Lambda_C(n); its fixed subspace RE_rho is a real form.  All real forms are
 isomorphic: normalize_generators produces n anticommuting fixed generators by
 projecting a fixed basis to the degree-1 quotient, splitting off the central
-high-degree tail and averaging with rho; canonical_iso then sends them to the
+high-degree tail and averaging with rho; CanonicalIso then sends them to the
 standard generators.
 
 Scalars are Gaussian rationals, so unit phases are Pythagorean units like
@@ -522,12 +522,8 @@ class CanonicalIso:
         return True
 
 
-def canonical_iso(rho: RealStructure) -> CanonicalIso:
-    return CanonicalIso(rho)
-
-
 def composed_iso_is_algebra_map(rho1: RealStructure, rho2: RealStructure) -> bool:
-    """canonical_iso(rho2)^{-1} . canonical_iso(rho1): RE_1 -> RE_2 multiplicative."""
+    """CanonicalIso(rho2)^{-1} . CanonicalIso(rho1): RE_1 -> RE_2 multiplicative."""
     iso1 = CanonicalIso(rho1)
     iso2 = CanonicalIso(rho2)
     # psi sends the k-th normalized monomial of rho1 to that of rho2

@@ -16,11 +16,24 @@ change the result: the pivot columns and the fully reduced pivot rows are
 determined by the row space alone, because the reduced row echelon form is
 unique.  So every downstream basis and golden file is reproducible bit for
 bit.
+
+The elimination itself runs on integers, or on Gaussian integers over QQ(i),
+because the cost of exact elimination here is the overhead of each rational
+operation, not the size of the coefficients.  Each row is cleared of
+denominators, updates are fraction-free cross-multiplications followed by
+division by the row's content (the gcd of its entries), and only the output
+rows are divided by their pivots (Bareiss, Math. Comp. 22 (1968) 565-578;
+Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 9).  Every
+step multiplies a row by a nonzero scalar, which changes neither the row
+space nor the zero pattern, so the pivots, the key order of every row and the
+RREF are those of elimination over the field.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO
+from math import gcd, lcm
+
+from .scalars import ONE, ZERO, GaussianRational, rational, real_imag
 
 
 class SparseMatrix:
@@ -52,14 +65,133 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
+class _GaussianInteger:
+    """re + im*i with int parts: an entry of rref_rows over QQ(i).
+
+    It has only what the elimination loop uses: +, unary -, *, exact //,
+    truth and comparison with 1.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        return not self.im and self.re == other
+
+    def __neg__(self):
+        return _GaussianInteger(-self.re, -self.im)
+
+    def __add__(self, o):
+        return _GaussianInteger(self.re + o.re, self.im + o.im)
+
+    def __mul__(self, o):
+        return _GaussianInteger(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __floordiv__(self, o):
+        """The exact quotient self / o; o must divide self in ZZ[i]."""
+        n = o.re * o.re + o.im * o.im
+        return _GaussianInteger(
+            (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
+        )
+
+
+def _integer_row(row):
+    """The nonzero entries of a dict of rationals, scaled to coprime integers.
+
+    The lcm of the denominators clears them and the gcd of the numerators
+    (the content) is divided out, so the scale is a positive rational.  Keys
+    keep their order.
+    """
+    den = lcm(*[v.denominator for v in row.values()])
+    if den == 1:
+        out = {c: v.numerator for c, v in row.items() if v}
+    else:
+        out = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
+def _divide_rational(row, p):
+    return {c: rational(v, p) for c, v in row.items()}
+
+
+def _real_parts(items):
+    """{(key, 0): re, (key, 1): im} for (key, scalar) pairs."""
+    parts = {}
+    for key, v in items:
+        parts[key, 0], parts[key, 1] = real_imag(v)
+    return parts
+
+
+def _clear_gaussian(row):
+    ints = _integer_row(_real_parts(row.items()))
+    return {c: _GaussianInteger(ints.get((c, 0), 0), ints.get((c, 1), 0)) for c, v in row.items() if v}
+
+
+def _gaussian_gcd(*xs):
+    """A gcd in ZZ[i] of Gaussian integers, normalized to re > 0, im >= 0 (or 0).
+
+    Euclid's algorithm with each quotient rounded to the nearest Gaussian
+    integer.  A unit gcd comes back as exactly 1.
+    """
+    a_re = a_im = 0
+    for x in xs:
+        b_re, b_im = x.re, x.im
+        while b_re or b_im:
+            n2 = 2 * (b_re * b_re + b_im * b_im)
+            q_re = (2 * (a_re * b_re + a_im * b_im) + n2 // 2) // n2
+            q_im = (2 * (a_im * b_re - a_re * b_im) + n2 // 2) // n2
+            a_re, a_im, b_re, b_im = (
+                b_re,
+                b_im,
+                a_re - q_re * b_re + q_im * b_im,
+                a_im - q_re * b_im - q_im * b_re,
+            )
+        if a_re * a_re + a_im * a_im == 1:
+            return _GaussianInteger(1, 0)
+    while (a_re <= 0 or a_im < 0) and (a_re or a_im):
+        a_re, a_im = -a_im, a_re
+    return _GaussianInteger(a_re, a_im)
+
+
+def _divide_gaussian(row, p):
+    n = p.re * p.re + p.im * p.im
+    return {
+        c: GaussianRational(rational(v.re * p.re + v.im * p.im, n), rational(v.im * p.re - v.re * p.im, n))
+        for c, v in row.items()
+    }
+
+
+# The per-field pieces of rref_rows: clear a row to coprime integers, the
+# content (gcd) of integers, and the final division of a row by its pivot.
+_OVER_QQ = (_integer_row, gcd, _divide_rational)
+_OVER_QQI = (_clear_gaussian, _gaussian_gcd, _divide_gaussian)
+
+
 def rref_rows(rows, cols):
     """Reduced row echelon form of a list of row dicts with columns in range(cols).
 
     Returns (pivot_cols, rref) where rref[k] is the row whose pivot is
     pivot_cols[k], scaled to pivot 1, fully reduced.  Input rows are not
-    mutated.  The result is the canonical RREF of the row space.
+    mutated.  The result is the canonical RREF of the row space; its entries
+    are rationals, or GaussianRational when any input entry is one.
+
+    The elimination runs on integers (Gaussian integers over QQ(i)).  Each row
+    is cleared to coprime integers.  A pivot row is scaled by a unit so that
+    its pivot p is positive (over ZZ[i]: re > 0, im >= 0).  Every other row r
+    with entry f in the pivot column becomes (p/g) r - (f/g) pivot_row, with
+    g = gcd(p, f), and is then divided by its content.  The pivot rows are
+    divided by their pivots only when the output is built.
     """
-    work = [dict(r) for r in rows]
+    gaussian = any(isinstance(v, GaussianRational) for r in rows for v in r.values())
+    clear, content, divide = _OVER_QQI if gaussian else _OVER_QQ
+    work = [clear(r) for r in rows]
     occupancy = {}
     for ridx, r in enumerate(work):
         for c in r:
@@ -70,35 +202,43 @@ def rref_rows(rows, cols):
         occ = occupancy.get(c)
         if not occ:
             continue
-        pr = min((r for r in occ if r in remaining), key=lambda r: (len(work[r]), r), default=-1)
+        pr = min(((len(work[r]), r) for r in occ if r in remaining), default=(0, -1))[1]
         if pr < 0:
             continue
         remaining.discard(pr)
         prow = work[pr]
-        piv = prow[c]
-        if piv != 1:
-            inv = 1 / piv
-            for cc in list(prow):
-                prow[cc] = prow[cc] * inv
+        p = prow[c]
+        unit = p // content(p)
+        if unit != 1:
+            prow = work[pr] = {cc: v // unit for cc, v in prow.items()}
+            p = prow[c]
         for r2 in list(occ):
             if r2 == pr:
                 continue
             row2 = work[r2]
-            f = row2.get(c)
-            if not f:
-                continue
+            f = row2[c]
+            g = content(p, f)
+            a, nb = p // g, -(f // g)
+            if a != 1:
+                row2 = work[r2] = {cc: a * v for cc, v in row2.items()}
             for cc, pv in prow.items():
-                new = row2.get(cc, ZERO) - f * pv
-                if new:
-                    if cc not in row2:
-                        occupancy.setdefault(cc, set()).add(r2)
-                    row2[cc] = new
+                old = row2.get(cc)
+                if old is None:
+                    row2[cc] = nb * pv
+                    occupancy.setdefault(cc, set()).add(r2)
                 else:
-                    if cc in row2:
+                    new = old + nb * pv
+                    if new:
+                        row2[cc] = new
+                    else:
                         del row2[cc]
                         occupancy[cc].discard(r2)
+            if row2:
+                g = content(*row2.values())
+                if g != 1:
+                    work[r2] = {cc: v // g for cc, v in row2.items()}
         pivots.append((c, pr))
-    return [c for c, _ in pivots], [work[pr] for _, pr in pivots]
+    return [c for c, _ in pivots], [divide(work[pr], work[pr][c]) for c, pr in pivots]
 
 
 def rank(rows, cols) -> int:
@@ -198,42 +338,11 @@ def primitive_integer_vector(vec):
     Gaussian entries are scaled jointly (treating re and im as components);
     the returned list then contains Gaussian integers.
     """
-    from math import gcd
-
-    from .scalars import GaussianRational, real_imag
-
-    pairs = []
-    gaussian = False
-    for v in vec:
-        if isinstance(v, GaussianRational):
-            gaussian = True
-        re, im = real_imag(v) if not isinstance(v, int) else (v, 0)
-        pairs.append((re, im))
-    nums = []
-    dens = []
-    for re, im in pairs:
-        for x in (re, im):
-            nums.append(int(x.numerator) if hasattr(x, "numerator") else int(x))
-            dens.append(int(x.denominator) if hasattr(x, "denominator") else 1)
-    if not any(nums):
-        return [0] * len(vec)
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [n * (lcm // d) for n, d in zip(nums, dens)]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    if not gaussian:
-        return [ints[2 * k] for k in range(len(vec))]
+    ints = _integer_row(_real_parts(enumerate(vec)))
+    if ints and next(iter(ints.values())) < 0:
+        ints = {key: -x for key, x in ints.items()}
     out = []
     for k in range(len(vec)):
-        re, im = ints[2 * k], ints[2 * k + 1]
-        out.append(re if not im else GaussianRational(re, im))
+        re, im = int(ints.get((k, 0), 0)), int(ints.get((k, 1), 0))
+        out.append(GaussianRational(re, im) if im else re)
     return out

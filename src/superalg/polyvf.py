@@ -265,14 +265,19 @@ def monomials_of_degree(coords: Coords, d: int):
     return sorted(out)
 
 
+# VectorField._parity before parity() has been computed; None is the zero field's parity.
+_UNSET = object()
+
+
 class VectorField:
     """X = sum_a f_a d/dx_a with polynomial coefficients f_a."""
 
-    __slots__ = ("coords", "coeffs")
+    __slots__ = ("coords", "coeffs", "_parity")
 
     def __init__(self, coords: Coords, coeffs: Optional[Dict[int, Polynomial]] = None):
         self.coords = coords
         self.coeffs = {v: p for v, p in (coeffs or {}).items() if p}
+        self._parity = _UNSET
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -304,15 +309,21 @@ class VectorField:
         return Polynomial(self.coords, out)
 
     def parity(self):
+        """Parity if homogeneous (None for the zero field), raises otherwise.
+
+        Computed on first use and kept: a field is not changed after it is
+        built.  A non-homogeneous field caches nothing and raises every time.
+        """
+        if self._parity is not _UNSET:
+            return self._parity
         ps = set()
         for v, f in self.coeffs.items():
             for m in f.terms:
                 ps.add((mono_parity(m, self.coords) + self.coords.parities[v]) % 2)
-        if not ps:
-            return None
         if len(ps) > 1:
             raise ValueError("non-homogeneous vector field")
-        return ps.pop()
+        self._parity = ps.pop() if ps else None
+        return self._parity
 
     def degree(self):
         ds = set()
@@ -429,7 +440,7 @@ def field_basis_index(coords: Coords, d: int):
 class OneForm:
     """omega = sum_a f_a dx_a with left polynomial coefficients."""
 
-    __slots__ = ("coords", "coeffs", "dparity")
+    __slots__ = ("coords", "coeffs")
 
     def __init__(self, coords: Coords, coeffs: Dict[int, Polynomial]):
         self.coords = coords

@@ -75,6 +75,22 @@ def _blocks(g, neg, z):
     return out
 
 
+def test_block_keys_come_from_one_cached_parity_and_weight_per_word(mink1_reduced):
+    g = mink1_reduced
+    neg = NegativePart(g)
+    for z in (1, 2, 3):
+        for k in (1, 2, 3):
+            for word, t in cochain_basis(g, neg, k, z):
+                parity, wt = neg.word_key(word)
+                assert (parity, wt) == (neg.word_parity(word), neg.word_weight(word))
+                tw = g.space.basis[t].weight
+                assert cochain_block_key(g, neg, (word, t)) == (
+                    (g.parity(t) + parity) % 2,
+                    tuple(a - b for a, b in zip(tw, wt)),
+                )
+                assert neg.word_key(word) is neg.word_key(word)
+
+
 def _dense(m):
     data = [[ZERO] * m.cols for _ in range(m.rows)]
     for (r, c), v in m.entries.items():

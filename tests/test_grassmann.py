@@ -7,7 +7,6 @@ from superalg.grassmann import (
     GrassmannElement,
     NormalizationError,
     all_subsets,
-    canonical_iso,
     composed_iso_is_algebra_map,
     make_real_structure,
     normalize_generators,
@@ -69,7 +68,7 @@ def test_rho_bar_canonical():
     basis = real_form_basis(rho)
     assert len(basis) == 2
     # the canonical form is spanned by 1 and theta
-    iso = canonical_iso(rho)
+    iso = CanonicalIso(rho)
     assert iso.check()
     ts = normalize_generators(rho)
     assert ts[0] == th(1, 0)
@@ -107,7 +106,7 @@ def test_rho_tr_valid_and_normalizes():
     for a in ts:
         for b in ts:
             assert not a * b + b * a
-    iso = canonical_iso(rho)
+    iso = CanonicalIso(rho)
     assert iso.check()
 
 

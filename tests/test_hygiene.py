@@ -36,3 +36,37 @@ def test_every_import_in_the_package_is_used():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+# Only scalars.py picks the rational backend; everything else builds scalars
+# through it, so that the optional gmpy2 backend reaches every computation.
+BACKEND_MODULES = {"fractions", "gmpy2"}
+
+
+def backend_imports(source: str):
+    """(line, module) of every import of a rational backend module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] in BACKEND_MODULES]
+    return found
+
+
+def test_backend_imports_are_caught():
+    source = "import os\nfrom fractions import Fraction\nimport gmpy2.mpq as q\nfrom .scalars import rational\n"
+    assert backend_imports(source) == [(2, "fractions"), (3, "gmpy2.mpq")]
+
+
+def test_only_scalars_imports_the_rational_backend():
+    found = {
+        path.name: backend_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "scalars.py"
+    }
+    assert {name: bad for name, bad in found.items() if bad} == {}
+    assert backend_imports((SRC / "scalars.py").read_text(encoding="utf-8"))

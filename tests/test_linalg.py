@@ -11,7 +11,7 @@ from superalg.linalg import (
     rank,
     rref_rows,
 )
-from superalg.scalars import FIELD_Q, FIELD_QI, ZERO, gaussian, rational
+from superalg.scalars import FIELD_Q, FIELD_QI, ONE, ZERO, GaussianRational, gaussian, rational
 
 from oracles import dense_rank_fraction_free, dense_rref
 
@@ -244,3 +244,50 @@ def test_span_solver_rejects_an_index_outside_the_ambient_space():
     solver = SpanSolver([{0: one, 5: ZERO}], 2)
     assert solver.rank == 1 and solver.contains({0: rational(4)})
     assert SpanSolver([{1: one}], 2).contains({1: one})
+
+
+# -- the integer elimination: denominators, content and cross-multiplication ---
+
+WIDE = st.builds(rational, st.integers(-(2**20), 2**20), st.integers(1, 2**20))
+WIDE_SCALARS = {
+    "Q": WIDE,
+    "Q(i)": st.one_of(WIDE, st.builds(gaussian, WIDE, WIDE)),
+}
+
+
+@st.composite
+def dense_wide_rows(draw):
+    """Row dicts of a fairly dense matrix, up to 10 x 12, with 20-bit numerators and denominators.
+
+    Some rows are combinations of earlier ones, so that updates cancel entries
+    and leave rows with a common factor for the content step to divide out.
+    """
+    field = draw(st.sampled_from(sorted(WIDE_SCALARS)))
+    cols = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(WIDE_SCALARS[field]), draw(WIDE_SCALARS[field])
+            row = {c: x * a.get(c, ZERO) + y * b.get(c, ZERO) for c in set(a) | set(b)}
+        else:
+            row = draw(st.dictionaries(st.integers(0, cols - 1), WIDE_SCALARS[field], min_size=cols // 2))
+        rows.append({c: v for c, v in sorted(row.items()) if v})
+    return rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_wide_rows())
+@example(([{0: rational(6), 1: rational(4)}, {0: rational(9), 1: rational(6)}], 2))
+@example(([{0: gaussian(2, 2), 1: gaussian(0, 4)}, {0: gaussian(3, 1), 1: gaussian(1, 3)}], 2))
+@example(([{0: gaussian(1, 1), 1: rational(2)}, {0: rational(5, 7), 1: gaussian(0, -3)}], 3))
+def test_integer_elimination_gives_the_dense_rref_with_field_scalars(case):
+    rows, cols = case
+    before = [dict(r) for r in rows]
+    pivots, rref = rref_rows(rows, cols)
+    assert (pivots, rref) == dense_rref(rows, cols)
+    assert rows == before  # the input rows are not mutated
+    if any(isinstance(v, GaussianRational) for r in rows for v in r.values()):
+        assert all(type(v) is GaussianRational for r in rref for v in r.values())
+    else:
+        assert all(type(v) is type(ONE) for r in rref for v in r.values())

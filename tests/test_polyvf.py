@@ -231,3 +231,27 @@ def test_coords_accept_field_names_and_reject_unknown_fields():
     for bad in ("Q(j)", 2, None):
         with pytest.raises(ValueError):
             Coords(["x"], [0], field=bad)
+
+
+def test_parity_is_cached_including_the_zero_fields_none():
+    c = xy_theta()
+    t1 = c.var("θ1")
+    odd = VectorField(c, {0: t1})  # θ1 ∂_x is odd
+    assert odd.parity() == 1
+    assert odd._parity == 1  # kept after the first call
+    assert odd.parity() == 1 and odd.bracket(coordinate_field(c, "θ1")).parity() == 0
+    zero = VectorField(c)
+    assert zero.parity() is None
+    assert zero._parity is None  # None is a cached value, not "not yet computed"
+    assert zero.parity() is None
+    assert not zero.bracket(odd) and not odd.bracket(zero)
+
+
+def test_non_homogeneous_field_raises_on_every_call():
+    c = xy_theta()
+    mixed = VectorField(c, {0: c.one() + c.var("θ1")})  # ∂_x + θ1 ∂_x
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-homogeneous"):
+            mixed.parity()
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        mixed.bracket(coordinate_field(c, "x"))
