@@ -9,13 +9,25 @@ costs a sign.
 A monomial is a tuple of (var_index, exponent) pairs sorted by index.  A
 Polynomial maps monomials to scalars; a VectorField maps each coordinate index
 to the polynomial coefficient of its partial derivative.
+
+Under the objects sits one bracket kernel, bracket_terms, on plain term dicts
+{var: {monomial: scalar}} with the parities passed in.  VectorField.bracket
+runs on it, VectorField.apply runs on its half X(g), and so do the
+prolongation's constraint and closure brackets, which build no Polynomial or
+VectorField per bracket.  The kernel only multiplies and adds the values it is
+given, and a key takes its first term as it is instead of adding it to a zero
+constant, so int input gives int output and rational or Gaussian input gives
+the value types it always gave.  clear_field scales a field to a term dict of
+integers (Gaussian rationals with integral parts over QQ(i)) and returns the
+common denominator, so a caller can bracket on integers and divide once.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, Optional, Tuple
 
-from .scalars import FIELD_Q, ZERO, as_field
+from .scalars import FIELD_Q, ZERO, GaussianRational, as_field, real_imag
 
 Monomial = Tuple[Tuple[int, int], ...]
 
@@ -82,25 +94,30 @@ def mono_str(mono: Monomial, coords: Coords) -> str:
     return "*".join(parts)
 
 
-def _mono_mul(m1: Monomial, m2: Monomial, coords: Coords):
-    """Multiply canonical monomials; returns (monomial, sign) or None if zero."""
-    odd1 = [v for v, e in m1 if coords.parities[v]]
-    odd2 = [v for v, e in m2 if coords.parities[v]]
-    if set(odd1) & set(odd2):
-        return None
+def _mono_mul(m1: Monomial, m2: Monomial, parities):
+    """Multiply canonical monomials; returns (monomial, sign) or None if zero.
+
+    The sign counts the odd factors of m1 that each odd factor of m2 must
+    pass, i.e. the pairs of odd indices a in m1, b in m2 with a > b.
+    """
+    if not m2:
+        return m1, 1
+    if not m1:
+        return m2, 1
+    merged = dict(m1)
     sign = 1
-    # count inversions between the odd word of m1 and that of m2
-    for a in odd1:
-        for b in odd2:
-            if a > b:
-                sign = -sign
-    merged: Dict[int, int] = {}
-    for v, e in m1:
-        merged[v] = merged.get(v, 0) + e
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    mono = tuple(sorted(merged.items()))
-    return mono, sign
+    for b, e in m2:
+        old = merged.get(b)
+        if parities[b]:
+            if old is not None:
+                return None
+            for a, _ in m1:
+                if a > b and parities[a]:
+                    sign = -sign
+            merged[b] = e
+        else:
+            merged[b] = e if old is None else old + e
+    return tuple(sorted(merged.items())), sign
 
 
 def _scaled(c, k: int):
@@ -137,6 +154,14 @@ class Polynomial:
         self.coords = coords
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
+    @classmethod
+    def _wrap(cls, coords: Coords, terms: Dict[Monomial, object]) -> "Polynomial":
+        """A polynomial on a term dict that already holds only nonzeros, not copied."""
+        p = cls.__new__(cls)
+        p.coords = coords
+        p.terms = terms
+        return p
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -149,9 +174,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
-
-    def copy(self):
-        return Polynomial(self.coords, dict(self.terms))
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -272,12 +294,33 @@ _UNSET = object()
 class VectorField:
     """X = sum_a f_a d/dx_a with polynomial coefficients f_a."""
 
-    __slots__ = ("coords", "coeffs", "_parity")
+    __slots__ = ("coords", "coeffs", "_parity", "_terms")
 
     def __init__(self, coords: Coords, coeffs: Optional[Dict[int, Polynomial]] = None):
         self.coords = coords
         self.coeffs = {v: p for v, p in (coeffs or {}).items() if p}
         self._parity = _UNSET
+        self._terms = None
+
+    @classmethod
+    def _wrap(cls, coords: Coords, terms, parity) -> "VectorField":
+        """The field of a term dict of nonzeros with a known parity, sharing its dicts."""
+        X = cls.__new__(cls)
+        X.coords = coords
+        X.coeffs = {v: Polynomial._wrap(coords, t) for v, t in terms.items()}
+        X._parity = parity if terms else None
+        X._terms = terms
+        return X
+
+    def term_dict(self):
+        """The field as {var: {monomial: scalar}}, the form bracket_terms takes.
+
+        Built on first use and kept, like the parity; it shares the
+        coefficient polynomials' term dicts, so it costs one small dict.
+        """
+        if self._terms is None:
+            self._terms = {v: p.terms for v, p in self.coeffs.items()}
+        return self._terms
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -304,9 +347,8 @@ class VectorField:
         return VectorField(self.coords, {v: p.scale(s) for v, p in self.coeffs.items()})
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        out: Dict[Monomial, object] = {}
-        _add_applied(out, self, poly, 1)
-        return Polynomial(self.coords, out)
+        terms = _add_applied({}, self.term_dict(), poly.terms, 1, self.coords.parities)
+        return Polynomial._wrap(self.coords, terms)
 
     def parity(self):
         """Parity if homogeneous (None for the zero field), raises otherwise.
@@ -337,22 +379,13 @@ class VectorField:
         return ds.pop()
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """[X, Y] = X Y - (-1)^{p(X)p(Y)} Y X as superderivations.
-
-        Coefficientwise [X, Y]_v = X(g_v) - (-1)^{p(X)p(Y)} Y(f_v); every term
-        goes straight into one dict per output variable.
-        """
+        """[X, Y] = X Y - (-1)^{p(X)p(Y)} Y X as superderivations, by bracket_terms."""
         px = self.parity()
         py = other.parity()
         if px is None or py is None:
             return VectorField(self.coords)
-        sign = -1 if (px and py) else 1
-        out: Dict[int, Dict[Monomial, object]] = {}
-        for v, g in other.coeffs.items():
-            _add_applied(out.setdefault(v, {}), self, g, 1)
-        for v, f in self.coeffs.items():
-            _add_applied(out.setdefault(v, {}), other, f, -sign)
-        return VectorField(self.coords, {v: Polynomial(self.coords, t) for v, t in out.items()})
+        terms = bracket_terms(self.term_dict(), px, other.term_dict(), py, self.coords.parities)
+        return VectorField._wrap(self.coords, terms, (px + py) % 2)
 
     def coordinates(self, monomial_index: Dict[Tuple[int, Monomial], int]) -> Dict[int, object]:
         """Sparse vector {position: coefficient} over an index (var, monomial) -> position."""
@@ -369,34 +402,87 @@ class VectorField:
     __repr__ = __str__
 
 
-def _add_applied(acc: Dict[Monomial, object], X: VectorField, g: Polynomial, s: int):
-    """acc += s * X(g), term by term, where acc maps monomials to nonzero scalars."""
-    coords = X.coords
-    parities = coords.parities
-    for mono, c in g.terms.items():
+def bracket_terms(x, px: int, y, py: int, parities):
+    """[X, Y] of two term dicts {var: {monomial: scalar}} of parities px and py.
+
+    Coefficientwise [X, Y]_v = X(g_v) - (-1)^{px py} Y(f_v), where f_v and g_v
+    are the coefficients of X and Y.  Returns a new term dict of nonzeros with
+    no empty coefficient; the inputs are not changed.
+    """
+    out = {}
+    for v, g in y.items():
+        acc = _add_applied({}, x, g, 1, parities)
+        if acc:
+            out[v] = acc
+    s = 1 if (px and py) else -1
+    for v, f in x.items():
+        acc = out.get(v)
+        acc = _add_applied({} if acc is None else acc, y, f, s, parities)
+        if acc:
+            out[v] = acc
+        elif v in out:
+            del out[v]
+    return out
+
+
+def _add_applied(acc: Dict[Monomial, object], x, g: Dict[Monomial, object], s: int, parities):
+    """acc += s * X(g) for a term dict X and a polynomial's terms g; returns acc.
+
+    acc maps monomials to nonzero scalars; a new key takes its first term as
+    it is, so no value is ever added to a zero of another type.
+    """
+    for mono, c in g.items():
         for w, e in mono:
-            f = X.coeffs.get(w)
+            f = x.get(w)
             if f is None:
                 continue
             dmono, k = _mono_deriv(mono, w, e, parities)
-            for m1, c1 in f.terms.items():
-                r = _mono_mul(m1, dmono, coords)
+            k *= s
+            for m1, c1 in f.items():
+                r = _mono_mul(m1, dmono, parities)
                 if r is None:
                     continue
                 mono_out, sign = r
-                nv = acc.get(mono_out, ZERO) + _scaled(c1 * c, s * k * sign)
-                if nv:
-                    acc[mono_out] = nv
-                elif mono_out in acc:
-                    del acc[mono_out]
+                val = _scaled(c1 * c, k * sign)
+                old = acc.get(mono_out)
+                if old is None:
+                    acc[mono_out] = val
+                else:
+                    val = old + val
+                    if val:
+                        acc[mono_out] = val
+                    else:
+                        del acc[mono_out]
+    return acc
+
+
+def clear_field(X: VectorField):
+    """(den, terms): X times den as a term dict, den the lcm of all its denominators.
+
+    The denominators are those of the real and imaginary parts, so the cleared
+    values are int over QQ and GaussianRational with integral parts over QQ(i).
+    """
+    terms = X.term_dict()
+    den = 1
+    for t in terms.values():
+        for c in t.values():
+            re, im = real_imag(c)
+            den = lcm(den, re.denominator, im.denominator)
+    return den, {
+        v: {
+            m: c * den if isinstance(c, GaussianRational) else c.numerator * (den // c.denominator)
+            for m, c in t.items()
+        }
+        for v, t in terms.items()
+    }
 
 
 def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):
     """acc += f * g, term by term, where acc maps monomials to nonzero scalars."""
-    coords = f.coords
+    parities = f.coords.parities
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
-            r = _mono_mul(m1, m2, coords)
+            r = _mono_mul(m1, m2, parities)
             if r is None:
                 continue
             mono, sign = r

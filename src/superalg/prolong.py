@@ -12,6 +12,17 @@ kernel of the map sending X to the residuals of its brackets [X, g_j] modulo
 the realized span of g_{k+j}; the same computation serves depth 1 and 2.  The
 bracket on the result is the bracket of the realized fields, re-expanded in
 the computed basis; closure is checked, never assumed.
+
+Every bracket here runs on integer term dicts through polyvf.bracket_terms.
+The candidates are monomial fields m d_v, kept as (v, m) pairs with the block
+key's parity, and each negative field X_e is cleared once to den_e X_e with
+integer coefficients.  Column j of the constraints of e is then the residual
+of [m_j d_(v_j), den_e X_e], which is den_e times the residual of
+[m_j d_(v_j), X_e]: every row of the constraints of e is scaled by the same
+positive den_e.  That leaves the row space, hence the kernel and its RREF,
+unchanged, so the component bases come out exactly as with X_e itself.  The
+closure brackets clear each basis field X once to (den_X, den_X X) and divide
+the bracket's coordinates by den_X den_Y before they are solved.
 """
 
 from __future__ import annotations
@@ -21,7 +32,17 @@ from typing import Dict, List, Tuple
 from .algebra import Element, LieSuperAlgebra, from_matrices
 from .constructors import Action, abelian_negative, combine_nonpositive
 from .linalg import SpanSolver, kernel_basis, row_space_basis
-from .polyvf import Coords, Polynomial, VectorField, coordinate_field, field_basis_index, fields_of_degree, mono_parity
+from .polyvf import (
+    Coords,
+    Polynomial,
+    VectorField,
+    bracket_terms,
+    clear_field,
+    coordinate_field,
+    field_basis_index,
+    fields_of_degree,
+    mono_parity,
+)
 from .scalars import ZERO, rational
 from .spaces import BasisVector, SuperSpace
 
@@ -110,8 +131,8 @@ def realize_negative(nonpos: LieSuperAlgebra) -> Tuple[Coords, Dict[int, VectorF
     return coords, fields
 
 
-def _field_coords_weights(coords: Coords, nonpos: LieSuperAlgebra, neg: List[int]):
-    """Weights of the coordinates (negated) and derivatives (plain), or None."""
+def _field_coords_weights(nonpos: LieSuperAlgebra, neg: List[int]):
+    """The weight of each g_- basis vector, in coordinate order, or None if one has none."""
     wts = []
     for k in neg:
         w = nonpos.space.basis[k].weight
@@ -176,12 +197,13 @@ def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dic
 
 
 def _candidate_blocks(coords: Coords, k: int, weights):
-    """Split the degree-k candidate fields by (parity, weight) for determinism."""
-    cand = fields_of_degree(coords, k)
-    blocks: Dict[Tuple, List[VectorField]] = {}
-    for f in cand:
-        (v, poly), = f.coeffs.items()
-        (m, _), = poly.terms.items()
+    """The degree-k candidates m d_v as (v, m) pairs, split by (parity, weight).
+
+    Candidates keep the order of fields_of_degree within each block.
+    """
+    index, _ = field_basis_index(coords, k)
+    blocks: Dict[Tuple, List[Tuple[int, tuple]]] = {}
+    for v, m in index:
         par = (mono_parity(m, coords) + coords.parities[v]) % 2
         if weights is None:
             key = (par,)
@@ -191,7 +213,7 @@ def _candidate_blocks(coords: Coords, k: int, weights):
                 for j in range(len(wt)):
                     wt[j] = wt[j] - e * weights[var][j]
             key = (par, tuple(wt))
-        blocks.setdefault(key, []).append(f)
+        blocks.setdefault(key, []).append((v, m))
     return dict(sorted(blocks.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))))
 
 
@@ -206,7 +228,9 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     zero_fields = realize_degree_zero(nonpos, coords, neg_fields)
     neg = nonpos.negative_indices()
 
-    weights = _field_coords_weights(coords, nonpos, neg)
+    weights = _field_coords_weights(nonpos, neg)
+    # each X_e cleared to integers once; den_e drops out of every kernel
+    cleared_neg = {e: clear_field(neg_fields[e])[1] for e in neg}
 
     # realized components by degree: degree -> list of (label, field)
     comp_fields: Dict[int, List[VectorField]] = {}
@@ -231,12 +255,14 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
         return solvers[d]
 
     for k in range(1, max_degree + 1):
-        blocks = _candidate_blocks(coords, k, weights)
+        # per negative e: (parity, cleared X_e, W_{k+deg e} index, dim, solver of g_{k+deg e})
+        constraints = [
+            (nonpos.parity(e), cleared_neg[e]) + component_solver(k + nonpos.degree(e)) for e in neg
+        ]
         new_fields: List[VectorField] = []
-        for key, cand in blocks.items():
-            new_fields.extend(
-                _prolong_block(cand, neg, nonpos, neg_fields, coords, k, component_solver)
-            )
+        for key, cand in _candidate_blocks(coords, k, weights).items():
+            kernel = _prolong_block(key[0], cand, constraints, coords.parities)
+            new_fields.extend(_fields_from_coeffs(kernel, cand, coords))
         comp_fields[k] = new_fields
         comp_ids[k] = [f"g{k}[{j}]" for j in range(len(new_fields))]
         solvers.pop(k, None)
@@ -244,37 +270,38 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     return _assemble(nonpos, coords, comp_fields, comp_ids, max_degree)
 
 
-def _prolong_block(cand, neg, nonpos, neg_fields, coords, k, component_solver):
-    """Kernel of the bracket residuals of one candidate block, stacked over g_minus."""
-    if not cand:
-        return []
-    constraints = []  # per negative e: (e, idx map, dim, reducing solver)
-    for e in neg:
-        idx, dim, solver = component_solver(k + nonpos.degree(e))
-        constraints.append((e, idx, dim, solver))
+def _prolong_block(par, cand, constraints, parities):
+    """Kernel of the bracket residuals of one candidate block, stacked over g_minus.
+
+    Column j holds the residuals of [m d_v, den_e X_e] for the j-th candidate
+    (v, m), all of parity par, on the integer term dicts of the constraints.
+    """
     rows: Dict[int, dict] = {}
-    for j, X in enumerate(cand):
+    for j, (v, m) in enumerate(cand):
+        unit = {v: {m: 1}}
         off = 0
-        for e, idx, dim, solver in constraints:
-            residual = solver.reduce(X.bracket(neg_fields[e]).coordinates(idx))
+        for pe, xe, idx, dim, solver in constraints:
+            br = bracket_terms(unit, par, xe, pe, parities)
+            residual = solver.reduce({idx[w, mono]: c for w, t in br.items() for mono, c in t.items()})
             for pos, val in residual.items():
                 rows.setdefault(off + pos, {})[j] = val
             off += dim
-    return _fields_from_coeffs(kernel_basis(list(rows.values()), len(cand)), cand, coords)
+    return kernel_basis(list(rows.values()), len(cand))
 
 
 def _fields_from_coeffs(vectors, cand, coords):
-    """Canonicalize coefficient vectors by RREF, then rebuild fields.
+    """Canonicalize coefficient vectors by RREF, then build the fields sum c_j m_j d_(v_j).
 
     Makes the computed component basis independent of the kernel basis found.
     """
-    canon = row_space_basis(vectors, len(cand))
+    one = coords.field.one
     out = []
-    for vec in canon:
-        X = VectorField(coords)
+    for vec in row_space_basis(vectors, len(cand)):
+        terms: Dict[int, dict] = {}
         for j, c in sorted(vec.items()):
-            X = X + cand[j].scale(c)
-        out.append(X)
+            v, m = cand[j]
+            terms.setdefault(v, {})[m] = one * c
+        out.append(VectorField(coords, {v: Polynomial(coords, t) for v, t in terms.items()}))
     return out
 
 
@@ -297,6 +324,7 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
         all_fields[n] = f
     space = SuperSpace(basis)
 
+    cleared = [clear_field(all_fields[n]) for n in range(len(order))]
     solvers = {}
 
     def solver_for(d):
@@ -315,11 +343,13 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
             d = da + db
             if d < min(comp_fields) or d > max_degree:
                 continue
-            br = all_fields[a].bracket(all_fields[b])
+            (den_a, xa), (den_b, xb) = cleared[a], cleared[b]
+            br = bracket_terms(xa, basis[a].parity, xb, basis[b].parity, coords.parities)
             if not br:
                 continue
             idx, dim, solver, members = solver_for(d)
-            sol = solver.solve(br.coordinates(idx))
+            scale = rational(1, den_a * den_b)
+            sol = solver.solve({idx[v, m]: c * scale for v, t in br.items() for m, c in t.items()})
             if sol is None:
                 raise ProlongError(
                     f"prolong bracket [{basis[a].id},{basis[b].id}] is not closed in degree {d}"

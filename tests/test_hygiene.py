@@ -70,3 +70,32 @@ def test_only_scalars_imports_the_rational_backend():
     }
     assert {name: bad for name, bad in found.items() if bad} == {}
     assert backend_imports((SRC / "scalars.py").read_text(encoding="utf-8"))
+
+
+# A module uses another module's public names only, so that, for example,
+# prolong brackets through polyvf.bracket_terms, not through its helpers.
+def private_imports(source: str):
+    """(line, name) of every underscore name imported from a sibling module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_private_imports_are_caught():
+    source = (
+        "from __future__ import annotations\n"
+        "from .polyvf import _mono_mul, bracket_terms\n"
+        "from . import _x\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(source) == [(2, "_mono_mul"), (3, "_x")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {
+        path.name: private_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: bad for name, bad in found.items() if bad} == {}

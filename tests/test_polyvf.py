@@ -1,16 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superalg.polyvf import (
     Coords,
     Polynomial,
     VectorField,
+    bracket_terms,
+    clear_field,
     coordinate_field,
     fields_of_degree,
+    mono_parity,
     monomials_of_degree,
 )
-from superalg.scalars import FIELD_Q, FIELD_QI, rational
+from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, gaussian, rational
 
 
 def xy_theta():
@@ -255,3 +260,76 @@ def test_non_homogeneous_field_raises_on_every_call():
             mixed.parity()
     with pytest.raises(ValueError, match="non-homogeneous"):
         mixed.bracket(coordinate_field(c, "x"))
+
+
+# -- the term-dict kernel ------------------------------------------------------
+
+# x, t even and θ1, θ2, θ3 odd; t and θ3 have degree 2, the others degree 1
+GRADED = Coords(["x", "t", "θ1", "θ2", "θ3"], [0, 0, 1, 1, 1], degrees=[1, 2, 1, 1, 2])
+RATIONAL = type(rational(1))
+NONZERO_RATIONALS = st.builds(rational, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+
+
+def slots(parity, degree):
+    """The (var, monomial) pairs of the monomial fields of one parity and degree."""
+    return [
+        (v, m)
+        for v in range(len(GRADED))
+        for m in monomials_of_degree(GRADED, degree + GRADED.degree(v))
+        if (mono_parity(m, GRADED) + GRADED.parities[v]) % 2 == parity
+    ]
+
+
+@st.composite
+def homogeneous_fields(draw):
+    """(X, parity): a field of one parity and one degree with rational coefficients."""
+    parity = draw(st.integers(0, 1))
+    choices = slots(parity, draw(st.integers(-2, 2)))
+    picked = draw(st.lists(st.sampled_from(choices), max_size=5, unique=True)) if choices else []
+    terms = {}
+    for v, m in picked:
+        terms.setdefault(v, {})[m] = draw(NONZERO_RATIONALS)
+    return VectorField(GRADED, {v: Polynomial(GRADED, t) for v, t in terms.items()}), parity
+
+
+def from_terms(terms, scale):
+    """The field of a term dict on GRADED, every value times scale."""
+    coeffs = {v: Polynomial(GRADED, {m: c * scale for m, c in t.items()}) for v, t in terms.items()}
+    return VectorField(GRADED, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(homogeneous_fields(), homogeneous_fields())
+def test_kernel_on_cleared_fields_is_the_field_bracket(xp, yp):
+    (X, px), (Y, py) = xp, yp
+    (dx, cx), (dy, cy) = clear_field(X), clear_field(Y)
+    for den, cleared, field in ((dx, cx, X), (dy, cy, Y)):
+        assert all(type(c) is int for t in cleared.values() for c in t.values())
+        assert from_terms(cleared, rational(1, den)) == field
+    br = X.bracket(Y)
+    assert from_terms(bracket_terms(cx, px, cy, py, GRADED.parities), rational(1, dx * dy)) == br
+    # Fraction input gives only rational values, never an int or a GaussianRational
+    assert all(type(c) is RATIONAL for p in br.coeffs.values() for c in p.terms.values())
+    # [X, Y](f) = X(Y(f)) - (-1)^{p(X)p(Y)} Y(X(f)) on every monomial f of degree <= 2
+    sign = -1 if (px and py) else 1
+    for d in range(3):
+        for m in monomials_of_degree(GRADED, d):
+            f = Polynomial(GRADED, {m: rational(1)})
+            assert br.apply(f) == X.apply(Y.apply(f)) - Y.apply(X.apply(f)).scale(sign), m
+
+
+def test_clear_field_over_gaussian_rationals():
+    c = Coords(["x", "θ"], [0, 1], field=FIELD_QI)
+    X = VectorField(c, {0: Polynomial(c, {((0, 1),): gaussian(rational(1, 6), rational(3, 4))}),
+                        1: Polynomial(c, {((0, 1), (1, 1)): gaussian(rational(-2, 9), 0)})})
+    den, terms = clear_field(X)
+    assert den == 36
+    assert terms == {0: {((0, 1),): gaussian(6, 27)}, 1: {((0, 1), (1, 1)): gaussian(-8, 0)}}
+    for t in terms.values():
+        for v in t.values():
+            assert isinstance(v, GaussianRational) and v.re.denominator == v.im.denominator == 1
+    Y = coordinate_field(c, "x")
+    dy, ty = clear_field(Y)
+    br = bracket_terms(terms, 0, ty, 0, c.parities)
+    assert VectorField(c, {v: Polynomial(c, {m: x * rational(1, den * dy) for m, x in t.items()})
+                           for v, t in br.items()}) == X.bracket(Y)

@@ -178,8 +178,38 @@ def test_depth1_generalized_equals_cartan():
         res_g = generalized_prolong(gm, act, 3)
         doc = res_c.algebra.to_document()
         assert doc == res_g.algebra.to_document(), (m, n)
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        assert hashlib.sha256(text.encode()).hexdigest() == sha256, (m, n)
+        assert canonical_sha256(doc) == sha256, (m, n)
+
+
+def canonical_sha256(doc):
+    """SHA-256 of the canonical JSON of a document, as pinned in this file."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_gaussian_prolongation_equals_the_rational_one():
+    # hei's structure constants are rational, so prolonging over QQ(i) must
+    # give the QQ document, realization included, apart from the field name
+    for n2, m in ((2, 0), (0, 2), (2, 1)):
+        docs = {}
+        for field in ("Q", "Q(i)"):
+            g = build_hei(n2, m, field=field)
+            res = generalized_prolong(g, degree_zero_derivations(g), 2)
+            assert res.algebra.field.name == field
+            docs[field] = res.to_document()
+            assert docs[field].pop("field") == field
+        assert docs["Q"] == docs["Q(i)"], (n2, m)
+
+
+def test_minkowski_conformal_prolongation_documents_are_pinned():
+    # canonical JSON of the whole document, realization included
+    pinned = {
+        (2, 2): "96da98fe93df594ad51880bd843fbbd17f03863754fd450e2cc42d1fec0ff179",
+        (1, 3): "b3c0db19cf3334569e42ab1c7b57629eb080fe50f7c7168ce056638a93f18ef3",
+    }
+    for (N, degree), sha256 in pinned.items():
+        res = prolong_nonpositive(build_minkowski_g0(N, "conformal"), degree)
+        assert canonical_sha256(res.to_document()) == sha256, (N, degree)
 
 
 def test_heisenberg_prolong_matches_contact_k3():
