@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver
-from .scalars import FIELD_Q, FIELD_QI, ZERO, as_field, format_scalar, parse_scalar, real_imag
+from .scalars import FIELD_Q, FIELD_QI, ONE, ZERO, as_field, format_scalar, parse_scalar, real_imag
 from .spaces import EVEN, ODD, BasisVector, SuperSpace
 
 Element = Dict[int, object]  # sparse coefficient vector over the basis
@@ -57,9 +57,6 @@ class LieSuperAlgebra:
     def __len__(self):
         return len(self.space)
 
-    def dim(self):
-        return len(self.space)
-
     def sdim(self):
         return self.space.sdim
 
@@ -86,9 +83,6 @@ class LieSuperAlgebra:
 
     def negative_indices(self):
         return [k for k, b in enumerate(self.space.basis) if b.degree is not None and b.degree < 0]
-
-    def depth(self):
-        return -min(self.degrees())
 
     # -- bracket table ---------------------------------------------------------
 
@@ -234,14 +228,9 @@ class LieSuperAlgebra:
                         sq[t] = nv
                     elif t in sq:
                         del sq[t]
-            if not ok or sq != {k: -self._one()}:
+            if not ok or sq != {k: -ONE}:
                 bad.append(self.ident(k))
         return bad
-
-    def _one(self):
-        from .scalars import rational
-
-        return rational(1)
 
     # -- weights ---------------------------------------------------------------
 
@@ -460,15 +449,13 @@ def from_matrices(
     if install_i:
         # multiplication by i on the block parameters: the generator naming
         # convention pairs X with iX exactly on the i-stable blocks
-        from .scalars import rational as _rat
-
         ids = {b.id: k for k, b in enumerate(basis)}
         i_op = {}
         for ident, k in ids.items():
             partner = ids.get("i" + ident)
             if partner is not None:
-                i_op[k] = {partner: _rat(1)}
-                i_op[partner] = {k: -_rat(1)}
+                i_op[k] = {partner: ONE}
+                i_op[partner] = {k: -ONE}
     alg = LieSuperAlgebra(
         space,
         brackets,
@@ -525,13 +512,10 @@ def realify(g: LieSuperAlgebra) -> LieSuperAlgebra:
             brackets[(i, j + n)] = split(val, 1)
             brackets[(i + n, j)] = split(val, 1)
             brackets[(i + n, j + n)] = split(val, 2)
-    from .scalars import rational
-
-    one = rational(1)
     i_op = {}
     for k in range(n):
-        i_op[k] = {k + n: one}
-        i_op[k + n] = {k: -one}
+        i_op[k] = {k + n: ONE}
+        i_op[k + n] = {k: -ONE}
     raising = [r for r in g.raising] + ["i" + r for r in g.raising]
     lowering = [r for r in g.lowering] + ["i" + r for r in g.lowering]
     return LieSuperAlgebra(

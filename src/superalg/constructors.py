@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, LieSuperAlgebra, from_matrices, realify
+from .algebra import Element, LieSuperAlgebra, from_matrices, realify, supercommutator
 from .linalg import SpanSolver
 from .scalars import FIELD_Q, FIELD_QI, GaussianRational, I, ZERO, rational
 from .spaces import BasisVector, EVEN, ODD, SuperSpace
@@ -201,8 +201,6 @@ class Action:
 
     def check_representation(self):
         """rho([x,y]) = [rho(x), rho(y)] on all basis pairs; [] means pass."""
-        from .algebra import supercommutator
-
         bad = []
         parities = self.module.parities()
         g = self.algebra

@@ -6,20 +6,20 @@ on (q, xi, tau) and preserves the even form alpha0.  The standard grading puts
 t and tau in degree 2 and every other coordinate in degree 1, so K_f has
 degree wt(f) - 2.
 
-Spans of contact fields assemble into truncated graded Lie superalgebras; the
-bracket closure [K_f, K_g] = K_{f,g} is recomputed and verified on every
-build, not assumed.
+Spans of contact fields assemble into truncated graded Lie superalgebras
+through prolong.algebra_of_fields; the bracket closure [K_f, K_g] = K_{f,g}
+is recomputed and verified on every build, not assumed.  A span that fails to
+close raises prolong.ProlongError (it used to raise ValueError).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .algebra import Element, LieSuperAlgebra
-from .linalg import SpanSolver
-from .polyvf import Coords, OneForm, Polynomial, VectorField, coordinate_field, field_basis_index, monomials_of_degree
+from .algebra import LieSuperAlgebra
+from .polyvf import Coords, OneForm, Polynomial, VectorField, coordinate_field, monomials_of_degree
+from .prolong import algebra_of_fields
 from .scalars import FIELD_Q, rational
-from .spaces import BasisVector, SuperSpace
 
 
 def contact_coords(n: int, m: int, field=FIELD_Q) -> Coords:
@@ -58,7 +58,7 @@ def pericontact_coords(n: int, field=FIELD_Q) -> Coords:
     return c
 
 
-def _euler(coords: Coords, skip: str) -> List[Tuple[int, VectorField]]:
+def _euler(coords: Coords, skip: str) -> List[int]:
     out = []
     for v, name in enumerate(coords.names):
         if name == skip:
@@ -247,65 +247,18 @@ def span_algebra(
     """Graded algebra spanned by builder(monomial) over weights 0..max_degree+2.
 
     builder maps a generating monomial to a vector field; basis ids are
-    prefix_{label}.  Brackets are expanded in the span per degree; failure to
-    close is an error.
+    prefix_{label}.  The brackets are expanded by prolong.algebra_of_fields,
+    which raises ProlongError when the span does not close.
     """
-    gens: List[Tuple[str, VectorField, int]] = []
+    gens = []
     for w in range(0, max_degree + 3):
         for m in monomials_of_degree(coords, w):
-            f = Polynomial(coords, {m: coords.field.one})
-            X = builder(f)
-            if not X:
-                continue
-            gens.append((f"{prefix}_{{{_monomial_label(m, coords)}}}", X, w - 2))
-    by_degree: Dict[int, List[int]] = {}
-    for idx, (_, X, d) in enumerate(gens):
-        by_degree.setdefault(d, []).append(idx)
-    solvers: Dict[int, Tuple[dict, int, SpanSolver, List[int]]] = {}
-
-    def solver_for(d):
-        if d not in solvers:
-            idx_map, dim = field_basis_index(coords, d)
-            members = by_degree.get(d, [])
-            vecs = [gens[g][1].coordinates(idx_map) for g in members]
-            solvers[d] = (idx_map, dim, SpanSolver(vecs, dim), members)
-        return solvers[d]
-
-    basis = []
-    for ident, X, d in gens:
-        basis.append(BasisVector(ident, X.parity(), d))
-    space = SuperSpace(basis)
-    brackets: Dict[Tuple[int, int], Element] = {}
-    nn = len(gens)
-    min_d = min(by_degree)
-    for a in range(nn):
-        for b in range(a, nn):
-            d = gens[a][2] + gens[b][2]
-            if d > max_degree or d < min_d:
-                continue
-            br = gens[a][1].bracket(gens[b][1])
-            if not br:
-                continue
-            idx_map, dim, solver, members = solver_for(d)
-            sol = solver.solve(br.coordinates(idx_map))
-            if sol is None:
-                raise ValueError(f"span does not close at [{gens[a][0]},{gens[b][0]}]")
-            if sol:
-                brackets[(a, b)] = {members[j]: c for j, c in sorted(sol.items())}
-    alg = LieSuperAlgebra(
-        space,
-        brackets,
-        truncation=max_degree,
-        cartan=cartan,
-        raising=raising,
-        lowering=lowering,
-        field=coords.field,
-        name=name,
+            X = builder(Polynomial(coords, {m: coords.field.one}))
+            if X:
+                gens.append((f"{prefix}_{{{_monomial_label(m, coords)}}}", X.parity(), w - 2, X))
+    return algebra_of_fields(
+        coords, gens, max_degree, name=name, cartan=cartan, raising=raising, lowering=lowering
     )
-    alg.fields = {gens[a][0]: gens[a][1] for a in range(nn)}
-    if cartan:
-        alg.assign_weights()
-    return alg
 
 
 def contact_algebra(n: int, m: int, max_degree: int, field=FIELD_Q) -> LieSuperAlgebra:

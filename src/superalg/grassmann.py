@@ -14,6 +14,7 @@ Scalars are Gaussian rationals, so unit phases are Pythagorean units like
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, kernel_basis, rank, row_space_basis
@@ -157,8 +158,6 @@ def parse_element(n: int, text: str) -> GrassmannElement:
 
 def all_subsets(n: int) -> List[Subset]:
     out = [()]
-    from itertools import combinations
-
     for k in range(1, n + 1):
         out.extend(combinations(range(n), k))
     return out
@@ -291,8 +290,6 @@ def random_real_structure(n: int, rng: random.Random):
     Returns (rho, discarded) where discarded counts candidates rejected for a
     singular linear part.
     """
-    from itertools import combinations
-
     discarded = 0
     while True:
         M = [[FIELD_QI.random(rng, 2) for _ in range(n)] for _ in range(n)]

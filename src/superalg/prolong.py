@@ -20,9 +20,13 @@ integer coefficients.  Column j of the constraints of e is then the residual
 of [m_j d_(v_j), den_e X_e], which is den_e times the residual of
 [m_j d_(v_j), X_e]: every row of the constraints of e is scaled by the same
 positive den_e.  That leaves the row space, hence the kernel and its RREF,
-unchanged, so the component bases come out exactly as with X_e itself.  The
-closure brackets clear each basis field X once to (den_X, den_X X) and divide
-the bracket's coordinates by den_X den_Y before they are solved.
+unchanged, so the component bases come out exactly as with X_e itself.
+
+One closure assembly, algebra_of_fields, turns realized fields into structure
+constants for both the prolongations here and the contact and pericontact
+spans of contact.py.  It clears each basis field X once to (den_X, den_X X),
+solves the integer bracket of two cleared fields in the span of its degree and
+divides only the solution by den_X den_Y.
 """
 
 from __future__ import annotations
@@ -306,58 +310,17 @@ def _fields_from_coeffs(vectors, cand, coords):
 
 
 def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
-    """Expand all realized brackets in the computed bases and build the algebra."""
-    order: List[Tuple[int, int]] = []
+    """The algebra of the computed components, with nonpos's annotations, and its realization."""
+    gens = []
+    index_of = {}
     for d in sorted(comp_fields):
-        for j in range(len(comp_fields[d])):
-            order.append((d, j))
-    index_of = {dj: n for n, dj in enumerate(order)}
-    basis = []
-    all_fields: Dict[int, VectorField] = {}
-    for n, (d, j) in enumerate(order):
-        ident = comp_ids[d][j]
-        f = comp_fields[d][j]
-        par = f.parity()
-        if par is None:
-            par = nonpos.parity(nonpos.index(ident)) if d <= 0 else 0
-        basis.append(BasisVector(ident, par, d))
-        all_fields[n] = f
-    space = SuperSpace(basis)
-
-    cleared = [clear_field(all_fields[n]) for n in range(len(order))]
-    solvers = {}
-
-    def solver_for(d):
-        if d not in solvers:
-            idx, dim = field_basis_index(coords, d)
-            vecs = [all_fields[index_of[(d, j)]].coordinates(idx) for j in range(len(comp_fields.get(d, [])))]
-            solvers[d] = (idx, dim, SpanSolver(vecs, dim), [index_of[(d, j)] for j in range(len(vecs))])
-        return solvers[d]
-
-    brackets: Dict[Tuple[int, int], Element] = {}
-    n = len(order)
-    for a in range(n):
-        da = basis[a].degree
-        for b in range(a, n):
-            db = basis[b].degree
-            d = da + db
-            if d < min(comp_fields) or d > max_degree:
-                continue
-            (den_a, xa), (den_b, xb) = cleared[a], cleared[b]
-            br = bracket_terms(xa, basis[a].parity, xb, basis[b].parity, coords.parities)
-            if not br:
-                continue
-            idx, dim, solver, members = solver_for(d)
-            scale = rational(1, den_a * den_b)
-            sol = solver.solve({idx[v, m]: c * scale for v, t in br.items() for m, c in t.items()})
-            if sol is None:
-                raise ProlongError(
-                    f"prolong bracket [{basis[a].id},{basis[b].id}] is not closed in degree {d}"
-                )
-            if sol:
-                brackets[(a, b)] = {members[j]: c for j, c in sorted(sol.items())}
-
-    # carry annotations from the input
+        for j, f in enumerate(comp_fields[d]):
+            ident = comp_ids[d][j]
+            par = f.parity()
+            if par is None:
+                par = nonpos.parity(nonpos.index(ident)) if d <= 0 else 0
+            index_of[d, j] = len(gens)
+            gens.append((ident, par, d, f))
     i_op = None
     if nonpos.i_op is not None:
         i_op = {}
@@ -367,21 +330,65 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
                 index_of[(nonpos.degree(t), _position_in_component(nonpos, t))]: c
                 for t, c in img.items()
             }
-    alg = LieSuperAlgebra(
-        space,
-        brackets,
-        truncation=max_degree,
-        cartan=list(nonpos.cartan),
-        raising=list(nonpos.raising),
-        lowering=list(nonpos.lowering),
+    alg = algebra_of_fields(
+        coords,
+        gens,
+        max_degree,
+        cartan=nonpos.cartan,
+        raising=nonpos.raising,
+        lowering=nonpos.lowering,
         i_op=i_op,
-        field=nonpos.field,
         name=(nonpos.name or "g") + "_*",
     )
+    return ProlongResult(alg, {ident: f for ident, _, _, f in gens}, coords, max_degree)
+
+
+def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> LieSuperAlgebra:
+    """The truncated graded algebra spanned by realized fields, closure checked.
+
+    gens lists (ident, parity, degree, field) in basis order, degrees
+    ascending.  Every bracket of two fields whose degree d lies between the
+    lowest degree and max_degree is expanded in the span of the degree-d
+    fields; one that leaves the span raises ProlongError.  Each field X is
+    cleared once to (den_X, den_X X) and the integer bracket of den_X X and
+    den_Y Y is solved as it is: only the solution is divided by den_X den_Y.
+    The annotations (cartan, raising, lowering, i_op, name) go to the
+    LieSuperAlgebra, whose weights are assigned when it names a Cartan
+    subalgebra.
+    """
+    space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in gens])
+    cleared = [clear_field(X) for *_, X in gens]
+    members: Dict[int, List[int]] = {}
+    for n, (_, _, d, _) in enumerate(gens):
+        members.setdefault(d, []).append(n)
+    solvers: Dict[int, Tuple[dict, SpanSolver]] = {}
+    lo = gens[0][2]
+    brackets: Dict[Tuple[int, int], Element] = {}
+    for a, (id_a, pa, da, _) in enumerate(gens):
+        den_a, xa = cleared[a]
+        for b in range(a, len(gens)):
+            id_b, pb, db, _ = gens[b]
+            d = da + db
+            if d < lo or d > max_degree:
+                continue
+            den_b, xb = cleared[b]
+            br = bracket_terms(xa, pa, xb, pb, coords.parities)
+            if not br:
+                continue
+            if d not in solvers:
+                idx, dim = field_basis_index(coords, d)
+                solvers[d] = (idx, SpanSolver([gens[n][3].coordinates(idx) for n in members.get(d, [])], dim))
+            idx, solver = solvers[d]
+            sol = solver.solve({idx[v, m]: c for v, t in br.items() for m, c in t.items()})
+            if sol is None:
+                raise ProlongError(f"bracket [{id_a},{id_b}] is not closed in degree {d}")
+            if sol:
+                scale = rational(1, den_a * den_b)
+                brackets[(a, b)] = {members[d][j]: c * scale for j, c in sorted(sol.items())}
+    alg = LieSuperAlgebra(space, brackets, truncation=max_degree, field=coords.field, **annotations)
     if alg.cartan:
         alg.assign_weights()
-    realization = {basis[n].id: all_fields[n] for n in range(len(order))}
-    return ProlongResult(alg, realization, coords, max_degree)
+    return alg
 
 
 def _position_in_component(alg: LieSuperAlgebra, k: int) -> int:

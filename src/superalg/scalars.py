@@ -22,8 +22,6 @@ except ImportError:  # gmpy2 is optional (the "gmp" extra in pyproject.toml)
 
     _RAT_TYPES = (_mpq, int)
 
-QQ = rational
-
 ZERO = rational(0)
 ONE = rational(1)
 
@@ -228,22 +226,17 @@ def as_field(field):
 # -- serialization ---------------------------------------------------------
 
 
-def _format_rational(r) -> str:
-    s = str(r)
-    return s
-
-
 def format_scalar(x) -> str:
     """Render a scalar as "p/q" or "p/q+r/s*i" (exact, parseable)."""
     if isinstance(x, GaussianRational):
         if not x.im:
-            return _format_rational(x.re)
+            return str(x.re)
         if not x.re:
-            return f"{_format_rational(x.im)}*i"
-        im = _format_rational(x.im)
+            return f"{x.im}*i"
+        im = str(x.im)
         sign = "+" if not im.startswith("-") else ""
-        return f"{_format_rational(x.re)}{sign}{im}*i"
-    return _format_rational(x)
+        return f"{x.re}{sign}{im}*i"
+    return str(x)
 
 
 def parse_scalar(s: str):

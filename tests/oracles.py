@@ -3,12 +3,21 @@
 These deliberately avoid the library's own elimination and enumeration code
 paths: the rank oracle is dense fraction-free Gaussian elimination, the RREF
 oracle is dense Gauss-Jordan with lowest-index pivot rows, the dimension
-oracles enumerate admissible index words directly.
+oracles enumerate admissible index words directly.  canonical_sha256 is the
+one digest every pinned document and report in the tests is compared by.
 """
 
+import hashlib
+import json
 from itertools import product
 
 from superalg.scalars import ZERO, rational
+
+
+def canonical_sha256(doc):
+    """SHA-256 of the canonical JSON of a document: sorted keys, no spaces, UTF-8."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def dense_rank_fraction_free(dense):

@@ -321,7 +321,7 @@ def test_gaussian_document_is_json():
 def test_zero_generators_give_the_zero_algebra():
     for field in (FIELD_Q, FIELD_QI):
         g = from_matrices([], [0, 1], field=field)
-        assert g.dim() == 0 and g.field is field
+        assert len(g) == 0 and g.field is field
         assert g.to_document()["brackets"] == []
 
 

@@ -1,6 +1,3 @@
-import hashlib
-import json
-
 import pytest
 
 from superalg.algebra import realify
@@ -10,13 +7,7 @@ from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.prolong import prolong_nonpositive
 from superalg.scalars import ZERO
 
-from oracles import dense_rank_fraction_free
-
-
-def report_digest(report):
-    """SHA-256 of the canonical JSON form of an h2_by_degree report."""
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(text.encode()).hexdigest()
+from oracles import canonical_sha256, dense_rank_fraction_free
 
 
 def mink1_conformal():
@@ -46,13 +37,13 @@ def mink1_reduced():
 def test_h2_dims_in_degrees_1_to_3(build, dims, sha256):
     report = h2_by_degree(build(), (1, 2, 3))
     assert [report["h2_dims"][str(d)] for d in (1, 2, 3)] == dims
-    assert report_digest(report) == sha256
+    assert canonical_sha256(report) == sha256
 
 
 def test_h2_dims_minkowski_n1_reduced(mink1_reduced):
     report = h2_by_degree(mink1_reduced, (1, 2, 3))
     assert [report["h2_dims"][str(d)] for d in (1, 2, 3)] == [4, 6, 8]
-    assert report_digest(report) == "77d3767ee941e9a2e1e3823ffeb9a97e2b8907e61b2ff29e9a38833014baaa23"
+    assert canonical_sha256(report) == "77d3767ee941e9a2e1e3823ffeb9a97e2b8907e61b2ff29e9a38833014baaa23"
 
 
 def test_total_i_pairing_of_realified_complexified_minkowski():
@@ -63,7 +54,7 @@ def test_total_i_pairing_of_realified_complexified_minkowski():
     assert pairing["mode"] == "total"
     assert pairing["pair_count"] == 16
     assert pairing["unpaired"] == [] and pairing["undetermined"] == []
-    assert report_digest(report) == "a5329ff8d3004108aa81add8ec026aeab74949569f2b55803b3b4a5502836615"
+    assert canonical_sha256(report) == "a5329ff8d3004108aa81add8ec026aeab74949569f2b55803b3b4a5502836615"
 
 
 def _blocks(g, neg, z):

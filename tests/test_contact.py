@@ -4,7 +4,8 @@ K_f satisfies L_{K_f}(alpha1) = K_1(f) alpha1 and M_f satisfies
 L_{M_f}(alpha0) = -(-1)^{p(f)} M_1(f) alpha0.  Both identities are checked on
 every generating monomial of weight at most 3; they pin the sign rules of the
 theta term in `hamiltonian_field` and of the periplectic term in
-`pericontact_field`.
+`pericontact_field`.  The documents of the truncated spans k(1+2n|m) and
+m(n) are pinned by their canonical SHA-256.
 """
 
 import pytest
@@ -12,10 +13,14 @@ import pytest
 from superalg.contact import (
     check_contact_invariance,
     check_pericontact_invariance,
+    contact_algebra,
     contact_coords,
+    pericontact_algebra,
     pericontact_coords,
 )
 from superalg.polyvf import Polynomial, monomials_of_degree
+
+from oracles import canonical_sha256
 
 
 def _monomials(coords, max_weight=3):
@@ -44,3 +49,26 @@ def test_pericontact_field_preserves_the_pericontact_distribution(n, count):
     fs = _monomials(coords)
     assert len(fs) == count
     assert [str(f) for f in fs if not check_pericontact_invariance(f, coords)] == []
+
+
+@pytest.mark.parametrize(
+    "build, sha256",
+    [
+        (lambda: contact_algebra(0, 1, 3), "bf7feeacd8024c33cb200fb468f98df03506082ef11691cc753e496cc3a57fc8"),
+        (lambda: contact_algebra(0, 3, 3), "e081b7c089779eeebff06850277894d1edd24668f31882cc201c831845ada0d4"),
+        (lambda: contact_algebra(1, 2, 3), "7722749624343aedf92576daea37ba336196e404621f3f9dc07597b5fd59eba7"),
+        (
+            lambda: contact_algebra(0, 2, 2, field="Q(i)"),
+            "aa7f6303c0442cd5c1c3a5705edb1afb29da42a21f0944656d05ae81370bad43",
+        ),
+        (
+            lambda: contact_algebra(0, 2, 4, field="Q(i)"),
+            "576da440a4675ff8192f4149473e9809918a9707a2657c621cdf3b79543712e4",
+        ),
+        (lambda: pericontact_algebra(1, 2), "af5f4cbfe2d03f8667bc8c0a6cd2dbea0c14f9c8ac600b16af80b6befa475b96"),
+        (lambda: pericontact_algebra(2, 2), "614f483c34e96ad3816495a4ca3bf1a2b7d8e8b99d93ea1c5094a6e6824cd98d"),
+    ],
+    ids=["k(1|1)_3", "k(1|3)_3", "k(3|2)_3", "k(1|2)_2^C", "k(1|2)_4^C", "m(1)_2", "m(2)_2"],
+)
+def test_span_algebra_documents_are_pinned(build, sha256):
+    assert canonical_sha256(build().to_document()) == sha256

@@ -99,3 +99,41 @@ def test_no_module_imports_a_private_name_of_another():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+# Every import sits at module level, where the import graph can be read at a
+# glance; scalars.py's try/except choice of backend is module level too.
+def local_imports(source: str):
+    """(line, innermost function) of every import inside a function body."""
+    found = {}
+    # ast.walk is breadth first, so an inner function overwrites its outer one
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found[inner.lineno] = getattr(node, "name", "<lambda>")
+    return sorted(found.items())
+
+
+def test_local_imports_are_caught():
+    source = (
+        "try:\n"
+        "    from gmpy2 import mpq\n"
+        "except ImportError:\n"
+        "    from fractions import Fraction as mpq\n"
+        "def f():\n"
+        "    from .scalars import rational\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            import itertools\n"
+    )
+    assert local_imports(source) == [(6, "f"), (10, "h")]
+
+
+def test_no_function_imports_inside_its_body():
+    found = {
+        path.name: local_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: bad for name, bad in found.items() if bad} == {}

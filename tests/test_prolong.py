@@ -1,6 +1,3 @@
-import hashlib
-import json
-
 import pytest
 
 from superalg.algebra import realify
@@ -20,9 +17,10 @@ from superalg.constructors import (
     tautological_action,
 )
 from superalg.contact import contact_algebra, pericontact_algebra
-from superalg.polyvf import monomials_of_degree
+from superalg.polyvf import Coords, VectorField, coordinate_field, monomials_of_degree
 from superalg.prolong import (
     ProlongError,
+    algebra_of_fields,
     align_graded,
     cartan_prolong,
     degree_zero_derivations,
@@ -32,6 +30,8 @@ from superalg.prolong import (
 from superalg.cohomology import h2_by_degree
 from superalg.scalars import FIELD_QI, rational
 from superalg.spaces import BasisVector, SuperSpace
+
+from oracles import canonical_sha256
 
 
 def gl_action(m, n, field="Q"):
@@ -116,8 +116,6 @@ def test_metric_rigidity_o3():
 
 def test_gl_prolong_is_full_polynomial_field_space():
     # (id, gl(m|n))_k = S^{k+1}(V*) x V for m+n <= 3, k <= 3
-    from superalg.polyvf import Coords
-
     for (m, n) in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 2), (1, 2), (3, 0)):
         act = gl_action(m, n)
         res = cartan_prolong(act.module, act, 3)
@@ -144,10 +142,38 @@ def test_prolong_brackets_match_realization():
                 term = fields[g.ident(t)].scale(c)
                 rhs = term if rhs is None else rhs + term
             if rhs is None:
-                from superalg.polyvf import VectorField
-
                 rhs = VectorField(res.coords)
             assert lhs == rhs
+
+
+def _sl2_fields():
+    # d_x, x d_x and x^2 d_x on one even coordinate of degree 1: vect(1) up to degree 1
+    coords = Coords(["x"], [0], [1])
+    x = coords.var(0)
+    fields = [
+        ("D", -1, coordinate_field(coords, 0)),
+        ("E", 0, VectorField(coords, {0: x})),
+        ("H", 1, VectorField(coords, {0: x * x})),
+    ]
+    return coords, [(ident, 0, d, X) for ident, d, X in fields]
+
+
+def test_algebra_of_fields_expands_the_brackets_in_the_span():
+    coords, gens = _sl2_fields()
+    g = algebra_of_fields(coords, gens, 1)
+    table = {
+        (g.ident(i), g.ident(j)): {g.ident(k): c for k, c in val.items()}
+        for (i, j), val in g._table.items()
+        if i <= j and val
+    }
+    assert table == {("D", "E"): {"D": 1}, ("D", "H"): {"E": 2}, ("E", "H"): {"H": 1}}
+    assert g.truncation == 1 and g.field is coords.field
+
+
+def test_algebra_of_fields_rejects_a_span_that_does_not_close():
+    coords, gens = _sl2_fields()
+    with pytest.raises(ProlongError, match=r"\[D,H\] is not closed in degree 0"):
+        algebra_of_fields(coords, [gen for gen in gens if gen[0] != "E"], 1)
 
 
 def test_gl_prolong_components_are_g0_submodules():
@@ -179,12 +205,6 @@ def test_depth1_generalized_equals_cartan():
         doc = res_c.algebra.to_document()
         assert doc == res_g.algebra.to_document(), (m, n)
         assert canonical_sha256(doc) == sha256, (m, n)
-
-
-def canonical_sha256(doc):
-    """SHA-256 of the canonical JSON of a document, as pinned in this file."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_gaussian_prolongation_equals_the_rational_one():
