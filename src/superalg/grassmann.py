@@ -9,6 +9,13 @@ standard generators.
 
 Scalars are Gaussian rationals, so unit phases are Pythagorean units like
 (3+4i)/5 rather than exp(i phi); the algebraic phenomena are identical.
+
+Products run on Gaussian integers: each factor is cleared to integer (re, im)
+pairs over one common denominator, the pairs are multiplied and summed as
+ints, and each output coefficient is built once by dividing by the product of
+the two denominators.  The division is exact and the rationals are reduced, so
+every coefficient is the same GaussianRational that term-by-term arithmetic
+gives, and a product that cancels to zero has no key, as before.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .scalars import (
     ONE,
     ZERO,
     as_gaussian,
+    common_denominator,
     format_scalar,
     gaussian,
     parse_scalar,
@@ -64,10 +72,14 @@ class GrassmannElement:
     def __add__(self, other):
         out = dict(self.terms)
         for s, c in other.terms.items():
-            nv = out.get(s, gaussian(0)) + c
+            old = out.get(s)
+            if old is None:
+                out[s] = c
+                continue
+            nv = old + c
             if nv:
                 out[s] = nv
-            elif s in out:
+            else:
                 del out[s]
         return GrassmannElement(self.n, out)
 
@@ -84,22 +96,29 @@ class GrassmannElement:
     def __mul__(self, other):
         if not isinstance(other, GrassmannElement):
             return self.scale(other)
-        out: Dict[Subset, object] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
+        den_a, a = _cleared(self)
+        den_b, b = _cleared(other)
+        acc: Dict[Subset, List[int]] = {}
+        for s1, (r1, i1) in a:
+            for s2, (r2, i2) in b:
                 merged = _merge(s1, s2)
                 if merged is None:
                     continue
                 s, sign = merged
-                c = c1 * c2
+                re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
                 if sign < 0:
-                    c = -c
-                nv = out.get(s, gaussian(0)) + c
-                if nv:
-                    out[s] = nv
-                elif s in out:
-                    del out[s]
-        return GrassmannElement(self.n, out)
+                    re, im = -re, -im
+                old = acc.get(s)
+                if old is None:
+                    acc[s] = [re, im]
+                else:
+                    old[0] += re
+                    old[1] += im
+        den = den_a * den_b
+        # the constructor drops the coefficients that cancelled to zero
+        return GrassmannElement(
+            self.n, {s: GaussianRational(rational(re, den), rational(im, den)) for s, (re, im) in acc.items()}
+        )
 
     __rmul__ = scale
 
@@ -123,6 +142,15 @@ class GrassmannElement:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _cleared(a: GrassmannElement):
+    """(den, [(subset, (re, im))]): a times den as Gaussian integer pairs, one den for all terms."""
+    den = common_denominator(a.terms.values())
+    return den, [
+        (s, (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)))
+        for s, c in a.terms.items()
+    ]
 
 
 def _merge(s1: Subset, s2: Subset):

@@ -11,11 +11,25 @@ evaluated symbolically for polynomial vector fields:
 Both vanish identically for flat (constant) structures; the evaluator also
 checks tensoriality, i.e. that the value at a point depends on the arguments
 pointwise.
+
+The even variant runs on integers.  J is cleared once per structure to d_J J
+with integral columns (`EndomorphismField.cleared`), and X and Y once per field
+to d_X X and d_Y Y (`clear_field`, kept on the field).  Each term of the even
+expression is bilinear in X and Y and carries J twice (the last as
+-[X,Y] = J^2 [X,Y]), so on the cleared inputs
+
+    [JX,JY] - J([JX,Y] + [X,JY]) - d_J^2 [X,Y]  =  d_J^2 d_X d_Y N(X,Y)
+
+is computed on integral values (int over QQ, Gaussian rationals with integral
+parts over QQ(i)) with the same brackets, and one exact division by
+d_J^2 d_X d_Y gives N(X,Y): the same values, of the same types, as evaluating
+the expression on the rational fields.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, List
 
@@ -25,6 +39,7 @@ from .polyvf import (
     Polynomial,
     VectorField,
     add_product,
+    clear_field,
     coordinate_field,
     fields_of_degree,
     mono_parity,
@@ -91,6 +106,21 @@ class EndomorphismField:
                 return sign
         return None
 
+    @cached_property
+    def cleared(self):
+        """(d_J, d_J J): one common denominator of all columns and the structure with
+        integral columns (int over QQ, integral Gaussian rationals over QQ(i))."""
+        cols = {a: clear_field(col) for a, col in self.columns.items()}
+        den = lcm(*(d for d, _ in cols.values()))
+        coords = self.coords
+        integral = {}
+        for a, (d, terms) in cols.items():
+            k = den // d
+            integral[a] = VectorField(
+                coords, {v: Polynomial(coords, {m: c * k for m, c in t.items()}) for v, t in terms.items()}
+            )
+        return den, EndomorphismField(coords, integral, self.parity)
+
 
 def _koszul(f: Polynomial) -> Polynomial:
     """f with its odd monomials negated: the sign of passing an odd operator past f."""
@@ -102,11 +132,13 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
     """Evaluate the Nijenhuis tensor on two homogeneous polynomial fields.
 
     The even expression [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] is function-linear
-    as it stands and is evaluated directly.  The odd expression (with the
-    (-1)^{p(X)} factors) is not function-linear over a supercommutative
-    coefficient ring, so the tensor is defined by its frame components
-    N(d_a, d_b) and extended function-linearly; that extension is what makes
-    the value at a point depend only on the pointwise values of X and Y.
+    as it stands and is evaluated directly, on the cleared integer forms of J,
+    X and Y with one division at the end (see the module docstring).  The odd
+    expression (with the (-1)^{p(X)} factors) is not function-linear over a
+    supercommutative coefficient ring, so the tensor is defined by its frame
+    components N(d_a, d_b) and extended function-linearly; that extension is
+    what makes the value at a point depend only on the pointwise values of X
+    and Y.
     Each frame component is evaluated once per structure and kept on J.
     """
     if variant not in ("even", "odd"):
@@ -115,15 +147,16 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
         raise ValueError("even variant expects J^2 = -id")
     if variant == "odd" and J.square is None:
         raise ValueError("odd variant expects J^2 = -id or +id")
-    if variant == "even":
-        JX, JY = J.apply(X), J.apply(Y)
-        return (
-            JX.bracket(JY)
-            - J.apply(JX.bracket(Y))
-            - J.apply(X.bracket(JY))
-            - X.bracket(Y)
-        )
     coords = J.coords
+    if variant == "even":
+        dj, Jc = J.cleared
+        dx, x = clear_field(X)
+        dy, y = clear_field(Y)
+        Xc = VectorField.wrap(coords, x, X.parity())
+        Yc = VectorField.wrap(coords, y, Y.parity())
+        JX, JY = Jc.apply(Xc), Jc.apply(Yc)
+        n = JX.bracket(JY) - Jc.apply(JX.bracket(Yc) + Xc.bracket(JY)) - Xc.bracket(Yc).scale(dj * dj)
+        return n.scale(rational(1, dx * dy * dj * dj))
     frames = J._odd_frames
     out: Dict[int, Dict[Monomial, object]] = {}
     for a, f in X.coeffs.items():

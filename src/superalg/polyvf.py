@@ -19,15 +19,15 @@ given, and a key takes its first term as it is instead of adding it to a zero
 constant, so int input gives int output and rational or Gaussian input gives
 the value types it always gave.  clear_field scales a field to a term dict of
 integers (Gaussian rationals with integral parts over QQ(i)) and returns the
-common denominator, so a caller can bracket on integers and divide once.
+common denominator, so a caller can bracket on integers and divide once; the
+result is kept on the field, so each field is cleared once.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Dict, Optional, Tuple
 
-from .scalars import FIELD_Q, ZERO, GaussianRational, as_field, real_imag
+from .scalars import FIELD_Q, ZERO, GaussianRational, as_field, common_denominator
 
 Monomial = Tuple[Tuple[int, int], ...]
 
@@ -180,10 +180,14 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nv = out.get(m, ZERO) + c
+            old = out.get(m)
+            if old is None:
+                out[m] = c
+                continue
+            nv = old + c
             if nv:
                 out[m] = nv
-            elif m in out:
+            else:
                 del out[m]
         return Polynomial(self.coords, out)
 
@@ -294,22 +298,28 @@ _UNSET = object()
 class VectorField:
     """X = sum_a f_a d/dx_a with polynomial coefficients f_a."""
 
-    __slots__ = ("coords", "coeffs", "_parity", "_terms")
+    __slots__ = ("coords", "coeffs", "_parity", "_terms", "_cleared")
 
     def __init__(self, coords: Coords, coeffs: Optional[Dict[int, Polynomial]] = None):
         self.coords = coords
         self.coeffs = {v: p for v, p in (coeffs or {}).items() if p}
         self._parity = _UNSET
         self._terms = None
+        self._cleared = None
 
     @classmethod
-    def _wrap(cls, coords: Coords, terms, parity) -> "VectorField":
-        """The field of a term dict of nonzeros with a known parity, sharing its dicts."""
+    def wrap(cls, coords: Coords, terms, parity) -> "VectorField":
+        """The field of a term dict of nonzeros with a known parity, sharing its dicts.
+
+        Nothing is copied or checked: the caller vouches for the parity and
+        must not change the dicts afterwards.
+        """
         X = cls.__new__(cls)
         X.coords = coords
         X.coeffs = {v: Polynomial._wrap(coords, t) for v, t in terms.items()}
         X._parity = parity if terms else None
         X._terms = terms
+        X._cleared = None
         return X
 
     def term_dict(self):
@@ -385,7 +395,7 @@ class VectorField:
         if px is None or py is None:
             return VectorField(self.coords)
         terms = bracket_terms(self.term_dict(), px, other.term_dict(), py, self.coords.parities)
-        return VectorField._wrap(self.coords, terms, (px + py) % 2)
+        return VectorField.wrap(self.coords, terms, (px + py) % 2)
 
     def coordinates(self, monomial_index: Dict[Tuple[int, Monomial], int]) -> Dict[int, object]:
         """Sparse vector {position: coefficient} over an index (var, monomial) -> position."""
@@ -461,24 +471,28 @@ def clear_field(X: VectorField):
 
     The denominators are those of the real and imaginary parts, so the cleared
     values are int over QQ and GaussianRational with integral parts over QQ(i).
+    Computed on first use and kept on X, like its parity; callers must not
+    change the returned dicts.
     """
-    terms = X.term_dict()
-    den = 1
-    for t in terms.values():
-        for c in t.values():
-            re, im = real_imag(c)
-            den = lcm(den, re.denominator, im.denominator)
-    return den, {
-        v: {
-            m: c * den if isinstance(c, GaussianRational) else c.numerator * (den // c.denominator)
-            for m, c in t.items()
+    if X._cleared is None:
+        terms = X.term_dict()
+        den = common_denominator(c for t in terms.values() for c in t.values())
+        X._cleared = den, {
+            v: {
+                m: c * den if isinstance(c, GaussianRational) else c.numerator * (den // c.denominator)
+                for m, c in t.items()
+            }
+            for v, t in terms.items()
         }
-        for v, t in terms.items()
-    }
+    return X._cleared
 
 
 def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):
-    """acc += f * g, term by term, where acc maps monomials to nonzero scalars."""
+    """acc += f * g, term by term, where acc maps monomials to nonzero scalars.
+
+    A new key takes its first term as it is, as in _add_applied, so integer
+    input stays int.
+    """
     parities = f.coords.parities
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
@@ -489,10 +503,14 @@ def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):
             c = c1 * c2
             if sign < 0:
                 c = -c
-            nv = acc.get(mono, ZERO) + c
+            old = acc.get(mono)
+            if old is None:
+                acc[mono] = c
+                continue
+            nv = old + c
             if nv:
                 acc[mono] = nv
-            elif mono in acc:
+            else:
                 del acc[mono]
 
 

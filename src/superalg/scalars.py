@@ -7,6 +7,8 @@ fractions.Fraction fallback); Gaussian rationals get their own small class.
 
 from __future__ import annotations
 
+from math import lcm
+
 try:
     from gmpy2 import mpq as _mpq
 
@@ -24,6 +26,8 @@ except ImportError:  # gmpy2 is optional (the "gmp" extra in pyproject.toml)
 
 ZERO = rational(0)
 ONE = rational(1)
+# the backend's rational type; a value of exactly this type needs no coercion
+_RATIONAL = type(ZERO)
 
 
 def is_rational(x) -> bool:
@@ -41,8 +45,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", rational(re))
-        object.__setattr__(self, "im", rational(im))
+        object.__setattr__(self, "re", re if type(re) is _RATIONAL else rational(re))
+        object.__setattr__(self, "im", im if type(im) is _RATIONAL else rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -167,7 +171,22 @@ def real_imag(x):
     """Split any scalar into (re, im) rationals."""
     if isinstance(x, GaussianRational):
         return x.re, x.im
-    return rational(x), ZERO
+    return (x if type(x) is _RATIONAL else rational(x)), ZERO
+
+
+def common_denominator(values) -> int:
+    """The lcm of the denominators of the real and imaginary parts of scalars.
+
+    Multiplying every value by it gives integers (Gaussian rationals with
+    integral parts over QQ(i)); it is 1 for no values.
+    """
+    den = 1
+    for x in values:
+        if isinstance(x, GaussianRational):
+            den = lcm(den, x.re.denominator, x.im.denominator)
+        else:
+            den = lcm(den, x.denominator)
+    return den
 
 
 # -- field descriptors -----------------------------------------------------

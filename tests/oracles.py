@@ -3,15 +3,18 @@
 These deliberately avoid the library's own elimination and enumeration code
 paths: the rank oracle is dense fraction-free Gaussian elimination, the RREF
 oracle is dense Gauss-Jordan with lowest-index pivot rows, the dimension
-oracles enumerate admissible index words directly.  canonical_sha256 is the
-one digest every pinned document and report in the tests is compared by.
+oracles enumerate admissible index words directly; the Nijenhuis and
+Grassmann oracles evaluate their formulas term by term on the scalars as
+given.  canonical_sha256 is the one digest every pinned document and report in
+the tests is compared by.
 """
 
 import hashlib
 import json
 from itertools import product
 
-from superalg.scalars import ZERO, rational
+from superalg.grassmann import GrassmannElement
+from superalg.scalars import ZERO, gaussian, rational
 
 
 def canonical_sha256(doc):
@@ -110,3 +113,30 @@ def matrix_supercommutator(a, b, parity_a, parity_b):
     ab = mul(a, b)
     ba = mul(b, a)
     return [[ab[i][j] - sign * ba[i][j] for j in range(n)] for i in range(n)]
+
+
+def even_nijenhuis(J, X, Y):
+    """[JX,JY] - J[JX,Y] - J[X,JY] - [X,Y], with J.apply and VectorField.bracket as given."""
+    JX, JY = J.apply(X), J.apply(Y)
+    return JX.bracket(JY) - J.apply(JX.bracket(Y)) - J.apply(X.bracket(JY)) - X.bracket(Y)
+
+
+def grassmann_product(a, b):
+    """a * b in Lambda_C(n), one Gaussian rational product and sum per pair of terms."""
+    out = {}
+    for s1, c1 in a.terms.items():
+        for s2, c2 in b.terms.items():
+            if set(s1) & set(s2):
+                continue
+            # the sign of sorting s1 + s2: one transposition per inverted pair
+            inversions = sum(1 for x in s1 for y in s2 if x > y)
+            s = tuple(sorted(s1 + s2))
+            c = c1 * c2
+            if inversions % 2:
+                c = -c
+            nv = out.get(s, gaussian(0)) + c
+            if nv:
+                out[s] = nv
+            elif s in out:
+                del out[s]
+    return GrassmannElement(a.n, out)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superalg.grassmann import (
     CanonicalIso,
@@ -18,7 +20,9 @@ from superalg.grassmann import (
     structural_subspaces,
 )
 from superalg.linalg import row_space_basis
-from superalg.scalars import GaussianRational, I, gaussian, rational
+from superalg.scalars import ZERO, GaussianRational, I, format_scalar, gaussian, rational
+
+from oracles import canonical_sha256, grassmann_product
 
 
 def th(n, *jk):
@@ -218,3 +222,62 @@ def test_no_canonical_form_witness():
     v1 = [rho1.element_to_vec(a, pos) for a in b1]
     joint = v1 + [rho2.element_to_vec(a, pos) for a in b2]
     assert len(row_space_basis(joint, 2 * len(subsets))) > len(row_space_basis(v1, 2 * len(subsets)))
+
+
+GAUSSIAN_RATIONALS = st.builds(
+    lambda a, b, c, d: gaussian(rational(a, b), rational(c, d)),
+    st.integers(-12, 12),
+    st.integers(1, 12),
+    st.integers(-12, 12),
+    st.integers(1, 12),
+)
+
+
+@st.composite
+def element_triples(draw):
+    """Three elements of Lambda_C(n), n <= 4, with up to 6 terms each."""
+    n = draw(st.integers(1, 4))
+    subsets = st.sampled_from(all_subsets(n))
+    return tuple(
+        GrassmannElement(n, draw(st.dictionaries(subsets, GAUSSIAN_RATIONALS, max_size=6))) for _ in range(3)
+    )
+
+
+def assert_gaussian_values(a):
+    for c in a.terms.values():
+        assert type(c) is GaussianRational and c
+        assert type(c.re) is type(ZERO) and type(c.im) is type(ZERO)
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_triples())
+def test_product_is_the_term_by_term_product_and_associative(abc):
+    a, b, c = abc
+    ab = a * b
+    assert ab == grassmann_product(a, b)
+    abc_left, abc_right = ab * c, a * (b * c)
+    assert abc_left == abc_right
+    for x in (ab, abc_left, abc_right):
+        assert_gaussian_values(x)
+
+
+def test_product_that_cancels_has_no_terms():
+    a = GrassmannElement(2, {(0,): gaussian(rational(1, 3)), (1,): gaussian(0, rational(1, 2))})
+    assert (a * a).terms == {}
+    b = GrassmannElement(2, {(): gaussian(rational(1, 6), 1), (0, 1): gaussian(rational(5, 4))})
+    prod = a * b + b * a
+    assert set(prod.terms) == {(0,), (1,)}
+    assert_gaussian_values(prod)
+
+
+def test_normalized_generators_are_pinned():
+    def dump(a):
+        return [[list(s), format_scalar(c)] for s, c in sorted(a.terms.items())]
+
+    doc = {}
+    for n in range(1, 5):
+        for seed in range(1, 6):
+            rho = random_real_structure(n, random.Random(1000 * n + seed))[0]
+            ts = normalize_generators(rho)
+            doc[f"{n}/{seed}"] = {"ts": [dump(t) for t in ts], "images": [dump(x) for x in rho.images]}
+    assert canonical_sha256(doc) == "0feec6a2a69594789a24ef813805b6b86f80d608762c888552f37a122654f5d3"

@@ -12,7 +12,9 @@ from superalg.nijenhuis import (
     tensoriality_defect,
 )
 from superalg.polyvf import Coords, Polynomial, VectorField, coordinate_field, mono_parity, monomials_of_degree
-from superalg.scalars import FIELD_Q, rational
+from superalg.scalars import FIELD_Q, FIELD_QI, ZERO, GaussianRational, gaussian, rational
+
+from oracles import canonical_sha256, even_nijenhuis
 
 
 def test_flat_even_structure_squares():
@@ -227,3 +229,65 @@ def test_odd_tensoriality(square):
             f = Polynomial(coords, {rng.choice(even_monos): FIELD_Q.random(rng)})
             assert not tensoriality_defect(J, X, Y, f, "odd")
 
+
+
+def curved_even_structure(entry=rational(3, 5), field=FIELD_Q):
+    """J on even x_1..x_4 with J d_3 = d_4 + a x_2 d_1, J d_4 = -d_3 - a x_2 d_2, a = entry.
+
+    J^2 = -id and its tensor is nonzero on many pairs.
+    """
+    coords = Coords(["x_1", "x_2", "x_3", "x_4"], [0, 0, 0, 0], field=field)
+    one = coords.one()
+    x2 = coords.var("x_2").scale(entry)
+    cols = {
+        0: VectorField(coords, {1: one}),
+        1: VectorField(coords, {0: -one}),
+        2: VectorField(coords, {3: one, 0: x2}),
+        3: VectorField(coords, {2: -one, 1: -x2}),
+    }
+    return EndomorphismField(coords, cols, parity=0)
+
+
+def test_curved_even_values_match_the_four_term_formula():
+    J = curved_even_structure()
+    assert J.square == -1
+    fields = monomial_fields_up_to(J.coords, 1)
+    assert len(fields) ** 2 == 3600
+    values = []
+    for X in fields:
+        for Y in fields:
+            N = nijenhuis_tensor(J, X, Y, "even")
+            assert N == even_nijenhuis(J, X, Y)
+            values.append(N)
+    assert sum(1 for N in values if N) == 2250
+    assert all(type(c) is type(ZERO) for N in values for p in N.coeffs.values() for c in p.terms.values())
+    doc = [
+        [[v, sorted((str(m), str(c)) for m, c in p.terms.items())] for v, p in sorted(N.coeffs.items())]
+        for N in values
+    ]
+    assert canonical_sha256(doc) == "09198415ea44c14b80d04340285cb4e55dd792b7f45f137a2ea8718b912b486f"
+
+
+def test_cleared_structure_has_one_denominator_and_integral_columns():
+    J = curved_even_structure()
+    den, Jc = J.cleared
+    assert den == 5 and J.cleared is J.cleared
+    assert Jc.parity == J.parity and set(Jc.columns) == set(J.columns)
+    for a, col in J.columns.items():
+        assert Jc.columns[a] == col.scale(den)
+        assert all(type(c) is int for p in Jc.columns[a].coeffs.values() for c in p.terms.values())
+
+
+def test_curved_even_values_over_gaussian_rationals_match_the_four_term_formula():
+    J = curved_even_structure(gaussian(rational(3, 5), rational(1, 2)), FIELD_QI)
+    assert J.square == -1 and J.cleared[0] == 10
+    fields = monomial_fields_up_to(J.coords, 0)
+    fields += [X.scale(gaussian(rational(1, 3), rational(2, 7))) for X in fields]
+    nonzero = 0
+    for X in fields:
+        for Y in fields:
+            N = nijenhuis_tensor(J, X, Y, "even")
+            assert N == even_nijenhuis(J, X, Y)
+            assert all(type(c) is GaussianRational for p in N.coeffs.values() for c in p.terms.values())
+            nonzero += bool(N)
+    assert nonzero > 0

@@ -333,3 +333,20 @@ def test_clear_field_over_gaussian_rationals():
     br = bracket_terms(terms, 0, ty, 0, c.parities)
     assert VectorField(c, {v: Polynomial(c, {m: x * rational(1, den * dy) for m, x in t.items()})
                            for v, t in br.items()}) == X.bracket(Y)
+
+
+def test_integer_polynomials_stay_integer_in_sums_and_products():
+    c = Coords(["x", "θ"], [0, 1])
+    x, t = ((0, 1),), ((1, 1),)
+    f = Polynomial(c, {(): 2, x: 3})
+    g = Polynomial(c, {x: -3, t: 5})
+    for p in (f + g, f * g, f - g):
+        assert p.terms and all(type(v) is int for v in p.terms.values())
+    assert (f + g).terms == {(): 2, t: 5}
+
+
+def test_clear_field_is_computed_once_per_field():
+    c = Coords(["x", "y"], [0, 0])
+    X = VectorField(c, {0: Polynomial(c, {((1, 1),): rational(2, 3)})})
+    assert clear_field(X) == (3, {0: {((1, 1),): 2}})
+    assert clear_field(X) is clear_field(X)

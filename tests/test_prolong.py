@@ -1,6 +1,6 @@
 import pytest
 
-from superalg.algebra import realify
+from superalg.algebra import from_matrices, realify
 from superalg.constructors import (
     Action,
     abelian_negative,
@@ -41,8 +41,6 @@ def gl_action(m, n, field="Q"):
 
 def sp2_action():
     # sp(2) = sl(2) preserving the symplectic form on Q^2
-    from superalg.algebra import from_matrices
-
     gens = [
         ("H", 0, None, {(0, 0): rational(1), (1, 1): rational(-1)}),
         ("X", 0, None, {(0, 1): rational(1)}),
@@ -54,8 +52,6 @@ def sp2_action():
 
 def sp4_action():
     # sp(4) on Q^4: [[A, B], [C, -A^t]] with B and C symmetric
-    from superalg.algebra import from_matrices
-
     one = rational(1)
     gens = []
     for r in range(2):
@@ -71,8 +67,6 @@ def sp4_action():
 
 
 def o3_action():
-    from superalg.algebra import from_matrices
-
     gens = [
         ("R1", 0, None, {(0, 1): rational(1), (1, 0): rational(-1)}),
         ("R2", 0, None, {(0, 2): rational(1), (2, 0): rational(-1)}),
@@ -438,14 +432,16 @@ def degree_zero_derivations_complex(g_minus):
 
 
 def test_nonfaithful_rejected():
-    from superalg.algebra import from_matrices
+    # a g0 element acting by the zero matrix makes the action not faithful
+    g = from_matrices([("E", 0, None, {(0, 0): rational(1)})], [0], field="Q")
+    act = tautological_action(g)
+    with pytest.raises(ProlongError, match="faithful"):
+        cartan_prolong(act.module, Action(g, act.module, [{}]), 1)
 
-    # a g0 with a zero action matrix is not faithful
-    gens = [("Z", 0, None, {})]
-    with pytest.raises(Exception):
-        g = from_matrices(gens, [0, 0], field="Q")
-        act = tautological_action(g)
-        cartan_prolong(act.module, act, 1)
+
+def test_zero_matrix_is_not_a_linear_algebra_generator():
+    with pytest.raises(ValueError, match="linearly independent"):
+        from_matrices([("Z", 0, None, {})], [0, 0], field="Q")
 
 
 def test_contact_algebras_accept_field_names_and_reject_unknown_fields():

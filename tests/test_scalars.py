@@ -7,11 +7,14 @@ from superalg.scalars import (
     FIELD_QI,
     GaussianRational,
     I,
+    ZERO,
+    common_denominator,
     conjugate_scalar,
     format_scalar,
     gaussian,
     parse_scalar,
     rational,
+    real_imag,
 )
 
 
@@ -73,3 +76,18 @@ def test_parse_examples():
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         gaussian(1, 2) / gaussian(0, 0)
+
+
+def test_exact_parts_are_kept_not_copied():
+    q = rational(3, 7)
+    z = GaussianRational(q, q)
+    assert z.re is q and z.im is q
+    assert real_imag(q)[0] is q
+    assert GaussianRational(2, 1).re == 2 and type(GaussianRational(2, 1).re) is type(ZERO)
+    assert type(real_imag(5)[0]) is type(ZERO)
+
+
+def test_common_denominator():
+    assert common_denominator([]) == 1
+    assert common_denominator([3, rational(1, 4), rational(5, 6)]) == 12
+    assert common_denominator([gaussian(rational(1, 6), rational(3, 4)), rational(2, 9)]) == 36
