@@ -22,18 +22,38 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LieSuperAlgebra
 from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis
-from .scalars import GaussianRational, ONE, ZERO, format_scalar
+from .scalars import GaussianRational, ONE, ZERO, common_denominator, format_scalar
 from .spaces import admissible_words, sort_word
 
 Word = Tuple[int, ...]
 CKey = Tuple[Word, int]  # (argument word over negative positions, target index)
 
 
+def _cleared(x, den: int):
+    """den * x for a scalar x that it clears: an int, or a GaussianRational with integral parts."""
+    if isinstance(x, GaussianRational):
+        if x.im:
+            return GaussianRational(x.re * den, x.im * den)
+        x = x.re
+    return x.numerator * (den // x.denominator)
+
+
 class NegativePart:
-    """Cached view of the arguments side of the complex."""
+    """Cached view of the arguments side of the complex.
+
+    It also holds the bracket table cleared of denominators: den is the lcm of
+    the denominators of all structure constants and table[(a, b)] is
+    den * [e_a, e_b], with int values (GaussianRational with integral parts
+    for a constant with a nonzero imaginary part).  One NegativePart serves a
+    whole h2_by_degree report.
+    """
 
     def __init__(self, g: LieSuperAlgebra):
         self.g = g
+        self.den = common_denominator(c for val in g._table.values() for c in val.values())
+        self.table = {
+            key: {t: _cleared(c, self.den) for t, c in val.items()} for key, val in g._table.items()
+        }
         self.indices = g.negative_indices()
         self.pos = {k: p for p, k in enumerate(self.indices)}
         self.parities = [g.parity(k) for k in self.indices]
@@ -95,16 +115,23 @@ def differential_matrix(
     rows: Sequence[CKey],
     cochain_parity: int,
 ) -> SparseMatrix:
-    """Matrix of d: C^k -> C^{k+1} between explicit bases (one block)."""
+    """Matrix of neg.den * d: C^k -> C^{k+1} between explicit bases (one block).
+
+    It is built from the cleared bracket table neg.table, so its entries are
+    ints (GaussianRational with integral parts over QQ(i) when a constant has
+    a nonzero imaginary part).  Scaling every map of the complex by the same
+    nonzero constant den changes no kernel, image or row space: Z^2, B^2, their
+    RREF bases and the representatives of H^2 are those of d itself.
+    """
     col_pos: Dict[CKey, int] = {c: i for i, c in enumerate(cols)}
     row_pos: Dict[CKey, int] = {r: i for i, r in enumerate(rows)}
     entries: Dict[Tuple[int, int], object] = {}
     seen_words = {}
     for word, t in rows:
-        if word in seen_words:
-            seen_words[word].append(t)
-        else:
-            seen_words[word] = [t]
+        seen_words.setdefault(word, []).append(t)
+    col_targets: Dict[Word, list] = {}
+    for word, b in cols:
+        col_targets.setdefault(word, []).append(b)
 
     def scatter(row_key, col_key, coeff):
         r = row_pos.get(row_key)
@@ -112,7 +139,7 @@ def differential_matrix(
         if r is None or c is None:
             return
         key = (r, c)
-        nv = entries.get(key, ZERO) + coeff
+        nv = entries.get(key, 0) + coeff
         if nv:
             entries[key] = nv
         elif key in entries:
@@ -132,20 +159,16 @@ def differential_matrix(
             rest = word[:i] + word[i + 1 :]
             exp = i + neg.parities[a_pos] * (cochain_parity + pref[i])
             sign = -1 if exp % 2 else 1
-            # [e_a, b] expansions: contributes entry at rows (word, t)
-            for b in range(len(g)):
-                col_key = (rest, b)
-                if col_key not in col_pos:
-                    continue
-                for t, cval in g._table.get((a_global, b), {}).items():
-                    coeff = cval if sign > 0 else -cval
-                    scatter((word, t), col_key, coeff)
+            # [e_a, e_b] expansions: contributes entry at rows (word, t)
+            for b in col_targets.get(rest, ()):
+                for t, cval in neg.table.get((a_global, b), {}).items():
+                    scatter((word, t), (rest, b), cval if sign > 0 else -cval)
         # bracket terms
         for i in range(n1):
             for j in range(i + 1, n1):
                 a_pos, b_pos = word[i], word[j]
                 pa, pb = neg.parities[a_pos], neg.parities[b_pos]
-                val = g._table.get((neg.indices[a_pos], neg.indices[b_pos]), {})
+                val = neg.table.get((neg.indices[a_pos], neg.indices[b_pos]), {})
                 if not val:
                     continue
                 rest = tuple(w for l, w in enumerate(word) if l != i and l != j)
@@ -168,12 +191,12 @@ def differential_matrix(
 class Cochain:
     """A homogeneous k-cochain with explicit coefficients on canonical words."""
 
-    def __init__(self, g: LieSuperAlgebra, k: int, z_degree: int, coeffs: Dict[CKey, object], parity: Optional[int] = None):
-        self.g = g
+    def __init__(self, neg: NegativePart, k: int, z_degree: int, coeffs: Dict[CKey, object], parity: Optional[int] = None):
+        g = self.g = neg.g
+        self.neg = neg
         self.k = k
         self.z_degree = z_degree
         self.coeffs = {key: c for key, c in coeffs.items() if c}
-        neg = NegativePart(g)
         parities = set()
         for (word, t) in self.coeffs:
             s = neg.word_degree(word)
@@ -184,13 +207,14 @@ class Cochain:
             raise ValueError("cochain is not parity homogeneous")
         self.parity = parity if parities == set() else parities.pop()
 
-def cochain_action(g: LieSuperAlgebra, h: int, c: Cochain) -> Cochain:
+def cochain_action(h: int, c: Cochain) -> Cochain:
     """The g0-module structure on cochains, evaluated on canonical words:
 
     (h.c)(x_1..x_k) = [h, c(x_1..x_k)]
         - sum_i (-1)^{p(h)(p(c)+p(x_1)+..+p(x_{i-1}))} c(x_1,..,[h,x_i],..,x_k)
     """
-    neg = NegativePart(g)
+    neg = c.neg
+    g = neg.g
     ph = g.parity(h)
     pc = c.parity or 0
     out: Dict[CKey, object] = {}
@@ -227,7 +251,7 @@ def cochain_action(g: LieSuperAlgebra, h: int, c: Cochain) -> Cochain:
                         add((word, t), -hv * cval * sign * sigma)
                 pref += neg.parities[w]
     return Cochain(
-        g, c.k, c.z_degree, out, parity=(pc + ph) % 2 if c.parity is not None else None
+        neg, c.k, c.z_degree, out, parity=(pc + ph) % 2 if c.parity is not None else None
     )
 
 
@@ -267,9 +291,10 @@ class Block:
 
 
 class DegreeCohomology:
-    """H^2 of one Z-degree, split by (parity, weight) blocks."""
+    """H^2 of one Z-degree, split by (parity, weight) blocks, for the algebra neg.g."""
 
-    def __init__(self, g: LieSuperAlgebra, z_degree: int):
+    def __init__(self, neg: NegativePart, z_degree: int):
+        g = neg.g
         if g.truncation is not None and g.truncation < z_degree - 1:
             raise TruncationShortfall(
                 f"degree {z_degree} needs components up to {z_degree - 1}, "
@@ -277,7 +302,6 @@ class DegreeCohomology:
             )
         self.g = g
         self.z_degree = z_degree
-        neg = NegativePart(g)
         self.neg = neg
         basis1 = cochain_basis(g, neg, 1, z_degree)
         basis2 = cochain_basis(g, neg, 2, z_degree)
@@ -325,7 +349,7 @@ class DegreeCohomology:
     def rep_cochain(self, bi: int, ri: int) -> Cochain:
         b = self.blocks[bi]
         coeffs = {b.c2basis[i]: v for i, v in b.reps[ri].items()}
-        return Cochain(self.g, 2, self.z_degree, coeffs, parity=b.parity)
+        return Cochain(self.neg, 2, self.z_degree, coeffs, parity=b.parity)
 
     def _shifted_key(self, key, h):
         ph = self.g.parity(h)
@@ -347,7 +371,7 @@ class DegreeCohomology:
             ti = self.block_of_key.get(tkey)
             for ri in range(b.dim_h2):
                 c = self.rep_cochain(bi, ri)
-                hc = cochain_action(self.g, h, c)
+                hc = cochain_action(h, c)
                 if not hc.coeffs:
                     continue
                 if ti is None:
@@ -730,7 +754,7 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
     per_degree = {}
     dims = {}
     for d in degrees:
-        deg = DegreeCohomology(g_star, d)
+        deg = DegreeCohomology(neg, d)
         dims[d] = deg.dim_h2
         reps = []
         for (bi, ri) in deg.classes():

@@ -153,6 +153,17 @@ def _cleared(a: GrassmannElement):
     ]
 
 
+def _combination(n: int, pairs) -> GrassmannElement:
+    """sum c * element over (c, element) pairs, accumulated in one dict."""
+    out: Dict[Subset, object] = {}
+    for c, element in pairs:
+        for s, v in element.terms.items():
+            old = out.get(s)
+            out[s] = c * v if old is None else old + c * v
+    # the constructor drops the coefficients that cancelled to zero
+    return GrassmannElement(n, out)
+
+
 def _merge(s1: Subset, s2: Subset):
     if set(s1) & set(s2):
         return None
@@ -215,10 +226,7 @@ class RealStructure:
         return out
 
     def apply(self, a: GrassmannElement) -> GrassmannElement:
-        out = GrassmannElement(self.n)
-        for s, c in a.terms.items():
-            out = out + self._image_of_monomial(s).scale(c.conjugate())
-        return out
+        return _combination(self.n, ((c.conjugate(), self._image_of_monomial(s)) for s, c in a.terms.items()))
 
     def validate(self):
         """[] when rho is a real structure; list of (generator, reason) otherwise."""
@@ -369,10 +377,7 @@ class _Automorphism:
         return out
 
     def apply(self, a: GrassmannElement) -> GrassmannElement:
-        out = GrassmannElement(self.n)
-        for s, c in a.terms.items():
-            out = out + self.monomial_image(s).scale(c)
-        return out
+        return _combination(self.n, ((c, self.monomial_image(s)) for s, c in a.terms.items()))
 
     def inverse_image(self, a: GrassmannElement) -> GrassmannElement:
         sol = self._solver.solve({self._pos[s]: c for s, c in a.terms.items()})
@@ -558,9 +563,7 @@ def composed_iso_is_algebra_map(rho1: RealStructure, rho2: RealStructure) -> boo
             b = iso1.monomials[iso1._pos[sb]]
             prod = iso1.apply(a * b)
             # push through the rho2 monomials
-            img = GrassmannElement(rho2.n)
-            for s, c in prod.terms.items():
-                img = img + iso2.monomials[iso2._pos[s]].scale(c)
+            img = _combination(rho2.n, ((c, iso2.monomials[iso2._pos[s]]) for s, c in prod.terms.items()))
             direct = iso2.monomials[iso2._pos[sa]] * iso2.monomials[iso2._pos[sb]]
             if img != direct:
                 return False

@@ -27,13 +27,19 @@ Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 9).  Every
 step multiplies a row by a nonzero scalar, which changes neither the row
 space nor the zero pattern, so the pivots, the key order of every row and the
 RREF are those of elimination over the field.
+
+SpanSolver keeps the integer pivot rows of that elimination as they are,
+without the final division, and reduces each query the same way: the query
+is cleared to integers once, every step is a fraction-free cross-
+multiplication whose overall scale is tracked exactly, and the residual and
+the combination are divided once at the end.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import ONE, ZERO, GaussianRational, rational, real_imag
+from .scalars import ONE, GaussianRational, rational, real_imag
 
 
 class SparseMatrix:
@@ -102,19 +108,20 @@ class _GaussianInteger:
 
 
 def _integer_row(row):
-    """The nonzero entries of a dict of rationals, scaled to coprime integers.
+    """(den, den * row) for a dict of rationals: den is the lcm of the denominators.
 
-    The lcm of the denominators clears them and the gcd of the numerators
-    (the content) is divided out, so the scale is a positive rational.  Keys
-    keep their order.
+    The scaled entries are ints; zeros are dropped and keys keep their order.
     """
     den = lcm(*[v.denominator for v in row.values()])
     if den == 1:
-        out = {c: v.numerator for c, v in row.items() if v}
-    else:
-        out = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-    g = gcd(*out.values())
-    return {c: v // g for c, v in out.items()} if g > 1 else out
+        return 1, {c: v.numerator for c, v in row.items() if v}
+    return den, {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+
+
+def _primitive(row, content):
+    """An integer row divided by its content, so that its entries are coprime."""
+    g = content(*row.values())
+    return {c: v // g for c, v in row.items()} if g != 1 else row
 
 
 def _divide_rational(row, p):
@@ -130,8 +137,10 @@ def _real_parts(items):
 
 
 def _clear_gaussian(row):
-    ints = _integer_row(_real_parts(row.items()))
-    return {c: _GaussianInteger(ints.get((c, 0), 0), ints.get((c, 1), 0)) for c, v in row.items() if v}
+    den, ints = _integer_row(_real_parts(row.items()))
+    return _GaussianInteger(den, 0), {
+        c: _GaussianInteger(ints.get((c, 0), 0), ints.get((c, 1), 0)) for c, v in row.items() if v
+    }
 
 
 def _gaussian_gcd(*xs):
@@ -168,30 +177,29 @@ def _divide_gaussian(row, p):
     }
 
 
-# The per-field pieces of rref_rows: clear a row to coprime integers, the
-# content (gcd) of integers, and the final division of a row by its pivot.
+# The per-field pieces of the elimination: clear a row to integers (with the
+# denominator it was multiplied by), the content (gcd) of integers, and the
+# division of an integer row by one integer, back to field scalars.
 _OVER_QQ = (_integer_row, gcd, _divide_rational)
 _OVER_QQI = (_clear_gaussian, _gaussian_gcd, _divide_gaussian)
 
 
-def rref_rows(rows, cols):
-    """Reduced row echelon form of a list of row dicts with columns in range(cols).
+def _over(gaussian):
+    return _OVER_QQI if gaussian else _OVER_QQ
 
-    Returns (pivot_cols, rref) where rref[k] is the row whose pivot is
-    pivot_cols[k], scaled to pivot 1, fully reduced.  Input rows are not
-    mutated.  The result is the canonical RREF of the row space; its entries
-    are rationals, or GaussianRational when any input entry is one.
 
-    The elimination runs on integers (Gaussian integers over QQ(i)).  Each row
-    is cleared to coprime integers.  A pivot row is scaled by a unit so that
-    its pivot p is positive (over ZZ[i]: re > 0, im >= 0).  Every other row r
-    with entry f in the pivot column becomes (p/g) r - (f/g) pivot_row, with
-    g = gcd(p, f), and is then divided by its content.  The pivot rows are
-    divided by their pivots only when the output is built.
+def _has_gaussian(values):
+    return any(isinstance(v, GaussianRational) for v in values)
+
+
+def _integer_rref(rows, cols, field):
+    """The integer core of rref_rows: [(pivot col, integer pivot row)] in pivot order.
+
+    Each row is fully reduced (zero in every other pivot column) and has
+    coprime entries; it is the RREF row times its pivot entry row[col].
     """
-    gaussian = any(isinstance(v, GaussianRational) for r in rows for v in r.values())
-    clear, content, divide = _OVER_QQI if gaussian else _OVER_QQ
-    work = [clear(r) for r in rows]
+    clear, content, _ = field
+    work = [_primitive(clear(r)[1], content) for r in rows]
     occupancy = {}
     for ridx, r in enumerate(work):
         for c in r:
@@ -234,11 +242,30 @@ def rref_rows(rows, cols):
                         del row2[cc]
                         occupancy[cc].discard(r2)
             if row2:
-                g = content(*row2.values())
-                if g != 1:
-                    work[r2] = {cc: v // g for cc, v in row2.items()}
+                work[r2] = _primitive(row2, content)
         pivots.append((c, pr))
-    return [c for c, _ in pivots], [divide(work[pr], work[pr][c]) for c, pr in pivots]
+    return [(c, work[pr]) for c, pr in pivots]
+
+
+def rref_rows(rows, cols):
+    """Reduced row echelon form of a list of row dicts with columns in range(cols).
+
+    Returns (pivot_cols, rref) where rref[k] is the row whose pivot is
+    pivot_cols[k], scaled to pivot 1, fully reduced.  Input rows are not
+    mutated.  The result is the canonical RREF of the row space; its entries
+    are rationals, or GaussianRational when any input entry is one.
+
+    The elimination runs on integers (Gaussian integers over QQ(i)).  Each row
+    is cleared to coprime integers.  A pivot row is scaled by a unit so that
+    its pivot p is positive (over ZZ[i]: re > 0, im >= 0).  Every other row r
+    with entry f in the pivot column becomes (p/g) r - (f/g) pivot_row, with
+    g = gcd(p, f), and is then divided by its content.  The pivot rows are
+    divided by their pivots only when the output is built.
+    """
+    field = _over(_has_gaussian(v for r in rows for v in r.values()))
+    pivots = _integer_rref(rows, cols, field)
+    divide = field[2]
+    return [c for c, _ in pivots], [divide(row, row[c]) for c, row in pivots]
 
 
 def rank(rows, cols) -> int:
@@ -262,6 +289,20 @@ def row_space_basis(vectors, dim):
     return rref_rows(list(vectors), dim)[1]
 
 
+def _add_multiple(t, m, row):
+    """t += m * row in place, dropping the entries that cancel."""
+    for c, v in row.items():
+        old = t.get(c)
+        if old is None:
+            t[c] = m * v
+        else:
+            new = old + m * v
+            if new:
+                t[c] = new
+            else:
+                del t[c]
+
+
 class SpanSolver:
     """Reduce against / express in a fixed spanning set, built once, queried often.
 
@@ -269,6 +310,13 @@ class SpanSolver:
     solve() recovers coordinates with respect to the original vectors.  The
     spanning vectors must have their indices in range(dim): index dim + j
     holds the combination column of vector j.
+
+    The pivot rows are kept as the integer rows of the elimination: row and
+    combination part together are coprime integers (Gaussian integers when a
+    spanning entry is a GaussianRational) whose pivot entry is p, the RREF row
+    times p.  A query is cleared to integers once, reduced fraction-free and
+    divided once at the end, so that its values are those of reducing over
+    the field against the RREF.
     """
 
     def __init__(self, vectors, dim):
@@ -280,48 +328,75 @@ class SpanSolver:
                     if not 0 <= c < dim:
                         raise ValueError(f"vector {j} has index {c} outside range({dim})")
                     row[c] = x
-            row[dim + j] = ONE
+            row[dim + j] = 1
             rows.append(row)
-        pivot_cols, rref = rref_rows(rows, dim + len(rows))
-        # pivot column -> (its row restricted to the ambient space, combination part)
+        self._gaussian = _has_gaussian(x for r in rows for x in r.values())
+        # pivot column -> (pivot entry p, the integer row restricted to the
+        # ambient space, its combination part)
         self.pivots = {}
-        for c, row in zip(pivot_cols, rref):
+        for c, row in _integer_rref(rows, dim + len(rows), _over(self._gaussian)):
             if c < dim:
                 self.pivots[c] = (
+                    row[c],
                     {cc: v for cc, v in row.items() if cc < dim},
                     {cc - dim: v for cc, v in row.items() if cc >= dim},
                 )
         self.rank = len(self.pivots)
+        self._gaussian_pivots = None
+
+    def _pivots_over(self, gaussian):
+        """The pivot rows with entries of the query's field.
+
+        A span over QQ queried with a GaussianRational has its integer rows
+        converted to Gaussian integers on the first such query.
+        """
+        if not gaussian or self._gaussian:
+            return self.pivots
+        if self._gaussian_pivots is None:
+            G = _GaussianInteger
+            self._gaussian_pivots = {
+                c: (G(p, 0), {cc: G(v, 0) for cc, v in row.items()}, {j: G(v, 0) for j, v in combo.items()})
+                for c, (p, row, combo) in self.pivots.items()
+            }
+        return self._gaussian_pivots
 
     def reduce(self, vec, want_combo=False):
         """Canonical representative of vec modulo the span (and the combination used).
 
         The residual is a new dict of nonzeros, empty when vec lies in the span.
+        Its entries, and those of the combination, are rationals, or
+        GaussianRational when vec or a spanning vector has one.
+
         The pivot rows are fully reduced: each has no entry in any other pivot
         column, so clearing one pivot column never touches another, and one
         pass over the pivot columns present in vec is the whole elimination.
+        vec is cleared to integers t = den * vec.  For a pivot row with pivot p
+        and t's entry f there, g = gcd(p, f), t becomes (p/g) t - (f/g) row,
+        the combination q becomes (p/g) q + (f/g) row_combination, and den is
+        multiplied by p/g, so that t / den is always vec minus the combination
+        of the RREF rows used so far and q / den that combination.  Only
+        t / den and q / den leave the integers.
         """
-        t = {c: x for c, x in vec.items() if x}
-        combo = {} if want_combo else None
-        for c in [c for c in t if c in self.pivots]:
+        gaussian = self._gaussian or _has_gaussian(vec.values())
+        clear, content, divide = _over(gaussian)
+        pivots = self._pivots_over(gaussian)
+        den, t = clear(vec)
+        combo = {}
+        for c in [c for c in t if c in pivots]:
+            p, row, row_combo = pivots[c]
             f = t[c]
-            row, row_combo = self.pivots[c]
-            for cc, v in row.items():
-                nv = t.get(cc, ZERO) - f * v
-                if nv:
-                    t[cc] = nv
-                else:
-                    del t[cc]
+            g = content(p, f)
+            a, fg = p // g, f // g
+            if a != 1:
+                den = den * a
+                t = {cc: a * v for cc, v in t.items()}
+                combo = {j: a * v for j, v in combo.items()}
+            _add_multiple(t, -fg, row)
             if want_combo:
-                for j, v in row_combo.items():
-                    nv = combo.get(j, ZERO) + f * v
-                    if nv:
-                        combo[j] = nv
-                    else:
-                        del combo[j]
+                _add_multiple(combo, fg, row_combo)
         if want_combo:
-            return t, combo
-        return t
+            return divide(t, den), divide(combo, den)
+        return divide(t, den)
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
@@ -338,7 +413,7 @@ def primitive_integer_vector(vec):
     Gaussian entries are scaled jointly (treating re and im as components);
     the returned list then contains Gaussian integers.
     """
-    ints = _integer_row(_real_parts(enumerate(vec)))
+    ints = _primitive(_integer_row(_real_parts(enumerate(vec)))[1], gcd)
     if ints and next(iter(ints.values())) < 0:
         ints = {key: -x for key, x in ints.items()}
     out = []

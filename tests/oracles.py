@@ -1,12 +1,15 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the library's own elimination and enumeration code
-paths: the rank oracle is dense fraction-free Gaussian elimination, the RREF
-oracle is dense Gauss-Jordan with lowest-index pivot rows, the dimension
-oracles enumerate admissible index words directly; the Nijenhuis and
-Grassmann oracles evaluate their formulas term by term on the scalars as
-given.  canonical_sha256 is the one digest every pinned document and report in
-the tests is compared by.
+paths: the rank oracle is dense fraction-free (Bareiss) elimination, the RREF
+oracle is dense Gauss-Jordan with lowest-index pivot rows, the span reduction
+reads the dense RREF of [vectors | identity], the dimension oracles enumerate
+admissible index words directly, and the differential is evaluated from the
+cohomology module's formula on unit cochains; the Nijenhuis and Grassmann
+oracles evaluate their formulas term by term on the scalars as given.  The
+linear algebra oracles first make every entry exact (an integer or a field
+scalar), so that int input never meets true division.  canonical_sha256 is
+the one digest every pinned document and report in the tests is compared by.
 """
 
 import hashlib
@@ -14,7 +17,7 @@ import json
 from itertools import product
 
 from superalg.grassmann import GrassmannElement
-from superalg.scalars import ZERO, gaussian, rational
+from superalg.scalars import ONE, ZERO, GaussianRational, as_gaussian, common_denominator, gaussian, rational
 
 
 def canonical_sha256(doc):
@@ -23,26 +26,49 @@ def canonical_sha256(doc):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _exact(x):
+    """x as an exact field scalar: a GaussianRational, or the backend rational."""
+    return x if isinstance(x, GaussianRational) else rational(x)
+
+
 def dense_rank_fraction_free(dense):
-    """Rank via Bareiss-style fraction-free elimination on a dense copy."""
-    m = [list(row) for row in dense]
+    """Rank via Bareiss fraction-free elimination on a dense copy.
+
+    Each row is first multiplied by the lcm of its denominators, which keeps
+    the rank and makes every entry an integer (over QQ(i) every entry becomes
+    a GaussianRational with integral parts).  Below the pivot m[r][c], entry
+    (i, j) becomes (m[r][c] m[i][j] - m[i][c] m[r][j]) / prev, prev being the
+    previous pivot.  Each such value is a minor of the scaled matrix, so the
+    division is exact: // on ints, / on Gaussian integers (Bareiss, Math.
+    Comp. 22 (1968) 565-578).
+    """
+    m = []
+    for row in dense:
+        den = common_denominator(row)
+        m.append(
+            [x * den if isinstance(x, GaussianRational) else x.numerator * (den // x.denominator) for x in row]
+        )
     if not m:
         return 0
+    gaussian = any(isinstance(x, GaussianRational) for row in m for x in row)
+    if gaussian:
+        m = [[as_gaussian(x) for x in row] for row in m]
     nrows, ncols = len(m), len(m[0])
     r = 0
+    prev = as_gaussian(1) if gaussian else 1
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv = m[r][c]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            if gaussian:
+                m[i] = [(piv * a - f * b) / prev for a, b in zip(m[i], m[r])]
+            else:
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], m[r])]
+        prev = piv
         r += 1
         if r == nrows:
             break
@@ -55,7 +81,7 @@ def dense_rref(rows, cols):
     Each column takes the lowest-index remaining row as pivot; the rows come
     back as dicts of nonzeros, like superalg.linalg.rref_rows.
     """
-    work = [[r.get(c, ZERO) for c in range(cols)] for r in rows]
+    work = [[_exact(r.get(c, ZERO)) for c in range(cols)] for r in rows]
     used = [False] * len(work)
     pivots = []
     for c in range(cols):
@@ -71,6 +97,97 @@ def dense_rref(rows, cols):
                 work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
         pivots.append((c, pr))
     return [c for c, _ in pivots], [{cc: v for cc, v in enumerate(work[pr]) if v} for _, pr in pivots]
+
+
+def dense_reduce(vectors, dim, vec):
+    """(residual, combination) of vec against the span of vectors, read off dense_rref.
+
+    The RREF of the rows [v_j | e_j] gives, for each pivot column c < dim, a
+    row [r | k] with r = sum_j k_j v_j.  Subtracting vec[c] times each such
+    row from [vec | 0] leaves [residual | -combination], so that
+    vec = residual + sum_j combination[j] v_j.  Both come back as dicts of
+    nonzeros.
+    """
+    n = len(vectors)
+    rows = [{**v, dim + j: ONE} for j, v in enumerate(vectors)]
+    pivots, rref = dense_rref(rows, dim + n)
+    t = [_exact(vec.get(c, ZERO)) for c in range(dim)] + [ZERO] * n
+    for c, row in zip(pivots, rref):
+        f = t[c] if c < dim else ZERO
+        if f:
+            for cc, v in row.items():
+                t[cc] -= f * v
+    residual = {c: t[c] for c in range(dim) if t[c]}
+    combination = {j: -t[dim + j] for j in range(n) if t[dim + j]}
+    return residual, combination
+
+
+def _super_sort(word, parities):
+    """(sorted word, sign) for an argument word of a super-alternating map, or None.
+
+    Swapping two adjacent arguments x, y multiplies by -(-1)^{p(x)p(y)}, so
+    a repeated even argument gives 0.
+    """
+    word = list(word)
+    sign = 1
+    for i in range(len(word)):
+        for j in range(len(word) - 1 - i):
+            x, y = word[j], word[j + 1]
+            if x > y:
+                word[j], word[j + 1] = y, x
+                if not (parities[x] and parities[y]):
+                    sign = -sign
+    if any(x == y and not parities[x] for x, y in zip(word, word[1:])):
+        return None
+    return tuple(word), sign
+
+
+def differential_entries(g, k, cols, rows):
+    """{(row, col): value} of d: C^k -> C^{k+1} on unit cochains, from the formula.
+
+    Keys are (word, target) pairs, words over positions in g.negative_indices().
+    Column (w, t) is the cochain with value e_t on w (and its super-alternating
+    extension); row (x_0..x_k, s) reads the e_s coefficient of
+    (dc)(x_0..x_k) =
+        sum_i (-1)^{i + p(x_i)(p(c) + p(x_0)+..+p(x_{i-1}))} [x_i, c(.. x_i ..)]
+      + sum_{i<j} (-1)^{i+j+p(x_i)p(x_j) + p(x_i) sum_{l<i} p(x_l)
+          + p(x_j) sum_{l<j} p(x_l)} c([x_i,x_j], .. x_i .. x_j ..)
+    with the structure constants as bracket_basis gives them.
+    """
+    neg = g.negative_indices()
+    pos = {a: q for q, a in enumerate(neg)}
+    par = [g.parity(a) for a in neg]
+    out = {}
+    for col in cols:
+        cw, ct = col
+        pc = (g.parity(ct) + sum(par[q] for q in cw)) % 2
+
+        def c_value(args):
+            """The coefficient of e_ct in c(args): the sign of sorting args onto cw, or 0."""
+            res = _super_sort(args, par)
+            return res[1] if res is not None and res[0] == cw else 0
+
+        for row in rows:
+            x, s = row
+            pre = [sum(par[q] for q in x[:i]) for i in range(len(x))]
+            val = 0
+            for i in range(len(x)):
+                sign = (-1) ** (i + par[x[i]] * (pc + pre[i]))
+                cv = c_value(x[:i] + x[i + 1 :])
+                if cv:
+                    val += sign * cv * g.bracket_basis(neg[x[i]], ct).get(s, 0)
+            if s == ct:
+                for i in range(len(x)):
+                    for j in range(i + 1, len(x)):
+                        exp = i + j + par[x[i]] * par[x[j]] + par[x[i]] * pre[i] + par[x[j]] * pre[j]
+                        sign = (-1) ** exp
+                        rest = tuple(q for l, q in enumerate(x) if l not in (i, j))
+                        for m, gamma in g.bracket_basis(neg[x[i]], neg[x[j]]).items():
+                            if m in pos:
+                                val += sign * gamma * c_value((pos[m],) + rest)
+            if val:
+                out[row, col] = val
+    return out
 
 
 def count_admissible_words(parities, k, evens_strict):

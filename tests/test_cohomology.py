@@ -1,13 +1,13 @@
 import pytest
 
-from superalg.algebra import realify
+from superalg.algebra import LieSuperAlgebra, realify
 from superalg.cohomology import NegativePart, cochain_basis, cochain_block_key, differential_matrix, h2_by_degree
 from superalg.constructors import build_complexified_minkowski, build_minkowski_g0
 from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.prolong import prolong_nonpositive
-from superalg.scalars import ZERO
+from superalg.scalars import ZERO, GaussianRational, format_scalar, gaussian, parse_scalar
 
-from oracles import canonical_sha256, dense_rank_fraction_free
+from oracles import canonical_sha256, dense_rank_fraction_free, differential_entries
 
 
 def mink1_conformal():
@@ -128,3 +128,63 @@ def test_d2_d1_vanishes_on_every_block_of_minkowski_n1_reduced(mink1_reduced):
 )
 def test_d2_d1_vanishes_on_every_block(build, h2_dims):
     _check_d_squared_and_h2(build(), h2_dims)
+
+
+def _check_cleared_differential(g, den):
+    """Every block's differential_matrix is den * d in cleared entries; the Gaussian ones are returned."""
+    neg = NegativePart(g)
+    assert neg.den == den
+    checked = 0
+    gaussian = []
+    for z in (1, 2, 3):
+        for key, basis in _blocks(g, neg, z).items():
+            for k in (1, 2):
+                m = differential_matrix(g, neg, k, z, basis[k], basis[k + 1], key[0])
+                for v in m.entries.values():
+                    if isinstance(v, GaussianRational):
+                        assert v.re.denominator == v.im.denominator == 1 and v.im
+                        gaussian.append(v)
+                    else:
+                        assert type(v) is int
+                got = {(basis[k + 1][r], basis[k][c]): v for (r, c), v in m.entries.items()}
+                d = differential_entries(g, k, basis[k], basis[k + 1])
+                assert got == {rc: den * v for rc, v in d.items()}, (z, key, k)
+                checked += len(got)
+    assert checked > 0
+    return gaussian
+
+
+def test_differential_matrix_is_den_times_d_in_ints():
+    # the one benchmark algebra whose structure constants have denominator 2
+    assert _check_cleared_differential(mink1_conformal(), 2) == []
+
+
+def test_differential_matrix_over_genuinely_gaussian_constants(mink1_reduced):
+    # the same algebra in the basis with one generator of g_-1 scaled by (1+i)/2
+    doc = mink1_reduced.to_document()
+    del doc["i_op"]  # written in the old basis
+    doc["field"] = "Q(i)"
+    scaled = mink1_reduced.ident(mink1_reduced.negative_indices()[0])
+    lam = {scaled: gaussian(1, 1) / 2}
+    doc["brackets"] = [
+        [i, j, m, format_scalar(parse_scalar(c) * lam.get(i, 1) * lam.get(j, 1) / lam.get(m, 1))]
+        for i, j, m, c in doc["brackets"]
+    ]
+    g = LieSuperAlgebra.from_document(doc)
+    assert _check_cleared_differential(g, 2)
+    assert h2_by_degree(g, (1, 2, 3))["h2_dims"] == {"1": 4, "2": 6, "3": 8}
+
+
+def test_one_negative_part_per_report(monkeypatch, mink1_reduced):
+    built = []
+    init = NegativePart.__init__
+
+    def counting_init(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(NegativePart, "__init__", counting_init)
+    report = h2_by_degree(mink1_reduced, (1, 2, 3))
+    # the weight vectors need the g0 action on cochains, so actions were built
+    assert report["degrees"]["1"]["weight_vectors"]
+    assert built == [mink1_reduced]

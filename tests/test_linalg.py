@@ -13,7 +13,7 @@ from superalg.linalg import (
 )
 from superalg.scalars import FIELD_Q, FIELD_QI, ONE, ZERO, GaussianRational, gaussian, rational
 
-from oracles import dense_rank_fraction_free, dense_rref
+from oracles import dense_rank_fraction_free, dense_reduce, dense_rref
 
 
 def random_rows(rng, rows, cols, field=FIELD_Q, density=0.6):
@@ -73,6 +73,17 @@ def test_rank_matches_oracle_randomized():
         field = FIELD_QI if trial % 3 == 0 else FIELD_Q
         rows = random_rows(rng, nrows, cols, field=field, density=0.5)
         assert rank(rows, cols) == dense_rank_fraction_free(to_dense(rows, cols))
+
+
+def test_oracles_are_exact_on_large_integers():
+    # determinant -1, so the rows are independent; true division on ints rounds
+    # to floats and loses the last digit, which made the old oracle report rank 1
+    big = 10**17
+    dense = [[big + 1, big], [big, big - 1]]
+    rows = [dict(enumerate(r)) for r in dense]
+    assert dense_rank_fraction_free(dense) == 2
+    assert dense_rref(rows, 2) == ([0, 1], [{0: ONE}, {1: ONE}])
+    assert rank(rows, 2) == 2
 
 
 def test_kernel_identity_empty():
@@ -291,3 +302,65 @@ def test_integer_elimination_gives_the_dense_rref_with_field_scalars(case):
         assert all(type(v) is GaussianRational for r in rref for v in r.values())
     else:
         assert all(type(v) is type(ONE) for r in rref for v in r.values())
+
+
+# -- the integer SpanSolver against the dense reduction --------------------------
+
+
+def _nonzero(vec):
+    return {c: v for c, v in vec.items() if v}
+
+
+@st.composite
+def span_queries(draw):
+    """A spanning set of up to 5 vectors in dim 1..7 over QQ or QQ(i), and queries.
+
+    Some spanning vectors are combinations of earlier ones; the queries are a
+    free vector, a vector of ints and a combination of the spanning vectors.
+    Over QQ(i) each scalar may be rational or Gaussian, so rational spans meet
+    Gaussian queries and the other way round.
+    """
+    field = draw(st.sampled_from(sorted(WIDE_SCALARS)))
+    scalars = WIDE_SCALARS[field]
+    dim = draw(st.integers(1, 7))
+    vecs = []
+    for _ in range(draw(st.integers(0, 5))):
+        if vecs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            vecs.append(combination({0: draw(scalars), 1: draw(scalars)}, [a, b]))
+        else:
+            vecs.append(_nonzero(draw(st.dictionaries(st.integers(0, dim - 1), scalars))))
+    queries = [
+        _nonzero(draw(st.dictionaries(st.integers(0, dim - 1), scalars))),
+        _nonzero(draw(st.dictionaries(st.integers(0, dim - 1), st.integers(-(2**40), 2**40)))),
+        combination({j: draw(scalars) for j in range(len(vecs))}, vecs),
+    ]
+    return vecs, dim, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_queries())
+@example(([], 3, [{0: rational(2)}, {2: 5}, {}]))
+@example(([{1: rational(1, 3)}], 2, [{0: rational(1)}, {0: 4, 1: 6}]))
+@example(([{0: rational(2), 1: rational(3)}, {0: rational(4), 1: rational(6)}], 2, [{0: 5, 1: 7}, {1: 9}]))
+@example(([{0: rational(1, 2), 1: rational(3)}], 2, [{0: gaussian(1, 2), 1: rational(5)}, {0: gaussian(0, 1)}]))
+@example(([{0: gaussian(2, 2), 1: gaussian(0, 4)}, {0: gaussian(3, 1)}], 2, [{0: rational(3), 1: 2}]))
+def test_integer_span_solver_agrees_with_the_dense_reduction(case):
+    vecs, dim, queries = case
+    solver = SpanSolver(vecs, dim)
+    pivot_cols = dense_rref(vecs, dim)[0]
+    assert solver.rank == len(pivot_cols)
+    # a query with no entry in any pivot column is its own residual
+    queries = queries + [{c: v for c, v in q.items() if c not in pivot_cols} for q in queries]
+    field_type = type(ONE)
+    if any(isinstance(v, GaussianRational) for vec in vecs for v in vec.values()):
+        field_type = GaussianRational
+    for q in queries:
+        residual, combo = dense_reduce(vecs, dim, q)
+        assert solver.reduce(q) == residual
+        got = solver.reduce(q, want_combo=True)
+        assert got == (residual, combo)
+        assert solver.contains(q) == (not residual)
+        assert solver.solve(q) == (None if residual else combo)
+        want = GaussianRational if any(isinstance(v, GaussianRational) for v in q.values()) else field_type
+        assert all(type(v) is want for part in got for v in part.values())
