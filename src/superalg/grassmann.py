@@ -35,7 +35,6 @@ from .scalars import (
     common_denominator,
     format_scalar,
     gaussian,
-    parse_scalar,
     rational,
 )
 
@@ -173,26 +172,6 @@ def _merge(s1: Subset, s2: Subset):
             if a > b:
                 sign = -sign
     return tuple(sorted(s1 + s2)), sign
-
-
-def parse_element(n: int, text: str) -> GrassmannElement:
-    """Inverse of str(): sums of (scalar)*th_i^th_j monomials."""
-    out = GrassmannElement(n)
-    for chunk in text.replace("- ", "+ -").split(" + "):
-        chunk = chunk.strip()
-        if not chunk or chunk == "0":
-            continue
-        if ")*" in chunk:
-            coef_s, mono = chunk.split(")*", 1)
-            coef = parse_scalar(coef_s.lstrip("("))
-        else:
-            coef, mono = gaussian(1), chunk
-        if mono == "1":
-            subset: Subset = ()
-        else:
-            subset = tuple(sorted(int(p[2:]) - 1 for p in mono.split("^")))
-        out = out + GrassmannElement(n, {subset: as_gaussian(coef)})
-    return out
 
 
 def all_subsets(n: int) -> List[Subset]:

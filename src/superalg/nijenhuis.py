@@ -8,28 +8,24 @@ evaluated symbolically for polynomial vector fields:
   odd J or Pi (J^2 = -id, Pi^2 = +id on an n|n space):
       N(X,Y) = (-1)^{p(X)} [JX, JY] - J[JX, Y] - (-1)^{p(X)} J[X, JY] - [X, Y]
 
-Both vanish identically for flat (constant) structures; the evaluator also
-checks tensoriality, i.e. that the value at a point depends on the arguments
-pointwise.
+Both vanish identically for flat (constant) structures.  Both variants are
+evaluated one way, by contracting frame components:
 
-The even variant runs on integers.  J is cleared once per structure to d_J J
-with integral columns (`EndomorphismField.cleared`), and X and Y once per field
-to d_X X and d_Y Y (`clear_field`, kept on the field).  Each term of the even
-expression is bilinear in X and Y and carries J twice (the last as
--[X,Y] = J^2 [X,Y]), so on the cleared inputs
+    N(sum_a f_a d_a, sum_b g_b d_b) = sum_{a,b} f_a (+-g_b) N(d_a, d_b),
 
-    [JX,JY] - J([JX,Y] + [X,JY]) - d_J^2 [X,Y]  =  d_J^2 d_X d_Y N(X,Y)
-
-is computed on integral values (int over QQ, Gaussian rationals with integral
-parts over QQ(i)) with the same brackets, and one exact division by
-d_J^2 d_X d_Y gives N(X,Y): the same values, of the same types, as evaluating
-the expression on the rational fields.
+where +-g_b is g_b with its odd monomials negated when d_a is odd, the Koszul
+sign of g_b passing the first slot.  Each component N(d_a, d_b) is the
+displayed expression on coordinate fields, whose bracket [d_a, d_b] is 0.
+The even expression is function-linear as it stands, so the contraction gives
+its values; the odd expression, with its (-1)^{p(X)} factors, is not
+function-linear over a supercommutative coefficient ring, so the odd tensor is
+defined by its frame components, extended function-linearly.  Components are
+computed on every call: nothing is kept on J or on the fields.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
 from types import MappingProxyType
 from typing import Dict, List
 
@@ -39,7 +35,6 @@ from .polyvf import (
     Polynomial,
     VectorField,
     add_product,
-    clear_field,
     coordinate_field,
     fields_of_degree,
     mono_parity,
@@ -51,16 +46,14 @@ class EndomorphismField:
     """A (1,1)-tensor field: columns[a] is the image J(d_a) as a vector field.
 
     Immutable: `columns` is a read-only view of a private copy and no
-    attribute can be rebound.  That lets the structure-only work be done once
-    per structure, on first use: the sign s with J^2 = s*id (`square`) and the
-    odd frame components N(d_a, d_b).
+    attribute can be rebound.  That lets the sign s with J^2 = s*id (`square`)
+    be computed once per structure, on first use; nothing else is kept on J.
     """
 
     def __init__(self, coords: Coords, columns: Dict[int, VectorField], parity: int):
         self.coords = coords
         self.columns = MappingProxyType(dict(columns))
         self.parity = parity
-        self._odd_frames: Dict[tuple, VectorField] = {}
 
     def __setattr__(self, name, value):
         if name in self.__dict__:
@@ -106,21 +99,6 @@ class EndomorphismField:
                 return sign
         return None
 
-    @cached_property
-    def cleared(self):
-        """(d_J, d_J J): one common denominator of all columns and the structure with
-        integral columns (int over QQ, integral Gaussian rationals over QQ(i))."""
-        cols = {a: clear_field(col) for a, col in self.columns.items()}
-        den = lcm(*(d for d, _ in cols.values()))
-        coords = self.coords
-        integral = {}
-        for a, (d, terms) in cols.items():
-            k = den // d
-            integral[a] = VectorField(
-                coords, {v: Polynomial(coords, {m: c * k for m, c in t.items()}) for v, t in terms.items()}
-            )
-        return den, EndomorphismField(coords, integral, self.parity)
-
 
 def _koszul(f: Polynomial) -> Polynomial:
     """f with its odd monomials negated: the sign of passing an odd operator past f."""
@@ -131,15 +109,10 @@ def _koszul(f: Polynomial) -> Polynomial:
 def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, variant: str = "even") -> VectorField:
     """Evaluate the Nijenhuis tensor on two homogeneous polynomial fields.
 
-    The even expression [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] is function-linear
-    as it stands and is evaluated directly, on the cleared integer forms of J,
-    X and Y with one division at the end (see the module docstring).  The odd
-    expression (with the (-1)^{p(X)} factors) is not function-linear over a
-    supercommutative coefficient ring, so the tensor is defined by its frame
-    components N(d_a, d_b) and extended function-linearly; that extension is
-    what makes the value at a point depend only on the pointwise values of X
-    and Y.
-    Each frame component is evaluated once per structure and kept on J.
+    N(X, Y) = sum_{a,b} f_a (+-g_b) N(d_a, d_b) for X = sum f_a d_a and
+    Y = sum g_b d_b, one route for both variants (see the module docstring).
+    Each frame component is computed by `_frame_component` on every call;
+    nothing is kept on J, X or Y.
     """
     if variant not in ("even", "odd"):
         raise ValueError("variant must be 'even' or 'odd'")
@@ -148,22 +121,10 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
     if variant == "odd" and J.square is None:
         raise ValueError("odd variant expects J^2 = -id or +id")
     coords = J.coords
-    if variant == "even":
-        dj, Jc = J.cleared
-        dx, x = clear_field(X)
-        dy, y = clear_field(Y)
-        Xc = VectorField.wrap(coords, x, X.parity())
-        Yc = VectorField.wrap(coords, y, Y.parity())
-        JX, JY = Jc.apply(Xc), Jc.apply(Yc)
-        n = JX.bracket(JY) - Jc.apply(JX.bracket(Yc) + Xc.bracket(JY)) - Xc.bracket(Yc).scale(dj * dj)
-        return n.scale(rational(1, dx * dy * dj * dj))
-    frames = J._odd_frames
     out: Dict[int, Dict[Monomial, object]] = {}
     for a, f in X.coeffs.items():
         for b, g in Y.coeffs.items():
-            comp = frames.get((a, b))
-            if comp is None:
-                comp = frames[(a, b)] = _odd_frame_component(J, a, b)
+            comp = _frame_component(J, a, b, variant)
             if not comp:
                 continue
             # Koszul: the coefficient of Y passes the first tensor slot
@@ -173,29 +134,17 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
     return VectorField(coords, {v: Polynomial(coords, t) for v, t in out.items()})
 
 
-def _odd_frame_component(J: EndomorphismField, a: int, b: int) -> VectorField:
-    """N(d_a, d_b) by the displayed odd expression; frame brackets drop [X,Y]."""
+def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> VectorField:
+    """N(d_a, d_b) by the displayed expression of the variant; [d_a, d_b] = 0 drops the last term."""
     coords = J.coords
     da = coordinate_field(coords, a)
     db = coordinate_field(coords, b)
     Ja, Jb = J.apply(da), J.apply(db)
-    pa = coords.parities[a]
-    sign = rational(-1 if pa else 1)
-    return (
-        Ja.bracket(Jb).scale(sign)
-        - J.apply(Ja.bracket(db))
-        - J.apply(da.bracket(Jb)).scale(sign)
-        - da.bracket(db)
-    )
-
-
-def tensoriality_defect(J: EndomorphismField, X: VectorField, Y: VectorField, f: Polynomial, variant: str = "even") -> VectorField:
-    """N(fX, Y) - f N(X, Y); zero iff N is function-linear in its first slot."""
-    fX = VectorField(J.coords, {a: f * g for a, g in X.coeffs.items()})
-    n1 = nijenhuis_tensor(J, fX, Y, variant)
-    n0 = nijenhuis_tensor(J, X, Y, variant)
-    scaled = VectorField(J.coords, {a: f * g for a, g in n0.coeffs.items()})
-    return n1 - scaled
+    # the two terms that carry (-1)^{p(X)} in the odd expression
+    signed = Ja.bracket(Jb) - J.apply(da.bracket(Jb))
+    if variant == "odd" and coords.parities[a]:
+        signed = -signed
+    return signed - J.apply(Ja.bracket(db))
 
 
 def standard_even_structure(p: int, q: int) -> EndomorphismField:

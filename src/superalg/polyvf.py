@@ -19,8 +19,8 @@ given, and a key takes its first term as it is instead of adding it to a zero
 constant, so int input gives int output and rational or Gaussian input gives
 the value types it always gave.  clear_field scales a field to a term dict of
 integers (Gaussian rationals with integral parts over QQ(i)) and returns the
-common denominator, so a caller can bracket on integers and divide once; the
-result is kept on the field, so each field is cleared once.
+common denominator, so a caller can bracket on integers and divide once; it
+is computed on every call and nothing is kept on the field.
 """
 
 from __future__ import annotations
@@ -298,17 +298,16 @@ _UNSET = object()
 class VectorField:
     """X = sum_a f_a d/dx_a with polynomial coefficients f_a."""
 
-    __slots__ = ("coords", "coeffs", "_parity", "_terms", "_cleared")
+    __slots__ = ("coords", "coeffs", "_parity", "_terms")
 
     def __init__(self, coords: Coords, coeffs: Optional[Dict[int, Polynomial]] = None):
         self.coords = coords
         self.coeffs = {v: p for v, p in (coeffs or {}).items() if p}
         self._parity = _UNSET
         self._terms = None
-        self._cleared = None
 
     @classmethod
-    def wrap(cls, coords: Coords, terms, parity) -> "VectorField":
+    def _wrap(cls, coords: Coords, terms, parity) -> "VectorField":
         """The field of a term dict of nonzeros with a known parity, sharing its dicts.
 
         Nothing is copied or checked: the caller vouches for the parity and
@@ -319,7 +318,6 @@ class VectorField:
         X.coeffs = {v: Polynomial._wrap(coords, t) for v, t in terms.items()}
         X._parity = parity if terms else None
         X._terms = terms
-        X._cleared = None
         return X
 
     def term_dict(self):
@@ -395,7 +393,7 @@ class VectorField:
         if px is None or py is None:
             return VectorField(self.coords)
         terms = bracket_terms(self.term_dict(), px, other.term_dict(), py, self.coords.parities)
-        return VectorField.wrap(self.coords, terms, (px + py) % 2)
+        return VectorField._wrap(self.coords, terms, (px + py) % 2)
 
     def coordinates(self, monomial_index: Dict[Tuple[int, Monomial], int]) -> Dict[int, object]:
         """Sparse vector {position: coefficient} over an index (var, monomial) -> position."""
@@ -467,24 +465,21 @@ def _add_applied(acc: Dict[Monomial, object], x, g: Dict[Monomial, object], s: i
 
 
 def clear_field(X: VectorField):
-    """(den, terms): X times den as a term dict, den the lcm of all its denominators.
+    """(den, terms): X times den as a new term dict, den the lcm of all its denominators.
 
     The denominators are those of the real and imaginary parts, so the cleared
     values are int over QQ and GaussianRational with integral parts over QQ(i).
-    Computed on first use and kept on X, like its parity; callers must not
-    change the returned dicts.
+    Computed on every call; nothing is kept on X.
     """
-    if X._cleared is None:
-        terms = X.term_dict()
-        den = common_denominator(c for t in terms.values() for c in t.values())
-        X._cleared = den, {
-            v: {
-                m: c * den if isinstance(c, GaussianRational) else c.numerator * (den // c.denominator)
-                for m, c in t.items()
-            }
-            for v, t in terms.items()
+    terms = X.term_dict()
+    den = common_denominator(c for t in terms.values() for c in t.values())
+    return den, {
+        v: {
+            m: c * den if isinstance(c, GaussianRational) else c.numerator * (den // c.denominator)
+            for m, c in t.items()
         }
-    return X._cleared
+        for v, t in terms.items()
+    }
 
 
 def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):

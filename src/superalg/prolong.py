@@ -488,95 +488,3 @@ def degree_zero_derivations(g_minus: LieSuperAlgebra) -> Action:
         items.append((f"D_{num + 1}", p_d, 0, m))
     alg = from_matrices(items, parities, field=g_minus.field, name=f"der0({g_minus.name})")
     return Action(alg, g_minus.space, [m for _, _, _, m in items])
-
-
-# -- graded alignment ---------------------------------------------------------
-
-
-def align_graded(
-    A: LieSuperAlgebra,
-    B: LieSuperAlgebra,
-    base_map: Dict[str, Element],
-    max_degree: int,
-) -> Dict[str, Element]:
-    """Extend a degree <= 0 correspondence to a graded isomorphism A -> B.
-
-    base_map sends each A basis id of degree <= 0 to an element of B.  The
-    positive part is forced by brackets with g_{-1}; the extended map is then
-    verified to be a homomorphism on all in-range pairs.  Raises on failure.
-    """
-    phi: Dict[int, Element] = {A.index(s): dict(v) for s, v in base_map.items()}
-    neg1 = [k for k in range(len(A)) if A.degree(k) == -1]
-    for d in range(1, max_degree + 1):
-        targets = [k for k in range(len(B)) if B.degree(k) == d]
-        rows_dim = None
-        cols = []
-        for t in targets:
-            col = {}
-            pos = 0
-            for e in neg1:
-                img = B.bracket({t: rational(1)}, phi[e])
-                for m, c in img.items():
-                    col[pos + m] = c
-                pos += len(B)
-            cols.append(col)
-            rows_dim = pos
-        if not targets:
-            if any(A.degree(k) == d for k in range(len(A))):
-                raise ProlongError(f"no degree-{d} targets available in B")
-            continue
-        solver = SpanSolver(cols, rows_dim)
-        for k in [k for k in range(len(A)) if A.degree(k) == d]:
-            target_vec = {}
-            pos = 0
-            for e in neg1:
-                val = A._table.get((k, e), {})
-                img: Element = {}
-                for t, c in val.items():
-                    for m, cm in phi[t].items():
-                        nv = img.get(m, ZERO) + c * cm
-                        if nv:
-                            img[m] = nv
-                        elif m in img:
-                            del img[m]
-                for m, c in img.items():
-                    target_vec[pos + m] = c
-                pos += len(B)
-            sol = solver.solve(target_vec)
-            if sol is None:
-                raise ProlongError(f"cannot align {A.ident(k)} in degree {d}")
-            phi[k] = {targets[j]: c for j, c in sorted(sol.items())}
-    # verify homomorphism property on all in-range pairs
-    maxd = max_degree
-    mind = min(A.degrees())
-    for i in sorted(phi):
-        for j in sorted(phi):
-            if j < i:
-                continue
-            dij = A.degree(i) + A.degree(j)
-            if dij > maxd or dij < mind:
-                continue
-            lhs: Element = {}
-            for t, c in A._table.get((i, j), {}).items():
-                for m, cm in phi[t].items():
-                    nv = lhs.get(m, ZERO) + c * cm
-                    if nv:
-                        lhs[m] = nv
-                    elif m in lhs:
-                        del lhs[m]
-            rhs = B.bracket(phi[i], phi[j])
-            if lhs != rhs:
-                raise ProlongError(
-                    f"alignment is not a homomorphism at [{A.ident(i)},{A.ident(j)}]"
-                )
-    # injectivity: phi images independent degree by degree
-    for d in range(mind, maxd + 1):
-        ks = [k for k in sorted(phi) if A.degree(k) == d]
-        if not ks:
-            continue
-        vecs = []
-        for k in ks:
-            vecs.append({m: c for m, c in phi[k].items()})
-        if SpanSolver(vecs, len(B)).rank != len(ks):
-            raise ProlongError(f"alignment degenerates in degree {d}")
-    return {A.ident(k): v for k, v in phi.items()}

@@ -200,14 +200,6 @@ class RationalField:
     one = ONE
 
     @staticmethod
-    def coerce(x):
-        if isinstance(x, GaussianRational):
-            if x.im:
-                raise ValueError(f"{x} is not rational")
-            return x.re
-        return rational(x)
-
-    @staticmethod
     def random(rng, bound=6):
         num = rng.randint(-bound, bound)
         den = rng.randint(1, 4)
@@ -220,10 +212,6 @@ class GaussianRationalField:
     name = "Q(i)"
     zero = GaussianRational(0)
     one = GaussianRational(1)
-
-    @staticmethod
-    def coerce(x):
-        return as_gaussian(x)
 
     @staticmethod
     def random(rng, bound=6):

@@ -6,7 +6,8 @@ oracle is dense Gauss-Jordan with lowest-index pivot rows, the span reduction
 reads the dense RREF of [vectors | identity], the dimension oracles enumerate
 admissible index words directly, and the differential is evaluated from the
 cohomology module's formula on unit cochains; the Nijenhuis and Grassmann
-oracles evaluate their formulas term by term on the scalars as given.  The
+oracles evaluate their formulas term by term on the scalars as given, and
+tensoriality_defect tests any evaluator for function-linearity.  The
 linear algebra oracles first make every entry exact (an integer or a field
 scalar), so that int input never meets true division.  canonical_sha256 is
 the one digest every pinned document and report in the tests is compared by.
@@ -17,6 +18,7 @@ import json
 from itertools import product
 
 from superalg.grassmann import GrassmannElement
+from superalg.polyvf import VectorField
 from superalg.scalars import ONE, ZERO, GaussianRational, as_gaussian, common_denominator, gaussian, rational
 
 
@@ -236,6 +238,15 @@ def even_nijenhuis(J, X, Y):
     """[JX,JY] - J[JX,Y] - J[X,JY] - [X,Y], with J.apply and VectorField.bracket as given."""
     JX, JY = J.apply(X), J.apply(Y)
     return JX.bracket(JY) - J.apply(JX.bracket(Y)) - J.apply(X.bracket(JY)) - X.bracket(Y)
+
+
+def tensoriality_defect(evaluate, X, Y, f):
+    """evaluate(fX, Y) - f evaluate(X, Y) for a function f; zero where the
+    evaluator is function-linear in its first slot."""
+    coords = X.coords
+    fX = VectorField(coords, {a: f * g for a, g in X.coeffs.items()})
+    scaled = VectorField(coords, {a: f * g for a, g in evaluate(X, Y).coeffs.items()})
+    return evaluate(fX, Y) - scaled
 
 
 def grassmann_product(a, b):

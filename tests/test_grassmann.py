@@ -12,7 +12,6 @@ from superalg.grassmann import (
     composed_iso_is_algebra_map,
     make_real_structure,
     normalize_generators,
-    parse_element,
     random_real_structure,
     real_form_basis,
     rho_bar,
@@ -20,7 +19,7 @@ from superalg.grassmann import (
     structural_subspaces,
 )
 from superalg.linalg import row_space_basis
-from superalg.scalars import ZERO, GaussianRational, I, format_scalar, gaussian, rational
+from superalg.scalars import ZERO, GaussianRational, I, as_gaussian, format_scalar, gaussian, parse_scalar, rational
 
 from oracles import canonical_sha256, grassmann_product
 
@@ -57,6 +56,26 @@ def test_associativity_random():
     for _ in range(25):
         a, b, c = rnd(), rnd(), rnd()
         assert (a * b) * c == a * (b * c)
+
+
+def parse_element(n: int, text: str) -> GrassmannElement:
+    """Inverse of str(): sums of (scalar)*th_i^th_j monomials."""
+    out = GrassmannElement(n)
+    for chunk in text.replace("- ", "+ -").split(" + "):
+        chunk = chunk.strip()
+        if not chunk or chunk == "0":
+            continue
+        if ")*" in chunk:
+            coef_s, mono = chunk.split(")*", 1)
+            coef = parse_scalar(coef_s.lstrip("("))
+        else:
+            coef, mono = gaussian(1), chunk
+        if mono == "1":
+            subset = ()
+        else:
+            subset = tuple(sorted(int(p[2:]) - 1 for p in mono.split("^")))
+        out = out + GrassmannElement(n, {subset: as_gaussian(coef)})
+    return out
 
 
 def test_serialization_roundtrip():

@@ -137,3 +137,94 @@ def test_no_function_imports_inside_its_body():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+# Every function and method in the package has a caller in src/ or perfbench/;
+# code that only the tests call lives in tests/.  The exceptions are the entry
+# points and checks that make up the package's API, listed by name.  References
+# are matched by name, so a method counts as called when any attribute of that
+# name is read.
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+PUBLIC_API = {
+    "adjoint_action_on_negative",
+    "build_ab",
+    "build_gl",
+    "build_hei",
+    "build_q",
+    "build_sl",
+    "cartan_prolong",
+    "check_contact_invariance",
+    "check_i_op",
+    "check_parities",
+    "check_pericontact_invariance",
+    "composed_iso_is_algebra_map",
+    "conjugate_scalar",
+    "degree_zero_derivations",
+    "from_document",
+    "generalized_prolong",
+    "realified_matrix_pair",
+    "rho_bar",
+    "rho_tr",
+}
+
+
+def referenced_names(source: str):
+    """Names a module loads, attributes it reads and its string constants (a
+    name passed to getattr, as the benchmark's wrappers are)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def uncalled_functions(package, others):
+    """(module, line, name) of every function or method, dunders aside, that
+    `package` ({module: source}) defines and no module of package or others
+    references."""
+    used = set()
+    for source in [*package.values(), *others.values()]:
+        used |= referenced_names(source)
+    found = []
+    for module, source in sorted(package.items()):
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")) and name not in used:
+                found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_uncalled_functions_are_caught():
+    package = {
+        "a.py": (
+            "def used():\n"
+            "    pass\n"
+            "def planted():\n"
+            "    used()\n"
+            "class A:\n"
+            "    def __init__(self):\n"
+            "        pass\n"
+            "    def method(self):\n"
+            "        pass\n"
+            "    def by_name(self):\n"
+            "        pass\n"
+        )
+    }
+    others = {"bench.py": "import a\na.A().method()\ngetattr(a.A, 'by_name')\n"}
+    assert uncalled_functions(package, others) == [("a.py", 3, "planted")]
+
+
+def test_every_function_in_the_package_has_a_caller():
+    package = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    others = {path.name: path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py")}
+    found = uncalled_functions(package, others)
+    assert [(module, line, name) for module, line, name in found if name not in PUBLIC_API] == []
+    # an API name that gains a caller leaves the list
+    assert sorted(PUBLIC_API - {name for *_, name in found}) == []
