@@ -19,8 +19,10 @@ displayed expression on coordinate fields, whose bracket [d_a, d_b] is 0.
 The even expression is function-linear as it stands, so the contraction gives
 its values; the odd expression, with its (-1)^{p(X)} factors, is not
 function-linear over a supercommutative coefficient ring, so the odd tensor is
-defined by its frame components, extended function-linearly.  Components are
-computed on every call: nothing is kept on J or on the fields.
+defined by its frame components, extended function-linearly.  In a component
+J(d_a) is J's stored column a (the Koszul sign of the constant 1 is +1), so
+J is applied only to brackets.  Components are computed on every call:
+nothing new is kept on J or on the fields.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Dict, List
 from .polyvf import (
     Coords,
     Monomial,
+    ONE_MONO,
     Polynomial,
     VectorField,
     add_product,
@@ -45,14 +48,20 @@ from .scalars import rational
 class EndomorphismField:
     """A (1,1)-tensor field: columns[a] is the image J(d_a) as a vector field.
 
-    Immutable: `columns` is a read-only view of a private copy and no
-    attribute can be rebound.  That lets the sign s with J^2 = s*id (`square`)
-    be computed once per structure, on first use; nothing else is kept on J.
+    Each column is stored times the scalar one of coords.field, which gives
+    it the value and the value types of J.apply(d_a) even when it was built
+    on int scalars.  Any parity but 0 or 1 raises ValueError.  Immutable:
+    `columns` is a read-only view of a private copy and no attribute can be
+    rebound.  That lets the sign s with J^2 = s*id (`square`) be computed
+    once per structure, on first use; nothing else is kept on J.
     """
 
     def __init__(self, coords: Coords, columns: Dict[int, VectorField], parity: int):
+        if parity not in (0, 1):
+            raise ValueError(f"EndomorphismField: parity must be 0 or 1, got {parity!r}")
         self.coords = coords
-        self.columns = MappingProxyType(dict(columns))
+        one = coords.field.one
+        self.columns = MappingProxyType({a: col.scale(one) for a, col in columns.items()})
         self.parity = parity
 
     def __setattr__(self, name, value):
@@ -62,11 +71,11 @@ class EndomorphismField:
 
     @classmethod
     def from_constant_matrix(cls, coords: Coords, entries: Dict[tuple, object], parity: int):
-        cols: Dict[int, VectorField] = {}
+        """J with J(d_c) = sum_r entries[(r, c)] d_r, of parity 0 or 1 (ValueError otherwise)."""
+        cols: Dict[int, Dict[int, Polynomial]] = {}
         for (r, c), v in entries.items():
-            f = VectorField(coords, {r: coords.one().scale(v)})
-            cols[c] = cols.get(c, VectorField(coords)) + f
-        return cls(coords, cols, parity)
+            cols.setdefault(c, {})[r] = Polynomial(coords, {ONE_MONO: v})
+        return cls(coords, {c: VectorField(coords, t) for c, t in cols.items()}, parity)
 
     def apply(self, X: VectorField) -> VectorField:
         """J(X) for X = sum f_a d_a: function-linear, J(f_a d_a) = +-f_a J(d_a)."""
@@ -112,8 +121,14 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
     N(X, Y) = sum_{a,b} f_a (+-g_b) N(d_a, d_b) for X = sum f_a d_a and
     Y = sum g_b d_b, one route for both variants (see the module docstring).
     Each frame component is computed by `_frame_component` on every call;
-    nothing is kept on J, X or Y.
+    nothing is kept on J, X or Y.  X and Y must be VectorFields on J.coords
+    (TypeError, ValueError otherwise).
     """
+    for Z in (X, Y):
+        if not isinstance(Z, VectorField):
+            raise TypeError(f"nijenhuis_tensor: expected a VectorField, got {type(Z).__name__}")
+        if Z.coords is not J.coords:
+            raise ValueError(f"nijenhuis_tensor: field on {Z.coords!r}, structure on {J.coords!r}")
     if variant not in ("even", "odd"):
         raise ValueError("variant must be 'even' or 'odd'")
     if variant == "even" and J.square != -1:
@@ -135,16 +150,18 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
 
 
 def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> VectorField:
-    """N(d_a, d_b) by the displayed expression of the variant; [d_a, d_b] = 0 drops the last term."""
+    """N(d_a, d_b) by the displayed expression of the variant; [d_a, d_b] = 0 drops the last term.
+
+    J(d_a) and J(d_b) are read off J.columns (the zero field where J has no
+    column), so J is applied only to the two brackets; nothing is kept.
+    """
     coords = J.coords
-    da = coordinate_field(coords, a)
-    db = coordinate_field(coords, b)
-    Ja, Jb = J.apply(da), J.apply(db)
+    zero = VectorField(coords)
+    Ja, Jb = J.columns.get(a, zero), J.columns.get(b, zero)
     # the two terms that carry (-1)^{p(X)} in the odd expression
-    signed = Ja.bracket(Jb) - J.apply(da.bracket(Jb))
-    if variant == "odd" and coords.parities[a]:
-        signed = -signed
-    return signed - J.apply(Ja.bracket(db))
+    first, second = Ja.bracket(Jb), J.apply(coordinate_field(coords, a).bracket(Jb))
+    signed = second - first if variant == "odd" and coords.parities[a] else first - second
+    return signed - J.apply(Ja.bracket(coordinate_field(coords, b)))
 
 
 def standard_even_structure(p: int, q: int) -> EndomorphismField:
@@ -164,7 +181,9 @@ def standard_even_structure(p: int, q: int) -> EndomorphismField:
 
 
 def standard_odd_structure(n: int, square: int) -> EndomorphismField:
-    """Flat odd J (square=-1) or Pi (square=+1) on R^{n|n}."""
+    """Flat odd J (square=-1) or Pi (square=+1) on R^{n|n}; any other square raises ValueError."""
+    if square not in (-1, 1):
+        raise ValueError(f"standard_odd_structure: square must be -1 or +1, got {square!r}")
     names = [f"x_{k+1}" for k in range(n)] + [f"θ_{k+1}" for k in range(n)]
     parities = [0] * n + [1] * n
     coords = Coords(names, parities)

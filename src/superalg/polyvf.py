@@ -192,7 +192,21 @@ class Polynomial:
         return Polynomial(self.coords, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        """self - other on one copy of self's terms: a key only other has is negated, a shared key subtracted."""
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            old = out.get(m)
+            if old is None:
+                out[m] = -c
+                continue
+            nv = old - c
+            if nv:
+                out[m] = nv
+            else:
+                del out[m]
+        return Polynomial._wrap(self.coords, out)
 
     def __neg__(self):
         return Polynomial(self.coords, {m: -c for m, c in self.terms.items()})
@@ -346,7 +360,12 @@ class VectorField:
         return VectorField(self.coords, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        """X - Y by Polynomial.__sub__ on shared coefficients; only those Y alone has are negated."""
+        out = dict(self.coeffs)
+        for v, p in other.coeffs.items():
+            q = out.get(v)
+            out[v] = -p if q is None else q - p
+        return VectorField(self.coords, out)
 
     def __neg__(self):
         return VectorField(self.coords, {v: -p for v, p in self.coeffs.items()})
@@ -510,8 +529,20 @@ def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):
 
 
 def coordinate_field(coords: Coords, var) -> VectorField:
-    k = var if isinstance(var, int) else coords.index[var]
-    return VectorField(coords, {k: coords.one()})
+    """The coordinate field d_k for var = k, an index in range(len(coords)), or a coordinate name.
+
+    Built with its parity, the parity of coordinate k, already known.  Any
+    other var, a negative index included, raises ValueError.
+    """
+    if isinstance(var, str):
+        k = coords.index.get(var)
+    elif isinstance(var, int) and not isinstance(var, bool) and 0 <= var < len(coords):
+        k = var
+    else:
+        k = None
+    if k is None:
+        raise ValueError(f"coordinate_field: no coordinate {var!r} in {coords!r}")
+    return VectorField._wrap(coords, {k: {ONE_MONO: coords.field.one}}, coords.parities[k])
 
 
 def fields_of_degree(coords: Coords, d: int):

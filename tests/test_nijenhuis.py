@@ -303,3 +303,91 @@ def test_curved_even_values_with_odd_directions_match_the_four_term_formula():
             assert N == even_nijenhuis(J, X, Y)
             nonzero += bool(N)
     assert nonzero == 552
+
+
+def int_column_structure():
+    """The flat even J on R^2 with its columns built on int scalars."""
+    coords = Coords(["x", "y"], [0, 0])
+    one, minus_one = Polynomial(coords, {(): 1}), Polynomial(coords, {(): -1})
+    cols = {0: VectorField(coords, {1: one}), 1: VectorField(coords, {0: minus_one})}
+    return EndomorphismField(coords, cols, parity=0)
+
+
+def every_structure():
+    """Each structure of this file and the four flat structures of the benchmark."""
+    coords = Coords(["x", "θ"], [0, 1])
+    return [
+        standard_even_structure(1, 0),
+        standard_even_structure(1, 1),
+        standard_odd_structure(1, -1),
+        standard_odd_structure(1, 1),
+        standard_odd_structure(2, -1),
+        curved_odd_structure(-1),
+        curved_odd_structure(1),
+        curved_even_structure(),
+        curved_even_structure(rational(1)),
+        curved_even_structure(gaussian(rational(3, 5), rational(1, 2)), FIELD_QI),
+        curved_even_structure_r22(),
+        EndomorphismField.from_constant_matrix(
+            Coords(["x", "y"], [0, 0]), {(0, 0): rational(1), (1, 1): rational(1)}, parity=0
+        ),
+        EndomorphismField.from_constant_matrix(coords, {(1, 0): rational(1), (0, 1): rational(2)}, parity=1),
+        EndomorphismField.from_constant_matrix(  # rational, Gaussian and zero entries over QQ(i)
+            Coords(["x", "y"], [0, 0], field=FIELD_QI),
+            {(1, 0): rational(1), (0, 1): gaussian(rational(-1, 2), rational(3)), (1, 1): rational(0)},
+            parity=0,
+        ),
+        EndomorphismField(coords, {0: coordinate_field(coords, 1), 1: coordinate_field(coords, 0)}, parity=1),
+        EndomorphismField(coords, {0: coordinate_field(coords, 1)}, parity=1),  # no column 1: J(d_θ) = 0
+        int_column_structure(),
+    ]
+
+
+def value_types(X):
+    return {(v, m): type(c) for v, p in X.coeffs.items() for m, c in p.terms.items()}
+
+
+def test_columns_are_the_images_of_the_coordinate_fields():
+    """The frame components read J(d_a) off the columns: same value, same value types."""
+    for J in every_structure():
+        coords = J.coords
+        for a in range(len(coords)):
+            col = J.columns.get(a, VectorField(coords))
+            image = J.apply(coordinate_field(coords, a))
+            assert col == image
+            assert value_types(col) == value_types(image)
+
+
+def test_fields_on_other_coordinates_are_rejected():
+    J = standard_even_structure(1, 0)
+    X = coordinate_field(J.coords, 0)
+    other = coordinate_field(standard_even_structure(1, 1).coords, 0)
+    twin = coordinate_field(Coords(list(J.coords.names), list(J.coords.parities)), 0)  # equal names, other object
+    for Y in (other, twin):
+        for args in ((X, Y), (Y, X)):
+            with pytest.raises(ValueError, match="structure on"):
+                nijenhuis_tensor(J, *args)
+
+
+def test_non_fields_are_rejected():
+    J = standard_even_structure(1, 0)
+    X = coordinate_field(J.coords, 0)
+    for bad in (1, None, "x_1", J.coords.one()):
+        for args in ((bad, X), (X, bad)):
+            with pytest.raises(TypeError, match="expected a VectorField"):
+                nijenhuis_tensor(J, *args, "even")
+
+
+@pytest.mark.parametrize("square", (0, 2, -2, None))
+def test_standard_odd_structure_rejects_a_bad_square(square):
+    with pytest.raises(ValueError, match="square"):
+        standard_odd_structure(1, square)
+
+
+@pytest.mark.parametrize("parity", (2, -1, None))
+def test_structures_reject_a_bad_parity(parity):
+    coords = Coords(["x", "θ"], [0, 1])
+    with pytest.raises(ValueError, match="parity"):
+        EndomorphismField(coords, {0: coordinate_field(coords, 1)}, parity=parity)
+    with pytest.raises(ValueError, match="parity"):
+        EndomorphismField.from_constant_matrix(coords, {(1, 0): rational(1)}, parity=parity)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -349,3 +350,81 @@ def test_clear_field_gives_integers_and_their_denominator():
     c = Coords(["x", "y"], [0, 0])
     X = VectorField(c, {0: Polynomial(c, {((1, 1),): rational(2, 3)})})
     assert clear_field(X) == (3, {0: {((1, 1),): 2}})
+
+
+# -- subtraction and coordinate fields -----------------------------------------
+
+# a small monomial pool, so that the keys of two drawn fields often collide
+SUB_MONOS = [m for d in range(3) for m in monomials_of_degree(GRADED, d)][:8]
+SUB_RATIONALS = st.builds(rational, st.integers(-9, 9), st.integers(1, 12))
+SUB_SCALARS = (
+    st.integers(-9, 9),
+    SUB_RATIONALS,
+    st.builds(gaussian, SUB_RATIONALS, SUB_RATIONALS),
+)
+
+
+def field_of(terms):
+    """The field on GRADED of {(var, monomial): scalar}; zero values are dropped by the constructors."""
+    coeffs = {}
+    for (v, m), c in terms.items():
+        coeffs.setdefault(v, {})[m] = c
+    return VectorField(GRADED, {v: Polynomial(GRADED, t) for v, t in coeffs.items()})
+
+
+@st.composite
+def field_pairs(draw):
+    """(X, Y) with values of one scalar type, int, Fraction or GaussianRational.
+
+    Y repeats some of X's terms, so that subtraction cancels whole terms and
+    whole coefficients as well as inserting and changing them.
+    """
+    scalar = draw(st.sampled_from(SUB_SCALARS))
+    keys = st.tuples(st.integers(0, len(GRADED) - 1), st.sampled_from(SUB_MONOS))
+    x = draw(st.dictionaries(keys, scalar, max_size=6))
+    y = draw(st.dictionaries(keys, scalar, max_size=6))
+    for k in draw(st.lists(st.sampled_from(sorted(x)), unique=True)) if x else []:
+        y[k] = x[k]
+    return field_of(x), field_of(y)
+
+
+def value_types(X):
+    return {(v, m): type(c) for v, p in X.coeffs.items() for m, c in p.terms.items()}
+
+
+def only_nonzeros(X):
+    return all(p.terms and all(p.terms.values()) for p in X.coeffs.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_pairs())
+def test_subtraction_is_addition_of_the_negative(pair):
+    X, Y = pair
+    before = {v: dict(p.terms) for v, p in X.coeffs.items()}
+    D, expected = X - Y, X + (-Y)
+    assert D == expected and value_types(D) == value_types(expected) and only_nonzeros(D)
+    for v in range(len(GRADED)):
+        f, g = X.coeffs.get(v, GRADED.zero()), Y.coeffs.get(v, GRADED.zero())
+        d, e = f - g, f + (-g)
+        assert d == e and {m: type(c) for m, c in d.terms.items()} == {m: type(c) for m, c in e.terms.items()}
+        assert all(d.terms.values())
+        assert not (f - f) and (f - f).terms == {}
+    assert not (X - X) and (X - X).coeffs == {}
+    assert {v: p.terms for v, p in X.coeffs.items()} == before  # the operands are not changed
+
+
+def test_coordinate_field_has_its_parity_and_the_value_of_the_filtered_construction():
+    for coords in (xy_theta(), GRADED, Coords(["x", "θ"], [0, 1], field=FIELD_QI)):
+        for k in range(len(coords)):
+            for var in (k, coords.names[k]):
+                d = coordinate_field(coords, var)
+                built = VectorField(coords, {k: coords.one()})
+                assert d._parity == coords.parities[k] == built.parity()
+                assert d == built and value_types(d) == value_types(built)
+                assert d.term_dict() == {k: {(): coords.field.one}}
+
+
+@pytest.mark.parametrize("bad", (-1, -4, 4, 99, "z", True, 1.0, None))
+def test_coordinate_field_rejects_bad_indices_and_names(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        coordinate_field(xy_theta(), bad)
