@@ -304,20 +304,28 @@ class LieSuperAlgebra:
     def from_document(cls, doc: dict) -> "LieSuperAlgebra":
         if doc.get("format") != "lie-superalgebra/1":
             raise ValueError("not a lie-superalgebra/1 document")
-        basis = [
-            BasisVector(b["id"], ODD if b["parity"] == "odd" else EVEN, b.get("degree"))
-            for b in doc["basis"]
-        ]
-        space = SuperSpace(basis)
-        index = space.index
+        parities = {"even": EVEN, "odd": ODD}
+        for b in doc["basis"]:
+            if b["parity"] not in parities:
+                raise ValueError(
+                    f"basis vector {b['id']!r} has parity {b['parity']!r}, not 'even' or 'odd'"
+                )
+        space = SuperSpace(
+            [BasisVector(b["id"], parities[b["parity"]], b.get("degree")) for b in doc["basis"]]
+        )
+
+        def index(ident):
+            if ident not in space.index:
+                raise ValueError(f"unknown basis id {ident!r}")
+            return space.index[ident]
+
         brackets: Dict[Tuple[int, int], Element] = {}
         for i_id, j_id, k_id, cs in doc["brackets"]:
-            key = (index[i_id], index[j_id])
-            brackets.setdefault(key, {})[index[k_id]] = parse_scalar(cs)
+            brackets.setdefault((index(i_id), index(j_id)), {})[index(k_id)] = parse_scalar(cs)
         i_op = None
         if "i_op" in doc:
             i_op = {
-                index[k]: {index[m]: parse_scalar(c) for m, c in img.items()}
+                index(k): {index(m): parse_scalar(c) for m, c in img.items()}
                 for k, img in doc["i_op"].items()
             }
         return cls(
@@ -345,7 +353,7 @@ class LieSuperAlgebra:
 # given real or complex span.
 
 
-def supercommutator(a, b, pa, pb, row_parity):
+def supercommutator(a, b, pa, pb):
     sign = -1 if (pa and pb) else 1
     out = {}
     bt: Dict[int, List[Tuple[int, object]]] = {}
@@ -435,7 +443,7 @@ def from_matrices(
     brackets: Dict[Tuple[int, int], Element] = {}
     for i in range(len(mats)):
         for j in range(i, len(mats)):
-            comm = supercommutator(mats[i], mats[j], basis[i].parity, basis[j].parity, row_parity)
+            comm = supercommutator(mats[i], mats[j], basis[i].parity, basis[j].parity)
             if not comm:
                 continue
             vec = _vectorize_matrix(comm, n, real)

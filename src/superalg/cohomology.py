@@ -14,11 +14,22 @@ gives the same dimensions):
                      [x_i, c(.. x_i ..)]
                  + sum_{i<j} (-1)^{i+j+p(x_i)p(x_j) + p(x_i) sum_{l<i} p(x_l)
                      + p(x_j) sum_{l<j} p(x_l)} c([x_i,x_j], .. x_i .. x_j ..)
+
+The module half of the report reads H^2 as a g0-module.  Both ad h for h in
+g0 and multiplication by i act on cochains through operator_image, and
+DegreeCohomology._induced turns the images of the representatives into
+matrices on the classes (action_matrix, i_matrix).  The i-pairing of each
+weight space runs one loop, _pair_directions, in two modes that differ only
+in the operators it is fed: with a total i (realifications) the induced i
+restricted to the weight classes, with a partial i (real forms) the
+commutant of the g0 action on the submodule the weight classes generate.
+The report's "undetermined" list is always empty; it is kept so that the
+report format stays the same.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import LieSuperAlgebra
 from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis
@@ -107,10 +118,7 @@ def cochain_block_key(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
 
 
 def differential_matrix(
-    g: LieSuperAlgebra,
     neg: NegativePart,
-    k: int,
-    z_degree: int,
     cols: Sequence[CKey],
     rows: Sequence[CKey],
     cochain_parity: int,
@@ -188,35 +196,19 @@ def differential_matrix(
     return SparseMatrix(len(rows), len(cols), entries)
 
 
-class Cochain:
-    """A homogeneous k-cochain with explicit coefficients on canonical words."""
+def operator_image(
+    neg: NegativePart, k: int, coeffs: Dict[CKey, object], parity: int, target, argument, p_op: int
+) -> Dict[CKey, object]:
+    """Coefficients of T.c for a k-cochain c of the given parity, on canonical words:
 
-    def __init__(self, neg: NegativePart, k: int, z_degree: int, coeffs: Dict[CKey, object], parity: Optional[int] = None):
-        g = self.g = neg.g
-        self.neg = neg
-        self.k = k
-        self.z_degree = z_degree
-        self.coeffs = {key: c for key, c in coeffs.items() if c}
-        parities = set()
-        for (word, t) in self.coeffs:
-            s = neg.word_degree(word)
-            if g.degree(t) != z_degree + s:
-                raise ValueError("coefficient violates the Z-degree homogeneity")
-            parities.add((g.parity(t) + neg.word_parity(word)) % 2)
-        if len(parities) > 1:
-            raise ValueError("cochain is not parity homogeneous")
-        self.parity = parity if parities == set() else parities.pop()
+    (T.c)(x_1..x_k) = T(c(x_1..x_k))
+        - sum_i (-1)^{p_op(p(c)+p(x_1)+..+p(x_{i-1}))} c(x_1,..,T x_i,..,x_k)
 
-def cochain_action(h: int, c: Cochain) -> Cochain:
-    """The g0-module structure on cochains, evaluated on canonical words:
-
-    (h.c)(x_1..x_k) = [h, c(x_1..x_k)]
-        - sum_i (-1)^{p(h)(p(c)+p(x_1)+..+p(x_{i-1}))} c(x_1,..,[h,x_i],..,x_k)
+    T has parity p_op and is given on basis vectors: target[t] is T(e_t) on
+    the values and argument[a] is T(e_a) on the arguments, sparse, a missing
+    key meaning 0.  For ad h both are the bracket row [h, .]; multiplication
+    by i acts on the values only, so its target is i_op and its argument {}.
     """
-    neg = c.neg
-    g = neg.g
-    ph = g.parity(h)
-    pc = c.parity or 0
     out: Dict[CKey, object] = {}
 
     def add(key, val):
@@ -227,32 +219,26 @@ def cochain_action(h: int, c: Cochain) -> Cochain:
             del out[key]
 
     by_word: Dict[Word, list] = {}
-    for (word, t), cval in c.coeffs.items():
+    for (word, t), cval in coeffs.items():
         by_word.setdefault(word, []).append((t, cval))
-        for tt, hv in g._table.get((h, t), {}).items():
-            add((word, tt), cval * hv)
-    if any(g._table.get((h, neg.indices[p]), {}) for p in range(len(neg.indices))):
-        for word in admissible_words(neg.parities, c.k):
-            pref = 0
-            for i, w in enumerate(word):
-                exp = ph * (pc + pref)
-                sign = -1 if exp % 2 else 1
-                a_global = neg.indices[w]
-                for m_global, hv in g._table.get((h, a_global), {}).items():
-                    m_pos = neg.pos.get(m_global)
-                    if m_pos is None:
-                        continue
-                    modified = word[:i] + (m_pos,) + word[i + 1 :]
-                    res = sort_word(modified, neg.parities)
-                    if res is None:
-                        continue
-                    new_word, sigma = res
-                    for t, cval in by_word.get(new_word, ()):
-                        add((word, t), -hv * cval * sign * sigma)
-                pref += neg.parities[w]
-    return Cochain(
-        neg, c.k, c.z_degree, out, parity=(pc + ph) % 2 if c.parity is not None else None
-    )
+        for tt, v in target.get(t, {}).items():
+            add((word, tt), cval * v)
+    for word in admissible_words(neg.parities, k):
+        pref = 0
+        for i, w in enumerate(word):
+            sign = -1 if p_op * (parity + pref) % 2 else 1
+            for m_global, v in argument.get(neg.indices[w], {}).items():
+                m_pos = neg.pos.get(m_global)
+                if m_pos is None:
+                    continue
+                res = sort_word(word[:i] + (m_pos,) + word[i + 1 :], neg.parities)
+                if res is None:
+                    continue
+                new_word, sigma = res
+                for t, cval in by_word.get(new_word, ()):
+                    add((word, t), -v * cval * sign * sigma)
+            pref += neg.parities[w]
+    return out
 
 
 class TruncationShortfall(Exception):
@@ -262,15 +248,15 @@ class TruncationShortfall(Exception):
 class Block:
     """All cochain data of one (parity, weight) block in one Z-degree."""
 
-    def __init__(self, key, c1basis, c2basis, c3basis, g, neg, z_degree):
+    def __init__(self, key, c1basis, c2basis, c3basis, neg):
         self.key = key
         self.parity = key[0]
         self.weight = key[1]
         self.c2basis = c2basis
         self.c2pos = {k: i for i, k in enumerate(c2basis)}
-        d2 = differential_matrix(g, neg, 2, z_degree, c2basis, c3basis, self.parity)
+        d2 = differential_matrix(neg, c2basis, c3basis, self.parity)
         self.z2 = kernel_basis(d2.row_dicts(), d2.cols)
-        d1 = differential_matrix(g, neg, 1, z_degree, c1basis, c2basis, self.parity)
+        d1 = differential_matrix(neg, c1basis, c2basis, self.parity)
         b2cols = [{} for _ in c1basis]
         for (r, c), v in d1.entries.items():
             b2cols[c][r] = v
@@ -303,31 +289,14 @@ class DegreeCohomology:
         self.g = g
         self.z_degree = z_degree
         self.neg = neg
-        basis1 = cochain_basis(g, neg, 1, z_degree)
-        basis2 = cochain_basis(g, neg, 2, z_degree)
-        basis3 = cochain_basis(g, neg, 3, z_degree)
-        by_key_1: Dict[tuple, list] = {}
-        for key in basis1:
-            by_key_1.setdefault(cochain_block_key(g, neg, key), []).append(key)
-        by_key_2: Dict[tuple, list] = {}
-        for key in basis2:
-            by_key_2.setdefault(cochain_block_key(g, neg, key), []).append(key)
-        by_key_3: Dict[tuple, list] = {}
-        for key in basis3:
-            by_key_3.setdefault(cochain_block_key(g, neg, key), []).append(key)
-        self.blocks: List[Block] = []
-        for key in sorted(by_key_2, key=lambda k: (k[0], str(k[1]))):
-            self.blocks.append(
-                Block(
-                    key,
-                    by_key_1.get(key, []),
-                    by_key_2[key],
-                    by_key_3.get(key, []),
-                    g,
-                    neg,
-                    z_degree,
-                )
-            )
+        by_key: List[Dict[tuple, list]] = [{}, {}, {}]
+        for k, grouped in zip((1, 2, 3), by_key):
+            for key in cochain_basis(g, neg, k, z_degree):
+                grouped.setdefault(cochain_block_key(g, neg, key), []).append(key)
+        self.blocks: List[Block] = [
+            Block(key, by_key[0].get(key, []), by_key[1][key], by_key[2].get(key, []), neg)
+            for key in sorted(by_key[1], key=lambda k: (k[0], str(k[1])))
+        ]
         self.block_of_key = {b.key: i for i, b in enumerate(self.blocks)}
         self.offsets = []
         total = 0
@@ -346,45 +315,41 @@ class DegreeCohomology:
                 out.append((bi, ri))
         return out
 
-    def rep_cochain(self, bi: int, ri: int) -> Cochain:
-        b = self.blocks[bi]
-        coeffs = {b.c2basis[i]: v for i, v in b.reps[ri].items()}
-        return Cochain(self.neg, 2, self.z_degree, coeffs, parity=b.parity)
-
-    def _shifted_key(self, key, h):
-        ph = self.g.parity(h)
-        wh = self.g.space.basis[h].weight
-        parity = (key[0] + ph) % 2
-        if key[1] is None or wh is None:
-            return (parity, key[1])
-        return (parity, tuple(a + b for a, b in zip(key[1], wh)))
+    def _induced(self, target, argument, p_op: int) -> dict:
+        """Sparse global matrix {(row, col): scalar} of the operator that
+        operator_image describes, induced on H^2: column j holds the class
+        coordinates of the image of the j-th representative."""
+        entries: Dict[Tuple[int, int], object] = {}
+        for bi, b in enumerate(self.blocks):
+            for ri, rep in enumerate(b.reps):
+                coeffs = {b.c2basis[i]: v for i, v in rep.items()}
+                image = operator_image(self.neg, 2, coeffs, b.parity, target, argument, p_op)
+                if not image:
+                    continue
+                ti = self.block_of_key.get(cochain_block_key(self.g, self.neg, next(iter(image))))
+                if ti is None or any(key not in self.blocks[ti].c2pos for key in image):
+                    raise ValueError("action image leaves the computed blocks")
+                tb = self.blocks[ti]
+                cc = tb.class_coords({tb.c2pos[key]: v for key, v in image.items()})
+                if cc is None:
+                    raise ValueError("action image is not a cocycle class")
+                for i, v in cc.items():
+                    entries[(self.offsets[ti] + i, self.offsets[bi] + ri)] = v
+        return entries
 
     def action_matrix(self, h: int) -> dict:
         """Sparse global matrix of the induced action of basis vector h on H^2."""
-        if h in self._action_cache:
-            return self._action_cache[h]
-        entries: Dict[Tuple[int, int], object] = {}
-        for bi, b in enumerate(self.blocks):
-            if not b.dim_h2:
-                continue
-            tkey = self._shifted_key(b.key, h)
-            ti = self.block_of_key.get(tkey)
-            for ri in range(b.dim_h2):
-                c = self.rep_cochain(bi, ri)
-                hc = cochain_action(h, c)
-                if not hc.coeffs:
-                    continue
-                if ti is None:
-                    raise ValueError("action image leaves the computed blocks")
-                tb = self.blocks[ti]
-                cc = tb.class_coords({tb.c2pos[k2]: v for k2, v in hc.coeffs.items()})
-                if cc is None:
-                    raise ValueError("action image is not a cocycle class")
-                col = self.offsets[bi] + ri
-                for i, v in cc.items():
-                    entries[(self.offsets[ti] + i, col)] = v
-        self._action_cache[h] = entries
-        return entries
+        if h not in self._action_cache:
+            row = {b: v for (a, b), v in self.g._table.items() if a == h}
+            self._action_cache[h] = self._induced(row, row, self.g.parity(h))
+        return self._action_cache[h]
+
+    def i_matrix(self) -> dict:
+        """Sparse global matrix of the complex structure that a total i_op induces on H^2."""
+        g = self.g
+        if g.i_op is None or any(k not in g.i_op for k in range(len(g))):
+            raise ValueError("i_op is not defined on every basis vector")
+        return self._induced(g.i_op, {}, 0)
 
     def operator_kernel_on_block(self, bi: int, ops: List[int]):
         """Classes of block bi killed by all listed operators (e.g. raisings)."""
@@ -424,24 +389,6 @@ class DegreeCohomology:
                 )
         return out
 
-def apply_i_cochain(g: LieSuperAlgebra, coeffs: Dict[CKey, object]):
-    """Post-compose a cochain with multiplication by i, or None off the i-domain."""
-    if g.i_op is None:
-        return None
-    out: Dict[CKey, object] = {}
-    for (word, t), c in coeffs.items():
-        img = g.i_op.get(t)
-        if img is None:
-            return None
-        for tt, v in img.items():
-            key = (word, tt)
-            nv = out.get(key, ZERO) + c * v
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-    return out
-
 
 def i_pairing(deg: DegreeCohomology):
     """Partition the weight-vector classes into i-pairs and leftovers.
@@ -458,16 +405,20 @@ def i_pairing(deg: DegreeCohomology):
     if g.i_op is None:
         raise ValueError("algebra carries no i operator")
     total = all(k in g.i_op for k in range(len(g)))
-    wvs = deg.weight_vectors()
+    ops = [deg.i_matrix()] if total else [deg.action_matrix(h) for h in g.component_indices(0)]
     pairs = []
     unpaired = []
-    undetermined = []
-    for entry in wvs:
-        bi = entry["block"]
-        b = deg.blocks[bi]
-        hw = entry["vectors"]
-        nhw = len(hw)
-        hw_solver = SpanSolver(hw, b.dim_h2)
+    for entry in deg.weight_vectors():
+        b = deg.blocks[entry["block"]]
+        lo = deg.offsets[entry["block"]]
+        classes = [{lo + i: v for i, v in vec.items()} for vec in entry["vectors"]]
+        if total:
+            i_rows = _restrict(ops[0], classes, SpanSolver(classes, deg.dim_h2))
+            if i_rows is None:
+                raise ValueError("i image left the weight-vector space")
+            restricted = [i_rows]
+        else:
+            restricted = _commutant_on(deg, classes, ops)
 
         def label(j):
             return {
@@ -477,61 +428,52 @@ def i_pairing(deg: DegreeCohomology):
                 "index": j,
             }
 
-        if total:
-            def image_of(j):
-                vec = _class_to_c2(deg, bi, hw[j])
-                ivec = apply_i_cochain(g, vec)
-                cc = b.class_coords(_c2_to_vec(deg, bi, ivec))
-                sol = hw_solver.solve(cc) if cc is not None else None
-                if sol is None:
-                    raise ValueError("i image left the weight-vector space")
-                return sol
-
-            p, u, und = _greedy_pairs(nhw, image_of, label)
-        else:
-            p, u, und = _commutant_pairs(deg, bi, hw, label)
+        p, u = _pair_directions(len(classes), restricted, label)
         pairs += p
         unpaired += u
-        undetermined += und
     return {
         "degree": deg.z_degree,
         "pair_count": len(pairs),
         "pairs": [list(pp) for pp in pairs],
         "unpaired": unpaired,
-        "undetermined": undetermined,
+        "undetermined": [],
         "mode": "total" if total else "commutant",
     }
 
 
-def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
-    """Pair weight classes through the commutant of g0 on their submodule."""
-    g = deg.g
+def _restrict(mat: dict, basis, solver: SpanSolver):
+    """Rows R[j] = coordinates over basis of mat applied to basis[j], or None
+    if the image leaves span(basis); solver spans basis."""
+    rows = []
+    for vec in basis:
+        sol = solver.solve(_mat_vec(mat, vec))
+        if sol is None:
+            return None
+        rows.append(sol)
+    return rows
+
+
+def _commutant_on(deg: DegreeCohomology, classes, mats):
+    """The parity-even commutant of the action matrices on the submodule that
+    classes generate, restricted to span(classes); elements that leave that
+    span are dropped."""
     n = deg.dim_h2
-    mats = [deg.action_matrix(h) for h in g.component_indices(0)]
-    gvecs = [{deg.offsets[bi] + i: val for i, val in v.items()} for v in hw]
-    M = generated_submodule(deg, gvecs, mats)
+    M = generated_submodule(deg, classes, mats)
     m = len(M)
     msolver = SpanSolver(M, n)
     # parity of each module basis vector, read off its block support
+    pos_parity = [b.parity for b in deg.blocks for _ in range(b.dim_h2)]
     par = []
     for vec in M:
-        ps = set()
-        for pos in vec:
-            for bj, block in enumerate(deg.blocks):
-                if deg.offsets[bj] <= pos < deg.offsets[bj] + block.dim_h2:
-                    ps.add(block.parity)
+        ps = {pos_parity[pos] for pos in vec}
         par.append(ps.pop() if len(ps) == 1 else None)
-    # restricted action matrices
+    # restricted action matrices, A[(i, j)] = coordinate i of mat M[j]
     acts = []
     for mat in mats:
-        A = {}
-        for j, vec in enumerate(M):
-            sol = msolver.solve(_mat_vec(mat, vec))
-            if sol is None:
-                raise ValueError("generated module is not action closed")
-            for i, val in sol.items():
-                A[(i, j)] = val
-        acts.append(A)
+        R = _restrict(mat, M, msolver)
+        if R is None:
+            raise ValueError("generated module is not action closed")
+        acts.append({(i, j): val for j, sol in enumerate(R) for i, val in sol.items()})
     # parity-even commutant: unknowns X[(r,c)] with par r == par c
     slots = [
         (r, c)
@@ -557,27 +499,21 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
                 row = {q: v for q, v in row.items() if v}
                 if row:
                     rows.append(row)
-    comm = kernel_basis(rows, len(slots))
-    # restrict the commutant to the weight space
-    nhw = len(hw)
-    wcoords = [msolver.solve(gv) for gv in gvecs]
-    if any(w is None for w in wcoords):
-        return [], [], [label(j) for j in range(nhw)]
+    # the module starts from the classes, so each has coordinates over M
+    wcoords = [msolver.solve(vec) for vec in classes]
     wsolver = SpanSolver(wcoords, m)
     restricted = []
-    for X in comm:
-        matX = {slots[q]: v for q, v in X.items()}
-        ok = True
-        rows_w = []
-        for w in wcoords:
-            sol = wsolver.solve(_mat_vec(matX, w))
-            if sol is None:
-                ok = False
-                break
-            rows_w.append(sol)
-        if ok:
-            restricted.append(rows_w)  # nhw x nhw matrix, rows = images
-    # pair each direction with a commutant image independent of what is used
+    for X in kernel_basis(rows, len(slots)):
+        R = _restrict({slots[q]: v for q, v in X.items()}, wcoords, wsolver)
+        if R is not None:
+            restricted.append(R)
+    return restricted
+
+
+def _pair_directions(nhw: int, restricted, label):
+    """Pair each weight direction j with the first image R[j], over the
+    restricted operators R, that lies outside the span used so far plus e_j;
+    a direction no operator moves out of that span stays unpaired."""
     pairs = []
     unpaired = []
     used: list = []
@@ -588,65 +524,16 @@ def _commutant_pairs(deg: DegreeCohomology, bi: int, hw, label):
         partner = None
         for R in restricted:
             img = R[j]
-            if not img:
-                continue
-            test = used + [unit]
-            if not SpanSolver(test, nhw).contains(img):
+            if img and not SpanSolver(used + [unit], nhw).contains(img):
                 partner = img
                 break
+        used.append(unit)
         if partner is None:
             unpaired.append(label(j))
-            used.append(unit)
         else:
             pairs.append((label(j), {"partner_combination": _fmt_scalar_list(partner, nhw)}))
-            used.append(unit)
             used.append(partner)
-    return pairs, unpaired, []
-
-
-def _greedy_pairs(nhw, image_of, label):
-    """Pair basis directions with their i-images, tracking the used span."""
-    pairs = []
-    unpaired = []
-    undetermined = []
-    used: list = []
-    for j in range(nhw):
-        unit = {j: ONE}
-        if used and SpanSolver(used, nhw).contains(unit):
-            continue
-        img = image_of(j)
-        if img is None:
-            undetermined.append(label(j))
-            used.append(unit)
-            continue
-        if not img:
-            unpaired.append(label(j))
-            used.append(unit)
-            continue
-        pairs.append((label(j), {"partner_combination": _fmt_scalar_list(img, nhw)}))
-        used.append(unit)
-        used.append(img)
-    return pairs, unpaired, undetermined
-
-
-def _class_to_c2(deg: DegreeCohomology, bi: int, class_vec):
-    """Lift class coordinates to a representative's C^2 coefficient dict."""
-    b = deg.blocks[bi]
-    out = {}
-    for i, coef in class_vec.items():
-        for pos, v in b.reps[i].items():
-            key = b.c2basis[pos]
-            nv = out.get(key, ZERO) + coef * v
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _c2_to_vec(deg: DegreeCohomology, bi: int, coeffs):
-    pos = deg.blocks[bi].c2pos
-    return {pos[key]: v for key, v in coeffs.items()} if coeffs is not None else {}
+    return pairs, unpaired
 
 
 def _fmt_weight(w):
@@ -748,7 +635,16 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
 
     Returns a JSON-ready dict: dims, representatives, highest-weight vector
     tables where Cartan data exists, and i-pairs where an i operator exists.
+    The "i_pairing" entry of a degree has the keys degree, pair_count, pairs
+    ([label, {"partner_combination": [...]}] lists), unpaired (labels),
+    undetermined (always []) and mode ("total" or "commutant"); a label is
+    {degree, weight, parity, index} of one weight-class direction.  Raises
+    ValueError for an algebra that is not Z-graded or a degree not an int.
     """
+    if not g_star.is_graded():
+        raise ValueError("h2_by_degree needs a Z-graded algebra")
+    if any(type(d) is not int for d in degrees):
+        raise ValueError(f"degrees must be ints, got {list(degrees)!r}")
     neg = NegativePart(g_star)
     degrees = sorted(degrees)
     per_degree = {}

@@ -202,13 +202,10 @@ class Action:
     def check_representation(self):
         """rho([x,y]) = [rho(x), rho(y)] on all basis pairs; [] means pass."""
         bad = []
-        parities = self.module.parities()
         g = self.algebra
         for i in range(len(g)):
             for j in range(len(g)):
-                comm = supercommutator(
-                    self.matrices[i], self.matrices[j], g.parity(i), g.parity(j), parities
-                )
+                comm = supercommutator(self.matrices[i], self.matrices[j], g.parity(i), g.parity(j))
                 expected: dict = {}
                 for k, c in g._table.get((i, j), {}).items():
                     for rc, v in self.matrices[k].items():

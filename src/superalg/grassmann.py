@@ -69,6 +69,7 @@ class GrassmannElement:
         return isinstance(other, GrassmannElement) and self.n == other.n and self.terms == other.terms
 
     def __add__(self, other):
+        _check_size(self.n, other)
         out = dict(self.terms)
         for s, c in other.terms.items():
             old = out.get(s)
@@ -95,6 +96,7 @@ class GrassmannElement:
     def __mul__(self, other):
         if not isinstance(other, GrassmannElement):
             return self.scale(other)
+        _check_size(self.n, other)
         den_a, a = _cleared(self)
         den_b, b = _cleared(other)
         acc: Dict[Subset, List[int]] = {}
@@ -143,6 +145,11 @@ class GrassmannElement:
     __repr__ = __str__
 
 
+def _check_size(n: int, element: GrassmannElement):
+    if element.n != n:
+        raise ValueError(f"Grassmann element on {element.n} generators in an operation on {n}")
+
+
 def _cleared(a: GrassmannElement):
     """(den, [(subset, (re, im))]): a times den as Gaussian integer pairs, one den for all terms."""
     den = common_denominator(a.terms.values())
@@ -156,6 +163,7 @@ def _combination(n: int, pairs) -> GrassmannElement:
     """sum c * element over (c, element) pairs, accumulated in one dict."""
     out: Dict[Subset, object] = {}
     for c, element in pairs:
+        _check_size(n, element)
         for s, v in element.terms.items():
             old = out.get(s)
             out[s] = c * v if old is None else old + c * v
@@ -228,7 +236,8 @@ class RealStructure:
         pos = {s: k for k, s in enumerate(subsets)}
         return subsets, pos
 
-    def element_to_vec(self, a: GrassmannElement, pos):
+    @staticmethod
+    def element_to_vec(a: GrassmannElement, pos):
         vec = {}
         for s, c in a.terms.items():
             if c.re:
@@ -276,7 +285,9 @@ def make_real_structure(images: Sequence[GrassmannElement]) -> RealStructure:
 
 
 def rho_bar(n: int, phases: Optional[Sequence[object]] = None) -> RealStructure:
-    """Componentwise conjugation twisted by unit phases (lambda conj(lambda)=1)."""
+    """Componentwise conjugation twisted by unit phases (lambda conj(lambda)=1), one per generator."""
+    if phases is not None and len(phases) != n:
+        raise ValueError(f"need {n} phases, got {len(phases)}")
     images = []
     for j in range(n):
         lam = as_gaussian(phases[j]) if phases is not None else gaussian(1)

@@ -53,9 +53,6 @@ class SuperSpace:
     def parity(self, k: int) -> int:
         return self.basis[k].parity
 
-    def parities(self):
-        return [b.parity for b in self.basis]
-
     @property
     def sdim(self) -> Tuple[int, int]:
         ev = sum(1 for b in self.basis if b.parity == EVEN)

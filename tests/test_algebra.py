@@ -284,6 +284,25 @@ def test_serialization_roundtrip():
     assert g2.check_super_jacobi() == []
 
 
+def test_documents_with_a_bad_parity_are_rejected():
+    doc = build_hei(2, 1).to_document()
+    for bad in ("od", "Odd", 1, ""):
+        bad_doc = {**doc, "basis": [{**doc["basis"][0], "parity": bad}, *doc["basis"][1:]]}
+        with pytest.raises(ValueError, match="not 'even' or 'odd'"):
+            LieSuperAlgebra.from_document(bad_doc)
+
+
+def test_documents_naming_an_unknown_id_are_rejected():
+    doc = realify(build_gl(1, 1)).to_document()
+    i, j, k, c = doc["brackets"][0]
+    for brackets in ([[i, j, "y", c]], [["y", j, k, c]], [[i, "y", k, c]]):
+        with pytest.raises(ValueError, match="unknown basis id 'y'"):
+            LieSuperAlgebra.from_document({**doc, "brackets": brackets})
+    for i_op in ({"y": {i: "1"}}, {i: {"y": "1"}}):
+        with pytest.raises(ValueError, match="unknown basis id 'y'"):
+            LieSuperAlgebra.from_document({**doc, "i_op": i_op})
+
+
 def test_matrix_constructors_take_the_field_by_descriptor_or_name():
     for build, label in ((lambda f: build_gl(1, 1, field=f), "gl(1|1;Q)"), (lambda f: build_sl(2, 1, field=f), "sl(2|1;Q)")):
         doc = build(FIELD_Q).to_document()

@@ -1,11 +1,27 @@
 import pytest
 
 from superalg.algebra import LieSuperAlgebra, realify
-from superalg.cohomology import NegativePart, cochain_basis, cochain_block_key, differential_matrix, h2_by_degree
-from superalg.constructors import build_complexified_minkowski, build_minkowski_g0
+from superalg.cohomology import (
+    DegreeCohomology,
+    NegativePart,
+    cochain_basis,
+    cochain_block_key,
+    differential_matrix,
+    h2_by_degree,
+)
+from superalg.constructors import (
+    abelian_negative,
+    build_complexified_minkowski,
+    build_gl,
+    build_minkowski_g0,
+    build_q,
+    combine_nonpositive,
+    tautological_action,
+)
 from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.prolong import prolong_nonpositive
-from superalg.scalars import ZERO, GaussianRational, format_scalar, gaussian, parse_scalar
+from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar
+from superalg.spaces import BasisVector, SuperSpace
 
 from oracles import canonical_sha256, dense_rank_fraction_free, differential_entries
 
@@ -107,8 +123,8 @@ def _check_d_squared_and_h2(g, expected_h2_dims):
     for z, expected_h2 in zip((1, 2, 3), expected_h2_dims):
         h2 = 0
         for key, basis in _blocks(g, neg, z).items():
-            d1 = differential_matrix(g, neg, 1, z, basis[1], basis[2], key[0])
-            d2 = differential_matrix(g, neg, 2, z, basis[2], basis[3], key[0])
+            d1 = differential_matrix(neg, basis[1], basis[2], key[0])
+            d2 = differential_matrix(neg, basis[2], basis[3], key[0])
             assert not any(_compose(d2, d1).values()), (z, key)
             nontrivial += bool(d1.nnz() and d2.nnz())
             # dim H^2 = dim C^2 - rank d2 - rank d1, ranks from the oracle
@@ -139,7 +155,7 @@ def _check_cleared_differential(g, den):
     for z in (1, 2, 3):
         for key, basis in _blocks(g, neg, z).items():
             for k in (1, 2):
-                m = differential_matrix(g, neg, k, z, basis[k], basis[k + 1], key[0])
+                m = differential_matrix(neg, basis[k], basis[k + 1], key[0])
                 for v in m.entries.values():
                     if isinstance(v, GaussianRational):
                         assert v.re.denominator == v.im.denominator == 1 and v.im
@@ -188,3 +204,98 @@ def test_one_negative_part_per_report(monkeypatch, mink1_reduced):
     # the weight vectors need the g0 action on cochains, so actions were built
     assert report["degrees"]["1"]["weight_vectors"]
     assert built == [mink1_reduced]
+
+
+def test_h2_rejects_an_ungraded_algebra():
+    with pytest.raises(ValueError, match="Z-graded"):
+        h2_by_degree(build_gl(1, 1), [1, 2])
+
+
+def test_h2_rejects_degrees_that_are_not_ints(mink1_reduced):
+    for bad in ("1", 1.0, None, True):
+        with pytest.raises(ValueError, match="degrees must be ints"):
+            h2_by_degree(mink1_reduced, [1, bad])
+
+
+def _product(a, b):
+    """Product of two sparse matrices {(row, col): scalar}, zeros dropped."""
+    by_row = {}
+    for (r, c), v in b.items():
+        by_row.setdefault(r, []).append((c, v))
+    out = {}
+    for (r, k), v in a.items():
+        for c, w in by_row.get(k, ()):
+            out[(r, c)] = out.get((r, c), ZERO) + v * w
+    return {rc: v for rc, v in out.items() if v}
+
+
+@pytest.mark.parametrize(
+    "build, degree, classes",
+    [
+        (lambda: realify(build_complexified_minkowski(1)), 1, 32),
+        (lambda: realify(contact_algebra(0, 4, 4, field=FIELD_QI)), 0, 18),
+    ],
+    ids=["minkowski-N1^C^R", "k(1|4)^R"],
+)
+def test_i_induces_a_complex_structure_on_h2_commuting_with_g0(build, degree, classes):
+    g = build()
+    deg = DegreeCohomology(NegativePart(g), degree)
+    assert deg.dim_h2 == classes
+    i_mat = deg.i_matrix()
+    assert _product(i_mat, i_mat) == {(r, r): -1 for r in range(classes)}
+    acting = 0
+    for h in g.component_indices(0):
+        a = deg.action_matrix(h)
+        assert _product(i_mat, a) == _product(a, i_mat), g.ident(h)
+        acting += bool(a)
+    assert acting
+
+
+def _combination(terms):
+    out = {}
+    for c, m in terms:
+        for rc, v in m.items():
+            out[rc] = out.get(rc, ZERO) + c * v
+    return {rc: v for rc, v in out.items() if v}
+
+
+@pytest.mark.parametrize("variant", ["J", "Pi"])
+def test_induced_action_is_a_super_representation_with_odd_elements(variant):
+    # C^{2|2} with g_0 = q(2), whose odd half moves classes between the parity blocks
+    action = tautological_action(build_q(2, variant))
+    g = combine_nonpositive(abelian_negative(action.module), action)
+    deg = DegreeCohomology(NegativePart(g), 2)
+    assert deg.dim_h2 == 16
+    zero = g.component_indices(0)
+    assert any(deg.action_matrix(h) for h in zero if g.parity(h))
+    for x in zero:
+        for y in zero:
+            ax, ay = deg.action_matrix(x), deg.action_matrix(y)
+            sign = -1 if g.parity(x) and g.parity(y) else 1
+            bracket = _combination([(ONE, _product(ax, ay)), (-sign, _product(ay, ax))])
+            assert bracket == _combination(
+                [(c, deg.action_matrix(z)) for z, c in g.bracket_basis(x, y).items()]
+            ), (g.ident(x), g.ident(y))
+
+
+def _plane(i_op):
+    """x, ix spanning an abelian g_-1 = C, with an abelian g_0 = <z>: H^2 of degree 1 is 2-dimensional."""
+    space = SuperSpace([BasisVector("x", 0, -1), BasisVector("ix", 0, -1), BasisVector("z", 0, 0)])
+    return LieSuperAlgebra(space, {}, i_op=i_op)
+
+
+def test_an_image_outside_the_computed_blocks_is_rejected():
+    i_op = {0: {1: ONE}, 1: {0: -ONE}, 2: {2: ONE}}
+    deg = DegreeCohomology(NegativePart(_plane(i_op)), 1)
+    assert deg.dim_h2 == 2
+    assert _product(deg.i_matrix(), deg.i_matrix()) == {(0, 0): -1, (1, 1): -1}
+    # i sending x into g_0 moves the values of a degree-1 cochain out of degree 1
+    deg = DegreeCohomology(NegativePart(_plane({**i_op, 0: {1: ONE, 2: ONE}})), 1)
+    with pytest.raises(ValueError, match="action image leaves the computed blocks"):
+        deg.i_matrix()
+
+
+def test_i_matrix_needs_i_on_every_basis_vector():
+    deg = DegreeCohomology(NegativePart(_plane({0: {1: ONE}, 1: {0: -ONE}})), 1)
+    with pytest.raises(ValueError, match="not defined on every basis vector"):
+        deg.i_matrix()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superalg import grassmann
 from superalg.grassmann import (
     CanonicalIso,
     GrassmannElement,
@@ -100,6 +101,25 @@ def test_rho_bar_canonical():
 def test_rho_bar_rejects_non_unit_phase():
     with pytest.raises(ValueError):
         rho_bar(1, [gaussian(2)])
+
+
+def test_rho_bar_needs_one_phase_per_generator():
+    for phases in ([1], [1, 1, 5], [1, 1, 1]):
+        with pytest.raises(ValueError, match="need 2 phases"):
+            rho_bar(2, phases)
+    assert rho_bar(2, [1, I]).validate() == []
+
+
+def test_elements_on_different_generator_counts_do_not_mix():
+    a, b = GrassmannElement.generator(2, 0), GrassmannElement.generator(3, 2)
+    for op in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: b - a):
+        with pytest.raises(ValueError, match="generators in an operation on"):
+            op()
+    with pytest.raises(ValueError, match="on 3 generators in an operation on 2"):
+        grassmann._combination(2, [(gaussian(1), a), (gaussian(1), b)])
+    # scalars still scale, and equal sizes still combine
+    assert a * 2 == 2 * a == a + a
+    assert grassmann._combination(2, [(gaussian(2), a), (I, th(2, 1))]) == a * 2 + th(2, 1) * I
 
 
 def test_rho_bar_pythagorean_phase():

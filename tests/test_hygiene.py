@@ -228,3 +228,59 @@ def test_every_function_in_the_package_has_a_caller():
     assert [(module, line, name) for module, line, name in found if name not in PUBLIC_API] == []
     # an API name that gains a caller leaves the list
     assert sorted(PUBLIC_API - {name for *_, name in found}) == []
+
+
+# Every parameter is read: an argument that nothing uses only misleads its
+# callers.  Dunder methods keep the signature Python gives them.
+def unused_parameters(source: str):
+    """(line, function, parameter) of every parameter, dunders aside, that the
+    function's body (nested functions included) never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg) if a]
+        read = {
+            inner.id
+            for stmt in node.body
+            for inner in ast.walk(stmt)
+            if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)
+        }
+        found += [(node.lineno, node.name, p) for p in params if p not in read]
+    return found
+
+
+def test_unused_parameters_are_caught():
+    source = (
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    return a + kw['x']\n"
+        "def g(x):\n"
+        "    x = 1\n"
+        "    def inner():\n"
+        "        return outer\n"
+        "def h(outer):\n"
+        "    return lambda: outer\n"
+        "class A:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError\n"
+        "    def method(self, y):\n"
+        "        return y\n"
+    )
+    assert unused_parameters(source) == [
+        (1, "f", "b"),
+        (1, "f", "args"),
+        (1, "f", "c"),
+        (3, "g", "x"),
+        (12, "method", "self"),
+    ]
+
+
+def test_every_parameter_in_the_package_is_read():
+    found = {
+        path.name: unused_parameters(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: bad for name, bad in found.items() if bad} == {}
