@@ -16,7 +16,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver
-from .scalars import FIELD_Q, FIELD_QI, ONE, ZERO, as_field, format_scalar, parse_scalar, real_imag
+from .scalars import (
+    FIELD_Q,
+    FIELD_QI,
+    ONE,
+    ZERO,
+    as_field,
+    cleared,
+    common_denominator,
+    format_scalar,
+    parse_scalar,
+    real_imag,
+)
 from .spaces import EVEN, ODD, BasisVector, SuperSpace
 
 Element = Dict[int, object]  # sparse coefficient vector over the basis
@@ -152,45 +163,45 @@ class LieSuperAlgebra:
                     bad.append((self.ident(i), self.ident(j), self.ident(k)))
         return bad
 
-    def _pair_in_range(self, i, j):
-        if self.truncation is None:
-            return True
-        di, dj = self.degree(i), self.degree(j)
-        if di is None or dj is None:
-            return True
-        return di + dj <= self.truncation
+    def cleared_table(self):
+        """(den, table): the bracket table cleared of denominators once.
+
+        den is the lcm of the denominators of all structure constants and
+        table[(a, b)] is den * [e_a, e_b], with the values of scalars.cleared:
+        ints, and GaussianRationals with integral parts for the constants with
+        a nonzero imaginary part.  Built on every call; nothing is kept.
+        """
+        den = common_denominator(c for val in self._table.values() for c in val.values())
+        return den, {key: {t: cleared(c, den) for t, c in val.items()} for key, val in self._table.items()}
 
     def check_super_jacobi(self):
         """Exhaustive super Jacobi over basis triples; [] means pass.
 
         For truncated graded algebras only triples whose nested brackets stay
-        inside the computed range are checked.
+        inside the computed range are checked.  The Jacobiators are summed on
+        the cleared table: each is den^2 times the Jacobiator of the
+        structure constants, so it vanishes exactly when that one does.
         """
         n = len(self)
         bad = []
-        nonzero_pairs = set(self._table)
+        _, table = self.cleared_table()
+        parities = [self.parity(k) for k in range(n)]
+        degrees = [self.degree(k) for k in range(n)]
+        top = self.truncation
         for i in range(n):
-            pi = self.parity(i)
+            pi, di = parities[i], degrees[i]
             for j in range(i, n):
-                pj = self.parity(j)
+                pj, dj = parities[j], degrees[j]
+                if top is not None and di + dj > top:
+                    continue
                 for k in range(j, n):
-                    pk = self.parity(k)
-                    if not (
-                        self._pair_in_range(i, j)
-                        and self._pair_in_range(j, k)
-                        and self._pair_in_range(i, k)
-                    ):
-                        continue
-                    if self.truncation is not None:
-                        dijk = self.degree(i) + self.degree(j) + self.degree(k)
-                        if dijk > self.truncation:
+                    if top is not None:
+                        dk = degrees[k]
+                        if dj + dk > top or di + dk > top or di + dj + dk > top:
                             continue
-                    if (
-                        (i, j) not in nonzero_pairs
-                        and (j, k) not in nonzero_pairs
-                        and (i, k) not in nonzero_pairs
-                    ):
+                    if (i, j) not in table and (j, k) not in table and (i, k) not in table:
                         continue
+                    pk = parities[k]
                     total: Element = {}
                     for (a, b, c, pa, pc) in (
                         (i, j, k, pi, pk),
@@ -198,15 +209,10 @@ class LieSuperAlgebra:
                         (k, i, j, pk, pj),
                     ):
                         sign = -1 if (pa and pc) else 1
-                        inner = self._table.get((b, c), {})
-                        for m, cm in inner.items():
-                            for t, ct in self._table.get((a, m), {}).items():
-                                nv = total.get(t, ZERO) + sign * cm * ct
-                                if nv:
-                                    total[t] = nv
-                                elif t in total:
-                                    del total[t]
-                    if total:
+                        for m, cm in table.get((b, c), {}).items():
+                            for t, ct in table.get((a, m), {}).items():
+                                total[t] = total.get(t, 0) + sign * cm * ct
+                    if any(total.values()):
                         bad.append((self.ident(i), self.ident(j), self.ident(k)))
         return bad
 

@@ -25,6 +25,16 @@ restricted to the weight classes, with a partial i (real forms) the
 commutant of the g0 action on the submodule the weight classes generate.
 The report's "undetermined" list is always empty; it is kept so that the
 report format stays the same.
+
+The complex runs on integers.  differential_matrix builds den * d from the
+bracket table cleared once per report (LieSuperAlgebra.cleared_table).  The
+block keys are integer weights: every basis weight is scaled by one common
+denominator (NegativePart.weight_den), so grouping cochains adds and
+subtracts ints.  Each block's weight with the algebra's own scalars is
+rebuilt once, from its first C^2 key, because the str of that weight orders
+the blocks and the block order fixes the order of the report.  The cleared
+B^2 residuals of the cocycles (SpanSolver.reduce) span the representatives
+as they are; class_coords divides only the solved coordinates by den.
 """
 
 from __future__ import annotations
@@ -33,51 +43,56 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebra import LieSuperAlgebra
 from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis
-from .scalars import GaussianRational, ONE, ZERO, common_denominator, format_scalar
+from .scalars import GaussianRational, ONE, ZERO, cleared, common_denominator, format_scalar, rational
 from .spaces import admissible_words, sort_word
 
 Word = Tuple[int, ...]
 CKey = Tuple[Word, int]  # (argument word over negative positions, target index)
 
 
-def _cleared(x, den: int):
-    """den * x for a scalar x that it clears: an int, or a GaussianRational with integral parts."""
-    if isinstance(x, GaussianRational):
-        if x.im:
-            return GaussianRational(x.re * den, x.im * den)
-        x = x.re
-    return x.numerator * (den // x.denominator)
-
-
 class NegativePart:
     """Cached view of the arguments side of the complex.
 
-    It also holds the bracket table cleared of denominators: den is the lcm of
-    the denominators of all structure constants and table[(a, b)] is
-    den * [e_a, e_b], with int values (GaussianRational with integral parts
-    for a constant with a nonzero imaginary part).  One NegativePart serves a
-    whole h2_by_degree report.
+    It also holds the bracket table cleared of denominators, from
+    LieSuperAlgebra.cleared_table: den is the lcm of the denominators of all
+    structure constants and table[(a, b)] is den * [e_a, e_b], with int values
+    (GaussianRational with integral parts for a constant with a nonzero
+    imaginary part).  One NegativePart serves a whole h2_by_degree report.
+
+    Block keys are computed on integer weights: every basis weight of g is
+    scaled by one common denominator, weight_den, with scalars.cleared.
     """
 
     def __init__(self, g: LieSuperAlgebra):
         self.g = g
-        self.den = common_denominator(c for val in g._table.values() for c in val.values())
-        self.table = {
-            key: {t: _cleared(c, self.den) for t, c in val.items()} for key, val in g._table.items()
-        }
+        self.den, self.table = g.cleared_table()
         self.indices = g.negative_indices()
         self.pos = {k: p for p, k in enumerate(self.indices)}
         self.parities = [g.parity(k) for k in self.indices]
         self.degrees = [g.degree(k) for k in self.indices]
         self.weights = [g.space.basis[k].weight for k in self.indices]
         self.has_weights = all(w is not None for w in self.weights)
+        weights = [b.weight for b in g.space.basis]
+        self.weight_den = common_denominator(x for w in weights if w is not None for x in w)
+        # cleared weight of every basis vector of g, None where it has none
+        self.int_weights = [
+            None if w is None else tuple(cleared(x, self.weight_den) for x in w) for w in weights
+        ]
         self._word_keys: Dict[Word, tuple] = {}
 
     def word_key(self, word: Word) -> tuple:
-        """(parity, weight) of a word, computed on its first use and kept."""
+        """(parity, weight_den * weight) of a word, computed on its first use and kept.
+
+        The weight is a tuple of ints (a GaussianRational with integral parts
+        for a coordinate with a nonzero imaginary part), or None when a
+        negative basis vector has no weight.
+        """
         key = self._word_keys.get(word)
         if key is None:
-            key = self._word_keys[word] = (self.word_parity(word), self.word_weight(word))
+            wt = None
+            if self.has_weights:
+                wt = tuple(map(sum, zip(*(self.int_weights[self.indices[i]] for i in word))))
+            key = self._word_keys[word] = (self.word_parity(word), wt)
         return key
 
     def word_parity(self, word: Word) -> int:
@@ -108,13 +123,32 @@ def cochain_basis(g: LieSuperAlgebra, neg: NegativePart, k: int, z_degree: int) 
 
 
 def cochain_block_key(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
+    """(parity, weight_den * weight) of a cochain basis key: the block it belongs to.
+
+    The weight is that of the target minus that of the word, on the integer
+    weights of neg (None when a weight is missing).
+    """
     word, t = key
     word_parity, wt = neg.word_key(word)
     parity = (g.parity(t) + word_parity) % 2
-    tw = g.space.basis[t].weight
+    tw = neg.int_weights[t]
     if wt is None or tw is None:
         return (parity, None)
     return (parity, tuple(a - b for a, b in zip(tw, wt)))
+
+
+def block_weight(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
+    """The weight of a cochain basis key with its own scalars, target minus word.
+
+    It names a block in reports and fixes the order of the blocks; it is
+    computed once per block, from the block's first C^2 key.
+    """
+    word, t = key
+    wt = neg.word_weight(word)
+    tw = g.space.basis[t].weight
+    if wt is None or tw is None:
+        return None
+    return tuple(a - b for a, b in zip(tw, wt))
 
 
 def differential_matrix(
@@ -246,12 +280,16 @@ class TruncationShortfall(Exception):
 
 
 class Block:
-    """All cochain data of one (parity, weight) block in one Z-degree."""
+    """All cochain data of one (parity, weight) block in one Z-degree.
 
-    def __init__(self, key, c1basis, c2basis, c3basis, neg):
+    key is the block's integer key from cochain_block_key and weight its
+    weight with the algebra's own scalars.
+    """
+
+    def __init__(self, key, weight, c1basis, c2basis, c3basis, neg):
         self.key = key
         self.parity = key[0]
-        self.weight = key[1]
+        self.weight = weight
         self.c2basis = c2basis
         self.c2pos = {k: i for i, k in enumerate(c2basis)}
         d2 = differential_matrix(neg, c2basis, c3basis, self.parity)
@@ -263,17 +301,26 @@ class Block:
         self.b2_solver = SpanSolver(b2cols, len(c2basis))
         self.dim_z2 = len(self.z2)
         self.dim_b2 = self.b2_solver.rank
-        residuals = [self.b2_solver.reduce(z) for z in self.z2]
-        self.reps = row_space_basis(residuals, len(c2basis))
+        # each cleared residual is a nonzero multiple of the class's
+        # canonical representative, which leaves the row space unchanged
+        self.reps = row_space_basis([self.b2_solver.reduce(z)[1] for z in self.z2], len(c2basis))
         self.dim_h2 = len(self.reps)
         self.rep_solver = SpanSolver(self.reps, len(c2basis)) if self.reps else None
 
     def class_coords(self, vec):
-        """Coordinates {i: c} of [vec] over the representatives, or None if not a class."""
-        residual = self.b2_solver.reduce(vec)
+        """Coordinates {i: c} of [vec] over the representatives, or None if not a class.
+
+        The cleared residual (den, t) of vec modulo B^2 is solved over the
+        representatives and only the coordinates are divided by den.
+        """
+        den, t = self.b2_solver.reduce(vec)
         if not self.reps:
-            return None if residual else {}
-        return self.rep_solver.solve(residual)
+            return None if t else {}
+        sol = self.rep_solver.solve(t)
+        if sol is None or den == 1:
+            return sol
+        scale = rational(1, den)
+        return {i: c * scale for i, c in sol.items()}
 
 
 class DegreeCohomology:
@@ -293,9 +340,12 @@ class DegreeCohomology:
         for k, grouped in zip((1, 2, 3), by_key):
             for key in cochain_basis(g, neg, k, z_degree):
                 grouped.setdefault(cochain_block_key(g, neg, key), []).append(key)
+        # blocks in the order of the str of (parity, weight), the weight taken
+        # with the algebra's own scalars from the block's first C^2 key
+        weights = {key: block_weight(g, neg, c2[0]) for key, c2 in by_key[1].items()}
         self.blocks: List[Block] = [
-            Block(key, by_key[0].get(key, []), by_key[1][key], by_key[2].get(key, []), neg)
-            for key in sorted(by_key[1], key=lambda k: (k[0], str(k[1])))
+            Block(key, weights[key], by_key[0].get(key, []), by_key[1][key], by_key[2].get(key, []), neg)
+            for key in sorted(by_key[1], key=lambda k: (k[0], str(weights[k])))
         ]
         self.block_of_key = {b.key: i for i, b in enumerate(self.blocks)}
         self.offsets = []
@@ -390,8 +440,10 @@ class DegreeCohomology:
         return out
 
 
-def i_pairing(deg: DegreeCohomology):
+def i_pairing(deg: DegreeCohomology, weight_vectors):
     """Partition the weight-vector classes into i-pairs and leftovers.
+
+    weight_vectors is deg.weight_vectors(), computed once by the caller.
 
     With a total i operator (realifications) the pairing is literal: the
     induced complex structure on H^2 matches each weight class with its i
@@ -408,7 +460,7 @@ def i_pairing(deg: DegreeCohomology):
     ops = [deg.i_matrix()] if total else [deg.action_matrix(h) for h in g.component_indices(0)]
     pairs = []
     unpaired = []
-    for entry in deg.weight_vectors():
+    for entry in weight_vectors:
         b = deg.blocks[entry["block"]]
         lo = deg.offsets[entry["block"]]
         classes = [{lo + i: v for i, v in vec.items()} for vec in entry["vectors"]]
@@ -669,8 +721,8 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
             "dim_H2": deg.dim_h2,
             "representatives": reps,
         }
+        wvs = deg.weight_vectors() if deg.dim_h2 and (g_star.cartan or g_star.i_op is not None) else []
         if g_star.cartan and deg.dim_h2:
-            wvs = deg.weight_vectors()
             entry["weight_vectors"] = [
                 {
                     "weight": _fmt_weight(deg.blocks[w["block"]].weight),
@@ -681,7 +733,7 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
             ]
             entry["weight_vector_total"] = sum(w["count"] for w in wvs)
         if g_star.i_op is not None and deg.dim_h2:
-            entry["i_pairing"] = i_pairing(deg)
+            entry["i_pairing"] = i_pairing(deg, wvs)
         per_degree[d] = entry
     flags = wess_zumino_flags(dims)
     for d in degrees:

@@ -30,9 +30,14 @@ RREF are those of elimination over the field.
 
 SpanSolver keeps the integer pivot rows of that elimination as they are,
 without the final division, and reduces each query the same way: the query
-is cleared to integers once, every step is a fraction-free cross-
-multiplication whose overall scale is tracked exactly, and the residual and
-the combination are divided once at the end.
+is cleared to integers once and every step is a fraction-free cross-
+multiplication whose overall scale is tracked exactly.  reduce hands back
+the residual cleared, (den, t) with den a positive int and t / den the
+canonical residual; t holds ints, or GaussianRationals with integral parts
+when the query or the span has a GaussianRational.  Callers that go on
+computing on integers take t as it is: a residual scaled by den spans the
+same row space, and a kernel column scaled by den scales the kernel vector
+back.  solve divides the combination once, into field scalars.
 """
 
 from __future__ import annotations
@@ -189,7 +194,7 @@ def _over(gaussian):
 
 
 def _has_gaussian(values):
-    return any(isinstance(v, GaussianRational) for v in values)
+    return GaussianRational in map(type, values)
 
 
 def _integer_rref(rows, cols, field):
@@ -204,6 +209,9 @@ def _integer_rref(rows, cols, field):
     for ridx, r in enumerate(work):
         for c in r:
             occupancy.setdefault(c, set()).add(ridx)
+    outside = [c for c in occupancy if not 0 <= c < cols]
+    if outside:
+        raise ValueError(f"column {min(outside)} outside range({cols})")
     remaining = set(range(len(work)))
     pivots = []
     for c in range(cols):
@@ -252,7 +260,8 @@ def rref_rows(rows, cols):
 
     Returns (pivot_cols, rref) where rref[k] is the row whose pivot is
     pivot_cols[k], scaled to pivot 1, fully reduced.  Input rows are not
-    mutated.  The result is the canonical RREF of the row space; its entries
+    mutated; a nonzero entry in a column outside range(cols) raises
+    ValueError.  The result is the canonical RREF of the row space; its entries
     are rationals, or GaussianRational when any input entry is one.
 
     The elimination runs on integers (Gaussian integers over QQ(i)).  Each row
@@ -361,11 +370,15 @@ class SpanSolver:
         return self._gaussian_pivots
 
     def reduce(self, vec, want_combo=False):
-        """Canonical representative of vec modulo the span (and the combination used).
+        """The cleared residual (den, t) of vec modulo the span; with want_combo also q.
 
-        The residual is a new dict of nonzeros, empty when vec lies in the span.
-        Its entries, and those of the combination, are rationals, or
-        GaussianRational when vec or a spanning vector has one.
+        den is a positive int and t a new dict of nonzeros with t / den the
+        canonical representative of vec modulo the span, so t is empty exactly
+        when vec lies in the span.  q / den is the combination of the spanning
+        vectors used: vec = t / den + sum_j (q[j] / den) v_j.  The values of t
+        and q are ints, or GaussianRationals with integral parts when vec or a
+        spanning vector has a GaussianRational entry.  A caller that needs
+        field scalars divides once, as solve does.
 
         The pivot rows are fully reduced: each has no entry in any other pivot
         column, so clearing one pivot column never touches another, and one
@@ -374,11 +387,12 @@ class SpanSolver:
         and t's entry f there, g = gcd(p, f), t becomes (p/g) t - (f/g) row,
         the combination q becomes (p/g) q + (f/g) row_combination, and den is
         multiplied by p/g, so that t / den is always vec minus the combination
-        of the RREF rows used so far and q / den that combination.  Only
-        t / den and q / den leave the integers.
+        of the RREF rows used so far and q / den that combination.  Over QQ(i)
+        p/g may be a Gaussian integer; a den that is not a positive int is
+        made one at the end by multiplying den, t and q by its conjugate.
         """
         gaussian = self._gaussian or _has_gaussian(vec.values())
-        clear, content, divide = _over(gaussian)
+        clear, content, _ = _over(gaussian)
         pivots = self._pivots_over(gaussian)
         den, t = clear(vec)
         combo = {}
@@ -394,17 +408,45 @@ class SpanSolver:
             _add_multiple(t, -fg, row)
             if want_combo:
                 _add_multiple(combo, fg, row_combo)
-        if want_combo:
-            return divide(t, den), divide(combo, den)
-        return divide(t, den)
+        if gaussian:
+            den, t, combo = _gaussian_out(den, t, combo)
+        return (den, t, combo) if want_combo else (den, t)
 
     def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+        return not self.reduce(vec)[1]
 
     def solve(self, vec):
-        """Coefficients {j: c} over the original vectors reproducing vec, or None."""
-        residual, combo = self.reduce(vec, want_combo=True)
-        return None if residual else combo
+        """Coefficients {j: c} over the original vectors reproducing vec, or None.
+
+        The coefficients are field scalars: rationals, or GaussianRationals
+        when vec or a spanning vector has one.
+        """
+        den, residual, combo = self.reduce(vec, want_combo=True)
+        if residual:
+            return None
+        if not combo or not isinstance(next(iter(combo.values())), GaussianRational):
+            return {j: rational(v, den) for j, v in combo.items()}
+        # the parts are integral: their numerators are the Gaussian integer's parts
+        return {
+            j: GaussianRational(rational(v.re.numerator, den), rational(v.im.numerator, den))
+            for j, v in combo.items()
+        }
+
+
+def _gaussian_out(den, t, combo):
+    """(den, t, q) of Gaussian integers as a positive int and GaussianRationals.
+
+    A den that is not a positive integer (one with an imaginary part, or a
+    negative one such as i * i) is replaced by its norm, t and q being
+    multiplied by its conjugate, so that t / den and q / den keep their values.
+    """
+    if den.im or den.re < 0:
+        conj = _GaussianInteger(den.re, -den.im)
+        t = {c: v * conj for c, v in t.items()}
+        combo = {j: v * conj for j, v in combo.items()}
+        den = den * conj
+    G = GaussianRational
+    return den.re, {c: G(v.re, v.im) for c, v in t.items()}, {j: G(v.re, v.im) for j, v in combo.items()}
 
 
 def primitive_integer_vector(vec):

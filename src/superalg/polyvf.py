@@ -18,16 +18,17 @@ VectorField per bracket.  The kernel only multiplies and adds the values it is
 given, and a key takes its first term as it is instead of adding it to a zero
 constant, so int input gives int output and rational or Gaussian input gives
 the value types it always gave.  clear_field scales a field to a term dict of
-integers (Gaussian rationals with integral parts over QQ(i)) and returns the
-common denominator, so a caller can bracket on integers and divide once; it
-is computed on every call and nothing is kept on the field.
+integers (Gaussian rationals with integral parts for the values with an
+imaginary part, as scalars.cleared gives them) and returns the common
+denominator, so a caller can bracket on integers and divide once; it is
+computed on every call and nothing is kept on the field.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .scalars import FIELD_Q, ZERO, GaussianRational, as_field, common_denominator
+from .scalars import FIELD_Q, ZERO, as_field, cleared, common_denominator
 
 Monomial = Tuple[Tuple[int, int], ...]
 
@@ -98,26 +99,37 @@ def _mono_mul(m1: Monomial, m2: Monomial, parities):
     """Multiply canonical monomials; returns (monomial, sign) or None if zero.
 
     The sign counts the odd factors of m1 that each odd factor of m2 must
-    pass, i.e. the pairs of odd indices a in m1, b in m2 with a > b.
+    pass, i.e. the pairs of odd indices a in m1, b in m2 with a > b.  One
+    merge of the two sorted monomials finds them: an odd factor of m2 passes
+    the odd factors of m1 still to the right of where it lands.
     """
     if not m2:
         return m1, 1
     if not m1:
         return m2, 1
-    merged = dict(m1)
-    sign = 1
-    for b, e in m2:
-        old = merged.get(b)
-        if parities[b]:
-            if old is not None:
+    odd_right = 0
+    for a, _ in m1:
+        odd_right += parities[a]
+    out = []
+    negative = False
+    i, n1 = 0, len(m1)
+    for factor in m2:
+        b = factor[0]
+        while i < n1 and m1[i][0] < b:
+            out.append(m1[i])
+            odd_right -= parities[m1[i][0]]
+            i += 1
+        if i < n1 and m1[i][0] == b:
+            if parities[b]:
                 return None
-            for a, _ in m1:
-                if a > b and parities[a]:
-                    sign = -sign
-            merged[b] = e
+            out.append((b, m1[i][1] + factor[1]))
+            i += 1
         else:
-            merged[b] = e if old is None else old + e
-    return tuple(sorted(merged.items())), sign
+            out.append(factor)
+            if parities[b] and odd_right & 1:
+                negative = not negative
+    out.extend(m1[i:])
+    return tuple(out), -1 if negative else 1
 
 
 def _scaled(c, k: int):
@@ -486,19 +498,14 @@ def _add_applied(acc: Dict[Monomial, object], x, g: Dict[Monomial, object], s: i
 def clear_field(X: VectorField):
     """(den, terms): X times den as a new term dict, den the lcm of all its denominators.
 
-    The denominators are those of the real and imaginary parts, so the cleared
-    values are int over QQ and GaussianRational with integral parts over QQ(i).
-    Computed on every call; nothing is kept on X.
+    The denominators are those of the real and imaginary parts, and the
+    values are those of scalars.cleared: ints, and GaussianRationals with
+    integral parts for the values with a nonzero imaginary part.  Computed on
+    every call; nothing is kept on X.
     """
     terms = X.term_dict()
     den = common_denominator(c for t in terms.values() for c in t.values())
-    return den, {
-        v: {
-            m: c * den if isinstance(c, GaussianRational) else c.numerator * (den // c.denominator)
-            for m, c in t.items()
-        }
-        for v, t in terms.items()
-    }
+    return den, {v: {m: cleared(c, den) for m, c in t.items()} for v, t in terms.items()}
 
 
 def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):

@@ -22,6 +22,19 @@ of [m_j d_(v_j), den_e X_e], which is den_e times the residual of
 positive den_e.  That leaves the row space, hence the kernel and its RREF,
 unchanged, so the component bases come out exactly as with X_e itself.
 
+The residuals stay on the integers as well.  SpanSolver.reduce returns each
+one cleared, (den, t) with t = den times the residual, and an empty bracket
+is not reduced at all.  Column j is filled with its residuals times D_j, the
+lcm of their dens, so the constraint matrix is the true one with column j
+scaled by D_j.  A column scaling does change the kernel, but only by the
+same scaling: u solves the scaled system exactly when (D_j u_j) solves the
+true one.  So the few kernel vectors are multiplied back by D_j, and since
+_fields_from_coeffs takes the RREF of their span, the component bases are
+unchanged.  Candidate blocks are grouped on integer weights, the coordinate
+weights cleared by one common denominator; only the block keys carry the
+weights with their own scalars, because the str of those keys orders the
+blocks, and that order fixes the basis order.
+
 One closure assembly, algebra_of_fields, turns realized fields into structure
 constants for both the prolongations here and the contact and pericontact
 spans of contact.py.  It clears each basis field X once to (den_X, den_X X),
@@ -31,6 +44,7 @@ divides only the solution by den_X den_Y.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, List, Tuple
 
 from .algebra import Element, LieSuperAlgebra, from_matrices
@@ -47,7 +61,7 @@ from .polyvf import (
     fields_of_degree,
     mono_parity,
 )
-from .scalars import ZERO, rational
+from .scalars import ZERO, cleared, common_denominator, rational
 from .spaces import BasisVector, SuperSpace
 
 HALF = rational(1, 2)
@@ -200,25 +214,38 @@ def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dic
     return out
 
 
+def _candidate_weight(v, m, weights):
+    """The weight of the candidate m d_v: weights[v] minus e * weights[var] for each var^e in m."""
+    wt = list(weights[v])
+    for var, e in m:
+        wv = weights[var]
+        for j in range(len(wt)):
+            wt[j] = wt[j] - e * wv[j]
+    return tuple(wt)
+
+
 def _candidate_blocks(coords: Coords, k: int, weights):
     """The degree-k candidates m d_v as (v, m) pairs, split by (parity, weight).
 
-    Candidates keep the order of fields_of_degree within each block.
+    Candidates keep the order of fields_of_degree within each block.  They
+    are grouped on integer weights, the coordinate weights cleared by one
+    common denominator; each block's key carries the weight with the given
+    scalars, computed once from its first candidate, and the blocks are
+    sorted by the str of that key, which fixes the basis order.
     """
     index, _ = field_basis_index(coords, k)
-    blocks: Dict[Tuple, List[Tuple[int, tuple]]] = {}
+    int_weights = None
+    if weights is not None:
+        den = common_denominator(x for w in weights for x in w)
+        int_weights = [tuple(cleared(x, den) for x in w) for w in weights]
+    groups: Dict[Tuple, List[Tuple[int, tuple]]] = {}
     for v, m in index:
         par = (mono_parity(m, coords) + coords.parities[v]) % 2
-        if weights is None:
-            key = (par,)
-        else:
-            wt = list(weights[v])
-            for var, e in m:
-                for j in range(len(wt)):
-                    wt[j] = wt[j] - e * weights[var][j]
-            key = (par, tuple(wt))
-        blocks.setdefault(key, []).append((v, m))
-    return dict(sorted(blocks.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))))
+        key = (par,) if int_weights is None else (par, _candidate_weight(v, m, int_weights))
+        groups.setdefault(key, []).append((v, m))
+    if weights is not None:
+        groups = {(key[0], _candidate_weight(*cand[0], weights)): cand for key, cand in groups.items()}
+    return dict(sorted(groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))))
 
 
 def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
@@ -226,8 +253,13 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
 
     Each positive component is the kernel of the bracket residuals modulo the
     components already computed, one (parity, weight) candidate block at a
-    time, in the RREF basis over the candidate monomial fields.
+    time, in the RREF basis over the candidate monomial fields.  max_degree
+    must be an int >= 0 (a bool is not taken for one).
     """
+    if isinstance(max_degree, bool) or not isinstance(max_degree, int):
+        raise TypeError(f"prolong: max_degree must be an int, got {max_degree!r}")
+    if max_degree < 0:
+        raise ValueError(f"prolong: max_degree must be >= 0, got {max_degree}")
     coords, neg_fields = realize_negative(nonpos)
     zero_fields = realize_degree_zero(nonpos, coords, neg_fields)
     neg = nonpos.negative_indices()
@@ -235,6 +267,8 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     weights = _field_coords_weights(nonpos, neg)
     # each X_e cleared to integers once; den_e drops out of every kernel
     cleared_neg = {e: clear_field(neg_fields[e])[1] for e in neg}
+    # the variables that occur in the coefficients of each X_e
+    coeff_vars = {e: {w for t in x.values() for m in t for w, _ in m} for e, x in cleared_neg.items()}
 
     # realized components by degree: degree -> list of (label, field)
     comp_fields: Dict[int, List[VectorField]] = {}
@@ -259,9 +293,11 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
         return solvers[d]
 
     for k in range(1, max_degree + 1):
-        # per negative e: (parity, cleared X_e, W_{k+deg e} index, dim, solver of g_{k+deg e})
+        # per negative e: (parity, cleared X_e, its coefficient variables,
+        # W_{k+deg e} index, dim, solver of g_{k+deg e})
         constraints = [
-            (nonpos.parity(e), cleared_neg[e]) + component_solver(k + nonpos.degree(e)) for e in neg
+            (nonpos.parity(e), cleared_neg[e], coeff_vars[e]) + component_solver(k + nonpos.degree(e))
+            for e in neg
         ]
         new_fields: List[VectorField] = []
         for key, cand in _candidate_blocks(coords, k, weights).items():
@@ -279,18 +315,38 @@ def _prolong_block(par, cand, constraints, parities):
 
     Column j holds the residuals of [m d_v, den_e X_e] for the j-th candidate
     (v, m), all of parity par, on the integer term dicts of the constraints.
+    A bracket that must vanish is not computed: no coefficient of X_e has x_v
+    and m has no x_w that X_e differentiates.  An empty bracket has no
+    residual and is not reduced.  Each residual comes back cleared, (den, t)
+    with t = den * residual; column j is filled with the residuals times
+    D_j, the lcm of its dens, so that it holds integers.
+    Scaling column j by D_j maps a kernel vector u of the scaled matrix to
+    the kernel vector D_j u_j of the residuals, so the kernel vectors are
+    multiplied back by D_j.
     """
     rows: Dict[int, dict] = {}
+    scales = []
     for j, (v, m) in enumerate(cand):
         unit = {v: {m: 1}}
         off = 0
-        for pe, xe, idx, dim, solver in constraints:
-            br = bracket_terms(unit, par, xe, pe, parities)
-            residual = solver.reduce({idx[w, mono]: c for w, t in br.items() for mono, c in t.items()})
-            for pos, val in residual.items():
-                rows.setdefault(off + pos, {})[j] = val
+        parts = []
+        for pe, xe, xe_vars, idx, dim, solver in constraints:
+            # [m d_v, X] = m d_v(f_w) d_w -+ f_w d_w(m) d_v for X = f_w d_w: it
+            # is zero unless some f_w has x_v or m has an x_w with f_w != 0
+            if v in xe_vars or any(w in xe for w, _ in m):
+                br = bracket_terms(unit, par, xe, pe, parities)
+                if br:
+                    den, t = solver.reduce({idx[w, mono]: c for w, terms in br.items() for mono, c in terms.items()})
+                    if t:
+                        parts.append((off, den, t))
             off += dim
-    return kernel_basis(list(rows.values()), len(cand))
+        D = lcm(*[den for _, den, _ in parts])
+        for off, den, t in parts:
+            s = D // den
+            for pos, val in t.items():
+                rows.setdefault(off + pos, {})[j] = val * s
+        scales.append(D)
+    return [{j: c * scales[j] for j, c in vec.items()} for vec in kernel_basis(list(rows.values()), len(cand))]
 
 
 def _fields_from_coeffs(vectors, cand, coords):

@@ -189,6 +189,21 @@ def common_denominator(values) -> int:
     return den
 
 
+def cleared(x, den: int):
+    """den * x for a scalar x that den clears (a multiple of its common_denominator).
+
+    The result is an int, or a GaussianRational with integral parts when x
+    has a nonzero imaginary part: a GaussianRational with im == 0 becomes an
+    int too, so that scalars of either type that are equal clear to the same
+    key, and real values are computed on ints.
+    """
+    if isinstance(x, GaussianRational):
+        if x.im:
+            return GaussianRational(x.re * den, x.im * den)
+        x = x.re
+    return x.numerator * (den // x.denominator)
+
+
 # -- field descriptors -----------------------------------------------------
 
 

@@ -6,8 +6,9 @@ oracle is dense Gauss-Jordan with lowest-index pivot rows, the span reduction
 reads the dense RREF of [vectors | identity], the dimension oracles enumerate
 admissible index words directly, and the differential is evaluated from the
 cohomology module's formula on unit cochains; the Nijenhuis and Grassmann
-oracles evaluate their formulas term by term on the scalars as given, and
-tensoriality_defect tests any evaluator for function-linearity.  The
+oracles evaluate their formulas term by term on the scalars as given;
+tensoriality_defect tests any evaluator for function-linearity, and the
+monomial product sorts expanded factor lists by transpositions.  The
 linear algebra oracles first make every entry exact (an integer or a field
 scalar), so that int input never meets true division.  canonical_sha256 is
 the one digest every pinned document and report in the tests is compared by.
@@ -268,3 +269,32 @@ def grassmann_product(a, b):
             elif s in out:
                 del out[s]
     return GrassmannElement(a.n, out)
+
+
+def monomial_product(m1, m2, parities):
+    """(monomial, sign) of the product of two canonical monomials, or None if it is 0.
+
+    Both monomials are expanded into factor lists, each variable repeated by
+    its exponent, and m1's factors are put before m2's.  The list is sorted by
+    adjacent transpositions; each transposition of two odd factors costs a
+    sign, an even one none.  An odd variable that occurs twice makes the
+    product zero; an even one adds its exponents.
+    """
+    factors = [v for v, e in m1 for _ in range(e)] + [v for v, e in m2 for _ in range(e)]
+    sign = 1
+    for i in range(len(factors)):
+        for j in range(len(factors) - 1 - i):
+            a, b = factors[j], factors[j + 1]
+            if a > b:
+                factors[j], factors[j + 1] = b, a
+                if parities[a] and parities[b]:
+                    sign = -sign
+    if any(a == b and parities[a] for a, b in zip(factors, factors[1:])):
+        return None
+    out = []
+    for v in factors:
+        if out and out[-1][0] == v:
+            out[-1] = (v, out[-1][1] + 1)
+        else:
+            out.append((v, 1))
+    return tuple(out), sign

@@ -19,7 +19,8 @@ from superalg.constructors import (
     realified_matrix_pair,
     tautological_action,
 )
-from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, I, gaussian, rational
+from superalg.prolong import prolong_nonpositive
+from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
 from oracles import matrix_supercommutator
@@ -354,3 +355,43 @@ def test_action_representation_check():
     combined = combine_nonpositive(gm, act2)
     assert combined.check_super_jacobi() == []
     assert combined.check_grading() == []
+
+
+def _rational_jacobi_violations(g):
+    """The triples i <= j <= k in range whose Jacobiator, summed on the rational constants, is nonzero."""
+    top = g.truncation
+    n = len(g)
+    bad = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                di, dj, dk = g.degree(i), g.degree(j), g.degree(k)
+                if top is not None and max(di + dj, dj + dk, di + dk, di + dj + dk) > top:
+                    continue
+                total = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    sign = -1 if (g.parity(a) and g.parity(c)) else 1
+                    for m, cm in g._table.get((b, c), {}).items():
+                        for t, ct in g._table.get((a, m), {}).items():
+                            total[t] = total.get(t, 0) + sign * cm * ct
+                if any(total.values()):
+                    bad.append((g.ident(i), g.ident(j), g.ident(k)))
+    return bad
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(i)"])
+def test_integer_jacobi_check_flags_the_rational_jacobiators(field):
+    # N=1 conformal has denominator-2 constants; corrupt one constant at a time by 1/3 (or i/3)
+    g = prolong_nonpositive(build_minkowski_g0(1, "conformal"), 2).algebra
+    assert g.cleared_table()[0] == 2 and g.check_super_jacobi() == []
+    doc = g.to_document()
+    doc["field"] = field
+    delta = rational(1, 3) if field == "Q" else gaussian(0, rational(1, 3))
+    rng = random.Random(11)
+    for row in rng.sample(range(len(doc["brackets"])), 6):
+        bad = [list(r) for r in doc["brackets"]]
+        bad[row][3] = format_scalar(parse_scalar(bad[row][3]) + delta)
+        g2 = LieSuperAlgebra.from_document(dict(doc, brackets=bad))
+        violations = g2.check_super_jacobi()
+        assert violations == _rational_jacobi_violations(g2)
+        assert violations, bad[row]

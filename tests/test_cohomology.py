@@ -20,7 +20,7 @@ from superalg.constructors import (
 )
 from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.prolong import prolong_nonpositive
-from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar
+from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
 from oracles import canonical_sha256, dense_rank_fraction_free, differential_entries
@@ -88,12 +88,14 @@ def test_block_keys_come_from_one_cached_parity_and_weight_per_word(mink1_reduce
     for z in (1, 2, 3):
         for k in (1, 2, 3):
             for word, t in cochain_basis(g, neg, k, z):
+                # both are on the integer weights, weight_den times the rational ones
                 parity, wt = neg.word_key(word)
-                assert (parity, wt) == (neg.word_parity(word), neg.word_weight(word))
+                den = neg.weight_den
+                assert (parity, wt) == (neg.word_parity(word), tuple(x * den for x in neg.word_weight(word)))
                 tw = g.space.basis[t].weight
                 assert cochain_block_key(g, neg, (word, t)) == (
                     (g.parity(t) + parity) % 2,
-                    tuple(a - b for a, b in zip(tw, wt)),
+                    tuple(a * den - b for a, b in zip(tw, wt)),
                 )
                 assert neg.word_key(word) is neg.word_key(word)
 
@@ -299,3 +301,40 @@ def test_i_matrix_needs_i_on_every_basis_vector():
     deg = DegreeCohomology(NegativePart(_plane({0: {1: ONE}, 1: {0: -ONE}})), 1)
     with pytest.raises(ValueError, match="not defined on every basis vector"):
         deg.i_matrix()
+
+
+def _with_scaled_weights(g, c):
+    """g with every weight times c: the Cartan element scaled, the same blocks."""
+    basis = [BasisVector(b.id, b.parity, b.degree, tuple(x * c for x in b.weight)) for b in g.space.basis]
+    return LieSuperAlgebra(SuperSpace(basis), g._table, truncation=g.truncation, field=g.field)
+
+
+def _rational_block_order(g, neg, z):
+    """(parity, weight) and C^2 keys of each block, grouped on the weights' own scalars, sorted by str."""
+    blocks = {}
+    for word, t in cochain_basis(g, neg, 2, z):
+        wt, tw = neg.word_weight(word), g.space.basis[t].weight
+        weight = tuple(a - b for a, b in zip(tw, wt))
+        blocks.setdefault(((g.parity(t) + neg.word_parity(word)) % 2, weight), []).append((word, t))
+    return sorted(blocks.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))
+
+
+def test_integer_block_keys_keep_the_rational_block_weights_and_order():
+    k12R = realify(contact_algebra(0, 2, 2, field=FIELD_QI))
+    # k(1|2)^R mixes Fraction and GaussianRational weights
+    assert {type(x).__name__ for b in k12R.space.basis for x in b.weight} == {"Fraction", "GaussianRational"}
+    for g in (mink1_conformal(), k12R):
+        for c in (ONE, rational(2, 3), gaussian(1, 2) / 3):
+            gc = g if c == ONE else _with_scaled_weights(g, c)
+            neg = NegativePart(gc)
+            assert neg.weight_den == (1 if c == ONE else 3)
+            for z in (1, 2, 3):
+                deg = DegreeCohomology(neg, z)
+                want = _rational_block_order(gc, neg, z)
+                assert [((b.parity, b.weight), b.c2basis) for b in deg.blocks] == want
+                # the weights carry the same scalar types: their str (the sort key) agrees
+                assert [str(b.weight) for b in deg.blocks] == [str(w) for (_, w), _ in want]
+                for b in deg.blocks:
+                    word, t = b.c2basis[0]
+                    assert b.key == cochain_block_key(gc, neg, (word, t))
+                    assert b.key[1] == tuple(x * neg.weight_den for x in b.weight)

@@ -219,10 +219,13 @@ def test_span_solver_dict_queries_agree():
         for _ in range(2):
             queries.append(combination({j: field.random(rng) for j in range(len(vecs))}, vecs))
         for q in queries:
-            residual = solver.reduce(q)
-            assert isinstance(residual, dict) and all(residual.values())
-            res, combo = solver.reduce(q, want_combo=True)
-            assert res == residual
+            den, t, qc = solver.reduce(q, want_combo=True)
+            assert solver.reduce(q) == (den, t)
+            assert type(den) is int and den > 0
+            assert isinstance(t, dict) and all(t.values())
+            inv = rational(1, den)
+            residual = {i: v * inv for i, v in t.items()}
+            combo = {j: v * inv for j, v in qc.items()}
             # q = residual + the combination of the spanning vectors
             assert combination({0: rational(1), 1: rational(1)}, [residual, combination(combo, vecs)]) == {
                 i: v for i, v in q.items() if v
@@ -239,7 +242,7 @@ def test_span_solver_residual_at_index_zero_is_not_zero():
     # the residual {0: 1} has only the falsy key 0: any() over the dict is False
     one = rational(1)
     solver = SpanSolver([{1: one}], 2)
-    assert solver.reduce({0: one}) == {0: one}
+    assert solver.reduce({0: one}) == (1, {0: 1})
     assert not solver.contains({0: one})
     assert solver.solve({0: one}) is None
     assert solver.solve({0: ZERO, 1: rational(3)}) == {0: rational(3)}
@@ -345,6 +348,12 @@ def span_queries(draw):
 @example(([{0: rational(2), 1: rational(3)}, {0: rational(4), 1: rational(6)}], 2, [{0: 5, 1: 7}, {1: 9}]))
 @example(([{0: rational(1, 2), 1: rational(3)}], 2, [{0: gaussian(1, 2), 1: rational(5)}, {0: gaussian(0, 1)}]))
 @example(([{0: gaussian(2, 2), 1: gaussian(0, 4)}, {0: gaussian(3, 1)}], 2, [{0: rational(3), 1: 2}]))
+# two steps scale den by i, so it ends as -1: the cleared den must still come back positive
+@example((
+    [{1: rational(1, 2)}, {}, {1: gaussian(rational(-1, 2), rational(3, 2))}, {0: ONE, 1: gaussian(0, 1)}, {1: ONE}],
+    3,
+    [{1: gaussian(0, 1), 0: ONE}],
+))
 def test_integer_span_solver_agrees_with_the_dense_reduction(case):
     vecs, dim, queries = case
     solver = SpanSolver(vecs, dim)
@@ -357,10 +366,35 @@ def test_integer_span_solver_agrees_with_the_dense_reduction(case):
         field_type = GaussianRational
     for q in queries:
         residual, combo = dense_reduce(vecs, dim, q)
-        assert solver.reduce(q) == residual
-        got = solver.reduce(q, want_combo=True)
-        assert got == (residual, combo)
+        den, t, qc = solver.reduce(q, want_combo=True)
+        assert solver.reduce(q) == (den, t)
+        # the cleared residual and combination are den times the dense ones
+        assert type(den) is int and den > 0
+        assert t == {c: v * den for c, v in residual.items()}
+        assert qc == {j: v * den for j, v in combo.items()}
         assert solver.contains(q) == (not residual)
-        assert solver.solve(q) == (None if residual else combo)
+        sol = solver.solve(q)
+        assert sol == (None if residual else combo)
         want = GaussianRational if any(isinstance(v, GaussianRational) for v in q.values()) else field_type
-        assert all(type(v) is want for part in got for v in part.values())
+        if want is GaussianRational:
+            # Gaussian integers: GaussianRationals with integral parts
+            assert all(
+                type(v) is GaussianRational and v.re.denominator == v.im.denominator == 1
+                for part in (t, qc)
+                for v in part.values()
+            )
+        else:
+            assert all(type(v) is int for part in (t, qc) for v in part.values())
+        assert all(type(v) is want for v in (sol or {}).values())
+
+
+def test_rref_rows_rejects_a_column_outside_the_range():
+    one = rational(1)
+    # a column past cols used to be dropped: the row vanished and the kernel kept both units
+    for rows, col in (([{3: one}], 3), ([{0: one}, {1: one, 2: 5}], 2), ([{-1: one}], -1)):
+        with pytest.raises(ValueError, match=f"column {col} outside range"):
+            rref_rows(rows, 2)
+        with pytest.raises(ValueError, match=f"column {col} outside range"):
+            kernel_basis(rows, 2)
+    # an explicit zero names no column
+    assert rref_rows([{0: one, 7: ZERO}], 2) == ([0], [{0: one}])

@@ -2,13 +2,14 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superalg.polyvf import (
     Coords,
     Polynomial,
     VectorField,
+    _mono_mul,
     bracket_terms,
     clear_field,
     coordinate_field,
@@ -17,6 +18,8 @@ from superalg.polyvf import (
     monomials_of_degree,
 )
 from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, gaussian, rational
+
+from oracles import monomial_product
 
 
 def xy_theta():
@@ -325,10 +328,11 @@ def test_clear_field_over_gaussian_rationals():
                         1: Polynomial(c, {((0, 1), (1, 1)): gaussian(rational(-2, 9), 0)})})
     den, terms = clear_field(X)
     assert den == 36
-    assert terms == {0: {((0, 1),): gaussian(6, 27)}, 1: {((0, 1), (1, 1)): gaussian(-8, 0)}}
-    for t in terms.values():
-        for v in t.values():
-            assert isinstance(v, GaussianRational) and v.re.denominator == v.im.denominator == 1
+    assert terms == {0: {((0, 1),): gaussian(6, 27)}, 1: {((0, 1), (1, 1)): -8}}
+    # scalars.cleared: an int for a real value, a Gaussian integer only with an imaginary part
+    assert type(terms[1][((0, 1), (1, 1))]) is int
+    v = terms[0][((0, 1),)]
+    assert isinstance(v, GaussianRational) and v.re.denominator == v.im.denominator == 1
     Y = coordinate_field(c, "x")
     dy, ty = clear_field(Y)
     br = bracket_terms(terms, 0, ty, 0, c.parities)
@@ -428,3 +432,26 @@ def test_coordinate_field_has_its_parity_and_the_value_of_the_filtered_construct
 def test_coordinate_field_rejects_bad_indices_and_names(bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         coordinate_field(xy_theta(), bad)
+
+
+# -- the merging monomial product against the factor-list oracle -----------------
+
+MONO_PARITIES = [0, 1, 0, 1, 1, 0, 1]
+
+
+@st.composite
+def canonical_monomials(draw):
+    """A canonical monomial over MONO_PARITIES: sorted variables, odd ones to the first power."""
+    variables = sorted(draw(st.sets(st.integers(0, len(MONO_PARITIES) - 1), max_size=5)))
+    return tuple((v, 1 if MONO_PARITIES[v] else draw(st.integers(1, 3))) for v in variables)
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_monomials(), canonical_monomials())
+@example((), ())
+@example(((1, 1),), ((1, 1),))  # an odd square is zero
+@example(((0, 2), (3, 1)), ((0, 1), (1, 1)))  # a repeated even variable, one odd pass
+@example(((3, 1), (4, 1), (6, 1)), ((1, 1), (5, 2)))  # three odd factors of m1 to the right
+@example(((1, 1), (2, 1)), ((2, 3), (4, 1), (6, 1)))
+def test_monomial_product_agrees_with_the_factor_list_oracle(m1, m2):
+    assert _mono_mul(m1, m2, MONO_PARITIES) == monomial_product(m1, m2, MONO_PARITIES)

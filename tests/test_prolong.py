@@ -17,9 +17,10 @@ from superalg.constructors import (
     tautological_action,
 )
 from superalg.contact import contact_algebra, pericontact_algebra
-from superalg.polyvf import Coords, VectorField, coordinate_field, monomials_of_degree
+from superalg.polyvf import Coords, VectorField, coordinate_field, field_basis_index, mono_parity, monomials_of_degree
 from superalg.prolong import (
     ProlongError,
+    _candidate_blocks,
     algebra_of_fields,
     cartan_prolong,
     degree_zero_derivations,
@@ -28,7 +29,7 @@ from superalg.prolong import (
 )
 from superalg.cohomology import h2_by_degree
 from superalg.linalg import SpanSolver
-from superalg.scalars import FIELD_QI, ZERO, rational
+from superalg.scalars import FIELD_QI, ZERO, gaussian, rational
 from superalg.spaces import BasisVector, SuperSpace
 
 from oracles import canonical_sha256
@@ -539,3 +540,54 @@ def test_contact_algebras_accept_field_names_and_reject_unknown_fields():
             contact_algebra(0, 2, 2, field=bad)
         with pytest.raises(ValueError, match="unknown field"):
             pericontact_algebra(1, 2, field=bad)
+
+
+def test_prolong_rejects_a_bad_max_degree():
+    nonpos = build_minkowski_g0(1, "reduced")
+    # -1 used to drop g_0 silently and True was taken as 1
+    with pytest.raises(ValueError, match="max_degree"):
+        prolong_nonpositive(nonpos, -1)
+    for bad in (True, False, 1.5, "2", None):
+        with pytest.raises(TypeError, match="max_degree"):
+            prolong_nonpositive(nonpos, bad)
+    assert prolong_nonpositive(nonpos, 0).component_dims() == {-2: 4, -1: 4, 0: 6}
+
+
+def _rational_candidate_blocks(coords, k, weights):
+    """The candidate blocks grouped and keyed on the weights' own scalars, sorted by str."""
+    index, _ = field_basis_index(coords, k)
+    blocks = {}
+    for v, m in index:
+        par = (mono_parity(m, coords) + coords.parities[v]) % 2
+        wt = list(weights[v])
+        for var, e in m:
+            for j in range(len(wt)):
+                wt[j] = wt[j] - e * weights[var][j]
+        blocks.setdefault((par, tuple(wt)), []).append((v, m))
+    return dict(sorted(blocks.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))))
+
+
+def _negative_coords_and_weights(g):
+    neg = g.negative_indices()
+    coords = Coords([g.ident(k) for k in neg], [g.parity(k) for k in neg], [-g.degree(k) for k in neg])
+    return coords, [g.space.basis[k].weight for k in neg]
+
+
+def test_candidate_blocks_on_integer_weights_keep_the_rational_keys_and_order():
+    k12R = realify(contact_algebra(0, 2, 2, field=FIELD_QI))
+    cases = []
+    for g in (build_minkowski_g0(2, "conformal"), k12R):
+        coords, weights = _negative_coords_and_weights(g)
+        cases.append((coords, weights))
+        # the same weights with denominators, and Gaussian ones with an imaginary part
+        for c in (rational(2, 3), gaussian(1, 2) / 3):
+            cases.append((coords, [tuple(x * c for x in w) for w in weights]))
+    # k(1|2)^R mixes Fraction and GaussianRational weights
+    assert {type(x).__name__ for x in cases[3][1][1] + cases[3][1][0]} == {"Fraction", "GaussianRational"}
+    for coords, weights in cases:
+        for k in (1, 2, 3):
+            got = _candidate_blocks(coords, k, weights)
+            want = _rational_candidate_blocks(coords, k, weights)
+            assert list(got.items()) == list(want.items())
+            # the keys carry the same scalar types: their str (the sort key) agrees
+            assert [str(key) for key in got] == [str(key) for key in want]
