@@ -51,6 +51,10 @@ class LieSuperAlgebra:
         field=FIELD_Q,
         name: str = "",
     ):
+        if truncation is not None:
+            ungraded = next((b.id for b in space if b.degree is None), None)
+            if ungraded is not None:
+                raise ValueError(f"truncated algebra: basis vector {ungraded!r} has no degree")
         self.space = space
         self.truncation = truncation
         self.cartan = list(cartan) if cartan else []
@@ -113,7 +117,7 @@ class LieSuperAlgebra:
     def bracket_basis(self, i: int, j: int) -> Element:
         if self.truncation is not None:
             di, dj = self.degree(i), self.degree(j)
-            if di is not None and dj is not None and di + dj > self.truncation:
+            if di + dj > self.truncation:
                 raise TruncationError(
                     f"bracket [{self.ident(i)},{self.ident(j)}] has degree {di + dj}, "
                     f"beyond truncation {self.truncation}"
@@ -334,7 +338,7 @@ class LieSuperAlgebra:
                 index(k): {index(m): parse_scalar(c) for m, c in img.items()}
                 for k, img in doc["i_op"].items()
             }
-        return cls(
+        g = cls(
             space,
             brackets,
             truncation=doc.get("truncation"),
@@ -345,6 +349,9 @@ class LieSuperAlgebra:
             field=doc.get("field", "Q"),
             name=doc.get("name", ""),
         )
+        # a document carries no weights: they are recomputed from the Cartan ids
+        g.assign_weights()
+        return g
 
     def __repr__(self):
         label = self.name or "LieSuperAlgebra"

@@ -21,8 +21,10 @@ its values; the odd expression, with its (-1)^{p(X)} factors, is not
 function-linear over a supercommutative coefficient ring, so the odd tensor is
 defined by its frame components, extended function-linearly.  In a component
 J(d_a) is J's stored column a (the Koszul sign of the constant 1 is +1), so
-J is applied only to brackets.  Components are computed on every call:
-nothing new is kept on J or on the fields.
+J is applied only to brackets.  J is applied, and the components contracted,
+on the fields' term dicts with polyvf.add_product, so no Polynomial is built.
+Components are computed on every call: nothing new is kept on J or on the
+fields.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .polyvf import (
     Coords,
     Monomial,
     ONE_MONO,
-    Polynomial,
     VectorField,
     add_product,
     coordinate_field,
@@ -72,31 +73,33 @@ class EndomorphismField:
     @classmethod
     def from_constant_matrix(cls, coords: Coords, entries: Dict[tuple, object], parity: int):
         """J with J(d_c) = sum_r entries[(r, c)] d_r, of parity 0 or 1 (ValueError otherwise)."""
-        cols: Dict[int, Dict[int, Polynomial]] = {}
+        cols: Dict[int, Dict[int, Dict[Monomial, object]]] = {}
         for (r, c), v in entries.items():
-            cols.setdefault(c, {})[r] = Polynomial(coords, {ONE_MONO: v})
-        return cls(coords, {c: VectorField(coords, t) for c, t in cols.items()}, parity)
+            if v:
+                cols.setdefault(c, {})[r] = {ONE_MONO: v}
+        return cls(coords, {c: VectorField.from_terms(coords, t) for c, t in cols.items()}, parity)
 
     def apply(self, X: VectorField) -> VectorField:
-        """J(X) for X = sum f_a d_a: function-linear, J(f_a d_a) = +-f_a J(d_a)."""
+        """J(X) for X = sum f_a d_a: function-linear, J(f_a d_a) = +-f_a J(d_a), on term dicts."""
+        coords = self.coords
         out: Dict[int, Dict[Monomial, object]] = {}
-        for a, f in X.coeffs.items():
+        for a, f in X.terms.items():
             col = self.columns.get(a)
             if col is None:
                 continue
             if self.parity:
                 # odd tensor passing a coefficient costs the Koszul sign
-                f = _koszul(f)
-            for b, g in col.coeffs.items():
-                add_product(out.setdefault(b, {}), f, g)
-        return VectorField(self.coords, {b: Polynomial(self.coords, t) for b, t in out.items()})
+                f = _koszul(f, coords)
+            for b, g in col.terms.items():
+                add_product(out.setdefault(b, {}), f, g, coords.parities)
+        return VectorField.from_terms(coords, {b: t for b, t in out.items() if t})
 
     def square_is(self, sign: int) -> bool:
-        """Whether J(J(d_a)) = sign * d_a for every coordinate direction."""
+        """Whether J(J(d_a)) = sign * d_a for every coordinate direction; J(d_a) is column a."""
+        zero = VectorField(self.coords)
         for a in range(len(self.coords)):
-            img = self.apply(self.apply(coordinate_field(self.coords, a)))
             expected = coordinate_field(self.coords, a).scale(rational(sign))
-            if img != expected:
+            if self.apply(self.columns.get(a, zero)) != expected:
                 return False
         return True
 
@@ -109,10 +112,9 @@ class EndomorphismField:
         return None
 
 
-def _koszul(f: Polynomial) -> Polynomial:
-    """f with its odd monomials negated: the sign of passing an odd operator past f."""
-    coords = f.coords
-    return Polynomial(coords, {m: (-c if mono_parity(m, coords) else c) for m, c in f.terms.items()})
+def _koszul(f: Dict[Monomial, object], coords: Coords) -> Dict[Monomial, object]:
+    """The terms f with their odd monomials negated: the sign of passing an odd operator past f."""
+    return {m: (-c if mono_parity(m, coords) else c) for m, c in f.items()}
 
 
 def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, variant: str = "even") -> VectorField:
@@ -136,17 +138,18 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
     if variant == "odd" and J.square is None:
         raise ValueError("odd variant expects J^2 = -id or +id")
     coords = J.coords
+    parities = coords.parities
     out: Dict[int, Dict[Monomial, object]] = {}
-    for a, f in X.coeffs.items():
-        for b, g in Y.coeffs.items():
+    for a, f in X.terms.items():
+        for b, g in Y.terms.items():
             comp = _frame_component(J, a, b, variant)
             if not comp:
                 continue
             # Koszul: the coefficient of Y passes the first tensor slot
-            coef = f * (_koszul(g) if coords.parities[a] else g)
-            for v, p in comp.coeffs.items():
-                add_product(out.setdefault(v, {}), coef, p)
-    return VectorField(coords, {v: Polynomial(coords, t) for v, t in out.items()})
+            coef = add_product({}, f, _koszul(g, coords) if parities[a] else g, parities)
+            for v, p in comp.terms.items():
+                add_product(out.setdefault(v, {}), coef, p, parities)
+    return VectorField.from_terms(coords, {v: t for v, t in out.items() if t})
 
 
 def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> VectorField:

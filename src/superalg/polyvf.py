@@ -7,19 +7,22 @@ zero; derivatives are left derivatives, so moving d/dθ past an odd factor
 costs a sign.
 
 A monomial is a tuple of (var_index, exponent) pairs sorted by index.  A
-Polynomial maps monomials to scalars; a VectorField maps each coordinate index
-to the polynomial coefficient of its partial derivative.
+Polynomial holds its terms {monomial: scalar}.  A VectorField is stored only
+as its term dict {var: {monomial: scalar}}, nonzeros only and no empty
+coefficient: VectorField(coords, {var: Polynomial}) shares the polynomials'
+term dicts, VectorField.from_terms takes a term dict as it is, and coeffs
+gives Polynomial views sharing those dicts.  No dict is changed after it is
+built.
 
-Under the objects sits one bracket kernel, bracket_terms, on plain term dicts
-{var: {monomial: scalar}} with the parities passed in.  VectorField.bracket
-runs on it, VectorField.apply runs on its half X(g), and so do the
-prolongation's constraint and closure brackets, which build no Polynomial or
-VectorField per bracket.  The kernel only multiplies and adds the values it is
-given, and a key takes its first term as it is instead of adding it to a zero
-constant, so int input gives int output and rational or Gaussian input gives
-the value types it always gave.  clear_field scales a field to a term dict of
-integers (Gaussian rationals with integral parts for the values with an
-imaginary part, as scalars.cleared gives them) and returns the common
+One bracket kernel, bracket_terms, runs on term dicts with the parities passed
+in.  VectorField.bracket runs on it, VectorField.apply and Polynomial.deriv
+(the unit field d_var applied) on its half X(g), and so do the prolongation's
+brackets; sums of both classes go through one helper, _add_terms, and
+products through add_product.  A key takes its first term as it is instead of
+adding it to a zero constant, so int input gives int output and rational or
+Gaussian input keeps its value types.  clear_field scales a field to a term
+dict of integers (Gaussian rationals with integral parts for the values with
+an imaginary part, as scalars.cleared gives them) and returns the common
 denominator, so a caller can bracket on integers and divide once; it is
 computed on every call and nothing is kept on the field.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .scalars import FIELD_Q, ZERO, as_field, cleared, common_denominator
+from .scalars import FIELD_Q, as_field, cleared, common_denominator
 
 Monomial = Tuple[Tuple[int, int], ...]
 
@@ -141,6 +144,25 @@ def _scaled(c, k: int):
     return c * k
 
 
+def _add_terms(acc: Dict[Monomial, object], terms: Dict[Monomial, object], sign: int):
+    """acc += sign * terms for sign +-1, where acc maps keys to nonzero scalars; returns acc.
+
+    A key only terms has takes its value as it is (negated for sign -1), a
+    shared key is added to or subtracted from, and one that cancels is removed.
+    """
+    for m, c in terms.items():
+        old = acc.get(m)
+        if old is None:
+            acc[m] = c if sign > 0 else -c
+            continue
+        nv = old + c if sign > 0 else old - c
+        if nv:
+            acc[m] = nv
+        else:
+            del acc[m]
+    return acc
+
+
 def _mono_deriv(mono: Monomial, var: int, e: int, parities):
     """Left derivative of a monomial containing var^e: (monomial, integer factor).
 
@@ -190,35 +212,12 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            old = out.get(m)
-            if old is None:
-                out[m] = c
-                continue
-            nv = old + c
-            if nv:
-                out[m] = nv
-            else:
-                del out[m]
-        return Polynomial(self.coords, out)
+        return Polynomial._wrap(self.coords, _add_terms(dict(self.terms), other.terms, 1))
 
     def __sub__(self, other):
-        """self - other on one copy of self's terms: a key only other has is negated, a shared key subtracted."""
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            old = out.get(m)
-            if old is None:
-                out[m] = -c
-                continue
-            nv = old - c
-            if nv:
-                out[m] = nv
-            else:
-                del out[m]
-        return Polynomial._wrap(self.coords, out)
+        return Polynomial._wrap(self.coords, _add_terms(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
         return Polynomial(self.coords, {m: -c for m, c in self.terms.items()})
@@ -231,31 +230,15 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        out: Dict[Monomial, object] = {}
-        add_product(out, self, other)
-        return Polynomial(self.coords, out)
+        return Polynomial._wrap(self.coords, add_product({}, self.terms, other.terms, self.coords.parities))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def deriv(self, var: int) -> "Polynomial":
-        """Left partial derivative with respect to coordinate var."""
-        parities = self.coords.parities
-        out: Dict[Monomial, object] = {}
-        for mono, c in self.terms.items():
-            for v, e in mono:
-                if v == var:
-                    break
-            else:
-                continue
-            new_mono, k = _mono_deriv(mono, var, e, parities)
-            coef = _scaled(c, k)
-            nv = out.get(new_mono, ZERO) + coef
-            if nv:
-                out[new_mono] = nv
-            elif new_mono in out:
-                del out[new_mono]
-        return Polynomial(self.coords, out)
+        """Left partial derivative with respect to coordinate var: the unit field d_var applied."""
+        unit = {var: {ONE_MONO: 1}}
+        return Polynomial._wrap(self.coords, _add_applied({}, unit, self.terms, 1, self.coords.parities))
 
     def parity(self):
         """Parity if homogeneous, raises otherwise (None for the zero polynomial)."""
@@ -322,71 +305,69 @@ _UNSET = object()
 
 
 class VectorField:
-    """X = sum_a f_a d/dx_a with polynomial coefficients f_a."""
+    """X = sum_a f_a d/dx_a, stored only as its term dict {a: {monomial: scalar}} of nonzeros."""
 
-    __slots__ = ("coords", "coeffs", "_parity", "_terms")
+    __slots__ = ("coords", "terms", "_parity")
 
     def __init__(self, coords: Coords, coeffs: Optional[Dict[int, Polynomial]] = None):
         self.coords = coords
-        self.coeffs = {v: p for v, p in (coeffs or {}).items() if p}
+        self.terms = {v: p.terms for v, p in (coeffs or {}).items() if p}
         self._parity = _UNSET
-        self._terms = None
 
     @classmethod
-    def _wrap(cls, coords: Coords, terms, parity) -> "VectorField":
-        """The field of a term dict of nonzeros with a known parity, sharing its dicts.
+    def from_terms(cls, coords: Coords, terms, parity=_UNSET) -> "VectorField":
+        """The field of a term dict of nonzeros with no empty coefficient, sharing its dicts.
 
-        Nothing is copied or checked: the caller vouches for the parity and
-        must not change the dicts afterwards.
+        Nothing is copied or checked: the caller vouches for the terms and for
+        the parity, if it passes one, and must not change the dicts afterwards.
         """
         X = cls.__new__(cls)
         X.coords = coords
-        X.coeffs = {v: Polynomial._wrap(coords, t) for v, t in terms.items()}
+        X.terms = terms
         X._parity = parity if terms else None
-        X._terms = terms
         return X
 
-    def term_dict(self):
-        """The field as {var: {monomial: scalar}}, the form bracket_terms takes.
-
-        Built on first use and kept, like the parity; it shares the
-        coefficient polynomials' term dicts, so it costs one small dict.
-        """
-        if self._terms is None:
-            self._terms = {v: p.terms for v, p in self.coeffs.items()}
-        return self._terms
+    @property
+    def coeffs(self) -> Dict[int, Polynomial]:
+        """The coefficients as Polynomials, read-only views sharing the term dicts."""
+        return {v: Polynomial._wrap(self.coords, t) for v, t in self.terms.items()}
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.coords is other.coords and self.coeffs == other.coeffs
+        return self.coords is other.coords and self.terms == other.terms
+
+    def _combine(self, other, sign):
+        """self + sign * other by _add_terms; only the coefficients other has are copied."""
+        out = dict(self.terms)
+        for v, t in other.terms.items():
+            acc = _add_terms(dict(out.get(v, {})), t, sign)
+            if acc:
+                out[v] = acc
+            else:
+                out.pop(v, None)
+        return VectorField.from_terms(self.coords, out)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for v, p in other.coeffs.items():
-            q = out.get(v)
-            out[v] = p if q is None else q + p
-        return VectorField(self.coords, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        """X - Y by Polynomial.__sub__ on shared coefficients; only those Y alone has are negated."""
-        out = dict(self.coeffs)
-        for v, p in other.coeffs.items():
-            q = out.get(v)
-            out[v] = -p if q is None else q - p
-        return VectorField(self.coords, out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return VectorField(self.coords, {v: -p for v, p in self.coeffs.items()})
+        return self.scale(-1)
 
     def scale(self, s):
-        return VectorField(self.coords, {v: p.scale(s) for v, p in self.coeffs.items()})
+        if not s:
+            return VectorField(self.coords)
+        terms = {v: {m: c * s for m, c in t.items()} for v, t in self.terms.items()}
+        return VectorField.from_terms(self.coords, terms)
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        terms = _add_applied({}, self.term_dict(), poly.terms, 1, self.coords.parities)
+        terms = _add_applied({}, self.terms, poly.terms, 1, self.coords.parities)
         return Polynomial._wrap(self.coords, terms)
 
     def parity(self):
@@ -398,8 +379,8 @@ class VectorField:
         if self._parity is not _UNSET:
             return self._parity
         ps = set()
-        for v, f in self.coeffs.items():
-            for m in f.terms:
+        for v, t in self.terms.items():
+            for m in t:
                 ps.add((mono_parity(m, self.coords) + self.coords.parities[v]) % 2)
         if len(ps) > 1:
             raise ValueError("non-homogeneous vector field")
@@ -408,8 +389,8 @@ class VectorField:
 
     def degree(self):
         ds = set()
-        for v, f in self.coeffs.items():
-            for m in f.terms:
+        for v, t in self.terms.items():
+            for m in t:
                 ds.add(mono_degree(m, self.coords) - self.coords.degree(v))
         if not ds:
             return None
@@ -423,20 +404,18 @@ class VectorField:
         py = other.parity()
         if px is None or py is None:
             return VectorField(self.coords)
-        terms = bracket_terms(self.term_dict(), px, other.term_dict(), py, self.coords.parities)
-        return VectorField._wrap(self.coords, terms, (px + py) % 2)
+        terms = bracket_terms(self.terms, px, other.terms, py, self.coords.parities)
+        return VectorField.from_terms(self.coords, terms, (px + py) % 2)
 
     def coordinates(self, monomial_index: Dict[Tuple[int, Monomial], int]) -> Dict[int, object]:
         """Sparse vector {position: coefficient} over an index (var, monomial) -> position."""
-        return {monomial_index[(v, m)]: c for v, f in self.coeffs.items() for m, c in f.terms.items()}
+        return {monomial_index[(v, m)]: c for v, t in self.terms.items() for m, c in t.items()}
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        parts = []
-        for v in sorted(self.coeffs):
-            parts.append(f"({self.coeffs[v]})∂_{self.coords.names[v]}")
-        return " + ".join(parts)
+        coeffs = self.coeffs
+        return " + ".join(f"({coeffs[v]})∂_{self.coords.names[v]}" for v in sorted(coeffs))
 
     __repr__ = __str__
 
@@ -503,20 +482,19 @@ def clear_field(X: VectorField):
     integral parts for the values with a nonzero imaginary part.  Computed on
     every call; nothing is kept on X.
     """
-    terms = X.term_dict()
+    terms = X.terms
     den = common_denominator(c for t in terms.values() for c in t.values())
     return den, {v: {m: cleared(c, den) for m, c in t.items()} for v, t in terms.items()}
 
 
-def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):
-    """acc += f * g, term by term, where acc maps monomials to nonzero scalars.
+def add_product(acc: Dict[Monomial, object], f: Dict[Monomial, object], g: Dict[Monomial, object], parities):
+    """acc += f * g for two term dicts, where acc maps monomials to nonzero scalars; returns acc.
 
     A new key takes its first term as it is, as in _add_applied, so integer
     input stays int.
     """
-    parities = f.coords.parities
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
             r = _mono_mul(m1, m2, parities)
             if r is None:
                 continue
@@ -533,6 +511,7 @@ def add_product(acc: Dict[Monomial, object], f: Polynomial, g: Polynomial):
                 acc[mono] = nv
             else:
                 del acc[mono]
+    return acc
 
 
 def coordinate_field(coords: Coords, var) -> VectorField:
@@ -549,17 +528,12 @@ def coordinate_field(coords: Coords, var) -> VectorField:
         k = None
     if k is None:
         raise ValueError(f"coordinate_field: no coordinate {var!r} in {coords!r}")
-    return VectorField._wrap(coords, {k: {ONE_MONO: coords.field.one}}, coords.parities[k])
+    return VectorField.from_terms(coords, {k: {ONE_MONO: coords.field.one}}, coords.parities[k])
 
 
 def fields_of_degree(coords: Coords, d: int):
-    """Canonical basis of degree-d fields: monomial times coordinate derivative."""
-    out = []
-    for v in range(len(coords)):
-        target = d + coords.degree(v)
-        for m in monomials_of_degree(coords, target):
-            out.append(VectorField(coords, {v: Polynomial(coords, {m: coords.field.one})}))
-    return out
+    """Canonical basis of degree-d fields m d_v, in the order of field_basis_index."""
+    return [VectorField.from_terms(coords, {v: {m: coords.field.one}}) for v, m in field_basis_index(coords, d)[0]]
 
 
 def field_basis_index(coords: Coords, d: int):
@@ -601,18 +575,13 @@ class OneForm:
         The normalization makes <df, X> = X(f); the inner derivation iota_X
         has parity p(X)+1 and passes left coefficients with a Koszul sign.
         """
-        px = field.parity()
-        if px is None:
-            return self.coords.zero()
-        q = (px + 1) % 2
-        out = self.coords.zero()
+        # iota_X is odd for an even X: its sign then negates the odd monomials of f
+        negate_odd = field.parity() == 0
+        out: Dict[Monomial, object] = {}
         for v, f in self.coeffs.items():
-            g = field.coeffs.get(v)
-            if not g:
+            g = field.terms.get(v)
+            if g is None:
                 continue
-            adjusted = {
-                m: (-c if (q and mono_parity(m, self.coords) % 2) else c)
-                for m, c in f.terms.items()
-            }
-            out = out + Polynomial(self.coords, adjusted) * g
-        return out
+            adjusted = {m: (-c if negate_odd and mono_parity(m, self.coords) else c) for m, c in f.terms.items()}
+            add_product(out, adjusted, g, self.coords.parities)
+        return Polynomial._wrap(self.coords, out)

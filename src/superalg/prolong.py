@@ -2,7 +2,11 @@
 
 The negative part g_minus (depth at most 2 here) is realized by polynomial
 vector fields on coordinates dual to its basis; the degree-0 part is realized
-by solving for the unique linear fields reproducing its action.  Positive
+by solving for the unique linear fields reproducing its action.  The degree-0
+candidates are the monomial fields m d_v of degree 0, kept as (v, m) pairs;
+each solution's field is assembled as one term dict from its coefficients,
+as each positive component's basis field is from its kernel vector.  Both
+realizations are checked to be homomorphisms, bracket by bracket.  Positive
 components are computed degree by degree:
 
   g_k = { X of degree k : [X, realization of g_j] lies in g_{k+j} for all j<0 }
@@ -51,14 +55,13 @@ from .algebra import Element, LieSuperAlgebra, from_matrices
 from .constructors import Action, abelian_negative, combine_nonpositive
 from .linalg import SpanSolver, kernel_basis, row_space_basis
 from .polyvf import (
+    ONE_MONO,
     Coords,
-    Polynomial,
     VectorField,
     bracket_terms,
     clear_field,
     coordinate_field,
     field_basis_index,
-    fields_of_degree,
     mono_parity,
 )
 from .scalars import ZERO, cleared, common_denominator, rational
@@ -118,35 +121,32 @@ def realize_negative(nonpos: LieSuperAlgebra) -> Tuple[Coords, Dict[int, VectorF
         if nonpos.degree(k) == -2:
             fields[k] = coordinate_field(coords, a)
             continue
-        coeffs = {a: coords.one()}
+        # each (z, x_b) below is a distinct term, so the terms are set, not summed
+        terms = {a: {ONE_MONO: coords.field.one}}
         pa = nonpos.parity(k)
         for b_idx in neg:
             if nonpos.degree(b_idx) != -1:
                 continue
             b = pos_of[b_idx]
             pb = nonpos.parity(b_idx)
-            val = nonpos._table.get((k, b_idx), {})
-            for t, cval in val.items():
-                z = pos_of[t]
+            for t, cval in nonpos._table.get((k, b_idx), {}).items():
                 # m_{ab} = -1/2 (-1)^{p_a p_b} c_{ab}
-                coeff = cval * HALF if (pa and pb) else -(cval * HALF)
-                mono = ((b, 1),)
-                poly = coeffs.get(z)
-                term = Polynomial(coords, {mono: coeff})
-                coeffs[z] = term if poly is None else poly + term
-        fields[k] = VectorField(coords, {v: p for v, p in coeffs.items() if p})
-    # verify the realization is a homomorphism on the negative part
-    for i in neg:
-        for j in neg:
+                terms.setdefault(pos_of[t], {})[((b, 1),)] = cval * HALF if (pa and pb) else -(cval * HALF)
+        fields[k] = VectorField.from_terms(coords, terms)
+    _check_homomorphism(nonpos, fields, neg, "negative")
+    return coords, fields
+
+
+def _check_homomorphism(nonpos: LieSuperAlgebra, fields: Dict[int, VectorField], indices, what: str):
+    """Raise ProlongError unless [X_i, X_j] = sum_t c_ij^t X_t for all i, j in indices."""
+    for i in indices:
+        for j in indices:
             lhs = fields[i].bracket(fields[j])
-            rhs = VectorField(coords)
+            rhs = VectorField(lhs.coords)
             for t, c in nonpos._table.get((i, j), {}).items():
                 rhs = rhs + fields[t].scale(c)
             if lhs != rhs:
-                raise ProlongError(
-                    f"negative realization failed at [{nonpos.ident(i)},{nonpos.ident(j)}]"
-                )
-    return coords, fields
+                raise ProlongError(f"{what} realization failed at [{nonpos.ident(i)},{nonpos.ident(j)}]")
 
 
 def _field_coords_weights(nonpos: LieSuperAlgebra, neg: List[int]):
@@ -164,7 +164,9 @@ def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dic
     """Solve for the linear fields realizing each degree-0 basis vector."""
     neg = nonpos.negative_indices()
     zero = nonpos.component_indices(0)
-    cand = fields_of_degree(coords, 0)
+    # the candidates m d_v as (v, m) pairs, in fields_of_degree order
+    cand = list(field_basis_index(coords, 0)[0])
+    one = coords.field.one
     # coordinates of [cand, X_e] stacked over all negative e
     blocks = []
     offsets = []
@@ -176,14 +178,15 @@ def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dic
         offsets.append(total)
         total += dim
 
-    def stacked(Y: VectorField):
+    def stacked(v, m):
+        Y = VectorField.from_terms(coords, {v: {m: one}})
         vec = {}
         for (e, idx, dim), off in zip(blocks, offsets):
             for pos, c in Y.bracket(neg_fields[e]).coordinates(idx).items():
                 vec[off + pos] = c
         return vec
 
-    cand_cols = [stacked(Y) for Y in cand]
+    cand_cols = [stacked(v, m) for v, m in cand]
     solver = SpanSolver(cand_cols, total)
     out: Dict[int, VectorField] = {}
     for k in zero:
@@ -196,21 +199,9 @@ def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dic
         sol = solver.solve(target)
         if sol is None:
             raise ProlongError(f"degree-0 action of {nonpos.ident(k)} is not realizable")
-        Y = VectorField(coords)
-        for j, c in sorted(sol.items()):
-            Y = Y + cand[j].scale(c)
-        out[k] = Y
+        out[k] = _field_of(sol, cand, coords)
     # homomorphism check on degree 0 (also catches any ambiguity in the solve)
-    for a in zero:
-        for b in zero:
-            lhs = out[a].bracket(out[b])
-            rhs = VectorField(coords)
-            for t, c in nonpos._table.get((a, b), {}).items():
-                rhs = rhs + out[t].scale(c)
-            if lhs != rhs:
-                raise ProlongError(
-                    f"degree-0 realization failed at [{nonpos.ident(a)},{nonpos.ident(b)}]"
-                )
+    _check_homomorphism(nonpos, out, zero, "degree-0")
     return out
 
 
@@ -354,15 +345,17 @@ def _fields_from_coeffs(vectors, cand, coords):
 
     Makes the computed component basis independent of the kernel basis found.
     """
+    return [_field_of(vec, cand, coords) for vec in row_space_basis(vectors, len(cand))]
+
+
+def _field_of(vec, cand, coords):
+    """The field sum_j vec[j] m_j d_(v_j) of a sparse vector over the candidates (v_j, m_j)."""
     one = coords.field.one
-    out = []
-    for vec in row_space_basis(vectors, len(cand)):
-        terms: Dict[int, dict] = {}
-        for j, c in sorted(vec.items()):
-            v, m = cand[j]
-            terms.setdefault(v, {})[m] = one * c
-        out.append(VectorField(coords, {v: Polynomial(coords, t) for v, t in terms.items()}))
-    return out
+    terms: Dict[int, dict] = {}
+    for j, c in sorted(vec.items()):
+        v, m = cand[j]
+        terms.setdefault(v, {})[m] = one * c
+    return VectorField.from_terms(coords, terms)
 
 
 def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):

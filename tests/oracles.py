@@ -298,3 +298,30 @@ def monomial_product(m1, m2, parities):
         else:
             out.append((v, 1))
     return tuple(out), sign
+
+
+def monomial_derivative(mono, var, parities):
+    """(monomial, factor) of the left derivative of a canonical monomial by var, or None if it is 0.
+
+    The monomial is expanded into a factor list, each variable repeated by its
+    exponent.  Each occurrence of var is struck out in turn; when var is odd,
+    every odd factor to its left costs a sign.  The terms all have the same
+    monomial, so their signs add up to one integer factor.
+    """
+    factors = [v for v, e in mono for _ in range(e)]
+    factor, rest = 0, None
+    for i, v in enumerate(factors):
+        if v != var:
+            continue
+        passed = sum(parities[u] for u in factors[:i]) if parities[var] else 0
+        factor += -1 if passed % 2 else 1
+        rest = factors[:i] + factors[i + 1:]
+    if not factor:
+        return None
+    out = []
+    for v in rest:
+        if out and out[-1][0] == v:
+            out[-1] = (v, out[-1][1] + 1)
+        else:
+            out.append((v, 1))
+    return tuple(out), factor

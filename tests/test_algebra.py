@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -275,6 +276,38 @@ def test_truncation_error():
     g = LieSuperAlgebra(SuperSpace(basis), {}, truncation=2)
     with pytest.raises(TruncationError):
         g.bracket_basis(0, 1)
+
+
+def test_a_truncated_algebra_needs_a_degree_on_every_basis_vector():
+    basis = [BasisVector("a", 0, 1), BasisVector("b", 0), BasisVector("c", 0)]
+    with pytest.raises(ValueError, match="basis vector 'b' has no degree"):
+        LieSuperAlgebra(SuperSpace(basis), {}, truncation=1)
+    doc = build_minkowski_negative(1).to_document()
+    doc["basis"][1] = {k: v for k, v in doc["basis"][1].items() if k != "degree"}
+    ident = doc["basis"][1]["id"]
+    with pytest.raises(ValueError, match=re.escape(f"basis vector {ident!r} has no degree")):
+        LieSuperAlgebra.from_document({**doc, "truncation": 1})
+    # without a truncation a partly graded basis is accepted and checked in full
+    assert LieSuperAlgebra.from_document(doc).check_super_jacobi() == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_gl(2, 1),
+        lambda: build_sl(2, 1),
+        lambda: build_q(2, "J"),
+        lambda: build_q(2, "Pi"),
+        lambda: build_minkowski_g0(1, "reduced"),
+        lambda: build_minkowski_g0(2, "conformal"),
+    ],
+    ids=["gl(2|1)", "sl(2|1)", "q_J(2)", "q_Pi(2)", "mink1-reduced_0", "mink2-conformal_0"],
+)
+def test_a_document_round_trip_keeps_the_weights(build):
+    g = build()
+    assert g.cartan
+    g2 = LieSuperAlgebra.from_document(g.to_document())
+    assert [b.weight for b in g2.space] == [b.weight for b in g.space]
 
 
 def test_serialization_roundtrip():

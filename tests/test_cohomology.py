@@ -56,6 +56,33 @@ def test_h2_dims_in_degrees_1_to_3(build, dims, sha256):
     assert canonical_sha256(report) == sha256
 
 
+# A document carries no weights; from_document recomputes them from the Cartan
+# ids, so a round trip keeps the whole report of every algebra that the
+# benchmark's h2_sweep pins.
+@pytest.mark.parametrize(
+    "build, sha256",
+    [
+        (lambda: build_complexified_minkowski(2), "d67b27574f675d35da53e8fddb550f89986900457f4b420500d3a5f90cd44c15"),
+        (lambda: build_complexified_minkowski(1), "143b96d03bc2b0eec308bb4a44cd21a8a1dbd65584ecc487234057d817bf1177"),
+        (
+            lambda: prolong_nonpositive(build_minkowski_g0(1, "reduced"), 2).algebra,
+            "77d3767ee941e9a2e1e3823ffeb9a97e2b8907e61b2ff29e9a38833014baaa23",
+        ),
+        (mink1_conformal, "f40b85fa744f0a0976f000c80d0c6405b66d5b66cfdc04f4ad6f9adf447cca9a"),
+        (
+            lambda: realify(contact_algebra(0, 2, 2, field="Q(i)")),
+            "468853083bacc5d00f523c26c264dbd95f4d80be354e6525c732c85bca85dfd9",
+        ),
+        (lambda: contact_algebra(1, 2, 3), "a10e1d9e9c7004cffbe748f302af0e729a32eca82466949c31a197b99f226878"),
+        (lambda: pericontact_algebra(1, 2), "8c75441ecb2cf4739404ff346312c616ff0830c13431f1f7d464c90a79b48d74"),
+    ],
+    ids=["mink2^C", "mink1^C", "mink1-reduced", "mink1-conformal", "k(1|2)^R", "k(3|2)", "m(1|1)"],
+)
+def test_a_document_round_trip_keeps_the_h2_report(build, sha256):
+    g = LieSuperAlgebra.from_document(build().to_document())
+    assert canonical_sha256(h2_by_degree(g, (1, 2, 3))) == sha256
+
+
 def test_h2_dims_minkowski_n1_reduced(mink1_reduced):
     report = h2_by_degree(mink1_reduced, (1, 2, 3))
     assert [report["h2_dims"][str(d)] for d in (1, 2, 3)] == [4, 6, 8]

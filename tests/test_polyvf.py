@@ -19,7 +19,7 @@ from superalg.polyvf import (
 )
 from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, gaussian, rational
 
-from oracles import monomial_product
+from oracles import monomial_derivative, monomial_product
 
 
 def xy_theta():
@@ -378,10 +378,10 @@ def field_of(terms):
 
 @st.composite
 def field_pairs(draw):
-    """(X, Y) with values of one scalar type, int, Fraction or GaussianRational.
+    """(X, Y, s) with values of one scalar type, int, Fraction or GaussianRational, and s of that type.
 
     Y repeats some of X's terms, so that subtraction cancels whole terms and
-    whole coefficients as well as inserting and changing them.
+    whole coefficients as well as inserting and changing them; s may be zero.
     """
     scalar = draw(st.sampled_from(SUB_SCALARS))
     keys = st.tuples(st.integers(0, len(GRADED) - 1), st.sampled_from(SUB_MONOS))
@@ -389,7 +389,7 @@ def field_pairs(draw):
     y = draw(st.dictionaries(keys, scalar, max_size=6))
     for k in draw(st.lists(st.sampled_from(sorted(x)), unique=True)) if x else []:
         y[k] = x[k]
-    return field_of(x), field_of(y)
+    return field_of(x), field_of(y), draw(scalar)
 
 
 def value_types(X):
@@ -397,24 +397,32 @@ def value_types(X):
 
 
 def only_nonzeros(X):
-    return all(p.terms and all(p.terms.values()) for p in X.coeffs.values())
+    return all(t and all(t.values()) for t in X.terms.values())
 
 
 @settings(max_examples=200, deadline=None)
 @given(field_pairs())
 def test_subtraction_is_addition_of_the_negative(pair):
-    X, Y = pair
-    before = {v: dict(p.terms) for v, p in X.coeffs.items()}
+    X, Y, s = pair
+    before = [{v: dict(t) for v, t in Z.terms.items()} for Z in (X, Y)]
     D, expected = X - Y, X + (-Y)
-    assert D == expected and value_types(D) == value_types(expected) and only_nonzeros(D)
+    assert D == expected and value_types(D) == value_types(expected)
+    # every result of +, -, unary - and scale holds only nonzeros of the
+    # operands' scalar type, and its coeffs are views of its term dicts
+    kind = type(s)
+    for R in (D, X + Y, -X, X.scale(s), X - X):
+        assert only_nonzeros(R)
+        assert all(type(c) is kind for t in R.terms.values() for c in t.values())
+        assert all(R.coeffs[v].terms is t for v, t in R.terms.items())
     for v in range(len(GRADED)):
         f, g = X.coeffs.get(v, GRADED.zero()), Y.coeffs.get(v, GRADED.zero())
         d, e = f - g, f + (-g)
         assert d == e and {m: type(c) for m, c in d.terms.items()} == {m: type(c) for m, c in e.terms.items()}
-        assert all(d.terms.values())
+        for r in (d, f + g, -f, f.scale(s)):
+            assert all(r.terms.values()) and all(type(c) is kind for c in r.terms.values())
         assert not (f - f) and (f - f).terms == {}
-    assert not (X - X) and (X - X).coeffs == {}
-    assert {v: p.terms for v, p in X.coeffs.items()} == before  # the operands are not changed
+    assert not (X - X) and (X - X).terms == {}
+    assert [{v: dict(t) for v, t in Z.terms.items()} for Z in (X, Y)] == before  # the operands are not changed
 
 
 def test_coordinate_field_has_its_parity_and_the_value_of_the_filtered_construction():
@@ -425,7 +433,7 @@ def test_coordinate_field_has_its_parity_and_the_value_of_the_filtered_construct
                 built = VectorField(coords, {k: coords.one()})
                 assert d._parity == coords.parities[k] == built.parity()
                 assert d == built and value_types(d) == value_types(built)
-                assert d.term_dict() == {k: {(): coords.field.one}}
+                assert d.terms == {k: {(): coords.field.one}}
 
 
 @pytest.mark.parametrize("bad", (-1, -4, 4, 99, "z", True, 1.0, None))
@@ -455,3 +463,35 @@ def canonical_monomials(draw):
 @example(((1, 1), (2, 1)), ((2, 3), (4, 1), (6, 1)))
 def test_monomial_product_agrees_with_the_factor_list_oracle(m1, m2):
     assert _mono_mul(m1, m2, MONO_PARITIES) == monomial_product(m1, m2, MONO_PARITIES)
+
+
+# -- the derivative, on the bracket kernel, against the factor-list oracle -------
+
+MONO_COORDS = Coords([f"x{k}" for k in range(len(MONO_PARITIES))], MONO_PARITIES)
+
+
+@st.composite
+def polynomials_and_variables(draw):
+    """(terms, var): a term dict of one scalar type, int, Fraction or GaussianRational, and a variable."""
+    scalar = draw(st.sampled_from(SUB_SCALARS))
+    terms = draw(st.dictionaries(canonical_monomials(), scalar, max_size=5))
+    return terms, draw(st.integers(0, len(MONO_PARITIES) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials_and_variables())
+@example(({((1, 1), (3, 1)): 2}, 3))  # an odd variable behind an odd factor: one sign
+@example(({((0, 3), (1, 1)): rational(1, 2)}, 0))  # an even cube: the factor 3
+@example(({((1, 1), (2, 2), (4, 1)): gaussian(1, 2), ((2, 1),): gaussian(0, 1)}, 4))
+def test_deriv_agrees_with_the_factor_list_oracle(drawn):
+    terms, var = drawn
+    p = Polynomial(MONO_COORDS, terms)
+    expected = {}
+    for m, c in p.terms.items():
+        r = monomial_derivative(m, var, MONO_PARITIES)
+        if r is not None:
+            expected[r[0]] = c * r[1]
+    d = p.deriv(var)
+    assert d.terms == expected
+    # the value type of the input is kept: an int stays an int
+    assert {type(c) for c in d.terms.values()} <= {type(c) for c in p.terms.values()}
