@@ -56,6 +56,11 @@ class LieSuperAlgebra:
             if ungraded is not None:
                 raise ValueError(f"truncated algebra: basis vector {ungraded!r} has no degree")
         self.space = space
+        # the basis is fixed here (assign_weights changes only weights), so
+        # the basis indices of each degree are listed once
+        self._components: Dict[Optional[int], List[int]] = {}
+        for k, b in enumerate(space.basis):
+            self._components.setdefault(b.degree, []).append(k)
         self.truncation = truncation
         self.cartan = list(cartan) if cartan else []
         self.raising = list(raising) if raising else []
@@ -94,7 +99,8 @@ class LieSuperAlgebra:
         return sorted({b.degree for b in self.space})
 
     def component_indices(self, d: int):
-        return [k for k, b in enumerate(self.space.basis) if b.degree == d]
+        """The basis indices of degree d, ascending; a new list on each call."""
+        return list(self._components.get(d, ()))
 
     def negative_indices(self):
         return [k for k, b in enumerate(self.space.basis) if b.degree is not None and b.degree < 0]

@@ -10,18 +10,20 @@ standard generators.
 Scalars are Gaussian rationals, so unit phases are Pythagorean units like
 (3+4i)/5 rather than exp(i phi); the algebraic phenomena are identical.
 
-Products run on Gaussian integers: each factor is cleared to integer (re, im)
-pairs over one common denominator, the pairs are multiplied and summed as
-ints, and each output coefficient is built once by dividing by the product of
-the two denominators.  The division is exact and the rationals are reduced, so
-every coefficient is the same GaussianRational that term-by-term arithmetic
-gives, and a product that cancels to zero has no key, as before.
+An element is stored cleared: one positive int den and Gaussian integer pairs
+nums = {subset: (re, im)}, the element being sum (re + im*i)/den theta_subset.
+Zero pairs are dropped and gcd(den, every part) = 1, so the representation is
+canonical: equal elements have equal den and nums, and a product that cancels
+has no key.  Arithmetic runs on these ints over one denominator; terms builds
+the GaussianRational coefficients only when it is read.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, kernel_basis, rank, row_space_basis
@@ -32,75 +34,87 @@ from .scalars import (
     ONE,
     ZERO,
     as_gaussian,
-    common_denominator,
     format_scalar,
     gaussian,
     rational,
+    real_imag,
 )
 
 Subset = Tuple[int, ...]
 
 
 class GrassmannElement:
-    """An element of Lambda_C(n): maps index subsets to Gaussian rationals."""
+    """An element of Lambda_C(n), sum over index subsets of Gaussian rationals.
 
-    __slots__ = ("n", "terms")
+    It is stored as den, a positive int, and nums, {subset: (re, im)} of ints,
+    the coefficient of theta_subset being (re + im*i) / den; the pair is kept
+    canonical (no zero pair, gcd(den, every part) = 1).  terms is the read-only
+    view {subset: GaussianRational}, a new dict on each read.  The constructor
+    takes such a dict of scalars; each key must be a strictly increasing tuple
+    of ints in range(n), else it raises ValueError naming the key.
+    """
+
+    __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, terms: Optional[Dict[Subset, object]] = None):
-        self.n = n
-        self.terms = {}
+        parts = {}
         for s, c in (terms or {}).items():
-            c = as_gaussian(c)
-            if c:
-                self.terms[tuple(s)] = c
+            if not _is_subset(n, s):
+                raise ValueError(f"subset key {s!r} is not a strictly increasing tuple of ints in range({n})")
+            parts[s] = real_imag(c)
+        self.n = n
+        self.den, self.nums = _reduced(*_cleared(parts))
 
     @classmethod
     def generator(cls, n: int, j: int):
-        return cls(n, {(j,): gaussian(1)})
+        return cls(n, {(j,): 1})
 
-    @classmethod
-    def one(cls, n: int):
-        return cls(n, {(): gaussian(1)})
+    @staticmethod
+    def one(n: int):
+        return _element(n, 1, {(): (1, 0)})
+
+    @property
+    def terms(self) -> Dict[Subset, GaussianRational]:
+        den = self.den
+        return {s: GaussianRational(rational(re, den), rational(im, den)) for s, (re, im) in self.nums.items()}
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
-        return isinstance(other, GrassmannElement) and self.n == other.n and self.terms == other.terms
+        if not isinstance(other, GrassmannElement):
+            return False
+        return (self.n, self.den, self.nums) == (other.n, other.den, other.nums)
 
     def __add__(self, other):
         _check_size(self.n, other)
-        out = dict(self.terms)
-        for s, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        out = {s: (re * ma, im * ma) for s, (re, im) in self.nums.items()}
+        for s, (re, im) in other.nums.items():
             old = out.get(s)
-            if old is None:
-                out[s] = c
-                continue
-            nv = old + c
-            if nv:
-                out[s] = nv
-            else:
-                del out[s]
-        return GrassmannElement(self.n, out)
+            out[s] = (re * mb, im * mb) if old is None else (old[0] + re * mb, old[1] + im * mb)
+        return _element(self.n, *_reduced(den, out))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return GrassmannElement(self.n, {s: -c for s, c in self.terms.items()})
+        return _element(self.n, self.den, {s: (-re, -im) for s, (re, im) in self.nums.items()})
 
     def scale(self, z):
-        z = as_gaussian(z)
-        return GrassmannElement(self.n, {s: c * z for s, c in self.terms.items()})
+        den, cleared = _cleared({(): real_imag(z)})
+        a, b = cleared[()]
+        nums = {s: (re * a - im * b, re * b + im * a) for s, (re, im) in self.nums.items()}
+        return _element(self.n, *_reduced(self.den * den, nums))
 
     def __mul__(self, other):
         if not isinstance(other, GrassmannElement):
             return self.scale(other)
         _check_size(self.n, other)
-        den_a, a = _cleared(self)
-        den_b, b = _cleared(other)
-        acc: Dict[Subset, List[int]] = {}
-        for s1, (r1, i1) in a:
+        acc: Dict[Subset, Tuple[int, int]] = {}
+        b = other.nums.items()
+        for s1, (r1, i1) in self.nums.items():
             for s2, (r2, i2) in b:
                 merged = _merge(s1, s2)
                 if merged is None:
@@ -110,34 +124,27 @@ class GrassmannElement:
                 if sign < 0:
                     re, im = -re, -im
                 old = acc.get(s)
-                if old is None:
-                    acc[s] = [re, im]
-                else:
-                    old[0] += re
-                    old[1] += im
-        den = den_a * den_b
-        # the constructor drops the coefficients that cancelled to zero
-        return GrassmannElement(
-            self.n, {s: GaussianRational(rational(re, den), rational(im, den)) for s, (re, im) in acc.items()}
-        )
+                acc[s] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return _element(self.n, *_reduced(self.den * other.den, acc))
 
     __rmul__ = scale
 
     def conjugate(self):
-        return GrassmannElement(self.n, {s: c.conjugate() for s, c in self.terms.items()})
+        return _element(self.n, self.den, {s: (re, -im) for s, (re, im) in self.nums.items()})
 
     def is_odd(self):
-        return bool(self.terms) and all(len(s) % 2 == 1 for s in self.terms)
+        return bool(self.nums) and all(len(s) % 2 == 1 for s in self.nums)
 
     def in_nilpotent_ideal(self):
-        return () not in self.terms
+        return () not in self.nums
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for s in sorted(self.terms, key=lambda t: (len(t), t)):
-            c = self.terms[s]
+        for s in sorted(terms, key=lambda t: (len(t), t)):
+            c = terms[s]
             mono = "^".join(f"th{j + 1}" for j in s) if s else "1"
             parts.append(f"({format_scalar(c)})*{mono}")
         return " + ".join(parts)
@@ -150,28 +157,71 @@ def _check_size(n: int, element: GrassmannElement):
         raise ValueError(f"Grassmann element on {element.n} generators in an operation on {n}")
 
 
-def _cleared(a: GrassmannElement):
-    """(den, [(subset, (re, im))]): a times den as Gaussian integer pairs, one den for all terms."""
-    den = common_denominator(a.terms.values())
-    return den, [
-        (s, (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)))
-        for s, c in a.terms.items()
-    ]
+def _is_subset(n: int, s) -> bool:
+    """Whether s is a strictly increasing tuple of ints in range(n): a canonical key."""
+    if type(s) is not tuple or any(type(j) is not int for j in s):
+        return False
+    return all(a < b for a, b in zip((-1,) + s, s + (n,)))
 
 
-def _combination(n: int, pairs) -> GrassmannElement:
-    """sum c * element over (c, element) pairs, accumulated in one dict."""
-    out: Dict[Subset, object] = {}
-    for c, element in pairs:
+def _cleared(parts):
+    """(den, nums) for {key: (re, im)} of rationals: den is the lcm of their denominators."""
+    den = lcm(1, *[x.denominator for pair in parts.values() for x in pair])
+    return den, {
+        s: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        for s, (re, im) in parts.items()
+    }
+
+
+def _reduced(den: int, nums):
+    """The canonical (den, nums) of nums / den: zero pairs dropped, the common gcd divided out."""
+    nums = {s: v for s, v in nums.items() if v[0] or v[1]}
+    if den != 1:
+        g = gcd(den, *[x for v in nums.values() for x in v])
+        if g != 1:
+            den //= g
+            nums = {s: (re // g, im // g) for s, (re, im) in nums.items()}
+    return den, nums
+
+
+def _element(n: int, den: int, nums) -> GrassmannElement:
+    """The GrassmannElement with this canonical den and nums, taken as they are."""
+    out = GrassmannElement.__new__(GrassmannElement)
+    out.n, out.den, out.nums = n, den, nums
+    return out
+
+
+def _combination(n: int, den: int, pairs) -> GrassmannElement:
+    """sum (re + im*i) / den * element over ((re, im), element) pairs of ints and elements."""
+    pairs = list(pairs)
+    common = lcm(1, *[element.den for _, element in pairs])
+    out: Dict[Subset, Tuple[int, int]] = {}
+    for (cr, ci), element in pairs:
         _check_size(n, element)
-        for s, v in element.terms.items():
+        m = common // element.den
+        cr, ci = cr * m, ci * m
+        for s, (re, im) in element.nums.items():
+            pr, pi = cr * re - ci * im, cr * im + ci * re
             old = out.get(s)
-            out[s] = c * v if old is None else old + c * v
-    # the constructor drops the coefficients that cancelled to zero
-    return GrassmannElement(n, out)
+            out[s] = (pr, pi) if old is None else (old[0] + pr, old[1] + pi)
+    return _element(n, *_reduced(den * common, out))
 
 
+def _realified(a: GrassmannElement, pos):
+    """den * a on the realified carrier: {2 pos[s]: re, 2 pos[s] + 1: im} of nonzero ints."""
+    vec = {}
+    for s, (re, im) in a.nums.items():
+        if re:
+            vec[2 * pos[s]] = re
+        if im:
+            vec[2 * pos[s] + 1] = im
+    return vec
+
+
+@lru_cache(maxsize=1 << 14)
 def _merge(s1: Subset, s2: Subset):
+    """(s, sign) with theta_s1 theta_s2 = sign theta_s, or None when s1 and s2 meet.
+    Memoized: products meet the same few pairs of keys over and over."""
     if set(s1) & set(s2):
         return None
     sign = 1
@@ -192,28 +242,36 @@ def all_subsets(n: int) -> List[Subset]:
 # -- real structures ---------------------------------------------------------
 
 
-class RealStructure:
-    """rho determined by generator images; antilinear and multiplicative."""
+class _GeneratorMap:
+    """A multiplicative map given by generator images; each monomial's image is built once."""
 
     def __init__(self, n: int, images: Sequence[GrassmannElement]):
-        if len(images) != n:
-            raise ValueError(f"need {n} generator images")
         self.n = n
         self.images = list(images)
-        self._monomial_cache: Dict[Subset, GrassmannElement] = {(): GrassmannElement.one(n)}
+        self._cache: Dict[Subset, GrassmannElement] = {(): GrassmannElement.one(n)}
 
-    def _image_of_monomial(self, s: Subset) -> GrassmannElement:
-        cached = self._monomial_cache.get(s)
+    def monomial_image(self, s: Subset) -> GrassmannElement:
+        cached = self._cache.get(s)
         if cached is not None:
             return cached
         out = GrassmannElement.one(self.n)
         for j in s:
             out = out * self.images[j]
-        self._monomial_cache[s] = out
+        self._cache[s] = out
         return out
 
+
+class RealStructure(_GeneratorMap):
+    """rho determined by generator images; antilinear and multiplicative."""
+
+    def __init__(self, n: int, images: Sequence[GrassmannElement]):
+        if len(images) != n:
+            raise ValueError(f"need {n} generator images")
+        super().__init__(n, images)
+
     def apply(self, a: GrassmannElement) -> GrassmannElement:
-        return _combination(self.n, ((c.conjugate(), self._image_of_monomial(s)) for s, c in a.terms.items()))
+        images = (((re, -im), self.monomial_image(s)) for s, (re, im) in a.nums.items())
+        return _combination(self.n, a.den, images)
 
     def validate(self):
         """[] when rho is a real structure; list of (generator, reason) otherwise."""
@@ -238,39 +296,35 @@ class RealStructure:
 
     @staticmethod
     def element_to_vec(a: GrassmannElement, pos):
-        vec = {}
-        for s, c in a.terms.items():
-            if c.re:
-                vec[2 * pos[s]] = c.re
-            if c.im:
-                vec[2 * pos[s] + 1] = c.im
-        return vec
+        """a on the realified carrier: {2 pos[s]: re, 2 pos[s] + 1: im} of nonzero rationals."""
+        return {k: rational(v, a.den) for k, v in _realified(a, pos).items()}
 
     def vec_to_element(self, vec, subsets):
-        terms = {}
+        parts = {}
         for k, s in enumerate(subsets):
             re, im = vec.get(2 * k, ZERO), vec.get(2 * k + 1, ZERO)
             if re or im:
-                terms[s] = GaussianRational(re, im)
-        return GrassmannElement(self.n, terms)
+                parts[s] = (re, im)
+        return _element(self.n, *_reduced(*_cleared(parts)))
 
     def realified_matrix(self):
         """rho on the 2*2^n dimensional real carrier, as {(row, col): scalar}."""
         subsets, pos = self._coords()
         entries = {}
         for k, s in enumerate(subsets):
-            img = self._image_of_monomial(s)
-            for t, c in img.terms.items():
+            img = self.monomial_image(s)
+            for t, (re, im) in img.nums.items():
+                re, im = rational(re, img.den), rational(im, img.den)
                 # rho(theta_S) contributes to columns of the re-part
-                if c.re:
-                    entries[(2 * pos[t], 2 * k)] = c.re
-                if c.im:
-                    entries[(2 * pos[t] + 1, 2 * k)] = c.im
+                if re:
+                    entries[(2 * pos[t], 2 * k)] = re
+                if im:
+                    entries[(2 * pos[t] + 1, 2 * k)] = im
                 # rho(i theta_S) = -i rho(theta_S)
-                if c.im:
-                    entries[(2 * pos[t], 2 * k + 1)] = c.im
-                if c.re:
-                    entries[(2 * pos[t] + 1, 2 * k + 1)] = -c.re
+                if im:
+                    entries[(2 * pos[t], 2 * k + 1)] = im
+                if re:
+                    entries[(2 * pos[t] + 1, 2 * k + 1)] = -re
         return entries, subsets, pos
 
 
@@ -342,13 +396,11 @@ def random_real_structure(n: int, rng: random.Random):
     return make_real_structure(images), discarded
 
 
-class _Automorphism:
+class _Automorphism(_GeneratorMap):
     """A polynomial algebra automorphism given on generators (linear part invertible)."""
 
     def __init__(self, n: int, images: Sequence[GrassmannElement]):
-        self.n = n
-        self.images = list(images)
-        self._cache: Dict[Subset, GrassmannElement] = {(): GrassmannElement.one(n)}
+        super().__init__(n, images)
         subsets = all_subsets(n)
         pos = {s: k for k, s in enumerate(subsets)}
         cols = [{pos[t]: c for t, c in self.monomial_image(s).terms.items()} for s in subsets]
@@ -356,18 +408,8 @@ class _Automorphism:
         self._subsets = subsets
         self._pos = pos
 
-    def monomial_image(self, s: Subset) -> GrassmannElement:
-        cached = self._cache.get(s)
-        if cached is not None:
-            return cached
-        out = GrassmannElement.one(self.n)
-        for j in s:
-            out = out * self.images[j]
-        self._cache[s] = out
-        return out
-
     def apply(self, a: GrassmannElement) -> GrassmannElement:
-        return _combination(self.n, ((c, self.monomial_image(s)) for s, c in a.terms.items()))
+        return _combination(self.n, a.den, ((v, self.monomial_image(s)) for s, v in a.nums.items()))
 
     def inverse_image(self, a: GrassmannElement) -> GrassmannElement:
         sol = self._solver.solve({self._pos[s]: c for s, c in a.terms.items()})
@@ -435,20 +477,17 @@ def normalize_generators(rho: RealStructure) -> List[GrassmannElement]:
     """
     n = rho.n
     sub = structural_subspaces(n)
+    subsets = all_subsets(n)
+    pos = {s: k for k, s in enumerate(subsets)}
     fixed = real_form_basis(rho)
     b1 = [a for a in fixed if a.in_nilpotent_ideal()]
     # deterministic selection: greedily keep vectors with new degree-1 pivots
     chosen: List[GrassmannElement] = []
     proj_rows: List[dict] = []
     for a in b1:
-        row = {}
-        for j in range(n):
-            c = a.terms.get((j,))
-            if c is not None:
-                if c.re:
-                    row[2 * j] = c.re
-                if c.im:
-                    row[2 * j + 1] = c.im
+        # den * the degree-1 part (theta_j sits at pos 1 + j), which spans the
+        # same row space as the projection itself
+        row = {k - 2: v for k, v in _realified(a, pos).items() if 2 <= k < 2 * n + 2}
         cand = row_space_basis(proj_rows + [row], 2 * n)
         if len(cand) > len(proj_rows):
             chosen.append(a)
@@ -463,13 +502,13 @@ def normalize_generators(rho: RealStructure) -> List[GrassmannElement]:
     zprimes = []
     ys = []
     for x in chosen:
-        y = GrassmannElement(n, {s: c for s, c in x.terms.items() if s in odd_minus})
+        y = _element(n, *_reduced(x.den, {s: v for s, v in x.nums.items() if s in odd_minus}))
         z = x - y
-        if any(s not in center_g2 for s in z.terms):
+        if any(s not in center_g2 for s in z.nums):
             raise NormalizationError("tail of a selected vector is not central")
         rho_y = rho.apply(y)
         zp = rho_y - y
-        if any(s not in center_g2 for s in zp.terms):
+        if any(s not in center_g2 for s in zp.nums):
             raise NormalizationError("rho(y) - y left the central tail space")
         ys.append(y)
         zprimes.append(zp)
@@ -488,14 +527,12 @@ def normalize_generators(rho: RealStructure) -> List[GrassmannElement]:
             if ts[k] * ts[l] + ts[l] * ts[k]:
                 raise NormalizationError("corrected generators do not anticommute")
     # the monomials in t span 2^n real dimensions
-    subsets = all_subsets(n)
-    pos = {s: k for k, s in enumerate(subsets)}
     rows = []
     for s in subsets:
         m = GrassmannElement.one(n)
         for j in s:
             m = m * ts[j]
-        rows.append(rho.element_to_vec(m, pos))
+        rows.append(_realified(m, pos))
     if len(row_space_basis(rows, 2 * len(subsets))) != 2 ** n:
         raise NormalizationError("monomials in the generators do not span the real form")
     return ts
@@ -524,11 +561,12 @@ class CanonicalIso:
 
     def apply(self, a: GrassmannElement) -> GrassmannElement:
         """Image in Lambda_R(n) (coefficients must come out real)."""
-        vec = self.rho.element_to_vec(a, self._pos)
-        sol = self._solver.solve(vec)
-        if sol is None:
+        # the span is real, so the cleared query reduces to an int combination
+        den, residual, combo = self._solver.reduce(_realified(a, self._pos), want_combo=True)
+        if residual:
             raise ValueError("element is not in the real form")
-        return GrassmannElement(self.n, {self.subsets[k]: GaussianRational(c) for k, c in sorted(sol.items())})
+        nums = {self.subsets[k]: (v, 0) for k, v in sorted(combo.items())}
+        return _element(self.n, *_reduced(den * a.den, nums))
 
     def check(self) -> bool:
         """Bijectivity and multiplicativity on all monomial basis pairs."""
@@ -553,7 +591,7 @@ def composed_iso_is_algebra_map(rho1: RealStructure, rho2: RealStructure) -> boo
             b = iso1.monomials[iso1._pos[sb]]
             prod = iso1.apply(a * b)
             # push through the rho2 monomials
-            img = _combination(rho2.n, ((c, iso2.monomials[iso2._pos[s]]) for s, c in prod.terms.items()))
+            img = _combination(rho2.n, prod.den, ((v, iso2.monomials[iso2._pos[s]]) for s, v in prod.nums.items()))
             direct = iso2.monomials[iso2._pos[sa]] * iso2.monomials[iso2._pos[sb]]
             if img != direct:
                 return False

@@ -116,7 +116,12 @@ def _integer_row(row):
     """(den, den * row) for a dict of rationals: den is the lcm of the denominators.
 
     The scaled entries are ints; zeros are dropped and keys keep their order.
+    A row whose values are all ints, as the cleared differential_matrix and
+    _prolong_block rows over QQ are, is taken as it is: den is 1 and the
+    entries are a copy of the row without its zeros.
     """
+    if {int}.issuperset(map(type, row.values())):
+        return 1, {c: v for c, v in row.items() if v}
     den = lcm(*[v.denominator for v in row.values()])
     if den == 1:
         return 1, {c: v.numerator for c, v in row.items() if v}

@@ -271,6 +271,16 @@ def grassmann_product(a, b):
     return GrassmannElement(a.n, out)
 
 
+def grassmann_linear_terms(pairs):
+    """The terms of sum c * element over (scalar c, element) pairs, one Gaussian
+    rational product and sum per term, as {subset: GaussianRational} without zeros."""
+    out = {}
+    for c, element in pairs:
+        for s, v in element.terms.items():
+            out[s] = out.get(s, gaussian(0)) + as_gaussian(c) * v
+    return {s: v for s, v in out.items() if v}
+
+
 def monomial_product(m1, m2, parities):
     """(monomial, sign) of the product of two canonical monomials, or None if it is 0.
 

@@ -56,10 +56,9 @@ def test_h2_dims_in_degrees_1_to_3(build, dims, sha256):
     assert canonical_sha256(report) == sha256
 
 
-# A document carries no weights; from_document recomputes them from the Cartan
-# ids, so a round trip keeps the whole report of every algebra that the
-# benchmark's h2_sweep pins.
-@pytest.mark.parametrize(
+# The seven algebras of the benchmark's h2_sweep, each with the digest of its
+# report in degrees 1..3.
+H2_SWEEP_ALGEBRAS = pytest.mark.parametrize(
     "build, sha256",
     [
         (lambda: build_complexified_minkowski(2), "d67b27574f675d35da53e8fddb550f89986900457f4b420500d3a5f90cd44c15"),
@@ -78,9 +77,28 @@ def test_h2_dims_in_degrees_1_to_3(build, dims, sha256):
     ],
     ids=["mink2^C", "mink1^C", "mink1-reduced", "mink1-conformal", "k(1|2)^R", "k(3|2)", "m(1|1)"],
 )
+
+
+# A document carries no weights; from_document recomputes them from the Cartan
+# ids, so a round trip keeps the whole report of every algebra that the
+# benchmark's h2_sweep pins.
+@H2_SWEEP_ALGEBRAS
 def test_a_document_round_trip_keeps_the_h2_report(build, sha256):
     g = LieSuperAlgebra.from_document(build().to_document())
     assert canonical_sha256(h2_by_degree(g, (1, 2, 3))) == sha256
+
+
+@H2_SWEEP_ALGEBRAS
+def test_component_indices_are_a_scan_of_the_basis(build, sha256):
+    g = build()
+    for alg in (g, LieSuperAlgebra.from_document(g.to_document())):
+        for d in alg.degrees() + [max(alg.degrees()) + 1]:
+            scan = [k for k, b in enumerate(alg.space.basis) if b.degree == d]
+            got = alg.component_indices(d)
+            assert got == scan
+            # each call returns a new list, so a caller cannot change the index
+            got.append(-1)
+            assert alg.component_indices(d) == scan
 
 
 def test_h2_dims_minkowski_n1_reduced(mink1_reduced):

@@ -1,4 +1,6 @@
 import random
+import re
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from superalg.grassmann import (
 from superalg.linalg import row_space_basis
 from superalg.scalars import ZERO, GaussianRational, I, as_gaussian, format_scalar, gaussian, parse_scalar, rational
 
-from oracles import canonical_sha256, grassmann_product
+from oracles import canonical_sha256, grassmann_linear_terms, grassmann_product
 
 
 def th(n, *jk):
@@ -116,10 +118,10 @@ def test_elements_on_different_generator_counts_do_not_mix():
         with pytest.raises(ValueError, match="generators in an operation on"):
             op()
     with pytest.raises(ValueError, match="on 3 generators in an operation on 2"):
-        grassmann._combination(2, [(gaussian(1), a), (gaussian(1), b)])
+        grassmann._combination(2, 1, [((1, 0), a), ((1, 0), b)])
     # scalars still scale, and equal sizes still combine
     assert a * 2 == 2 * a == a + a
-    assert grassmann._combination(2, [(gaussian(2), a), (I, th(2, 1))]) == a * 2 + th(2, 1) * I
+    assert grassmann._combination(2, 1, [((2, 0), a), ((0, 1), th(2, 1))]) == a * 2 + th(2, 1) * I
 
 
 def test_rho_bar_pythagorean_phase():
@@ -274,12 +276,16 @@ GAUSSIAN_RATIONALS = st.builds(
 
 @st.composite
 def element_triples(draw):
-    """Three elements of Lambda_C(n), n <= 4, with up to 6 terms each."""
+    """Three elements of Lambda_C(n), n <= 4, with up to 6 terms each, a scalar,
+    and a positive den with one Gaussian integer coefficient per element."""
     n = draw(st.integers(1, 4))
     subsets = st.sampled_from(all_subsets(n))
-    return tuple(
+    elements = tuple(
         GrassmannElement(n, draw(st.dictionaries(subsets, GAUSSIAN_RATIONALS, max_size=6))) for _ in range(3)
     )
+    z = draw(st.one_of(GAUSSIAN_RATIONALS, st.builds(rational, st.integers(-12, 12), st.integers(1, 12))))
+    parts = st.integers(-12, 12)
+    return elements, z, draw(st.integers(1, 12)), [(draw(parts), draw(parts)) for _ in elements]
 
 
 def assert_gaussian_values(a):
@@ -288,16 +294,57 @@ def assert_gaussian_values(a):
         assert type(c.re) is type(ZERO) and type(c.im) is type(ZERO)
 
 
+def assert_canonical(a):
+    """den > 0, no zero pair and gcd(den, every part) = 1: the one representation of a's value."""
+    assert type(a.den) is int and a.den > 0
+    assert all(type(x) is int for v in a.nums.values() for x in v)
+    assert all(u or v for u, v in a.nums.values())
+    assert gcd(a.den, *[x for v in a.nums.values() for x in v]) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(element_triples())
-def test_product_is_the_term_by_term_product_and_associative(abc):
-    a, b, c = abc
+def test_product_is_the_term_by_term_product_and_associative(case):
+    (a, b, c), z, den, coeffs = case
+    n = a.n
     ab = a * b
     assert ab == grassmann_product(a, b)
     abc_left, abc_right = ab * c, a * (b * c)
     assert abc_left == abc_right
-    for x in (ab, abc_left, abc_right):
+    # the linear operations against term-by-term sums of GaussianRationals
+    one = gaussian(1)
+    assert (a + b).terms == grassmann_linear_terms([(one, a), (one, b)])
+    assert (a - b).terms == grassmann_linear_terms([(one, a), (-one, b)])
+    assert (-a).terms == grassmann_linear_terms([(-one, a)])
+    assert a.scale(z).terms == (z * a).terms == grassmann_linear_terms([(z, a)])
+    assert a.conjugate().terms == {s: v.conjugate() for s, v in a.terms.items()}
+    combined = grassmann._combination(n, den, zip(coeffs, (a, b, c)))
+    scalars = [gaussian(rational(u, den), rational(v, den)) for u, v in coeffs]
+    assert combined.terms == grassmann_linear_terms(zip(scalars, (a, b, c)))
+    results = (ab, abc_left, abc_right, a + b, a - b, -a, a.scale(z), a.conjugate(), combined)
+    for x in results:
         assert_gaussian_values(x)
+        assert_canonical(x)
+    # equal values built over different denominators are equal
+    assert a.scale(rational(1, 2)).scale(2) == a
+    assert (a + b) - b == a == b + a - b
+    if z:
+        assert a.scale(z).scale(1 / as_gaussian(z)) == a
+        assert (a + b).scale(z) == a.scale(z) + b.scale(z)
+    assert GrassmannElement(n, a.terms) == a
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 0), (2,), (5,), (-1,), (0, 2), (0.0,), "0"], ids=repr)
+def test_the_constructor_rejects_a_subset_key_that_is_not_canonical(key):
+    # (1, 0) and (0, 1) name one monomial up to sign: accepting both made the
+    # zero sum theta_2 theta_1 + theta_1 theta_2 print as two terms
+    with pytest.raises(ValueError, match=re.escape(f"subset key {key!r}")):
+        GrassmannElement(2, {key: gaussian(1)})
+    with pytest.raises(ValueError, match="subset key"):
+        GrassmannElement.generator(2, 2)
+    # results of operations need no check: their keys are canonical
+    assert GrassmannElement(2, {(0, 1): 1}) + GrassmannElement(2, {(0, 1): -1}) == GrassmannElement(2)
+    assert not (th(2, 1) * th(2, 0) + th(2, 0) * th(2, 1))
 
 
 def test_product_that_cancels_has_no_terms():

@@ -263,10 +263,20 @@ def test_span_solver_rejects_an_index_outside_the_ambient_space():
 # -- the integer elimination: denominators, content and cross-multiplication ---
 
 WIDE = st.builds(rational, st.integers(-(2**20), 2**20), st.integers(1, 2**20))
+WIDE_INTS = st.integers(-(2**20), 2**20)
 WIDE_SCALARS = {
     "Q": WIDE,
     "Q(i)": st.one_of(WIDE, st.builds(gaussian, WIDE, WIDE)),
+    # plain ints, as the cleared differential_matrix and _prolong_block rows
+    # are, alone and mixed with rationals
+    "Z": WIDE_INTS,
+    "Z and Q": st.one_of(WIDE_INTS, WIDE),
 }
+
+
+def as_fractions(vec):
+    """vec with every plain int made the backend's rational."""
+    return {c: rational(v) if type(v) is int else v for c, v in vec.items()}
 
 
 @st.composite
@@ -283,7 +293,7 @@ def dense_wide_rows(draw):
         if rows and draw(st.booleans()):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             x, y = draw(WIDE_SCALARS[field]), draw(WIDE_SCALARS[field])
-            row = {c: x * a.get(c, ZERO) + y * b.get(c, ZERO) for c in set(a) | set(b)}
+            row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in set(a) | set(b)}
         else:
             row = draw(st.dictionaries(st.integers(0, cols - 1), WIDE_SCALARS[field], min_size=cols // 2))
         rows.append({c: v for c, v in sorted(row.items()) if v})
@@ -297,10 +307,14 @@ def dense_wide_rows(draw):
 @example(([{0: gaussian(1, 1), 1: rational(2)}, {0: rational(5, 7), 1: gaussian(0, -3)}], 3))
 def test_integer_elimination_gives_the_dense_rref_with_field_scalars(case):
     rows, cols = case
-    before = [dict(r) for r in rows]
+    before = repr(rows)
     pivots, rref = rref_rows(rows, cols)
     assert (pivots, rref) == dense_rref(rows, cols)
-    assert rows == before  # the input rows are not mutated
+    # ints and the same values as rationals give the same RREF and kernel
+    fractions = [as_fractions(r) for r in rows]
+    assert rref_rows(fractions, cols) == (pivots, rref)
+    assert kernel_basis(rows, cols) == kernel_basis(fractions, cols)
+    assert repr(rows) == before  # the input rows are not mutated, nor their values retyped
     if any(isinstance(v, GaussianRational) for r in rows for v in r.values()):
         assert all(type(v) is GaussianRational for r in rref for v in r.values())
     else:
@@ -356,7 +370,9 @@ def span_queries(draw):
 ))
 def test_integer_span_solver_agrees_with_the_dense_reduction(case):
     vecs, dim, queries = case
+    before = repr(case)
     solver = SpanSolver(vecs, dim)
+    fraction_solver = SpanSolver([as_fractions(v) for v in vecs], dim)
     pivot_cols = dense_rref(vecs, dim)[0]
     assert solver.rank == len(pivot_cols)
     # a query with no entry in any pivot column is its own residual
@@ -368,6 +384,7 @@ def test_integer_span_solver_agrees_with_the_dense_reduction(case):
         residual, combo = dense_reduce(vecs, dim, q)
         den, t, qc = solver.reduce(q, want_combo=True)
         assert solver.reduce(q) == (den, t)
+        assert fraction_solver.reduce(as_fractions(q), want_combo=True) == (den, t, qc)
         # the cleared residual and combination are den times the dense ones
         assert type(den) is int and den > 0
         assert t == {c: v * den for c, v in residual.items()}
@@ -386,6 +403,7 @@ def test_integer_span_solver_agrees_with_the_dense_reduction(case):
         else:
             assert all(type(v) is int for part in (t, qc) for v in part.values())
         assert all(type(v) is want for v in (sol or {}).values())
+    assert repr(case) == before  # neither the spanning vectors nor the queries are mutated
 
 
 def test_rref_rows_rejects_a_column_outside_the_range():
