@@ -17,34 +17,47 @@ determined by the row space alone, because the reduced row echelon form is
 unique.  So every downstream basis and golden file is reproducible bit for
 bit.
 
-The elimination itself runs on integers, or on Gaussian integers over QQ(i),
-because the cost of exact elimination here is the overhead of each rational
-operation, not the size of the coefficients.  Each row is cleared of
-denominators, updates are fraction-free cross-multiplications followed by
-division by the row's content (the gcd of its entries), and only the output
-rows are divided by their pivots (Bareiss, Math. Comp. 22 (1968) 565-578;
-Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 9).  Every
-step multiplies a row by a nonzero scalar, which changes neither the row
-space nor the zero pattern, so the pivots, the key order of every row and the
-RREF are those of elimination over the field.
+The elimination itself runs on integers, because the cost of exact
+elimination here is the overhead of each rational operation, not the size of
+the coefficients.  Each row is cleared of denominators, updates are
+fraction-free cross-multiplications followed by division by the row's
+content (the gcd of its entries), and only the output rows are divided by
+their pivots (Bareiss, Math. Comp. 22 (1968) 565-578; Geddes, Czapor and
+Labahn, Algorithms for Computer Algebra, ch. 9).  Every step multiplies a row
+by a nonzero scalar, which changes neither the row space nor the zero
+pattern, so the pivots, the key order of every row and the RREF are those of
+elimination over QQ.
+
+Over QQ(i) the same elimination runs on the realification, as a real space
+with a complex structure on it.  Column c becomes the real columns 2c (the
+real part) and 2c + 1 (the imaginary part), and each row v becomes the two
+rows v and i*v, where i*v holds (-im, re) in each column pair.  The real row
+space is then the realification of the complex one: it is stable under i,
+and its column pairs keep their order.  If the complex RREF has rows r_k with
+pivots c_k, the realified r_k (pivot 2c_k, zero at 2c_k + 1) and i*r_k
+(pivot 2c_k + 1, zero at 2c_k) are in reduced row echelon form and span that
+real space, so they are its unique real RREF.  The complex RREF is read back
+from the rows with even pivots.  No arithmetic on Gaussian integers is
+needed.
 
 SpanSolver keeps the integer pivot rows of that elimination as they are,
 without the final division, and reduces each query the same way: the query
-is cleared to integers once and every step is a fraction-free cross-
-multiplication whose overall scale is tracked exactly.  reduce hands back
-the residual cleared, (den, t) with den a positive int and t / den the
-canonical residual; t holds ints, or GaussianRationals with integral parts
-when the query or the span has a GaussianRational.  Callers that go on
-computing on integers take t as it is: a residual scaled by den spans the
-same row space, and a kernel column scaled by den scales the kernel vector
-back.  solve divides the combination once, into field scalars.
+is cleared to integers once (realified when it or the span is over QQ(i))
+and every step is a fraction-free cross-multiplication whose overall scale
+is tracked exactly.  reduce hands back the residual cleared, (den, t) with
+den a positive int and t / den the canonical residual; t holds ints, or
+GaussianRationals with integral parts when the query or the span has a
+GaussianRational.  Callers that go on computing on integers take t as it
+is: a residual scaled by den spans the same row space, and a kernel column
+scaled by den scales the kernel vector back.  solve divides the combination
+once, into field scalars.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import ONE, GaussianRational, rational, real_imag
+from .scalars import ONE, GaussianRational, is_rational, rational
 
 
 class SparseMatrix:
@@ -76,40 +89,8 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-class _GaussianInteger:
-    """re + im*i with int parts: an entry of rref_rows over QQ(i).
-
-    It has only what the elimination loop uses: +, unary -, *, exact //,
-    truth and comparison with 1.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        return not self.im and self.re == other
-
-    def __neg__(self):
-        return _GaussianInteger(-self.re, -self.im)
-
-    def __add__(self, o):
-        return _GaussianInteger(self.re + o.re, self.im + o.im)
-
-    def __mul__(self, o):
-        return _GaussianInteger(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __floordiv__(self, o):
-        """The exact quotient self / o; o must divide self in ZZ[i]."""
-        n = o.re * o.re + o.im * o.im
-        return _GaussianInteger(
-            (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
-        )
+def _inexact(value):
+    return TypeError(f"{value!r} is not an exact scalar: an int, a rational or a GaussianRational")
 
 
 def _integer_row(row):
@@ -118,105 +99,86 @@ def _integer_row(row):
     The scaled entries are ints; zeros are dropped and keys keep their order.
     A row whose values are all ints, as the cleared differential_matrix and
     _prolong_block rows over QQ are, is taken as it is: den is 1 and the
-    entries are a copy of the row without its zeros.
+    entries are a copy of the row without its zeros.  A value that is not
+    exact (a float, say) raises TypeError.
     """
     if {int}.issuperset(map(type, row.values())):
         return 1, {c: v for c, v in row.items() if v}
-    den = lcm(*[v.denominator for v in row.values()])
+    try:
+        den = lcm(*[v.denominator for v in row.values()])
+    except AttributeError:
+        raise _inexact(next(v for v in row.values() if not is_rational(v))) from None
     if den == 1:
         return 1, {c: v.numerator for c, v in row.items() if v}
     return den, {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
-def _primitive(row, content):
+def _primitive(row):
     """An integer row divided by its content, so that its entries are coprime."""
-    g = content(*row.values())
+    g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g != 1 else row
-
-
-def _divide_rational(row, p):
-    return {c: rational(v, p) for c, v in row.items()}
-
-
-def _real_parts(items):
-    """{(key, 0): re, (key, 1): im} for (key, scalar) pairs."""
-    parts = {}
-    for key, v in items:
-        parts[key, 0], parts[key, 1] = real_imag(v)
-    return parts
-
-
-def _clear_gaussian(row):
-    den, ints = _integer_row(_real_parts(row.items()))
-    return _GaussianInteger(den, 0), {
-        c: _GaussianInteger(ints.get((c, 0), 0), ints.get((c, 1), 0)) for c, v in row.items() if v
-    }
-
-
-def _gaussian_gcd(*xs):
-    """A gcd in ZZ[i] of Gaussian integers, normalized to re > 0, im >= 0 (or 0).
-
-    Euclid's algorithm with each quotient rounded to the nearest Gaussian
-    integer.  A unit gcd comes back as exactly 1.
-    """
-    a_re = a_im = 0
-    for x in xs:
-        b_re, b_im = x.re, x.im
-        while b_re or b_im:
-            n2 = 2 * (b_re * b_re + b_im * b_im)
-            q_re = (2 * (a_re * b_re + a_im * b_im) + n2 // 2) // n2
-            q_im = (2 * (a_im * b_re - a_re * b_im) + n2 // 2) // n2
-            a_re, a_im, b_re, b_im = (
-                b_re,
-                b_im,
-                a_re - q_re * b_re + q_im * b_im,
-                a_im - q_re * b_im - q_im * b_re,
-            )
-        if a_re * a_re + a_im * a_im == 1:
-            return _GaussianInteger(1, 0)
-    while (a_re <= 0 or a_im < 0) and (a_re or a_im):
-        a_re, a_im = -a_im, a_re
-    return _GaussianInteger(a_re, a_im)
-
-
-def _divide_gaussian(row, p):
-    n = p.re * p.re + p.im * p.im
-    return {
-        c: GaussianRational(rational(v.re * p.re + v.im * p.im, n), rational(v.im * p.re - v.re * p.im, n))
-        for c, v in row.items()
-    }
-
-
-# The per-field pieces of the elimination: clear a row to integers (with the
-# denominator it was multiplied by), the content (gcd) of integers, and the
-# division of an integer row by one integer, back to field scalars.
-_OVER_QQ = (_integer_row, gcd, _divide_rational)
-_OVER_QQI = (_clear_gaussian, _gaussian_gcd, _divide_gaussian)
-
-
-def _over(gaussian):
-    return _OVER_QQI if gaussian else _OVER_QQ
 
 
 def _has_gaussian(values):
     return GaussianRational in map(type, values)
 
 
-def _integer_rref(rows, cols, field):
-    """The integer core of rref_rows: [(pivot col, integer pivot row)] in pivot order.
+def _realified(row):
+    """A row over QQ(i) on the real columns: column c becomes 2c (re) and 2c + 1 (im).
+
+    Zero parts may stay in the result; _integer_row drops them.
+    """
+    real = {}
+    for c, x in row.items():
+        if type(x) is GaussianRational:
+            real[2 * c], real[2 * c + 1] = x.re, x.im
+        elif is_rational(x):
+            real[2 * c] = x
+        else:
+            raise _inexact(x)
+    return real
+
+
+def _realified_rows(rows):
+    """The rows v and i*v on the real columns, for each row v over QQ(i).
+
+    i*v holds (-im, re) in each column pair where v holds (re, im).
+    """
+    out = []
+    for row in rows:
+        v = _realified(row)
+        out += (v, {k ^ 1: -x if k & 1 else x for k, x in v.items()})
+    return out
+
+
+def _complexified(real, den=1):
+    """The row over QQ(i) whose realification is real / den, for a row of ints."""
+    out = {}
+    for k in real:
+        c = k >> 1
+        if c not in out:
+            out[c] = GaussianRational(rational(real.get(2 * c, 0), den), rational(real.get(2 * c + 1, 0), den))
+    return out
+
+
+def _check_columns(columns, cols):
+    outside = [c for c in columns if not 0 <= c < cols]
+    if outside:
+        raise ValueError(f"column {min(outside)} outside range({cols})")
+
+
+def _integer_rref(rows, cols):
+    """The integer core of rref_rows over QQ: [(pivot col, integer pivot row)] in pivot order.
 
     Each row is fully reduced (zero in every other pivot column) and has
-    coprime entries; it is the RREF row times its pivot entry row[col].
+    coprime entries; it is the RREF row times its pivot entry row[col] > 0.
     """
-    clear, content, _ = field
-    work = [_primitive(clear(r)[1], content) for r in rows]
+    work = [_primitive(_integer_row(r)[1]) for r in rows]
     occupancy = {}
     for ridx, r in enumerate(work):
         for c in r:
             occupancy.setdefault(c, set()).add(ridx)
-    outside = [c for c in occupancy if not 0 <= c < cols]
-    if outside:
-        raise ValueError(f"column {min(outside)} outside range({cols})")
+    _check_columns(occupancy, cols)
     remaining = set(range(len(work)))
     pivots = []
     for c in range(cols):
@@ -229,16 +191,15 @@ def _integer_rref(rows, cols, field):
         remaining.discard(pr)
         prow = work[pr]
         p = prow[c]
-        unit = p // content(p)
-        if unit != 1:
-            prow = work[pr] = {cc: v // unit for cc, v in prow.items()}
-            p = prow[c]
+        if p < 0:
+            prow = work[pr] = {cc: -v for cc, v in prow.items()}
+            p = -p
         for r2 in list(occ):
             if r2 == pr:
                 continue
             row2 = work[r2]
             f = row2[c]
-            g = content(p, f)
+            g = gcd(p, f)
             a, nb = p // g, -(f // g)
             if a != 1:
                 row2 = work[r2] = {cc: a * v for cc, v in row2.items()}
@@ -255,7 +216,7 @@ def _integer_rref(rows, cols, field):
                         del row2[cc]
                         occupancy[cc].discard(r2)
             if row2:
-                work[r2] = _primitive(row2, content)
+                work[r2] = _primitive(row2)
         pivots.append((c, pr))
     return [(c, work[pr]) for c, pr in pivots]
 
@@ -266,20 +227,24 @@ def rref_rows(rows, cols):
     Returns (pivot_cols, rref) where rref[k] is the row whose pivot is
     pivot_cols[k], scaled to pivot 1, fully reduced.  Input rows are not
     mutated; a nonzero entry in a column outside range(cols) raises
-    ValueError.  The result is the canonical RREF of the row space; its entries
-    are rationals, or GaussianRational when any input entry is one.
+    ValueError, and a value that is not exact raises TypeError.  The result
+    is the canonical RREF of the row space; its entries are rationals, or
+    GaussianRational when any input entry is one.
 
-    The elimination runs on integers (Gaussian integers over QQ(i)).  Each row
-    is cleared to coprime integers.  A pivot row is scaled by a unit so that
-    its pivot p is positive (over ZZ[i]: re > 0, im >= 0).  Every other row r
-    with entry f in the pivot column becomes (p/g) r - (f/g) pivot_row, with
-    g = gcd(p, f), and is then divided by its content.  The pivot rows are
-    divided by their pivots only when the output is built.
+    The elimination runs on integers.  Each row is cleared to coprime
+    integers.  A pivot row is negated if its pivot p is negative.  Every other
+    row r with entry f in the pivot column becomes (p/g) r - (f/g) pivot_row,
+    with g = gcd(p, f), and is then divided by its content.  The pivot rows
+    are divided by their pivots only when the output is built.  Over QQ(i)
+    the rows v and i*v are eliminated on the real columns 2c, 2c + 1, and the
+    rows with even pivots 2c are read back as the complex RREF.
     """
-    field = _over(_has_gaussian(v for r in rows for v in r.values()))
-    pivots = _integer_rref(rows, cols, field)
-    divide = field[2]
-    return [c for c, _ in pivots], [divide(row, row[c]) for c, row in pivots]
+    if not _has_gaussian(v for r in rows for v in r.values()):
+        pivots = _integer_rref(rows, cols)
+        return [c for c, _ in pivots], [{cc: rational(v, row[c]) for cc, v in row.items()} for c, row in pivots]
+    _check_columns({c for r in rows for c, v in r.items() if v}, cols)
+    pivots = [(c, row) for c, row in _integer_rref(_realified_rows(rows), 2 * cols) if not c % 2]
+    return [c // 2 for c, _ in pivots], [_complexified(row, row[c]) for c, row in pivots]
 
 
 def rank(rows, cols) -> int:
@@ -326,11 +291,14 @@ class SpanSolver:
     holds the combination column of vector j.
 
     The pivot rows are kept as the integer rows of the elimination: row and
-    combination part together are coprime integers (Gaussian integers when a
-    spanning entry is a GaussianRational) whose pivot entry is p, the RREF row
-    times p.  A query is cleared to integers once, reduced fraction-free and
-    divided once at the end, so that its values are those of reducing over
-    the field against the RREF.
+    combination part together are coprime ints whose pivot entry is p > 0,
+    the RREF row times p.  A span with a GaussianRational entry is kept
+    realified, as rref_rows eliminates it: the rows v_j and i*v_j on the real
+    columns, with the combination columns 2j for v_j and 2j + 1 for i*v_j, so
+    each complex pivot c has the real pivot rows 2c and 2c + 1.  A query is
+    cleared to integers once, reduced fraction-free and divided once at the
+    end, so that its values are those of reducing over the field against the
+    RREF.
     """
 
     def __init__(self, vectors, dim):
@@ -345,34 +313,39 @@ class SpanSolver:
             row[dim + j] = 1
             rows.append(row)
         self._gaussian = _has_gaussian(x for r in rows for x in r.values())
+        cols = dim + len(rows)
+        if self._gaussian:
+            rows, dim, cols = _realified_rows(rows), 2 * dim, 2 * cols
         # pivot column -> (pivot entry p, the integer row restricted to the
         # ambient space, its combination part)
         self.pivots = {}
-        for c, row in _integer_rref(rows, dim + len(rows), _over(self._gaussian)):
+        for c, row in _integer_rref(rows, cols):
             if c < dim:
                 self.pivots[c] = (
                     row[c],
                     {cc: v for cc, v in row.items() if cc < dim},
                     {cc - dim: v for cc, v in row.items() if cc >= dim},
                 )
-        self.rank = len(self.pivots)
-        self._gaussian_pivots = None
+        # the dimension over the field: a complex pivot has two real pivot rows
+        self.rank = len(self.pivots) // 2 if self._gaussian else len(self.pivots)
+        self._realified_pivots = None
 
     def _pivots_over(self, gaussian):
-        """The pivot rows with entries of the query's field.
+        """The pivot rows on the query's columns: the real ones when the span or the query is over QQ(i).
 
-        A span over QQ queried with a GaussianRational has its integer rows
-        converted to Gaussian integers on the first such query.
+        A span over QQ queried with a GaussianRational places each integer row
+        at 2c and, as i times it, at 2c + 1 on the first such query; nothing
+        is eliminated again.
         """
         if not gaussian or self._gaussian:
             return self.pivots
-        if self._gaussian_pivots is None:
-            G = _GaussianInteger
-            self._gaussian_pivots = {
-                c: (G(p, 0), {cc: G(v, 0) for cc, v in row.items()}, {j: G(v, 0) for j, v in combo.items()})
+        if self._realified_pivots is None:
+            self._realified_pivots = {
+                2 * c + s: (p, {2 * cc + s: v for cc, v in row.items()}, {2 * j + s: v for j, v in combo.items()})
                 for c, (p, row, combo) in self.pivots.items()
+                for s in (0, 1)
             }
-        return self._gaussian_pivots
+        return self._realified_pivots
 
     def reduce(self, vec, want_combo=False):
         """The cleared residual (den, t) of vec modulo the span; with want_combo also q.
@@ -388,23 +361,22 @@ class SpanSolver:
         The pivot rows are fully reduced: each has no entry in any other pivot
         column, so clearing one pivot column never touches another, and one
         pass over the pivot columns present in vec is the whole elimination.
-        vec is cleared to integers t = den * vec.  For a pivot row with pivot p
-        and t's entry f there, g = gcd(p, f), t becomes (p/g) t - (f/g) row,
-        the combination q becomes (p/g) q + (f/g) row_combination, and den is
-        multiplied by p/g, so that t / den is always vec minus the combination
-        of the RREF rows used so far and q / den that combination.  Over QQ(i)
-        p/g may be a Gaussian integer; a den that is not a positive int is
-        made one at the end by multiplying den, t and q by its conjugate.
+        vec is cleared to integers t = den * vec (on the real columns over
+        QQ(i)).  For a pivot row with pivot p and t's entry f there,
+        g = gcd(p, f), t becomes (p/g) t - (f/g) row, the combination q becomes
+        (p/g) q + (f/g) row_combination, and den is multiplied by p/g > 0, so
+        that t / den is always vec minus the combination of the RREF rows used
+        so far and q / den that combination.  Over QQ(i), t and q are read
+        back from the real columns at the end.
         """
         gaussian = self._gaussian or _has_gaussian(vec.values())
-        clear, content, _ = _over(gaussian)
         pivots = self._pivots_over(gaussian)
-        den, t = clear(vec)
+        den, t = _integer_row(_realified(vec) if gaussian else vec)
         combo = {}
         for c in [c for c in t if c in pivots]:
             p, row, row_combo = pivots[c]
             f = t[c]
-            g = content(p, f)
+            g = gcd(p, f)
             a, fg = p // g, f // g
             if a != 1:
                 den = den * a
@@ -414,7 +386,7 @@ class SpanSolver:
             if want_combo:
                 _add_multiple(combo, fg, row_combo)
         if gaussian:
-            den, t, combo = _gaussian_out(den, t, combo)
+            t, combo = _complexified(t), _complexified(combo)
         return (den, t, combo) if want_combo else (den, t)
 
     def contains(self, vec) -> bool:
@@ -431,27 +403,11 @@ class SpanSolver:
             return None
         if not combo or not isinstance(next(iter(combo.values())), GaussianRational):
             return {j: rational(v, den) for j, v in combo.items()}
-        # the parts are integral: their numerators are the Gaussian integer's parts
+        # the parts are integral: their numerators are the real columns' ints
         return {
             j: GaussianRational(rational(v.re.numerator, den), rational(v.im.numerator, den))
             for j, v in combo.items()
         }
-
-
-def _gaussian_out(den, t, combo):
-    """(den, t, q) of Gaussian integers as a positive int and GaussianRationals.
-
-    A den that is not a positive integer (one with an imaginary part, or a
-    negative one such as i * i) is replaced by its norm, t and q being
-    multiplied by its conjugate, so that t / den and q / den keep their values.
-    """
-    if den.im or den.re < 0:
-        conj = _GaussianInteger(den.re, -den.im)
-        t = {c: v * conj for c, v in t.items()}
-        combo = {j: v * conj for j, v in combo.items()}
-        den = den * conj
-    G = GaussianRational
-    return den.re, {c: G(v.re, v.im) for c, v in t.items()}, {j: G(v.re, v.im) for j, v in combo.items()}
 
 
 def primitive_integer_vector(vec):
@@ -460,11 +416,11 @@ def primitive_integer_vector(vec):
     Gaussian entries are scaled jointly (treating re and im as components);
     the returned list then contains Gaussian integers.
     """
-    ints = _primitive(_integer_row(_real_parts(enumerate(vec)))[1], gcd)
+    ints = _primitive(_integer_row(_realified(dict(enumerate(vec))))[1])
     if ints and next(iter(ints.values())) < 0:
-        ints = {key: -x for key, x in ints.items()}
+        ints = {k: -x for k, x in ints.items()}
     out = []
     for k in range(len(vec)):
-        re, im = int(ints.get((k, 0), 0)), int(ints.get((k, 1), 0))
+        re, im = int(ints.get(2 * k, 0)), int(ints.get(2 * k + 1, 0))
         out.append(GaussianRational(re, im) if im else re)
     return out

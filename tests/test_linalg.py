@@ -184,6 +184,8 @@ def tall_sparse_rows(draw):
 @example(([{}], 1))
 @example(([{0: rational(3)}], 1))
 @example(([{}, {}, {1: rational(2)}, {}], 3))
+# a row and i times it: rank 1 over QQ(i), kernel dimension 1
+@example(([{0: gaussian(1, 2), 1: rational(3)}, {0: gaussian(-2, 1), 1: gaussian(0, 3)}], 2))
 def test_sparsest_row_pivots_give_the_dense_rref_and_the_oracle_rank(case):
     rows, cols = case
     sparse = rref_rows(rows, cols)
@@ -368,6 +370,20 @@ def span_queries(draw):
     3,
     [{1: gaussian(0, 1), 0: ONE}],
 ))
+# a Gaussian span queried with rational vectors; its pivot row has the non-real pivot 1 + i
+@example(([{0: gaussian(1, 1), 1: ONE}], 2, [{0: rational(1, 2)}, {0: 3, 1: rational(2, 5)}]))
+# a rational span queried with Gaussian vectors whose imaginary parts meet its pivots
+@example((
+    [{0: rational(2), 1: rational(1, 3)}, {1: ONE, 2: rational(5)}],
+    3,
+    [{0: gaussian(1, 1), 1: gaussian(0, 2)}, {0: gaussian(0, 3), 2: gaussian(1, -1)}],
+))
+# v and i*v span one complex dimension: rank counts it once
+@example((
+    [{0: gaussian(1, 2), 1: ONE}, {0: gaussian(-2, 1), 1: gaussian(0, 1)}],
+    2,
+    [{0: ONE}, {0: gaussian(1, 2), 1: rational(5)}, {0: gaussian(3, 1), 1: gaussian(1, -1)}],
+))
 def test_integer_span_solver_agrees_with_the_dense_reduction(case):
     vecs, dim, queries = case
     before = repr(case)
@@ -407,12 +423,39 @@ def test_integer_span_solver_agrees_with_the_dense_reduction(case):
 
 
 def test_rref_rows_rejects_a_column_outside_the_range():
-    one = rational(1)
-    # a column past cols used to be dropped: the row vanished and the kernel kept both units
-    for rows, col in (([{3: one}], 3), ([{0: one}, {1: one, 2: 5}], 2), ([{-1: one}], -1)):
-        with pytest.raises(ValueError, match=f"column {col} outside range"):
+    one, z = rational(1), gaussian(1, 1)
+    # a column past cols used to be dropped: the row vanished and the kernel kept both units;
+    # Gaussian rows name the caller's column, not a column of their realification
+    for rows, col in (
+        ([{3: one}], 3),
+        ([{0: one}, {1: one, 2: 5}], 2),
+        ([{-1: one}], -1),
+        ([{5: z}], 5),
+        ([{0: z}, {1: one, 2: gaussian(0, 2)}], 2),
+        ([{-1: z}], -1),
+    ):
+        with pytest.raises(ValueError, match=rf"column {col} outside range\(2\)"):
             rref_rows(rows, 2)
-        with pytest.raises(ValueError, match=f"column {col} outside range"):
+        with pytest.raises(ValueError, match=rf"column {col} outside range\(2\)"):
             kernel_basis(rows, 2)
     # an explicit zero names no column
     assert rref_rows([{0: one, 7: ZERO}], 2) == ([0], [{0: one}])
+    assert rref_rows([{0: z, 7: gaussian(0, 0)}], 2) == ([0], [{0: gaussian(1)}])
+
+
+def test_a_scalar_that_is_not_exact_raises_a_type_error_naming_it():
+    # a float used to fail deep in the stack: AttributeError on .denominator over QQ,
+    # and a TypeError from fractions that named no value over QQ(i)
+    one, z = rational(1), gaussian(1, 1)
+    match = r"0\.5 is not an exact scalar"
+    for rows in ([{0: 0.5}], [{0: one, 1: 0.5}], [{0: z, 1: 0.5}], [{0: 0.5}, {1: z}]):
+        with pytest.raises(TypeError, match=match):
+            rref_rows(rows, 2)
+        with pytest.raises(TypeError, match=match):
+            kernel_basis(rows, 2)
+        with pytest.raises(TypeError, match=match):
+            SpanSolver(rows, 2)
+    for solver in (SpanSolver([{0: one}], 2), SpanSolver([{0: z}], 2)):
+        for query in ({1: 0.5}, {0: one, 1: 0.5}, {0: z, 1: 0.5}):
+            with pytest.raises(TypeError, match=match):
+                solver.reduce(query)
