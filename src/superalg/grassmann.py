@@ -2,10 +2,19 @@
 
 A real structure is an antilinear involutive algebra automorphism rho of
 Lambda_C(n); its fixed subspace RE_rho is a real form.  All real forms are
-isomorphic: normalize_generators produces n anticommuting fixed generators by
-projecting a fixed basis to the degree-1 quotient, splitting off the central
-high-degree tail and averaging with rho; CanonicalIso then sends them to the
-standard generators.
+isomorphic, although singled out by different anti-involutions.
+
+Every map here is an algebra map given on generators, a _GeneratorMap: its
+image of sum c_S theta_S is sum c_S phi(theta_S), with phi(theta_S) the
+ordered product of the generator images.  rho is the image of the conjugate,
+rho(a) = phi(conj(a)); the random automorphism g that random_real_structure
+conjugates by is one too; and so is theta_k -> t_k, whose inverse on the
+real span of the monomials in the t's is CanonicalIso.
+
+normalize_generators finds the t's.  Of the fixed vectors inside the
+nilpotent ideal it keeps the first n pivot columns of the matrix of their
+degree-1 projections (one RREF), splits each into its odd part and its
+central high-degree tail, and averages the odd part with rho.
 
 Scalars are Gaussian rationals, so unit phases are Pythagorean units like
 (3+4i)/5 rather than exp(i phi); the algebraic phenomena are identical.
@@ -26,7 +35,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import SpanSolver, kernel_basis, rank, row_space_basis
+from .linalg import SpanSolver, kernel_basis, rank, row_space_basis, rref_rows
 from .scalars import (
     FIELD_QI,
     GaussianRational,
@@ -87,6 +96,8 @@ class GrassmannElement:
         return (self.n, self.den, self.nums) == (other.n, other.den, other.nums)
 
     def __add__(self, other):
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
         _check_size(self.n, other)
         den = lcm(self.den, other.den)
         ma, mb = den // self.den, den // other.den
@@ -97,6 +108,8 @@ class GrassmannElement:
         return _element(self.n, *_reduced(den, out))
 
     def __sub__(self, other):
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -239,11 +252,21 @@ def all_subsets(n: int) -> List[Subset]:
     return out
 
 
+def _layout(n: int):
+    """(all_subsets(n), {subset: its index there}): the monomial basis and its positions."""
+    subsets = all_subsets(n)
+    return subsets, {s: k for k, s in enumerate(subsets)}
+
+
 # -- real structures ---------------------------------------------------------
 
 
 class _GeneratorMap:
-    """A multiplicative map given by generator images; each monomial's image is built once."""
+    """The algebra map given by generator images: C-linear and multiplicative.
+
+    Each monomial's image, the product of its generators' images in order, is
+    built once, from the image of the monomial without its last generator.
+    """
 
     def __init__(self, n: int, images: Sequence[GrassmannElement]):
         self.n = n
@@ -252,13 +275,14 @@ class _GeneratorMap:
 
     def monomial_image(self, s: Subset) -> GrassmannElement:
         cached = self._cache.get(s)
-        if cached is not None:
-            return cached
-        out = GrassmannElement.one(self.n)
-        for j in s:
-            out = out * self.images[j]
-        self._cache[s] = out
-        return out
+        if cached is None:
+            cached = self._cache[s] = self.monomial_image(s[:-1]) * self.images[s[-1]]
+        return cached
+
+    def image(self, a: GrassmannElement) -> GrassmannElement:
+        """sum c_S monomial_image(S) for a = sum c_S theta_S."""
+        _check_size(self.n, a)
+        return _combination(self.n, a.den, ((v, self.monomial_image(s)) for s, v in a.nums.items()))
 
 
 class RealStructure(_GeneratorMap):
@@ -270,8 +294,7 @@ class RealStructure(_GeneratorMap):
         super().__init__(n, images)
 
     def apply(self, a: GrassmannElement) -> GrassmannElement:
-        images = (((re, -im), self.monomial_image(s)) for s, (re, im) in a.nums.items())
-        return _combination(self.n, a.den, images)
+        return self.image(a.conjugate())
 
     def validate(self):
         """[] when rho is a real structure; list of (generator, reason) otherwise."""
@@ -288,12 +311,6 @@ class RealStructure(_GeneratorMap):
                 bad.append((j, "rho^2 is not the identity"))
         return bad
 
-    # realified coordinates: (subset index, re/im)
-    def _coords(self):
-        subsets = all_subsets(self.n)
-        pos = {s: k for k, s in enumerate(subsets)}
-        return subsets, pos
-
     @staticmethod
     def element_to_vec(a: GrassmannElement, pos):
         """a on the realified carrier: {2 pos[s]: re, 2 pos[s] + 1: im} of nonzero rationals."""
@@ -306,26 +323,6 @@ class RealStructure(_GeneratorMap):
             if re or im:
                 parts[s] = (re, im)
         return _element(self.n, *_reduced(*_cleared(parts)))
-
-    def realified_matrix(self):
-        """rho on the 2*2^n dimensional real carrier, as {(row, col): scalar}."""
-        subsets, pos = self._coords()
-        entries = {}
-        for k, s in enumerate(subsets):
-            img = self.monomial_image(s)
-            for t, (re, im) in img.nums.items():
-                re, im = rational(re, img.den), rational(im, img.den)
-                # rho(theta_S) contributes to columns of the re-part
-                if re:
-                    entries[(2 * pos[t], 2 * k)] = re
-                if im:
-                    entries[(2 * pos[t] + 1, 2 * k)] = im
-                # rho(i theta_S) = -i rho(theta_S)
-                if im:
-                    entries[(2 * pos[t], 2 * k + 1)] = im
-                if re:
-                    entries[(2 * pos[t] + 1, 2 * k + 1)] = -re
-        return entries, subsets, pos
 
 
 def make_real_structure(images: Sequence[GrassmannElement]) -> RealStructure:
@@ -364,19 +361,24 @@ def rho_tr(n: int) -> RealStructure:
     return make_real_structure(images)
 
 
+# draws of a linear part before random_real_structure gives up: a draw is
+# singular with probability 1/25 for n = 1 (both parts zero) and less for n > 1
+_MAX_DRAWS = 100
+
+
 def random_real_structure(n: int, rng: random.Random):
     """g . conj . g^{-1} for a random polynomial automorphism g; always valid.
 
     Returns (rho, discarded) where discarded counts candidates rejected for a
-    singular linear part.
+    singular linear part.  After _MAX_DRAWS singular draws it raises
+    RuntimeError.
     """
-    discarded = 0
-    while True:
+    for discarded in range(_MAX_DRAWS):
         M = [[FIELD_QI.random(rng, 2) for _ in range(n)] for _ in range(n)]
-        if rank([{c: as_gaussian(x) for c, x in enumerate(row) if x} for row in M], n) != n:
-            discarded += 1
-            continue
-        break
+        if rank([{c: as_gaussian(x) for c, x in enumerate(row) if x} for row in M], n) == n:
+            break
+    else:
+        raise RuntimeError(f"no invertible linear part on {n} generators in {_MAX_DRAWS} draws")
     cubics = list(combinations(range(n), 3))
     g_images = []
     for j in range(n):
@@ -392,7 +394,7 @@ def random_real_structure(n: int, rng: random.Random):
                     terms[s] = terms.get(s, gaussian(0)) + c
         g_images.append(GrassmannElement(n, terms))
     g = _Automorphism(n, g_images)
-    images = [g.apply(g.inverse_image(GrassmannElement.generator(n, j)).conjugate()) for j in range(n)]
+    images = [g.image(g.inverse_image(GrassmannElement.generator(n, j)).conjugate()) for j in range(n)]
     return make_real_structure(images), discarded
 
 
@@ -401,15 +403,9 @@ class _Automorphism(_GeneratorMap):
 
     def __init__(self, n: int, images: Sequence[GrassmannElement]):
         super().__init__(n, images)
-        subsets = all_subsets(n)
-        pos = {s: k for k, s in enumerate(subsets)}
-        cols = [{pos[t]: c for t, c in self.monomial_image(s).terms.items()} for s in subsets]
-        self._solver = SpanSolver(cols, len(subsets))
-        self._subsets = subsets
-        self._pos = pos
-
-    def apply(self, a: GrassmannElement) -> GrassmannElement:
-        return _combination(self.n, a.den, ((v, self.monomial_image(s)) for s, v in a.nums.items()))
+        self._subsets, self._pos = _layout(n)
+        cols = [{self._pos[t]: c for t, c in self.monomial_image(s).terms.items()} for s in self._subsets]
+        self._solver = SpanSolver(cols, len(self._subsets))
 
     def inverse_image(self, a: GrassmannElement) -> GrassmannElement:
         sol = self._solver.solve({self._pos[s]: c for s, c in a.terms.items()})
@@ -422,12 +418,20 @@ class _Automorphism(_GeneratorMap):
 
 
 def real_form_basis(rho: RealStructure) -> List[GrassmannElement]:
-    """Real basis of RE_rho = {a : rho(a) = a}; dimension is exactly 2^n."""
-    entries, subsets, pos = rho.realified_matrix()
+    """Real basis of RE_rho = {a : rho(a) = a}; dimension is exactly 2^n.
+
+    It is the kernel of rho - 1 on the realified carrier, whose column 2k is
+    rho(theta_S) and column 2k + 1 is rho(i theta_S) = -i rho(theta_S), for S
+    the k-th subset.
+    """
+    subsets, pos = _layout(rho.n)
     dim = 2 * len(subsets)
     rows = [{} for _ in range(dim)]
-    for (r, c), v in entries.items():
-        rows[r][c] = v
+    for k, s in enumerate(subsets):
+        img = rho.monomial_image(s)
+        for c, col in ((2 * k, img), (2 * k + 1, img.scale(-I))):
+            for r, v in rho.element_to_vec(col, pos).items():
+                rows[r][c] = v
     for k, row in enumerate(rows):
         v = row.get(k, ZERO) - ONE
         if v:
@@ -470,38 +474,32 @@ class NormalizationError(Exception):
 def normalize_generators(rho: RealStructure) -> List[GrassmannElement]:
     """n anticommuting fixed generators of RE_rho, by the averaging construction.
 
-    Steps: take the fixed vectors inside the nilpotent ideal, select n of them
-    with independent degree-1 projections (lowest-index pivoting), split each
-    into its odd-part y and central tail, and correct t = (y + rho(y))/2.
+    Steps: take the fixed vectors inside the nilpotent ideal, select the first
+    n of them whose degree-1 projections are independent of those before, split
+    each into its odd-part y and central tail, and correct t = (y + rho(y))/2.
     Every claimed property is asserted exactly.
     """
     n = rho.n
     sub = structural_subspaces(n)
-    subsets = all_subsets(n)
-    pos = {s: k for k, s in enumerate(subsets)}
+    subsets, pos = _layout(n)
     fixed = real_form_basis(rho)
     b1 = [a for a in fixed if a.in_nilpotent_ideal()]
-    # deterministic selection: greedily keep vectors with new degree-1 pivots
-    chosen: List[GrassmannElement] = []
-    proj_rows: List[dict] = []
-    for a in b1:
-        # den * the degree-1 part (theta_j sits at pos 1 + j), which spans the
-        # same row space as the projection itself
-        row = {k - 2: v for k, v in _realified(a, pos).items() if 2 <= k < 2 * n + 2}
-        cand = row_space_basis(proj_rows + [row], 2 * n)
-        if len(cand) > len(proj_rows):
-            chosen.append(a)
-            proj_rows = cand
-            if len(chosen) == n:
-                break
-    if len(chosen) != n:
+    # column j holds den * the degree-1 part of b1[j] (theta_j sits at pos
+    # 1 + j); the selected vectors are its first n pivot columns
+    proj = [{} for _ in range(2 * n)]
+    for j, a in enumerate(b1):
+        for k, v in _realified(a, pos).items():
+            if 2 <= k < 2 * n + 2:
+                proj[k - 2][j] = v
+    pivots, _ = rref_rows(proj, len(b1))
+    if len(pivots) < n:
         raise NormalizationError("projection of the fixed ideal is too small")
     odd_minus = set(sub["odd_minus"] if n % 2 else sub["odd"])
     center_g2 = set(sub["center_cap_G2"])
     ts = []
     zprimes = []
     ys = []
-    for x in chosen:
+    for x in (b1[j] for j in pivots[:n]):
         y = _element(n, *_reduced(x.den, {s: v for s, v in x.nums.items() if s in odd_minus}))
         z = x - y
         if any(s not in center_g2 for s in z.nums):
@@ -527,40 +525,30 @@ def normalize_generators(rho: RealStructure) -> List[GrassmannElement]:
             if ts[k] * ts[l] + ts[l] * ts[k]:
                 raise NormalizationError("corrected generators do not anticommute")
     # the monomials in t span 2^n real dimensions
-    rows = []
-    for s in subsets:
-        m = GrassmannElement.one(n)
-        for j in s:
-            m = m * ts[j]
-        rows.append(_realified(m, pos))
+    t_map = _GeneratorMap(n, ts)
+    rows = [_realified(t_map.monomial_image(s), pos) for s in subsets]
     if len(row_space_basis(rows, 2 * len(subsets))) != 2 ** n:
         raise NormalizationError("monomials in the generators do not span the real form")
     return ts
 
 
-class CanonicalIso:
-    """The isomorphism RE_rho -> Lambda_R(n) sending t_k to theta_k."""
+class CanonicalIso(_GeneratorMap):
+    """The isomorphism RE_rho -> Lambda_R(n) sending t_k to theta_k.
+
+    It is the generator map theta_k -> t_k (image) inverted on the real span
+    of its monomial images: monomials[k] is the image of the k-th subset.
+    """
 
     def __init__(self, rho: RealStructure, generators: Optional[List[GrassmannElement]] = None):
-        self.rho = rho
-        self.n = rho.n
-        self.ts = generators if generators is not None else normalize_generators(rho)
-        subsets = all_subsets(self.n)
-        pos = {s: k for k, s in enumerate(subsets)}
-        self.subsets = subsets
-        self._pos = pos
-        cols = []
-        self.monomials = []
-        for s in subsets:
-            m = GrassmannElement.one(self.n)
-            for j in s:
-                m = m * self.ts[j]
-            self.monomials.append(m)
-            cols.append(rho.element_to_vec(m, pos))
-        self._solver = SpanSolver(cols, 2 * len(subsets))
+        super().__init__(rho.n, generators if generators is not None else normalize_generators(rho))
+        self.subsets, self._pos = _layout(self.n)
+        self.monomials = [self.monomial_image(s) for s in self.subsets]
+        cols = [rho.element_to_vec(m, self._pos) for m in self.monomials]
+        self._solver = SpanSolver(cols, 2 * len(self.subsets))
 
     def apply(self, a: GrassmannElement) -> GrassmannElement:
         """Image in Lambda_R(n) (coefficients must come out real)."""
+        _check_size(self.n, a)
         # the span is real, so the cleared query reduces to an int combination
         den, residual, combo = self._solver.reduce(_realified(a, self._pos), want_combo=True)
         if residual:
@@ -581,18 +569,14 @@ class CanonicalIso:
 
 
 def composed_iso_is_algebra_map(rho1: RealStructure, rho2: RealStructure) -> bool:
-    """CanonicalIso(rho2)^{-1} . CanonicalIso(rho1): RE_1 -> RE_2 multiplicative."""
+    """CanonicalIso(rho2)^{-1} . CanonicalIso(rho1): RE_1 -> RE_2 multiplicative.
+
+    Both structures must be on the same number of generators, else ValueError.
+    """
+    if rho1.n != rho2.n:
+        raise ValueError(f"real structures on {rho1.n} and {rho2.n} generators")
     iso1 = CanonicalIso(rho1)
     iso2 = CanonicalIso(rho2)
     # psi sends the k-th normalized monomial of rho1 to that of rho2
-    for sa in iso1.subsets:
-        for sb in iso1.subsets:
-            a = iso1.monomials[iso1._pos[sa]]
-            b = iso1.monomials[iso1._pos[sb]]
-            prod = iso1.apply(a * b)
-            # push through the rho2 monomials
-            img = _combination(rho2.n, prod.den, ((v, iso2.monomials[iso2._pos[s]]) for s, v in prod.nums.items()))
-            direct = iso2.monomials[iso2._pos[sa]] * iso2.monomials[iso2._pos[sb]]
-            if img != direct:
-                return False
-    return True
+    pairs = list(zip(iso1.monomials, iso2.monomials))
+    return all(iso2.image(iso1.apply(a * b)) == c * d for a, c in pairs for b, d in pairs)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import ONE, GaussianRational, is_rational, rational
+from .scalars import ONE, GaussianRational, inexact, is_rational, rational
 
 
 class SparseMatrix:
@@ -89,10 +89,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _inexact(value):
-    return TypeError(f"{value!r} is not an exact scalar: an int, a rational or a GaussianRational")
-
-
 def _integer_row(row):
     """(den, den * row) for a dict of rationals: den is the lcm of the denominators.
 
@@ -107,7 +103,7 @@ def _integer_row(row):
     try:
         den = lcm(*[v.denominator for v in row.values()])
     except AttributeError:
-        raise _inexact(next(v for v in row.values() if not is_rational(v))) from None
+        raise inexact(next(v for v in row.values() if not is_rational(v))) from None
     if den == 1:
         return 1, {c: v.numerator for c, v in row.items() if v}
     return den, {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
@@ -135,7 +131,7 @@ def _realified(row):
         elif is_rational(x):
             real[2 * c] = x
         else:
-            raise _inexact(x)
+            raise inexact(x)
     return real
 
 

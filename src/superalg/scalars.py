@@ -167,11 +167,19 @@ def as_gaussian(x) -> GaussianRational:
     return GaussianRational(x)
 
 
+def inexact(value) -> TypeError:
+    """The error for a value that is not an exact scalar (a float, say)."""
+    return TypeError(f"{value!r} is not an exact scalar: an int, a rational or a GaussianRational")
+
+
 def real_imag(x):
-    """Split any scalar into (re, im) rationals."""
+    """Split any scalar into (re, im) rationals; TypeError for a value that is not exact."""
     if isinstance(x, GaussianRational):
         return x.re, x.im
-    return (x if type(x) is _RATIONAL else rational(x)), ZERO
+    try:
+        return (x if type(x) is _RATIONAL else rational(x)), ZERO
+    except TypeError:
+        raise inexact(x) from None
 
 
 def common_denominator(values) -> int:

@@ -119,9 +119,39 @@ def test_elements_on_different_generator_counts_do_not_mix():
             op()
     with pytest.raises(ValueError, match="on 3 generators in an operation on 2"):
         grassmann._combination(2, 1, [((1, 0), a), ((1, 0), b)])
+    # maps on one generator used to read a's theta_1 as theirs (CanonicalIso
+    # returned th1) or index past their images (a bare IndexError)
+    for op in (
+        lambda: CanonicalIso(rho_bar(1)).apply(a),
+        lambda: rho_bar(1).apply(GrassmannElement.generator(2, 1)),
+        lambda: rho_bar(3).apply(a),
+        lambda: grassmann._GeneratorMap(3, [b, b, b]).image(a),
+    ):
+        with pytest.raises(ValueError, match="generators in an operation on"):
+            op()
+    # and two structures on different counts were called isomorphic
+    with pytest.raises(ValueError, match="real structures on 1 and 2 generators"):
+        composed_iso_is_algebra_map(rho_bar(1), rho_bar(2))
+    # a sum or difference with a scalar is not defined (it raised AttributeError)
+    for op in (lambda: a + 1, lambda: a - 1, lambda: a + gaussian(1), lambda: a - rational(1, 2)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
     # scalars still scale, and equal sizes still combine
     assert a * 2 == 2 * a == a + a
     assert grassmann._combination(2, 1, [((2, 0), a), ((0, 1), th(2, 1))]) == a * 2 + th(2, 1) * I
+
+
+def test_a_coefficient_that_is_not_exact_raises_a_type_error_naming_it():
+    # a float used to fail inside fractions: "both arguments should be Rational instances"
+    match = r"0\.5 is not an exact scalar"
+    for op in (
+        lambda: GrassmannElement(1, {(0,): 0.5}),
+        lambda: GrassmannElement.generator(1, 0).scale(0.5),
+        lambda: GrassmannElement.generator(1, 0) * 0.5,
+        lambda: 0.5 * GrassmannElement.generator(1, 0),
+    ):
+        with pytest.raises(TypeError, match=match):
+            op()
 
 
 def test_rho_bar_pythagorean_phase():
@@ -174,6 +204,23 @@ def test_fixed_space_dimension_random():
             for b in basis[:4]:
                 prod = a * b
                 assert rho.apply(prod) == prod
+
+
+def test_random_real_structure_gives_up_after_a_bounded_number_of_draws(monkeypatch):
+    # a rank that reads too high made the redraw loop run forever
+    calls = []
+
+    def too_high(rows, cols):
+        calls.append(cols)
+        if len(calls) > 10_000:
+            raise AssertionError("random_real_structure redraws without a bound")
+        return cols + 1
+
+    monkeypatch.setattr(grassmann, "rank", too_high)
+    with pytest.raises(RuntimeError, match="no invertible linear part on 2 generators") as exc:
+        random_real_structure(2, random.Random(1))
+    assert str(exc.value).endswith(f" in {len(calls)} draws")
+    assert len(calls) == grassmann._MAX_DRAWS
 
 
 def test_structural_subspaces():
@@ -332,6 +379,44 @@ def test_product_is_the_term_by_term_product_and_associative(case):
         assert a.scale(z).scale(1 / as_gaussian(z)) == a
         assert (a + b).scale(z) == a.scale(z) + b.scale(z)
     assert GrassmannElement(n, a.terms) == a
+
+
+@st.composite
+def maps_and_elements(draw):
+    """n <= 4 generator images of up to 4 terms each, not necessarily a real
+    structure, and an element of Lambda_C(n) with up to 6 terms."""
+    n = draw(st.integers(1, 4))
+    subsets = st.sampled_from(all_subsets(n))
+
+    def element(size):
+        return GrassmannElement(n, draw(st.dictionaries(subsets, GAUSSIAN_RATIONALS, max_size=size)))
+
+    return [element(4) for _ in range(n)], element(6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_and_elements())
+def test_the_generator_map_is_the_sum_of_ordered_products_of_images(case):
+    # image(a) = sum c_S phi(theta_j1) ... phi(theta_jk) and rho(a) = image(conj(a)),
+    # against term-by-term products and sums of GaussianRationals
+    images, a = case
+    n = a.n
+
+    def expected(conjugate):
+        pairs = []
+        for s, c in a.terms.items():
+            m = GrassmannElement.one(n)
+            for j in s:
+                m = grassmann_product(m, images[j])
+            pairs.append((c.conjugate() if conjugate else c, m))
+        return GrassmannElement(n, grassmann_linear_terms(pairs))
+
+    image = grassmann._GeneratorMap(n, images).image(a)
+    rho_a = grassmann.RealStructure(n, images).apply(a)
+    for got, want in ((image, expected(False)), (rho_a, expected(True))):
+        assert (got.den, got.nums) == (want.den, want.nums)
+        assert_canonical(got)
+        assert_gaussian_values(got)
 
 
 @pytest.mark.parametrize("key", [(1, 0), (0, 0), (2,), (5,), (-1,), (0, 2), (0.0,), "0"], ids=repr)
