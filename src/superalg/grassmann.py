@@ -11,6 +11,12 @@ rho(a) = phi(conj(a)); the random automorphism g that random_real_structure
 conjugates by is one too; and so is theta_k -> t_k, whose inverse on the
 real span of the monomials in the t's is CanonicalIso.
 
+g is inverted from its linear part L, the degree-1 terms of its images: L^{-1}
+is a generator map solved from n x n linear equations, and g^{-1}(a) is the
+exact correction u <- u + L^{-1}(a - g(u)) from u = L^{-1}(a).  It ends, in at
+most n rounds, because g - L raises degree (by 2, for images that are linear
+plus cubic), so each round moves the error up in degree until it is zero.
+
 normalize_generators finds the t's.  Of the fixed vectors inside the
 nilpotent ideal it keeps the first n pivot columns of the matrix of their
 degree-1 projections (one RREF), splits each into its odd part and its
@@ -373,6 +379,13 @@ def random_real_structure(n: int, rng: random.Random):
     singular linear part.  After _MAX_DRAWS singular draws it raises
     RuntimeError.
     """
+    g, discarded = _random_automorphism(n, rng)
+    images = [g.image(g.inverse_image(GrassmannElement.generator(n, j)).conjugate()) for j in range(n)]
+    return make_real_structure(images), discarded
+
+
+def _random_automorphism(n: int, rng: random.Random):
+    """(g, discarded): g has an invertible random linear part plus two random cubic terms per image."""
     for discarded in range(_MAX_DRAWS):
         M = [[FIELD_QI.random(rng, 2) for _ in range(n)] for _ in range(n)]
         if rank([{c: as_gaussian(x) for c, x in enumerate(row) if x} for row in M], n) == n:
@@ -393,25 +406,43 @@ def random_real_structure(n: int, rng: random.Random):
                 if c:
                     terms[s] = terms.get(s, gaussian(0)) + c
         g_images.append(GrassmannElement(n, terms))
-    g = _Automorphism(n, g_images)
-    images = [g.image(g.inverse_image(GrassmannElement.generator(n, j)).conjugate()) for j in range(n)]
-    return make_real_structure(images), discarded
+    return _Automorphism(n, g_images), discarded
+
+
+class AutomorphismError(ValueError):
+    """A generator map whose inverse correction does not end: it is not an automorphism."""
 
 
 class _Automorphism(_GeneratorMap):
-    """A polynomial algebra automorphism given on generators (linear part invertible)."""
+    """A polynomial algebra automorphism g given on generators, inverted from its linear part L.
+
+    L, the degree-1 terms of the images, must be invertible, else ValueError;
+    L^{-1} is a generator map solved by n queries to one n x n SpanSolver.
+    inverse_image corrects u <- u + L^{-1}(a - g(u)) from u = L^{-1}(a).  Each
+    round multiplies the error g^{-1}(a) - u by -L^{-1}(g - L), which raises
+    degree when no image has a constant term, so the residual is zero after
+    at most n corrections; past that bound it raises AutomorphismError.
+    """
 
     def __init__(self, n: int, images: Sequence[GrassmannElement]):
         super().__init__(n, images)
-        self._subsets, self._pos = _layout(n)
-        cols = [{self._pos[t]: c for t, c in self.monomial_image(s).terms.items()} for s in self._subsets]
-        self._solver = SpanSolver(cols, len(self._subsets))
+        linear = [{s[0]: c for s, c in image.terms.items() if len(s) == 1} for image in self.images]
+        solver = SpanSolver(linear, n)
+        if solver.rank != n:
+            raise ValueError(f"the linear part of the automorphism has rank {solver.rank} < {n}")
+        # L(sum_j x_j theta_j) = theta_k gives L^{-1}(theta_k)
+        solved = [solver.solve({k: ONE}) for k in range(n)]
+        inverse_images = [GrassmannElement(n, {(j,): c for j, c in x.items()}) for x in solved]
+        self._linear_inverse = _GeneratorMap(n, inverse_images)
 
     def inverse_image(self, a: GrassmannElement) -> GrassmannElement:
-        sol = self._solver.solve({self._pos[s]: c for s, c in a.terms.items()})
-        if sol is None:
-            raise ValueError("not an automorphism")
-        return GrassmannElement(self.n, {self._subsets[k]: c for k, c in sorted(sol.items())})
+        u = self._linear_inverse.image(a)
+        for _ in range(self.n + 1):
+            residual = a - self.image(u)
+            if not residual:
+                return u
+            u = u + self._linear_inverse.image(residual)
+        raise AutomorphismError(f"the inverse correction left a residual after {self.n} rounds")
 
 
 # -- fixed spaces and structural subspaces ------------------------------------
@@ -537,10 +568,15 @@ class CanonicalIso(_GeneratorMap):
 
     It is the generator map theta_k -> t_k (image) inverted on the real span
     of its monomial images: monomials[k] is the image of the k-th subset.
+    Given generators must number rho.n, else ValueError.
     """
 
     def __init__(self, rho: RealStructure, generators: Optional[List[GrassmannElement]] = None):
-        super().__init__(rho.n, generators if generators is not None else normalize_generators(rho))
+        if generators is None:
+            generators = normalize_generators(rho)
+        elif len(generators) != rho.n:
+            raise ValueError(f"CanonicalIso needs {rho.n} generators, got {len(generators)}")
+        super().__init__(rho.n, generators)
         self.subsets, self._pos = _layout(self.n)
         self.monomials = [self.monomial_image(s) for s in self.subsets]
         cols = [rho.element_to_vec(m, self._pos) for m in self.monomials]

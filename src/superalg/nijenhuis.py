@@ -21,10 +21,14 @@ its values; the odd expression, with its (-1)^{p(X)} factors, is not
 function-linear over a supercommutative coefficient ring, so the odd tensor is
 defined by its frame components, extended function-linearly.  In a component
 J(d_a) is J's stored column a (the Koszul sign of the constant 1 is +1), so
-J is applied only to brackets.  J is applied, and the components contracted,
-on the fields' term dicts with polyvf.add_product, so no Polynomial is built.
-Components are computed on every call: nothing new is kept on J or on the
-fields.
+J is applied only to brackets.  The two brackets with a coordinate field,
+[d_a, J(d_b)] and [J(d_a), d_b], are derivatives of J's stored columns: each
+is polyvf.bracket_terms with a unit term dict {a: {ONE_MONO: c}}, whose scalar
+c = +-1 carries the term's sign, so no coordinate field is built.
+[J(d_a), J(d_b)] is VectorField.bracket.  J is applied, the signed sum formed
+and the components contracted on term dicts with polyvf.add_product, so no
+Polynomial is built.  Components are computed on every call: nothing new is
+kept on J or on the fields.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .polyvf import (
     ONE_MONO,
     VectorField,
     add_product,
+    bracket_terms,
     coordinate_field,
     fields_of_degree,
     mono_parity,
@@ -81,9 +86,13 @@ class EndomorphismField:
 
     def apply(self, X: VectorField) -> VectorField:
         """J(X) for X = sum f_a d_a: function-linear, J(f_a d_a) = +-f_a J(d_a), on term dicts."""
+        out = self._add_image({}, X.terms)
+        return VectorField.from_terms(self.coords, {b: t for b, t in out.items() if t})
+
+    def _add_image(self, out: Dict[int, Dict[Monomial, object]], x) -> Dict[int, Dict[Monomial, object]]:
+        """out += J(X) for a term dict X; returns out, in which a coefficient may be left empty."""
         coords = self.coords
-        out: Dict[int, Dict[Monomial, object]] = {}
-        for a, f in X.terms.items():
+        for a, f in x.items():
             col = self.columns.get(a)
             if col is None:
                 continue
@@ -92,7 +101,7 @@ class EndomorphismField:
                 f = _koszul(f, coords)
             for b, g in col.terms.items():
                 add_product(out.setdefault(b, {}), f, g, coords.parities)
-        return VectorField.from_terms(coords, {b: t for b, t in out.items() if t})
+        return out
 
     def square_is(self, sign: int) -> bool:
         """Whether J(J(d_a)) = sign * d_a for every coordinate direction; J(d_a) is column a."""
@@ -147,24 +156,36 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
                 continue
             # Koszul: the coefficient of Y passes the first tensor slot
             coef = add_product({}, f, _koszul(g, coords) if parities[a] else g, parities)
-            for v, p in comp.terms.items():
+            for v, p in comp.items():
                 add_product(out.setdefault(v, {}), coef, p, parities)
     return VectorField.from_terms(coords, {v: t for v, t in out.items() if t})
 
 
-def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> VectorField:
-    """N(d_a, d_b) by the displayed expression of the variant; [d_a, d_b] = 0 drops the last term.
+def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> Dict[int, Dict[Monomial, object]]:
+    """N(d_a, d_b) as a term dict, by the variant's expression; [d_a, d_b] = 0 drops its last term.
 
     J(d_a) and J(d_b) are read off J.columns (the zero field where J has no
-    column), so J is applied only to the two brackets; nothing is kept.
+    column).  [J(d_a), J(d_b)] is VectorField.bracket; the brackets with a
+    coordinate field are bracket_terms with a unit term dict, which
+    differentiates a column: -s[d_a, J(d_b)] with the unit coefficient -s and
+    -[J(d_a), d_b] with -1, s being the sign the odd expression puts on its
+    first two terms.  J is applied to them and the sum formed on term dicts;
+    nothing is kept.
     """
     coords = J.coords
-    zero = VectorField(coords)
-    Ja, Jb = J.columns.get(a, zero), J.columns.get(b, zero)
+    parities = coords.parities
+    Ja = J.columns.get(a) or VectorField(coords)
+    Jb = J.columns.get(b) or VectorField(coords)
     # the two terms that carry (-1)^{p(X)} in the odd expression
-    first, second = Ja.bracket(Jb), J.apply(coordinate_field(coords, a).bracket(Jb))
-    signed = second - first if variant == "odd" and coords.parities[a] else first - second
-    return signed - J.apply(Ja.bracket(coordinate_field(coords, b)))
+    s = -1 if variant == "odd" and parities[a] else 1
+    first = Ja.bracket(Jb).terms
+    out = first if s > 0 else {v: {m: -c for m, c in t.items()} for v, t in first.items()}
+    # -s[d_a, J(d_b)] and -[J(d_a), d_b]: a column differentiated by a signed
+    # unit; an int unit keeps the value types of the column's scalars
+    second = bracket_terms({a: {ONE_MONO: -s}}, parities[a], Jb.terms, Jb.parity(), parities)
+    third = bracket_terms(Ja.terms, Ja.parity(), {b: {ONE_MONO: -1}}, parities[b], parities)
+    J._add_image(J._add_image(out, second), third)
+    return {v: t for v, t in out.items() if t}
 
 
 def standard_even_structure(p: int, q: int) -> EndomorphismField:

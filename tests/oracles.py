@@ -241,6 +241,14 @@ def even_nijenhuis(J, X, Y):
     return JX.bracket(JY) - J.apply(JX.bracket(Y)) - J.apply(X.bracket(JY)) - X.bracket(Y)
 
 
+def odd_nijenhuis(J, X, Y):
+    """(-1)^{p(X)} [JX,JY] - J[JX,Y] - (-1)^{p(X)} J[X,JY] - [X,Y] for a homogeneous nonzero X,
+    with J.apply and VectorField.bracket as given."""
+    JX, JY = J.apply(X), J.apply(Y)
+    signed = JX.bracket(JY) - J.apply(X.bracket(JY))
+    return (-signed if X.parity() else signed) - J.apply(JX.bracket(Y)) - X.bracket(Y)
+
+
 def tensoriality_defect(evaluate, X, Y, f):
     """evaluate(fX, Y) - f evaluate(X, Y) for a function f; zero where the
     evaluator is function-linear in its first slot."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from superalg import grassmann
 from superalg.grassmann import (
+    AutomorphismError,
     CanonicalIso,
     GrassmannElement,
     NormalizationError,
@@ -452,3 +453,53 @@ def test_normalized_generators_are_pinned():
             ts = normalize_generators(rho)
             doc[f"{n}/{seed}"] = {"ts": [dump(t) for t in ts], "images": [dump(x) for x in rho.images]}
     assert canonical_sha256(doc) == "0feec6a2a69594789a24ef813805b6b86f80d608762c888552f37a122654f5d3"
+
+
+def test_canonical_iso_rejects_a_wrong_number_of_generators():
+    # one generator used to raise a bare IndexError; three made check() true, the third ignored
+    rho = rho_bar(2)
+    ts = normalize_generators(rho)
+    for generators in (ts[:1], ts + [ts[0]]):
+        with pytest.raises(ValueError, match=f"needs 2 generators, got {len(generators)}"):
+            CanonicalIso(rho, generators)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_automorphism_inverse_round_trips_every_monomial(n):
+    for seed in range(4):
+        g, _ = grassmann._random_automorphism(n, random.Random(100 * n + seed))
+        for s in all_subsets(n):
+            for c in (1, gaussian(rational(2, 3), -1)):
+                m = GrassmannElement(n, {s: c})
+                assert g.image(g.inverse_image(m)) == m
+                assert g.inverse_image(g.image(m)) == m
+
+
+def test_random_real_structure_images_are_pinned():
+    def dump(a):
+        return [[list(s), format_scalar(c)] for s, c in sorted(a.terms.items())]
+
+    doc = {}
+    for n in range(1, 6):
+        for seed in range(1, 5):
+            rho, discarded = random_real_structure(n, random.Random(3000 * n + seed))
+            doc[f"{n}/{seed}"] = {"images": [dump(x) for x in rho.images], "discarded": discarded}
+    assert canonical_sha256(doc) == "53c4a75a7525ab7f0c293a0a5b295999e63d234fbf0e4271094b049a22e3e333"
+
+
+def test_a_singular_linear_part_is_rejected_when_the_automorphism_is_built():
+    for images in (
+        [GrassmannElement(1, {})],
+        [th(2, 0) + th(2, 1), (th(2, 0) + th(2, 1)).scale(I)],
+        [th(3, 0), th(3, 1), th(3, 0, 1, 2)],  # the third image has no degree-1 term
+    ):
+        with pytest.raises(ValueError, match="linear part"):
+            grassmann._Automorphism(len(images), images)
+
+
+def test_a_correction_past_its_bound_raises():
+    # theta_1 -> 1 + theta_1 is no algebra map (its square is not 0); with
+    # the constant term g - L also lowers degree, and the residual grows
+    g = grassmann._Automorphism(2, [GrassmannElement.one(2) + th(2, 0), th(2, 1) + th(2, 0, 1)])
+    with pytest.raises(AutomorphismError, match="after 2 rounds"):
+        g.inverse_image(th(2, 1))

@@ -3,8 +3,10 @@ from functools import partial
 
 import pytest
 
+from superalg import nijenhuis, polyvf
 from superalg.nijenhuis import (
     EndomorphismField,
+    _frame_component,
     monomial_fields_up_to,
     nijenhuis_tensor,
     standard_even_structure,
@@ -13,7 +15,7 @@ from superalg.nijenhuis import (
 from superalg.polyvf import Coords, Polynomial, VectorField, coordinate_field, mono_parity, monomials_of_degree
 from superalg.scalars import FIELD_Q, FIELD_QI, ZERO, GaussianRational, gaussian, rational
 
-from oracles import canonical_sha256, even_nijenhuis, tensoriality_defect
+from oracles import canonical_sha256, even_nijenhuis, odd_nijenhuis, tensoriality_defect
 
 
 def test_flat_even_structure_squares():
@@ -391,3 +393,63 @@ def test_structures_reject_a_bad_parity(parity):
         EndomorphismField(coords, {0: coordinate_field(coords, 1)}, parity=parity)
     with pytest.raises(ValueError, match="parity"):
         EndomorphismField.from_constant_matrix(coords, {(1, 0): rational(1)}, parity=parity)
+
+
+def curved_structures():
+    """(J, variant) for every curved structure of this file."""
+    return [
+        (curved_even_structure(), "even"),
+        (curved_even_structure(gaussian(rational(3, 5), rational(1, 2)), FIELD_QI), "even"),
+        (curved_even_structure_r22(), "even"),
+        (curved_odd_structure(-1), "odd"),
+        (curved_odd_structure(1), "odd"),
+    ]
+
+
+def test_frame_components_match_the_expression_on_coordinate_fields():
+    """_frame_component differentiates J's columns by unit term dicts; its value is the
+    whole expression of the variant evaluated on coordinate fields with VectorField.bracket."""
+    oracle = {"even": even_nijenhuis, "odd": odd_nijenhuis}
+    for J, variant in curved_structures():
+        coords = J.coords
+        d = [coordinate_field(coords, a) for a in range(len(coords))]
+        nonzero = 0
+        for a in range(len(coords)):
+            for b in range(len(coords)):
+                comp = VectorField.from_terms(coords, _frame_component(J, a, b, variant))
+                expected = oracle[variant](J, d[a], d[b])
+                assert comp == expected
+                assert value_types(comp) == value_types(expected)
+                nonzero += bool(comp)
+        assert nonzero > 0
+
+
+def test_odd_frame_components_are_pinned():
+    doc = {}
+    for s in (-1, 1):
+        J = curved_odd_structure(s)
+        for a in range(4):
+            for b in range(4):
+                terms = sorted(_frame_component(J, a, b, "odd").items())
+                doc[f"{s}/{a}/{b}"] = [[v, sorted((str(m), str(c)) for m, c in t.items())] for v, t in terms]
+    assert canonical_sha256(doc) == "42eefc26b07df5c84467c7ee78adc6349a6a073dea18d47ffdd1f35c62ccd785"
+
+
+def test_the_tensor_builds_no_coordinate_field_once_the_square_is_known(monkeypatch):
+    built = []
+    make = polyvf.coordinate_field
+
+    def counted(coords, var):
+        built.append(var)
+        return make(coords, var)
+
+    monkeypatch.setattr(polyvf, "coordinate_field", counted)
+    monkeypatch.setattr(nijenhuis, "coordinate_field", counted)
+    for J, variant in curved_structures():
+        assert J.square in (-1, 1)
+        built.clear()
+        fields = monomial_fields_up_to(J.coords, 1)[:12]
+        for X in fields:
+            for Y in fields:
+                nijenhuis_tensor(J, X, Y, variant)
+        assert built == []
