@@ -21,14 +21,19 @@ its values; the odd expression, with its (-1)^{p(X)} factors, is not
 function-linear over a supercommutative coefficient ring, so the odd tensor is
 defined by its frame components, extended function-linearly.  In a component
 J(d_a) is J's stored column a (the Koszul sign of the constant 1 is +1), so
-J is applied only to brackets.  The two brackets with a coordinate field,
-[d_a, J(d_b)] and [J(d_a), d_b], are derivatives of J's stored columns: each
-is polyvf.bracket_terms with a unit term dict {a: {ONE_MONO: c}}, whose scalar
-c = +-1 carries the term's sign, so no coordinate field is built.
-[J(d_a), J(d_b)] is VectorField.bracket.  J is applied, the signed sum formed
-and the components contracted on term dicts with polyvf.add_product, so no
-Polynomial is built.  Components are computed on every call: nothing new is
-kept on J or on the fields.
+J is applied only to brackets.  The two brackets with a coordinate field
+are read off a table that J keeps: `derivative_images` holds
+J([d_a, J(d_b)]) for every coordinate a and stored column b, each bracket
+polyvf.bracket_terms with the unit term dict {a: {ONE_MONO: 1}}, that is, the
+derivative of column b along x_a.  With s the sign the odd expression puts on
+its first two terms (-1 for an odd d_a, +1 otherwise, and +1 for the even
+expression), -s J[d_a, J(d_b)] is entry (a, b) times -s, and
+-J[J(d_a), d_b] = (-1)^{p(J d_a) p(b)} J[d_b, J(d_a)] is entry (b, a) with
+that sign, so each component makes one bracket, [J(d_a), J(d_b)] by
+VectorField.bracket.  The table, like J's square, is computed on first use,
+once per structure; the components themselves are computed on every call.
+The signed sum is formed and the components contracted on term dicts with
+polyvf.add_product, so no Polynomial is built.
 """
 
 from __future__ import annotations
@@ -56,15 +61,24 @@ class EndomorphismField:
 
     Each column is stored times the scalar one of coords.field, which gives
     it the value and the value types of J.apply(d_a) even when it was built
-    on int scalars.  Any parity but 0 or 1 raises ValueError.  Immutable:
-    `columns` is a read-only view of a private copy and no attribute can be
-    rebound.  That lets the sign s with J^2 = s*id (`square`) be computed
-    once per structure, on first use; nothing else is kept on J.
+    on int scalars.  Any parity but 0 or 1 raises ValueError, and so does a
+    column keyed or with a term on anything but an index in
+    range(len(coords)), or one on other coords; a column that is not a
+    VectorField raises TypeError.  Immutable: `columns` is a read-only view
+    of a private copy and no attribute can be rebound.  That lets two
+    properties of the structure be computed once, on first use: the sign s
+    with J^2 = s*id (`square`) and the derivative images J([d_a, J(d_b)])
+    that every frame component reads (`derivative_images`).
     """
 
     def __init__(self, coords: Coords, columns: Dict[int, VectorField], parity: int):
         if parity not in (0, 1):
             raise ValueError(f"EndomorphismField: parity must be 0 or 1, got {parity!r}")
+        for a, col in columns.items():
+            _check_index(a, coords, "columns key")
+            _check_field(col, coords, "EndomorphismField", f"columns[{a}]")
+            for v in col.terms:
+                _check_index(v, coords, f"columns[{a}] term key")
         self.coords = coords
         one = coords.field.one
         self.columns = MappingProxyType({a: col.scale(one) for a, col in columns.items()})
@@ -77,15 +91,25 @@ class EndomorphismField:
 
     @classmethod
     def from_constant_matrix(cls, coords: Coords, entries: Dict[tuple, object], parity: int):
-        """J with J(d_c) = sum_r entries[(r, c)] d_r, of parity 0 or 1 (ValueError otherwise)."""
+        """J with J(d_c) = sum_r entries[(r, c)] d_r, of parity 0 or 1.
+
+        A parity but 0 or 1, or an r or c that is not an index in
+        range(len(coords)), raises ValueError.
+        """
         cols: Dict[int, Dict[int, Dict[Monomial, object]]] = {}
         for (r, c), v in entries.items():
+            _check_index(r, coords, "entries row")
+            _check_index(c, coords, "entries column")
             if v:
                 cols.setdefault(c, {})[r] = {ONE_MONO: v}
         return cls(coords, {c: VectorField.from_terms(coords, t) for c, t in cols.items()}, parity)
 
     def apply(self, X: VectorField) -> VectorField:
-        """J(X) for X = sum f_a d_a: function-linear, J(f_a d_a) = +-f_a J(d_a), on term dicts."""
+        """J(X) for X = sum f_a d_a: function-linear, J(f_a d_a) = +-f_a J(d_a), on term dicts.
+
+        X must be a VectorField on J.coords (TypeError, ValueError otherwise).
+        """
+        _check_field(X, self.coords, "EndomorphismField.apply", "X")
         out = self._add_image({}, X.terms)
         return VectorField.from_terms(self.coords, {b: t for b, t in out.items() if t})
 
@@ -120,6 +144,40 @@ class EndomorphismField:
                 return sign
         return None
 
+    @cached_property
+    def derivative_images(self):
+        """{(a, b): J([d_a, J(d_b)])} for every coordinate a and stored column b, nonzeros only.
+
+        Each value is a read-only term dict; [d_a, J(d_b)] is bracket_terms with
+        the unit term dict {a: {ONE_MONO: 1}}, the derivative of column b along
+        x_a, whose int unit keeps the column's value types.  Computed on first
+        use, once per structure; empty when every column is constant.
+        """
+        parities = self.coords.parities
+        table = {}
+        for b, col in self.columns.items():
+            pb = col.parity()
+            for a in range(len(self.coords)):
+                image = self._add_image({}, bracket_terms({a: {ONE_MONO: 1}}, parities[a], col.terms, pb, parities))
+                image = {v: MappingProxyType(t) for v, t in image.items() if t}
+                if image:
+                    table[(a, b)] = MappingProxyType(image)
+        return MappingProxyType(table)
+
+
+def _check_index(k, coords: Coords, what: str):
+    """ValueError naming `what` unless k is an index in range(len(coords))."""
+    if not (isinstance(k, int) and not isinstance(k, bool) and 0 <= k < len(coords)):
+        raise ValueError(f"EndomorphismField: {what} {k!r} is not a coordinate index of {coords!r}")
+
+
+def _check_field(Z, coords: Coords, where: str, name: str):
+    """TypeError unless Z is a VectorField, ValueError unless it is on coords (an `is` test)."""
+    if not isinstance(Z, VectorField):
+        raise TypeError(f"{where}: expected a VectorField for {name}, got {type(Z).__name__}")
+    if Z.coords is not coords:
+        raise ValueError(f"{where}: {name} is a field on {Z.coords!r}, structure on {coords!r}")
+
 
 def _koszul(f: Dict[Monomial, object], coords: Coords) -> Dict[Monomial, object]:
     """The terms f with their odd monomials negated: the sign of passing an odd operator past f."""
@@ -131,15 +189,16 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
 
     N(X, Y) = sum_{a,b} f_a (+-g_b) N(d_a, d_b) for X = sum f_a d_a and
     Y = sum g_b d_b, one route for both variants (see the module docstring).
-    Each frame component is computed by `_frame_component` on every call;
-    nothing is kept on J, X or Y.  X and Y must be VectorFields on J.coords
-    (TypeError, ValueError otherwise).
+    Each frame component is computed by `_frame_component` on every call,
+    from J's columns and J's `derivative_images`, which the first call on a
+    structure computes; nothing is kept on X or Y.  J must be an
+    EndomorphismField (TypeError otherwise), X and Y VectorFields on
+    J.coords (TypeError, ValueError otherwise).
     """
-    for Z in (X, Y):
-        if not isinstance(Z, VectorField):
-            raise TypeError(f"nijenhuis_tensor: expected a VectorField, got {type(Z).__name__}")
-        if Z.coords is not J.coords:
-            raise ValueError(f"nijenhuis_tensor: field on {Z.coords!r}, structure on {J.coords!r}")
+    if not isinstance(J, EndomorphismField):
+        raise TypeError(f"nijenhuis_tensor: expected an EndomorphismField for J, got {type(J).__name__}")
+    _check_field(X, J.coords, "nijenhuis_tensor", "X")
+    _check_field(Y, J.coords, "nijenhuis_tensor", "Y")
     if variant not in ("even", "odd"):
         raise ValueError("variant must be 'even' or 'odd'")
     if variant == "even" and J.square != -1:
@@ -162,15 +221,14 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
 
 
 def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> Dict[int, Dict[Monomial, object]]:
-    """N(d_a, d_b) as a term dict, by the variant's expression; [d_a, d_b] = 0 drops its last term.
+    """N(d_a, d_b) as a new term dict, by the variant's expression; [d_a, d_b] = 0 drops its last term.
 
     J(d_a) and J(d_b) are read off J.columns (the zero field where J has no
-    column).  [J(d_a), J(d_b)] is VectorField.bracket; the brackets with a
-    coordinate field are bracket_terms with a unit term dict, which
-    differentiates a column: -s[d_a, J(d_b)] with the unit coefficient -s and
-    -[J(d_a), d_b] with -1, s being the sign the odd expression puts on its
-    first two terms.  J is applied to them and the sum formed on term dicts;
-    nothing is kept.
+    column).  s[J(d_a), J(d_b)] is the one bracket, by VectorField.bracket,
+    s being the sign the odd expression puts on its first two terms.  The
+    two terms with a coordinate field are entries of J.derivative_images D,
+    added with add_product, which copies them: -s J[d_a, J(d_b)] = -s D[a, b]
+    and -J[J(d_a), d_b] = (-1)^{p(J d_a) p(b)} D[b, a].
     """
     coords = J.coords
     parities = coords.parities
@@ -180,11 +238,17 @@ def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> Dict
     s = -1 if variant == "odd" and parities[a] else 1
     first = Ja.bracket(Jb).terms
     out = first if s > 0 else {v: {m: -c for m, c in t.items()} for v, t in first.items()}
-    # -s[d_a, J(d_b)] and -[J(d_a), d_b]: a column differentiated by a signed
-    # unit; an int unit keeps the value types of the column's scalars
-    second = bracket_terms({a: {ONE_MONO: -s}}, parities[a], Jb.terms, Jb.parity(), parities)
-    third = bracket_terms(Ja.terms, Ja.parity(), {b: {ONE_MONO: -1}}, parities[b], parities)
-    J._add_image(J._add_image(out, second), third)
+    images = J.derivative_images
+    if not images:  # no derivative terms: the bracket is the whole component
+        return out
+    # -[J(d_a), d_b] = (-1)^{p(J d_a) p(b)} [d_b, J(d_a)]
+    for key, sign in (((a, b), -s), ((b, a), -1 if Ja.parity() and parities[b] else 1)):
+        image = images.get(key)
+        if image is None:
+            continue
+        unit = {ONE_MONO: sign}
+        for v, t in image.items():
+            add_product(out.setdefault(v, {}), t, unit, parities)
     return {v: t for v, t in out.items() if t}
 
 

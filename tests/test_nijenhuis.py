@@ -453,3 +453,161 @@ def test_the_tensor_builds_no_coordinate_field_once_the_square_is_known(monkeypa
             for Y in fields:
                 nijenhuis_tensor(J, X, Y, variant)
         assert built == []
+
+
+def flat_structures():
+    """(J, variant) for the four flat structures of the benchmark."""
+    return [
+        (standard_even_structure(1, 0), "even"),
+        (standard_even_structure(1, 1), "even"),
+        (standard_odd_structure(1, -1), "odd"),
+        (standard_odd_structure(1, 1), "odd"),
+    ]
+
+
+def test_derivative_images_are_J_of_the_coordinate_brackets():
+    for J, _ in flat_structures():
+        assert J.derivative_images == {}
+    for J, _ in curved_structures():
+        coords = J.coords
+        d = [coordinate_field(coords, a) for a in range(len(coords))]
+        images = J.derivative_images
+        assert images
+        assert set(images) <= {(a, b) for a in range(len(coords)) for b in J.columns}
+        for a in range(len(coords)):
+            for b, col in J.columns.items():
+                got = VectorField.from_terms(coords, {v: dict(t) for v, t in images.get((a, b), {}).items()})
+                expected = J.apply(d[a].bracket(col))
+                assert got == expected
+                assert value_types(got) == value_types(expected)
+
+
+def test_derivative_images_are_built_once_and_read_only(monkeypatch):
+    calls = []
+    bracket_terms = nijenhuis.bracket_terms
+
+    def counted(*args):
+        calls.append(args)
+        return bracket_terms(*args)
+
+    monkeypatch.setattr(nijenhuis, "bracket_terms", counted)
+    for J, variant in curved_structures() + flat_structures():
+        calls.clear()
+        fields = monomial_fields_up_to(J.coords, 1)[:8]
+        nijenhuis_tensor(J, fields[0], fields[1], variant)
+        assert len(calls) == len(J.coords) * len(J.columns)
+        images = J.derivative_images
+        calls.clear()
+        for X in fields:
+            for Y in fields:
+                nijenhuis_tensor(J, X, Y, variant)
+        assert calls == []
+        assert J.derivative_images is images
+        with pytest.raises(TypeError):
+            images[(0, 0)] = {}
+        for terms in images.values():
+            with pytest.raises(TypeError):
+                terms[0] = {}
+            for t in terms.values():
+                with pytest.raises(TypeError):
+                    t[()] = 1
+
+
+def test_each_frame_component_makes_one_bracket(monkeypatch):
+    """One VectorField.bracket per (a, b) term pair: the count the traced pass reports."""
+    calls = []
+    bracket = VectorField.bracket
+
+    def counted(self, other):
+        calls.append(1)
+        return bracket(self, other)
+
+    monkeypatch.setattr(VectorField, "bracket", counted)
+    for J, variant in curved_structures() + flat_structures():
+        fields = monomial_fields_up_to(J.coords, 1)[:10]
+        for X in fields:
+            for Y in fields:
+                calls.clear()
+                nijenhuis_tensor(J, X, Y, variant)
+                assert len(calls) == len(X.terms) * len(Y.terms)
+
+
+def test_a_warm_structure_gives_the_tensors_of_a_fresh_one():
+    for J, variant in curved_structures():
+        fields = curved_test_fields(J.coords) + monomial_fields_up_to(J.coords, 1)[:10]
+        for X in fields:
+            for Y in fields:
+                warm = nijenhuis_tensor(J, X, Y, variant)
+                fresh = nijenhuis_tensor(EndomorphismField(J.coords, dict(J.columns), J.parity), X, Y, variant)
+                assert warm == fresh
+                assert value_types(warm) == value_types(fresh)
+
+
+def test_mutating_a_returned_component_leaves_the_next_call_alone():
+    for J, variant in curved_structures():
+        n = len(J.coords)
+        d = [coordinate_field(J.coords, a) for a in range(n)]
+        for a in range(n):
+            for b in range(n):
+                before = _frame_component(J, a, b, variant)
+                kept = {v: dict(t) for v, t in before.items()}
+                for t in before.values():
+                    for m in t:
+                        t[m] = 0
+                before[b] = {(): 5}
+                assert _frame_component(J, a, b, variant) == kept
+                N = nijenhuis_tensor(J, d[a], d[b], variant)
+                N.terms.clear()
+                assert nijenhuis_tensor(J, d[a], d[b], variant).terms == kept
+
+
+def test_columns_keyed_off_the_coordinates_are_rejected():
+    J = standard_even_structure(1, 0)
+    coords, cols = J.coords, dict(J.columns)
+    for key in (5, -1, 2, "x_1", None):
+        with pytest.raises(ValueError, match="columns key"):
+            EndomorphismField(coords, {**cols, key: coordinate_field(coords, 0)}, parity=0)
+    off = VectorField.from_terms(coords, {5: {(): rational(1)}})
+    with pytest.raises(ValueError, match=r"columns\[1\] term key 5"):
+        EndomorphismField(coords, {0: cols[0], 1: off}, parity=0)
+
+
+def test_columns_on_other_coordinates_are_rejected():
+    J = standard_even_structure(1, 0)
+    twin = Coords(list(J.coords.names), list(J.coords.parities))  # equal names, other object
+    cols = {0: coordinate_field(twin, 1), 1: coordinate_field(twin, 0).scale(rational(-1))}
+    with pytest.raises(ValueError, match=r"columns\[0\] is a field on"):
+        EndomorphismField(J.coords, cols, parity=0)
+
+
+def test_constant_matrix_entries_off_the_coordinates_are_rejected():
+    coords = standard_even_structure(1, 0).coords
+    with pytest.raises(ValueError, match="entries row 7"):
+        EndomorphismField.from_constant_matrix(coords, {(1, 0): rational(1), (7, 0): rational(1)}, parity=0)
+    with pytest.raises(ValueError, match="entries column -1"):
+        EndomorphismField.from_constant_matrix(coords, {(1, 0): rational(1), (0, -1): rational(1)}, parity=0)
+
+
+def test_columns_that_are_not_fields_are_rejected():
+    coords = standard_even_structure(1, 0).coords
+    for bad in (3, {0: 3}, coords.one()):
+        with pytest.raises(TypeError, match=r"expected a VectorField for columns\[0\]"):
+            EndomorphismField(coords, {0: bad}, parity=0)
+
+
+def test_apply_rejects_a_field_on_other_coordinates_and_a_non_field():
+    J = standard_even_structure(1, 0)
+    other = coordinate_field(standard_even_structure(1, 1).coords, 0)
+    with pytest.raises(ValueError, match="X is a field on"):
+        J.apply(other)
+    for bad in (3, None, J.coords.one()):
+        with pytest.raises(TypeError, match="expected a VectorField for X"):
+            J.apply(bad)
+
+
+def test_the_tensor_rejects_a_structure_that_is_not_one():
+    J = standard_even_structure(1, 0)
+    X = coordinate_field(J.coords, 0)
+    for bad in (None, 3, J.columns):
+        with pytest.raises(TypeError, match="EndomorphismField for J"):
+            nijenhuis_tensor(bad, X, X, "even")
