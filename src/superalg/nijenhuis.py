@@ -21,19 +21,16 @@ its values; the odd expression, with its (-1)^{p(X)} factors, is not
 function-linear over a supercommutative coefficient ring, so the odd tensor is
 defined by its frame components, extended function-linearly.  In a component
 J(d_a) is J's stored column a (the Koszul sign of the constant 1 is +1), so
-J is applied only to brackets.  The two brackets with a coordinate field
-are read off a table that J keeps: `derivative_images` holds
-J([d_a, J(d_b)]) for every coordinate a and stored column b, each bracket
-polyvf.bracket_terms with the unit term dict {a: {ONE_MONO: 1}}, that is, the
-derivative of column b along x_a.  With s the sign the odd expression puts on
-its first two terms (-1 for an odd d_a, +1 otherwise, and +1 for the even
-expression), -s J[d_a, J(d_b)] is entry (a, b) times -s, and
--J[J(d_a), d_b] = (-1)^{p(J d_a) p(b)} J[d_b, J(d_a)] is entry (b, a) with
-that sign, so each component makes one bracket, [J(d_a), J(d_b)] by
-VectorField.bracket.  The table, like J's square, is computed on first use,
-once per structure; the components themselves are computed on every call.
-The signed sum is formed and the components contracted on term dicts with
-polyvf.add_product, so no Polynomial is built.
+J is applied only to brackets.  [J(d_a), J(d_b)] is VectorField.bracket.  The
+two brackets with a coordinate field, [d_a, J(d_b)] and [J(d_a), d_b], are
+derivatives of J's stored columns: each is polyvf.bracket_terms with a unit
+term dict {a: {ONE_MONO: c}}, whose scalar c = +-1 carries the term's sign,
+so no coordinate field is built.  When every column is constant
+(`EndomorphismField.constant`, computed once per structure on first use,
+like J's square) both derivatives are 0 and are not computed, so a component
+of a flat structure makes one bracket.  J is applied, the signed sum formed
+and the components contracted on term dicts with polyvf.add_product, so no
+Polynomial is built.  The components themselves are computed on every call.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ class EndomorphismField:
     VectorField raises TypeError.  Immutable: `columns` is a read-only view
     of a private copy and no attribute can be rebound.  That lets two
     properties of the structure be computed once, on first use: the sign s
-    with J^2 = s*id (`square`) and the derivative images J([d_a, J(d_b)])
-    that every frame component reads (`derivative_images`).
+    with J^2 = s*id (`square`) and whether every column is constant
+    (`constant`).
     """
 
     def __init__(self, coords: Coords, columns: Dict[int, VectorField], parity: int):
@@ -145,24 +142,12 @@ class EndomorphismField:
         return None
 
     @cached_property
-    def derivative_images(self):
-        """{(a, b): J([d_a, J(d_b)])} for every coordinate a and stored column b, nonzeros only.
+    def constant(self) -> bool:
+        """Whether every column has constant coefficients, so no column has a nonzero derivative.
 
-        Each value is a read-only term dict; [d_a, J(d_b)] is bracket_terms with
-        the unit term dict {a: {ONE_MONO: 1}}, the derivative of column b along
-        x_a, whose int unit keeps the column's value types.  Computed on first
-        use, once per structure; empty when every column is constant.
+        Computed on first use, once per structure.
         """
-        parities = self.coords.parities
-        table = {}
-        for b, col in self.columns.items():
-            pb = col.parity()
-            for a in range(len(self.coords)):
-                image = self._add_image({}, bracket_terms({a: {ONE_MONO: 1}}, parities[a], col.terms, pb, parities))
-                image = {v: MappingProxyType(t) for v, t in image.items() if t}
-                if image:
-                    table[(a, b)] = MappingProxyType(image)
-        return MappingProxyType(table)
+        return all(m == ONE_MONO for col in self.columns.values() for t in col.terms.values() for m in t)
 
 
 def _check_index(k, coords: Coords, what: str):
@@ -190,8 +175,8 @@ def nijenhuis_tensor(J: EndomorphismField, X: VectorField, Y: VectorField, varia
     N(X, Y) = sum_{a,b} f_a (+-g_b) N(d_a, d_b) for X = sum f_a d_a and
     Y = sum g_b d_b, one route for both variants (see the module docstring).
     Each frame component is computed by `_frame_component` on every call,
-    from J's columns and J's `derivative_images`, which the first call on a
-    structure computes; nothing is kept on X or Y.  J must be an
+    from J's columns; nothing is kept on X or Y, and on J only its `square`
+    and `constant`, which the first call on a structure computes.  J must be an
     EndomorphismField (TypeError otherwise), X and Y VectorFields on
     J.coords (TypeError, ValueError otherwise).
     """
@@ -224,11 +209,13 @@ def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> Dict
     """N(d_a, d_b) as a new term dict, by the variant's expression; [d_a, d_b] = 0 drops its last term.
 
     J(d_a) and J(d_b) are read off J.columns (the zero field where J has no
-    column).  s[J(d_a), J(d_b)] is the one bracket, by VectorField.bracket,
-    s being the sign the odd expression puts on its first two terms.  The
-    two terms with a coordinate field are entries of J.derivative_images D,
-    added with add_product, which copies them: -s J[d_a, J(d_b)] = -s D[a, b]
-    and -J[J(d_a), d_b] = (-1)^{p(J d_a) p(b)} D[b, a].
+    column).  [J(d_a), J(d_b)] is VectorField.bracket; the brackets with a
+    coordinate field are bracket_terms with a unit term dict, which
+    differentiates a column: -s[d_a, J(d_b)] with the unit coefficient -s and
+    -[J(d_a), d_b] with -1, s being the sign the odd expression puts on its
+    first two terms.  J is applied to them and the sum formed on term dicts.
+    When J is constant both derivatives are 0, and the bracket is the whole
+    component.
     """
     coords = J.coords
     parities = coords.parities
@@ -238,17 +225,13 @@ def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> Dict
     s = -1 if variant == "odd" and parities[a] else 1
     first = Ja.bracket(Jb).terms
     out = first if s > 0 else {v: {m: -c for m, c in t.items()} for v, t in first.items()}
-    images = J.derivative_images
-    if not images:  # no derivative terms: the bracket is the whole component
+    if J.constant:
         return out
-    # -[J(d_a), d_b] = (-1)^{p(J d_a) p(b)} [d_b, J(d_a)]
-    for key, sign in (((a, b), -s), ((b, a), -1 if Ja.parity() and parities[b] else 1)):
-        image = images.get(key)
-        if image is None:
-            continue
-        unit = {ONE_MONO: sign}
-        for v, t in image.items():
-            add_product(out.setdefault(v, {}), t, unit, parities)
+    # -s[d_a, J(d_b)] and -[J(d_a), d_b]: a column differentiated by a signed
+    # unit; an int unit keeps the value types of the column's scalars
+    second = bracket_terms({a: {ONE_MONO: -s}}, parities[a], Jb.terms, Jb.parity(), parities)
+    third = bracket_terms(Ja.terms, Ja.parity(), {b: {ONE_MONO: -1}}, parities[b], parities)
+    J._add_image(J._add_image(out, second), third)
     return {v: t for v, t in out.items() if t}
 
 

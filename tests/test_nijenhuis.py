@@ -465,24 +465,20 @@ def flat_structures():
     ]
 
 
-def test_derivative_images_are_J_of_the_coordinate_brackets():
+def test_constant_is_whether_every_column_is_constant():
     for J, _ in flat_structures():
-        assert J.derivative_images == {}
+        assert J.constant is True
     for J, _ in curved_structures():
+        assert J.constant is False
+    for J in every_structure():
         coords = J.coords
         d = [coordinate_field(coords, a) for a in range(len(coords))]
-        images = J.derivative_images
-        assert images
-        assert set(images) <= {(a, b) for a in range(len(coords)) for b in J.columns}
-        for a in range(len(coords)):
-            for b, col in J.columns.items():
-                got = VectorField.from_terms(coords, {v: dict(t) for v, t in images.get((a, b), {}).items()})
-                expected = J.apply(d[a].bracket(col))
-                assert got == expected
-                assert value_types(got) == value_types(expected)
+        derivatives = [d[a].bracket(col) for a in range(len(coords)) for col in J.columns.values()]
+        assert J.constant == (not any(derivatives))
 
 
-def test_derivative_images_are_built_once_and_read_only(monkeypatch):
+def test_only_a_curved_structure_differentiates_its_columns(monkeypatch):
+    """No bracket_terms call for a constant J; two per (a, b) term pair, as before, for a curved one."""
     calls = []
     bracket_terms = nijenhuis.bracket_terms
 
@@ -491,26 +487,14 @@ def test_derivative_images_are_built_once_and_read_only(monkeypatch):
         return bracket_terms(*args)
 
     monkeypatch.setattr(nijenhuis, "bracket_terms", counted)
-    for J, variant in curved_structures() + flat_structures():
-        calls.clear()
-        fields = monomial_fields_up_to(J.coords, 1)[:8]
-        nijenhuis_tensor(J, fields[0], fields[1], variant)
-        assert len(calls) == len(J.coords) * len(J.columns)
-        images = J.derivative_images
-        calls.clear()
-        for X in fields:
-            for Y in fields:
-                nijenhuis_tensor(J, X, Y, variant)
-        assert calls == []
-        assert J.derivative_images is images
-        with pytest.raises(TypeError):
-            images[(0, 0)] = {}
-        for terms in images.values():
-            with pytest.raises(TypeError):
-                terms[0] = {}
-            for t in terms.values():
-                with pytest.raises(TypeError):
-                    t[()] = 1
+    for structures, per_pair in ((flat_structures(), 0), (curved_structures(), 2)):
+        for J, variant in structures:
+            fields = monomial_fields_up_to(J.coords, 1)[:10]
+            for X in fields:
+                for Y in fields:
+                    calls.clear()
+                    nijenhuis_tensor(J, X, Y, variant)
+                    assert len(calls) == per_pair * len(X.terms) * len(Y.terms)
 
 
 def test_each_frame_component_makes_one_bracket(monkeypatch):
@@ -533,8 +517,10 @@ def test_each_frame_component_makes_one_bracket(monkeypatch):
 
 
 def test_a_warm_structure_gives_the_tensors_of_a_fresh_one():
-    for J, variant in curved_structures():
-        fields = curved_test_fields(J.coords) + monomial_fields_up_to(J.coords, 1)[:10]
+    for J, variant in curved_structures() + flat_structures():
+        fields = monomial_fields_up_to(J.coords, 1)[:10]
+        if not J.constant:
+            fields += curved_test_fields(J.coords)
         for X in fields:
             for Y in fields:
                 warm = nijenhuis_tensor(J, X, Y, variant)
