@@ -9,10 +9,11 @@ costs a sign.
 A monomial is a tuple of (var_index, exponent) pairs sorted by index.  A
 Polynomial holds its terms {monomial: scalar}.  A VectorField is stored only
 as its term dict {var: {monomial: scalar}}, nonzeros only and no empty
-coefficient: VectorField(coords, {var: Polynomial}) shares the polynomials'
-term dicts, VectorField.from_terms takes a term dict as it is, and coeffs
-gives Polynomial views sharing those dicts.  No dict is changed after it is
-built.
+coefficient: VectorField(coords, {var: Polynomial}) checks each var against
+the coordinates (Coords.position, as coordinate_field and Coords.var do) and
+shares the polynomials' term dicts, VectorField.from_terms takes a term dict
+as it is, unchecked, and coeffs gives Polynomial views sharing those dicts.
+No dict is changed after it is built.
 
 One bracket kernel, bracket_terms, runs on term dicts with the parities passed
 in.  VectorField.bracket runs on it, VectorField.apply and Polynomial.deriv
@@ -66,8 +67,24 @@ class Coords:
     def degree(self, k):
         return self.degrees[k] if self.degrees is not None else 1
 
+    def position(self, var, what: str) -> int:
+        """The index of var, a coordinate name or an index in range(len(self)).
+
+        Any other var, a negative index or a bool included, raises ValueError
+        naming what asked for it.
+        """
+        if isinstance(var, str):
+            k = self.index.get(var)
+        elif isinstance(var, int) and not isinstance(var, bool) and 0 <= var < len(self.names):
+            k = var
+        else:
+            k = None
+        if k is None:
+            raise ValueError(f"{what}: no coordinate {var!r} in {self!r}")
+        return k
+
     def var(self, name_or_index) -> "Polynomial":
-        k = name_or_index if isinstance(name_or_index, int) else self.index[name_or_index]
+        k = self.position(name_or_index, "Coords.var")
         return Polynomial(self, {((k, 1),): self.field.one})
 
     def one(self) -> "Polynomial":
@@ -310,8 +327,19 @@ class VectorField:
     __slots__ = ("coords", "terms", "_parity")
 
     def __init__(self, coords: Coords, coeffs: Optional[Dict[int, Polynomial]] = None):
+        """The field sum_v coeffs[v] d_v; each key v as Coords.position takes it, each value a Polynomial on coords."""
         self.coords = coords
-        self.terms = {v: p.terms for v, p in (coeffs or {}).items() if p}
+        self.terms = {}
+        for v, p in (coeffs or {}).items():
+            k = coords.position(v, "VectorField coeffs")
+            if not isinstance(p, Polynomial):
+                raise TypeError(f"VectorField coeffs: the coefficient of {v!r} is not a Polynomial: {p!r}")
+            if p.coords is not coords:
+                raise ValueError(f"VectorField coeffs: the coefficient of {v!r} is on {p.coords!r}, not {coords!r}")
+            if k in self.terms:
+                raise ValueError(f"VectorField coeffs: coordinate {coords.names[k]!r} is keyed twice")
+            if p:
+                self.terms[k] = p.terms
         self._parity = _UNSET
 
     @classmethod
@@ -518,16 +546,9 @@ def coordinate_field(coords: Coords, var) -> VectorField:
     """The coordinate field d_k for var = k, an index in range(len(coords)), or a coordinate name.
 
     Built with its parity, the parity of coordinate k, already known.  Any
-    other var, a negative index included, raises ValueError.
+    other var, a negative index included, raises ValueError (Coords.position).
     """
-    if isinstance(var, str):
-        k = coords.index.get(var)
-    elif isinstance(var, int) and not isinstance(var, bool) and 0 <= var < len(coords):
-        k = var
-    else:
-        k = None
-    if k is None:
-        raise ValueError(f"coordinate_field: no coordinate {var!r} in {coords!r}")
+    k = coords.position(var, "coordinate_field")
     return VectorField.from_terms(coords, {k: {ONE_MONO: coords.field.one}}, coords.parities[k])
 
 

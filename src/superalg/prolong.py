@@ -1,29 +1,32 @@
 """Cartan and generalized (multi-depth) prolongation of graded Lie superalgebras.
 
-The negative part g_minus (depth at most 2 here) is realized by polynomial
-vector fields on coordinates dual to its basis; the degree-0 part is realized
-by solving for the unique linear fields reproducing its action.  The degree-0
-candidates are the monomial fields m d_v of degree 0, kept as (v, m) pairs;
-each solution's field is assembled as one term dict from its coefficients,
-as each positive component's basis field is from its kernel vector.  Both
-realizations are checked to be homomorphisms, bracket by bracket.  Positive
-components are computed degree by degree:
+This is Tanaka's generalized prolongation (J. Math. Kyoto Univ. 10 (1970)
+1-82) of g_minus + g_0, for g_minus of depth at most 2.  g_<=0 is realized by
+polynomial vector fields on coordinates x_a dual to the basis of g_minus,
+read straight off the bracket table c^t_{kb}:
+
+  X_k = [k in g_minus] d_k - lam sum_{b in B} (-1)^{p_k p_b} c^t_{kb} x_b d_t
+
+with lam = 1/2 and B = g_-1 for k in g_minus, lam = 1 and B = g_minus for k
+in g_0.  Nothing is solved for (realize_degree_zero says why the degree-0
+field is the only one); instead every [X_i, X_j] with i in g_minus or g_0 is
+checked against the table.  Positive components are computed degree by degree:
 
   g_k = { X of degree k : [X, realization of g_j] lies in g_{k+j} for all j<0 }
 
-Within each (parity, weight) block of degree-k candidate fields this is the
-kernel of the map sending X to the residuals of its brackets [X, g_j] modulo
-the realized span of g_{k+j}; the same computation serves depth 1 and 2.  The
-bracket on the result is the bracket of the realized fields, re-expanded in
-the computed basis; closure is checked, never assumed.
+Within each (parity, weight) block of degree-k candidate fields m d_v, kept
+as (v, m) pairs, this is the kernel of the map sending X to the residuals of
+its brackets [X, g_j] modulo the realized span of g_{k+j}; the same
+computation serves depth 1 and 2.  The bracket on the result is the bracket
+of the realized fields, re-expanded in the computed basis; closure is
+checked, never assumed.
 
-Every bracket here runs on integer term dicts through polyvf.bracket_terms.
-The candidates are monomial fields m d_v, kept as (v, m) pairs with the block
-key's parity, and each negative field X_e is cleared once to den_e X_e with
-integer coefficients.  Column j of the constraints of e is then the residual
-of [m_j d_(v_j), den_e X_e], which is den_e times the residual of
-[m_j d_(v_j), X_e]: every row of the constraints of e is scaled by the same
-positive den_e.  That leaves the row space, hence the kernel and its RREF,
+Every bracket of the positive components and of the closure runs on integer
+term dicts through polyvf.bracket_terms.  Each negative field X_e is cleared
+once to den_e X_e with integer coefficients.  Column j of the constraints of
+e is then the residual of [m_j d_(v_j), den_e X_e], which is den_e times the
+residual of [m_j d_(v_j), X_e]: every row of the constraints of e is scaled
+by the same positive den_e.  That leaves the row space, hence the kernel and its RREF,
 unchanged, so the component bases come out exactly as with X_e itself.
 
 The residuals stay on the integers as well.  SpanSolver.reduce returns each
@@ -60,7 +63,6 @@ from .polyvf import (
     VectorField,
     bracket_terms,
     clear_field,
-    coordinate_field,
     field_basis_index,
     mono_parity,
 )
@@ -99,48 +101,67 @@ class ProlongResult:
 
 
 def realize_negative(nonpos: LieSuperAlgebra) -> Tuple[Coords, Dict[int, VectorField]]:
-    """Realize g_minus by constant-plus-correction fields on its dual coordinates.
+    """Realize g_minus on its dual coordinates: X_k = d_k - 1/2 sum_b (-1)^{p_k p_b} c^t_{kb} x_b d_t.
 
-    Degree -1 vectors map to d_a - 1/2 sum (-1)^{p_a p_b} c^z_{ab} x_b d_z,
-    degree -2 vectors to d_z; the homomorphism property is verified exactly.
+    b runs over g_-1, so a degree -2 vector, which brackets g_-1 to 0, maps to
+    d_k.  Every [X_i, X_j] with i, j in g_minus is checked against the table.
     """
     neg = nonpos.negative_indices()
     if not neg:
         raise ProlongError("no negative part")
-    depth = -min(nonpos.degree(k) for k in neg)
-    if depth > 2:
+    if min(nonpos.degree(k) for k in neg) < -2:
         raise ProlongError("only depth <= 2 gradings are supported")
     names = [nonpos.ident(k) for k in neg]
     parities = [nonpos.parity(k) for k in neg]
-    degrees = [-nonpos.degree(k) for k in neg]
-    coords = Coords(names, parities, degrees, field=nonpos.field)
+    coords = Coords(names, parities, [-nonpos.degree(k) for k in neg], field=nonpos.field)
     pos_of = {k: c for c, k in enumerate(neg)}
-    fields: Dict[int, VectorField] = {}
-    for k in neg:
-        a = pos_of[k]
-        if nonpos.degree(k) == -2:
-            fields[k] = coordinate_field(coords, a)
-            continue
-        # each (z, x_b) below is a distinct term, so the terms are set, not summed
-        terms = {a: {ONE_MONO: coords.field.one}}
-        pa = nonpos.parity(k)
-        for b_idx in neg:
-            if nonpos.degree(b_idx) != -1:
-                continue
-            b = pos_of[b_idx]
-            pb = nonpos.parity(b_idx)
-            for t, cval in nonpos._table.get((k, b_idx), {}).items():
-                # m_{ab} = -1/2 (-1)^{p_a p_b} c_{ab}
-                terms.setdefault(pos_of[t], {})[((b, 1),)] = cval * HALF if (pa and pb) else -(cval * HALF)
-        fields[k] = VectorField.from_terms(coords, terms)
-    _check_homomorphism(nonpos, fields, neg, "negative")
+    minus1 = [b for b in neg if nonpos.degree(b) == -1]
+    fields = {k: _linear_field(nonpos, coords, pos_of, k, HALF, minus1) for k in neg}
+    _check_homomorphism(nonpos, fields, neg, neg, "negative")
     return coords, fields
 
 
-def _check_homomorphism(nonpos: LieSuperAlgebra, fields: Dict[int, VectorField], indices, what: str):
-    """Raise ProlongError unless [X_i, X_j] = sum_t c_ij^t X_t for all i, j in indices."""
-    for i in indices:
-        for j in indices:
+def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dict[int, VectorField]):
+    """Realize g_0 by linear fields: X_h = -sum_b (-1)^{p_h p_b} c^t_{hb} x_b d_t, b over g_minus.
+
+    The field is linear because in exponential coordinates an automorphism of
+    G_minus is linear.  It is the only degree-0 field with [X_h, X_e] = X_[h,e]
+    for all e: for a degree-0 Y the constant part of [Y, X_e] is, up to sign,
+    the x_e column of Y's linear part, and a quadratic part q d_z brackets X_e
+    to +-(d_e q) d_z, so a Y with [Y, X_e] = 0 for every e is 0.  Every
+    [X_h, X_j], j in g_minus or g_0, is checked against the table: this
+    rejects a g_0 that does not act by derivations or does not represent.
+    """
+    neg = nonpos.negative_indices()
+    zero = nonpos.component_indices(0)
+    pos_of = {k: c for c, k in enumerate(neg)}
+    out = {h: _linear_field(nonpos, coords, pos_of, h, coords.field.one, neg) for h in zero}
+    _check_homomorphism(nonpos, {**neg_fields, **out}, zero, neg + zero, "degree-0")
+    return out
+
+
+def _linear_field(nonpos: LieSuperAlgebra, coords: Coords, pos_of, k: int, lam, B) -> VectorField:
+    """X_k = [k in g_minus] d_k - lam sum_{b in B} (-1)^{p_k p_b} c^t_{kb} x_b d_t.
+
+    pos_of maps each g_minus index to its coordinate.  The terms are set in
+    candidate order, (v, then monomial) ascending; each (t, x_b) is one term.
+    """
+    entries = {(pos_of[k], ONE_MONO): coords.field.one} if k in pos_of else {}
+    pk = nonpos.parity(k)
+    for b in B:
+        odd = pk and nonpos.parity(b)
+        for t, c in nonpos._table.get((k, b), {}).items():
+            entries[pos_of[t], ((pos_of[b], 1),)] = c * lam if odd else -(c * lam)
+    terms: Dict[int, dict] = {}
+    for (v, m), c in sorted(entries.items()):
+        terms.setdefault(v, {})[m] = c
+    return VectorField.from_terms(coords, terms)
+
+
+def _check_homomorphism(nonpos: LieSuperAlgebra, fields: Dict[int, VectorField], rows, cols, what: str):
+    """Raise ProlongError unless [X_i, X_j] = sum_t c_ij^t X_t for every i in rows and j in cols."""
+    for i in rows:
+        for j in cols:
             lhs = fields[i].bracket(fields[j])
             rhs = VectorField(lhs.coords)
             for t, c in nonpos._table.get((i, j), {}).items():
@@ -158,51 +179,6 @@ def _field_coords_weights(nonpos: LieSuperAlgebra, neg: List[int]):
             return None
         wts.append(tuple(w))
     return wts
-
-
-def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dict[int, VectorField]):
-    """Solve for the linear fields realizing each degree-0 basis vector."""
-    neg = nonpos.negative_indices()
-    zero = nonpos.component_indices(0)
-    # the candidates m d_v as (v, m) pairs, in fields_of_degree order
-    cand = list(field_basis_index(coords, 0)[0])
-    one = coords.field.one
-    # coordinates of [cand, X_e] stacked over all negative e
-    blocks = []
-    offsets = []
-    total = 0
-    for e in neg:
-        d = nonpos.degree(e)
-        idx, dim = field_basis_index(coords, d)
-        blocks.append((e, idx, dim))
-        offsets.append(total)
-        total += dim
-
-    def stacked(v, m):
-        Y = VectorField.from_terms(coords, {v: {m: one}})
-        vec = {}
-        for (e, idx, dim), off in zip(blocks, offsets):
-            for pos, c in Y.bracket(neg_fields[e]).coordinates(idx).items():
-                vec[off + pos] = c
-        return vec
-
-    cand_cols = [stacked(v, m) for v, m in cand]
-    solver = SpanSolver(cand_cols, total)
-    out: Dict[int, VectorField] = {}
-    for k in zero:
-        target = {}
-        for (e, idx, dim), off in zip(blocks, offsets):
-            val = nonpos._table.get((k, e), {})
-            for t, c in val.items():
-                for pos, cm in neg_fields[t].coordinates(idx).items():
-                    target[off + pos] = target.get(off + pos, ZERO) + c * cm
-        sol = solver.solve(target)
-        if sol is None:
-            raise ProlongError(f"degree-0 action of {nonpos.ident(k)} is not realizable")
-        out[k] = _field_of(sol, cand, coords)
-    # homomorphism check on degree 0 (also catches any ambiguity in the solve)
-    _check_homomorphism(nonpos, out, zero, "degree-0")
-    return out
 
 
 def _candidate_weight(v, m, weights):
@@ -345,17 +321,15 @@ def _fields_from_coeffs(vectors, cand, coords):
 
     Makes the computed component basis independent of the kernel basis found.
     """
-    return [_field_of(vec, cand, coords) for vec in row_space_basis(vectors, len(cand))]
-
-
-def _field_of(vec, cand, coords):
-    """The field sum_j vec[j] m_j d_(v_j) of a sparse vector over the candidates (v_j, m_j)."""
     one = coords.field.one
-    terms: Dict[int, dict] = {}
-    for j, c in sorted(vec.items()):
-        v, m = cand[j]
-        terms.setdefault(v, {})[m] = one * c
-    return VectorField.from_terms(coords, terms)
+    fields = []
+    for vec in row_space_basis(vectors, len(cand)):
+        terms: Dict[int, dict] = {}
+        for j, c in sorted(vec.items()):
+            v, m = cand[j]
+            terms.setdefault(v, {})[m] = one * c
+        fields.append(VectorField.from_terms(coords, terms))
+    return fields
 
 
 def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
@@ -462,10 +436,11 @@ def cartan_prolong(g_minus1, g0_action: Action, max_degree: int) -> ProlongResul
 
 
 def generalized_prolong(g_minus: LieSuperAlgebra, g0_action: Action, max_degree: int) -> ProlongResult:
-    """Prolong of a graded nilpotent g_minus with g0 inside its derivations."""
+    """Prolong of a graded nilpotent g_minus with g0 inside its derivations; ProlongError if g0 does
+    not represent, does not keep the grading or (realize_degree_zero) does not act by derivations."""
     bad = g0_action.check_representation()
     if bad:
-        raise ProlongError(f"g0 is not a derivation action: first failure {bad[0]}")
+        raise ProlongError(f"g0 is not a representation: first failure {bad[0]}")
     nonpos = combine_nonpositive(g_minus, g0_action)
     gradefail = nonpos.check_grading()
     if gradefail:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superalg.algebra import LieSuperAlgebra, realify
+from superalg.algebra import LieSuperAlgebra, from_matrices, realify, supercommutator
 from superalg.cohomology import (
     DegreeCohomology,
     NegativePart,
@@ -10,16 +12,20 @@ from superalg.cohomology import (
     h2_by_degree,
 )
 from superalg.constructors import (
+    Action,
     abelian_negative,
+    build_ab,
     build_complexified_minkowski,
     build_gl,
+    build_hei,
     build_minkowski_g0,
     build_q,
     combine_nonpositive,
     tautological_action,
 )
 from superalg.contact import contact_algebra, pericontact_algebra
-from superalg.prolong import prolong_nonpositive
+from superalg.linalg import SpanSolver
+from superalg.prolong import degree_zero_derivations, generalized_prolong, prolong_nonpositive
 from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
@@ -191,6 +197,72 @@ def test_d2_d1_vanishes_on_every_block_of_minkowski_n1_reduced(mink1_reduced):
 )
 def test_d2_d1_vanishes_on_every_block(build, h2_dims):
     _check_d_squared_and_h2(build(), h2_dims)
+
+
+def _bracket_closure(gens, n):
+    """A basis of the span of the homogeneous n x n supermatrices gens and all their supercommutators."""
+    basis = []
+    todo = list(gens)
+    while todo:
+        p, m = todo.pop(0)
+        vecs = [{r * n + c: v for (r, c), v in x.items()} for _, x in basis]
+        if not m or SpanSolver(vecs, n * n).contains({r * n + c: v for (r, c), v in m.items()}):
+            continue
+        basis.append((p, m))
+        todo += [((p + q) % 2, supercommutator(m, x, p, q)) for q, x in basis]
+    return basis
+
+
+SMALL_NEGATIVE_PARTS = [(build_ab, (1,)), (build_ab, (2,))] + [(build_hei, a) for a in ((2, 0), (0, 2), (2, 1), (0, 3))]
+
+
+@st.composite
+def small_nonpositive_parts(draw):
+    """(g_minus, action of g0): g0 the bracket closure of one or two random degree-0 derivations."""
+    build, args = draw(st.sampled_from(SMALL_NEGATIVE_PARTS))
+    g_minus = build(*args)
+    der = degree_zero_derivations(g_minus)
+    by_parity = {}
+    for k, mat in enumerate(der.matrices):
+        by_parity.setdefault(der.algebra.parity(k), []).append(mat)
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        p = draw(st.sampled_from(sorted(by_parity)))
+        mats = by_parity[p]
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(mats), max_size=len(mats)).filter(any))
+        m = {}
+        for c, mat in zip(coeffs, mats):
+            for rc, v in mat.items():
+                m[rc] = m.get(rc, ZERO) + c * v
+        gens.append((p, {rc: v for rc, v in m.items() if v}))
+    n = len(g_minus)
+    items = [(f"D_{k + 1}", p, 0, m) for k, (p, m) in enumerate(_bracket_closure(gens, n))]
+    g0 = from_matrices(items, [g_minus.parity(k) for k in range(n)], field="Q")
+    return g_minus, Action(g0, g_minus.space, [m for *_, m in items])
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_nonpositive_parts())
+def test_d2_d1_vanishes_on_random_small_prolongations(nonpositive):
+    # g0 may have odd elements, which exercise the signs of the degree-0 realization
+    g_minus, action = nonpositive
+    g = generalized_prolong(g_minus, action, 2).algebra
+    assert g.check_super_jacobi() == []
+    report = h2_by_degree(g, (1, 2, 3))
+    _check_d_squared_and_h2(g, [report["degrees"][str(z)]["dim_H2"] for z in (1, 2, 3)])
+
+
+def test_degree_zero_h2_of_the_realified_superstrings_is_n_minus_1_times_n_plus_2():
+    """Degree-0 H^2 of k(1|N)^R, realify(contact_algebra(0, N, 4)) over QQ(i), is (N-1)(N+2) for N = 1..5.
+
+    (N-1)(N+2) = 2 dim S^2_0(C^N): the classes appear only after realification
+    and vanish exactly at N = 1, superdimension 1|1.  Reading them as values of
+    the circumcised Nijenhuis tensor is this repository's interpretation of the
+    paper's claim that the tensor vanishes identically only on 1|1 superstrings.
+    """
+    dims = [h2_by_degree(realify(contact_algebra(0, N, 4, field=FIELD_QI)), (0,))["degrees"]["0"]["dim_H2"]
+            for N in range(1, 6)]
+    assert dims == [0, 4, 10, 18, 28] == [(N - 1) * (N + 2) for N in range(1, 6)]
 
 
 def _check_cleared_differential(g, den):

@@ -442,6 +442,50 @@ def test_coordinate_field_rejects_bad_indices_and_names(bad):
         coordinate_field(xy_theta(), bad)
 
 
+@pytest.mark.parametrize("bad", (-1, -4, 4, 7, "z", True, 1.0, None))
+def test_var_and_vector_field_keys_reject_bad_indices_and_names(bad):
+    # -1 used to be read as the last coordinate and True as y; var(4) built a
+    # polynomial that failed later, and VectorField(c, {7: p}) was built
+    c = xy_theta()
+    with pytest.raises(ValueError, match=r"^Coords\.var: no coordinate " + re.escape(repr(bad))):
+        c.var(bad)
+    with pytest.raises(ValueError, match=r"^VectorField coeffs: no coordinate " + re.escape(repr(bad))):
+        VectorField(c, {bad: c.var("x")})
+
+
+def test_vector_field_rejects_a_coefficient_that_is_not_a_polynomial():
+    c = xy_theta()
+    # a scalar used to raise AttributeError
+    for bad in (3, rational(1, 2), coordinate_field(c, "x"), {(): 1}):
+        with pytest.raises(TypeError, match=r"coefficient of 0 is not a Polynomial"):
+            VectorField(c, {0: bad})
+
+
+def test_vector_field_rejects_a_coefficient_on_other_coordinates():
+    # it used to be built, and its str raised IndexError
+    c, other = xy_theta(), Coords(["u", "v", "w", "s", "t"], [0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"coefficient of 0 is on Coords\(\['u'"):
+        VectorField(c, {0: other.var("t")})
+    # equal names are not the same coordinates
+    with pytest.raises(ValueError, match="coefficient of 1 is on"):
+        VectorField(c, {1: xy_theta().var("x")})
+
+
+def test_vector_field_keys_name_or_index_a_coordinate_once():
+    c = xy_theta()
+    x, t1 = c.var("x"), c.var("θ1")
+    by_name = VectorField(c, {"y": x, "θ2": t1, "x": c.zero()})
+    assert by_name == VectorField(c, {1: x, 3: t1}) and list(by_name.terms) == [1, 3]
+    with pytest.raises(ValueError, match="coordinate 'y' is keyed twice"):
+        VectorField(c, {1: x, "y": t1})
+
+
+def test_from_terms_stays_unchecked():
+    # its contract: the caller vouches for the terms
+    c = xy_theta()
+    assert VectorField.from_terms(c, {7: {(): 1}}).terms == {7: {(): 1}}
+
+
 # -- the merging monomial product against the factor-list oracle -----------------
 
 MONO_PARITIES = [0, 1, 0, 1, 1, 0, 1]

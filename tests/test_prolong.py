@@ -1,6 +1,7 @@
 import pytest
 
-from superalg.algebra import from_matrices, realify
+from superalg import prolong
+from superalg.algebra import LieSuperAlgebra, from_matrices, realify
 from superalg.constructors import (
     Action,
     abelian_negative,
@@ -26,6 +27,8 @@ from superalg.prolong import (
     degree_zero_derivations,
     generalized_prolong,
     prolong_nonpositive,
+    realize_degree_zero,
+    realize_negative,
 )
 from superalg.cohomology import h2_by_degree
 from superalg.linalg import SpanSolver
@@ -33,6 +36,48 @@ from superalg.scalars import FIELD_QI, ZERO, gaussian, rational
 from superalg.spaces import BasisVector, SuperSpace
 
 from oracles import canonical_sha256
+
+
+def formula_field(nonpos, coords, h):
+    """X_h = -sum_b (-1)^{p_h p_b} c^t_{hb} x_b d_t over g_minus, summed with VectorField arithmetic."""
+    X = VectorField(coords)
+    pos = {k: coords.index[nonpos.ident(k)] for k in nonpos.negative_indices()}
+    for b in pos:
+        sign = 1 if nonpos.parity(h) and nonpos.parity(b) else -1
+        for t, c in nonpos._table.get((h, b), {}).items():
+            X = X + VectorField(coords, {pos[t]: coords.var(pos[b]).scale(sign * c)})
+    return X
+
+
+def assert_degree_zero_fields_follow_the_formula(nonpos, coords, fields):
+    """Each field is linear, equals formula_field in values and value types, and has its terms in order."""
+    assert list(fields) == nonpos.component_indices(0)
+    for h, X in fields.items():
+        want = formula_field(nonpos, coords, h)
+        assert X == want, nonpos.ident(h)
+        assert {v: {m: type(c) for m, c in t.items()} for v, t in X.terms.items()} == {
+            v: {m: type(c) for m, c in t.items()} for v, t in want.terms.items()
+        }
+        assert all(len(m) == 1 and m[0][1] == 1 for t in X.terms.values() for m in t), nonpos.ident(h)
+        assert list(X.terms) == sorted(X.terms) and all(list(t) == sorted(t) for t in X.terms.values())
+
+
+# How many degree-0 realizations the fixture below has checked.
+FORMULA_CHECKS = []
+
+
+@pytest.fixture(autouse=True)
+def every_degree_zero_realization_follows_the_formula(monkeypatch):
+    """Checks the degree-0 realization of every prolongation a test of this file makes."""
+    realize = prolong.realize_degree_zero
+
+    def checked(nonpos, coords, neg_fields):
+        fields = realize(nonpos, coords, neg_fields)
+        assert_degree_zero_fields_follow_the_formula(nonpos, coords, fields)
+        FORMULA_CHECKS.append(len(fields))
+        return fields
+
+    monkeypatch.setattr(prolong, "realize_degree_zero", checked)
 
 
 def align_graded(A, B, base_map, max_degree):
@@ -591,3 +636,95 @@ def test_candidate_blocks_on_integer_weights_keep_the_rational_keys_and_order():
             assert list(got.items()) == list(want.items())
             # the keys carry the same scalar types: their str (the sort key) agrees
             assert [str(key) for key in got] == [str(key) for key in want]
+
+
+def _nonpositive_cases():
+    # odd g0 elements (hei(2|1), ab(1)), QQ(i) scalars, a g0 with weights (Minkowski N=1) and a depth-1 case
+    for g in (build_hei(0, 2), build_hei(2, 1), build_ab(1), build_hei(2, 0, field="Q(i)")):
+        yield g.name, combine_nonpositive(g, degree_zero_derivations(g))
+    yield "mink1-conformal", build_minkowski_g0(1, "conformal")
+    act = gl_action(1, 1)
+    yield "gl(1|1)", combine_nonpositive(abelian_negative(act.module), act)
+
+
+def test_degree_zero_fields_are_the_formula_and_the_only_degree_zero_solution():
+    for name, nonpos in _nonpositive_cases():
+        coords, neg_fields = realize_negative(nonpos)
+        fields = realize_degree_zero(nonpos, coords, neg_fields)
+        assert_degree_zero_fields_follow_the_formula(nonpos, coords, fields)
+        # uniqueness: no nonzero degree-0 field, linear or quadratic, brackets every X_e to 0
+        cand = list(field_basis_index(coords, 0)[0])
+        cols, total = [{} for _ in cand], 0
+        for e in nonpos.negative_indices():
+            idx, dim = field_basis_index(coords, nonpos.degree(e))
+            for j, (v, m) in enumerate(cand):
+                Y = VectorField.from_terms(coords, {v: {m: coords.field.one}})
+                cols[j].update({total + pos: c for pos, c in Y.bracket(neg_fields[e]).coordinates(idx).items()})
+            total += dim
+        assert SpanSolver(cols, total).rank == len(cand), name
+    assert any(nonpos.parity(h) for _, nonpos in _nonpositive_cases() for h in nonpos.component_indices(0))
+
+
+def test_the_fixture_checked_the_prolongations_of_this_file():
+    before = len(FORMULA_CHECKS)
+    g = build_hei(0, 2)
+    generalized_prolong(g, degree_zero_derivations(g), 1)
+    assert FORMULA_CHECKS[before:] == [len(degree_zero_derivations(g).algebra)]
+
+
+def test_a_realization_makes_one_field_bracket_per_checked_pair(monkeypatch):
+    calls = []
+    bracket = VectorField.bracket
+
+    def counted(X, Y):
+        calls.append(1)
+        return bracket(X, Y)
+
+    monkeypatch.setattr(VectorField, "bracket", counted)
+    for name, nonpos in _nonpositive_cases():
+        n_neg, n_zero = len(nonpos.negative_indices()), len(nonpos.component_indices(0))
+        calls.clear()
+        coords, neg_fields = realize_negative(nonpos)
+        realize_degree_zero(nonpos, coords, neg_fields)
+        assert len(calls) == n_neg**2 + n_zero * (n_neg + n_zero), name
+
+
+def _hei2_action(matrices):
+    """hei(2|0) = span(p_1, q_1, z) with one even degree-0 generator per matrix."""
+    g0 = LieSuperAlgebra(SuperSpace([BasisVector(f"H{k}", 0, 0) for k in range(len(matrices))]), {})
+    return build_hei(2, 0), Action(g0, build_hei(2, 0).space, matrices)
+
+
+def test_prolong_rejects_an_algebra_without_a_negative_part():
+    g0 = LieSuperAlgebra(SuperSpace([BasisVector("h", 0, 0)]), {})
+    with pytest.raises(ProlongError, match="^no negative part$"):
+        prolong_nonpositive(g0, 1)
+
+
+def test_prolong_rejects_a_grading_deeper_than_two():
+    deep = LieSuperAlgebra(SuperSpace([BasisVector("a", 0, -1), BasisVector("b", 0, -3)]), {})
+    with pytest.raises(ProlongError, match=r"^only depth <= 2 gradings are supported$"):
+        prolong_nonpositive(deep, 1)
+
+
+def test_generalized_prolong_rejects_an_action_that_breaks_the_grading():
+    # p_1 -> z sends degree -1 to degree -2
+    g, act = _hei2_action([{(2, 0): rational(1)}])
+    with pytest.raises(ProlongError, match=r"^action does not preserve the grading: \('H0', 'p_1', 'z'\)"):
+        generalized_prolong(g, act, 1)
+
+
+def test_generalized_prolong_rejects_a_g0_that_does_not_represent():
+    # g0 abelian, but [diag(1, -1, 0), E_pq] = 2 E_pq
+    g, act = _hei2_action([{(0, 0): rational(1), (1, 1): rational(-1)}, {(0, 1): rational(1)}])
+    with pytest.raises(ProlongError, match=r"^g0 is not a representation: first failure \('H0', 'H1'\)"):
+        generalized_prolong(g, act, 1)
+
+
+def test_generalized_prolong_rejects_a_g0_that_does_not_act_by_derivations():
+    # p_1 -> p_1, q_1 -> 0, z -> 0: a representation that keeps the grading, but
+    # H[p_1, q_1] = 0 while [H p_1, q_1] + [p_1, H q_1] = z
+    g, act = _hei2_action([{(0, 0): rational(1)}])
+    assert act.check_representation() == []
+    with pytest.raises(ProlongError, match=r"^degree-0 realization failed at \[H0,p_1\]$"):
+        generalized_prolong(g, act, 1)
