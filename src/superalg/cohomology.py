@@ -691,8 +691,11 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
     ([label, {"partner_combination": [...]}] lists), unpaired (labels),
     undetermined (always []) and mode ("total" or "commutant"); a label is
     {degree, weight, parity, index} of one weight-class direction.  Raises
-    ValueError for an algebra that is not Z-graded or a degree not an int.
+    TypeError for g_star not a LieSuperAlgebra, ValueError for an algebra
+    that is not Z-graded or a degree not an int.
     """
+    if not isinstance(g_star, LieSuperAlgebra):
+        raise TypeError(f"h2_by_degree needs a LieSuperAlgebra, got {type(g_star).__name__}")
     if not g_star.is_graded():
         raise ValueError("h2_by_degree needs a Z-graded algebra")
     if any(type(d) is not int for d in degrees):

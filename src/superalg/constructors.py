@@ -9,10 +9,10 @@ a total i operator.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, LieSuperAlgebra, from_matrices, realify, supercommutator
-from .linalg import SpanSolver
+from .algebra import Element, LieSuperAlgebra, from_matrices, realify
 from .scalars import FIELD_Q, FIELD_QI, GaussianRational, I, ZERO, rational
 from .spaces import BasisVector, EVEN, ODD, SuperSpace
 
@@ -23,11 +23,23 @@ def _unit(r, c):
     return {(r, c): ONE}
 
 
+def check_ints(least: int = 0, **values):
+    """Raise TypeError unless each value is an int (not a bool), ValueError if one is below least;
+    each message starts with the calling function's name."""
+    caller = sys._getframe(1).f_code.co_name
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{caller}: {name} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{caller}: {name} must be >= {least}, got {value}")
+
+
 # -- gl and sl ----------------------------------------------------------------
 
 
 def build_gl(m: int, n: int, field=FIELD_QI) -> LieSuperAlgebra:
     """gl(m|n) on matrix units E_{a,b}; Cartan = diagonal, raising = upper units."""
+    check_ints(m=m, n=n)
     if m + n < 1:
         raise ValueError("need m+n >= 1")
     parity = [EVEN] * m + [ODD] * n
@@ -51,6 +63,7 @@ def build_gl(m: int, n: int, field=FIELD_QI) -> LieSuperAlgebra:
 
 def build_sl(m: int, n: int, field=FIELD_QI) -> LieSuperAlgebra:
     """sl(m|n): supertraceless part of gl(m|n).  Requires m != n."""
+    check_ints(m=m, n=n)
     if m == n:
         raise ValueError("sl(n|n) has a center; not needed here")
     parity = [EVEN] * m + [ODD] * n
@@ -86,8 +99,7 @@ def build_q(n: int, variant: str, field=FIELD_Q) -> LieSuperAlgebra:
     The even part is gl(n) embedded diagonally; the odd generators are the
     B-block units.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_ints(1, n=n)
     if variant not in ("J", "Pi", "Π"):
         raise ValueError("variant must be 'J' or 'Pi'")
     tau = -1 if variant == "J" else 1
@@ -136,6 +148,7 @@ def build_hei(n2: int, m: int, field=FIELD_Q) -> LieSuperAlgebra:
     Basis p_i, q_i (even), xi_j, eta_j and a last theta when m is odd (odd
     generators), central z; degrees -1 on W and -2 on z.
     """
+    check_ints(n2=n2, m=m)
     if n2 % 2:
         raise ValueError("n2 must be even")
     n = n2 // 2
@@ -167,6 +180,7 @@ def build_hei(n2: int, m: int, field=FIELD_Q) -> LieSuperAlgebra:
 
 def build_ab(n: int, field=FIELD_Q) -> LieSuperAlgebra:
     """Antibracket algebra ab(n): odd central z, [q_i, ξ_i] = z."""
+    check_ints(n=n)
     basis = []
     for i in range(n):
         basis.append(BasisVector(f"q_{i + 1}", EVEN, -1))
@@ -199,32 +213,6 @@ class Action:
         if len(matrices) != len(algebra):
             raise ValueError("one matrix per algebra basis vector required")
 
-    def check_representation(self):
-        """rho([x,y]) = [rho(x), rho(y)] on all basis pairs; [] means pass."""
-        bad = []
-        g = self.algebra
-        for i in range(len(g)):
-            for j in range(len(g)):
-                comm = supercommutator(self.matrices[i], self.matrices[j], g.parity(i), g.parity(j))
-                expected: dict = {}
-                for k, c in g._table.get((i, j), {}).items():
-                    for rc, v in self.matrices[k].items():
-                        nv = expected.get(rc, ZERO) + c * v
-                        if nv:
-                            expected[rc] = nv
-                        elif rc in expected:
-                            del expected[rc]
-                if comm != expected:
-                    bad.append((g.ident(i), g.ident(j)))
-        return bad
-
-    def is_faithful(self) -> bool:
-        vecs = []
-        dim = len(self.module)
-        for m in self.matrices:
-            vecs.append({r * dim + c: v for (r, c), v in m.items()})
-        return SpanSolver(vecs, dim * dim).rank == len(self.matrices)
-
 
 def tautological_action(g: LieSuperAlgebra) -> Action:
     """The defining action of a matrix-built algebra on its column space."""
@@ -235,67 +223,6 @@ def tautological_action(g: LieSuperAlgebra) -> Action:
         [BasisVector(f"∂_{c + 1}", p, -1) for c, p in enumerate(g.row_parity)]
     )
     return Action(g, module, [dict(m) for m in mats])
-
-
-def adjoint_action_on_negative(nonpos: LieSuperAlgebra) -> Action:
-    """Restrict a nonpositively graded algebra to (g0, ad on g_minus)."""
-    neg = nonpos.negative_indices()
-    zero = nonpos.component_indices(0)
-    pos = {k: c for c, k in enumerate(neg)}
-    module = SuperSpace(
-        [
-            BasisVector(nonpos.ident(k), nonpos.parity(k), nonpos.degree(k))
-            for k in neg
-        ]
-    )
-    g0 = subalgebra(nonpos, [nonpos.ident(k) for k in zero])
-    mats = []
-    for k in zero:
-        m = {}
-        for c, src in enumerate(neg):
-            for t, v in nonpos._table.get((k, src), {}).items():
-                m[(pos[t], c)] = v
-        mats.append(m)
-    return Action(g0, module, mats)
-
-
-def subalgebra(g: LieSuperAlgebra, ids: List[str]) -> LieSuperAlgebra:
-    """The subalgebra spanned by the given basis ids (must be bracket-closed)."""
-    keep = [g.index(s) for s in ids]
-    pos = {k: c for c, k in enumerate(keep)}
-    space = SuperSpace([g.space.basis[k] for k in keep])
-    brackets: Dict[Tuple[int, int], Element] = {}
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            val = g._table.get((i, j))
-            if not val:
-                continue
-            out = {}
-            for t, v in val.items():
-                if t not in pos:
-                    raise ValueError(f"span of {ids} is not bracket closed at [{g.ident(i)},{g.ident(j)}]")
-                out[pos[t]] = v
-            brackets[(a, b)] = out
-    i_op = None
-    if g.i_op is not None:
-        i_op = {}
-        for k in keep:
-            img = g.i_op.get(k)
-            if img is None:
-                continue
-            if all(t in pos for t in img):
-                i_op[pos[k]] = {pos[t]: v for t, v in img.items()}
-    ids_set = set(ids)
-    return LieSuperAlgebra(
-        space,
-        brackets,
-        cartan=[s for s in g.cartan if s in ids_set],
-        raising=[s for s in g.raising if s in ids_set],
-        lowering=[s for s in g.lowering if s in ids_set],
-        i_op=i_op,
-        field=g.field,
-        name=g.name + "|sub",
-    )
 
 
 def combine_nonpositive(g_minus: LieSuperAlgebra, action: Action) -> LieSuperAlgebra:
@@ -403,8 +330,7 @@ def build_minkowski_negative(N: int) -> LieSuperAlgebra:
     i(T_{1,2}-T_{2,1}), t22).  Multiplication by i is stored where it stays in
     the algebra (the Q block).
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    check_ints(1, N=N)
     parity, J0, K0 = _minkowski_layout(N)
     gens = []
     for r in range(N):
@@ -525,6 +451,7 @@ def build_complexified_minkowski(N: int) -> LieSuperAlgebra:
     grading is block-diagonal (deg T = -2, deg Q = deg S = -1, deg R = deg V =
     +1, deg U = +2).
     """
+    check_ints(1, N=N)
     parity, J0, K0 = _minkowski_layout(N)
     gens: List[Tuple[str, int, Optional[int], dict]] = []
     # odd blocks

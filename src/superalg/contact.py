@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .algebra import LieSuperAlgebra
+from .constructors import check_ints
 from .polyvf import Coords, OneForm, Polynomial, VectorField, coordinate_field, monomials_of_degree
 from .prolong import algebra_of_fields
 from .scalars import FIELD_Q, rational
@@ -263,6 +264,7 @@ def span_algebra(
 
 def contact_algebra(n: int, m: int, max_degree: int, field=FIELD_Q) -> LieSuperAlgebra:
     """k(2n+1|m) spanned by K_f, truncated at max_degree, with o(m) torus data."""
+    check_ints(n=n, m=m, max_degree=max_degree)
     coords = contact_coords(n, m, field=field)
     k = m // 2
     cartan = [f"K_{{ξ_{j + 1}η_{j + 1}}}" for j in range(k)]
@@ -293,6 +295,7 @@ def contact_algebra(n: int, m: int, max_degree: int, field=FIELD_Q) -> LieSuperA
 
 def pericontact_algebra(n: int, max_degree: int, field=FIELD_Q) -> LieSuperAlgebra:
     """m(n) spanned by M_f, truncated at max_degree."""
+    check_ints(n=n, max_degree=max_degree)
     coords = pericontact_coords(n, field=field)
     cartan = [f"M_{{q_{i + 1}ξ_{i + 1}}}" for i in range(n)]
     return span_algebra(

@@ -1,9 +1,10 @@
-"""Cartan and generalized (multi-depth) prolongation of graded Lie superalgebras.
+"""Prolongation of a nonpositively graded Lie superalgebra g_<=0 = g_minus + g_0.
 
-This is Tanaka's generalized prolongation (J. Math. Kyoto Univ. 10 (1970)
-1-82) of g_minus + g_0, for g_minus of depth at most 2.  g_<=0 is realized by
-polynomial vector fields on coordinates x_a dual to the basis of g_minus,
-read straight off the bracket table c^t_{kb}:
+prolong(nonpos, max_degree) is the one method: Tanaka's generalized
+prolongation (J. Math. Kyoto Univ. 10 (1970) 1-82) for g_minus of depth <= 2,
+Cartan's at depth 1; constructors.combine_nonpositive joins a pair (g_minus,
+action of g_0) into its input.  g_<=0 is realized by polynomial vector fields
+on coordinates x_a dual to the basis of g_minus, read off the table c^t_{kb}:
 
   X_k = [k in g_minus] d_k - lam sum_{b in B} (-1)^{p_k p_b} c^t_{kb} x_b d_t
 
@@ -55,7 +56,7 @@ from math import lcm
 from typing import Dict, List, Tuple
 
 from .algebra import Element, LieSuperAlgebra, from_matrices
-from .constructors import Action, abelian_negative, combine_nonpositive
+from .constructors import Action, check_ints
 from .linalg import SpanSolver, kernel_basis, row_space_basis
 from .polyvf import (
     ONE_MONO,
@@ -216,17 +217,29 @@ def _candidate_blocks(coords: Coords, k: int, weights):
 
 
 def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
-    """Extend a nonpositively graded algebra to degrees <= max_degree.
+    """Tanaka's prolongation of g_<=0 = nonpos to degrees <= max_degree; Cartan's at depth 1.
+
+    The one prolongation method; it checks its input first.  TypeError unless
+    nonpos is a LieSuperAlgebra and max_degree an int, ValueError for
+    max_degree < 0, ProlongError for a missing or positive degree, a bracket
+    off the grading, no g_minus or depth > 2, a g_0 that does not act by
+    derivations or represent (realize_degree_zero checks every [X_h, X_j]
+    against the table, so a check on matrices would repeat it), or that acts
+    unfaithfully (dependent degree-0 fields, in the span degree 1 builds anyway).
 
     Each positive component is the kernel of the bracket residuals modulo the
     components already computed, one (parity, weight) candidate block at a
-    time, in the RREF basis over the candidate monomial fields.  max_degree
-    must be an int >= 0 (a bool is not taken for one).
+    time, in the RREF basis over the candidate monomial fields.
     """
-    if isinstance(max_degree, bool) or not isinstance(max_degree, int):
-        raise TypeError(f"prolong: max_degree must be an int, got {max_degree!r}")
-    if max_degree < 0:
-        raise ValueError(f"prolong: max_degree must be >= 0, got {max_degree}")
+    if not isinstance(nonpos, LieSuperAlgebra):
+        raise TypeError(f"prolong: nonpos must be a LieSuperAlgebra, got {type(nonpos).__name__}")
+    check_ints(max_degree=max_degree)
+    positive = next((b for b in nonpos.space if b.degree is None or b.degree > 0), None)
+    if positive is not None:
+        raise ProlongError(f"prolong needs degrees <= 0: {positive.id!r} has degree {positive.degree}")
+    gradefail = nonpos.check_grading()
+    if gradefail:
+        raise ProlongError(f"action does not preserve the grading: {gradefail[0]}")
     coords, neg_fields = realize_negative(nonpos)
     zero_fields = realize_degree_zero(nonpos, coords, neg_fields)
     neg = nonpos.negative_indices()
@@ -259,6 +272,8 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
         solvers[d] = (idx, dim, solver)
         return solvers[d]
 
+    if component_solver(0)[2].rank < len(comp_fields[0]):
+        raise ProlongError("g0 does not act faithfully on g_minus")
     for k in range(1, max_degree + 1):
         # per negative e: (parity, cleared X_e, its coefficient variables,
         # W_{k+deg e} index, dim, solver of g_{k+deg e})
@@ -419,37 +434,8 @@ def _position_in_component(alg: LieSuperAlgebra, k: int) -> int:
     return alg.component_indices(d).index(k)
 
 
-def cartan_prolong(g_minus1, g0_action: Action, max_degree: int) -> ProlongResult:
-    """Prolong of an abelian degree -1 module with a faithful degree-0 action.
-
-    Accepts either a SuperSpace for g_minus1 or a degree -1 abelian algebra
-    (whose i_op, if any, rides along).
-    """
-    if isinstance(g_minus1, SuperSpace):
-        g_minus = abelian_negative(g_minus1)
-    else:
-        g_minus = g_minus1
-    if not g0_action.is_faithful():
-        raise ProlongError("g0 does not act faithfully on g_minus1")
-    nonpos = combine_nonpositive(g_minus, g0_action)
-    return prolong(nonpos, max_degree)
-
-
-def generalized_prolong(g_minus: LieSuperAlgebra, g0_action: Action, max_degree: int) -> ProlongResult:
-    """Prolong of a graded nilpotent g_minus with g0 inside its derivations; ProlongError if g0 does
-    not represent, does not keep the grading or (realize_degree_zero) does not act by derivations."""
-    bad = g0_action.check_representation()
-    if bad:
-        raise ProlongError(f"g0 is not a representation: first failure {bad[0]}")
-    nonpos = combine_nonpositive(g_minus, g0_action)
-    gradefail = nonpos.check_grading()
-    if gradefail:
-        raise ProlongError(f"action does not preserve the grading: {gradefail[0]}")
-    return prolong(nonpos, max_degree)
-
-
 def prolong_nonpositive(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
-    """Prolong an already-combined nonpositive algebra."""
+    """prolong under its older name, which perfbench's workloads call; a def, so a wrapper on prolong sees the call."""
     return prolong(nonpos, max_degree)
 
 
@@ -458,7 +444,13 @@ def degree_zero_derivations(g_minus: LieSuperAlgebra) -> Action:
 
     Solved from the linearized Leibniz constraint, separately for even and odd
     derivations; the result's bracket is the supercommutator of the matrices.
+    TypeError for g_minus not a LieSuperAlgebra, ValueError for one with a
+    basis vector without a degree.
     """
+    if not isinstance(g_minus, LieSuperAlgebra):
+        raise TypeError(f"degree_zero_derivations needs a LieSuperAlgebra, got {type(g_minus).__name__}")
+    if not g_minus.is_graded():
+        raise ValueError("degree_zero_derivations needs a Z-graded algebra")
     n = len(g_minus)
     parities = [g_minus.parity(k) for k in range(n)]
     degrees = [g_minus.degree(k) for k in range(n)]

@@ -7,8 +7,9 @@ reads the dense RREF of [vectors | identity], the dimension oracles enumerate
 admissible index words directly, and the differential is evaluated from the
 cohomology module's formula on unit cochains; the Nijenhuis and Grassmann
 oracles evaluate their formulas term by term on the scalars as given;
-tensoriality_defect tests any evaluator for function-linearity, and the
-monomial product sorts expanded factor lists by transpositions.  The
+tensoriality_defect tests any evaluator for function-linearity, the
+monomial product sorts expanded factor lists by transpositions, and the
+representation check multiplies an action's matrices entry by entry.  The
 linear algebra oracles first make every entry exact (an integer or a field
 scalar), so that int input never meets true division.  canonical_sha256 is
 the one digest every pinned document and report in the tests is compared by.
@@ -343,3 +344,31 @@ def monomial_derivative(mono, var, parities):
         else:
             out.append((v, 1))
     return tuple(out), factor
+
+
+def representation_failures(action):
+    """The basis pairs (x, y) of g0 whose matrices' supercommutator is not the matrix of [x, y].
+
+    The matrices are {(r, c): scalar} dicts, multiplied entry by entry here;
+    [a, b] = ab - (-1)^{p(a)p(b)} ba.
+    """
+    g, mats = action.algebra, action.matrices
+
+    def add_product(out, a, b, sign):
+        for (r, k), x in a.items():
+            for (k2, c), y in b.items():
+                if k == k2:
+                    out[r, c] = out.get((r, c), ZERO) + sign * x * y
+
+    bad = []
+    for i in range(len(g)):
+        for j in range(len(g)):
+            defect = {}
+            add_product(defect, mats[i], mats[j], 1)
+            add_product(defect, mats[j], mats[i], 1 if g.parity(i) and g.parity(j) else -1)
+            for k, c in g.bracket_basis(i, j).items():
+                for rc, v in mats[k].items():
+                    defect[rc] = defect.get(rc, ZERO) - c * v
+            if any(defect.values()):
+                bad.append((g.ident(i), g.ident(j)))
+    return bad

@@ -20,11 +20,12 @@ from superalg.constructors import (
     realified_matrix_pair,
     tautological_action,
 )
+from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.prolong import prolong_nonpositive
 from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
-from oracles import matrix_supercommutator
+from oracles import dense_rank_fraction_free, matrix_supercommutator, representation_failures
 
 
 def dense_of(alg, k, n):
@@ -381,13 +382,51 @@ def test_zero_generators_give_the_zero_algebra():
 def test_action_representation_check():
     g = build_gl(1, 1)
     act = tautological_action(g)
-    assert act.check_representation() == []
-    assert act.is_faithful()
+    assert representation_failures(act) == []
+    # faithful: the flattened matrices are independent
+    n = len(act.module)
+    flat = [[m.get((r, c), 0) for r in range(n) for c in range(n)] for m in act.matrices]
+    assert dense_rank_fraction_free(flat) == len(act.matrices)
     gm, act2 = realified_matrix_pair(g)
-    assert act2.check_representation() == []
+    assert representation_failures(act2) == []
     combined = combine_nonpositive(gm, act2)
     assert combined.check_super_jacobi() == []
     assert combined.check_grading() == []
+
+
+# Each constructor names itself and the bad size; these used to fail with a bare
+# KeyError, or build k(3|-1), m(-1), hei(2|-1), ab(-1), gl(-1|2), sl(-1|3) or a
+# 16-dimensional "mink0^C", and True was taken as 1.
+BAD_SIZES = [
+    (contact_algebra, (0, 2, -1), ValueError, "contact_algebra: max_degree must be >= 0, got -1"),
+    (pericontact_algebra, (1, -1), ValueError, "pericontact_algebra: max_degree must be >= 0, got -1"),
+    (contact_algebra, (1, -1, 2), ValueError, "contact_algebra: m must be >= 0, got -1"),
+    (contact_algebra, (-1, 2, 2), ValueError, "contact_algebra: n must be >= 0, got -1"),
+    (pericontact_algebra, (-1, 2), ValueError, "pericontact_algebra: n must be >= 0, got -1"),
+    (build_hei, (2, -1), ValueError, "build_hei: m must be >= 0, got -1"),
+    (build_hei, (-2, 1), ValueError, "build_hei: n2 must be >= 0, got -2"),
+    (build_ab, (-1,), ValueError, "build_ab: n must be >= 0, got -1"),
+    (build_complexified_minkowski, (0,), ValueError, "build_complexified_minkowski: N must be >= 1, got 0"),
+    (build_complexified_minkowski, (-1,), ValueError, "build_complexified_minkowski: N must be >= 1, got -1"),
+    (build_minkowski_negative, (0,), ValueError, "build_minkowski_negative: N must be >= 1, got 0"),
+    (build_minkowski_g0, (0, "reduced"), ValueError, "build_minkowski_negative: N must be >= 1, got 0"),
+    (contact_algebra, (0, 2, True), TypeError, "contact_algebra: max_degree must be an int, got True"),
+    (pericontact_algebra, (1, 1.0), TypeError, "pericontact_algebra: max_degree must be an int, got 1.0"),
+    (build_hei, (2.0, 0), TypeError, "build_hei: n2 must be an int, got 2.0"),
+    (build_complexified_minkowski, (True,), TypeError, "build_complexified_minkowski: N must be an int, got True"),
+    (build_gl, (-1, 2), ValueError, "build_gl: m must be >= 0, got -1"),
+    (build_sl, (-1, 3), ValueError, "build_sl: m must be >= 0, got -1"),
+    (build_q, (0, "J"), ValueError, "build_q: n must be >= 1, got 0"),
+    (build_q, (True, "J"), TypeError, "build_q: n must be an int, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, error, message", BAD_SIZES, ids=[f"{build.__name__}{args}" for build, args, *_ in BAD_SIZES]
+)
+def test_constructors_reject_bad_sizes(build, args, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(*args)
 
 
 def _rational_jacobi_violations(g):

@@ -25,7 +25,7 @@ from superalg.constructors import (
 )
 from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.linalg import SpanSolver
-from superalg.prolong import degree_zero_derivations, generalized_prolong, prolong_nonpositive
+from superalg.prolong import degree_zero_derivations, prolong_nonpositive
 from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
@@ -246,23 +246,27 @@ def small_nonpositive_parts(draw):
 def test_d2_d1_vanishes_on_random_small_prolongations(nonpositive):
     # g0 may have odd elements, which exercise the signs of the degree-0 realization
     g_minus, action = nonpositive
-    g = generalized_prolong(g_minus, action, 2).algebra
+    g = prolong_nonpositive(combine_nonpositive(g_minus, action), 2).algebra
     assert g.check_super_jacobi() == []
     report = h2_by_degree(g, (1, 2, 3))
     _check_d_squared_and_h2(g, [report["degrees"][str(z)]["dim_H2"] for z in (1, 2, 3)])
 
 
 def test_degree_zero_h2_of_the_realified_superstrings_is_n_minus_1_times_n_plus_2():
-    """Degree-0 H^2 of k(1|N)^R, realify(contact_algebra(0, N, 4)) over QQ(i), is (N-1)(N+2) for N = 1..5.
+    """Degree-0 H^2 of k(1|N)^R, realify(contact_algebra(0, N, 4)) over QQ(i), is (N-1)(N+2) for N = 1..6.
+
+    For N = 1..5 H^2 is 0 in degrees -1, 1 and 2.
 
     (N-1)(N+2) = 2 dim S^2_0(C^N): the classes appear only after realification
     and vanish exactly at N = 1, superdimension 1|1.  Reading them as values of
     the circumcised Nijenhuis tensor is this repository's interpretation of the
     paper's claim that the tensor vanishes identically only on 1|1 superstrings.
     """
-    dims = [h2_by_degree(realify(contact_algebra(0, N, 4, field=FIELD_QI)), (0,))["degrees"]["0"]["dim_H2"]
+    dims = [h2_by_degree(realify(contact_algebra(0, N, 4, field=FIELD_QI)), (-1, 0, 1, 2))["h2_dims"]
             for N in range(1, 6)]
-    assert dims == [0, 4, 10, 18, 28] == [(N - 1) * (N + 2) for N in range(1, 6)]
+    assert dims == [{"-1": 0, "0": (N - 1) * (N + 2), "1": 0, "2": 0} for N in range(1, 6)]
+    assert [d["0"] for d in dims] == [0, 4, 10, 18, 28]
+    assert h2_by_degree(realify(contact_algebra(0, 6, 4, field=FIELD_QI)), (0,))["h2_dims"] == {"0": 40}
 
 
 def _check_cleared_differential(g, den):
@@ -328,6 +332,19 @@ def test_one_negative_part_per_report(monkeypatch, mink1_reduced):
 def test_h2_rejects_an_ungraded_algebra():
     with pytest.raises(ValueError, match="Z-graded"):
         h2_by_degree(build_gl(1, 1), [1, 2])
+
+
+def test_h2_and_degree_zero_derivations_reject_bad_input():
+    # these raised AttributeError ('str' object has no attribute 'is_graded') and a
+    # TypeError on adding None to a degree
+    for bad in ("x", None, build_gl(1, 1).to_document()):
+        with pytest.raises(TypeError, match="^h2_by_degree needs a LieSuperAlgebra, got "):
+            h2_by_degree(bad, [1])
+        with pytest.raises(TypeError, match="^degree_zero_derivations needs a LieSuperAlgebra, got "):
+            degree_zero_derivations(bad)
+    ungraded = LieSuperAlgebra(SuperSpace([BasisVector("a", 0, -1), BasisVector("b", 0, None)]), {})
+    with pytest.raises(ValueError, match="^degree_zero_derivations needs a Z-graded algebra$"):
+        degree_zero_derivations(ungraded)
 
 
 def test_h2_rejects_degrees_that_are_not_ints(mink1_reduced):

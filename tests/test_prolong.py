@@ -13,8 +13,8 @@ from superalg.constructors import (
     build_q,
     build_sl,
     combine_nonpositive,
-    adjoint_action_on_negative,
     realified_matrix_pair,
+    realify_action,
     tautological_action,
 )
 from superalg.contact import contact_algebra, pericontact_algebra
@@ -23,9 +23,7 @@ from superalg.prolong import (
     ProlongError,
     _candidate_blocks,
     algebra_of_fields,
-    cartan_prolong,
     degree_zero_derivations,
-    generalized_prolong,
     prolong_nonpositive,
     realize_degree_zero,
     realize_negative,
@@ -35,7 +33,14 @@ from superalg.linalg import SpanSolver
 from superalg.scalars import FIELD_QI, ZERO, gaussian, rational
 from superalg.spaces import BasisVector, SuperSpace
 
-from oracles import canonical_sha256
+from oracles import canonical_sha256, representation_failures
+
+
+def prolong_pair(action, max_degree, g_minus=None):
+    """Prolong g_minus + g0 joined from g0's action; g_minus defaults to the abelian algebra on the module."""
+    if g_minus is None:
+        g_minus = abelian_negative(action.module)
+    return prolong_nonpositive(combine_nonpositive(g_minus, action), max_degree)
 
 
 def formula_field(nonpos, coords, h):
@@ -207,13 +212,13 @@ def o3_action():
 
 def test_vect2_first_prolong():
     act = gl_action(2, 0)
-    res = cartan_prolong(act.module, act, 1)
+    res = prolong_pair(act, 1)
     assert res.component_dims()[1] == 6  # S^2(V*) x V
 
 
 def test_h2_pattern_sp2():
     act = sp2_action()
-    res = cartan_prolong(act.module, act, 1)
+    res = prolong_pair(act, 1)
     assert res.component_dims()[1] == 4  # S^3 V*
     assert res.algebra.check_super_jacobi() == []
 
@@ -221,7 +226,7 @@ def test_h2_pattern_sp2():
 def test_sp4_prolong_and_h2():
     # the symplectic form's degree-1 classes: dim H^2 = 24 - 20 = 4 = dim L^3 V*
     act = sp4_action()
-    res = cartan_prolong(act.module, act, 2)
+    res = prolong_pair(act, 2)
     assert res.component_dims() == {-1: 4, 0: 10, 1: 20, 2: 35}
     report = h2_by_degree(res.algebra, (1, 2))
     dims = {
@@ -233,7 +238,7 @@ def test_sp4_prolong_and_h2():
 
 def test_metric_rigidity_o3():
     act = o3_action()
-    res = cartan_prolong(act.module, act, 1)
+    res = prolong_pair(act, 1)
     assert res.component_dims()[1] == 0
 
 
@@ -241,7 +246,7 @@ def test_gl_prolong_is_full_polynomial_field_space():
     # (id, gl(m|n))_k = S^{k+1}(V*) x V for m+n <= 3, k <= 3
     for (m, n) in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 2), (1, 2), (3, 0)):
         act = gl_action(m, n)
-        res = cartan_prolong(act.module, act, 3)
+        res = prolong_pair(act, 3)
         coords = Coords([b.id for b in act.module], [b.parity for b in act.module])
         for k in range(1, 4):
             expected = len(monomials_of_degree(coords, k + 1)) * (m + n)
@@ -250,7 +255,7 @@ def test_gl_prolong_is_full_polynomial_field_space():
 
 def test_prolong_brackets_match_realization():
     act = gl_action(1, 1)
-    res = cartan_prolong(act.module, act, 2)
+    res = prolong_pair(act, 2)
     fields = res.realization
     g = res.algebra
     for i in range(len(g)):
@@ -301,7 +306,7 @@ def test_algebra_of_fields_rejects_a_span_that_does_not_close():
 
 def test_gl_prolong_components_are_g0_submodules():
     act = gl_action(1, 1)
-    res = cartan_prolong(act.module, act, 2)
+    res = prolong_pair(act, 2)
     g = res.algebra
     for k in (1, 2):
         comp = set(g.component_indices(k))
@@ -311,7 +316,7 @@ def test_gl_prolong_components_are_g0_submodules():
                 assert set(img) <= comp
 
 
-def test_depth1_generalized_equals_cartan():
+def test_depth1_gl_prolongation_documents_are_pinned():
     # SHA-256 of the canonical JSON of each degree-3 algebra document; the same
     # documents come out of an intersection-of-images prolongation, which makes
     # the pins independent of the kernel method they now check
@@ -321,12 +326,7 @@ def test_depth1_generalized_equals_cartan():
         (1, 2): "6ba64403563d8036876ecbbe600f41d8e81b0f7750e7069b3225982c847e8dff",
     }
     for (m, n), sha256 in pinned.items():
-        act = gl_action(m, n)
-        gm = abelian_negative(act.module)
-        res_c = cartan_prolong(act.module, act, 3)
-        res_g = generalized_prolong(gm, act, 3)
-        doc = res_c.algebra.to_document()
-        assert doc == res_g.algebra.to_document(), (m, n)
+        doc = prolong_pair(gl_action(m, n), 3).algebra.to_document()
         assert canonical_sha256(doc) == sha256, (m, n)
 
 
@@ -337,7 +337,7 @@ def test_gaussian_prolongation_equals_the_rational_one():
         docs = {}
         for field in ("Q", "Q(i)"):
             g = build_hei(n2, m, field=field)
-            res = generalized_prolong(g, degree_zero_derivations(g), 2)
+            res = prolong_pair(degree_zero_derivations(g), 2, g)
             assert res.algebra.field.name == field
             docs[field] = res.to_document()
             assert docs[field].pop("field") == field
@@ -359,14 +359,12 @@ def test_heisenberg_prolong_matches_contact_k3():
     hei = build_hei(2, 0)
     act = degree_zero_derivations(hei)
     assert len(act.algebra) == 4  # csp(2)
-    res = generalized_prolong(hei, act, 2)
+    res = prolong_pair(act, 2, hei)
     dims = res.component_dims()
     k3 = contact_algebra(1, 0, 2)
     kdims = {d: len(k3.component_indices(d)) for d in k3.degrees()}
     assert dims == kdims
     base = {}
-    for ident, wt in (("p_1", "K_{p_1}"), ("q_1", "K_{q_1}"), ("z", None)):
-        pass
     # canonical alignment: W generators map to their contact fields, z via bracket
     base["p_1"] = {k3.index("K_{p_1}"): rational(1)}
     base["q_1"] = {k3.index("K_{q_1}"): rational(1)}
@@ -380,9 +378,6 @@ def test_heisenberg_prolong_matches_contact_k3():
 
 def _extend_zero(A, B, base):
     """Extend a g_minus correspondence over degree-0 basis ids by solving brackets."""
-    from superalg.linalg import SpanSolver
-    from superalg.scalars import ZERO
-
     neg = [k for k in range(len(A)) if A.degree(k) < 0]
     zero_A = [k for k in range(len(A)) if A.degree(k) == 0]
     zero_B = [k for k in range(len(B)) if B.degree(k) == 0]
@@ -419,7 +414,7 @@ def test_heisenberg_super_prolong_matches_contact():
     for (n2, m) in cases:
         hei = build_hei(n2, m)
         act = degree_zero_derivations(hei)
-        res = generalized_prolong(hei, act, 2)
+        res = prolong_pair(act, 2, hei)
         k = contact_algebra(n2 // 2, m, 2)
         kdims = {d: len(k.component_indices(d)) for d in k.degrees()}
         assert res.component_dims() == kdims, (n2, m)
@@ -432,7 +427,7 @@ def test_heisenberg_contact_structure_constants_align():
     for (n2, m) in ((2, 1), (0, 2), (2, 0)):
         hei = build_hei(n2, m)
         act = degree_zero_derivations(hei)
-        res = generalized_prolong(hei, act, 2)
+        res = prolong_pair(act, 2, hei)
         k = contact_algebra(n2 // 2, m, 2)
         base = {}
         g = res.algebra
@@ -462,7 +457,7 @@ def test_heisenberg_contact_structure_constants_align():
 def test_antibracket_prolong_matches_pericontact():
     ab = build_ab(1)
     act = degree_zero_derivations(ab)
-    res = generalized_prolong(ab, act, 2)
+    res = prolong_pair(act, 2, ab)
     m1 = pericontact_algebra(1, 2)
     mdims = {d: len(m1.component_indices(d)) for d in m1.degrees()}
     assert res.component_dims() == mdims
@@ -495,8 +490,6 @@ def test_degree_zero_derivations_hei2():
 
 
 def test_minkowski_der0_contains_conformal_g0():
-    from superalg.linalg import SpanSolver
-
     neg = build_minkowski_negative(1)
     der = degree_zero_derivations(neg)
     dim = len(neg)
@@ -505,9 +498,10 @@ def test_minkowski_der0_contains_conformal_g0():
     ]
     solver = SpanSolver(der_vecs, dim * dim)
     conf = build_minkowski_g0(1, "conformal")
-    act = adjoint_action_on_negative(conf)
-    for m in act.matrices:
-        vec = {r * dim + c: v for (r, c), v in m.items()}
+    assert conf.negative_indices() == list(range(dim))
+    # ad h on g_minus, flattened as the derivation matrices are
+    for h in conf.component_indices(0):
+        vec = {r * dim + c: v for c in range(dim) for r, v in conf._table.get((h, c), {}).items()}
         assert solver.contains(vec)
 
 
@@ -531,33 +525,14 @@ def test_realified_prolong_matches_realified_complex_contact():
     # two k(1|2)^R constructions: realified complex span vs real generalized prolong
     kC = contact_algebra(0, 2, 2, field=FIELD_QI)
     kR = realify(kC)
-    heiC = build_hei(0, 2, field="Q")
-    heiR_pair = realified_hei_pair(0, 2)
-    res = generalized_prolong(heiR_pair[0], heiR_pair[1], 2)
+    heiC = build_hei(0, 2, field="Q(i)")
+    heiR = realify(heiC)
+    act = realify_action(degree_zero_derivations(heiC))
+    # the realified cosp action, on the module basis named as in realify(heiC)
+    res = prolong_pair(Action(act.algebra, heiR.space, act.matrices), 2, heiR)
     dims_prolong = res.component_dims()
     dims_contact = {d: len(kR.component_indices(d)) for d in sorted(set(b.degree for b in kR.space.basis))}
     assert dims_prolong == dims_contact
-
-
-def realified_hei_pair(n2, m):
-    """Realified hei over Q with the realified cosp action."""
-    from superalg.algebra import realify as _re
-    from superalg.constructors import realify_action
-
-    heiC = build_hei(n2, m, field="Q(i)")
-    actC = degree_zero_derivations_complex(heiC)
-    act = realify_action(actC)
-    gm = _re(heiC)
-    module = act.module
-    # rename module basis to match the realified algebra ids
-    from superalg.constructors import Action as _A
-
-    return gm, _A(act.algebra, gm.space, act.matrices)
-
-
-def degree_zero_derivations_complex(g_minus):
-    res = degree_zero_derivations(g_minus)
-    return res
 
 
 def test_nonfaithful_rejected():
@@ -565,7 +540,7 @@ def test_nonfaithful_rejected():
     g = from_matrices([("E", 0, None, {(0, 0): rational(1)})], [0], field="Q")
     act = tautological_action(g)
     with pytest.raises(ProlongError, match="faithful"):
-        cartan_prolong(act.module, Action(g, act.module, [{}]), 1)
+        prolong_pair(Action(g, act.module, [{}]), 1)
 
 
 def test_zero_matrix_is_not_a_linear_algebra_generator():
@@ -668,7 +643,7 @@ def test_degree_zero_fields_are_the_formula_and_the_only_degree_zero_solution():
 def test_the_fixture_checked_the_prolongations_of_this_file():
     before = len(FORMULA_CHECKS)
     g = build_hei(0, 2)
-    generalized_prolong(g, degree_zero_derivations(g), 1)
+    prolong_pair(degree_zero_derivations(g), 1, g)
     assert FORMULA_CHECKS[before:] == [len(degree_zero_derivations(g).algebra)]
 
 
@@ -711,20 +686,55 @@ def test_generalized_prolong_rejects_an_action_that_breaks_the_grading():
     # p_1 -> z sends degree -1 to degree -2
     g, act = _hei2_action([{(2, 0): rational(1)}])
     with pytest.raises(ProlongError, match=r"^action does not preserve the grading: \('H0', 'p_1', 'z'\)"):
-        generalized_prolong(g, act, 1)
+        prolong_pair(act, 1, g)
 
 
 def test_generalized_prolong_rejects_a_g0_that_does_not_represent():
-    # g0 abelian, but [diag(1, -1, 0), E_pq] = 2 E_pq
+    # g0 abelian, but [diag(1, -1, 0), E_pq] = 2 E_pq; the degree-0 realization checks [X_H0, X_H1]
     g, act = _hei2_action([{(0, 0): rational(1), (1, 1): rational(-1)}, {(0, 1): rational(1)}])
-    with pytest.raises(ProlongError, match=r"^g0 is not a representation: first failure \('H0', 'H1'\)"):
-        generalized_prolong(g, act, 1)
+    assert representation_failures(act) == [("H0", "H1"), ("H1", "H0")]
+    with pytest.raises(ProlongError, match=r"^degree-0 realization failed at \[H0,H1\]$"):
+        prolong_pair(act, 1, g)
 
 
 def test_generalized_prolong_rejects_a_g0_that_does_not_act_by_derivations():
     # p_1 -> p_1, q_1 -> 0, z -> 0: a representation that keeps the grading, but
     # H[p_1, q_1] = 0 while [H p_1, q_1] + [p_1, H q_1] = z
     g, act = _hei2_action([{(0, 0): rational(1)}])
-    assert act.check_representation() == []
+    assert representation_failures(act) == []
     with pytest.raises(ProlongError, match=r"^degree-0 realization failed at \[H0,p_1\]$"):
-        generalized_prolong(g, act, 1)
+        prolong_pair(act, 1, g)
+
+
+def test_prolong_rejects_a_bracket_that_breaks_the_grading():
+    # [h, a] = h sends degree -1 into degree 0; this used to fail with a bare KeyError
+    g = LieSuperAlgebra(SuperSpace([BasisVector("a", 0, -1), BasisVector("h", 0, 0)]), {(1, 0): {1: rational(1)}})
+    with pytest.raises(ProlongError, match=r"^action does not preserve the grading: \('h', 'a', 'h'\)$"):
+        prolong_nonpositive(g, 1)
+
+
+def test_prolong_rejects_a_g0_that_does_not_act_faithfully():
+    # [H0, H1] = H1 with H0 the grading derivation of hei(2|0) and H1 acting by 0:
+    # a representation by derivations, whose realization would drop [H0, H1] = H1
+    g0 = LieSuperAlgebra(SuperSpace([BasisVector("H0", 0, 0), BasisVector("H1", 0, 0)]), {(0, 1): {1: rational(1)}})
+    hei = build_hei(2, 0)
+    act = Action(g0, hei.space, [{(0, 0): rational(1), (1, 1): rational(1), (2, 2): rational(2)}, {}])
+    assert representation_failures(act) == []
+    with pytest.raises(ProlongError, match="^g0 does not act faithfully on g_minus$"):
+        prolong_pair(act, 1, hei)
+
+
+def test_prolong_rejects_a_positive_or_missing_degree():
+    # a truncated contact algebra used to be taken, its positive part ignored
+    with pytest.raises(ProlongError, match=r"^prolong needs degrees <= 0: 'K_\{tξ_1\}' has degree 1$"):
+        prolong_nonpositive(contact_algebra(0, 2, 2), 2)
+    ungraded = LieSuperAlgebra(SuperSpace([BasisVector("a", 0, -1), BasisVector("h", 0, None)]), {})
+    with pytest.raises(ProlongError, match=r"^prolong needs degrees <= 0: 'h' has degree None$"):
+        prolong_nonpositive(ungraded, 1)
+
+
+def test_prolong_rejects_what_is_not_an_algebra():
+    g = build_hei(2, 0)
+    for bad in (g.to_document(), (g, degree_zero_derivations(g)), None):
+        with pytest.raises(TypeError, match="^prolong: nonpos must be a LieSuperAlgebra"):
+            prolong_nonpositive(bad, 1)
