@@ -117,8 +117,6 @@ class LieSuperAlgebra:
                 raise ValueError(f"inconsistent bracket for {self.ident(key[0])},{self.ident(key[1])}")
             if v:
                 self._table[key] = v
-            elif key in self._table and not v:
-                del self._table[key]
 
     def bracket_basis(self, i: int, j: int) -> Element:
         if self.truncation is not None:
@@ -320,6 +318,9 @@ class LieSuperAlgebra:
     def from_document(cls, doc: dict) -> "LieSuperAlgebra":
         if doc.get("format") != "lie-superalgebra/1":
             raise ValueError("not a lie-superalgebra/1 document")
+        missing = [key for key in ("basis", "brackets") if key not in doc]
+        if missing:
+            raise ValueError(f"lie-superalgebra/1 document without {missing[0]!r}")
         parities = {"even": EVEN, "odd": ODD}
         for b in doc["basis"]:
             if b["parity"] not in parities:
@@ -539,10 +540,6 @@ def realify(g: LieSuperAlgebra) -> LieSuperAlgebra:
             brackets[(i, j + n)] = split(val, 1)
             brackets[(i + n, j)] = split(val, 1)
             brackets[(i + n, j + n)] = split(val, 2)
-    i_op = {}
-    for k in range(n):
-        i_op[k] = {k + n: ONE}
-        i_op[k + n] = {k: -ONE}
     raising = [r for r in g.raising] + ["i" + r for r in g.raising]
     lowering = [r for r in g.lowering] + ["i" + r for r in g.lowering]
     return LieSuperAlgebra(
@@ -552,7 +549,16 @@ def realify(g: LieSuperAlgebra) -> LieSuperAlgebra:
         cartan=list(g.cartan),
         raising=raising,
         lowering=lowering,
-        i_op=i_op,
+        i_op=doubled_i_op(n),
         field=FIELD_Q,
         name=(g.name + "^R") if g.name else "",
     )
+
+
+def doubled_i_op(n: int) -> Dict[int, Element]:
+    """Multiplication by i on a basis (e_1..e_n, ie_1..ie_n): e_k -> ie_k and ie_k -> -e_k."""
+    i_op: Dict[int, Element] = {}
+    for k in range(n):
+        i_op[k] = {k + n: ONE}
+        i_op[k + n] = {k: -ONE}
+    return i_op

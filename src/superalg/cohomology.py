@@ -102,11 +102,9 @@ class NegativePart:
         return sum(self.degrees[i] for i in word)
 
     def word_weight(self, word: Word):
+        """The weight of a nonempty word (a C^2 word) with the algebra's own scalars, or None."""
         if not self.has_weights:
             return None
-        if not word:
-            rank = len(self.weights[0]) if self.weights else 0
-            return (ZERO,) * rank if self.weights else ()
         rank = len(self.weights[0])
         return tuple(sum(self.weights[i][j] for i in word) for j in range(rank))
 
@@ -216,11 +214,9 @@ def differential_matrix(
                 rest = tuple(w for l, w in enumerate(word) if l != i and l != j)
                 exp = i + j + pa * pref[i] + pb * pref[j] + pa * pb
                 base_sign = -1 if exp % 2 else 1
+                # [e_a, e_b] lies in g_minus: h2_by_degree checks the grading
                 for m_global, gamma in val.items():
-                    m_pos = neg.pos.get(m_global)
-                    if m_pos is None:
-                        continue
-                    sorted_word = sort_word((m_pos,) + rest, neg.parities)
+                    sorted_word = sort_word((neg.pos[m_global],) + rest, neg.parities)
                     if sorted_word is None:
                         continue
                     new_word, sigma = sorted_word
@@ -402,10 +398,8 @@ class DegreeCohomology:
         return self._induced(g.i_op, {}, 0)
 
     def operator_kernel_on_block(self, bi: int, ops: List[int]):
-        """Classes of block bi killed by all listed operators (e.g. raisings)."""
+        """Classes of block bi, which has dim_h2 > 0, killed by all listed operators (e.g. raisings)."""
         b = self.blocks[bi]
-        if not b.dim_h2:
-            return []
         lo = self.offsets[bi]
         rows: Dict[Tuple[int, int], dict] = {}
         for h in ops:
@@ -647,15 +641,11 @@ def generated_submodule(deg: DegreeCohomology, vectors, mats):
 
 
 def format_cochain(g: LieSuperAlgebra, neg: NegativePart, coeffs: Dict[CKey, object]) -> str:
-    """Render a 2-cochain in target (x* ^ y*) notation, integer-scaled."""
-    if not coeffs:
-        return "0"
+    """Render a nonzero 2-cochain in target (x* ^ y*) notation, scaled to nonzero primitive integers."""
     items = sorted(coeffs.items(), key=lambda kv: (g.ident(kv[0][1]), kv[0][0]))
     vec = primitive_integer_vector([v for _, v in items])
     parts = []
     for ((word, t), _), c in zip(items, vec):
-        if not c:
-            continue
         names = [g.ident(neg.indices[p]) for p in word]
         if len(word) == 2 and word[0] == word[1]:
             wedge = f"({names[0]}*)^∧2"
@@ -668,7 +658,7 @@ def format_cochain(g: LieSuperAlgebra, neg: NegativePart, coeffs: Dict[CKey, obj
             parts.append("+" + term)
         else:
             parts.append(term)
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts)
 
 
 def wess_zumino_flags(dims: Dict[int, int]) -> Dict[int, bool]:
@@ -690,16 +680,23 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
     The "i_pairing" entry of a degree has the keys degree, pair_count, pairs
     ([label, {"partner_combination": [...]}] lists), unpaired (labels),
     undetermined (always []) and mode ("total" or "commutant"); a label is
-    {degree, weight, parity, index} of one weight-class direction.  Raises
-    TypeError for g_star not a LieSuperAlgebra, ValueError for an algebra
-    that is not Z-graded or a degree not an int.
+    {degree, weight, parity, index} of one weight-class direction.  degrees
+    is any iterable of ints, a generator included, read once.  Raises
+    TypeError for g_star not a LieSuperAlgebra, ValueError for an algebra that
+    is not Z-graded, a degree not an int, or a bracket off the grading (named
+    from check_grading; the differential needs [g_minus, g_minus] in g_minus).
     """
     if not isinstance(g_star, LieSuperAlgebra):
         raise TypeError(f"h2_by_degree needs a LieSuperAlgebra, got {type(g_star).__name__}")
     if not g_star.is_graded():
         raise ValueError("h2_by_degree needs a Z-graded algebra")
+    degrees = list(degrees)
     if any(type(d) is not int for d in degrees):
-        raise ValueError(f"degrees must be ints, got {list(degrees)!r}")
+        raise ValueError(f"degrees must be ints, got {degrees!r}")
+    off_grading = g_star.check_grading()
+    if off_grading:
+        a, b, t = off_grading[0]
+        raise ValueError(f"h2_by_degree: the bracket [{a},{b}] has a term on {t}, off the grading")
     neg = NegativePart(g_star)
     degrees = sorted(degrees)
     per_degree = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, LieSuperAlgebra, from_matrices, realify
+from .algebra import Element, LieSuperAlgebra, doubled_i_op, from_matrices, realify
 from .scalars import FIELD_Q, FIELD_QI, GaussianRational, I, ZERO, rational
 from .spaces import BasisVector, EVEN, ODD, SuperSpace
 
@@ -25,8 +25,10 @@ def _unit(r, c):
 
 def check_ints(least: int = 0, **values):
     """Raise TypeError unless each value is an int (not a bool), ValueError if one is below least;
-    each message starts with the calling function's name."""
-    caller = sys._getframe(1).f_code.co_name
+    each message starts with the calling function's name, Class.method for a method."""
+    frame = sys._getframe(1)
+    owner = frame.f_locals.get("self")
+    caller = frame.f_code.co_name if owner is None else f"{type(owner).__name__}.{frame.f_code.co_name}"
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{caller}: {name} must be an int, got {value!r}")
@@ -300,16 +302,6 @@ def realify_action(action: Action) -> Action:
     return Action(gR, moduleR, mats)
 
 
-def module_i_operator(module: SuperSpace) -> Dict[int, Element]:
-    """i_op for a realified module with basis (e_1..e_M, ie_1..ie_M)."""
-    M = len(module) // 2
-    out = {}
-    for k in range(M):
-        out[k] = {k + M: ONE}
-        out[k + M] = {k: -ONE}
-    return out
-
-
 # -- Minkowski superspace symmetry algebras --------------------------------------
 
 
@@ -355,6 +347,7 @@ def build_minkowski_g0(N: int, case: str) -> LieSuperAlgebra:
     constraint tr B = tr(A - conj(A)^t); for N > 1 the traceless part of u(N)
     enters as extra generators.  case "reduced": B = 0 and A in sl(2;C).
     """
+    check_ints(1, N=N)
     if case not in ("conformal", "reduced"):
         raise ValueError("case must be 'conformal' or 'reduced'")
     parity, J0, K0 = _minkowski_layout(N)
@@ -522,6 +515,6 @@ def realified_matrix_pair(g_complex: LieSuperAlgebra) -> Tuple[LieSuperAlgebra, 
     )
     action = Action(action.algebra, module, action.matrices)
     g_minus = abelian_negative(module)
-    g_minus.i_op = module_i_operator(module)
+    g_minus.i_op = doubled_i_op(M)
     g_minus.field = FIELD_Q
     return g_minus, action

@@ -41,6 +41,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .constructors import check_ints
 from .linalg import SpanSolver, kernel_basis, rank, row_space_basis, rref_rows
 from .scalars import (
     FIELD_QI,
@@ -66,12 +67,14 @@ class GrassmannElement:
     canonical (no zero pair, gcd(den, every part) = 1).  terms is the read-only
     view {subset: GaussianRational}, a new dict on each read.  The constructor
     takes such a dict of scalars; each key must be a strictly increasing tuple
-    of ints in range(n), else it raises ValueError naming the key.
+    of ints in range(n), else it raises ValueError naming the key.  n must be
+    an int >= 0 (TypeError, ValueError otherwise).
     """
 
     __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, terms: Optional[Dict[Subset, object]] = None):
+        check_ints(n=n)
         parts = {}
         for s, c in (terms or {}).items():
             if not _is_subset(n, s):
@@ -343,6 +346,7 @@ def make_real_structure(images: Sequence[GrassmannElement]) -> RealStructure:
 
 def rho_bar(n: int, phases: Optional[Sequence[object]] = None) -> RealStructure:
     """Componentwise conjugation twisted by unit phases (lambda conj(lambda)=1), one per generator."""
+    check_ints(n=n)
     if phases is not None and len(phases) != n:
         raise ValueError(f"need {n} phases, got {len(phases)}")
     images = []
@@ -356,6 +360,7 @@ def rho_bar(n: int, phases: Optional[Sequence[object]] = None) -> RealStructure:
 
 def rho_tr(n: int) -> RealStructure:
     """xi_j -> i eta_j, eta_j -> i xi_j on n = 2k generators."""
+    check_ints(n=n)
     if n % 2:
         raise ValueError("rho_tr needs an even number of generators")
     k = n // 2
@@ -377,8 +382,9 @@ def random_real_structure(n: int, rng: random.Random):
 
     Returns (rho, discarded) where discarded counts candidates rejected for a
     singular linear part.  After _MAX_DRAWS singular draws it raises
-    RuntimeError.
+    RuntimeError.  n must be an int >= 0 (TypeError, ValueError otherwise).
     """
+    check_ints(n=n)
     g, discarded = _random_automorphism(n, rng)
     images = [g.image(g.inverse_image(GrassmannElement.generator(n, j)).conjugate()) for j in range(n)]
     return make_real_structure(images), discarded

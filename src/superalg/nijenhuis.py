@@ -39,6 +39,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List
 
+from .constructors import check_ints
 from .polyvf import (
     Coords,
     Monomial,
@@ -237,6 +238,7 @@ def _frame_component(J: EndomorphismField, a: int, b: int, variant: str) -> Dict
 
 def standard_even_structure(p: int, q: int) -> EndomorphismField:
     """Flat J on R^{2p|2q}: coordinates (x_1..x_p, ix_1..ix_p, th.., ith..)."""
+    check_ints(p=p, q=q)
     names = [f"x_{k+1}" for k in range(p)] + [f"ix_{k+1}" for k in range(p)]
     names += [f"θ_{k+1}" for k in range(q)] + [f"iθ_{k+1}" for k in range(q)]
     parities = [0] * (2 * p) + [1] * (2 * q)
@@ -253,6 +255,7 @@ def standard_even_structure(p: int, q: int) -> EndomorphismField:
 
 def standard_odd_structure(n: int, square: int) -> EndomorphismField:
     """Flat odd J (square=-1) or Pi (square=+1) on R^{n|n}; any other square raises ValueError."""
+    check_ints(n=n)
     if square not in (-1, 1):
         raise ValueError(f"standard_odd_structure: square must be -1 or +1, got {square!r}")
     names = [f"x_{k+1}" for k in range(n)] + [f"θ_{k+1}" for k in range(n)]

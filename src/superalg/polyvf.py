@@ -61,9 +61,6 @@ class Coords:
     def __len__(self):
         return len(self.names)
 
-    def parity(self, k):
-        return self.parities[k]
-
     def degree(self, k):
         return self.degrees[k] if self.degrees is not None else 1
 
@@ -219,12 +216,7 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.coords is other.coords and self.terms == other.terms
-        if other == 0:
-            return not self.terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -249,9 +241,6 @@ class Polynomial:
             return self.scale(other)
         return Polynomial._wrap(self.coords, add_product({}, self.terms, other.terms, self.coords.parities))
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def deriv(self, var: int) -> "Polynomial":
         """Left partial derivative with respect to coordinate var: the unit field d_var applied."""
         unit = {var: {ONE_MONO: 1}}
@@ -265,14 +254,6 @@ class Polynomial:
         if len(ps) > 1:
             raise ValueError(f"non-homogeneous polynomial: {self}")
         return ps.pop()
-
-    def degree(self):
-        ds = {mono_degree(m, self.coords) for m in self.terms}
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise ValueError(f"non-homogeneous polynomial: {self}")
-        return ds.pop()
 
     def __str__(self):
         if not self.terms:
@@ -577,18 +558,6 @@ class OneForm:
     def __init__(self, coords: Coords, coeffs: Dict[int, Polynomial]):
         self.coords = coords
         self.coeffs = {v: p for v, p in coeffs.items() if p}
-
-    def parity(self):
-        """d is odd, so dx_a has parity p(x_a) + 1."""
-        ps = set()
-        for v, f in self.coeffs.items():
-            for m in f.terms:
-                ps.add((mono_parity(m, self.coords) + self.coords.parities[v] + 1) % 2)
-        if not ps:
-            return None
-        if len(ps) > 1:
-            raise ValueError("non-homogeneous form")
-        return ps.pop()
 
     def pair(self, field: VectorField) -> Polynomial:
         """iota_X omega with iota_X(f dx_a) = (-1)^{p(f)(p(X)+1)} f X(x_a).

@@ -287,7 +287,6 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
             new_fields.extend(_fields_from_coeffs(kernel, cand, coords))
         comp_fields[k] = new_fields
         comp_ids[k] = [f"g{k}[{j}]" for j in range(len(new_fields))]
-        solvers.pop(k, None)
 
     return _assemble(nonpos, coords, comp_fields, comp_ids, max_degree)
 
@@ -348,17 +347,16 @@ def _fields_from_coeffs(vectors, cand, coords):
 
 
 def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
-    """The algebra of the computed components, with nonpos's annotations, and its realization."""
+    """The algebra of the computed components, with nonpos's annotations, and its realization.
+
+    No field is zero, so each has a parity: X_k has d_k for k in g_minus, g_0
+    acts faithfully and a positive field is a nonzero RREF row."""
     gens = []
     index_of = {}
     for d in sorted(comp_fields):
         for j, f in enumerate(comp_fields[d]):
-            ident = comp_ids[d][j]
-            par = f.parity()
-            if par is None:
-                par = nonpos.parity(nonpos.index(ident)) if d <= 0 else 0
             index_of[d, j] = len(gens)
-            gens.append((ident, par, d, f))
+            gens.append((comp_ids[d][j], f.parity(), d, f))
     i_op = None
     if nonpos.i_op is not None:
         i_op = {}

@@ -1,37 +1,29 @@
 """Exact scalars: rationals and Gaussian rationals.
 
 Every computation in this package runs over QQ or QQ(i); there is no floating
-point anywhere.  Plain rationals are gmpy2.mpq values (with a pure-Python
-fractions.Fraction fallback); Gaussian rationals get their own small class.
+point anywhere.  Plain rationals are fractions.Fraction values, built by
+rational and recognized by is_rational, which also accepts ints; Gaussian
+rationals get their own small class.  Only this module imports fractions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def rational(num=0, den=1):
-        return _mpq(num, den)
+def rational(num=0, den=1):
+    return Fraction(num, den)
 
-    _RAT_TYPES = (type(_mpq(0)), int)
-except ImportError:  # gmpy2 is optional (the "gmp" extra in pyproject.toml)
-    from fractions import Fraction as _mpq
-
-    def rational(num=0, den=1):
-        return _mpq(num, den)
-
-    _RAT_TYPES = (_mpq, int)
 
 ZERO = rational(0)
 ONE = rational(1)
-# the backend's rational type; a value of exactly this type needs no coercion
-_RATIONAL = type(ZERO)
+# the rational type; a value of exactly this type needs no coercion
+_RATIONAL = Fraction
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, _RAT_TYPES)
+    return isinstance(x, (Fraction, int))
 
 
 class GaussianRational:
@@ -121,9 +113,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

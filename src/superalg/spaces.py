@@ -47,9 +47,6 @@ class SuperSpace:
     def __iter__(self):
         return iter(self.basis)
 
-    def __getitem__(self, k):
-        return self.basis[k]
-
     def parity(self, k: int) -> int:
         return self.basis[k].parity
 

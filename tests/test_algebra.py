@@ -21,6 +21,8 @@ from superalg.constructors import (
     tautological_action,
 )
 from superalg.contact import contact_algebra, pericontact_algebra
+from superalg.grassmann import CanonicalIso, GrassmannElement, random_real_structure, rho_bar, rho_tr
+from superalg.nijenhuis import standard_even_structure, standard_odd_structure
 from superalg.prolong import prolong_nonpositive
 from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
@@ -275,7 +277,7 @@ def test_complexified_minkowski_sl41():
 def test_truncation_error():
     basis = [BasisVector("a", 0, 1), BasisVector("b", 0, 2)]
     g = LieSuperAlgebra(SuperSpace(basis), {}, truncation=2)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"^bracket \[a,b\] has degree 3, beyond truncation 2$"):
         g.bracket_basis(0, 1)
 
 
@@ -409,7 +411,7 @@ BAD_SIZES = [
     (build_complexified_minkowski, (0,), ValueError, "build_complexified_minkowski: N must be >= 1, got 0"),
     (build_complexified_minkowski, (-1,), ValueError, "build_complexified_minkowski: N must be >= 1, got -1"),
     (build_minkowski_negative, (0,), ValueError, "build_minkowski_negative: N must be >= 1, got 0"),
-    (build_minkowski_g0, (0, "reduced"), ValueError, "build_minkowski_negative: N must be >= 1, got 0"),
+    (build_minkowski_g0, (0, "reduced"), ValueError, "build_minkowski_g0: N must be >= 1, got 0"),
     (contact_algebra, (0, 2, True), TypeError, "contact_algebra: max_degree must be an int, got True"),
     (pericontact_algebra, (1, 1.0), TypeError, "pericontact_algebra: max_degree must be an int, got 1.0"),
     (build_hei, (2.0, 0), TypeError, "build_hei: n2 must be an int, got 2.0"),
@@ -427,6 +429,110 @@ BAD_SIZES = [
 def test_constructors_reject_bad_sizes(build, args, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(*args)
+
+
+# These were accepted (a Grassmann algebra on -1 generators, an empty structure
+# for n = -1, a flat J on R^{-2|0}), or failed deep in the stack: "no invertible
+# linear part" after 100 draws, a bare TypeError from range(), "can't multiply
+# sequence", an error naming build_minkowski_negative, KeyError: 'basis'.
+BAD_INPUTS = [
+    (GrassmannElement, (-1,), ValueError, "GrassmannElement.__init__: n must be >= 0, got -1"),
+    (GrassmannElement, (2.0,), TypeError, "GrassmannElement.__init__: n must be an int, got 2.0"),
+    (rho_bar, (-1,), ValueError, "rho_bar: n must be >= 0, got -1"),
+    (rho_tr, (-2,), ValueError, "rho_tr: n must be >= 0, got -2"),
+    (standard_even_structure, (-1, 0), ValueError, "standard_even_structure: p must be >= 0, got -1"),
+    (standard_even_structure, (1, True), TypeError, "standard_even_structure: q must be an int, got True"),
+    (standard_odd_structure, (-1, 1), ValueError, "standard_odd_structure: n must be >= 0, got -1"),
+    (random_real_structure, (-1, random.Random(1)), ValueError, "random_real_structure: n must be >= 0, got -1"),
+    (random_real_structure, ("a", random.Random(1)), TypeError, "random_real_structure: n must be an int, got 'a'"),
+    (build_minkowski_g0, ("x", "conformal"), TypeError, "build_minkowski_g0: N must be an int, got 'x'"),
+    (
+        LieSuperAlgebra.from_document,
+        ({"format": "lie-superalgebra/1", "brackets": []},),
+        ValueError,
+        "lie-superalgebra/1 document without 'basis'",
+    ),
+    (
+        LieSuperAlgebra.from_document,
+        ({"format": "lie-superalgebra/1", "basis": []},),
+        ValueError,
+        "lie-superalgebra/1 document without 'brackets'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, error, message",
+    BAD_INPUTS,
+    ids=[f"{k}-{build.__qualname__}" for k, (build, *_) in enumerate(BAD_INPUTS)],
+)
+def test_sizes_and_documents_fail_with_a_named_error(build, args, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(*args)
+
+
+def _even_pair(brackets=None, **annotations):
+    """h of degree 0 and a, b of degree -1, all even, with the given brackets."""
+    space = SuperSpace([BasisVector("h", 0, 0), BasisVector("a", 0, -1), BasisVector("b", 0, -1)])
+    return LieSuperAlgebra(space, brackets or {}, **annotations)
+
+
+def _mismatched_pair():
+    """An abelian g_-1 on 1|1 and the action of gl(1|1) on a module with other ids."""
+    g_minus = abelian_negative(SuperSpace([BasisVector("x", 0, -1), BasisVector("y", 1, -1)]))
+    return g_minus, tautological_action(build_gl(1, 1))
+
+
+_UNIT = rational(1)
+_E12, _E21 = ("E12", 1, None, {(0, 1): _UNIT}), ("E21", 1, None, {(1, 0): _UNIT})
+
+# Each input error of the algebra layer, by the exact message that names it.
+INPUT_ERRORS = [
+    ("inconsistent bracket", lambda: _even_pair({(1, 2): {0: _UNIT}, (2, 1): {0: _UNIT}}), "inconsistent bracket for b,a"),
+    ("no i operator", lambda: _even_pair().check_i_op(), "algebra has no i operator"),
+    (
+        "not a weight basis",
+        lambda: _even_pair({(0, 1): {2: _UNIT}}, cartan=["h"]).assign_weights(),
+        "basis vector a is not an ad(h) eigenvector",
+    ),
+    ("not a document", lambda: LieSuperAlgebra.from_document({}), "not a lie-superalgebra/1 document"),
+    (
+        "matrix parity",
+        lambda: from_matrices([("X", 0, None, {(0, 1): _UNIT})], [0, 1]),
+        "generator X parity 0 but matrix parity 1",
+    ),
+    (
+        "inhomogeneous matrix",
+        lambda: from_matrices([("X", 0, None, {(0, 0): _UNIT, (0, 1): _UNIT})], [0, 1]),
+        "matrix is not parity homogeneous",
+    ),
+    (
+        "bracket off the span",
+        lambda: from_matrices([_E12, _E21], [0, 1]),
+        "bracket [E12,E21] leaves the span of the generators",
+    ),
+    ("realify over QQ", lambda: realify(build_hei(2, 0)), "realify expects an algebra over Q(i)"),
+    ("gl(0|0)", lambda: build_gl(0, 0), "need m+n >= 1"),
+    ("sl(1|1)", lambda: build_sl(1, 1), "sl(n|n) has a center; not needed here"),
+    ("q variant", lambda: build_q(1, "K"), "variant must be 'J' or 'Pi'"),
+    ("hei odd n2", lambda: build_hei(1, 0), "n2 must be even"),
+    ("minkowski case", lambda: build_minkowski_g0(1, "other"), "case must be 'conformal' or 'reduced'"),
+    ("action size", lambda: Action(build_gl(1, 0), SuperSpace([]), []), "one matrix per algebra basis vector required"),
+    ("no matrices", lambda: tautological_action(build_hei(2, 0)), "algebra was not built from matrices"),
+    ("module ids", lambda: combine_nonpositive(*_mismatched_pair()), "action module must match g_minus basis"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in INPUT_ERRORS], ids=[case[0] for case in INPUT_ERRORS])
+def test_algebra_input_errors_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_zero_generators_still_make_a_grassmann_algebra():
+    assert CanonicalIso(rho_bar(0)).check()
+    assert GrassmannElement(0, {(): 3}) * GrassmannElement.one(0) == GrassmannElement(0, {(): 3})
+    assert not standard_even_structure(0, 0).columns
 
 
 def _rational_jacobi_violations(g):

@@ -6,10 +6,12 @@ from superalg.algebra import LieSuperAlgebra, from_matrices, realify, supercommu
 from superalg.cohomology import (
     DegreeCohomology,
     NegativePart,
+    TruncationShortfall,
     cochain_basis,
     cochain_block_key,
     differential_matrix,
     h2_by_degree,
+    i_pairing,
 )
 from superalg.constructors import (
     Action,
@@ -351,6 +353,34 @@ def test_h2_rejects_degrees_that_are_not_ints(mink1_reduced):
     for bad in ("1", 1.0, None, True):
         with pytest.raises(ValueError, match="degrees must be ints"):
             h2_by_degree(mink1_reduced, [1, bad])
+
+
+def test_h2_rejects_a_bracket_that_leaves_the_grading():
+    # [a, b] = h with a, b of degree -1 and h of degree 0: the differential
+    # dropped that term and reported H^2 = 0 in degrees 0 and 1
+    space = SuperSpace([BasisVector("a", 0, -1), BasisVector("b", 0, -1), BasisVector("h", 0, 0)])
+    g = LieSuperAlgebra(space, {(0, 1): {2: ONE}})
+    assert g.check_grading() == [("a", "b", "h"), ("b", "a", "h")]
+    with pytest.raises(ValueError, match=r"^h2_by_degree: the bracket \[a,b\] has a term on h, off the grading$"):
+        h2_by_degree(g, [0, 1])
+
+
+def test_h2_reads_any_iterable_of_degrees_once(mink1_reduced):
+    report = h2_by_degree(mink1_reduced, [2, 1])
+    assert report["h2_dims"] == {"1": 4, "2": 6}
+    # a generator is consumed by the int check; it used to leave no degree to compute
+    assert h2_by_degree(mink1_reduced, (d for d in [2, 1])) == report
+
+
+def test_h2_needs_the_components_a_degree_reads(mink1_reduced):
+    with pytest.raises(TruncationShortfall, match="^degree 4 needs components up to 3, truncation is 2$"):
+        h2_by_degree(mink1_reduced, [1, 4])
+
+
+def test_i_pairing_needs_an_i_operator():
+    deg = DegreeCohomology(NegativePart(_plane(None)), 1)
+    with pytest.raises(ValueError, match="^algebra carries no i operator$"):
+        i_pairing(deg, deg.weight_vectors())
 
 
 def _product(a, b):

@@ -15,10 +15,12 @@ from superalg.contact import (
     check_pericontact_invariance,
     contact_algebra,
     contact_coords,
+    contact_field,
     pericontact_algebra,
     pericontact_coords,
+    pericontact_field,
 )
-from superalg.polyvf import Polynomial, monomials_of_degree
+from superalg.polyvf import Coords, Polynomial, monomials_of_degree
 
 from oracles import canonical_sha256
 
@@ -72,3 +74,13 @@ def test_pericontact_field_preserves_the_pericontact_distribution(n, count):
 )
 def test_span_algebra_documents_are_pinned(build, sha256):
     assert canonical_sha256(build().to_document()) == sha256
+
+
+def test_contact_and_pericontact_fields_need_their_own_coordinates():
+    contact, peri, plain = contact_coords(1, 1), pericontact_coords(1), Coords(["t"], [0])
+    for coords in (peri, plain):
+        with pytest.raises(ValueError, match=r"^contact_field needs contact coordinates \(t, p, q, ξ, η\[, θ\]\)$"):
+            contact_field(coords.one())
+    for coords in (contact, plain):
+        with pytest.raises(ValueError, match=r"^pericontact_field needs coordinates \(q, ξ, τ\)$"):
+            pericontact_field(coords.one())

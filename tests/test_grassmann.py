@@ -12,6 +12,7 @@ from superalg.grassmann import (
     CanonicalIso,
     GrassmannElement,
     NormalizationError,
+    RealStructure,
     all_subsets,
     composed_iso_is_algebra_map,
     make_real_structure,
@@ -102,7 +103,7 @@ def test_rho_bar_canonical():
 
 
 def test_rho_bar_rejects_non_unit_phase():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^phase 2 is not a unit$"):
         rho_bar(1, [gaussian(2)])
 
 
@@ -189,9 +190,8 @@ def test_rho_tr_valid_and_normalizes():
 def test_invalid_structure_reports_generator():
     # rho(theta) = 2 theta is not involutive
     imgs = [GrassmannElement(1, {(0,): gaussian(2)})]
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ValueError, match=r"^invalid real structure at generator 1: rho\^2 is not the identity$"):
         make_real_structure(imgs)
-    assert "generator 1" in str(exc.value)
 
 
 def test_fixed_space_dimension_random():
@@ -503,3 +503,15 @@ def test_a_correction_past_its_bound_raises():
     g = grassmann._Automorphism(2, [GrassmannElement.one(2) + th(2, 0), th(2, 1) + th(2, 0, 1)])
     with pytest.raises(AutomorphismError, match="after 2 rounds"):
         g.inverse_image(th(2, 1))
+
+
+def test_real_structures_and_the_canonical_iso_reject_bad_input():
+    with pytest.raises(ValueError, match="^rho_tr needs an even number of generators$"):
+        rho_tr(3)
+    with pytest.raises(ValueError, match="^need 2 generator images$"):
+        RealStructure(2, [th(2, 0)])
+    iso = CanonicalIso(rho_bar(1))
+    assert iso.apply(th(1, 0)) == th(1, 0)
+    # i theta is not fixed by componentwise conjugation
+    with pytest.raises(ValueError, match="^element is not in the real form$"):
+        iso.apply(th(1, 0).scale(I))

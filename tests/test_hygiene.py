@@ -38,8 +38,10 @@ def test_every_import_in_the_package_is_used():
     assert {name: bad for name, bad in found.items() if bad} == {}
 
 
-# Only scalars.py picks the rational backend; everything else builds scalars
-# through it, so that the optional gmpy2 backend reaches every computation.
+# Only scalars.py imports the rational type, fractions.Fraction; everything
+# else builds and recognizes rationals through scalars.rational and
+# scalars.is_rational.  gmpy2 is listed so that no module brings in a second
+# rational type beside it.
 BACKEND_MODULES = {"fractions", "gmpy2"}
 
 
@@ -102,7 +104,7 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 # Every import sits at module level, where the import graph can be read at a
-# glance; scalars.py's try/except choice of backend is module level too.
+# glance; an import under a module-level try/except is module level too.
 def local_imports(source: str):
     """(line, innermost function) of every import inside a function body."""
     found = {}
@@ -118,9 +120,9 @@ def local_imports(source: str):
 def test_local_imports_are_caught():
     source = (
         "try:\n"
-        "    from gmpy2 import mpq\n"
+        "    import tomllib\n"
         "except ImportError:\n"
-        "    from fractions import Fraction as mpq\n"
+        "    tomllib = None\n"
         "def f():\n"
         "    from .scalars import rational\n"
         "class A:\n"
@@ -167,17 +169,25 @@ PUBLIC_API = {
 }
 
 
+# calls that look a name up at run time from a string argument
+NAME_LOOKUPS = {"getattr", "setattr", "hasattr"}
+
+
 def referenced_names(source: str):
-    """Names a module loads, attributes it reads and its string constants (a
-    name passed to getattr, as the benchmark's wrappers are)."""
+    """Names a module loads, attributes it reads and the string arguments of
+    its getattr, setattr, hasattr and wrap_* calls (a name looked up at run
+    time, as the benchmark's wrappers look up what they wrap).  Any other
+    string, an error message say, names nothing."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
+        elif isinstance(node, ast.Call):
+            func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            if func in NAME_LOOKUPS or func.startswith("wrap_"):
+                names |= {a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
     return names
 
 
@@ -213,10 +223,24 @@ def test_uncalled_functions_are_caught():
             "        pass\n"
             "    def by_name(self):\n"
             "        pass\n"
+            "    def wrapped(self):\n"
+            "        pass\n"
+            "def named_in_a_message():\n"
+            "    pass\n"
+            "def fails():\n"
+            "    raise ValueError('named_in_a_message')\n"
         )
     }
-    others = {"bench.py": "import a\na.A().method()\ngetattr(a.A, 'by_name')\n"}
-    assert uncalled_functions(package, others) == [("a.py", 3, "planted")]
+    others = {
+        "bench.py": (
+            "import a\n"
+            "a.A().method()\n"
+            "a.fails()\n"
+            "getattr(a.A, 'by_name')\n"
+            "rec.wrap_method(a.A, 'wrapped', 'a.wrapped')\n"
+        )
+    }
+    assert uncalled_functions(package, others) == [("a.py", 3, "planted"), ("a.py", 14, "named_in_a_message")]
 
 
 def test_every_function_in_the_package_has_a_caller():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from superalg.linalg import (
     SpanSolver,
+    SparseMatrix,
     kernel_basis,
     primitive_integer_vector,
     rank,
@@ -459,3 +460,10 @@ def test_a_scalar_that_is_not_exact_raises_a_type_error_naming_it():
         for query in ({1: 0.5}, {0: one, 1: 0.5}, {0: z, 1: 0.5}):
             with pytest.raises(TypeError, match=match):
                 solver.reduce(query)
+
+
+def test_sparse_matrix_rejects_an_entry_outside_its_shape():
+    assert SparseMatrix(2, 3, {(1, 2): ONE, (0, 0): ZERO}).entries == {(1, 2): ONE}
+    for r, c in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(IndexError, match=rf"^entry \({r},{c}\) out of range for 2x3$"):
+            SparseMatrix(2, 3, {(r, c): ONE})

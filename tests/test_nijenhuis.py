@@ -56,7 +56,7 @@ def test_even_variant_rejects_non_complex_structure():
     J = EndomorphismField.from_constant_matrix(
         coords, {(0, 0): rational(1), (1, 1): rational(1)}, parity=0
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^even variant expects J\^2 = -id$"):
         nijenhuis_tensor(J, monomial_fields_up_to(coords, 0)[0], monomial_fields_up_to(coords, 0)[1], "even")
 
 
@@ -187,21 +187,25 @@ def test_bad_square_and_bad_variant_raise_on_every_call():
     assert J.square is None
     X = coordinate_field(coords, 0)
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^odd variant expects J\^2 = -id or \+id$"):
             nijenhuis_tensor(J, X, X, "odd")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^even variant expects J\^2 = -id$"):
             nijenhuis_tensor(J, X, X, "even")
-    with pytest.raises(ValueError):
-        nijenhuis_tensor(standard_odd_structure(1, 1), X, X, "both")
+    # an X on Pi's own coordinates, so that the variant is the only bad argument
+    Pi = standard_odd_structure(1, 1)
+    Y = coordinate_field(Pi.coords, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^variant must be 'even' or 'odd'$"):
+            nijenhuis_tensor(Pi, Y, Y, "both")
 
 
 def test_endomorphism_field_is_immutable():
     coords = Coords(["x", "θ"], [0, 1])
     cols = {0: coordinate_field(coords, 1), 1: coordinate_field(coords, 0)}
     J = EndomorphismField(coords, cols, parity=1)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="does not support item assignment"):
         J.columns[0] = cols[1]
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=r"^EndomorphismField\.parity is read-only$"):
         J.parity = 0
     cols[0] = cols[1]  # the caller's dict is not the structure's
     assert J.columns[0] == coordinate_field(coords, 1)

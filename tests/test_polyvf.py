@@ -238,7 +238,7 @@ def test_coords_accept_field_names_and_reject_unknown_fields():
     assert Coords(["x"], [0], field="Q(i)").field is FIELD_QI
     assert Coords(["x"], [0], field="Q").field is FIELD_Q
     for bad in ("Q(j)", 2, None):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^unknown field {re.escape(repr(bad))}$"):
             Coords(["x"], [0], field=bad)
 
 
@@ -539,3 +539,19 @@ def test_deriv_agrees_with_the_factor_list_oracle(drawn):
     assert d.terms == expected
     # the value type of the input is kept: an int stays an int
     assert {type(c) for c in d.terms.values()} <= {type(c) for c in p.terms.values()}
+
+
+def test_coordinates_and_inhomogeneous_values_raise_named_errors():
+    for names, parities, degrees, message in (
+        (["x"], [0, 1], None, "names and parities length mismatch"),
+        (["x"], [0], [1, 2], "degrees length mismatch"),
+        (["x", "x"], [0, 0], None, "duplicate coordinate names"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Coords(names, parities, degrees)
+    c = Coords(["x", "θ"], [0, 1])
+    x, theta = c.var("x"), c.var("θ")
+    with pytest.raises(ValueError, match=r"^non-homogeneous polynomial: \(1\)\*x \+ \(1\)\*θ$"):
+        (x + theta).parity()
+    with pytest.raises(ValueError, match=r"^non-homogeneous vector field: \(\(1\)\*1 \+ \(1\)\*x\)∂_x$"):
+        VectorField(c, {0: c.one() + x}).degree()

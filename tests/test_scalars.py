@@ -74,7 +74,7 @@ def test_parse_examples():
 
 
 def test_division_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^division by zero Gaussian rational$"):
         gaussian(1, 2) / gaussian(0, 0)
 
 
@@ -91,3 +91,13 @@ def test_common_denominator():
     assert common_denominator([]) == 1
     assert common_denominator([3, rational(1, 4), rational(5, 6)]) == 12
     assert common_denominator([gaussian(rational(1, 6), rational(3, 4)), rational(2, 9)]) == 36
+
+
+def test_empty_scalar_strings_and_rebinding_raise():
+    for s in ("", " "):
+        with pytest.raises(ValueError, match="^empty scalar string$"):
+            parse_scalar(s)
+    z = gaussian(1, 2)
+    with pytest.raises(AttributeError, match="^GaussianRational is immutable$"):
+        z.re = rational(3)
+    assert z == gaussian(1, 2)

@@ -1,6 +1,8 @@
 from math import comb
 
-from superalg.spaces import admissible_words, sort_word
+import pytest
+
+from superalg.spaces import BasisVector, SuperSpace, admissible_words, sort_word
 
 from oracles import count_admissible_words
 
@@ -40,3 +42,10 @@ def test_dimension_closed_form_small_range():
             for k in range(5):
                 closed = sum(comb(p, k - j) * multiset(q, j) for j in range(k + 1))
                 assert len(admissible_words(parities, k)) == closed
+
+
+def test_basis_vectors_and_spaces_reject_bad_input():
+    with pytest.raises(ValueError, match="^parity must be 0 or 1, got 2$"):
+        BasisVector("a", 2)
+    with pytest.raises(ValueError, match="^duplicate basis id 'a'$"):
+        SuperSpace([BasisVector("a", 0), BasisVector("a", 1)])
