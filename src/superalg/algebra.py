@@ -13,6 +13,7 @@ or QQ(i)); every constructor in this package funnels through the validation.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver
@@ -163,6 +164,7 @@ class LieSuperAlgebra:
         return bad
 
     def check_parities(self):
+        """[e_a, e_b] must have parity p(a) + p(b)."""
         bad = []
         for (i, j), val in self._table.items():
             p = (self.parity(i) + self.parity(j)) % 2
@@ -170,6 +172,34 @@ class LieSuperAlgebra:
                 if self.parity(k) != p:
                     bad.append((self.ident(i), self.ident(j), self.ident(k)))
         return bad
+
+    def check_weights(self):
+        """[e_a, e_b] for a, b with weights must have only terms of weight wt(a) + wt(b).
+
+        Lists (a, b, t) for each term t without a weight or of another
+        weight; compared on the weights cleared by cleared_weights.
+        """
+        _, weights = self.cleared_weights()
+        bad = []
+        for (i, j), val in self._table.items():
+            wi, wj = weights[i], weights[j]
+            if wi is not None and wj is not None:
+                want = tuple(map(add, wi, wj))
+                for k in val:
+                    if weights[k] != want:
+                        bad.append((self.ident(i), self.ident(j), self.ident(k)))
+        return bad
+
+    def cleared_weights(self):
+        """(den, weights): every basis weight cleared by one common denominator.
+
+        den is the lcm of the denominators of all basis weights and weights[k]
+        is den times the weight of basis vector k, with the values of
+        scalars.cleared, or None where it has none.
+        """
+        weights = [b.weight for b in self.space.basis]
+        den = common_denominator(x for w in weights if w is not None for x in w)
+        return den, [None if w is None else tuple(cleared(x, den) for x in w) for w in weights]
 
     def cleared_table(self):
         """(den, table): the bracket table cleared of denominators once.
@@ -442,6 +472,9 @@ def from_matrices(
     inside a complex matrix algebra; over QQ(i) brackets expand in the complex
     span.
     install_i=True records multiplication by i as a (possibly partial) basis map.
+    The result carries .matrices, the k-th generator's nonzero entries as
+    {(r, c): scalar}, and .row_parity, the parities of the rows (and columns):
+    the algebra's action on its column space, as combine_nonpositive takes it.
     """
     field = as_field(field)
     real = field is FIELD_Q
@@ -540,6 +573,11 @@ def realify(g: LieSuperAlgebra) -> LieSuperAlgebra:
             brackets[(i, j + n)] = split(val, 1)
             brackets[(i + n, j)] = split(val, 1)
             brackets[(i + n, j + n)] = split(val, 2)
+    # multiplication by i: e_k -> ie_k and ie_k -> -e_k
+    i_op: Dict[int, Element] = {}
+    for k in range(n):
+        i_op[k] = {k + n: ONE}
+        i_op[k + n] = {k: -ONE}
     raising = [r for r in g.raising] + ["i" + r for r in g.raising]
     lowering = [r for r in g.lowering] + ["i" + r for r in g.lowering]
     return LieSuperAlgebra(
@@ -549,16 +587,8 @@ def realify(g: LieSuperAlgebra) -> LieSuperAlgebra:
         cartan=list(g.cartan),
         raising=raising,
         lowering=lowering,
-        i_op=doubled_i_op(n),
+        i_op=i_op,
         field=FIELD_Q,
         name=(g.name + "^R") if g.name else "",
     )
 
-
-def doubled_i_op(n: int) -> Dict[int, Element]:
-    """Multiplication by i on a basis (e_1..e_n, ie_1..ie_n): e_k -> ie_k and ie_k -> -e_k."""
-    i_op: Dict[int, Element] = {}
-    for k in range(n):
-        i_op[k] = {k + n: ONE}
-        i_op[k + n] = {k: -ONE}
-    return i_op

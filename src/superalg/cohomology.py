@@ -43,7 +43,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebra import LieSuperAlgebra
 from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis
-from .scalars import GaussianRational, ONE, ZERO, cleared, common_denominator, format_scalar, rational
+from .scalars import GaussianRational, ONE, ZERO, format_scalar, rational
 from .spaces import admissible_words, sort_word
 
 Word = Tuple[int, ...]
@@ -59,8 +59,10 @@ class NegativePart:
     (GaussianRational with integral parts for a constant with a nonzero
     imaginary part).  One NegativePart serves a whole h2_by_degree report.
 
-    Block keys are computed on integer weights: every basis weight of g is
-    scaled by one common denominator, weight_den, with scalars.cleared.
+    Block keys are computed on integer weights, LieSuperAlgebra.cleared_weights:
+    every basis weight of g is scaled by one common denominator, weight_den.
+    Blocks split by weight only when every basis vector of g has a weight;
+    otherwise a bracket with an unweighted term would join two blocks.
     """
 
     def __init__(self, g: LieSuperAlgebra):
@@ -71,21 +73,17 @@ class NegativePart:
         self.parities = [g.parity(k) for k in self.indices]
         self.degrees = [g.degree(k) for k in self.indices]
         self.weights = [g.space.basis[k].weight for k in self.indices]
-        self.has_weights = all(w is not None for w in self.weights)
-        weights = [b.weight for b in g.space.basis]
-        self.weight_den = common_denominator(x for w in weights if w is not None for x in w)
         # cleared weight of every basis vector of g, None where it has none
-        self.int_weights = [
-            None if w is None else tuple(cleared(x, self.weight_den) for x in w) for w in weights
-        ]
+        self.weight_den, self.int_weights = g.cleared_weights()
+        self.has_weights = all(w is not None for w in self.int_weights)
         self._word_keys: Dict[Word, tuple] = {}
 
     def word_key(self, word: Word) -> tuple:
         """(parity, weight_den * weight) of a word, computed on its first use and kept.
 
         The weight is a tuple of ints (a GaussianRational with integral parts
-        for a coordinate with a nonzero imaginary part), or None when a
-        negative basis vector has no weight.
+        for a coordinate with a nonzero imaginary part), or None unless
+        every basis vector of g has a weight.
         """
         key = self._word_keys.get(word)
         if key is None:
@@ -124,15 +122,14 @@ def cochain_block_key(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
     """(parity, weight_den * weight) of a cochain basis key: the block it belongs to.
 
     The weight is that of the target minus that of the word, on the integer
-    weights of neg (None when a weight is missing).
+    weights of neg (None unless every basis vector has a weight).
     """
     word, t = key
     word_parity, wt = neg.word_key(word)
     parity = (g.parity(t) + word_parity) % 2
-    tw = neg.int_weights[t]
-    if wt is None or tw is None:
+    if wt is None:
         return (parity, None)
-    return (parity, tuple(a - b for a, b in zip(tw, wt)))
+    return (parity, tuple(a - b for a, b in zip(neg.int_weights[t], wt)))
 
 
 def block_weight(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
@@ -143,10 +140,9 @@ def block_weight(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
     """
     word, t = key
     wt = neg.word_weight(word)
-    tw = g.space.basis[t].weight
-    if wt is None or tw is None:
+    if wt is None:
         return None
-    return tuple(a - b for a, b in zip(tw, wt))
+    return tuple(a - b for a, b in zip(g.space.basis[t].weight, wt))
 
 
 def differential_matrix(
@@ -174,11 +170,7 @@ def differential_matrix(
         col_targets.setdefault(word, []).append(b)
 
     def scatter(row_key, col_key, coeff):
-        r = row_pos.get(row_key)
-        c = col_pos.get(col_key)
-        if r is None or c is None:
-            return
-        key = (r, c)
+        key = (row_pos[row_key], col_pos[col_key])
         nv = entries.get(key, 0) + coeff
         if nv:
             entries[key] = nv
@@ -683,8 +675,9 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
     {degree, weight, parity, index} of one weight-class direction.  degrees
     is any iterable of ints, a generator included, read once.  Raises
     TypeError for g_star not a LieSuperAlgebra, ValueError for an algebra that
-    is not Z-graded, a degree not an int, or a bracket off the grading (named
-    from check_grading; the differential needs [g_minus, g_minus] in g_minus).
+    is not Z-graded, a degree not an int, or a bracket off the grading, the
+    parities or the weights (named from check_grading, check_parities and
+    check_weights): the differential of a block must stay in that block.
     """
     if not isinstance(g_star, LieSuperAlgebra):
         raise TypeError(f"h2_by_degree needs a LieSuperAlgebra, got {type(g_star).__name__}")
@@ -693,10 +686,12 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
     degrees = list(degrees)
     if any(type(d) is not int for d in degrees):
         raise ValueError(f"degrees must be ints, got {degrees!r}")
-    off_grading = g_star.check_grading()
-    if off_grading:
-        a, b, t = off_grading[0]
-        raise ValueError(f"h2_by_degree: the bracket [{a},{b}] has a term on {t}, off the grading")
+    checks = {"grading": g_star.check_grading, "parities": g_star.check_parities, "weights": g_star.check_weights}
+    for what, check in checks.items():
+        bad = check()
+        if bad:
+            a, b, t = bad[0]
+            raise ValueError(f"h2_by_degree: the bracket [{a},{b}] has a term on {t}, off the {what}")
     neg = NegativePart(g_star)
     degrees = sorted(degrees)
     per_degree = {}

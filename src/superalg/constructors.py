@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, LieSuperAlgebra, doubled_i_op, from_matrices, realify
+from .algebra import Element, LieSuperAlgebra, from_matrices
 from .scalars import FIELD_Q, FIELD_QI, GaussianRational, I, ZERO, rational
 from .spaces import BasisVector, EVEN, ODD, SuperSpace
 
@@ -198,41 +198,22 @@ def build_ab(n: int, field=FIELD_Q) -> LieSuperAlgebra:
     return LieSuperAlgebra(space, brackets, field=field, name=f"ab({n})")
 
 
-# -- representations and nonpositive parts --------------------------------------
+# -- nonpositive parts -----------------------------------------------------------
 
 
-class Action:
-    """A g0 algebra together with its matrices on a module basis.
+def combine_nonpositive(g_minus: LieSuperAlgebra, g0: LieSuperAlgebra, matrices: List[dict]) -> LieSuperAlgebra:
+    """The graded algebra g_minus + g0 (degrees <= 0), g0 acting on g_minus by matrices.
 
-    matrices[k] maps module basis index c to the image coefficients of the
-    k-th algebra basis vector: {(r, c): scalar} acting as e_c -> sum_r m[r,c] e_r.
+    matrices[k] is {(r, c): scalar}, the action of the k-th basis vector of g0
+    on g_minus's basis: [g0_k, e_c] = sum_r m[r,c] e_r.  A from_matrices
+    algebra acting on its column space passes its own .matrices.  The result
+    has g_minus's field and g0's Cartan annotations.  ValueError unless there
+    is one matrix per basis vector of g0 and every entry indexes g_minus's
+    basis; prolong checks that the action represents g0 by derivations.
     """
-
-    def __init__(self, algebra: LieSuperAlgebra, module: SuperSpace, matrices: List[dict]):
-        self.algebra = algebra
-        self.module = module
-        self.matrices = matrices
-        if len(matrices) != len(algebra):
-            raise ValueError("one matrix per algebra basis vector required")
-
-
-def tautological_action(g: LieSuperAlgebra) -> Action:
-    """The defining action of a matrix-built algebra on its column space."""
-    mats = getattr(g, "matrices", None)
-    if mats is None:
-        raise ValueError("algebra was not built from matrices")
-    module = SuperSpace(
-        [BasisVector(f"∂_{c + 1}", p, -1) for c, p in enumerate(g.row_parity)]
-    )
-    return Action(g, module, [dict(m) for m in mats])
-
-
-def combine_nonpositive(g_minus: LieSuperAlgebra, action: Action) -> LieSuperAlgebra:
-    """Assemble the graded algebra g_minus + g0 (degrees <= 0) from an action."""
-    if [b.id for b in action.module] != [b.id for b in g_minus.space.basis]:
-        raise ValueError("action module must match g_minus basis")
+    if len(matrices) != len(g0):
+        raise ValueError("one matrix per algebra basis vector required")
     nneg = len(g_minus)
-    g0 = action.algebra
     basis = [BasisVector(b.id, b.parity, b.degree, b.weight) for b in g_minus.space.basis]
     for b in g0.space.basis:
         basis.append(BasisVector(b.id, b.parity, 0, b.weight))
@@ -244,18 +225,14 @@ def combine_nonpositive(g_minus: LieSuperAlgebra, action: Action) -> LieSuperAlg
     for (i, j), val in g0._table.items():
         if i <= j:
             brackets[(nneg + i, nneg + j)] = {nneg + t: v for t, v in val.items()}
-    for k, mat in enumerate(action.matrices):
+    for k, mat in enumerate(matrices):
         for (r, c), v in mat.items():
+            if not (0 <= r < nneg and 0 <= c < nneg):
+                raise ValueError(f"matrix {k} has entry {(r, c)} outside the {nneg} basis vectors of g_minus")
             brackets.setdefault((nneg + k, c), {})[r] = v
-    i_op = None
-    if g_minus.i_op is not None or g0.i_op is not None:
-        i_op = {}
-        if g_minus.i_op:
-            i_op.update({k: dict(v) for k, v in g_minus.i_op.items()})
-        if g0.i_op:
-            i_op.update(
-                {nneg + k: {nneg + t: c for t, c in v.items()} for k, v in g0.i_op.items()}
-            )
+    # LieSuperAlgebra stores an empty i_op as None
+    i_op = {k: dict(v) for k, v in (g_minus.i_op or {}).items()}
+    i_op.update({nneg + k: {nneg + t: c for t, c in v.items()} for k, v in (g0.i_op or {}).items()})
     return LieSuperAlgebra(
         space,
         brackets,
@@ -268,38 +245,14 @@ def combine_nonpositive(g_minus: LieSuperAlgebra, action: Action) -> LieSuperAlg
     )
 
 
-def abelian_negative(module: SuperSpace) -> LieSuperAlgebra:
-    """A commutative purely degree -1 algebra on the given basis."""
-    basis = [BasisVector(b.id, b.parity, -1, b.weight) for b in module]
+def abelian_negative(parities: List[int]) -> LieSuperAlgebra:
+    """The commutative algebra on ∂_1..∂_n of the given parities, all in degree -1.
+
+    With a from_matrices algebra's .row_parity it is the column space that
+    the algebra's .matrices act on.
+    """
+    basis = [BasisVector(f"∂_{c + 1}", p, -1) for c, p in enumerate(parities)]
     return LieSuperAlgebra(SuperSpace(basis), {}, name="abelian")
-
-
-def realify_action(action: Action) -> Action:
-    """Realify algebra and module together: basis (e, ie), matrices doubled."""
-    g = action.algebra
-    gR = realify(g)
-    module = action.module
-    M = len(module)
-    basis = [BasisVector(b.id, b.parity, b.degree, b.weight) for b in module]
-    basis += [BasisVector("i" + b.id, b.parity, b.degree, b.weight) for b in module]
-    moduleR = SuperSpace(basis)
-    mats = []
-    for flip in (0, 1):
-        for m in action.matrices:
-            out = {}
-            for (r, c), v in m.items():
-                re, im = (v.re, v.im) if isinstance(v, GaussianRational) else (rational(v), ZERO)
-                if flip:
-                    re, im = -im, re
-                if re:
-                    out[(r, c)] = re
-                    out[(r + M, c + M)] = re
-                if im:
-                    out[(r + M, c)] = im
-                    out[(r, c + M)] = -im
-            mats.append(out)
-    # module i operator rides along on the realified module
-    return Action(gR, moduleR, mats)
 
 
 # -- Minkowski superspace symmetry algebras --------------------------------------
@@ -493,28 +446,3 @@ def build_complexified_minkowski(N: int) -> LieSuperAlgebra:
             )
         )
     return from_matrices(gens, parity, field=FIELD_QI, name=f"mink{N}^C")
-
-
-# -- realified tautological pairs -------------------------------------------------
-
-
-def realified_matrix_pair(g_complex: LieSuperAlgebra) -> Tuple[LieSuperAlgebra, Action]:
-    """(g_minus1, g0 action) for the realification of a complex matrix algebra.
-
-    The module basis is ordered (e_1..e_M, ie_1..ie_M) and named ∂_1..∂_{2M};
-    g_minus1 is abelian in degree -1 and carries the module's i operator.
-    """
-    action = realify_action(tautological_action(g_complex))
-    M = len(action.module) // 2
-    names = [f"∂_{k + 1}" for k in range(2 * M)]
-    module = SuperSpace(
-        [
-            BasisVector(names[k], b.parity, -1, b.weight)
-            for k, b in enumerate(action.module.basis)
-        ]
-    )
-    action = Action(action.algebra, module, action.matrices)
-    g_minus = abelian_negative(module)
-    g_minus.i_op = doubled_i_op(M)
-    g_minus.field = FIELD_Q
-    return g_minus, action

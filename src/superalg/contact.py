@@ -25,6 +25,7 @@ from .scalars import FIELD_Q, rational
 
 def contact_coords(n: int, m: int, field=FIELD_Q) -> Coords:
     """Coordinates t, p_i, q_i, xi_j, eta_j and theta for odd m, graded (2,1,..,1)."""
+    check_ints(n=n, m=m)
     names = ["t"]
     parities = [0]
     for i in range(n):
@@ -51,6 +52,7 @@ def contact_coords(n: int, m: int, field=FIELD_Q) -> Coords:
 
 def pericontact_coords(n: int, field=FIELD_Q) -> Coords:
     """Coordinates q_i, xi_i and the odd tau of degree 2."""
+    check_ints(n=n)
     names = [f"q_{i + 1}" for i in range(n)] + [f"ξ_{i + 1}" for i in range(n)] + ["τ"]
     parities = [0] * n + [1] * n + [1]
     degrees = [1] * (2 * n) + [2]

@@ -2,9 +2,8 @@
 
 prolong(nonpos, max_degree) is the one method: Tanaka's generalized
 prolongation (J. Math. Kyoto Univ. 10 (1970) 1-82) for g_minus of depth <= 2,
-Cartan's at depth 1; constructors.combine_nonpositive joins a pair (g_minus,
-action of g_0) into its input.  g_<=0 is realized by polynomial vector fields
-on coordinates x_a dual to the basis of g_minus, read off the table c^t_{kb}:
+Cartan's at depth 1.  g_<=0 is realized by polynomial vector fields on
+coordinates x_a dual to the basis of g_minus, read off the table c^t_{kb}:
 
   X_k = [k in g_minus] d_k - lam sum_{b in B} (-1)^{p_k p_b} c^t_{kb} x_b d_t
 
@@ -56,7 +55,7 @@ from math import lcm
 from typing import Dict, List, Tuple
 
 from .algebra import Element, LieSuperAlgebra, from_matrices
-from .constructors import Action, check_ints
+from .constructors import check_ints
 from .linalg import SpanSolver, kernel_basis, row_space_basis
 from .polyvf import (
     ONE_MONO,
@@ -222,10 +221,11 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     The one prolongation method; it checks its input first.  TypeError unless
     nonpos is a LieSuperAlgebra and max_degree an int, ValueError for
     max_degree < 0, ProlongError for a missing or positive degree, a bracket
-    off the grading, no g_minus or depth > 2, a g_0 that does not act by
-    derivations or represent (realize_degree_zero checks every [X_h, X_j]
-    against the table, so a check on matrices would repeat it), or that acts
-    unfaithfully (dependent degree-0 fields, in the span degree 1 builds anyway).
+    off the grading or the weights, no g_minus or depth > 2, a g_0 that does
+    not act by derivations or represent (realize_degree_zero checks every
+    [X_h, X_j] against the table, so a check on matrices would repeat it), or
+    that acts unfaithfully (dependent degree-0 fields, in the span degree 1
+    builds anyway).
 
     Each positive component is the kernel of the bracket residuals modulo the
     components already computed, one (parity, weight) candidate block at a
@@ -240,6 +240,9 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     gradefail = nonpos.check_grading()
     if gradefail:
         raise ProlongError(f"action does not preserve the grading: {gradefail[0]}")
+    weightfail = nonpos.check_weights()
+    if weightfail:
+        raise ProlongError(f"a bracket does not add the weights: {weightfail[0]}")
     coords, neg_fields = realize_negative(nonpos)
     zero_fields = realize_degree_zero(nonpos, coords, neg_fields)
     neg = nonpos.negative_indices()
@@ -437,11 +440,13 @@ def prolong_nonpositive(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResu
     return prolong(nonpos, max_degree)
 
 
-def degree_zero_derivations(g_minus: LieSuperAlgebra) -> Action:
-    """All grading-preserving superderivations of g_minus, as an Action.
+def degree_zero_derivations(g_minus: LieSuperAlgebra) -> LieSuperAlgebra:
+    """der0, all grading-preserving superderivations of g_minus, as a from_matrices algebra.
 
     Solved from the linearized Leibniz constraint, separately for even and odd
     derivations; the result's bracket is the supercommutator of the matrices.
+    Its .matrices act on g_minus's basis, so combine_nonpositive(g_minus, der0,
+    der0.matrices) is g_minus + der0.
     TypeError for g_minus not a LieSuperAlgebra, ValueError for one with a
     basis vector without a degree.
     """
@@ -497,8 +502,5 @@ def degree_zero_derivations(g_minus: LieSuperAlgebra) -> Action:
                         rows.append(row)
         for v in kernel_basis(rows, len(slots)):
             gens.append((p_d, {slots[q]: val for q, val in sorted(v.items())}))
-    items = []
-    for num, (p_d, m) in enumerate(gens):
-        items.append((f"D_{num + 1}", p_d, 0, m))
-    alg = from_matrices(items, parities, field=g_minus.field, name=f"der0({g_minus.name})")
-    return Action(alg, g_minus.space, [m for _, _, _, m in items])
+    items = [(f"D_{num + 1}", p_d, 0, m) for num, (p_d, m) in enumerate(gens)]
+    return from_matrices(items, parities, field=g_minus.field, name=f"der0({g_minus.name})")

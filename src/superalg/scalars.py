@@ -8,6 +8,7 @@ rationals get their own small class.  Only this module imports fractions.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -258,39 +259,26 @@ def format_scalar(x) -> str:
     return str(x)
 
 
+# "p/q", "p/q+r/s*i", "r/s*i" or "i" with an optional sign, no zero denominator;
+# re is tried empty first, so a lone imaginary part is never read as real
+_RAT = r"[+-]?\d+(?:/0*[1-9]\d*)?"
+_SCALAR = re.compile(rf"(?P<re>{_RAT})??(?:(?P<im>{_RAT}\*?|[+-]?)i)?")
+
+
 def parse_scalar(s: str):
-    """Inverse of format_scalar.  Returns a rational or a GaussianRational."""
+    """Inverse of format_scalar.  Returns a rational or a GaussianRational.
+
+    ValueError naming s for an empty string or one that is not a scalar.
+    """
     s = s.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")
-    if s.endswith("*i") or s.endswith("i"):
-        body = s[: -2] if s.endswith("*i") else s[:-1]
-        # split off the imaginary tail: find the sign that separates re and im
-        depth_start = 1 if body and body[0] in "+-" else 0
-        split = -1
-        for k in range(len(body) - 1, depth_start, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/*":
-                split = k
-                break
-        if split == -1:
-            re_part, im_part = "0", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im_part = "1"
-        elif im_part == "-":
-            im_part = "-1"
-        return GaussianRational(_parse_rat(re_part), _parse_rat(im_part))
-    return _parse_rat(s)
-
-
-def _parse_rat(s: str):
-    s = s.strip()
-    if not s:
-        return ZERO
-    if s in ("+", "-"):
-        s += "1"
-    if "/" in s:
-        num, den = s.split("/")
-        return rational(int(num), int(den))
-    return rational(int(s))
+    m = _SCALAR.fullmatch(s)
+    if m is None:
+        raise ValueError(f"not a scalar: {s!r}")
+    re_part = Fraction(m["re"] or 0)
+    im = m["im"]
+    if im is None:
+        return re_part
+    im = im.rstrip("*")
+    return GaussianRational(re_part, Fraction(im + "1" if im in ("", "+", "-") else im))

@@ -9,10 +9,11 @@ cohomology module's formula on unit cochains; the Nijenhuis and Grassmann
 oracles evaluate their formulas term by term on the scalars as given;
 tensoriality_defect tests any evaluator for function-linearity, the
 monomial product sorts expanded factor lists by transpositions, and the
-representation check multiplies an action's matrices entry by entry.  The
+representation check multiplies matrices entry by entry.  The
 linear algebra oracles first make every entry exact (an integer or a field
 scalar), so that int input never meets true division.  canonical_sha256 is
 the one digest every pinned document and report in the tests is compared by.
+s2_0_weights lists the weights of S^2_0(C^N) from the weights of C^N.
 """
 
 import hashlib
@@ -346,13 +347,12 @@ def monomial_derivative(mono, var, parities):
     return tuple(out), factor
 
 
-def representation_failures(action):
-    """The basis pairs (x, y) of g0 whose matrices' supercommutator is not the matrix of [x, y].
+def representation_failures(g, mats):
+    """The basis pairs (x, y) of g whose matrices' supercommutator is not the matrix of [x, y].
 
-    The matrices are {(r, c): scalar} dicts, multiplied entry by entry here;
-    [a, b] = ab - (-1)^{p(a)p(b)} ba.
+    mats[k] is the matrix of g's k-th basis vector, an {(r, c): scalar} dict,
+    multiplied entry by entry here; [a, b] = ab - (-1)^{p(a)p(b)} ba.
     """
-    g, mats = action.algebra, action.matrices
 
     def add_product(out, a, b, sign):
         for (r, k), x in a.items():
@@ -372,3 +372,18 @@ def representation_failures(action):
             if any(defect.values()):
                 bad.append((g.ident(i), g.ident(j)))
     return bad
+
+
+def s2_0_weights(N):
+    """The weights of S^2_0(C^N) under the maximal torus of o(N), sorted.
+
+    C^N has the weights +-e_k for k = 1..N//2, and 0 for odd N; S^2 has
+    w_a + w_b for a <= b over that list, and S^2_0 drops one 0, the invariant
+    quadratic form.  Each weight is a tuple of N//2 ints.
+    """
+    rank = N // 2
+    units = [tuple(s if i == k else 0 for i in range(rank)) for k in range(rank) for s in (1, -1)]
+    ws = units + [(0,) * rank] * (N % 2)
+    sums = [tuple(x + y for x, y in zip(ws[a], ws[b])) for a in range(N) for b in range(a, N)]
+    sums.remove((0,) * rank)
+    return sorted(sums)

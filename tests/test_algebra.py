@@ -6,7 +6,6 @@ import pytest
 
 from superalg.algebra import LieSuperAlgebra, TruncationError, from_matrices, realify
 from superalg.constructors import (
-    Action,
     abelian_negative,
     build_ab,
     build_complexified_minkowski,
@@ -17,13 +16,11 @@ from superalg.constructors import (
     build_q,
     build_sl,
     combine_nonpositive,
-    realified_matrix_pair,
-    tautological_action,
 )
-from superalg.contact import contact_algebra, pericontact_algebra
+from superalg.contact import contact_algebra, contact_coords, pericontact_algebra, pericontact_coords
 from superalg.grassmann import CanonicalIso, GrassmannElement, random_real_structure, rho_bar, rho_tr
 from superalg.nijenhuis import standard_even_structure, standard_odd_structure
-from superalg.prolong import prolong_nonpositive
+from superalg.prolong import degree_zero_derivations, prolong_nonpositive
 from superalg.scalars import FIELD_Q, FIELD_QI, GaussianRational, I, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
@@ -383,17 +380,21 @@ def test_zero_generators_give_the_zero_algebra():
 
 def test_action_representation_check():
     g = build_gl(1, 1)
-    act = tautological_action(g)
-    assert representation_failures(act) == []
+    assert representation_failures(g, g.matrices) == []
     # faithful: the flattened matrices are independent
-    n = len(act.module)
-    flat = [[m.get((r, c), 0) for r in range(n) for c in range(n)] for m in act.matrices]
-    assert dense_rank_fraction_free(flat) == len(act.matrices)
-    gm, act2 = realified_matrix_pair(g)
-    assert representation_failures(act2) == []
-    combined = combine_nonpositive(gm, act2)
+    n = len(g.row_parity)
+    flat = [[m.get((r, c), 0) for r in range(n) for c in range(n)] for m in g.matrices]
+    assert dense_rank_fraction_free(flat) == len(g.matrices)
+    combined = combine_nonpositive(abelian_negative(g.row_parity), g, g.matrices)
     assert combined.check_super_jacobi() == []
     assert combined.check_grading() == []
+    # realified over QQ(i), a g_<=0 stays an algebra with its grading
+    hei = build_hei(2, 1, field=FIELD_QI)
+    der = degree_zero_derivations(hei)
+    assert representation_failures(der, der.matrices) == []
+    realified = realify(combine_nonpositive(hei, der, der.matrices))
+    assert realified.check_super_jacobi() == []
+    assert realified.check_grading() == []
 
 
 # Each constructor names itself and the bad size; these used to fail with a bare
@@ -420,6 +421,11 @@ BAD_SIZES = [
     (build_sl, (-1, 3), ValueError, "build_sl: m must be >= 0, got -1"),
     (build_q, (0, "J"), ValueError, "build_q: n must be >= 1, got 0"),
     (build_q, (True, "J"), TypeError, "build_q: n must be an int, got True"),
+    # these two returned truncated coordinates
+    (contact_coords, (-1, 2), ValueError, "contact_coords: n must be >= 0, got -1"),
+    (contact_coords, (1, -1), ValueError, "contact_coords: m must be >= 0, got -1"),
+    (pericontact_coords, (-2,), ValueError, "pericontact_coords: n must be >= 0, got -2"),
+    (pericontact_coords, (1.0,), TypeError, "pericontact_coords: n must be an int, got 1.0"),
 ]
 
 
@@ -477,12 +483,6 @@ def _even_pair(brackets=None, **annotations):
     return LieSuperAlgebra(space, brackets or {}, **annotations)
 
 
-def _mismatched_pair():
-    """An abelian g_-1 on 1|1 and the action of gl(1|1) on a module with other ids."""
-    g_minus = abelian_negative(SuperSpace([BasisVector("x", 0, -1), BasisVector("y", 1, -1)]))
-    return g_minus, tautological_action(build_gl(1, 1))
-
-
 _UNIT = rational(1)
 _E12, _E21 = ("E12", 1, None, {(0, 1): _UNIT}), ("E21", 1, None, {(1, 0): _UNIT})
 
@@ -517,9 +517,16 @@ INPUT_ERRORS = [
     ("q variant", lambda: build_q(1, "K"), "variant must be 'J' or 'Pi'"),
     ("hei odd n2", lambda: build_hei(1, 0), "n2 must be even"),
     ("minkowski case", lambda: build_minkowski_g0(1, "other"), "case must be 'conformal' or 'reduced'"),
-    ("action size", lambda: Action(build_gl(1, 0), SuperSpace([]), []), "one matrix per algebra basis vector required"),
-    ("no matrices", lambda: tautological_action(build_hei(2, 0)), "algebra was not built from matrices"),
-    ("module ids", lambda: combine_nonpositive(*_mismatched_pair()), "action module must match g_minus basis"),
+    (
+        "action size",
+        lambda: combine_nonpositive(abelian_negative([0]), build_gl(1, 0), []),
+        "one matrix per algebra basis vector required",
+    ),
+    (
+        "module ids",
+        lambda: combine_nonpositive(abelian_negative([0]), build_gl(1, 1), build_gl(1, 1).matrices),
+        "matrix 1 has entry (0, 1) outside the 1 basis vectors of g_minus",
+    ),
 ]
 
 

@@ -14,7 +14,6 @@ from superalg.cohomology import (
     i_pairing,
 )
 from superalg.constructors import (
-    Action,
     abelian_negative,
     build_ab,
     build_complexified_minkowski,
@@ -23,7 +22,6 @@ from superalg.constructors import (
     build_minkowski_g0,
     build_q,
     combine_nonpositive,
-    tautological_action,
 )
 from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.linalg import SpanSolver
@@ -31,7 +29,7 @@ from superalg.prolong import degree_zero_derivations, prolong_nonpositive
 from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
-from oracles import canonical_sha256, dense_rank_fraction_free, differential_entries
+from oracles import canonical_sha256, dense_rank_fraction_free, differential_entries, s2_0_weights
 
 
 def mink1_conformal():
@@ -220,13 +218,13 @@ SMALL_NEGATIVE_PARTS = [(build_ab, (1,)), (build_ab, (2,))] + [(build_hei, a) fo
 
 @st.composite
 def small_nonpositive_parts(draw):
-    """(g_minus, action of g0): g0 the bracket closure of one or two random degree-0 derivations."""
+    """(g_minus, g0): g0 the bracket closure of one or two random degree-0 derivations, with its .matrices."""
     build, args = draw(st.sampled_from(SMALL_NEGATIVE_PARTS))
     g_minus = build(*args)
     der = degree_zero_derivations(g_minus)
     by_parity = {}
     for k, mat in enumerate(der.matrices):
-        by_parity.setdefault(der.algebra.parity(k), []).append(mat)
+        by_parity.setdefault(der.parity(k), []).append(mat)
     gens = []
     for _ in range(draw(st.integers(1, 2))):
         p = draw(st.sampled_from(sorted(by_parity)))
@@ -239,16 +237,15 @@ def small_nonpositive_parts(draw):
         gens.append((p, {rc: v for rc, v in m.items() if v}))
     n = len(g_minus)
     items = [(f"D_{k + 1}", p, 0, m) for k, (p, m) in enumerate(_bracket_closure(gens, n))]
-    g0 = from_matrices(items, [g_minus.parity(k) for k in range(n)], field="Q")
-    return g_minus, Action(g0, g_minus.space, [m for *_, m in items])
+    return g_minus, from_matrices(items, [g_minus.parity(k) for k in range(n)], field="Q")
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_nonpositive_parts())
 def test_d2_d1_vanishes_on_random_small_prolongations(nonpositive):
     # g0 may have odd elements, which exercise the signs of the degree-0 realization
-    g_minus, action = nonpositive
-    g = prolong_nonpositive(combine_nonpositive(g_minus, action), 2).algebra
+    g_minus, g0 = nonpositive
+    g = prolong_nonpositive(combine_nonpositive(g_minus, g0, g0.matrices), 2).algebra
     assert g.check_super_jacobi() == []
     report = h2_by_degree(g, (1, 2, 3))
     _check_d_squared_and_h2(g, [report["degrees"][str(z)]["dim_H2"] for z in (1, 2, 3)])
@@ -269,6 +266,20 @@ def test_degree_zero_h2_of_the_realified_superstrings_is_n_minus_1_times_n_plus_
     assert dims == [{"-1": 0, "0": (N - 1) * (N + 2), "1": 0, "2": 0} for N in range(1, 6)]
     assert [d["0"] for d in dims] == [0, 4, 10, 18, 28]
     assert h2_by_degree(realify(contact_algebra(0, 6, 4, field=FIELD_QI)), (0,))["h2_dims"] == {"0": 40}
+
+
+def test_degree_zero_h2_of_the_realified_superstrings_has_twice_the_weights_of_s2_0():
+    """The weights of the (N-1)(N+2) degree-0 classes of k(1|N)^R, one per
+    representative, are twice the weights of S^2_0(C^N) under the torus of o(N), N = 2..5.
+
+    As in the test above, reading these classes, present only after
+    realification, as values of the circumcised Nijenhuis tensor is this
+    repository's interpretation of the paper.
+    """
+    for N in range(2, 6):
+        report = h2_by_degree(realify(contact_algebra(0, N, 4, field=FIELD_QI)), (0,))
+        weights = sorted(tuple(rep["weight"]) for rep in report["degrees"]["0"]["representatives"])
+        assert weights == sorted(2 * s2_0_weights(N)), N
 
 
 def _check_cleared_differential(g, den):
@@ -365,6 +376,33 @@ def test_h2_rejects_a_bracket_that_leaves_the_grading():
         h2_by_degree(g, [0, 1])
 
 
+def hei2_with(weights=(None, None, None), z_parity=0):
+    """hei(2|0) = span(p_1, q_1, z), [p_1, q_1] = z, with the given basis weights and parity of z."""
+    ids, parities, degrees = ("p_1", "q_1", "z"), (0, 0, z_parity), (-1, -1, -2)
+    space = SuperSpace([BasisVector(*b) for b in zip(ids, parities, degrees, weights)])
+    return LieSuperAlgebra(space, {(0, 1): {2: ONE}}, name="hei(2|0)")
+
+
+def test_h2_rejects_weights_that_a_bracket_does_not_add():
+    # wt(p_1) + wt(q_1) = 2 but wt(z) = 5: the weight blocks split d, and the
+    # report came out {0: 1, 1: 4, 2: 4} instead of hei(2|0)'s {0: 0, 1: 2, 2: 3}
+    assert h2_by_degree(hei2_with(), (0, 1, 2))["h2_dims"] == {"0": 0, "1": 2, "2": 3}
+    g = hei2_with(((ONE,), (ONE,), (5 * ONE,)))
+    assert g.check_weights() == [("p_1", "q_1", "z"), ("q_1", "p_1", "z")]
+    with pytest.raises(ValueError, match=r"^h2_by_degree: the bracket \[p_1,q_1\] has a term on z, off the weights$"):
+        h2_by_degree(g, (0, 1, 2))
+    # a term without a weight is off the weights too
+    assert hei2_with(((ONE,), (ONE,), None)).check_weights() == [("p_1", "q_1", "z"), ("q_1", "p_1", "z")]
+
+
+def test_h2_rejects_a_bracket_that_breaks_the_parities():
+    # [p_1, q_1] = z with p_1, q_1 even and z odd: the report came out {0: 1, 1: 4, 2: 5}
+    g = hei2_with(z_parity=1)
+    assert g.check_parities() == [("p_1", "q_1", "z"), ("q_1", "p_1", "z")]
+    with pytest.raises(ValueError, match=r"^h2_by_degree: the bracket \[p_1,q_1\] has a term on z, off the parities$"):
+        h2_by_degree(g, (0, 1, 2))
+
+
 def test_h2_reads_any_iterable_of_degrees_once(mink1_reduced):
     report = h2_by_degree(mink1_reduced, [2, 1])
     assert report["h2_dims"] == {"1": 4, "2": 6}
@@ -428,8 +466,8 @@ def _combination(terms):
 @pytest.mark.parametrize("variant", ["J", "Pi"])
 def test_induced_action_is_a_super_representation_with_odd_elements(variant):
     # C^{2|2} with g_0 = q(2), whose odd half moves classes between the parity blocks
-    action = tautological_action(build_q(2, variant))
-    g = combine_nonpositive(abelian_negative(action.module), action)
+    g0 = build_q(2, variant)
+    g = combine_nonpositive(abelian_negative(g0.row_parity), g0, g0.matrices)
     deg = DegreeCohomology(NegativePart(g), 2)
     assert deg.dim_h2 == 16
     zero = g.component_indices(0)

@@ -149,6 +149,7 @@ def test_no_function_imports_inside_its_body():
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 PUBLIC_API = {
+    "abelian_negative",
     "build_ab",
     "build_gl",
     "build_hei",
@@ -156,14 +157,12 @@ PUBLIC_API = {
     "build_sl",
     "check_contact_invariance",
     "check_i_op",
-    "check_parities",
     "check_pericontact_invariance",
     "combine_nonpositive",
     "composed_iso_is_algebra_map",
     "conjugate_scalar",
     "degree_zero_derivations",
     "from_document",
-    "realified_matrix_pair",
     "rho_bar",
     "rho_tr",
 }
@@ -250,6 +249,30 @@ def test_every_function_in_the_package_has_a_caller():
     assert [(module, line, name) for module, line, name in found if name not in PUBLIC_API] == []
     # an API name that gains a caller leaves the list
     assert sorted(PUBLIC_API - {name for *_, name in found}) == []
+
+
+# Every PUBLIC_API name is referenced from tests/: an entry point that only the
+# tests call must be tested.
+TESTS = SRC.parent.parent / "tests"
+
+
+def unreferenced_names(names, sources):
+    """The names that none of sources references, by referenced_names, sorted."""
+    used = set().union(*(referenced_names(source) for source in sources))
+    return sorted(set(names) - used)
+
+
+def test_unreferenced_names_are_caught():
+    sources = ["from a import called, planted\ncalled()\n", "import a\nx = a.read\nprint('named_in_a_string')\n"]
+    assert unreferenced_names({"called", "read", "planted", "named_in_a_string"}, sources) == [
+        "named_in_a_string",
+        "planted",
+    ]
+
+
+def test_every_public_api_name_is_referenced_from_the_tests():
+    sources = [path.read_text(encoding="utf-8") for path in TESTS.glob("*.py")]
+    assert unreferenced_names(PUBLIC_API, sources) == []
 
 
 # Every parameter is read: an argument that nothing uses only misleads its

@@ -3,7 +3,6 @@ import pytest
 from superalg import prolong
 from superalg.algebra import LieSuperAlgebra, from_matrices, realify
 from superalg.constructors import (
-    Action,
     abelian_negative,
     build_ab,
     build_gl,
@@ -13,9 +12,6 @@ from superalg.constructors import (
     build_q,
     build_sl,
     combine_nonpositive,
-    realified_matrix_pair,
-    realify_action,
-    tautological_action,
 )
 from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.polyvf import Coords, VectorField, coordinate_field, field_basis_index, mono_parity, monomials_of_degree
@@ -36,11 +32,11 @@ from superalg.spaces import BasisVector, SuperSpace
 from oracles import canonical_sha256, representation_failures
 
 
-def prolong_pair(action, max_degree, g_minus=None):
-    """Prolong g_minus + g0 joined from g0's action; g_minus defaults to the abelian algebra on the module."""
+def prolong_pair(g0, max_degree, g_minus=None):
+    """Prolong g_minus + g0, g0 acting by its .matrices; g_minus defaults to the abelian algebra on its columns."""
     if g_minus is None:
-        g_minus = abelian_negative(action.module)
-    return prolong_nonpositive(combine_nonpositive(g_minus, action), max_degree)
+        g_minus = abelian_negative(g0.row_parity)
+    return prolong_nonpositive(combine_nonpositive(g_minus, g0, g0.matrices), max_degree)
 
 
 def formula_field(nonpos, coords, h):
@@ -168,23 +164,21 @@ def align_graded(A, B, base_map, max_degree):
             raise ProlongError(f"alignment degenerates in degree {d}")
     return {A.ident(k): v for k, v in phi.items()}
 
-def gl_action(m, n, field="Q"):
-    g = build_gl(m, n, field=field)
-    return tautological_action(g)
+def gl_g0(m, n):
+    return build_gl(m, n, field="Q")
 
 
-def sp2_action():
+def sp2_g0():
     # sp(2) = sl(2) preserving the symplectic form on Q^2
     gens = [
         ("H", 0, None, {(0, 0): rational(1), (1, 1): rational(-1)}),
         ("X", 0, None, {(0, 1): rational(1)}),
         ("Y", 0, None, {(1, 0): rational(1)}),
     ]
-    g = from_matrices(gens, [0, 0], field="Q", name="sp(2)")
-    return tautological_action(g)
+    return from_matrices(gens, [0, 0], field="Q", name="sp(2)")
 
 
-def sp4_action():
+def sp4_g0():
     # sp(4) on Q^4: [[A, B], [C, -A^t]] with B and C symmetric
     one = rational(1)
     gens = []
@@ -196,37 +190,35 @@ def sp4_action():
             for c in range(r, 2):
                 unit = {(dr + r, dc + c): one, (dr + c, dc + r): one}
                 gens.append((f"{name}_{{{r + 1},{c + 1}}}", 0, None, unit))
-    g = from_matrices(gens, [0, 0, 0, 0], field="Q", name="sp(4)")
-    return tautological_action(g)
+    return from_matrices(gens, [0, 0, 0, 0], field="Q", name="sp(4)")
 
 
-def o3_action():
+def o3_g0():
     gens = [
         ("R1", 0, None, {(0, 1): rational(1), (1, 0): rational(-1)}),
         ("R2", 0, None, {(0, 2): rational(1), (2, 0): rational(-1)}),
         ("R3", 0, None, {(1, 2): rational(1), (2, 1): rational(-1)}),
     ]
-    g = from_matrices(gens, [0, 0, 0], field="Q", name="o(3)")
-    return tautological_action(g)
+    return from_matrices(gens, [0, 0, 0], field="Q", name="o(3)")
 
 
 def test_vect2_first_prolong():
-    act = gl_action(2, 0)
-    res = prolong_pair(act, 1)
+    g0 = gl_g0(2, 0)
+    res = prolong_pair(g0, 1)
     assert res.component_dims()[1] == 6  # S^2(V*) x V
 
 
 def test_h2_pattern_sp2():
-    act = sp2_action()
-    res = prolong_pair(act, 1)
+    g0 = sp2_g0()
+    res = prolong_pair(g0, 1)
     assert res.component_dims()[1] == 4  # S^3 V*
     assert res.algebra.check_super_jacobi() == []
 
 
 def test_sp4_prolong_and_h2():
     # the symplectic form's degree-1 classes: dim H^2 = 24 - 20 = 4 = dim L^3 V*
-    act = sp4_action()
-    res = prolong_pair(act, 2)
+    g0 = sp4_g0()
+    res = prolong_pair(g0, 2)
     assert res.component_dims() == {-1: 4, 0: 10, 1: 20, 2: 35}
     report = h2_by_degree(res.algebra, (1, 2))
     dims = {
@@ -237,25 +229,25 @@ def test_sp4_prolong_and_h2():
 
 
 def test_metric_rigidity_o3():
-    act = o3_action()
-    res = prolong_pair(act, 1)
+    g0 = o3_g0()
+    res = prolong_pair(g0, 1)
     assert res.component_dims()[1] == 0
 
 
 def test_gl_prolong_is_full_polynomial_field_space():
     # (id, gl(m|n))_k = S^{k+1}(V*) x V for m+n <= 3, k <= 3
     for (m, n) in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 2), (1, 2), (3, 0)):
-        act = gl_action(m, n)
-        res = prolong_pair(act, 3)
-        coords = Coords([b.id for b in act.module], [b.parity for b in act.module])
+        g0 = gl_g0(m, n)
+        res = prolong_pair(g0, 3)
+        coords = Coords([f"x_{c + 1}" for c in range(m + n)], g0.row_parity)
         for k in range(1, 4):
             expected = len(monomials_of_degree(coords, k + 1)) * (m + n)
             assert res.component_dims()[k] == expected, (m, n, k)
 
 
 def test_prolong_brackets_match_realization():
-    act = gl_action(1, 1)
-    res = prolong_pair(act, 2)
+    g0 = gl_g0(1, 1)
+    res = prolong_pair(g0, 2)
     fields = res.realization
     g = res.algebra
     for i in range(len(g)):
@@ -305,8 +297,8 @@ def test_algebra_of_fields_rejects_a_span_that_does_not_close():
 
 
 def test_gl_prolong_components_are_g0_submodules():
-    act = gl_action(1, 1)
-    res = prolong_pair(act, 2)
+    g0 = gl_g0(1, 1)
+    res = prolong_pair(g0, 2)
     g = res.algebra
     for k in (1, 2):
         comp = set(g.component_indices(k))
@@ -326,7 +318,7 @@ def test_depth1_gl_prolongation_documents_are_pinned():
         (1, 2): "6ba64403563d8036876ecbbe600f41d8e81b0f7750e7069b3225982c847e8dff",
     }
     for (m, n), sha256 in pinned.items():
-        doc = prolong_pair(gl_action(m, n), 3).algebra.to_document()
+        doc = prolong_pair(gl_g0(m, n), 3).algebra.to_document()
         assert canonical_sha256(doc) == sha256, (m, n)
 
 
@@ -357,9 +349,9 @@ def test_minkowski_conformal_prolongation_documents_are_pinned():
 
 def test_heisenberg_prolong_matches_contact_k3():
     hei = build_hei(2, 0)
-    act = degree_zero_derivations(hei)
-    assert len(act.algebra) == 4  # csp(2)
-    res = prolong_pair(act, 2, hei)
+    der = degree_zero_derivations(hei)
+    assert len(der) == 4  # csp(2)
+    res = prolong_pair(der, 2, hei)
     dims = res.component_dims()
     k3 = contact_algebra(1, 0, 2)
     kdims = {d: len(k3.component_indices(d)) for d in k3.degrees()}
@@ -413,8 +405,8 @@ def test_heisenberg_super_prolong_matches_contact():
     cases = [(2, 1), (0, 2), (2, 2), (0, 3), (4, 0), (0, 4)]
     for (n2, m) in cases:
         hei = build_hei(n2, m)
-        act = degree_zero_derivations(hei)
-        res = prolong_pair(act, 2, hei)
+        der = degree_zero_derivations(hei)
+        res = prolong_pair(der, 2, hei)
         k = contact_algebra(n2 // 2, m, 2)
         kdims = {d: len(k.component_indices(d)) for d in k.degrees()}
         assert res.component_dims() == kdims, (n2, m)
@@ -426,8 +418,8 @@ def test_heisenberg_contact_structure_constants_align():
     # so the first generator of each symplectic pair maps with a sign
     for (n2, m) in ((2, 1), (0, 2), (2, 0)):
         hei = build_hei(n2, m)
-        act = degree_zero_derivations(hei)
-        res = prolong_pair(act, 2, hei)
+        der = degree_zero_derivations(hei)
+        res = prolong_pair(der, 2, hei)
         k = contact_algebra(n2 // 2, m, 2)
         base = {}
         g = res.algebra
@@ -456,8 +448,8 @@ def test_heisenberg_contact_structure_constants_align():
 
 def test_antibracket_prolong_matches_pericontact():
     ab = build_ab(1)
-    act = degree_zero_derivations(ab)
-    res = prolong_pair(act, 2, ab)
+    der = degree_zero_derivations(ab)
+    res = prolong_pair(der, 2, ab)
     m1 = pericontact_algebra(1, 2)
     mdims = {d: len(m1.component_indices(d)) for d in m1.degrees()}
     assert res.component_dims() == mdims
@@ -478,15 +470,14 @@ def test_antibracket_prolong_matches_pericontact():
 
 
 def test_degree_zero_derivations_of_abelian():
-    module = SuperSpace([BasisVector("e1", 0, -1), BasisVector("e2", 0, -1)])
-    act = degree_zero_derivations(abelian_negative(module))
-    assert len(act.algebra) == 4  # gl(2)
+    der = degree_zero_derivations(abelian_negative([0, 0]))
+    assert len(der) == 4  # gl(2)
 
 
 def test_degree_zero_derivations_hei2():
-    act = degree_zero_derivations(build_hei(2, 0))
-    assert len(act.algebra) == 4  # csp(2)
-    assert act.algebra.check_super_jacobi() == []
+    der = degree_zero_derivations(build_hei(2, 0))
+    assert len(der) == 4  # csp(2)
+    assert der.check_super_jacobi() == []
 
 
 def test_minkowski_der0_contains_conformal_g0():
@@ -526,10 +517,8 @@ def test_realified_prolong_matches_realified_complex_contact():
     kC = contact_algebra(0, 2, 2, field=FIELD_QI)
     kR = realify(kC)
     heiC = build_hei(0, 2, field="Q(i)")
-    heiR = realify(heiC)
-    act = realify_action(degree_zero_derivations(heiC))
-    # the realified cosp action, on the module basis named as in realify(heiC)
-    res = prolong_pair(Action(act.algebra, heiR.space, act.matrices), 2, heiR)
+    der = degree_zero_derivations(heiC)
+    res = prolong_nonpositive(realify(combine_nonpositive(heiC, der, der.matrices)), 2)
     dims_prolong = res.component_dims()
     dims_contact = {d: len(kR.component_indices(d)) for d in sorted(set(b.degree for b in kR.space.basis))}
     assert dims_prolong == dims_contact
@@ -538,9 +527,8 @@ def test_realified_prolong_matches_realified_complex_contact():
 def test_nonfaithful_rejected():
     # a g0 element acting by the zero matrix makes the action not faithful
     g = from_matrices([("E", 0, None, {(0, 0): rational(1)})], [0], field="Q")
-    act = tautological_action(g)
     with pytest.raises(ProlongError, match="faithful"):
-        prolong_pair(Action(g, act.module, [{}]), 1)
+        prolong_nonpositive(combine_nonpositive(abelian_negative(g.row_parity), g, [{}]), 1)
 
 
 def test_zero_matrix_is_not_a_linear_algebra_generator():
@@ -616,10 +604,11 @@ def test_candidate_blocks_on_integer_weights_keep_the_rational_keys_and_order():
 def _nonpositive_cases():
     # odd g0 elements (hei(2|1), ab(1)), QQ(i) scalars, a g0 with weights (Minkowski N=1) and a depth-1 case
     for g in (build_hei(0, 2), build_hei(2, 1), build_ab(1), build_hei(2, 0, field="Q(i)")):
-        yield g.name, combine_nonpositive(g, degree_zero_derivations(g))
+        der = degree_zero_derivations(g)
+        yield g.name, combine_nonpositive(g, der, der.matrices)
     yield "mink1-conformal", build_minkowski_g0(1, "conformal")
-    act = gl_action(1, 1)
-    yield "gl(1|1)", combine_nonpositive(abelian_negative(act.module), act)
+    g0 = gl_g0(1, 1)
+    yield "gl(1|1)", combine_nonpositive(abelian_negative(g0.row_parity), g0, g0.matrices)
 
 
 def test_degree_zero_fields_are_the_formula_and_the_only_degree_zero_solution():
@@ -644,7 +633,7 @@ def test_the_fixture_checked_the_prolongations_of_this_file():
     before = len(FORMULA_CHECKS)
     g = build_hei(0, 2)
     prolong_pair(degree_zero_derivations(g), 1, g)
-    assert FORMULA_CHECKS[before:] == [len(degree_zero_derivations(g).algebra)]
+    assert FORMULA_CHECKS[before:] == [len(degree_zero_derivations(g))]
 
 
 def test_a_realization_makes_one_field_bracket_per_checked_pair(monkeypatch):
@@ -664,10 +653,9 @@ def test_a_realization_makes_one_field_bracket_per_checked_pair(monkeypatch):
         assert len(calls) == n_neg**2 + n_zero * (n_neg + n_zero), name
 
 
-def _hei2_action(matrices):
-    """hei(2|0) = span(p_1, q_1, z) with one even degree-0 generator per matrix."""
-    g0 = LieSuperAlgebra(SuperSpace([BasisVector(f"H{k}", 0, 0) for k in range(len(matrices))]), {})
-    return build_hei(2, 0), Action(g0, build_hei(2, 0).space, matrices)
+def _abelian_g0(n):
+    """An abelian g0 on n even generators H0, H1, ..., to act on hei(2|0) = span(p_1, q_1, z) by given matrices."""
+    return LieSuperAlgebra(SuperSpace([BasisVector(f"H{k}", 0, 0) for k in range(n)]), {})
 
 
 def test_prolong_rejects_an_algebra_without_a_negative_part():
@@ -684,26 +672,26 @@ def test_prolong_rejects_a_grading_deeper_than_two():
 
 def test_generalized_prolong_rejects_an_action_that_breaks_the_grading():
     # p_1 -> z sends degree -1 to degree -2
-    g, act = _hei2_action([{(2, 0): rational(1)}])
+    nonpos = combine_nonpositive(build_hei(2, 0), _abelian_g0(1), [{(2, 0): rational(1)}])
     with pytest.raises(ProlongError, match=r"^action does not preserve the grading: \('H0', 'p_1', 'z'\)"):
-        prolong_pair(act, 1, g)
+        prolong_nonpositive(nonpos, 1)
 
 
 def test_generalized_prolong_rejects_a_g0_that_does_not_represent():
     # g0 abelian, but [diag(1, -1, 0), E_pq] = 2 E_pq; the degree-0 realization checks [X_H0, X_H1]
-    g, act = _hei2_action([{(0, 0): rational(1), (1, 1): rational(-1)}, {(0, 1): rational(1)}])
-    assert representation_failures(act) == [("H0", "H1"), ("H1", "H0")]
+    g0, matrices = _abelian_g0(2), [{(0, 0): rational(1), (1, 1): rational(-1)}, {(0, 1): rational(1)}]
+    assert representation_failures(g0, matrices) == [("H0", "H1"), ("H1", "H0")]
     with pytest.raises(ProlongError, match=r"^degree-0 realization failed at \[H0,H1\]$"):
-        prolong_pair(act, 1, g)
+        prolong_nonpositive(combine_nonpositive(build_hei(2, 0), g0, matrices), 1)
 
 
 def test_generalized_prolong_rejects_a_g0_that_does_not_act_by_derivations():
     # p_1 -> p_1, q_1 -> 0, z -> 0: a representation that keeps the grading, but
     # H[p_1, q_1] = 0 while [H p_1, q_1] + [p_1, H q_1] = z
-    g, act = _hei2_action([{(0, 0): rational(1)}])
-    assert representation_failures(act) == []
+    g0, matrices = _abelian_g0(1), [{(0, 0): rational(1)}]
+    assert representation_failures(g0, matrices) == []
     with pytest.raises(ProlongError, match=r"^degree-0 realization failed at \[H0,p_1\]$"):
-        prolong_pair(act, 1, g)
+        prolong_nonpositive(combine_nonpositive(build_hei(2, 0), g0, matrices), 1)
 
 
 def test_prolong_rejects_a_bracket_that_breaks_the_grading():
@@ -713,15 +701,27 @@ def test_prolong_rejects_a_bracket_that_breaks_the_grading():
         prolong_nonpositive(g, 1)
 
 
+def test_prolong_rejects_weights_that_a_bracket_does_not_add():
+    # hei(2|0) with wt(p_1) = wt(q_1) = 1 but wt(z) = 5: the candidate blocks
+    # split by those weights, and g_1 came out 0 instead of 6
+    weights = ((rational(1),), (rational(1),), (rational(5),))
+    hei = build_hei(2, 0)
+    space = SuperSpace([BasisVector(b.id, b.parity, b.degree, w) for b, w in zip(hei.space, weights)])
+    weighted = LieSuperAlgebra(space, {(0, 1): {2: rational(1)}})
+    der = degree_zero_derivations(weighted)
+    assert prolong_pair(der, 1, hei).component_dims()[1] == 6
+    with pytest.raises(ProlongError, match=r"^a bracket does not add the weights: \('p_1', 'q_1', 'z'\)$"):
+        prolong_pair(der, 1, weighted)
+
+
 def test_prolong_rejects_a_g0_that_does_not_act_faithfully():
     # [H0, H1] = H1 with H0 the grading derivation of hei(2|0) and H1 acting by 0:
     # a representation by derivations, whose realization would drop [H0, H1] = H1
     g0 = LieSuperAlgebra(SuperSpace([BasisVector("H0", 0, 0), BasisVector("H1", 0, 0)]), {(0, 1): {1: rational(1)}})
-    hei = build_hei(2, 0)
-    act = Action(g0, hei.space, [{(0, 0): rational(1), (1, 1): rational(1), (2, 2): rational(2)}, {}])
-    assert representation_failures(act) == []
+    matrices = [{(0, 0): rational(1), (1, 1): rational(1), (2, 2): rational(2)}, {}]
+    assert representation_failures(g0, matrices) == []
     with pytest.raises(ProlongError, match="^g0 does not act faithfully on g_minus$"):
-        prolong_pair(act, 1, hei)
+        prolong_nonpositive(combine_nonpositive(build_hei(2, 0), g0, matrices), 1)
 
 
 def test_prolong_rejects_a_positive_or_missing_degree():

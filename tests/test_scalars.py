@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -71,6 +72,13 @@ def test_parse_examples():
     assert parse_scalar("3/5+4/5*i") == gaussian(rational(3, 5), rational(4, 5))
     assert parse_scalar("-2") == rational(-2)
     assert parse_scalar("-1/2*i") == gaussian(0, rational(-1, 2))
+
+
+@pytest.mark.parametrize("s", ["1/2/3", "1/0", "abc", "1+", "i*i", "--1"])
+def test_parse_scalar_names_a_string_that_is_not_a_scalar(s):
+    # these failed with an unpack error, ZeroDivisionError or an int-literal error
+    with pytest.raises(ValueError, match=f"^not a scalar: {re.escape(repr(s))}$"):
+        parse_scalar(s)
 
 
 def test_division_by_zero_raises():
