@@ -190,6 +190,24 @@ class LieSuperAlgebra:
                         bad.append((self.ident(i), self.ident(j), self.ident(k)))
         return bad
 
+    def check_table(self, error, messages):
+        """Raise error(message) for the first bracket that check_grading, check_parities or check_weights lists.
+
+        The three checks run in that order.  messages maps each check's name,
+        'grading', 'parities' or 'weights', to a str.format template, which
+        may use {a}, {b} and {t} (the bracket [a, b] and its bad term t),
+        {bad} (the tuple (a, b, t)) and {what} (the name).
+        """
+        for what, check in (
+            ("grading", self.check_grading),
+            ("parities", self.check_parities),
+            ("weights", self.check_weights),
+        ):
+            bad = check()
+            if bad:
+                a, b, t = bad[0]
+                raise error(messages[what].format(a=a, b=b, t=t, bad=bad[0], what=what))
+
     def cleared_weights(self):
         """(den, weights): every basis weight cleared by one common denominator.
 

@@ -676,8 +676,8 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
     is any iterable of ints, a generator included, read once.  Raises
     TypeError for g_star not a LieSuperAlgebra, ValueError for an algebra that
     is not Z-graded, a degree not an int, or a bracket off the grading, the
-    parities or the weights (named from check_grading, check_parities and
-    check_weights): the differential of a block must stay in that block.
+    parities or the weights (LieSuperAlgebra.check_table names the first):
+    the differential of a block must stay in that block.
     """
     if not isinstance(g_star, LieSuperAlgebra):
         raise TypeError(f"h2_by_degree needs a LieSuperAlgebra, got {type(g_star).__name__}")
@@ -686,12 +686,8 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
     degrees = list(degrees)
     if any(type(d) is not int for d in degrees):
         raise ValueError(f"degrees must be ints, got {degrees!r}")
-    checks = {"grading": g_star.check_grading, "parities": g_star.check_parities, "weights": g_star.check_weights}
-    for what, check in checks.items():
-        bad = check()
-        if bad:
-            a, b, t = bad[0]
-            raise ValueError(f"h2_by_degree: the bracket [{a},{b}] has a term on {t}, off the {what}")
+    message = "h2_by_degree: the bracket [{a},{b}] has a term on {t}, off the {what}"
+    g_star.check_table(ValueError, dict.fromkeys(("grading", "parities", "weights"), message))
     neg = NegativePart(g_star)
     degrees = sorted(degrees)
     per_degree = {}

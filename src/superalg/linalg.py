@@ -93,9 +93,9 @@ def _integer_row(row):
     """(den, den * row) for a dict of rationals: den is the lcm of the denominators.
 
     The scaled entries are ints; zeros are dropped and keys keep their order.
-    A row whose values are all ints, as the cleared differential_matrix and
-    _prolong_block rows over QQ are, is taken as it is: den is 1 and the
-    entries are a copy of the row without its zeros.  A value that is not
+    A row whose values are all ints, as the cleared differential_matrix rows
+    over QQ are, is taken as it is: den is 1 and the entries are a copy of
+    the row without its zeros.  A value that is not
     exact (a float, say) raises TypeError.
     """
     if {int}.issuperset(map(type, row.values())):

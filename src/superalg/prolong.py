@@ -10,37 +10,56 @@ coordinates x_a dual to the basis of g_minus, read off the table c^t_{kb}:
 with lam = 1/2 and B = g_-1 for k in g_minus, lam = 1 and B = g_minus for k
 in g_0.  Nothing is solved for (realize_degree_zero says why the degree-0
 field is the only one); instead every [X_i, X_j] with i in g_minus or g_0 is
-checked against the table.  Positive components are computed degree by degree:
+checked against the table.  The positive components are
 
-  g_k = { X of degree k : [X, realization of g_j] lies in g_{k+j} for all j<0 }
+  g_k = { X of degree k : [X_e, X] lies in g_{k+deg e} for every e in g_minus }
 
-Within each (parity, weight) block of degree-k candidate fields m d_v, kept
-as (v, m) pairs, this is the kernel of the map sending X to the residuals of
-its brackets [X, g_j] modulo the realized span of g_{k+j}; the same
-computation serves depth 1 and 2.  The bracket on the result is the bracket
-of the realized fields, re-expanded in the computed basis; closure is
-checked, never assumed.
+and they are computed one degree k >= 1 at a time, in four steps.
 
-Every bracket of the positive components and of the closure runs on integer
-term dicts through polyvf.bracket_terms.  Each negative field X_e is cleared
-once to den_e X_e with integer coefficients.  Column j of the constraints of
-e is then the residual of [m_j d_(v_j), den_e X_e], which is den_e times the
-residual of [m_j d_(v_j), X_e]: every row of the constraints of e is scaled
-by the same positive den_e.  That leaves the row space, hence the kernel and its RREF,
-unchanged, so the component bases come out exactly as with X_e itself.
+1. Unknowns.  X is read through phi(e) = [X_e, X] = sum_i u[e,i] Z_i, Z_i
+   running over the basis of g_{k+deg e}.  This loses nothing: a field of
+   degree k >= 1 that commutes with every X_e is 0, and step 3 rebuilds X
+   from the phi(e).
+2. Rows.  The super-Jacobi identity gives, for each pair e <= f in g_minus,
 
-The residuals stay on the integers as well.  SpanSolver.reduce returns each
-one cleared, (den, t) with t = den times the residual, and an empty bracket
-is not reduced at all.  Column j is filled with its residuals times D_j, the
-lcm of their dens, so the constraint matrix is the true one with column j
-scaled by D_j.  A column scaling does change the kernel, but only by the
-same scaling: u solves the scaled system exactly when (D_j u_j) solves the
-true one.  So the few kernel vectors are multiplied back by D_j, and since
-_fields_from_coeffs takes the RREF of their span, the component bases are
-unchanged.  Candidate blocks are grouped on integer weights, the coordinate
-weights cleared by one common denominator; only the block keys carry the
-weights with their own scalars, because the str of those keys orders the
-blocks, and that order fixes the basis order.
+     ad_e phi(f) - (-1)^{p_e p_f} ad_f phi(e) - sum_t c^t_{ef} phi(t) = 0
+
+   in g_{k+deg e+deg f}, with ad_e = [X_e, .].  ad_e is read off the table on
+   g_j for j <= 0, entries that the realization has checked, and off step 4
+   of degree j for j > 0.  One kernel_basis call solves the rows.  Every X in
+   g_k satisfies them, so the kernel holds all of g_k.
+3. A field for each kernel vector.  The fields
+
+     L_t = d_t + 1/2 sum_b (-1)^{p_t p_b} c^s_{tb} x_b d_s   (b over g_-1)
+
+   (_linear_field with lam = -1/2) commute with every X_e and form a frame.
+   Y^e, the field of phi(e), is written in it, Y^e = sum_t y^e_t L_t: y^e_t
+   = Y^e_t on g_-1 and y^e_s = Y^e_s - sum_t y^e_t l_ts on g_-2, where l_ts
+   is the d_s coefficient of L_t.  For X = sum_t h_t L_t, [X_e, X] = sum_t
+   X_e(h_t) L_t, so y^e_t = X_e(h_t).  sum_e deg(x_e) x_e X_e is the
+   weighted Euler field, so h_t, of weight k + deg(x_t), is
+   (sum_e deg(x_e) x_e y^e_t) / (k + deg(x_t)): the homotopy formula gives
+   back every X of g_k from its phi.  Each field is split by (parity,
+   weight) block, and each block's parts are brought to RREF over its
+   monomial fields m d_v in field_basis_index order, the blocks in the str
+   order of their keys.  The RREF of a span is unique, so the basis does not
+   depend on the kernel basis found.
+4. Certificate.  For each new basis field Z, [X_e, Z] is solved in the span
+   of g_{k+deg e}, and a bracket outside it raises ProlongError.  Each
+   success proves Z in g_k, so the span of step 3 is exactly g_k: step 2
+   misses no field of g_k and step 4 admits no other.  The solved constants
+   are ad_e on g_k, which the next degree reads, and algebra_of_fields takes
+   them as the brackets [X_e, Z] instead of bracketing those pairs again.
+
+Blocks exist because check_table has checked that the brackets respect the
+parities and the weights: each X_e and each basis field of g_j then lies in
+one block, so the (parity, weight) parts of a field of g_k lie in g_k.  The
+blocks are grouped on integer weights, the coordinate weights cleared by one
+common denominator; only the block keys carry the weights with their own
+scalars, because the str of those keys orders the blocks, and that order
+fixes the basis order.  The certificate's brackets run on the fields cleared
+to integers, through polyvf.bracket_terms, exactly as algebra_of_fields would
+run them, so the constants it hands over are the ones it would compute.
 
 One closure assembly, algebra_of_fields, turns realized fields into structure
 constants for both the prolongations here and the contact and pericontact
@@ -61,6 +80,7 @@ from .polyvf import (
     ONE_MONO,
     Coords,
     VectorField,
+    add_product,
     bracket_terms,
     clear_field,
     field_basis_index,
@@ -114,11 +134,17 @@ def realize_negative(nonpos: LieSuperAlgebra) -> Tuple[Coords, Dict[int, VectorF
     names = [nonpos.ident(k) for k in neg]
     parities = [nonpos.parity(k) for k in neg]
     coords = Coords(names, parities, [-nonpos.degree(k) for k in neg], field=nonpos.field)
-    pos_of = {k: c for c, k in enumerate(neg)}
-    minus1 = [b for b in neg if nonpos.degree(b) == -1]
-    fields = {k: _linear_field(nonpos, coords, pos_of, k, HALF, minus1) for k in neg}
+    fields = _negative_fields(nonpos, coords, HALF)
     _check_homomorphism(nonpos, fields, neg, neg, "negative")
     return coords, fields
+
+
+def _negative_fields(nonpos: LieSuperAlgebra, coords: Coords, lam) -> Dict[int, VectorField]:
+    """{k: _linear_field of k with lam and B = g_-1} for each k in g_minus, in basis order."""
+    neg = nonpos.negative_indices()
+    pos_of = {k: c for c, k in enumerate(neg)}
+    minus1 = [b for b in neg if nonpos.degree(b) == -1]
+    return {k: _linear_field(nonpos, coords, pos_of, k, lam, minus1) for k in neg}
 
 
 def realize_degree_zero(nonpos: LieSuperAlgebra, coords: Coords, neg_fields: Dict[int, VectorField]):
@@ -144,7 +170,8 @@ def _linear_field(nonpos: LieSuperAlgebra, coords: Coords, pos_of, k: int, lam, 
     """X_k = [k in g_minus] d_k - lam sum_{b in B} (-1)^{p_k p_b} c^t_{kb} x_b d_t.
 
     pos_of maps each g_minus index to its coordinate.  The terms are set in
-    candidate order, (v, then monomial) ascending; each (t, x_b) is one term.
+    the order of field_basis_index, (v, then monomial) ascending; each (t, x_b)
+    is one term.
     """
     entries = {(pos_of[k], ONE_MONO): coords.field.one} if k in pos_of else {}
     pk = nonpos.parity(k)
@@ -182,7 +209,7 @@ def _field_coords_weights(nonpos: LieSuperAlgebra, neg: List[int]):
 
 
 def _candidate_weight(v, m, weights):
-    """The weight of the candidate m d_v: weights[v] minus e * weights[var] for each var^e in m."""
+    """The weight of the monomial field m d_v: weights[v] minus e * weights[var] for each var^e in m."""
     wt = list(weights[v])
     for var, e in m:
         wv = weights[var]
@@ -192,12 +219,12 @@ def _candidate_weight(v, m, weights):
 
 
 def _candidate_blocks(coords: Coords, k: int, weights):
-    """The degree-k candidates m d_v as (v, m) pairs, split by (parity, weight).
+    """The degree-k monomial fields m d_v as (v, m) pairs, split by (parity, weight).
 
-    Candidates keep the order of fields_of_degree within each block.  They
-    are grouped on integer weights, the coordinate weights cleared by one
+    They keep the order of fields_of_degree within each block.  They are
+    grouped on integer weights, the coordinate weights cleared by one
     common denominator; each block's key carries the weight with the given
-    scalars, computed once from its first candidate, and the blocks are
+    scalars, computed once from its first field, and the blocks are
     sorted by the str of that key, which fixes the basis order.
     """
     index, _ = field_basis_index(coords, k)
@@ -215,21 +242,29 @@ def _candidate_blocks(coords: Coords, k: int, weights):
     return dict(sorted(groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))))
 
 
+# prolong's messages for the first bracket that LieSuperAlgebra.check_table rejects
+TABLE_ERRORS = {
+    "grading": "action does not preserve the grading: {bad}",
+    "parities": "the bracket [{a},{b}] has a term on {t}, off the parities",
+    "weights": "a bracket does not add the weights: {bad}",
+}
+
+
 def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     """Tanaka's prolongation of g_<=0 = nonpos to degrees <= max_degree; Cartan's at depth 1.
 
     The one prolongation method; it checks its input first.  TypeError unless
     nonpos is a LieSuperAlgebra and max_degree an int, ValueError for
     max_degree < 0, ProlongError for a missing or positive degree, a bracket
-    off the grading or the weights, no g_minus or depth > 2, a g_0 that does
-    not act by derivations or represent (realize_degree_zero checks every
-    [X_h, X_j] against the table, so a check on matrices would repeat it), or
-    that acts unfaithfully (dependent degree-0 fields, in the span degree 1
-    builds anyway).
+    off the grading, the parities or the weights (check_table), no g_minus or
+    depth > 2, a g_0 that does not act by derivations or represent
+    (realize_degree_zero checks every [X_h, X_j] against the table, so a
+    check on matrices would repeat it), or that acts unfaithfully (dependent
+    degree-0 fields, in the span degree 1 builds anyway).
 
-    Each positive component is the kernel of the bracket residuals modulo the
-    components already computed, one (parity, weight) candidate block at a
-    time, in the RREF basis over the candidate monomial fields.
+    Each positive component is solved in Hom(g_minus, g) from the super-Jacobi
+    rows, its fields are built by the homotopy formula and certified one by
+    one (steps 1-4 of the module docstring).
     """
     if not isinstance(nonpos, LieSuperAlgebra):
         raise TypeError(f"prolong: nonpos must be a LieSuperAlgebra, got {type(nonpos).__name__}")
@@ -237,100 +272,211 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     positive = next((b for b in nonpos.space if b.degree is None or b.degree > 0), None)
     if positive is not None:
         raise ProlongError(f"prolong needs degrees <= 0: {positive.id!r} has degree {positive.degree}")
-    gradefail = nonpos.check_grading()
-    if gradefail:
-        raise ProlongError(f"action does not preserve the grading: {gradefail[0]}")
-    weightfail = nonpos.check_weights()
-    if weightfail:
-        raise ProlongError(f"a bracket does not add the weights: {weightfail[0]}")
+    nonpos.check_table(ProlongError, TABLE_ERRORS)
     coords, neg_fields = realize_negative(nonpos)
     zero_fields = realize_degree_zero(nonpos, coords, neg_fields)
     neg = nonpos.negative_indices()
-
+    pos_of = {e: c for c, e in enumerate(neg)}
+    frame = commuting_frame(nonpos, coords)
     weights = _field_coords_weights(nonpos, neg)
-    # each X_e cleared to integers once; den_e drops out of every kernel
-    cleared_neg = {e: clear_field(neg_fields[e])[1] for e in neg}
-    # the variables that occur in the coefficients of each X_e
-    coeff_vars = {e: {w for t in x.values() for m in t for w, _ in m} for e, x in cleared_neg.items()}
-
-    # realized components by degree: degree -> list of (label, field)
+    # realized components by degree, each basis field also cleared to
+    # integers, (den, den * field); ad[e, d][i] = [X_e, Z] for the i-th basis
+    # field Z of g_d, on the basis of g_{d + deg e}
     comp_fields: Dict[int, List[VectorField]] = {}
     comp_ids: Dict[int, List[str]] = {}
-    for j in neg:
-        d = nonpos.degree(j)
-        comp_fields.setdefault(d, []).append(neg_fields[j])
-        comp_ids.setdefault(d, []).append(nonpos.ident(j))
-    comp_fields[0] = [zero_fields[k] for k in nonpos.component_indices(0)]
-    comp_ids[0] = [nonpos.ident(k) for k in nonpos.component_indices(0)]
+    position = {}
+    for d in sorted({nonpos.degree(k) for k in range(len(nonpos))} | {0}):
+        members = nonpos.component_indices(d)
+        position.update((k, i) for i, k in enumerate(members))
+        comp_fields[d] = [neg_fields[k] if d < 0 else zero_fields[k] for k in members]
+        comp_ids[d] = [nonpos.ident(k) for k in members]
+    comp_cleared = {d: [clear_field(Z) for Z in fields] for d, fields in comp_fields.items()}
+    ad = {
+        (e, d): [{position[t]: c for t, c in nonpos._table.get((e, h), {}).items()} for h in members]
+        for e in neg
+        for d, members in ((d, nonpos.component_indices(d)) for d in comp_fields)
+    }
 
-    solvers: Dict[int, Tuple[dict, int, SpanSolver]] = {}
+    solvers: Dict[int, Tuple[dict, SpanSolver]] = {}
 
     def component_solver(d: int):
-        """SpanSolver for the realized span of g_d inside W_d coordinates."""
+        """(idx, SpanSolver) for the realized span of g_d on the W_d coordinates idx."""
         if d in solvers:
             return solvers[d]
         idx, dim = field_basis_index(coords, d)
         vecs = [f.coordinates(idx) for f in comp_fields.get(d, [])]
         solver = SpanSolver(vecs, dim)
-        solvers[d] = (idx, dim, solver)
+        solvers[d] = (idx, solver)
         return solvers[d]
 
-    if component_solver(0)[2].rank < len(comp_fields[0]):
+    if component_solver(0)[1].rank < len(comp_fields[0]):
         raise ProlongError("g0 does not act faithfully on g_minus")
     for k in range(1, max_degree + 1):
-        # per negative e: (parity, cleared X_e, its coefficient variables,
-        # W_{k+deg e} index, dim, solver of g_{k+deg e})
-        constraints = [
-            (nonpos.parity(e), cleared_neg[e], coeff_vars[e]) + component_solver(k + nonpos.degree(e))
-            for e in neg
-        ]
-        new_fields: List[VectorField] = []
-        for key, cand in _candidate_blocks(coords, k, weights).items():
-            kernel = _prolong_block(key[0], cand, constraints, coords.parities)
-            new_fields.extend(_fields_from_coeffs(kernel, cand, coords))
-        comp_fields[k] = new_fields
-        comp_ids[k] = [f"g{k}[{j}]" for j in range(len(new_fields))]
+        dims = {d: len(fields) for d, fields in comp_fields.items()}
+        unknowns, rows = _jacobi_rows(nonpos, neg, k, dims, ad)
+        fields = []
+        for vec in kernel_basis(rows, len(unknowns)):
+            # phi(e) = sum_i u[e,i] Z_i = sum_i (u[e,i] / den_i) (den_i Z_i),
+            # all cleared by one denominator: a multiple of X spans as well
+            parts = {}
+            for col, u in vec.items():
+                e, i = unknowns[col]
+                den, terms = comp_cleared[k + nonpos.degree(e)][i]
+                parts.setdefault(e, []).append((terms, u * rational(1, den)))
+            common = common_denominator(u for pairs in parts.values() for _, u in pairs)
+            images = {
+                pos_of[e]: sum(
+                    (VectorField.from_terms(coords, terms).scale(cleared(u, common)) for terms, u in pairs),
+                    VectorField(coords),
+                )
+                for e, pairs in parts.items()
+            }
+            fields.append(homotopy_field(frame, k, images))
+        comp_fields[k] = _block_bases(fields, coords, k, weights)
+        comp_ids[k] = [f"g{k}[{j}]" for j in range(len(comp_fields[k]))]
+        comp_cleared[k] = [clear_field(Z) for Z in comp_fields[k]]
+        for j, (Z, (den_z, z)) in enumerate(zip(comp_fields[k], comp_cleared[k])):
+            for e in neg:
+                d = k + nonpos.degree(e)
+                den_e, xe = comp_cleared[nonpos.degree(e)][position[e]]
+                br = bracket_terms(xe, nonpos.parity(e), z, Z.parity(), coords.parities)
+                img = _solve_in(component_solver(d), br) if br else {}
+                if img is None:
+                    raise ProlongError(f"certificate failed: [{nonpos.ident(e)},{comp_ids[k][j]}] is not in g_{d}")
+                scale = rational(1, den_e * den_z)
+                ad.setdefault((e, k), []).append({i: c * scale for i, c in img.items()})
 
-    return _assemble(nonpos, coords, comp_fields, comp_ids, max_degree)
+    return _assemble(nonpos, coords, comp_fields, comp_ids, ad, max_degree)
 
 
-def _prolong_block(par, cand, constraints, parities):
-    """Kernel of the bracket residuals of one candidate block, stacked over g_minus.
+def _jacobi_rows(nonpos: LieSuperAlgebra, neg, k: int, dims, ad):
+    """(unknowns, rows): the super-Jacobi rows on phi(e) = [X_e, X] for X of degree k.
 
-    Column j holds the residuals of [m d_v, den_e X_e] for the j-th candidate
-    (v, m), all of parity par, on the integer term dicts of the constraints.
-    A bracket that must vanish is not computed: no coefficient of X_e has x_v
-    and m has no x_w that X_e differentiates.  An empty bracket has no
-    residual and is not reduced.  Each residual comes back cleared, (den, t)
-    with t = den * residual; column j is filled with the residuals times
-    D_j, the lcm of its dens, so that it holds integers.
-    Scaling column j by D_j maps a kernel vector u of the scaled matrix to
-    the kernel vector D_j u_j of the residuals, so the kernel vectors are
-    multiplied back by D_j.
+    Column c holds the unknown u[e, i] for unknowns[c] = (e, i), phi(e) =
+    sum_i u[e, i] Z_i over the basis of g_{k+deg e}.  For each pair e <= f of
+    g_minus, one row per basis vector of g_{k+deg e+deg f} holds
+    ad_e phi(f) - (-1)^{p_e p_f} ad_f phi(e) - sum_t c^t_{ef} phi(t),
+    with ad read off ad[e, d] (see prolong).
     """
-    rows: Dict[int, dict] = {}
-    scales = []
-    for j, (v, m) in enumerate(cand):
-        unit = {v: {m: 1}}
-        off = 0
-        parts = []
-        for pe, xe, xe_vars, idx, dim, solver in constraints:
-            # [m d_v, X] = m d_v(f_w) d_w -+ f_w d_w(m) d_v for X = f_w d_w: it
-            # is zero unless some f_w has x_v or m has an x_w with f_w != 0
-            if v in xe_vars or any(w in xe for w, _ in m):
-                br = bracket_terms(unit, par, xe, pe, parities)
-                if br:
-                    den, t = solver.reduce({idx[w, mono]: c for w, terms in br.items() for mono, c in terms.items()})
-                    if t:
-                        parts.append((off, den, t))
-            off += dim
-        D = lcm(*[den for _, den, _ in parts])
-        for off, den, t in parts:
-            s = D // den
-            for pos, val in t.items():
-                rows.setdefault(off + pos, {})[j] = val * s
-        scales.append(D)
-    return [{j: c * scales[j] for j, c in vec.items()} for vec in kernel_basis(list(rows.values()), len(cand))]
+    unknowns, offset = [], {}
+    for e in neg:
+        offset[e] = len(unknowns)
+        unknowns += [(e, i) for i in range(dims.get(k + nonpos.degree(e), 0))]
+    rows = []
+    for a, e in enumerate(neg):
+        for f in neg[a:]:
+            d = k + nonpos.degree(e) + nonpos.degree(f)
+            if not dims.get(d):
+                continue
+            eq = [{} for _ in range(dims[d])]
+            mirror = 1 if nonpos.parity(e) and nonpos.parity(f) else -1
+            terms = [(offset[f] + i, img, 1) for i, img in enumerate(ad.get((e, k + nonpos.degree(f)), []))]
+            terms += [(offset[e] + i, img, mirror) for i, img in enumerate(ad.get((f, k + nonpos.degree(e)), []))]
+            for t, c in nonpos._table.get((e, f), {}).items():
+                terms += [(offset[t] + s, {s: c}, -1) for s in range(dims[d])]
+            for col, img, sign in terms:
+                for s, c in img.items():
+                    eq[s][col] = eq[s].get(col, 0) + (c if sign > 0 else -c)
+            rows += [{col: c for col, c in row.items() if c} for row in eq]
+    return unknowns, [row for row in rows if row]
+
+
+def commuting_frame(nonpos: LieSuperAlgebra, coords: Coords) -> Dict[int, VectorField]:
+    """{coordinate t: L_t}, L_t = d_t + 1/2 sum_b (-1)^{p_t p_b} c^s_{tb} x_b d_s for t in g_minus, b over g_-1.
+
+    _linear_field with lam = -1/2: every L_t commutes with every X_e, and the
+    L_t form a frame (unitriangular over the d_t).
+    """
+    return dict(enumerate(_negative_fields(nonpos, coords, -HALF).values()))
+
+
+def homotopy_field(frame: Dict[int, VectorField], k: int, images: Dict[int, VectorField]) -> VectorField:
+    """The degree-k field X = sum_t h_t L_t with h_t = (sum_e deg(x_e) x_e y^e_t) / (k + deg(x_t)).
+
+    frame is commuting_frame's {t: L_t}, images[e] = Y^e for each coordinate
+    e (a missing one is 0), and y^e_t is the L_t coefficient of Y^e:
+    Y^e = sum_t y^e_t L_t.  If X of degree k >= 1 has [X_e, X] = Y^e for
+    every e, X is this field (module docstring, step 3); the caller checks
+    that it is.
+
+    It runs on integers and divides once.  D clears the images and F the
+    x-linear parts l_ts of the frame, l'_ts = F l_ts; l_ts joins t to an s of
+    one coordinate degree more.  So y~_t = D F^(n_t - 1) y_t, n_t = deg(x_t),
+    is integral, solved in ascending n_t: y~_s = F^(n_s - 1) D Y_s - sum_t
+    y~_t l'_ts.  So is h~_t = sum_e n_e x_e y~^e_t, and with S = D F^top M,
+    top the largest n_t and M the lcm of the k + n_t,
+    S X = sum_t a_t h~_t d_t + (a_t / F) h~_t l'_ts d_s for the integers
+    a_t = F^(top - n_t + 1) M / (k + n_t).
+    """
+    coords = next(iter(frame.values())).coords
+    parities = coords.parities
+    deg = coords.degree
+    D = common_denominator(c for Y in images.values() for t in Y.terms.values() for c in t.values())
+    F = common_denominator(c for t, L in frame.items() for v, p in L.terms.items() if v != t for c in p.values())
+    lin = {
+        t: {v: {m: cleared(c, F) for m, c in p.items()} for v, p in L.terms.items() if v != t}
+        for t, L in frame.items()
+    }
+    order = sorted(frame, key=deg)
+    h: Dict[int, dict] = {}
+    for e, Y in images.items():
+        y: Dict[int, dict] = {}
+        for v in order:
+            lift = F ** (deg(v) - 1)
+            acc = {m: cleared(c, D) * lift for m, c in Y.terms.get(v, {}).items()}
+            for t, yt in y.items():
+                if v in lin[t]:
+                    add_product(acc, {m: -c for m, c in yt.items()}, lin[t][v], parities)
+            if acc:
+                y[v] = acc
+        for t, yt in y.items():
+            add_product(h.setdefault(t, {}), {((e, 1),): deg(e)}, yt, parities)
+    top = max(deg(t) for t in frame)
+    M = lcm(*(k + deg(t) for t in frame))
+    out: Dict[int, dict] = {}
+    for t, ht in h.items():
+        a = F ** (top - deg(t) + 1) * M // (k + deg(t))
+        add_product(out.setdefault(t, {}), ht, {ONE_MONO: a}, parities)
+        for s, lts in lin[t].items():
+            add_product(out.setdefault(s, {}), ht, {m: c * (a // F) for m, c in lts.items()}, parities)
+    inverse = rational(1, D * F**top * M)
+    return VectorField.from_terms(coords, {v: {m: c * inverse for m, c in t.items()} for v, t in out.items() if t})
+
+
+def _block_bases(fields, coords: Coords, k: int, weights) -> List[VectorField]:
+    """The RREF basis of the span of degree-k fields, block by block.
+
+    Each field is split by the (parity, weight) blocks of _candidate_blocks,
+    and each block's parts are brought to RREF over its monomial fields;
+    blocks come in _candidate_blocks' order.
+    """
+    blocks = _candidate_blocks(coords, k, weights)
+    where = {vm: (key, j) for key, cand in blocks.items() for j, vm in enumerate(cand)}
+    parts: Dict[tuple, List[dict]] = {}
+    for X in fields:
+        split: Dict[tuple, dict] = {}
+        for v, t in X.terms.items():
+            for m, c in t.items():
+                key, j = where[v, m]
+                split.setdefault(key, {})[j] = c
+        for key, vec in split.items():
+            parts.setdefault(key, []).append(vec)
+    out = []
+    for key, cand in blocks.items():
+        if key in parts:
+            out += _fields_from_coeffs(parts[key], cand, coords)
+    return out
+
+
+def _solve_in(span, br):
+    """A bracket's term dict br on the spanning fields of span = (idx, solver): {j: c} ascending, or None outside it.
+
+    idx is the field_basis_index of br's degree and solver the SpanSolver of
+    the fields on it.
+    """
+    idx, solver = span
+    sol = solver.solve({idx[v, m]: c for v, t in br.items() for m, c in t.items()})
+    return None if sol is None else dict(sorted(sol.items()))
 
 
 def _fields_from_coeffs(vectors, cand, coords):
@@ -349,30 +495,34 @@ def _fields_from_coeffs(vectors, cand, coords):
     return fields
 
 
-def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
+def _assemble(nonpos, coords, comp_fields, comp_ids, ad, max_degree):
     """The algebra of the computed components, with nonpos's annotations, and its realization.
 
     No field is zero, so each has a parity: X_k has d_k for k in g_minus, g_0
-    acts faithfully and a positive field is a nonzero RREF row."""
+    acts faithfully and a positive field is a nonzero RREF row.  The
+    certified brackets [X_e, Z] of ad[e, d], d > 0, go to algebra_of_fields
+    as given."""
     gens = []
     index_of = {}
     for d in sorted(comp_fields):
         for j, f in enumerate(comp_fields[d]):
             index_of[d, j] = len(gens)
             gens.append((comp_ids[d][j], f.parity(), d, f))
+    # the index in gens of each basis vector of nonpos
+    base = {k: index_of[d, i] for d in nonpos.degrees() for i, k in enumerate(nonpos.component_indices(d))}
+    given = {}
+    for (e, d), images in ad.items():
+        if d > 0:
+            for i, img in enumerate(images):
+                given[base[e], index_of[d, i]] = {index_of[d + nonpos.degree(e), j]: c for j, c in img.items()}
     i_op = None
     if nonpos.i_op is not None:
-        i_op = {}
-        for k, img in nonpos.i_op.items():
-            src = index_of[(nonpos.degree(k), _position_in_component(nonpos, k))]
-            i_op[src] = {
-                index_of[(nonpos.degree(t), _position_in_component(nonpos, t))]: c
-                for t, c in img.items()
-            }
+        i_op = {base[k]: {base[t]: c for t, c in img.items()} for k, img in nonpos.i_op.items()}
     alg = algebra_of_fields(
         coords,
         gens,
         max_degree,
+        given,
         cartan=nonpos.cartan,
         raising=nonpos.raising,
         lowering=nonpos.lowering,
@@ -382,7 +532,7 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, max_degree):
     return ProlongResult(alg, {ident: f for ident, _, _, f in gens}, coords, max_degree)
 
 
-def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> LieSuperAlgebra:
+def algebra_of_fields(coords: Coords, gens, max_degree: int, given=None, **annotations) -> LieSuperAlgebra:
     """The truncated graded algebra spanned by realized fields, closure checked.
 
     gens lists (ident, parity, degree, field) in basis order, degrees
@@ -391,10 +541,16 @@ def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> L
     fields; one that leaves the span raises ProlongError.  Each field X is
     cleared once to (den_X, den_X X) and the integer bracket of den_X X and
     den_Y Y is solved as it is: only the solution is divided by den_X den_Y.
-    The annotations (cartan, raising, lowering, i_op, name) go to the
+
+    given maps pairs (a, b), a < b, to [X_a, X_b] on the basis, solved the
+    same way elsewhere; those pairs are taken as they are and not bracketed
+    again.  prolong gives every [X_e, Z] of e in g_minus and a positive Z,
+    which its certificate solved; the closure of every other pair is checked
+    here.  The annotations (cartan, raising, lowering, i_op, name) go to the
     LieSuperAlgebra, whose weights are assigned when it names a Cartan
     subalgebra.
     """
+    given = given or {}
     space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in gens])
     cleared = [clear_field(X) for *_, X in gens]
     members: Dict[int, List[int]] = {}
@@ -410,6 +566,10 @@ def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> L
             d = da + db
             if d < lo or d > max_degree:
                 continue
+            if (a, b) in given:
+                if given[a, b]:
+                    brackets[a, b] = given[a, b]
+                continue
             den_b, xb = cleared[b]
             br = bracket_terms(xa, pa, xb, pb, coords.parities)
             if not br:
@@ -417,22 +577,16 @@ def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> L
             if d not in solvers:
                 idx, dim = field_basis_index(coords, d)
                 solvers[d] = (idx, SpanSolver([gens[n][3].coordinates(idx) for n in members.get(d, [])], dim))
-            idx, solver = solvers[d]
-            sol = solver.solve({idx[v, m]: c for v, t in br.items() for m, c in t.items()})
+            sol = _solve_in(solvers[d], br)
             if sol is None:
                 raise ProlongError(f"bracket [{id_a},{id_b}] is not closed in degree {d}")
             if sol:
                 scale = rational(1, den_a * den_b)
-                brackets[(a, b)] = {members[d][j]: c * scale for j, c in sorted(sol.items())}
+                brackets[(a, b)] = {members[d][j]: c * scale for j, c in sol.items()}
     alg = LieSuperAlgebra(space, brackets, truncation=max_degree, field=coords.field, **annotations)
     if alg.cartan:
         alg.assign_weights()
     return alg
-
-
-def _position_in_component(alg: LieSuperAlgebra, k: int) -> int:
-    d = alg.degree(k)
-    return alg.component_indices(d).index(k)
 
 
 def prolong_nonpositive(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:

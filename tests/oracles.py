@@ -14,6 +14,9 @@ linear algebra oracles first make every entry exact (an integer or a field
 scalar), so that int input never meets true division.  canonical_sha256 is
 the one digest every pinned document and report in the tests is compared by.
 s2_0_weights lists the weights of S^2_0(C^N) from the weights of C^N.
+candidate_prolongation computes g_k from its definition, as a kernel over
+every degree-k monomial field, with VectorField.bracket and the package's
+sparse elimination (itself checked against the dense oracles above).
 """
 
 import hashlib
@@ -21,7 +24,8 @@ import json
 from itertools import product
 
 from superalg.grassmann import GrassmannElement
-from superalg.polyvf import VectorField
+from superalg.linalg import SpanSolver, kernel_basis
+from superalg.polyvf import VectorField, field_basis_index
 from superalg.scalars import ONE, ZERO, GaussianRational, as_gaussian, common_denominator, gaussian, rational
 
 
@@ -387,3 +391,46 @@ def s2_0_weights(N):
     sums = [tuple(x + y for x, y in zip(ws[a], ws[b])) for a in range(N) for b in range(a, N)]
     sums.remove((0,) * rank)
     return sorted(sums)
+
+
+def candidate_prolongation(coords, nonpositive, max_degree):
+    """{k: fields spanning g_k} for k = 1..max_degree, as the kernel over monomial candidates.
+
+    nonpositive maps each degree d <= 0 to the realized fields of g_d on
+    coords.  g_k = {X in W_k : [X, X_e] lies in g_{k+deg e} for every X_e of
+    negative degree}: each candidate m d_v of degree k is bracketed with every
+    X_e by VectorField.bracket, reduced modulo the span of g_{k+deg e}, and
+    the kernel of the map from the candidates to the stacked residuals is
+    g_k.  This is the definition, taken over all of W_k at once with no
+    parity or weight blocks; only SpanSolver and kernel_basis are shared
+    with the package.
+    """
+    comps = {d: list(fields) for d, fields in nonpositive.items()}
+    negative = [X for d in sorted(comps) if d < 0 for X in comps[d]]
+    one = coords.field.one
+    for k in range(1, max_degree + 1):
+        cand = list(field_basis_index(coords, k)[0])
+        rows = {}
+        offset = 0
+        for X_e in negative:
+            d = k + X_e.degree()
+            idx, dim = field_basis_index(coords, d)
+            solver = SpanSolver([Z.coordinates(idx) for Z in comps.get(d, [])], dim)
+            for j, (v, m) in enumerate(cand):
+                den, t = solver.reduce(VectorField.from_terms(coords, {v: {m: one}}).bracket(X_e).coordinates(idx))
+                for pos, c in t.items():
+                    rows.setdefault(offset + pos, {})[j] = c * rational(1, den)
+            offset += dim
+        comps[k] = [
+            VectorField.from_terms(coords, _terms_of({cand[j]: c for j, c in vec.items()}))
+            for vec in kernel_basis(list(rows.values()), len(cand))
+        ]
+    return {k: comps[k] for k in range(1, max_degree + 1)}
+
+
+def _terms_of(coefficients):
+    """The term dict {v: {m: c}} of {(v, m): c}."""
+    terms = {}
+    for (v, m), c in coefficients.items():
+        terms.setdefault(v, {})[m] = c
+    return terms

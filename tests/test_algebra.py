@@ -580,3 +580,20 @@ def test_integer_jacobi_check_flags_the_rational_jacobiators(field):
         violations = g2.check_super_jacobi()
         assert violations == _rational_jacobi_violations(g2)
         assert violations, bad[row]
+
+
+def test_check_table_raises_for_the_first_check_that_fails():
+    # [a, b] = h with a, b even of degree -1: h odd of degree -2 breaks the
+    # parities only, h odd of degree 0 the grading too, which is checked first
+    def algebra(h_degree):
+        space = SuperSpace([BasisVector("a", 0, -1), BasisVector("b", 0, -1), BasisVector("h", 1, h_degree)])
+        return LieSuperAlgebra(space, {(0, 1): {2: rational(1)}})
+
+    template = dict.fromkeys(("grading", "parities", "weights"), "{what}: [{a},{b}] has {t}, {bad}")
+    with pytest.raises(ValueError, match=r"^parities: \[a,b\] has h, \('a', 'b', 'h'\)$"):
+        algebra(-2).check_table(ValueError, template)
+    with pytest.raises(ValueError, match=r"^grading: \[a,b\] has h, \('a', 'b', 'h'\)$"):
+        algebra(0).check_table(ValueError, template)
+    with pytest.raises(KeyError, match="off the parities"):
+        algebra(-2).check_table(KeyError, {"parities": "off the {what}"})
+    assert build_hei(2, 1).check_table(ValueError, {}) is None

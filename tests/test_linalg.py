@@ -270,8 +270,8 @@ WIDE_INTS = st.integers(-(2**20), 2**20)
 WIDE_SCALARS = {
     "Q": WIDE,
     "Q(i)": st.one_of(WIDE, st.builds(gaussian, WIDE, WIDE)),
-    # plain ints, as the cleared differential_matrix and _prolong_block rows
-    # are, alone and mixed with rationals
+    # plain ints, as the cleared differential_matrix rows are, alone and
+    # mixed with rationals
     "Z": WIDE_INTS,
     "Z and Q": st.one_of(WIDE_INTS, WIDE),
 }

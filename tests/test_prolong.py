@@ -7,6 +7,7 @@ from superalg.constructors import (
     build_ab,
     build_gl,
     build_hei,
+    build_complexified_minkowski,
     build_minkowski_g0,
     build_minkowski_negative,
     build_q,
@@ -19,17 +20,19 @@ from superalg.prolong import (
     ProlongError,
     _candidate_blocks,
     algebra_of_fields,
+    commuting_frame,
     degree_zero_derivations,
+    homotopy_field,
     prolong_nonpositive,
     realize_degree_zero,
     realize_negative,
 )
 from superalg.cohomology import h2_by_degree
-from superalg.linalg import SpanSolver
+from superalg.linalg import SpanSolver, row_space_basis
 from superalg.scalars import FIELD_QI, ZERO, gaussian, rational
 from superalg.spaces import BasisVector, SuperSpace
 
-from oracles import canonical_sha256, representation_failures
+from oracles import canonical_sha256, candidate_prolongation, representation_failures
 
 
 def prolong_pair(g0, max_degree, g_minus=None):
@@ -288,6 +291,14 @@ def test_algebra_of_fields_expands_the_brackets_in_the_span():
     }
     assert table == {("D", "E"): {"D": 1}, ("D", "H"): {"E": 2}, ("E", "H"): {"H": 1}}
     assert g.truncation == 1 and g.field is coords.field
+
+
+def test_algebra_of_fields_takes_the_given_brackets_as_they_are():
+    # a given pair is not bracketed again: even a wrong value goes into the table
+    coords, gens = _sl2_fields()
+    g = algebra_of_fields(coords, gens, 1, {(0, 2): {1: rational(5)}, (0, 1): {}})
+    assert g._table[0, 2] == {1: 5} and (0, 1) not in g._table
+    assert g._table[1, 2] == {2: 1}
 
 
 def test_algebra_of_fields_rejects_a_span_that_does_not_close():
@@ -702,8 +713,8 @@ def test_prolong_rejects_a_bracket_that_breaks_the_grading():
 
 
 def test_prolong_rejects_weights_that_a_bracket_does_not_add():
-    # hei(2|0) with wt(p_1) = wt(q_1) = 1 but wt(z) = 5: the candidate blocks
-    # split by those weights, and g_1 came out 0 instead of 6
+    # hei(2|0) with wt(p_1) = wt(q_1) = 1 but wt(z) = 5: the (parity, weight)
+    # blocks split by those weights, and g_1 came out 0 instead of 6
     weights = ((rational(1),), (rational(1),), (rational(5),))
     hei = build_hei(2, 0)
     space = SuperSpace([BasisVector(b.id, b.parity, b.degree, w) for b, w in zip(hei.space, weights)])
@@ -738,3 +749,103 @@ def test_prolong_rejects_what_is_not_an_algebra():
     for bad in (g.to_document(), (g, degree_zero_derivations(g)), None):
         with pytest.raises(TypeError, match="^prolong: nonpos must be a LieSuperAlgebra"):
             prolong_nonpositive(bad, 1)
+
+
+def test_prolong_rejects_a_bracket_that_breaks_the_parities():
+    # hei(2|0) with an odd z: [p_1, q_1] = z joins two even vectors to an odd
+    # one; this used to fail in polyvf with "non-homogeneous vector field"
+    hei = build_hei(2, 0)
+    space = SuperSpace([BasisVector(b.id, 1 if b.id == "z" else b.parity, b.degree) for b in hei.space])
+    odd_z = LieSuperAlgebra(space, {(0, 1): {2: rational(1)}})
+    assert odd_z.check_grading() == [] and odd_z.check_parities() == [("p_1", "q_1", "z"), ("q_1", "p_1", "z")]
+    with pytest.raises(ProlongError, match=r"^the bracket \[p_1,q_1\] has a term on z, off the parities$"):
+        prolong_pair(degree_zero_derivations(odd_z), 1, odd_z)
+
+
+def _oracle_cases():
+    for n2, m in ((2, 1), (0, 3)):
+        g = build_hei(n2, m)
+        der = degree_zero_derivations(g)
+        yield g.name, combine_nonpositive(g, der, der.matrices)
+    g0 = gl_g0(1, 1)
+    yield "gl(1|1)", combine_nonpositive(abelian_negative(g0.row_parity), g0, g0.matrices)
+    yield "mink1-conformal", build_minkowski_g0(1, "conformal")
+
+
+def test_the_prolongation_is_the_kernel_over_all_monomial_candidates():
+    # completeness and soundness against the definition: the same g_k as the
+    # kernel over every degree-k monomial field, with no blocks
+    for name, nonpos in _oracle_cases():
+        res = prolong_nonpositive(nonpos, 3)
+        g = res.algebra
+        fields = {d: [res.realization[g.ident(k)] for k in g.component_indices(d)] for d in g.degrees()}
+        oracle = candidate_prolongation(res.coords, {d: f for d, f in fields.items() if d <= 0}, 3)
+        for k in (1, 2, 3):
+            idx, dim = field_basis_index(res.coords, k)
+            got = [X.coordinates(idx) for X in fields.get(k, [])]
+            want = [X.coordinates(idx) for X in oracle[k]]
+            assert len(got) == len(want) == len(row_space_basis(got, dim)), (name, k)
+            assert row_space_basis(got, dim) == row_space_basis(want, dim), (name, k)
+    assert res.component_dims() == {-2: 4, -1: 4, 0: 8, 1: 4, 2: 4, 3: 0}
+
+
+def _frame_cases():
+    for N in (1, 2):
+        yield f"mink{N}", build_minkowski_g0(N, "conformal")
+        yield f"mink{N}^C", build_complexified_minkowski(N)
+    for field in ("Q", "Q(i)"):
+        yield f"hei(2|1) over {field}", build_hei(2, 1, field=field)
+
+
+def test_the_commuting_frame_commutes_with_every_negative_field():
+    for name, g in _frame_cases():
+        coords, neg_fields = realize_negative(g)
+        frame = commuting_frame(g, coords)
+        assert sorted(frame) == list(range(len(coords))), name
+        for t, L in frame.items():
+            # a frame: L_t is d_t plus terms of higher coordinate degree
+            assert L.terms[t] == {(): 1}, name
+            assert all(coords.degree(v) > coords.degree(t) for v in L.terms if v != t), name
+            for e, X in neg_fields.items():
+                assert not L.bracket(X), (name, t, g.ident(e))
+
+
+def test_the_negative_fields_weighted_by_degree_sum_to_the_euler_field():
+    for name, g in _frame_cases():
+        coords, neg_fields = realize_negative(g)
+        total = VectorField(coords)
+        for e, X in neg_fields.items():
+            c = coords.index[g.ident(e)]
+            x_e = coords.var(c).scale(coords.degree(c))
+            total = total + VectorField(coords, {v: x_e * p for v, p in X.coeffs.items()})
+        euler = VectorField(coords, {c: coords.var(c).scale(coords.degree(c)) for c in range(len(coords))})
+        assert total == euler, name
+
+
+def test_the_homotopy_formula_rebuilds_every_positive_field_from_its_brackets():
+    # the pinned N=2 conformal prolongation: X = sum_t h_t L_t from the [X_e, X] alone
+    nonpos = build_minkowski_g0(2, "conformal")
+    res = prolong_nonpositive(nonpos, 2)
+    g = res.algebra
+    frame = commuting_frame(nonpos, res.coords)
+    negative = {res.coords.index[g.ident(e)]: res.realization[g.ident(e)] for e in g.negative_indices()}
+    positive = [k for k in range(len(g)) if g.degree(k) > 0]
+    assert len(positive) == 12
+    for k in positive:
+        Z = res.realization[g.ident(k)]
+        images = {c: X_e.bracket(Z) for c, X_e in negative.items()}
+        assert homotopy_field(frame, g.degree(k), images) == Z, g.ident(k)
+
+
+def test_a_field_outside_the_prolongation_fails_the_certificate(monkeypatch):
+    # the stray term p_1^2 d_(p_1), of degree 1 but not a contact field, makes
+    # some [X_e, Z] leave g_{1+deg e}
+    build = prolong.homotopy_field
+
+    def stray(frame, k, images):
+        return build(frame, k, images) + VectorField.from_terms(next(iter(frame.values())).coords, {0: {((0, 2),): 1}})
+
+    monkeypatch.setattr(prolong, "homotopy_field", stray)
+    g = build_hei(2, 0)
+    with pytest.raises(ProlongError, match=r"^certificate failed: \[p_1,g1\[0\]\] is not in g_0$"):
+        prolong_pair(degree_zero_derivations(g), 1, g)
