@@ -358,6 +358,27 @@ def test_minkowski_conformal_prolongation_documents_are_pinned():
         assert canonical_sha256(res.to_document()) == sha256, (N, degree)
 
 
+def _pinned_parity_block_prolongations():
+    """(name, result, sha256): g_- + der0 with blocks by parity alone, over QQ and a realified QQ(i)."""
+    for g, sha256 in (
+        (build_hei(2, 1), "bdd4c9c521817920f1965a789141cb6a26d29fa08984a7afbc4e0b3c00d2af6f"),
+        (build_hei(0, 3), "0911be9395de805b7cb3419013e79b5fb29e66dcc2931e274148a31f59d2925b"),
+        (build_ab(1), "ab948ce7d10452a13668f93eed1e084ba6237cf48afbf75489de18df74678702"),
+    ):
+        yield g.name, prolong_pair(degree_zero_derivations(g), 3, g), sha256
+    heiC = build_hei(2, 0, field="Q(i)")
+    der = degree_zero_derivations(heiC)
+    res = prolong_nonpositive(realify(combine_nonpositive(heiC, der, der.matrices)), 2)
+    yield "hei(2|0)^R", res, "ec7606fe659e4a9583623013566b7190b733d7b6bdf2176bfca1b306b27d9eab"
+
+
+def test_parity_block_prolongation_documents_are_pinned():
+    # canonical JSON of the whole document, realization included: the basis
+    # order of g_k with odd and even fields mixed, and no weights
+    for name, res, sha256 in _pinned_parity_block_prolongations():
+        assert canonical_sha256(res.to_document()) == sha256, name
+
+
 def test_heisenberg_prolong_matches_contact_k3():
     hei = build_hei(2, 0)
     der = degree_zero_derivations(hei)
