@@ -39,11 +39,11 @@ and they are computed one degree k >= 1 at a time, in four steps.
    X_e(h_t) L_t, so y^e_t = X_e(h_t).  sum_e deg(x_e) x_e X_e is the
    weighted Euler field, so h_t, of weight k + deg(x_t), is
    (sum_e deg(x_e) x_e y^e_t) / (k + deg(x_t)): the homotopy formula gives
-   back every X of g_k from its phi.  Each field is split by (parity,
-   weight) block, and each block's parts are brought to RREF over its
-   monomial fields m d_v in field_basis_index order, the blocks in the str
-   order of their keys.  The RREF of a span is unique, so the basis does not
-   depend on the kernel basis found.
+   back every X of g_k from its phi.  The fields are brought to one RREF
+   over the monomial fields m d_v in field_basis_index order, and its rows
+   are sorted by the (parity, weight) block of their pivot terms, in the str
+   order of the block keys, then by pivot column.  The RREF of a span is
+   unique, so the basis does not depend on the kernel basis found.
 4. Certificate.  For each new basis field Z, [X_e, Z] is solved in the span
    of g_{k+deg e}, and a bracket outside it raises ProlongError.  Each
    success proves Z in g_k, so the span of step 3 is exactly g_k: step 2
@@ -51,15 +51,15 @@ and they are computed one degree k >= 1 at a time, in four steps.
    are ad_e on g_k, which the next degree reads, and algebra_of_fields takes
    them as the brackets [X_e, Z] instead of bracketing those pairs again.
 
-Blocks exist because check_table has checked that the brackets respect the
-parities and the weights: each X_e and each basis field of g_j then lies in
-one block, so the (parity, weight) parts of a field of g_k lie in g_k.  The
-blocks are grouped on integer weights, the coordinate weights cleared by one
-common denominator; only the block keys carry the weights with their own
-scalars, because the str of those keys orders the blocks, and that order
-fixes the basis order.  The certificate's brackets run on the fields cleared
-to integers, through polyvf.bracket_terms, exactly as algebra_of_fields would
-run them, so the constants it hands over are the ones it would compute.
+Each row of that RREF lies in one block because check_table has checked
+that the brackets respect the parities and the weights: each X_e and each
+basis field of g_j then lies in one block, so the (parity, weight) parts of a
+field of g_k lie in g_k, and g_k is the direct sum of its block parts.  Each
+part sits on its own columns, so the RREF of g_k is the union of the RREFs of
+its parts, each keeping its pivot order: the basis is that of the blocks
+reduced one by one.  The certificate's brackets run on the fields cleared to
+integers, through polyvf.bracket_terms, exactly as algebra_of_fields would run
+them, so the constants it hands over are the ones it would compute.
 
 One closure assembly, algebra_of_fields, turns realized fields into structure
 constants for both the prolongations here and the contact and pericontact
@@ -86,7 +86,7 @@ from .polyvf import (
     field_basis_index,
     mono_parity,
 )
-from .scalars import ZERO, cleared, common_denominator, rational
+from .scalars import FIELD_QI, ZERO, GaussianRational, cleared, common_denominator, rational
 from .spaces import BasisVector, SuperSpace
 
 HALF = rational(1, 2)
@@ -197,51 +197,6 @@ def _check_homomorphism(nonpos: LieSuperAlgebra, fields: Dict[int, VectorField],
                 raise ProlongError(f"{what} realization failed at [{nonpos.ident(i)},{nonpos.ident(j)}]")
 
 
-def _field_coords_weights(nonpos: LieSuperAlgebra, neg: List[int]):
-    """The weight of each g_- basis vector, in coordinate order, or None if one has none."""
-    wts = []
-    for k in neg:
-        w = nonpos.space.basis[k].weight
-        if w is None:
-            return None
-        wts.append(tuple(w))
-    return wts
-
-
-def _candidate_weight(v, m, weights):
-    """The weight of the monomial field m d_v: weights[v] minus e * weights[var] for each var^e in m."""
-    wt = list(weights[v])
-    for var, e in m:
-        wv = weights[var]
-        for j in range(len(wt)):
-            wt[j] = wt[j] - e * wv[j]
-    return tuple(wt)
-
-
-def _candidate_blocks(coords: Coords, k: int, weights):
-    """The degree-k monomial fields m d_v as (v, m) pairs, split by (parity, weight).
-
-    They keep the order of fields_of_degree within each block.  They are
-    grouped on integer weights, the coordinate weights cleared by one
-    common denominator; each block's key carries the weight with the given
-    scalars, computed once from its first field, and the blocks are
-    sorted by the str of that key, which fixes the basis order.
-    """
-    index, _ = field_basis_index(coords, k)
-    int_weights = None
-    if weights is not None:
-        den = common_denominator(x for w in weights for x in w)
-        int_weights = [tuple(cleared(x, den) for x in w) for w in weights]
-    groups: Dict[Tuple, List[Tuple[int, tuple]]] = {}
-    for v, m in index:
-        par = (mono_parity(m, coords) + coords.parities[v]) % 2
-        key = (par,) if int_weights is None else (par, _candidate_weight(v, m, int_weights))
-        groups.setdefault(key, []).append((v, m))
-    if weights is not None:
-        groups = {(key[0], _candidate_weight(*cand[0], weights)): cand for key, cand in groups.items()}
-    return dict(sorted(groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))))
-
-
 # prolong's messages for the first bracket that LieSuperAlgebra.check_table rejects
 TABLE_ERRORS = {
     "grading": "action does not preserve the grading: {bad}",
@@ -278,7 +233,9 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     neg = nonpos.negative_indices()
     pos_of = {e: c for c, e in enumerate(neg)}
     frame = commuting_frame(nonpos, coords)
-    weights = _field_coords_weights(nonpos, neg)
+    weights = [nonpos.space.basis[e].weight for e in neg]
+    if None in weights:
+        weights = [()] * len(neg)
     # realized components by degree, each basis field also cleared to
     # integers, (den, den * field); ad[e, d][i] = [X_e, Z] for the i-th basis
     # field Z of g_d, on the basis of g_{d + deg e}
@@ -444,27 +401,35 @@ def homotopy_field(frame: Dict[int, VectorField], k: int, images: Dict[int, Vect
 
 
 def _block_bases(fields, coords: Coords, k: int, weights) -> List[VectorField]:
-    """The RREF basis of the span of degree-k fields, block by block.
+    """The RREF basis of the span of degree-k fields, ordered by the (parity, weight) block of each pivot.
 
-    Each field is split by the (parity, weight) blocks of _candidate_blocks,
-    and each block's parts are brought to RREF over its monomial fields;
-    blocks come in _candidate_blocks' order.
+    One RREF over the monomial fields m d_v in field_basis_index order; the
+    rows are sorted by (parity, str((weight,))) of their pivot terms, then by
+    pivot column.  weights lists each coordinate's weight, all () for blocks
+    by parity alone.  Weights that mix GaussianRational with rationals are
+    all taken as GaussianRational, so a block's key is the same from each of
+    its members.
     """
-    blocks = _candidate_blocks(coords, k, weights)
-    where = {vm: (key, j) for key, cand in blocks.items() for j, vm in enumerate(cand)}
-    parts: Dict[tuple, List[dict]] = {}
-    for X in fields:
-        split: Dict[tuple, dict] = {}
-        for v, t in X.terms.items():
-            for m, c in t.items():
-                key, j = where[v, m]
-                split.setdefault(key, {})[j] = c
-        for key, vec in split.items():
-            parts.setdefault(key, []).append(vec)
+    index, dim = field_basis_index(coords, k)
+    cand = list(index)
+    if any(isinstance(x, GaussianRational) for w in weights for x in w):
+        weights = [tuple(FIELD_QI.one * x for x in w) for w in weights]
+
+    def block(row):
+        v, m = cand[min(row)]
+        wt = weights[v]
+        for var, e in m:
+            wt = tuple(x - e * y for x, y in zip(wt, weights[var]))
+        return (mono_parity(m, coords) + coords.parities[v]) % 2, str((wt,)), min(row)
+
+    one = coords.field.one
     out = []
-    for key, cand in blocks.items():
-        if key in parts:
-            out += _fields_from_coeffs(parts[key], cand, coords)
+    for row in sorted(row_space_basis([X.coordinates(index) for X in fields], dim), key=block):
+        terms: Dict[int, dict] = {}
+        for j, c in sorted(row.items()):
+            v, m = cand[j]
+            terms.setdefault(v, {})[m] = one * c
+        out.append(VectorField.from_terms(coords, terms))
     return out
 
 
@@ -479,29 +444,14 @@ def _solve_in(span, br):
     return None if sol is None else dict(sorted(sol.items()))
 
 
-def _fields_from_coeffs(vectors, cand, coords):
-    """Canonicalize coefficient vectors by RREF, then build the fields sum c_j m_j d_(v_j).
-
-    Makes the computed component basis independent of the kernel basis found.
-    """
-    one = coords.field.one
-    fields = []
-    for vec in row_space_basis(vectors, len(cand)):
-        terms: Dict[int, dict] = {}
-        for j, c in sorted(vec.items()):
-            v, m = cand[j]
-            terms.setdefault(v, {})[m] = one * c
-        fields.append(VectorField.from_terms(coords, terms))
-    return fields
-
-
 def _assemble(nonpos, coords, comp_fields, comp_ids, ad, max_degree):
     """The algebra of the computed components, with nonpos's annotations, and its realization.
 
     No field is zero, so each has a parity: X_k has d_k for k in g_minus, g_0
-    acts faithfully and a positive field is a nonzero RREF row.  The
-    certified brackets [X_e, Z] of ad[e, d], d > 0, go to algebra_of_fields
-    as given."""
+    acts faithfully and a positive field is a nonzero RREF row.  Two kinds of
+    brackets go to algebra_of_fields as given: every pair inside g_<=0, off
+    the table that realize_negative and realize_degree_zero checked the
+    fields against, and the certified [X_e, Z] of ad[e, d], d > 0."""
     gens = []
     index_of = {}
     for d in sorted(comp_fields):
@@ -510,7 +460,12 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, ad, max_degree):
             gens.append((comp_ids[d][j], f.parity(), d, f))
     # the index in gens of each basis vector of nonpos
     base = {k: index_of[d, i] for d in nonpos.degrees() for i, k in enumerate(nonpos.component_indices(d))}
-    given = {}
+    given = {
+        (base[i], base[j]): {base[t]: c for t, c in nonpos._table.get((i, j), {}).items()}
+        for i in base
+        for j in base
+        if base[i] <= base[j]
+    }
     for (e, d), images in ad.items():
         if d > 0:
             for i, img in enumerate(images):
@@ -542,13 +497,14 @@ def algebra_of_fields(coords: Coords, gens, max_degree: int, given=None, **annot
     cleared once to (den_X, den_X X) and the integer bracket of den_X X and
     den_Y Y is solved as it is: only the solution is divided by den_X den_Y.
 
-    given maps pairs (a, b), a < b, to [X_a, X_b] on the basis, solved the
-    same way elsewhere; those pairs are taken as they are and not bracketed
-    again.  prolong gives every [X_e, Z] of e in g_minus and a positive Z,
-    which its certificate solved; the closure of every other pair is checked
-    here.  The annotations (cartan, raising, lowering, i_op, name) go to the
-    LieSuperAlgebra, whose weights are assigned when it names a Cartan
-    subalgebra.
+    given maps pairs (a, b), a <= b, to [X_a, X_b] on the basis, found
+    elsewhere; those pairs are taken as they are and not bracketed again.
+    prolong gives every pair inside g_<=0, whose fields it checked against
+    the table, and every [X_e, Z] of e in g_minus and a positive Z, which its
+    certificate solved; the closure of the pairs of g_0 with a positive Z and
+    of two positive fields is checked here.  The annotations (cartan,
+    raising, lowering, i_op, name) go to the LieSuperAlgebra, whose weights
+    are assigned when it names a Cartan subalgebra.
     """
     given = given or {}
     space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in gens])

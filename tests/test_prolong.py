@@ -18,7 +18,6 @@ from superalg.contact import contact_algebra, pericontact_algebra
 from superalg.polyvf import Coords, VectorField, coordinate_field, field_basis_index, mono_parity, monomials_of_degree
 from superalg.prolong import (
     ProlongError,
-    _candidate_blocks,
     algebra_of_fields,
     commuting_frame,
     degree_zero_derivations,
@@ -593,44 +592,99 @@ def test_prolong_rejects_a_bad_max_degree():
     assert prolong_nonpositive(nonpos, 0).component_dims() == {-2: 4, -1: 4, 0: 6}
 
 
-def _rational_candidate_blocks(coords, k, weights):
-    """The candidate blocks grouped and keyed on the weights' own scalars, sorted by str."""
-    index, _ = field_basis_index(coords, k)
-    blocks = {}
-    for v, m in index:
-        par = (mono_parity(m, coords) + coords.parities[v]) % 2
+def _candidate_keys(coords, k, weights):
+    """{(v, m): (parity, weight)} for each degree-k monomial field m d_v, in field_basis_index order.
+
+    The weight is weights[v] minus e * weights[var] for each var^e in m, on
+    the weights' own scalars.
+    """
+    keys = {}
+    for v, m in field_basis_index(coords, k)[0]:
         wt = list(weights[v])
         for var, e in m:
             for j in range(len(wt)):
                 wt[j] = wt[j] - e * weights[var][j]
-        blocks.setdefault((par, tuple(wt)), []).append((v, m))
+        keys[v, m] = ((mono_parity(m, coords) + coords.parities[v]) % 2, tuple(wt))
+    return keys
+
+
+def _rational_candidate_blocks(coords, k, weights):
+    """The candidate blocks grouped and keyed on the weights' own scalars, sorted by str."""
+    blocks = {}
+    for vm, key in _candidate_keys(coords, k, weights).items():
+        blocks.setdefault(key, []).append(vm)
     return dict(sorted(blocks.items(), key=lambda kv: (kv[0][0], str(kv[0][1:]))))
 
 
-def _negative_coords_and_weights(g):
-    neg = g.negative_indices()
-    coords = Coords([g.ident(k) for k in neg], [g.parity(k) for k in neg], [-g.degree(k) for k in neg])
-    return coords, [g.space.basis[k].weight for k in neg]
+def _blockwise_basis(fields, coords, k, weights):
+    """The oracle for _block_bases: each field split by block, each block's parts brought to RREF on their own."""
+    out = []
+    for cand in _rational_candidate_blocks(coords, k, weights).values():
+        pos = {vm: j for j, vm in enumerate(cand)}
+        parts = [{pos[v, m]: c for v, t in X.terms.items() for m, c in t.items() if (v, m) in pos} for X in fields]
+        for row in row_space_basis(parts, len(cand)):
+            terms = {}
+            for j, c in sorted(row.items()):
+                v, m = cand[j]
+                terms.setdefault(v, {})[m] = coords.field.one * c
+            out.append(VectorField.from_terms(coords, terms))
+    return out
 
 
-def test_candidate_blocks_on_integer_weights_keep_the_rational_keys_and_order():
-    k12R = realify(contact_algebra(0, 2, 2, field=FIELD_QI))
-    cases = []
-    for g in (build_minkowski_g0(2, "conformal"), k12R):
-        coords, weights = _negative_coords_and_weights(g)
-        cases.append((coords, weights))
-        # the same weights with denominators, and Gaussian ones with an imaginary part
-        for c in (rational(2, 3), gaussian(1, 2) / 3):
-            cases.append((coords, [tuple(x * c for x in w) for w in weights]))
-    # k(1|2)^R mixes Fraction and GaussianRational weights
-    assert {type(x).__name__ for x in cases[3][1][1] + cases[3][1][0]} == {"Fraction", "GaussianRational"}
-    for coords, weights in cases:
-        for k in (1, 2, 3):
-            got = _candidate_blocks(coords, k, weights)
-            want = _rational_candidate_blocks(coords, k, weights)
-            assert list(got.items()) == list(want.items())
-            # the keys carry the same scalar types: their str (the sort key) agrees
-            assert [str(key) for key in got] == [str(key) for key in want]
+def _block_cases():
+    """(name, coordinate weights, result) for pinned prolongations and k(1|2)^R's, whose weights mix scalar types."""
+    for name, res, _ in _pinned_parity_block_prolongations():
+        # g_- + der0 carries no weights: blocks by parity alone
+        yield name, [()] * len(res.coords), res
+    for name, nonpos, degree in (
+        ("mink1", build_minkowski_g0(1, "conformal"), 3),
+        ("mink2", build_minkowski_g0(2, "conformal"), 2),
+        ("k(1|2)^R", realify(contact_algebra(0, 2, 0, field=FIELD_QI)), 2),
+    ):
+        weights = [nonpos.space.basis[e].weight for e in nonpos.negative_indices()]
+        yield name, weights, prolong_nonpositive(nonpos, degree)
+
+
+def _positive_fields(res):
+    g = res.algebra
+    return {d: [res.realization[g.ident(k)] for k in g.component_indices(d)] for d in g.degrees() if d > 0}
+
+
+def test_block_bases_equal_the_blocks_reduced_one_by_one():
+    for name, weights, res in _block_cases():
+        coords = res.coords
+        lists = [weights]
+        if name == "k(1|2)^R":
+            assert {type(x).__name__ for w in weights for x in w} == {"Fraction", "GaussianRational"}
+            # mixed weights: the document equals the blockwise one computed before the rows were sorted
+            sha256 = "023f5e62d4116dcad5142eac713ff4e06a8755b001d6eb24993ce316b599e689"
+            assert canonical_sha256(res.to_document()) == sha256
+        if any(weights):
+            # the same weights with denominators, and Gaussian ones with an imaginary part
+            lists += [[tuple(x * c for x in w) for w in weights] for c in (rational(2, 3), gaussian(1, 2) / 3)]
+        if name == "mink2":
+            # the same values, every other coordinate's on GaussianRational
+            lists.append([tuple(gaussian(x) for x in w) if c % 2 else w for c, w in enumerate(weights)])
+        for wts in lists:
+            types = {type(x) for w in wts for x in w}
+            # a mix is ordered as on GaussianRational, whichever member a block's key is read from
+            oracle_weights = [tuple(x + gaussian() for x in w) for w in wts] if len(types) > 1 else wts
+            for k, basis in _positive_fields(res).items():
+                # a spanning set that is not in RREF: each field plus the next
+                fields = [X + Y for X, Y in zip(basis, basis[1:])] + basis[-1:]
+                got = [repr(X.terms) for X in prolong._block_bases(fields, coords, k, wts)]
+                assert got == [repr(X.terms) for X in _blockwise_basis(fields, coords, k, oracle_weights)], (name, k)
+                if wts is weights:
+                    assert got == [repr(X.terms) for X in basis], (name, k)
+
+
+def test_each_positive_basis_field_lies_in_one_parity_and_weight_block():
+    # the module docstring's reason why one RREF gives the blockwise basis
+    for name, weights, res in _block_cases():
+        for k, basis in _positive_fields(res).items():
+            keys = _candidate_keys(res.coords, k, weights)
+            for X in basis:
+                assert len({keys[v, m] for v, t in X.terms.items() for m in t}) == 1, (name, k, X)
 
 
 def _nonpositive_cases():
