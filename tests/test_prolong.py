@@ -378,6 +378,56 @@ def test_parity_block_prolongation_documents_are_pinned():
         assert canonical_sha256(res.to_document()) == sha256, name
 
 
+def _gaussian_heisenberg_with_der0(n2, m):
+    g = build_hei(n2, m, field="Q(i)")
+    return prolong_pair(degree_zero_derivations(g), 3, g)
+
+
+@pytest.mark.parametrize(
+    "build, dims, sha256",
+    [
+        (
+            lambda: prolong_nonpositive(build_minkowski_g0(1, "reduced"), 3),
+            {-2: 4, -1: 4, 0: 6, 1: 0, 2: 0, 3: 0},
+            "ea95b8df290cf71e163aff14290e03b353f464486afaa1887fc39c32cc8f6d28",
+        ),
+        (
+            lambda: prolong_nonpositive(build_minkowski_g0(2, "reduced"), 2),
+            {-2: 4, -1: 8, 0: 6, 1: 0, 2: 0},
+            "4894feb77ffb38579e496ecae98d4f93896294a427c2f38643e6fe802a7e350b",
+        ),
+        (
+            lambda: prolong_pair(build_sl(2, 1), 2),
+            {-1: 3, 0: 8, 1: 12, 2: 16},
+            "030bcae5750fd5094d8716609c72d1249ab01d7809ff1bac53ec9cad91f72609",
+        ),
+        (
+            lambda: _gaussian_heisenberg_with_der0(2, 1),
+            {-2: 1, -1: 3, 0: 6, 1: 10, 2: 15, 3: 21},
+            "e60d580c104dabf1a8a4a7edd275310f057db8d7055521bfc6a5e92bf0565989",
+        ),
+        (
+            lambda: _gaussian_heisenberg_with_der0(0, 3),
+            {-2: 1, -1: 3, 0: 4, 1: 4, 2: 4, 3: 4},
+            "d8602ccf24ca1d2808655d9964e376cf6fc6fe309b721b4dedc2aa77afb132a4",
+        ),
+        (
+            lambda: _gaussian_heisenberg_with_der0(2, 2),
+            {-2: 1, -1: 4, 0: 9, 1: 16, 2: 25, 3: 36},
+            "8faba6a1a6b35fb51bfee2c89a1f710ad933dc0a705ccc3af33e7510a205cb4d",
+        ),
+    ],
+    ids=["mink1-reduced_3", "mink2-reduced_2", "sl(2|1)_2", "hei(2|1)^C_3", "hei(0|3)^C_3", "hei(2|2)^C_3"],
+)
+def test_reduced_sl_and_gaussian_heisenberg_prolongation_documents_are_pinned(build, dims, sha256):
+    # canonical JSON of the whole document, realization included: the
+    # reduced Minkowski algebras stop at g_0, sl(2|1) acts on an abelian
+    # C^{2|1}, and each hei is joined with its der0 over Q(i)
+    res = build()
+    assert res.component_dims() == dims
+    assert canonical_sha256(res.to_document()) == sha256
+
+
 def test_heisenberg_prolong_matches_contact_k3():
     hei = build_hei(2, 0)
     der = degree_zero_derivations(hei)
