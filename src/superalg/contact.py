@@ -14,11 +14,11 @@ close raises prolong.ProlongError (it used to raise ValueError).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .algebra import LieSuperAlgebra
 from .constructors import check_ints
-from .polyvf import Coords, OneForm, Polynomial, VectorField, coordinate_field, monomials_of_degree
+from .polyvf import Coords, Polynomial, VectorField, monomials_of_degree
 from .prolong import algebra_of_fields
 from .scalars import FIELD_Q, rational
 
@@ -160,67 +160,6 @@ def pericontact_field(f: Polynomial, coords: Optional[Coords] = None) -> VectorF
         for v in others:
             out = out - VectorField(coords, {v: ftau * coords.var(v)}).scale(sgn)
     return out
-
-
-def contact_form(coords: Coords) -> OneForm:
-    """alpha1 = dt - sum(p dq - q dp) - sum(ξ dη + η dξ) [+ θ dθ]."""
-    meta = coords.meta
-    n, m = meta["n"], meta["m"]
-    k = m // 2
-    coeffs: Dict[int, Polynomial] = {coords.index["t"]: coords.one()}
-    for i in range(n):
-        coeffs[coords.index[f"q_{i + 1}"]] = -coords.var(f"p_{i + 1}")
-        coeffs[coords.index[f"p_{i + 1}"]] = coords.var(f"q_{i + 1}")
-    for j in range(k):
-        coeffs[coords.index[f"η_{j + 1}"]] = -coords.var(f"ξ_{j + 1}")
-        coeffs[coords.index[f"ξ_{j + 1}"]] = -coords.var(f"η_{j + 1}")
-    if m % 2:
-        coeffs[coords.index["θ"]] = coords.var("θ")
-    return OneForm(coords, coeffs)
-
-
-def pericontact_form(coords: Coords) -> OneForm:
-    """alpha0 = dtau + sum(ξ dq + q dξ)."""
-    n = coords.meta["n"]
-    coeffs: Dict[int, Polynomial] = {coords.index["τ"]: coords.one()}
-    for i in range(n):
-        coeffs[coords.index[f"q_{i + 1}"]] = coords.var(f"ξ_{i + 1}")
-        coeffs[coords.index[f"ξ_{i + 1}"]] = coords.var(f"q_{i + 1}")
-    return OneForm(coords, coeffs)
-
-
-def _lie_identity_holds(X: VectorField, alpha: OneForm, factor: Polynomial, coords: Coords) -> bool:
-    """Compare L_X(alpha) with factor*alpha through pairings with every d_b."""
-    px = X.parity()
-    if px is None:
-        return True
-    scaled = OneForm(coords, {v: factor * c for v, c in alpha.coeffs.items()})
-    for b in range(len(coords)):
-        db = coordinate_field(coords, b)
-        s = px * (coords.parities[b] + 1)
-        sign = -1 if s % 2 else 1
-        lhs = (X.apply(alpha.pair(db)) - alpha.pair(X.bracket(db))).scale(sign)
-        if lhs != scaled.pair(db):
-            return False
-    return True
-
-
-def check_contact_invariance(f: Polynomial, coords: Coords) -> bool:
-    """L_{K_f}(alpha1) must equal K_1(f) alpha1 (the distribution is preserved)."""
-    alpha = contact_form(coords)
-    K = contact_field(f, coords)
-    factor = f.deriv(coords.index["t"]).scale(rational(2))
-    return _lie_identity_holds(K, alpha, factor, coords)
-
-
-def check_pericontact_invariance(f: Polynomial, coords: Coords) -> bool:
-    """L_{M_f}(alpha0) = -(-1)^{p(f)} M_1(f) alpha0, with M_1(f) = 2 df/dtau."""
-    alpha = pericontact_form(coords)
-    M = pericontact_field(f, coords)
-    pf = f.parity()
-    sgn = -1 if pf else 1
-    factor = f.deriv(coords.index["τ"]).scale(rational(-2) * sgn)
-    return _lie_identity_holds(M, alpha, factor, coords)
 
 
 # -- truncated graded algebras from generating-function spans ---------------------

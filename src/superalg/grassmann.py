@@ -608,17 +608,3 @@ class CanonicalIso(_GeneratorMap):
                 if self.apply(a * b) != image_a * image_b:
                     return False
         return True
-
-
-def composed_iso_is_algebra_map(rho1: RealStructure, rho2: RealStructure) -> bool:
-    """CanonicalIso(rho2)^{-1} . CanonicalIso(rho1): RE_1 -> RE_2 multiplicative.
-
-    Both structures must be on the same number of generators, else ValueError.
-    """
-    if rho1.n != rho2.n:
-        raise ValueError(f"real structures on {rho1.n} and {rho2.n} generators")
-    iso1 = CanonicalIso(rho1)
-    iso2 = CanonicalIso(rho2)
-    # psi sends the k-th normalized monomial of rho1 to that of rho2
-    pairs = list(zip(iso1.monomials, iso2.monomials))
-    return all(iso2.image(iso1.apply(a * b)) == c * d for a, c in pairs for b, d in pairs)

@@ -548,30 +548,3 @@ def field_basis_index(coords: Coords, d: int):
             index[(v, m)] = pos
             pos += 1
     return index, pos
-
-
-class OneForm:
-    """omega = sum_a f_a dx_a with left polynomial coefficients."""
-
-    __slots__ = ("coords", "coeffs")
-
-    def __init__(self, coords: Coords, coeffs: Dict[int, Polynomial]):
-        self.coords = coords
-        self.coeffs = {v: p for v, p in coeffs.items() if p}
-
-    def pair(self, field: VectorField) -> Polynomial:
-        """iota_X omega with iota_X(f dx_a) = (-1)^{p(f)(p(X)+1)} f X(x_a).
-
-        The normalization makes <df, X> = X(f); the inner derivation iota_X
-        has parity p(X)+1 and passes left coefficients with a Koszul sign.
-        """
-        # iota_X is odd for an even X: its sign then negates the odd monomials of f
-        negate_odd = field.parity() == 0
-        out: Dict[Monomial, object] = {}
-        for v, f in self.coeffs.items():
-            g = field.terms.get(v)
-            if g is None:
-                continue
-            adjusted = {m: (-c if negate_odd and mono_parity(m, self.coords) else c) for m, c in f.terms.items()}
-            add_product(out, adjusted, g, self.coords.parities)
-        return Polynomial._wrap(self.coords, out)

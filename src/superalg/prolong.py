@@ -14,7 +14,8 @@ checked against the table.  The positive components are
 
   g_k = { X of degree k : [X_e, X] lies in g_{k+deg e} for every e in g_minus }
 
-and they are computed one degree k >= 1 at a time, in four steps.
+and they are computed one degree k >= 1 at a time, in four steps; a fifth
+then derives every other bracket with a positive field.
 
 1. Unknowns.  X is read through phi(e) = [X_e, X] = sum_i u[e,i] Z_i, Z_i
    running over the basis of g_{k+deg e}.  This loses nothing: a field of
@@ -48,24 +49,41 @@ and they are computed one degree k >= 1 at a time, in four steps.
    of g_{k+deg e}, and a bracket outside it raises ProlongError.  Each
    success proves Z in g_k, so the span of step 3 is exactly g_k: step 2
    misses no field of g_k and step 4 admits no other.  The solved constants
-   are ad_e on g_k, which the next degree reads, and algebra_of_fields takes
-   them as the brackets [X_e, Z] instead of bracketing those pairs again.
+   are ad_e on g_k, which the next degree reads, and they are the brackets
+   [X_e, Z] of the algebra's table.
+5. Brackets.  Every other bracket [a, Z], deg a >= 0 and deg Z >= 1, is
+   read off the certified constants, in ascending total degree d =
+   deg a + deg Z <= max_degree, by the super-Jacobi identity
 
-Each row of that RREF lies in one block because check_table has checked
-that the brackets respect the parities and the weights: each X_e and each
-basis field of g_j then lies in one block, so the (parity, weight) parts of a
-field of g_k lie in g_k, and g_k is the direct sum of its block parts.  Each
-part sits on its own columns, so the RREF of g_k is the union of the RREFs of
-its parts, each keeping its pivot order: the basis is that of the blocks
-reduced one by one.  The certificate's brackets run on the fields cleared to
-integers, through polyvf.bracket_terms, exactly as algebra_of_fields would run
-them, so the constants it hands over are the ones it would compute.
+     phi(e) = [e, [a, Z]] = [[e, a], Z] + (-1)^{p_e p_a} [a, [e, Z]]
 
-One closure assembly, algebra_of_fields, turns realized fields into structure
-constants for both the prolongations here and the contact and pericontact
-spans of contact.py.  It clears each basis field X once to (den_X, den_X X),
-solves the integer bracket of two cleared fields in the span of its degree and
-divides only the solution by den_X den_Y.
+   for each e in g_minus.  Each bracket on the right has total degree below
+   d, so it is already known: from the table of g_<=0, from ad, or from an
+   earlier d.  Each is an identity of fields, so phi(e) is [X_e, [X_a, X_Z]]
+   on the basis of g_{d+deg e}.  One SpanSolver per d, over the stacked
+   columns (ad_e W)_e of the basis W of g_d, solves phi = sum_W x_W
+   (ad_e W)_e.  This is the exact closure check, as bracketing the fields
+   would be: a field of degree >= 1 that commutes with every X_e is 0 (step
+   1), so [X_a, Z] lies in g_d exactly when the solve succeeds, and then
+   [X_a, Z] = sum_W x_W X_W.  The same argument makes the columns
+   independent; dependent columns or a phi with no solution raise
+   ProlongError.  No field is bracketed after step 4.
+
+Each row of the RREF of step 3 lies in one block because check_table has
+checked that the brackets respect the parities and the weights: each X_e and
+each basis field of g_j then lies in one block, so the (parity, weight) parts
+of a field of g_k lie in g_k, and g_k is the direct sum of its block parts.
+Each part sits on its own columns, so the RREF of g_k is the union of the
+RREFs of its parts, each keeping its pivot order: the basis is that of the
+blocks reduced one by one.  The certificate's brackets run on the fields
+cleared to integers, through polyvf.bracket_terms, as algebra_of_fields runs
+them.
+
+algebra_of_fields turns realized fields into structure constants for the
+contact and pericontact spans of contact.py, which have no certificate to read
+them from.  It clears each basis field X once to (den_X, den_X X), solves the
+integer bracket of two cleared fields in the span of its degree and divides
+only the solution by den_X den_Y.
 """
 
 from __future__ import annotations
@@ -219,7 +237,8 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
 
     Each positive component is solved in Hom(g_minus, g) from the super-Jacobi
     rows, its fields are built by the homotopy formula and certified one by
-    one (steps 1-4 of the module docstring).
+    one (steps 1-4 of the module docstring); every other bracket with a
+    positive field is derived from the certified constants (step 5).
     """
     if not isinstance(nonpos, LieSuperAlgebra):
         raise TypeError(f"prolong: nonpos must be a LieSuperAlgebra, got {type(nonpos).__name__}")
@@ -448,65 +467,149 @@ def _assemble(nonpos, coords, comp_fields, comp_ids, ad, max_degree):
     """The algebra of the computed components, with nonpos's annotations, and its realization.
 
     No field is zero, so each has a parity: X_k has d_k for k in g_minus, g_0
-    acts faithfully and a positive field is a nonzero RREF row.  Two kinds of
-    brackets go to algebra_of_fields as given: every pair inside g_<=0, off
-    the table that realize_negative and realize_degree_zero checked the
-    fields against, and the certified [X_e, Z] of ad[e, d], d > 0."""
+    acts faithfully and a positive field is a nonzero RREF row.  The table is
+    read off, not bracketed: every pair inside g_<=0 from nonpos's table,
+    which realize_negative and realize_degree_zero checked the fields
+    against, every [X_e, Z] of e in g_minus and a positive Z from the
+    certificate's ad, and every other pair with a positive field from
+    _positive_brackets (step 5 of the module docstring)."""
     gens = []
     index_of = {}
     for d in sorted(comp_fields):
         for j, f in enumerate(comp_fields[d]):
             index_of[d, j] = len(gens)
             gens.append((comp_ids[d][j], f.parity(), d, f))
+    space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in gens])
     # the index in gens of each basis vector of nonpos
     base = {k: index_of[d, i] for d in nonpos.degrees() for i, k in enumerate(nonpos.component_indices(d))}
-    given = {
-        (base[i], base[j]): {base[t]: c for t, c in nonpos._table.get((i, j), {}).items()}
-        for i in base
-        for j in base
-        if base[i] <= base[j]
-    }
+    # known[a, b] = [a, b] on the basis, kept for both orders
+    known = {(base[i], base[j]): {base[t]: c for t, c in val.items()} for (i, j), val in nonpos._table.items()}
     for (e, d), images in ad.items():
         if d > 0:
             for i, img in enumerate(images):
-                given[base[e], index_of[d, i]] = {index_of[d + nonpos.degree(e), j]: c for j, c in img.items()}
+                a, b = base[e], index_of[d, i]
+                known[a, b] = {index_of[d + nonpos.degree(e), j]: c for j, c in img.items()}
+                known[b, a] = _mirror(known[a, b], space.parity(a), space.parity(b))
+    _positive_brackets(space, [base[e] for e in nonpos.negative_indices()], known, max_degree, coords.field.one)
     i_op = None
     if nonpos.i_op is not None:
         i_op = {base[k]: {base[t]: c for t, c in img.items()} for k, img in nonpos.i_op.items()}
-    alg = algebra_of_fields(
-        coords,
-        gens,
-        max_degree,
-        given,
+    alg = LieSuperAlgebra(
+        space,
+        {(a, b): val for (a, b), val in known.items() if a <= b},
+        truncation=max_degree,
+        field=coords.field,
         cartan=nonpos.cartan,
         raising=nonpos.raising,
         lowering=nonpos.lowering,
         i_op=i_op,
         name=(nonpos.name or "g") + "_*",
     )
+    if alg.cartan:
+        alg.assign_weights()
     return ProlongResult(alg, {ident: f for ident, _, _, f in gens}, coords, max_degree)
 
 
-def algebra_of_fields(coords: Coords, gens, max_degree: int, given=None, **annotations) -> LieSuperAlgebra:
+def _mirror(val, pa: int, pb: int):
+    """[b, a] from val = [a, b]: -(-1)^{p_a p_b} val."""
+    return dict(val) if pa and pb else {t: -c for t, c in val.items()}
+
+
+def _positive_brackets(space: SuperSpace, neg, known, max_degree: int, one):
+    """Add to known every [a, Z], deg a >= 0, deg Z >= 1, deg a + deg Z <= max_degree, by super-Jacobi.
+
+    space lists the basis in ascending degree, neg the basis indices of
+    g_minus and known[a, b] the brackets found so far, for both orders: the
+    table of g_<=0 and ad_e on each positive g_k.  In ascending total degree
+    d, phi(e) = [e, [a, Z]] = [[e, a], Z] + (-1)^{p_e p_a} [a, [e, Z]] for
+    each e in g_minus reads only brackets of total degree below d, and one
+    SpanSolver per d over the stacked columns (ad_e W)_e of the basis W of
+    g_d solves phi = sum_W x_W (ad_e W)_e for [a, Z] = sum_W x_W W (step 5
+    of the module docstring).  ProlongError when the columns are dependent
+    or phi has no solution: [a, Z] is then not in g_d.
+
+    phi runs on integers: each bracket is read cleared, (den, den * [a, b]),
+    the products are summed per denominator and the sums brought to their
+    lcm L, so the solution is divided once, by L, into the field's scalars
+    (one is the field's unit).
+    """
+    comps: Dict[int, List[int]] = {}
+    for n, b in enumerate(space.basis):
+        comps.setdefault(b.degree, []).append(n)
+    # the position of each basis vector in its component
+    pos = {n: i for members in comps.values() for i, n in enumerate(members)}
+    parity = [b.parity for b in space.basis]
+    degree = [b.degree for b in space.basis]
+    ints: Dict[Tuple[int, int], Tuple[int, dict]] = {}
+
+    def cleared_bracket(a, b):
+        if (a, b) not in ints:
+            val = known.get((a, b), {})
+            den = common_denominator(val.values())
+            ints[a, b] = den, {t: cleared(c, den) for t, c in val.items()}
+        return ints[a, b]
+
+    def jacobi_images(a, b, offset):
+        """(L, L * phi) for the pair (a, b): phi(e) on the rows offset[e] + pos."""
+        # {den: den times the terms of phi with that denominator}
+        sums: Dict[int, dict] = {}
+        for e in neg:
+            sign = -1 if parity[e] and parity[a] else 1
+            den_ea, ea = cleared_bracket(e, a)
+            den_eb, eb = cleared_bracket(e, b)
+            terms = [(den_ea, c, cleared_bracket(s, b)) for s, c in ea.items()]
+            terms += [(den_eb, sign * c, cleared_bracket(a, s)) for s, c in eb.items()]
+            for den, c, (den2, img) in terms:
+                acc = sums.setdefault(den * den2, {})
+                for t, c2 in img.items():
+                    row = offset[e] + pos[t]
+                    acc[row] = acc.get(row, 0) + c * c2
+        L = lcm(*sums)
+        phi: Dict[int, object] = {}
+        for den, acc in sums.items():
+            for row, v in acc.items():
+                phi[row] = phi.get(row, 0) + v * (L // den)
+        return L, {row: v for row, v in phi.items() if v}
+
+    for d in range(1, max_degree + 1):
+        offset, total = {}, 0
+        for e in neg:
+            offset[e] = total
+            total += len(comps.get(d + degree[e], ()))
+        W = comps.get(d, [])
+        cols = [{offset[e] + pos[t]: c for e in neg for t, c in known.get((e, w), {}).items()} for w in W]
+        solver = SpanSolver(cols, total)
+        if solver.rank < len(W):
+            raise ProlongError(f"the certified brackets with g_minus are dependent on g_{d}")
+        # the pairs a <= b of degrees da <= d - da, the basis being in ascending degree
+        pairs = [(a, b) for da in range(d // 2 + 1) for a in comps.get(da, []) for b in comps.get(d - da, []) if a <= b]
+        for a, b in pairs:
+            L, phi = jacobi_images(a, b, offset)
+            if not phi:
+                continue
+            sol = solver.solve(phi)
+            if sol is None:
+                raise ProlongError(f"bracket [{space.basis[a].id},{space.basis[b].id}] is not closed in degree {d}")
+            scale = one * rational(1, L)
+            known[a, b] = {W[j]: c * scale for j, c in sorted(sol.items())}
+            if a != b:
+                known[b, a] = _mirror(known[a, b], parity[a], parity[b])
+
+
+def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> LieSuperAlgebra:
     """The truncated graded algebra spanned by realized fields, closure checked.
 
+    contact.span_algebra builds the contact and pericontact spans with it.
     gens lists (ident, parity, degree, field) in basis order, degrees
     ascending.  Every bracket of two fields whose degree d lies between the
     lowest degree and max_degree is expanded in the span of the degree-d
     fields; one that leaves the span raises ProlongError.  Each field X is
     cleared once to (den_X, den_X X) and the integer bracket of den_X X and
     den_Y Y is solved as it is: only the solution is divided by den_X den_Y.
-
-    given maps pairs (a, b), a <= b, to [X_a, X_b] on the basis, found
-    elsewhere; those pairs are taken as they are and not bracketed again.
-    prolong gives every pair inside g_<=0, whose fields it checked against
-    the table, and every [X_e, Z] of e in g_minus and a positive Z, which its
-    certificate solved; the closure of the pairs of g_0 with a positive Z and
-    of two positive fields is checked here.  The annotations (cartan,
-    raising, lowering, i_op, name) go to the LieSuperAlgebra, whose weights
-    are assigned when it names a Cartan subalgebra.
+    The annotations (cartan, raising, lowering, i_op, name) go to the
+    LieSuperAlgebra, whose weights are assigned when it names a Cartan
+    subalgebra.
     """
-    given = given or {}
     space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in gens])
     cleared = [clear_field(X) for *_, X in gens]
     members: Dict[int, List[int]] = {}
@@ -521,10 +624,6 @@ def algebra_of_fields(coords: Coords, gens, max_degree: int, given=None, **annot
             id_b, pb, db, _ = gens[b]
             d = da + db
             if d < lo or d > max_degree:
-                continue
-            if (a, b) in given:
-                if given[a, b]:
-                    brackets[a, b] = given[a, b]
                 continue
             den_b, xb = cleared[b]
             br = bracket_terms(xa, pa, xb, pb, coords.parities)

@@ -17,15 +17,21 @@ s2_0_weights lists the weights of S^2_0(C^N) from the weights of C^N.
 candidate_prolongation computes g_k from its definition, as a kernel over
 every degree-k monomial field, with VectorField.bracket and the package's
 sparse elimination (itself checked against the dense oracles above).
+realization_failures brackets every pair of realized fields of a
+prolongation with VectorField.bracket and compares it with the table.  The
+contact and pericontact forms, the Lie derivative identities they satisfy
+and the composed isomorphism between two Grassmann real forms are checks
+that only the tests run.
 """
 
 import hashlib
 import json
 from itertools import product
 
-from superalg.grassmann import GrassmannElement
+from superalg.contact import contact_field, pericontact_field
+from superalg.grassmann import CanonicalIso, GrassmannElement
 from superalg.linalg import SpanSolver, kernel_basis
-from superalg.polyvf import VectorField, field_basis_index
+from superalg.polyvf import Polynomial, VectorField, add_product, coordinate_field, field_basis_index, mono_parity
 from superalg.scalars import ONE, ZERO, GaussianRational, as_gaussian, common_denominator, gaussian, rational
 
 
@@ -434,3 +440,129 @@ def _terms_of(coefficients):
     for (v, m), c in coefficients.items():
         terms.setdefault(v, {})[m] = c
     return terms
+
+
+def realization_failures(res):
+    """The basis pairs (a, b), a <= b, whose realized fields do not bracket as the table says.
+
+    res is a ProlongResult.  For every pair of total degree at most its
+    truncation, [X_a, X_b] is computed by VectorField.bracket and compared
+    with sum_t c^t_ab X_t, the table's bracket of a and b on the realized
+    fields; the mirror pair (b, a) follows by super-antisymmetry on both sides.
+    """
+    g = res.algebra
+    fields = [res.realization[g.ident(k)] for k in range(len(g))]
+    bad = []
+    for a in range(len(g)):
+        for b in range(a, len(g)):
+            if g.degree(a) + g.degree(b) > res.truncation:
+                continue
+            rhs = VectorField(res.coords)
+            for t, c in g.bracket_basis(a, b).items():
+                rhs = rhs + fields[t].scale(c)
+            if fields[a].bracket(fields[b]) != rhs:
+                bad.append((g.ident(a), g.ident(b)))
+    return bad
+
+
+# -- the contact and pericontact forms, and maps between Grassmann real forms ----
+
+
+class OneForm:
+    """omega = sum_a f_a dx_a with left polynomial coefficients."""
+
+    def __init__(self, coords, coeffs):
+        self.coords = coords
+        self.coeffs = {v: p for v, p in coeffs.items() if p}
+
+    def pair(self, field):
+        """iota_X omega with iota_X(f dx_a) = (-1)^{p(f)(p(X)+1)} f X(x_a).
+
+        The normalization makes <df, X> = X(f); the inner derivation iota_X
+        has parity p(X)+1 and passes left coefficients with a Koszul sign.
+        """
+        # iota_X is odd for an even X: its sign then negates the odd monomials of f
+        negate_odd = field.parity() == 0
+        out = {}
+        for v, f in self.coeffs.items():
+            g = field.terms.get(v)
+            if g is None:
+                continue
+            adjusted = {m: (-c if negate_odd and mono_parity(m, self.coords) else c) for m, c in f.terms.items()}
+            add_product(out, adjusted, g, self.coords.parities)
+        return Polynomial(self.coords, out)
+
+
+def contact_form(coords):
+    """alpha1 = dt - sum(p dq - q dp) - sum(ξ dη + η dξ) [+ θ dθ]."""
+    meta = coords.meta
+    n, m = meta["n"], meta["m"]
+    k = m // 2
+    coeffs = {coords.index["t"]: coords.one()}
+    for i in range(n):
+        coeffs[coords.index[f"q_{i + 1}"]] = -coords.var(f"p_{i + 1}")
+        coeffs[coords.index[f"p_{i + 1}"]] = coords.var(f"q_{i + 1}")
+    for j in range(k):
+        coeffs[coords.index[f"η_{j + 1}"]] = -coords.var(f"ξ_{j + 1}")
+        coeffs[coords.index[f"ξ_{j + 1}"]] = -coords.var(f"η_{j + 1}")
+    if m % 2:
+        coeffs[coords.index["θ"]] = coords.var("θ")
+    return OneForm(coords, coeffs)
+
+
+def pericontact_form(coords):
+    """alpha0 = dtau + sum(ξ dq + q dξ)."""
+    n = coords.meta["n"]
+    coeffs = {coords.index["τ"]: coords.one()}
+    for i in range(n):
+        coeffs[coords.index[f"q_{i + 1}"]] = coords.var(f"ξ_{i + 1}")
+        coeffs[coords.index[f"ξ_{i + 1}"]] = coords.var(f"q_{i + 1}")
+    return OneForm(coords, coeffs)
+
+
+def _lie_identity_holds(X, alpha, factor, coords):
+    """Compare L_X(alpha) with factor*alpha through pairings with every d_b."""
+    px = X.parity()
+    if px is None:
+        return True
+    scaled = OneForm(coords, {v: factor * c for v, c in alpha.coeffs.items()})
+    for b in range(len(coords)):
+        db = coordinate_field(coords, b)
+        s = px * (coords.parities[b] + 1)
+        sign = -1 if s % 2 else 1
+        lhs = (X.apply(alpha.pair(db)) - alpha.pair(X.bracket(db))).scale(sign)
+        if lhs != scaled.pair(db):
+            return False
+    return True
+
+
+def check_contact_invariance(f, coords):
+    """L_{K_f}(alpha1) must equal K_1(f) alpha1 (the distribution is preserved)."""
+    alpha = contact_form(coords)
+    K = contact_field(f, coords)
+    factor = f.deriv(coords.index["t"]).scale(rational(2))
+    return _lie_identity_holds(K, alpha, factor, coords)
+
+
+def check_pericontact_invariance(f, coords):
+    """L_{M_f}(alpha0) = -(-1)^{p(f)} M_1(f) alpha0, with M_1(f) = 2 df/dtau."""
+    alpha = pericontact_form(coords)
+    M = pericontact_field(f, coords)
+    pf = f.parity()
+    sgn = -1 if pf else 1
+    factor = f.deriv(coords.index["τ"]).scale(rational(-2) * sgn)
+    return _lie_identity_holds(M, alpha, factor, coords)
+
+
+def composed_iso_is_algebra_map(rho1, rho2):
+    """CanonicalIso(rho2)^{-1} . CanonicalIso(rho1): RE_1 -> RE_2 multiplicative.
+
+    Both structures must be on the same number of generators, else ValueError.
+    """
+    if rho1.n != rho2.n:
+        raise ValueError(f"real structures on {rho1.n} and {rho2.n} generators")
+    iso1 = CanonicalIso(rho1)
+    iso2 = CanonicalIso(rho2)
+    # psi sends the k-th normalized monomial of rho1 to that of rho2
+    pairs = list(zip(iso1.monomials, iso2.monomials))
+    return all(iso2.image(iso1.apply(a * b)) == c * d for a, c in pairs for b, d in pairs)

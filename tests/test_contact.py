@@ -11,8 +11,6 @@ m(n) are pinned by their canonical SHA-256.
 import pytest
 
 from superalg.contact import (
-    check_contact_invariance,
-    check_pericontact_invariance,
     contact_algebra,
     contact_coords,
     contact_field,
@@ -22,7 +20,7 @@ from superalg.contact import (
 )
 from superalg.polyvf import Coords, Polynomial, monomials_of_degree
 
-from oracles import canonical_sha256
+from oracles import canonical_sha256, check_contact_invariance, check_pericontact_invariance
 
 
 def _monomials(coords, max_weight=3):

@@ -14,7 +14,6 @@ from superalg.grassmann import (
     NormalizationError,
     RealStructure,
     all_subsets,
-    composed_iso_is_algebra_map,
     make_real_structure,
     normalize_generators,
     random_real_structure,
@@ -26,7 +25,7 @@ from superalg.grassmann import (
 from superalg.linalg import row_space_basis
 from superalg.scalars import ZERO, GaussianRational, I, as_gaussian, format_scalar, gaussian, parse_scalar, rational
 
-from oracles import canonical_sha256, grassmann_linear_terms, grassmann_product
+from oracles import canonical_sha256, composed_iso_is_algebra_map, grassmann_linear_terms, grassmann_product
 
 
 def th(n, *jk):

@@ -155,11 +155,8 @@ PUBLIC_API = {
     "build_hei",
     "build_q",
     "build_sl",
-    "check_contact_invariance",
     "check_i_op",
-    "check_pericontact_invariance",
     "combine_nonpositive",
-    "composed_iso_is_algebra_map",
     "conjugate_scalar",
     "degree_zero_derivations",
     "from_document",

@@ -1,6 +1,6 @@
 import pytest
 
-from superalg import prolong
+from superalg import polyvf, prolong
 from superalg.algebra import LieSuperAlgebra, from_matrices, realify
 from superalg.constructors import (
     abelian_negative,
@@ -31,7 +31,7 @@ from superalg.linalg import SpanSolver, row_space_basis
 from superalg.scalars import FIELD_QI, ZERO, gaussian, rational
 from superalg.spaces import BasisVector, SuperSpace
 
-from oracles import canonical_sha256, candidate_prolongation, representation_failures
+from oracles import canonical_sha256, candidate_prolongation, realization_failures, representation_failures
 
 
 def prolong_pair(g0, max_degree, g_minus=None):
@@ -248,24 +248,28 @@ def test_gl_prolong_is_full_polynomial_field_space():
 
 
 def test_prolong_brackets_match_realization():
-    g0 = gl_g0(1, 1)
-    res = prolong_pair(g0, 2)
-    fields = res.realization
-    g = res.algebra
-    for i in range(len(g)):
-        for j in range(len(g)):
-            di, dj = g.degree(i), g.degree(j)
-            if di + dj > res.truncation or di + dj < -1:
-                continue
-            lhs = fields[g.ident(i)].bracket(fields[g.ident(j)])
-            rhs_vec = g._table.get((i, j), {})
-            rhs = None
-            for t, c in rhs_vec.items():
-                term = fields[g.ident(t)].scale(c)
-                rhs = term if rhs is None else rhs + term
-            if rhs is None:
-                rhs = VectorField(res.coords)
-            assert lhs == rhs
+    res = prolong_pair(gl_g0(1, 1), 2)
+    assert realization_failures(res) == []
+
+
+def _realization_cases():
+    for N, degree in ((1, 3), (2, 2)):
+        for case in ("conformal", "reduced"):
+            yield f"mink{N}-{case}", lambda N=N, case=case, degree=degree: prolong_nonpositive(
+                build_minkowski_g0(N, case), degree
+            )
+    yield "gl(1|1)", lambda: prolong_pair(gl_g0(1, 1), 3)
+    g = build_hei(2, 1)
+    yield "hei(2|1)", lambda: prolong_pair(degree_zero_derivations(g), 3, g)
+    yield "k(1|2)^R", lambda: prolong_nonpositive(realify(contact_algebra(0, 2, 0, field=FIELD_QI)), 2)
+    yield "hei~", lambda: prolong_pair(degree_zero_derivations(_twisted_heisenberg()), 3, _twisted_heisenberg())
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name) for name, build in _realization_cases()])
+def test_every_bracket_prolong_derives_is_the_bracket_of_the_realized_fields(build):
+    # prolong brackets no positive field after the certificate: each
+    # [X_a, X_b] up to the truncation, by VectorField.bracket, against the table
+    assert realization_failures(build()) == []
 
 
 def _sl2_fields():
@@ -290,14 +294,6 @@ def test_algebra_of_fields_expands_the_brackets_in_the_span():
     }
     assert table == {("D", "E"): {"D": 1}, ("D", "H"): {"E": 2}, ("E", "H"): {"H": 1}}
     assert g.truncation == 1 and g.field is coords.field
-
-
-def test_algebra_of_fields_takes_the_given_brackets_as_they_are():
-    # a given pair is not bracketed again: even a wrong value goes into the table
-    coords, gens = _sl2_fields()
-    g = algebra_of_fields(coords, gens, 1, {(0, 2): {1: rational(5)}, (0, 1): {}})
-    assert g._table[0, 2] == {1: 5} and (0, 1) not in g._table
-    assert g._table[1, 2] == {2: 1}
 
 
 def test_algebra_of_fields_rejects_a_span_that_does_not_close():
@@ -383,6 +379,14 @@ def _gaussian_heisenberg_with_der0(n2, m):
     return prolong_pair(degree_zero_derivations(g), 3, g)
 
 
+def _twisted_heisenberg():
+    """hei(2|1) over Q(i) on a basis with complex constants: [a, b] = -2i z, [ξ, ξ] = (1+i) z."""
+    basis = [BasisVector("a", 0, -1), BasisVector("b", 0, -1), BasisVector("ξ", 1, -1), BasisVector("z", 0, -2)]
+    return LieSuperAlgebra(
+        SuperSpace(basis), {(0, 1): {3: gaussian(0, -2)}, (2, 2): {3: gaussian(1, 1)}}, field="Q(i)", name="hei~"
+    )
+
+
 @pytest.mark.parametrize(
     "build, dims, sha256",
     [
@@ -416,13 +420,19 @@ def _gaussian_heisenberg_with_der0(n2, m):
             {-2: 1, -1: 4, 0: 9, 1: 16, 2: 25, 3: 36},
             "8faba6a1a6b35fb51bfee2c89a1f710ad933dc0a705ccc3af33e7510a205cb4d",
         ),
+        (
+            lambda: prolong_pair(degree_zero_derivations(_twisted_heisenberg()), 3, _twisted_heisenberg()),
+            {-2: 1, -1: 3, 0: 6, 1: 10, 2: 15, 3: 21},
+            "6f5ccb4f8de0bf40162fb183d27d3904f9780beb3b158499dfa7229f546fbd91",
+        ),
     ],
-    ids=["mink1-reduced_3", "mink2-reduced_2", "sl(2|1)_2", "hei(2|1)^C_3", "hei(0|3)^C_3", "hei(2|2)^C_3"],
+    ids=["mink1-reduced_3", "mink2-reduced_2", "sl(2|1)_2", "hei(2|1)^C_3", "hei(0|3)^C_3", "hei(2|2)^C_3", "hei~_3"],
 )
 def test_reduced_sl_and_gaussian_heisenberg_prolongation_documents_are_pinned(build, dims, sha256):
     # canonical JSON of the whole document, realization included: the
     # reduced Minkowski algebras stop at g_0, sl(2|1) acts on an abelian
-    # C^{2|1}, and each hei is joined with its der0 over Q(i)
+    # C^{2|1}, and each hei is joined with its der0 over Q(i); hei~ has
+    # constants with an imaginary part
     res = build()
     assert res.component_dims() == dims
     assert canonical_sha256(res.to_document()) == sha256
@@ -974,3 +984,61 @@ def test_a_field_outside_the_prolongation_fails_the_certificate(monkeypatch):
     g = build_hei(2, 0)
     with pytest.raises(ProlongError, match=r"^certificate failed: \[p_1,g1\[0\]\] is not in g_0$"):
         prolong_pair(degree_zero_derivations(g), 1, g)
+
+
+def _hei_with_der0():
+    g = build_hei(2, 0)
+    der = degree_zero_derivations(g)
+    return combine_nonpositive(g, der, der.matrices)
+
+
+def test_a_tampered_certified_constant_fails_the_closure(monkeypatch):
+    # the first certified bracket [X_e, Z] with one constant doubled: the
+    # Jacobi images of [D_1, g1[1]] then leave the span of the certified columns
+    solve = prolong._solve_in
+    calls = []
+
+    def tampered(span, br):
+        sol = solve(span, br)
+        calls.append(sol)
+        if len(calls) == 1:
+            j = next(iter(sol))
+            sol = {**sol, j: 2 * sol[j]}
+        return sol
+
+    monkeypatch.setattr(prolong, "_solve_in", tampered)
+    with pytest.raises(ProlongError, match=r"^bracket \[D_1,g1\[1\]\] is not closed in degree 1$"):
+        prolong_nonpositive(_hei_with_der0(), 1)
+    assert calls[0]
+
+
+def test_dependent_certified_columns_are_rejected(monkeypatch):
+    # g_1 with its first field listed twice: the certificate admits both
+    # copies, and their stacked columns (ad_e Z)_e are equal
+    build = prolong._block_bases
+
+    def doubled(fields, coords, k, weights):
+        basis = build(fields, coords, k, weights)
+        return basis + basis[:1]
+
+    monkeypatch.setattr(prolong, "_block_bases", doubled)
+    with pytest.raises(ProlongError, match=r"^the certified brackets with g_minus are dependent on g_1$"):
+        prolong_nonpositive(_hei_with_der0(), 1)
+
+
+def test_prolong_brackets_no_field_after_the_certificate(monkeypatch):
+    # N = 2 conformal to degree 2: the realization checks 12^2 + 11 * 23 = 397
+    # pairs and the certificate brackets each of the 12 positive fields with
+    # the 12 of g_minus; every other bracket is read off the certified constants
+    calls = []
+    bracket_terms = polyvf.bracket_terms
+
+    def counted(*args):
+        calls.append(1)
+        return bracket_terms(*args)
+
+    monkeypatch.setattr(polyvf, "bracket_terms", counted)
+    monkeypatch.setattr(prolong, "bracket_terms", counted)
+    res = prolong_nonpositive(build_minkowski_g0(2, "conformal"), 2)
+    assert res.component_dims() == {-2: 4, -1: 8, 0: 11, 1: 8, 2: 4}
+    assert len(calls) == 12**2 + 11 * 23 + 12 * 12 == 541
