@@ -110,8 +110,8 @@ class LieSuperAlgebra:
 
     def _set_bracket(self, i, j, val):
         val = {k: c for k, c in val.items() if c}
-        sign = -1 if (self.parity(i) and self.parity(j)) else 1
-        mirror = {k: -sign * c for k, c in val.items()}
+        odd = self.parity(i) and self.parity(j)
+        mirror = {k: c if odd else -c for k, c in val.items()}
         for key, v in (((i, j), val), ((j, i), mirror)):
             old = self._table.get(key)
             if old is not None and old != v:

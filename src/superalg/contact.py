@@ -7,9 +7,10 @@ t and tau in degree 2 and every other coordinate in degree 1, so K_f has
 degree wt(f) - 2.
 
 Spans of contact fields assemble into truncated graded Lie superalgebras
-through prolong.algebra_of_fields; the bracket closure [K_f, K_g] = K_{f,g}
-is recomputed and verified on every build, not assumed.  A span that fails to
-close raises prolong.ProlongError (it used to raise ValueError).
+through prolong.algebra_of_fields, which brackets each field with those of
+negative degree (K_1 and K_f, f linear) and derives the rest by super-Jacobi.
+The closure is checked exactly on every build, not assumed: a span that fails
+to close raises prolong.ProlongError.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def span_algebra(
     """Graded algebra spanned by builder(monomial) over weights 0..max_degree+2.
 
     builder maps a generating monomial to a vector field; basis ids are
-    prefix_{label}.  The brackets are expanded by prolong.algebra_of_fields,
-    which raises ProlongError when the span does not close.
+    prefix_{label}.  prolong.algebra_of_fields derives the brackets and
+    raises ProlongError when the span does not close.
     """
     gens = []
     for w in range(0, max_degree + 3):

@@ -28,7 +28,8 @@ then derives every other bracket with a positive field.
    in g_{k+deg e+deg f}, with ad_e = [X_e, .].  ad_e is read off the table on
    g_j for j <= 0, entries that the realization has checked, and off step 4
    of degree j for j > 0.  One kernel_basis call solves the rows.  Every X in
-   g_k satisfies them, so the kernel holds all of g_k.
+   g_k satisfies them, so the kernel holds all of g_k.  At k = 0 on the
+   table of g_minus alone they give der0 (degree_zero_derivations).
 3. A field for each kernel vector.  The fields
 
      L_t = d_t + 1/2 sum_b (-1)^{p_t p_b} c^s_{tb} x_b d_s   (b over g_-1)
@@ -51,9 +52,10 @@ then derives every other bracket with a positive field.
    misses no field of g_k and step 4 admits no other.  The solved constants
    are ad_e on g_k, which the next degree reads, and they are the brackets
    [X_e, Z] of the algebra's table.
-5. Brackets.  Every other bracket [a, Z], deg a >= 0 and deg Z >= 1, is
-   read off the certified constants, in ascending total degree d =
-   deg a + deg Z <= max_degree, by the super-Jacobi identity
+5. Brackets.  Every other bracket [a, Z], deg Z >= deg a >= 0, is read
+   off the certified constants, in ascending total degree d = deg a +
+   deg Z from 0 to max_degree (at d = 0 the pairs of g_0 are in the table
+   or have phi = 0), by the super-Jacobi identity
 
      phi(e) = [e, [a, Z]] = [[e, a], Z] + (-1)^{p_e p_a} [a, [e, Z]]
 
@@ -63,11 +65,11 @@ then derives every other bracket with a positive field.
    on the basis of g_{d+deg e}.  One SpanSolver per d, over the stacked
    columns (ad_e W)_e of the basis W of g_d, solves phi = sum_W x_W
    (ad_e W)_e.  This is the exact closure check, as bracketing the fields
-   would be: a field of degree >= 1 that commutes with every X_e is 0 (step
-   1), so [X_a, Z] lies in g_d exactly when the solve succeeds, and then
-   [X_a, Z] = sum_W x_W X_W.  The same argument makes the columns
-   independent; dependent columns or a phi with no solution raise
-   ProlongError.  No field is bracketed after step 4.
+   would be: a field of degree >= 0 that commutes with every X_e is 0 (step
+   1, realize_degree_zero), so [X_a, Z] lies in g_d exactly when the solve
+   succeeds, and then [X_a, Z] = sum_W x_W X_W.  The same argument makes
+   the columns independent; dependent columns or a phi with no solution
+   raise ProlongError.  No field is bracketed after step 4.
 
 Each row of the RREF of step 3 lies in one block because check_table has
 checked that the brackets respect the parities and the weights: each X_e and
@@ -80,10 +82,9 @@ cleared to integers, through polyvf.bracket_terms, as algebra_of_fields runs
 them.
 
 algebra_of_fields turns realized fields into structure constants for the
-contact and pericontact spans of contact.py, which have no certificate to read
-them from.  It clears each basis field X once to (den_X, den_X X), solves the
-integer bracket of two cleared fields in the span of its degree and divides
-only the solution by den_X den_Y.
+contact and pericontact spans of contact.py.  It brackets the fields with the
+negative ones only and derives the rest by step 5, made exact there by
+checking that the negative fields are transitive.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ from .polyvf import (
     field_basis_index,
     mono_parity,
 )
-from .scalars import FIELD_QI, ZERO, GaussianRational, cleared, common_denominator, rational
+from .scalars import FIELD_QI, GaussianRational, cleared, common_denominator, rational
 from .spaces import BasisVector, SuperSpace
 
 HALF = rational(1, 2)
@@ -204,9 +205,13 @@ def _linear_field(nonpos: LieSuperAlgebra, coords: Coords, pos_of, k: int, lam, 
 
 
 def _check_homomorphism(nonpos: LieSuperAlgebra, fields: Dict[int, VectorField], rows, cols, what: str):
-    """Raise ProlongError unless [X_i, X_j] = sum_t c_ij^t X_t for every i in rows and j in cols."""
+    """Raise ProlongError unless [X_i, X_j] = sum_t c_ij^t X_t for every i in rows and j in cols.
+
+    rows is part of cols; as fields and table are super-antisymmetric, (i, j) is skipped for j < i in rows."""
     for i in rows:
         for j in cols:
+            if j < i and j in rows:
+                continue
             lhs = fields[i].bracket(fields[j])
             rhs = VectorField(lhs.coords)
             for t, c in nonpos._table.get((i, j), {}).items():
@@ -267,11 +272,7 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
         comp_fields[d] = [neg_fields[k] if d < 0 else zero_fields[k] for k in members]
         comp_ids[d] = [nonpos.ident(k) for k in members]
     comp_cleared = {d: [clear_field(Z) for Z in fields] for d, fields in comp_fields.items()}
-    ad = {
-        (e, d): [{position[t]: c for t, c in nonpos._table.get((e, h), {}).items()} for h in members]
-        for e in neg
-        for d, members in ((d, nonpos.component_indices(d)) for d in comp_fields)
-    }
+    ad = _table_ad(nonpos)
 
     solvers: Dict[int, Tuple[dict, SpanSolver]] = {}
 
@@ -323,6 +324,17 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
                 ad.setdefault((e, k), []).append({i: c * scale for i, c in img.items()})
 
     return _assemble(nonpos, coords, comp_fields, comp_ids, ad, max_degree)
+
+
+def _table_ad(nonpos: LieSuperAlgebra):
+    """ad[e, d][i] = [e, h] on the basis of g_{d+deg e}, e in g_minus, h the i-th basis vector of g_d, off the table."""
+    comps = {d: nonpos.component_indices(d) for d in nonpos.degrees()}
+    position = {k: i for members in comps.values() for i, k in enumerate(members)}
+    return {
+        (e, d): [{position[t]: c for t, c in nonpos._table.get((e, h), {}).items()} for h in members]
+        for e in nonpos.negative_indices()
+        for d, members in comps.items()
+    }
 
 
 def _jacobi_rows(nonpos: LieSuperAlgebra, neg, k: int, dims, ad):
@@ -516,17 +528,17 @@ def _mirror(val, pa: int, pb: int):
 
 
 def _positive_brackets(space: SuperSpace, neg, known, max_degree: int, one):
-    """Add to known every [a, Z], deg a >= 0, deg Z >= 1, deg a + deg Z <= max_degree, by super-Jacobi.
+    """Add to known every [a, b] not in it, deg a, deg b >= 0, deg a + deg b <= max_degree, by super-Jacobi.
 
     space lists the basis in ascending degree, neg the basis indices of
-    g_minus and known[a, b] the brackets found so far, for both orders: the
-    table of g_<=0 and ad_e on each positive g_k.  In ascending total degree
-    d, phi(e) = [e, [a, Z]] = [[e, a], Z] + (-1)^{p_e p_a} [a, [e, Z]] for
-    each e in g_minus reads only brackets of total degree below d, and one
-    SpanSolver per d over the stacked columns (ad_e W)_e of the basis W of
-    g_d solves phi = sum_W x_W (ad_e W)_e for [a, Z] = sum_W x_W W (step 5
-    of the module docstring).  ProlongError when the columns are dependent
-    or phi has no solution: [a, Z] is then not in g_d.
+    g_minus and known[a, b] the brackets found so far, for both orders, every
+    bracket with g_minus up to max_degree among them.  In ascending total
+    degree d >= 0, phi(e) = [e, [a, b]] = [[e, a], b] + (-1)^{p_e p_a}
+    [a, [e, b]] for each e in g_minus reads only brackets of total degree
+    below d, and one SpanSolver per d over the stacked columns (ad_e W)_e of
+    the basis W of g_d solves phi = sum_W x_W (ad_e W)_e for [a, b] = sum_W
+    x_W W (step 5 of the module docstring).  ProlongError when the columns
+    are dependent or phi has no solution: [a, b] is then not in g_d.
 
     phi runs on integers: each bracket is read cleared, (den, den * [a, b]),
     the products are summed per denominator and the sums brought to their
@@ -571,7 +583,7 @@ def _positive_brackets(space: SuperSpace, neg, known, max_degree: int, one):
                 phi[row] = phi.get(row, 0) + v * (L // den)
         return L, {row: v for row, v in phi.items() if v}
 
-    for d in range(1, max_degree + 1):
+    for d in range(max_degree + 1):
         offset, total = {}, 0
         for e in neg:
             offset[e] = total
@@ -584,6 +596,8 @@ def _positive_brackets(space: SuperSpace, neg, known, max_degree: int, one):
         # the pairs a <= b of degrees da <= d - da, the basis being in ascending degree
         pairs = [(a, b) for da in range(d // 2 + 1) for a in comps.get(da, []) for b in comps.get(d - da, []) if a <= b]
         for a, b in pairs:
+            if (a, b) in known:
+                continue
             L, phi = jacobi_images(a, b, offset)
             if not phi:
                 continue
@@ -601,32 +615,38 @@ def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> L
 
     contact.span_algebra builds the contact and pericontact spans with it.
     gens lists (ident, parity, degree, field) in basis order, degrees
-    ascending.  Every bracket of two fields whose degree d lies between the
-    lowest degree and max_degree is expanded in the span of the degree-d
-    fields; one that leaves the span raises ProlongError.  Each field X is
-    cleared once to (den_X, den_X X) and the integer bracket of den_X X and
-    den_Y Y is solved as it is: only the solution is divided by den_X den_Y.
-    The annotations (cartan, raising, lowering, i_op, name) go to the
-    LieSuperAlgebra, whose weights are assigned when it names a Cartan
-    subalgebra.
+    ascending.  Each [X_e, X_b], e <= b of negative degree, of degree d from
+    the lowest degree to max_degree, is solved in the span of the degree-d
+    fields; the brackets of two fields of degree >= 0 are derived by step 5
+    of the module docstring, exact here as the constant parts C_e of the X_e
+    span every d_v (checked first): the lowest-order part of [X_e, Y] is
+    C_e(Y_m), so a Y of degree >= 0 that commutes with every X_e is 0.  A
+    bracket outside its span raises ProlongError.  The annotations go to the
+    LieSuperAlgebra, which assigns weights when it names a Cartan subalgebra.
     """
     space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in gens])
+    neg = [n for n, (_, _, d, _) in enumerate(gens) if d < 0]
+    constants = [{v: t[ONE_MONO] for v, t in gens[e][3].terms.items() if ONE_MONO in t} for e in neg]
+    rank = SpanSolver(constants, len(coords)).rank
+    if rank < len(coords):
+        raise ProlongError(f"the negative fields are not transitive: their constants span {rank} of {len(coords)} d_v")
     cleared = [clear_field(X) for *_, X in gens]
     members: Dict[int, List[int]] = {}
     for n, (_, _, d, _) in enumerate(gens):
         members.setdefault(d, []).append(n)
     solvers: Dict[int, Tuple[dict, SpanSolver]] = {}
     lo = gens[0][2]
-    brackets: Dict[Tuple[int, int], Element] = {}
-    for a, (id_a, pa, da, _) in enumerate(gens):
-        den_a, xa = cleared[a]
-        for b in range(a, len(gens)):
+    known: Dict[Tuple[int, int], Element] = {}
+    for e in neg:
+        id_e, pe, de, _ = gens[e]
+        den_e, xe = cleared[e]
+        for b in range(e, len(gens)):
             id_b, pb, db, _ = gens[b]
-            d = da + db
+            d = de + db
             if d < lo or d > max_degree:
                 continue
             den_b, xb = cleared[b]
-            br = bracket_terms(xa, pa, xb, pb, coords.parities)
+            br = bracket_terms(xe, pe, xb, pb, coords.parities)
             if not br:
                 continue
             if d not in solvers:
@@ -634,11 +654,14 @@ def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> L
                 solvers[d] = (idx, SpanSolver([gens[n][3].coordinates(idx) for n in members.get(d, [])], dim))
             sol = _solve_in(solvers[d], br)
             if sol is None:
-                raise ProlongError(f"bracket [{id_a},{id_b}] is not closed in degree {d}")
+                raise ProlongError(f"bracket [{id_e},{id_b}] is not closed in degree {d}")
             if sol:
-                scale = rational(1, den_a * den_b)
-                brackets[(a, b)] = {members[d][j]: c * scale for j, c in sol.items()}
-    alg = LieSuperAlgebra(space, brackets, truncation=max_degree, field=coords.field, **annotations)
+                scale = rational(1, den_e * den_b)
+                known[e, b] = {members[d][j]: c * scale for j, c in sol.items()}
+                known[b, e] = _mirror(known[e, b], pe, pb)
+    _positive_brackets(space, neg, known, max_degree, coords.field.one)
+    table = {(a, b): known[a, b] for a, b in sorted(known) if a <= b}
+    alg = LieSuperAlgebra(space, table, truncation=max_degree, field=coords.field, **annotations)
     if alg.cartan:
         alg.assign_weights()
     return alg
@@ -652,64 +675,37 @@ def prolong_nonpositive(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResu
 def degree_zero_derivations(g_minus: LieSuperAlgebra) -> LieSuperAlgebra:
     """der0, all grading-preserving superderivations of g_minus, as a from_matrices algebra.
 
-    Solved from the linearized Leibniz constraint, separately for even and odd
-    derivations; the result's bracket is the supercommutator of the matrices.
-    Its .matrices act on g_minus's basis, so combine_nonpositive(g_minus, der0,
-    der0.matrices) is g_minus + der0.
+    D is read through phi(e) = [e, D], the unknowns of _jacobi_rows at k = 0
+    on g_minus's table (step 2 of the module docstring).  As [D, e] = D(e),
+    the entry (r, e) of D is -(-1)^{p_D p_e} phi(e)_r.  Each parity's
+    columns, ordered as their entries (r, e), are solved by kernel_basis, even
+    D first.  The bracket is the supercommutator of the .matrices, which act
+    on g_minus's basis: combine_nonpositive(g_minus, der0, der0.matrices) is
+    g_minus + der0.
     TypeError for g_minus not a LieSuperAlgebra, ValueError for one with a
-    basis vector without a degree.
+    basis vector without a degree or of degree >= 0.
     """
     if not isinstance(g_minus, LieSuperAlgebra):
         raise TypeError(f"degree_zero_derivations needs a LieSuperAlgebra, got {type(g_minus).__name__}")
     if not g_minus.is_graded():
         raise ValueError("degree_zero_derivations needs a Z-graded algebra")
-    n = len(g_minus)
-    parities = [g_minus.parity(k) for k in range(n)]
-    degrees = [g_minus.degree(k) for k in range(n)]
-    gens = []
+    nonneg = next((b for b in g_minus.space if b.degree >= 0), None)
+    if nonneg is not None:
+        raise ValueError(f"degree_zero_derivations needs degrees < 0: {nonneg.id!r} has degree {nonneg.degree}")
+    parities = [g_minus.parity(k) for k in range(len(g_minus))]
+    comps = {d: g_minus.component_indices(d) for d in g_minus.degrees()}
+    dims = {d: len(members) for d, members in comps.items()}
+    unknowns, rows = _jacobi_rows(g_minus, g_minus.negative_indices(), 0, dims, _table_ad(g_minus))
+    # the entry (r, e) of D that column (e, i) gives, r the i-th basis vector of degree deg e
+    cells = [(comps[g_minus.degree(e)][i], e) for e, i in unknowns]
+    items = []
     for p_d in (0, 1):
-        slots = [
-            (r, c)
-            for r in range(n)
-            for c in range(n)
-            if degrees[r] == degrees[c] and (parities[r] + parities[c]) % 2 == p_d
-        ]
-        if not slots:
-            continue
-        slot_pos = {rc: q for q, rc in enumerate(slots)}
-        rows: List[dict] = []
-        for i in range(n):
-            for j in range(n):
-                cij = g_minus._table.get((i, j), {})
-                for t in range(n):
-                    if degrees[t] != degrees[i] + degrees[j]:
-                        continue
-                    row: dict = {}
-
-                    def add(slot, coef):
-                        # unknowns outside the allowed slots are identically zero
-                        q = slot_pos.get(slot)
-                        if q is None:
-                            return
-                        nv = row.get(q, ZERO) + coef
-                        if nv:
-                            row[q] = nv
-                        elif q in row:
-                            del row[q]
-
-                    for kk, c in cij.items():
-                        add((t, kk), c)
-                    for r in range(n):
-                        c1 = g_minus._table.get((r, j), {}).get(t)
-                        if c1:
-                            add((r, i), -c1)
-                        c2 = g_minus._table.get((i, r), {}).get(t)
-                        if c2:
-                            sgn = -1 if (p_d and parities[i]) else 1
-                            add((r, j), -sgn * c2)
-                    if row:
-                        rows.append(row)
-        for v in kernel_basis(rows, len(slots)):
-            gens.append((p_d, {slots[q]: val for q, val in sorted(v.items())}))
-    items = [(f"D_{num + 1}", p_d, 0, m) for num, (p_d, m) in enumerate(gens)]
+        # this parity's columns in the row-major order of their entries
+        cols = sorted((c for c, (r, e) in enumerate(cells) if parities[r] ^ parities[e] == p_d), key=cells.__getitem__)
+        slot = {c: q for q, c in enumerate(cols)}
+        part = (
+            {slot[c]: v if p_d and parities[cells[c][1]] else -v for c, v in row.items() if c in slot} for row in rows
+        )
+        for v in kernel_basis([row for row in part if row], len(cols)):
+            items.append((f"D_{len(items) + 1}", p_d, 0, {cells[cols[q]]: val for q, val in sorted(v.items())}))
     return from_matrices(items, parities, field=g_minus.field, name=f"der0({g_minus.name})")

@@ -17,8 +17,12 @@ s2_0_weights lists the weights of S^2_0(C^N) from the weights of C^N.
 candidate_prolongation computes g_k from its definition, as a kernel over
 every degree-k monomial field, with VectorField.bracket and the package's
 sparse elimination (itself checked against the dense oracles above).
-realization_failures brackets every pair of realized fields of a
-prolongation with VectorField.bracket and compares it with the table.  The
+realization_failures brackets every pair of the fields that realize an
+algebra, a prolongation or a contact or pericontact span, with
+VectorField.bracket and compares it with the table.  der0_failures applies
+each derivation's matrix to every bracket of g_minus, and counts der0 by
+parity as the nullity of the dense Leibniz system built from that same
+defect map, by dense_rank_fraction_free.  The
 contact and pericontact forms, the Lie derivative identities they satisfy
 and the composed isomorphism between two Grassmann real forms are checks
 that only the tests run.
@@ -442,26 +446,83 @@ def _terms_of(coefficients):
     return terms
 
 
-def realization_failures(res):
-    """The basis pairs (a, b), a <= b, whose realized fields do not bracket as the table says.
+def realization_failures(g, fields, coords, truncation):
+    """The basis pairs (a, b), a <= b, whose fields do not bracket as g's table says.
 
-    res is a ProlongResult.  For every pair of total degree at most its
-    truncation, [X_a, X_b] is computed by VectorField.bracket and compared
-    with sum_t c^t_ab X_t, the table's bracket of a and b on the realized
-    fields; the mirror pair (b, a) follows by super-antisymmetry on both sides.
+    fields[k] is the vector field on coords of g's k-th basis vector: the
+    realization of a prolongation, or the fields of a contact or pericontact
+    span.  For every pair of total degree at most truncation, [X_a, X_b] is
+    computed by VectorField.bracket and compared with sum_t c^t_ab X_t, the
+    table's bracket of a and b on the fields; the mirror pair (b, a) follows
+    by super-antisymmetry on both sides.
     """
-    g = res.algebra
-    fields = [res.realization[g.ident(k)] for k in range(len(g))]
     bad = []
     for a in range(len(g)):
         for b in range(a, len(g)):
-            if g.degree(a) + g.degree(b) > res.truncation:
+            if g.degree(a) + g.degree(b) > truncation:
                 continue
-            rhs = VectorField(res.coords)
+            rhs = VectorField(coords)
             for t, c in g.bracket_basis(a, b).items():
                 rhs = rhs + fields[t].scale(c)
             if fields[a].bracket(fields[b]) != rhs:
                 bad.append((g.ident(a), g.ident(b)))
+    return bad
+
+
+def _leibniz_defect(g, mat, parity, i, j):
+    """D[i, j] - [D i, j] - (-1)^{p_D p_i} [i, D j] on g's basis, D acting by mat = {(r, c): scalar}."""
+
+    def apply(x):
+        out = {}
+        for (r, c), v in mat.items():
+            if c in x:
+                out[r] = out.get(r, ZERO) + v * x[c]
+        return out
+
+    defect = dict(apply(g.bracket_basis(i, j)))
+    sign = -1 if parity and g.parity(i) else 1
+    for part, s in ((g.bracket(apply({i: ONE}), {j: ONE}), 1), (g.bracket({i: ONE}, apply({j: ONE})), sign)):
+        for t, c in part.items():
+            defect[t] = defect.get(t, ZERO) - s * c
+    return {t: c for t, c in defect.items() if c}
+
+
+def der0_failures(g, der):
+    """What breaks der = degree_zero_derivations(g) as der0 of g, as a list of strings.
+
+    Each D_k, acting by der.matrices[k] on g's basis with its parity, must
+    satisfy Leibniz on every basis pair of g.  For each parity p, the number
+    of D_k of parity p must be the nullity of the dense Leibniz system: one
+    column per matrix unit E_rc of parity p and degree 0 (deg r = deg c,
+    p_r + p_c = p), holding the Leibniz defects of E_rc on every basis pair,
+    its rank taken by dense_rank_fraction_free.
+    """
+    bad = []
+    n = len(g)
+    for k, mat in enumerate(der.matrices):
+        for i in range(n):
+            for j in range(n):
+                if _leibniz_defect(g, mat, der.parity(k), i, j):
+                    bad.append(f"{der.ident(k)} breaks Leibniz at [{g.ident(i)},{g.ident(j)}]")
+    for p in (0, 1):
+        units = [
+            (r, c)
+            for r in range(n)
+            for c in range(n)
+            if g.degree(r) == g.degree(c) and (g.parity(r) + g.parity(c)) % 2 == p
+        ]
+        columns = []
+        for r, c in units:
+            col = {}
+            for i in range(n):
+                for j in range(n):
+                    col.update(((i, j, t), v) for t, v in _leibniz_defect(g, {(r, c): ONE}, p, i, j).items())
+            columns.append(col)
+        keys = sorted({key for col in columns for key in col})
+        rank = dense_rank_fraction_free([[col.get(key, ZERO) for key in keys] for col in columns]) if keys else 0
+        count = sum(1 for k in range(len(der)) if der.parity(k) == p)
+        if count != len(units) - rank:
+            bad.append(f"{count} derivations of parity {p}, nullity {len(units) - rank}")
     return bad
 
 

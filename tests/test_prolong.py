@@ -31,7 +31,13 @@ from superalg.linalg import SpanSolver, row_space_basis
 from superalg.scalars import FIELD_QI, ZERO, gaussian, rational
 from superalg.spaces import BasisVector, SuperSpace
 
-from oracles import canonical_sha256, candidate_prolongation, realization_failures, representation_failures
+from oracles import (
+    canonical_sha256,
+    candidate_prolongation,
+    der0_failures,
+    realization_failures,
+    representation_failures,
+)
 
 
 def prolong_pair(g0, max_degree, g_minus=None):
@@ -39,6 +45,12 @@ def prolong_pair(g0, max_degree, g_minus=None):
     if g_minus is None:
         g_minus = abelian_negative(g0.row_parity)
     return prolong_nonpositive(combine_nonpositive(g_minus, g0, g0.matrices), max_degree)
+
+
+def prolongation_failures(res):
+    """realization_failures on a ProlongResult: its algebra against its realized fields up to its truncation."""
+    g = res.algebra
+    return realization_failures(g, [res.realization[g.ident(k)] for k in range(len(g))], res.coords, res.truncation)
 
 
 def formula_field(nonpos, coords, h):
@@ -249,7 +261,7 @@ def test_gl_prolong_is_full_polynomial_field_space():
 
 def test_prolong_brackets_match_realization():
     res = prolong_pair(gl_g0(1, 1), 2)
-    assert realization_failures(res) == []
+    assert prolongation_failures(res) == []
 
 
 def _realization_cases():
@@ -268,7 +280,7 @@ def _realization_cases():
 def test_every_bracket_prolong_derives_is_the_bracket_of_the_realized_fields(build):
     # prolong brackets no positive field after the certificate: each
     # [X_a, X_b] up to the truncation, by VectorField.bracket, against the table
-    assert realization_failures(build()) == []
+    assert prolongation_failures(build()) == []
 
 
 def _sl2_fields():
@@ -299,6 +311,21 @@ def test_algebra_of_fields_rejects_a_span_that_does_not_close():
     coords, gens = _sl2_fields()
     with pytest.raises(ProlongError, match=r"\[D,H\] is not closed in degree 0"):
         algebra_of_fields(coords, [gen for gen in gens if gen[0] != "E"], 1)
+
+
+def test_algebra_of_fields_rejects_a_span_that_is_not_transitive():
+    # y d_y commutes with the one negative field d_x, so the brackets of the
+    # degree-0 fields could not be read off their brackets with d_x
+    coords = Coords(["x", "y"], [0, 0], [1, 1])
+    x, y = coords.var(0), coords.var(1)
+    gens = [
+        ("D", 0, -1, coordinate_field(coords, 0)),
+        ("E", 0, 0, VectorField(coords, {0: x})),
+        ("F", 0, 0, VectorField(coords, {1: y})),
+    ]
+    message = r"^the negative fields are not transitive: their constants span 1 of 2 d_v$"
+    with pytest.raises(ProlongError, match=message):
+        algebra_of_fields(coords, gens, 0)
 
 
 def test_gl_prolong_components_are_g0_submodules():
@@ -564,6 +591,31 @@ def test_degree_zero_derivations_of_abelian():
     assert len(der) == 4  # gl(2)
 
 
+def _der0_cases():
+    for field in ("Q", "Q(i)"):
+        for n2, m in ((2, 0), (0, 2), (2, 1)):
+            yield f"hei({n2}|{m}) over {field}", build_hei(n2, m, field=field)
+    for n in (1, 2):
+        yield f"ab({n})", build_ab(n)
+    yield "abelian(0|1)", abelian_negative([0, 1])
+    for N in (1, 2):
+        yield f"mink{N}", build_minkowski_negative(N)
+
+
+@pytest.mark.parametrize("g_minus", [pytest.param(g, id=name) for name, g in _der0_cases()])
+def test_degree_zero_derivations_match_the_dense_leibniz_oracle(g_minus):
+    der = degree_zero_derivations(g_minus)
+    assert len(der) > 0
+    assert der0_failures(g_minus, der) == []
+
+
+def test_degree_zero_derivations_rejects_a_vector_of_degree_zero_or_more():
+    for degree in (0, 1):
+        g = LieSuperAlgebra(SuperSpace([BasisVector("a", 0, -1), BasisVector("h", 0, degree)]), {})
+        with pytest.raises(ValueError, match=rf"^degree_zero_derivations needs degrees < 0: 'h' has degree {degree}$"):
+            degree_zero_derivations(g)
+
+
 def test_degree_zero_derivations_hei2():
     der = degree_zero_derivations(build_hei(2, 0))
     assert len(der) == 4  # csp(2)
@@ -795,7 +847,8 @@ def test_a_realization_makes_one_field_bracket_per_checked_pair(monkeypatch):
         calls.clear()
         coords, neg_fields = realize_negative(nonpos)
         realize_degree_zero(nonpos, coords, neg_fields)
-        assert len(calls) == n_neg**2 + n_zero * (n_neg + n_zero), name
+        # each unordered pair once: g_minus x g_minus, g_0 x g_minus, g_0 x g_0
+        assert len(calls) == n_neg * (n_neg + 1) // 2 + n_zero * n_neg + n_zero * (n_zero + 1) // 2, name
 
 
 def _abelian_g0(n):
@@ -1010,6 +1063,32 @@ def test_a_tampered_certified_constant_fails_the_closure(monkeypatch):
         prolong_nonpositive(_hei_with_der0(), 1)
 
 
+def test_the_jacobi_step_derives_only_the_brackets_not_yet_known(monkeypatch):
+    # prolong hands it the table of g_<=0 and algebra_of_fields every bracket
+    # with a negative field; each is kept as given, never solved again
+    derive = prolong._positive_brackets
+    added = []
+
+    class WriteOnce(dict):
+        def __setitem__(self, key, value):
+            assert key not in self, key
+            added.append(key)
+            super().__setitem__(key, value)
+
+    def once(space, neg, known, max_degree, one):
+        given = WriteOnce(known)
+        derive(space, neg, given, max_degree, one)
+        known.update(given)
+
+    monkeypatch.setattr(prolong, "_positive_brackets", once)
+    res = prolong_nonpositive(build_minkowski_g0(1, "conformal"), 2)
+    g = res.algebra
+    assert added and all(g.degree(a) >= 0 and g.degree(b) >= 0 and g.degree(a) + g.degree(b) >= 1 for a, b in added)
+    added.clear()
+    g = contact_algebra(0, 2, 2)
+    assert added and all(g.degree(a) >= 0 and g.degree(b) >= 0 for a, b in added)
+
+
 def test_dependent_certified_columns_are_rejected(monkeypatch):
     # g_1 with its first field listed twice: the certificate admits both
     # copies, and their stacked columns (ad_e Z)_e are equal
@@ -1025,9 +1104,10 @@ def test_dependent_certified_columns_are_rejected(monkeypatch):
 
 
 def test_prolong_brackets_no_field_after_the_certificate(monkeypatch):
-    # N = 2 conformal to degree 2: the realization checks 12^2 + 11 * 23 = 397
-    # pairs and the certificate brackets each of the 12 positive fields with
-    # the 12 of g_minus; every other bracket is read off the certified constants
+    # N = 2 conformal to degree 2: the realization checks 12 * 13 / 2 + 11 * 12
+    # + 11 * 12 / 2 = 276 unordered pairs and the certificate brackets each of
+    # the 12 positive fields with the 12 of g_minus; every other bracket is
+    # read off the certified constants
     calls = []
     bracket_terms = polyvf.bracket_terms
 
@@ -1039,4 +1119,4 @@ def test_prolong_brackets_no_field_after_the_certificate(monkeypatch):
     monkeypatch.setattr(prolong, "bracket_terms", counted)
     res = prolong_nonpositive(build_minkowski_g0(2, "conformal"), 2)
     assert res.component_dims() == {-2: 4, -1: 8, 0: 11, 1: 8, 2: 4}
-    assert len(calls) == 12**2 + 11 * 23 + 12 * 12 == 541
+    assert len(calls) == 12 * 13 // 2 + 11 * 12 + 11 * 12 // 2 + 12 * 12 == 420
