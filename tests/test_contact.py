@@ -62,7 +62,7 @@ def _pericontact_span(n, max_degree):
     return pericontact_algebra(n, max_degree), coords, lambda f: pericontact_field(f, coords)
 
 
-# each span as (algebra, coords, the builder of its field from a generating function), and its document's digest
+# each span as (algebra, coords, the field of a generating function), and its document's digest
 SPANS = {
     "k(1|1)_3": (lambda: _contact_span(0, 1, 3), "bf7feeacd8024c33cb200fb468f98df03506082ef11691cc753e496cc3a57fc8"),
     "k(1|3)_3": (lambda: _contact_span(0, 3, 3), "e081b7c089779eeebff06850277894d1edd24668f31882cc201c831845ada0d4"),
@@ -90,12 +90,12 @@ def test_span_algebra_documents_are_pinned(name):
 def test_every_bracket_of_a_span_is_the_bracket_of_its_fields(name):
     # algebra_of_fields brackets only the negative fields and derives the
     # rest: each [X_a, X_b] up to the truncation, by VectorField.bracket
-    g, coords, builder = SPANS[name][0]()
+    g, coords, field_of = SPANS[name][0]()
     # the fields in basis order, by span_algebra's loop over the generating monomials
     fields = []
     for w in range(g.truncation + 3):
         for m in monomials_of_degree(coords, w):
-            X = builder(Polynomial(coords, {m: coords.field.one}))
+            X = field_of(Polynomial(coords, {m: coords.field.one}))
             if X:
                 fields.append(X)
     assert [(X.parity(), X.degree()) for X in fields] == [(g.parity(k), g.degree(k)) for k in range(len(g))]
