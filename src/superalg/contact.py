@@ -7,10 +7,12 @@ t and tau in degree 2 and every other coordinate in degree 1, so K_f has
 degree wt(f) - 2.
 
 Spans of contact fields assemble into truncated graded Lie superalgebras
-through prolong.algebra_of_fields, which brackets each field with those of
-negative degree (K_1 and K_f, f linear) and derives the rest by super-Jacobi.
-The closure is checked exactly on every build, not assumed: a span that fails
-to close raises prolong.ProlongError.
+through prolong.algebra_of_fields, on the record of realized fields that
+prolong keeps: the fields, in ascending degree, are its gens, each is
+bracketed with those of negative degree (K_1 and K_f, f linear) and solved
+in the span of its degree, and the rest of the table is derived by
+super-Jacobi.  The closure is checked exactly on every build, not assumed: a
+span that fails to close raises prolong.ProlongError.
 """
 
 from __future__ import annotations

@@ -15,7 +15,11 @@ checked against the table.  The positive components are
   g_k = { X of degree k : [X_e, X] lies in g_{k+deg e} for every e in g_minus }
 
 and they are computed one degree k >= 1 at a time, in four steps; a fifth
-then derives every other bracket with a positive field.
+then derives every other bracket with a positive field.  All five use one
+record (_Fields): gens, the (ident, parity, degree, field) of each basis
+vector of the result, degrees ascending, and known[a, b], every bracket
+found on that basis, which starts as the table of g_<=0.  Every bracket of
+fields after the realization checks is made by _Fields.solve.
 
 1. Unknowns.  X is read through phi(e) = [X_e, X] = sum_i u[e,i] Z_i, Z_i
    running over the basis of g_{k+deg e}.  This loses nothing: a field of
@@ -25,9 +29,9 @@ then derives every other bracket with a positive field.
 
      ad_e phi(f) - (-1)^{p_e p_f} ad_f phi(e) - sum_t c^t_{ef} phi(t) = 0
 
-   in g_{k+deg e+deg f}, with ad_e = [X_e, .].  ad_e is read off the table on
-   g_j for j <= 0, entries that the realization has checked, and off step 4
-   of degree j for j > 0.  One kernel_basis call solves the rows.  Every X in
+   in g_{k+deg e+deg f}, with ad_e = [X_e, .] read off known: the table on
+   g_j for j <= 0, entries that the realization has checked, and step 4 of
+   degree j for j > 0.  One kernel_basis call solves the rows.  Every X in
    g_k satisfies them, so the kernel holds all of g_k.  At k = 0 on the
    table of g_minus alone they give der0 (degree_zero_derivations).
 3. A field for each kernel vector.  The fields
@@ -46,23 +50,24 @@ then derives every other bracket with a positive field.
    are sorted by the (parity, weight) block of their pivot terms, in the str
    order of the block keys, then by pivot column.  The RREF of a span is
    unique, so the basis does not depend on the kernel basis found.
-4. Certificate.  For each new basis field Z, [X_e, Z] is solved in the span
-   of g_{k+deg e}, and a bracket outside it raises ProlongError.  Each
-   success proves Z in g_k, so the span of step 3 is exactly g_k: step 2
-   misses no field of g_k and step 4 admits no other.  The solved constants
-   are ad_e on g_k, which the next degree reads, and they are the brackets
-   [X_e, Z] of the algebra's table.
-5. Brackets.  Every other bracket [a, Z], deg Z >= deg a >= 0, is read
-   off the certified constants, in ascending total degree d = deg a +
-   deg Z from 0 to max_degree (at d = 0 the pairs of g_0 are in the table
-   or have phi = 0), by the super-Jacobi identity
+4. Certificate.  Each new basis field Z joins gens, and _Fields.solve puts
+   each [X_e, Z] into known, solved in the span of g_{k+deg e}; a bracket
+   outside it raises ProlongError.  Each success proves Z in g_k, so the
+   span of step 3 is exactly g_k: step 2 misses no field of g_k and step 4
+   admits no other.  The solved constants are ad_e on g_k, which the next
+   degree reads, and the brackets [X_e, Z] of the algebra's table.
+5. Brackets.  _Fields.finish adds to known every other bracket [a, Z],
+   deg Z >= deg a >= 0, read off the certified constants in ascending total
+   degree d = deg a + deg Z from 0 to max_degree by the super-Jacobi identity
 
      phi(e) = [e, [a, Z]] = [[e, a], Z] + (-1)^{p_e p_a} [a, [e, Z]]
 
    for each e in g_minus.  Each bracket on the right has total degree below
-   d, so it is already known: from the table of g_<=0, from ad, or from an
-   earlier d.  Each is an identity of fields, so phi(e) is [X_e, [X_a, X_Z]]
-   on the basis of g_{d+deg e}.  One SpanSolver per d, over the stacked
+   d, so it is already in known: from the table of g_<=0, from step 4, or
+   from an earlier d.  Each is an identity of fields, so phi(e) is
+   [X_e, [X_a, X_Z]] on the basis of g_{d+deg e}.  One SpanSolver per d,
+   built at the first nonzero phi of that d (in prolong every pair of g_0
+   is in known or has phi = 0, so d = 0 builds none), over the stacked
    columns (ad_e W)_e of the basis W of g_d, solves phi = sum_W x_W
    (ad_e W)_e.  This is the exact closure check, as bracketing the fields
    would be: a field of degree >= 0 that commutes with every X_e is 0 (step
@@ -77,14 +82,13 @@ each basis field of g_j then lies in one block, so the (parity, weight) parts
 of a field of g_k lie in g_k, and g_k is the direct sum of its block parts.
 Each part sits on its own columns, so the RREF of g_k is the union of the
 RREFs of its parts, each keeping its pivot order: the basis is that of the
-blocks reduced one by one.  The certificate's brackets run on the fields
-cleared to integers, through polyvf.bracket_terms, as algebra_of_fields runs
-them.
+blocks reduced one by one.
 
 algebra_of_fields turns realized fields into structure constants for the
-contact and pericontact spans of contact.py.  It brackets the fields with the
-negative ones only and derives the rest by step 5, made exact there by
-checking that the negative fields are transitive.
+contact and pericontact spans of contact.py, on a record with the given gens
+and an empty known: it solves the brackets with the negative fields only and
+derives the rest by step 5, made exact there by checking that the negative
+fields are transitive.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .algebra import Element, LieSuperAlgebra, from_matrices
+from .algebra import LieSuperAlgebra, from_matrices
 from .constructors import check_ints
 from .linalg import SpanSolver, kernel_basis, row_space_basis
 from .polyvf import (
@@ -240,10 +244,11 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     check on matrices would repeat it), or that acts unfaithfully (dependent
     degree-0 fields, in the span degree 1 builds anyway).
 
-    Each positive component is solved in Hom(g_minus, g) from the super-Jacobi
-    rows, its fields are built by the homotopy formula and certified one by
-    one (steps 1-4 of the module docstring); every other bracket with a
-    positive field is derived from the certified constants (step 5).
+    gens starts as g_<=0 and known as its table, relabelled once.  Each
+    positive component is solved in Hom(g_minus, g) from the super-Jacobi
+    rows on known, its fields are built by the homotopy formula, join gens
+    and are certified one by one (steps 1-4 of the module docstring);
+    _Fields.finish derives every other bracket (step 5).
     """
     if not isinstance(nonpos, LieSuperAlgebra):
         raise TypeError(f"prolong: nonpos must be a LieSuperAlgebra, got {type(nonpos).__name__}")
@@ -254,118 +259,89 @@ def prolong(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
     nonpos.check_table(ProlongError, TABLE_ERRORS)
     coords, neg_fields = realize_negative(nonpos)
     zero_fields = realize_degree_zero(nonpos, coords, neg_fields)
-    neg = nonpos.negative_indices()
-    pos_of = {e: c for c, e in enumerate(neg)}
     frame = commuting_frame(nonpos, coords)
-    weights = [nonpos.space.basis[e].weight for e in neg]
+    weights = [nonpos.space.basis[e].weight for e in nonpos.negative_indices()]
     if None in weights:
-        weights = [()] * len(neg)
-    # realized components by degree, each basis field also cleared to
-    # integers, (den, den * field); ad[e, d][i] = [X_e, Z] for the i-th basis
-    # field Z of g_d, on the basis of g_{d + deg e}
-    comp_fields: Dict[int, List[VectorField]] = {}
-    comp_ids: Dict[int, List[str]] = {}
-    position = {}
-    for d in sorted({nonpos.degree(k) for k in range(len(nonpos))} | {0}):
-        members = nonpos.component_indices(d)
-        position.update((k, i) for i, k in enumerate(members))
-        comp_fields[d] = [neg_fields[k] if d < 0 else zero_fields[k] for k in members]
-        comp_ids[d] = [nonpos.ident(k) for k in members]
-    comp_cleared = {d: [clear_field(Z) for Z in fields] for d, fields in comp_fields.items()}
-    ad = _table_ad(nonpos)
-
-    solvers: Dict[int, Tuple[dict, SpanSolver]] = {}
-
-    def component_solver(d: int):
-        """(idx, SpanSolver) for the realized span of g_d on the W_d coordinates idx."""
-        if d in solvers:
-            return solvers[d]
-        idx, dim = field_basis_index(coords, d)
-        vecs = [f.coordinates(idx) for f in comp_fields.get(d, [])]
-        solver = SpanSolver(vecs, dim)
-        solvers[d] = (idx, solver)
-        return solvers[d]
-
-    if component_solver(0)[1].rank < len(comp_fields[0]):
+        weights = [()] * len(weights)
+    # the result's basis starts with g_<=0 in ascending degree; base maps each
+    # basis vector of nonpos to its index there
+    order = [k for d in nonpos.degrees() for k in nonpos.component_indices(d)]
+    base = {k: n for n, k in enumerate(order)}
+    realized = {**neg_fields, **zero_fields}
+    rec = _Fields(
+        coords,
+        [(nonpos.ident(k), nonpos.parity(k), nonpos.degree(k), realized[k]) for k in order],
+        {(base[i], base[j]): {base[t]: c for t, c in val.items()} for (i, j), val in nonpos._table.items()},
+    )
+    gens = rec.gens
+    if rec.span(0)[2].rank < len(zero_fields):
         raise ProlongError("g0 does not act faithfully on g_minus")
+    # g_minus in coordinate order
+    neg = [base[e] for e in nonpos.negative_indices()]
     for k in range(1, max_degree + 1):
-        dims = {d: len(fields) for d, fields in comp_fields.items()}
-        unknowns, rows = _jacobi_rows(nonpos, neg, k, dims, ad)
+        unknowns, rows = _jacobi_rows([g[1] for g in gens], [g[2] for g in gens], neg, k, rec.known)
         fields = []
         for vec in kernel_basis(rows, len(unknowns)):
-            # phi(e) = sum_i u[e,i] Z_i = sum_i (u[e,i] / den_i) (den_i Z_i),
+            # phi(e) = sum_n u[e,n] X_n = sum_n (u[e,n] / den_n) (den_n X_n),
             # all cleared by one denominator: a multiple of X spans as well
             parts = {}
             for col, u in vec.items():
-                e, i = unknowns[col]
-                den, terms = comp_cleared[k + nonpos.degree(e)][i]
+                e, n = unknowns[col]
+                den, terms = rec.cleared(n)
                 parts.setdefault(e, []).append((terms, u * rational(1, den)))
             common = common_denominator(u for pairs in parts.values() for _, u in pairs)
             images = {
-                pos_of[e]: sum(
+                neg.index(e): sum(
                     (VectorField.from_terms(coords, terms).scale(cleared(u, common)) for terms, u in pairs),
                     VectorField(coords),
                 )
                 for e, pairs in parts.items()
             }
             fields.append(homotopy_field(frame, k, images))
-        comp_fields[k] = _block_bases(fields, coords, k, weights)
-        comp_ids[k] = [f"g{k}[{j}]" for j in range(len(comp_fields[k]))]
-        comp_cleared[k] = [clear_field(Z) for Z in comp_fields[k]]
-        for j, (Z, (den_z, z)) in enumerate(zip(comp_fields[k], comp_cleared[k])):
+        for j, Z in enumerate(_block_bases(fields, coords, k, weights)):
+            gens.append((f"g{k}[{j}]", Z.parity(), k, Z))
             for e in neg:
-                d = k + nonpos.degree(e)
-                den_e, xe = comp_cleared[nonpos.degree(e)][position[e]]
-                br = bracket_terms(xe, nonpos.parity(e), z, Z.parity(), coords.parities)
-                img = _solve_in(component_solver(d), br) if br else {}
-                if img is None:
-                    raise ProlongError(f"certificate failed: [{nonpos.ident(e)},{comp_ids[k][j]}] is not in g_{d}")
-                scale = rational(1, den_e * den_z)
-                ad.setdefault((e, k), []).append({i: c * scale for i, c in img.items()})
-
-    return _assemble(nonpos, coords, comp_fields, comp_ids, ad, max_degree)
+                if not rec.solve(e, len(gens) - 1):
+                    raise ProlongError(f"certificate failed: [{gens[e][0]},g{k}[{j}]] is not in g_{k + gens[e][2]}")
+    i_op = None
+    if nonpos.i_op is not None:
+        i_op = {base[k]: {base[t]: c for t, c in img.items()} for k, img in nonpos.i_op.items()}
+    annotations = {"cartan": nonpos.cartan, "raising": nonpos.raising, "lowering": nonpos.lowering, "i_op": i_op}
+    alg = rec.finish(max_degree, name=(nonpos.name or "g") + "_*", **annotations)
+    return ProlongResult(alg, {ident: f for ident, _, _, f in gens}, coords, max_degree)
 
 
-def _table_ad(nonpos: LieSuperAlgebra):
-    """ad[e, d][i] = [e, h] on the basis of g_{d+deg e}, e in g_minus, h the i-th basis vector of g_d, off the table."""
-    comps = {d: nonpos.component_indices(d) for d in nonpos.degrees()}
-    position = {k: i for members in comps.values() for i, k in enumerate(members)}
-    return {
-        (e, d): [{position[t]: c for t, c in nonpos._table.get((e, h), {}).items()} for h in members]
-        for e in nonpos.negative_indices()
-        for d, members in comps.items()
-    }
-
-
-def _jacobi_rows(nonpos: LieSuperAlgebra, neg, k: int, dims, ad):
+def _jacobi_rows(parity, degree, neg, k: int, known):
     """(unknowns, rows): the super-Jacobi rows on phi(e) = [X_e, X] for X of degree k.
 
-    Column c holds the unknown u[e, i] for unknowns[c] = (e, i), phi(e) =
-    sum_i u[e, i] Z_i over the basis of g_{k+deg e}.  For each pair e <= f of
-    g_minus, one row per basis vector of g_{k+deg e+deg f} holds
-    ad_e phi(f) - (-1)^{p_e p_f} ad_f phi(e) - sum_t c^t_{ef} phi(t),
-    with ad read off ad[e, d] (see prolong).
+    parity and degree list those of each basis vector, neg the basis indices
+    of g_minus and known[a, b] = [a, b] on the basis, every [e, h] with e in
+    g_minus and deg h < k among them.  Column c holds the unknown u[e, n] for
+    unknowns[c] = (e, n), phi(e) = sum_n u[e, n] n over the basis of
+    g_{k+deg e}.  For each pair e <= f of g_minus, one row per basis vector
+    of g_{k+deg e+deg f} holds ad_e phi(f) - (-1)^{p_e p_f} ad_f phi(e) -
+    sum_t c^t_{ef} phi(t), with ad_e n = known[e, n].
     """
-    unknowns, offset = [], {}
-    for e in neg:
-        offset[e] = len(unknowns)
-        unknowns += [(e, i) for i in range(dims.get(k + nonpos.degree(e), 0))]
+    comps: Dict[int, List[int]] = {}
+    for n, d in enumerate(degree):
+        comps.setdefault(d, []).append(n)
+    unknowns = [(e, n) for e in neg for n in comps.get(k + degree[e], [])]
     rows = []
     for a, e in enumerate(neg):
         for f in neg[a:]:
-            d = k + nonpos.degree(e) + nonpos.degree(f)
-            if not dims.get(d):
+            target = comps.get(k + degree[e] + degree[f])
+            if not target:
                 continue
-            eq = [{} for _ in range(dims[d])]
-            mirror = 1 if nonpos.parity(e) and nonpos.parity(f) else -1
-            terms = [(offset[f] + i, img, 1) for i, img in enumerate(ad.get((e, k + nonpos.degree(f)), []))]
-            terms += [(offset[e] + i, img, mirror) for i, img in enumerate(ad.get((f, k + nonpos.degree(e)), []))]
-            for t, c in nonpos._table.get((e, f), {}).items():
-                terms += [(offset[t] + s, {s: c}, -1) for s in range(dims[d])]
+            eq = {n: {} for n in target}
+            mirror = 1 if parity[e] and parity[f] else -1
+            terms = [(col, known.get((e, n), {}), 1) for col, (t, n) in enumerate(unknowns) if t == f]
+            terms += [(col, known.get((f, n), {}), mirror) for col, (t, n) in enumerate(unknowns) if t == e]
+            for t, c in known.get((e, f), {}).items():
+                terms += [(col, {n: c}, -1) for col, (u, n) in enumerate(unknowns) if u == t]
             for col, img, sign in terms:
-                for s, c in img.items():
-                    eq[s][col] = eq[s].get(col, 0) + (c if sign > 0 else -c)
-            rows += [{col: c for col, c in row.items() if c} for row in eq]
+                for t, c in img.items():
+                    eq[t][col] = eq[t].get(col, 0) + (c if sign > 0 else -c)
+            rows += [{col: c for col, c in row.items() if c} for row in eq.values()]
     return unknowns, [row for row in rows if row]
 
 
@@ -464,62 +440,75 @@ def _block_bases(fields, coords: Coords, k: int, weights) -> List[VectorField]:
     return out
 
 
-def _solve_in(span, br):
-    """A bracket's term dict br on the spanning fields of span = (idx, solver): {j: c} ascending, or None outside it.
+class _Fields:
+    """Realized fields in the basis order of the algebra they span, and every bracket found on that basis.
 
-    idx is the field_basis_index of br's degree and solver the SpanSolver of
-    the fields on it.
+    gens[n] = (ident, parity, degree, field), degrees ascending, and known[a,
+    b] = [a, b] = {t: c}, kept for both orders.  prolong and algebra_of_fields
+    bracket fields only by solve and build the algebra by finish.
     """
-    idx, solver = span
+
+    def __init__(self, coords: Coords, gens, known):
+        self.coords, self.gens, self.known = coords, gens, known
+        # {n: (den, den * field)} and {d: span(d)}, each entry built on first use
+        self._cleared, self._spans = {}, {}
+
+    def cleared(self, n: int):
+        """(den, den * field) of gens[n], its terms integers (polyvf.clear_field)."""
+        if n not in self._cleared:
+            self._cleared[n] = clear_field(self.gens[n][3])
+        return self._cleared[n]
+
+    def span(self, d: int):
+        """(members, idx, solver) of degree d: its basis indices, field_basis_index and the SpanSolver of its fields."""
+        if d not in self._spans:
+            members = [n for n, g in enumerate(self.gens) if g[2] == d]
+            idx, dim = field_basis_index(self.coords, d)
+            self._spans[d] = members, idx, SpanSolver([self.gens[n][3].coordinates(idx) for n in members], dim)
+        return self._spans[d]
+
+    def solve(self, a: int, b: int) -> bool:
+        """Add [X_a, X_b] to known, solved in the span of the fields of its degree; False when it lies outside.
+
+        The fields are bracketed cleared to integers, by polyvf.bracket_terms;
+        a zero bracket is not solved, and known keeps no zero bracket.
+        """
+        (den_a, xa), (den_b, xb) = self.cleared(a), self.cleared(b)
+        pa, pb = self.gens[a][1], self.gens[b][1]
+        br = bracket_terms(xa, pa, xb, pb, self.coords.parities)
+        if not br:
+            return True
+        sol = _solve_in(self.span(self.gens[a][2] + self.gens[b][2]), br)
+        if sol is None:
+            return False
+        scale = rational(1, den_a * den_b)
+        self.known[a, b] = {n: c * scale for n, c in sol.items()}
+        self.known[b, a] = _mirror(self.known[a, b], pa, pb)
+        return True
+
+    def finish(self, max_degree: int, **annotations) -> LieSuperAlgebra:
+        """The algebra of gens truncated at max_degree; every bracket not in known is derived by step 5.
+
+        The cleared fields and the span solvers are dropped first.  The table
+        goes to LieSuperAlgebra in sorted (a, b) order with the annotations,
+        and weights are assigned when they name a Cartan subalgebra.
+        """
+        self._cleared = self._spans = None
+        space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in self.gens])
+        neg = [n for n, g in enumerate(self.gens) if g[2] < 0]
+        _positive_brackets(space, neg, self.known, max_degree, self.coords.field.one)
+        table = {(a, b): self.known[a, b] for a, b in sorted(self.known) if a <= b}
+        alg = LieSuperAlgebra(space, table, truncation=max_degree, field=self.coords.field, **annotations)
+        if alg.cartan:
+            alg.assign_weights()
+        return alg
+
+
+def _solve_in(span, br):
+    """The term dict br on the fields of span, _Fields.span of its degree: {n: c} ascending, or None outside it."""
+    members, idx, solver = span
     sol = solver.solve({idx[v, m]: c for v, t in br.items() for m, c in t.items()})
-    return None if sol is None else dict(sorted(sol.items()))
-
-
-def _assemble(nonpos, coords, comp_fields, comp_ids, ad, max_degree):
-    """The algebra of the computed components, with nonpos's annotations, and its realization.
-
-    No field is zero, so each has a parity: X_k has d_k for k in g_minus, g_0
-    acts faithfully and a positive field is a nonzero RREF row.  The table is
-    read off, not bracketed: every pair inside g_<=0 from nonpos's table,
-    which realize_negative and realize_degree_zero checked the fields
-    against, every [X_e, Z] of e in g_minus and a positive Z from the
-    certificate's ad, and every other pair with a positive field from
-    _positive_brackets (step 5 of the module docstring)."""
-    gens = []
-    index_of = {}
-    for d in sorted(comp_fields):
-        for j, f in enumerate(comp_fields[d]):
-            index_of[d, j] = len(gens)
-            gens.append((comp_ids[d][j], f.parity(), d, f))
-    space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in gens])
-    # the index in gens of each basis vector of nonpos
-    base = {k: index_of[d, i] for d in nonpos.degrees() for i, k in enumerate(nonpos.component_indices(d))}
-    # known[a, b] = [a, b] on the basis, kept for both orders
-    known = {(base[i], base[j]): {base[t]: c for t, c in val.items()} for (i, j), val in nonpos._table.items()}
-    for (e, d), images in ad.items():
-        if d > 0:
-            for i, img in enumerate(images):
-                a, b = base[e], index_of[d, i]
-                known[a, b] = {index_of[d + nonpos.degree(e), j]: c for j, c in img.items()}
-                known[b, a] = _mirror(known[a, b], space.parity(a), space.parity(b))
-    _positive_brackets(space, [base[e] for e in nonpos.negative_indices()], known, max_degree, coords.field.one)
-    i_op = None
-    if nonpos.i_op is not None:
-        i_op = {base[k]: {base[t]: c for t, c in img.items()} for k, img in nonpos.i_op.items()}
-    alg = LieSuperAlgebra(
-        space,
-        {(a, b): val for (a, b), val in known.items() if a <= b},
-        truncation=max_degree,
-        field=coords.field,
-        cartan=nonpos.cartan,
-        raising=nonpos.raising,
-        lowering=nonpos.lowering,
-        i_op=i_op,
-        name=(nonpos.name or "g") + "_*",
-    )
-    if alg.cartan:
-        alg.assign_weights()
-    return ProlongResult(alg, {ident: f for ident, _, _, f in gens}, coords, max_degree)
+    return None if sol is None else {members[j]: c for j, c in sorted(sol.items())}
 
 
 def _mirror(val, pa: int, pb: int):
@@ -537,8 +526,10 @@ def _positive_brackets(space: SuperSpace, neg, known, max_degree: int, one):
     [a, [e, b]] for each e in g_minus reads only brackets of total degree
     below d, and one SpanSolver per d over the stacked columns (ad_e W)_e of
     the basis W of g_d solves phi = sum_W x_W (ad_e W)_e for [a, b] = sum_W
-    x_W W (step 5 of the module docstring).  ProlongError when the columns
-    are dependent or phi has no solution: [a, b] is then not in g_d.
+    x_W W (step 5 of the module docstring).  That solver is built, and its
+    columns checked, at the first pair of the level with a nonzero phi.
+    ProlongError when the columns are dependent or phi has no solution:
+    [a, b] is then not in g_d.
 
     phi runs on integers: each bracket is read cleared, (den, den * [a, b]),
     the products are summed per denominator and the sums brought to their
@@ -589,10 +580,7 @@ def _positive_brackets(space: SuperSpace, neg, known, max_degree: int, one):
             offset[e] = total
             total += len(comps.get(d + degree[e], ()))
         W = comps.get(d, [])
-        cols = [{offset[e] + pos[t]: c for e in neg for t, c in known.get((e, w), {}).items()} for w in W]
-        solver = SpanSolver(cols, total)
-        if solver.rank < len(W):
-            raise ProlongError(f"the certified brackets with g_minus are dependent on g_{d}")
+        solver = None
         # the pairs a <= b of degrees da <= d - da, the basis being in ascending degree
         pairs = [(a, b) for da in range(d // 2 + 1) for a in comps.get(da, []) for b in comps.get(d - da, []) if a <= b]
         for a, b in pairs:
@@ -601,6 +589,11 @@ def _positive_brackets(space: SuperSpace, neg, known, max_degree: int, one):
             L, phi = jacobi_images(a, b, offset)
             if not phi:
                 continue
+            if solver is None:
+                cols = [{offset[e] + pos[t]: c for e in neg for t, c in known.get((e, w), {}).items()} for w in W]
+                solver = SpanSolver(cols, total)
+                if solver.rank < len(W):
+                    raise ProlongError(f"the certified brackets with g_minus are dependent on g_{d}")
             sol = solver.solve(phi)
             if sol is None:
                 raise ProlongError(f"bracket [{space.basis[a].id},{space.basis[b].id}] is not closed in degree {d}")
@@ -615,56 +608,36 @@ def algebra_of_fields(coords: Coords, gens, max_degree: int, **annotations) -> L
 
     contact.span_algebra builds the contact and pericontact spans with it.
     gens lists (ident, parity, degree, field) in basis order, degrees
-    ascending.  Each [X_e, X_b], e <= b of negative degree, of degree d from
-    the lowest degree to max_degree, is solved in the span of the degree-d
-    fields; the brackets of two fields of degree >= 0 are derived by step 5
-    of the module docstring, exact here as the constant parts C_e of the X_e
-    span every d_v (checked first): the lowest-order part of [X_e, Y] is
-    C_e(Y_m), so a Y of degree >= 0 that commutes with every X_e is 0.  A
-    bracket outside its span raises ProlongError.  The annotations go to the
-    LieSuperAlgebra, which assigns weights when it names a Cartan subalgebra.
+    ascending, else ValueError naming the first one out of order.  They are
+    the gens of a _Fields record whose known starts empty: _Fields.solve
+    adds each [X_e, X_b], e <= b of negative degree, of degree d from the
+    lowest degree to max_degree, solved in the span of the degree-d fields,
+    and _Fields.finish derives the brackets of two fields of degree >= 0 by
+    step 5 of the module docstring, exact here as the constant parts C_e of
+    the X_e span every d_v (checked first): the lowest-order part of
+    [X_e, Y] is C_e(Y_m), so a Y of degree >= 0 that commutes with every X_e
+    is 0.  A bracket outside its span raises ProlongError.  The annotations
+    go to the LieSuperAlgebra, which assigns weights when they name a Cartan
+    subalgebra.
     """
-    space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in gens])
-    neg = [n for n, (_, _, d, _) in enumerate(gens) if d < 0]
+    degrees = [d for _, _, d, _ in gens]
+    for (_, _, before, _), (ident, _, d, _) in zip(gens, gens[1:]):
+        if d < before:
+            raise ValueError(
+                f"algebra_of_fields needs gens in ascending degree: {ident!r} of degree {d} follows degree {before}"
+            )
+    neg = [n for n, d in enumerate(degrees) if d < 0]
     constants = [{v: t[ONE_MONO] for v, t in gens[e][3].terms.items() if ONE_MONO in t} for e in neg]
     rank = SpanSolver(constants, len(coords)).rank
     if rank < len(coords):
         raise ProlongError(f"the negative fields are not transitive: their constants span {rank} of {len(coords)} d_v")
-    cleared = [clear_field(X) for *_, X in gens]
-    members: Dict[int, List[int]] = {}
-    for n, (_, _, d, _) in enumerate(gens):
-        members.setdefault(d, []).append(n)
-    solvers: Dict[int, Tuple[dict, SpanSolver]] = {}
-    lo = gens[0][2]
-    known: Dict[Tuple[int, int], Element] = {}
+    rec = _Fields(coords, list(gens), {})
     for e in neg:
-        id_e, pe, de, _ = gens[e]
-        den_e, xe = cleared[e]
         for b in range(e, len(gens)):
-            id_b, pb, db, _ = gens[b]
-            d = de + db
-            if d < lo or d > max_degree:
-                continue
-            den_b, xb = cleared[b]
-            br = bracket_terms(xe, pe, xb, pb, coords.parities)
-            if not br:
-                continue
-            if d not in solvers:
-                idx, dim = field_basis_index(coords, d)
-                solvers[d] = (idx, SpanSolver([gens[n][3].coordinates(idx) for n in members.get(d, [])], dim))
-            sol = _solve_in(solvers[d], br)
-            if sol is None:
-                raise ProlongError(f"bracket [{id_e},{id_b}] is not closed in degree {d}")
-            if sol:
-                scale = rational(1, den_e * den_b)
-                known[e, b] = {members[d][j]: c * scale for j, c in sol.items()}
-                known[b, e] = _mirror(known[e, b], pe, pb)
-    _positive_brackets(space, neg, known, max_degree, coords.field.one)
-    table = {(a, b): known[a, b] for a, b in sorted(known) if a <= b}
-    alg = LieSuperAlgebra(space, table, truncation=max_degree, field=coords.field, **annotations)
-    if alg.cartan:
-        alg.assign_weights()
-    return alg
+            d = degrees[e] + degrees[b]
+            if degrees[0] <= d <= max_degree and not rec.solve(e, b):
+                raise ProlongError(f"bracket [{gens[e][0]},{gens[b][0]}] is not closed in degree {d}")
+    return rec.finish(max_degree, **annotations)
 
 
 def prolong_nonpositive(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResult:
@@ -675,8 +648,8 @@ def prolong_nonpositive(nonpos: LieSuperAlgebra, max_degree: int) -> ProlongResu
 def degree_zero_derivations(g_minus: LieSuperAlgebra) -> LieSuperAlgebra:
     """der0, all grading-preserving superderivations of g_minus, as a from_matrices algebra.
 
-    D is read through phi(e) = [e, D], the unknowns of _jacobi_rows at k = 0
-    on g_minus's table (step 2 of the module docstring).  As [D, e] = D(e),
+    D is read through phi(e) = [e, D], the unknowns of _jacobi_rows at k = 0,
+    with g_minus's table as known (step 2 of the module docstring).  As [D, e] = D(e),
     the entry (r, e) of D is -(-1)^{p_D p_e} phi(e)_r.  Each parity's
     columns, ordered as their entries (r, e), are solved by kernel_basis, even
     D first.  The bracket is the supercommutator of the .matrices, which act
@@ -693,11 +666,10 @@ def degree_zero_derivations(g_minus: LieSuperAlgebra) -> LieSuperAlgebra:
     if nonneg is not None:
         raise ValueError(f"degree_zero_derivations needs degrees < 0: {nonneg.id!r} has degree {nonneg.degree}")
     parities = [g_minus.parity(k) for k in range(len(g_minus))]
-    comps = {d: g_minus.component_indices(d) for d in g_minus.degrees()}
-    dims = {d: len(members) for d, members in comps.items()}
-    unknowns, rows = _jacobi_rows(g_minus, g_minus.negative_indices(), 0, dims, _table_ad(g_minus))
-    # the entry (r, e) of D that column (e, i) gives, r the i-th basis vector of degree deg e
-    cells = [(comps[g_minus.degree(e)][i], e) for e, i in unknowns]
+    degrees = [g_minus.degree(k) for k in range(len(g_minus))]
+    unknowns, rows = _jacobi_rows(parities, degrees, g_minus.negative_indices(), 0, g_minus._table)
+    # the entry (r, e) of D that column (e, r) gives
+    cells = [(r, e) for e, r in unknowns]
     items = []
     for p_d in (0, 1):
         # this parity's columns in the row-major order of their entries

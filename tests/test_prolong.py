@@ -1120,3 +1120,37 @@ def test_prolong_brackets_no_field_after_the_certificate(monkeypatch):
     res = prolong_nonpositive(build_minkowski_g0(2, "conformal"), 2)
     assert res.component_dims() == {-2: 4, -1: 8, 0: 11, 1: 8, 2: 4}
     assert len(calls) == 12 * 13 // 2 + 11 * 12 + 11 * 12 // 2 + 12 * 12 == 420
+
+
+def test_a_jacobi_level_builds_its_solver_only_for_a_pair_it_solves(monkeypatch):
+    # N = 2 conformal to degree 2: the field spans of g_-1, g_0 and g_1 and the
+    # Jacobi levels d = 1 and 2; at d = 0 every pair of g_0 is in the table or
+    # has phi = 0, so that level builds no solver
+    g = build_minkowski_g0(2, "conformal")
+    calls = []
+    init = SpanSolver.__init__
+
+    def counted(self, vectors, dim):
+        calls.append(1)
+        init(self, vectors, dim)
+
+    monkeypatch.setattr(SpanSolver, "__init__", counted)
+    prolong_nonpositive(g, 2)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize(
+    "order, late",
+    [
+        ("DHE", "'E' of degree 0 follows degree 1"),
+        ("HED", "'E' of degree 0 follows degree 1"),
+        ("EDH", "'D' of degree -1 follows degree 0"),
+    ],
+)
+def test_algebra_of_fields_rejects_gens_out_of_degree_order(order, late):
+    # read in the order D, H, E the span once lost [E, H] = H; the other two
+    # orders failed with a message about dependent certified brackets
+    coords, gens = _sl2_fields()
+    by_id = {gen[0]: gen for gen in gens}
+    with pytest.raises(ValueError, match=f"^algebra_of_fields needs gens in ascending degree: {late}$"):
+        algebra_of_fields(coords, [by_id[ident] for ident in order], 1)
