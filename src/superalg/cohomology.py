@@ -32,9 +32,11 @@ block keys are integer weights: every basis weight is scaled by one common
 denominator (NegativePart.weight_den), so grouping cochains adds and
 subtracts ints.  Each block's weight with the algebra's own scalars is
 rebuilt once, from its first C^2 key, because the str of that weight orders
-the blocks and the block order fixes the order of the report.  The cleared
-B^2 residuals of the cocycles (SpanSolver.reduce) span the representatives
-as they are; class_coords divides only the solved coordinates by den.
+the blocks and the block order fixes the order of the report.  With W the
+span of the C^2 columns off B^2's pivots (SpanSolver.pivot_columns), C^2 =
+B^2 + W and B^2 lies in Z^2, so Z^2 = B^2 + (Z^2 ∩ W): the representatives
+are the RREF of ker d2 on W's columns, which the B^2 residuals of Z^2 span
+too.  class_coords divides only the solved coordinates by den.
 """
 
 from __future__ import annotations
@@ -107,18 +109,13 @@ class NegativePart:
         return tuple(sum(self.weights[i][j] for i in word) for j in range(rank))
 
 
-def cochain_basis(g: LieSuperAlgebra, neg: NegativePart, k: int, z_degree: int) -> List[CKey]:
+def cochain_basis(neg: NegativePart, k: int, z_degree: int) -> List[CKey]:
     """Canonical basis of C^k in the given Z-degree."""
-    out: List[CKey] = []
-    for word in admissible_words(neg.parities, k):
-        s = neg.word_degree(word)
-        targets = g.component_indices(z_degree + s)
-        for t in targets:
-            out.append((word, t))
-    return out
+    words = admissible_words(neg.parities, k)
+    return [(word, t) for word in words for t in neg.g.component_indices(z_degree + neg.word_degree(word))]
 
 
-def cochain_block_key(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
+def cochain_block_key(neg: NegativePart, key: CKey):
     """(parity, weight_den * weight) of a cochain basis key: the block it belongs to.
 
     The weight is that of the target minus that of the word, on the integer
@@ -126,13 +123,13 @@ def cochain_block_key(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
     """
     word, t = key
     word_parity, wt = neg.word_key(word)
-    parity = (g.parity(t) + word_parity) % 2
+    parity = (neg.g.parity(t) + word_parity) % 2
     if wt is None:
         return (parity, None)
     return (parity, tuple(a - b for a, b in zip(neg.int_weights[t], wt)))
 
 
-def block_weight(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
+def block_weight(neg: NegativePart, key: CKey):
     """The weight of a cochain basis key with its own scalars, target minus word.
 
     It names a block in reports and fixes the order of the blocks; it is
@@ -142,7 +139,7 @@ def block_weight(g: LieSuperAlgebra, neg: NegativePart, key: CKey):
     wt = neg.word_weight(word)
     if wt is None:
         return None
-    return tuple(a - b for a, b in zip(g.space.basis[t].weight, wt))
+    return tuple(a - b for a, b in zip(neg.g.space.basis[t].weight, wt))
 
 
 def differential_matrix(
@@ -156,8 +153,8 @@ def differential_matrix(
     It is built from the cleared bracket table neg.table, so its entries are
     ints (GaussianRational with integral parts over QQ(i) when a constant has
     a nonzero imaginary part).  Scaling every map of the complex by the same
-    nonzero constant den changes no kernel, image or row space: Z^2, B^2, their
-    RREF bases and the representatives of H^2 are those of d itself.
+    nonzero constant den changes no kernel, image or row space: B^2, its
+    pivots, ker d2 off them and the representatives of H^2 are those of d.
     """
     col_pos: Dict[CKey, int] = {c: i for i, c in enumerate(cols)}
     row_pos: Dict[CKey, int] = {r: i for i, r in enumerate(rows)}
@@ -271,7 +268,8 @@ class Block:
     """All cochain data of one (parity, weight) block in one Z-degree.
 
     key is the block's integer key from cochain_block_key and weight its
-    weight with the algebra's own scalars.
+    weight with the algebra's own scalars.  reps is the RREF of ker d2 on the
+    C^2 columns off b2_solver's pivots, and dim_z2 = dim_b2 + dim_h2.
     """
 
     def __init__(self, key, weight, c1basis, c2basis, c3basis, neg):
@@ -280,19 +278,21 @@ class Block:
         self.weight = weight
         self.c2basis = c2basis
         self.c2pos = {k: i for i, k in enumerate(c2basis)}
-        d2 = differential_matrix(neg, c2basis, c3basis, self.parity)
-        self.z2 = kernel_basis(d2.row_dicts(), d2.cols)
-        d1 = differential_matrix(neg, c1basis, c2basis, self.parity)
         b2cols = [{} for _ in c1basis]
-        for (r, c), v in d1.entries.items():
+        for (r, c), v in differential_matrix(neg, c1basis, c2basis, self.parity).entries.items():
             b2cols[c][r] = v
         self.b2_solver = SpanSolver(b2cols, len(c2basis))
-        self.dim_z2 = len(self.z2)
         self.dim_b2 = self.b2_solver.rank
-        # each cleared residual is a nonzero multiple of the class's
-        # canonical representative, which leaves the row space unchanged
-        self.reps = row_space_basis([self.b2_solver.reduce(z)[1] for z in self.z2], len(c2basis))
+        free = [c for c in range(len(c2basis)) if c not in self.b2_solver.pivot_columns]
+        renumber = {c: i for i, c in enumerate(free)}
+        d2_on_free = [{} for _ in c3basis]
+        for (r, c), v in differential_matrix(neg, c2basis, c3basis, self.parity).entries.items():
+            if c in renumber:
+                d2_on_free[r][renumber[c]] = v
+        kernel = kernel_basis(d2_on_free, len(free))
+        self.reps = row_space_basis([{free[i]: v for i, v in z.items()} for z in kernel], len(c2basis))
         self.dim_h2 = len(self.reps)
+        self.dim_z2 = self.dim_b2 + self.dim_h2
         self.rep_solver = SpanSolver(self.reps, len(c2basis)) if self.reps else None
 
     def class_coords(self, vec):
@@ -326,11 +326,11 @@ class DegreeCohomology:
         self.neg = neg
         by_key: List[Dict[tuple, list]] = [{}, {}, {}]
         for k, grouped in zip((1, 2, 3), by_key):
-            for key in cochain_basis(g, neg, k, z_degree):
-                grouped.setdefault(cochain_block_key(g, neg, key), []).append(key)
+            for key in cochain_basis(neg, k, z_degree):
+                grouped.setdefault(cochain_block_key(neg, key), []).append(key)
         # blocks in the order of the str of (parity, weight), the weight taken
         # with the algebra's own scalars from the block's first C^2 key
-        weights = {key: block_weight(g, neg, c2[0]) for key, c2 in by_key[1].items()}
+        weights = {key: block_weight(neg, c2[0]) for key, c2 in by_key[1].items()}
         self.blocks: List[Block] = [
             Block(key, weights[key], by_key[0].get(key, []), by_key[1][key], by_key[2].get(key, []), neg)
             for key in sorted(by_key[1], key=lambda k: (k[0], str(weights[k])))
@@ -364,7 +364,7 @@ class DegreeCohomology:
                 image = operator_image(self.neg, 2, coeffs, b.parity, target, argument, p_op)
                 if not image:
                     continue
-                ti = self.block_of_key.get(cochain_block_key(self.g, self.neg, next(iter(image))))
+                ti = self.block_of_key.get(cochain_block_key(self.neg, next(iter(image))))
                 if ti is None or any(key not in self.blocks[ti].c2pos for key in image):
                     raise ValueError("action image leaves the computed blocks")
                 tb = self.blocks[ti]
@@ -632,20 +632,20 @@ def generated_submodule(deg: DegreeCohomology, vectors, mats):
 # -- reports --------------------------------------------------------------------
 
 
-def format_cochain(g: LieSuperAlgebra, neg: NegativePart, coeffs: Dict[CKey, object]) -> str:
+def format_cochain(neg: NegativePart, coeffs: Dict[CKey, object]) -> str:
     """Render a nonzero 2-cochain in target (x* ^ y*) notation, scaled to nonzero primitive integers."""
-    items = sorted(coeffs.items(), key=lambda kv: (g.ident(kv[0][1]), kv[0][0]))
+    items = sorted(coeffs.items(), key=lambda kv: (neg.g.ident(kv[0][1]), kv[0][0]))
     vec = primitive_integer_vector([v for _, v in items])
     parts = []
     for ((word, t), _), c in zip(items, vec):
-        names = [g.ident(neg.indices[p]) for p in word]
+        names = [neg.g.ident(neg.indices[p]) for p in word]
         if len(word) == 2 and word[0] == word[1]:
             wedge = f"({names[0]}*)^∧2"
         else:
             wedge = "∧".join(f"{nm}*" for nm in names)
             wedge = f"({wedge})"
         coef = "" if c == 1 else ("-" if c == -1 else f"{c}·")
-        term = f"{coef}{g.ident(t)}⊗{wedge}"
+        term = f"{coef}{neg.g.ident(t)}⊗{wedge}"
         if parts and not term.startswith("-"):
             parts.append("+" + term)
         else:
@@ -703,7 +703,7 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
                 {
                     "weight": _fmt_weight(b.weight),
                     "parity": b.parity,
-                    "expression": format_cochain(g_star, neg, coeffs),
+                    "expression": format_cochain(neg, coeffs),
                 }
             )
         entry = {

@@ -76,12 +76,6 @@ class SparseMatrix:
                 if v:
                     self.entries[(r, c)] = v
 
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def nnz(self):
         return len(self.entries)
 
@@ -294,7 +288,8 @@ class SpanSolver:
     each complex pivot c has the real pivot rows 2c and 2c + 1.  A query is
     cleared to integers once, reduced fraction-free and divided once at the
     end, so that its values are those of reducing over the field against the
-    RREF.
+    RREF.  pivot_columns holds the pivot columns over the field, the c of the
+    real pivots 2c and 2c + 1 of a realified span; rank is their number.
     """
 
     def __init__(self, vectors, dim):
@@ -322,8 +317,8 @@ class SpanSolver:
                     {cc: v for cc, v in row.items() if cc < dim},
                     {cc - dim: v for cc, v in row.items() if cc >= dim},
                 )
-        # the dimension over the field: a complex pivot has two real pivot rows
-        self.rank = len(self.pivots) // 2 if self._gaussian else len(self.pivots)
+        self.pivot_columns = {c // 2 for c in self.pivots} if self._gaussian else set(self.pivots)
+        self.rank = len(self.pivot_columns)
         self._realified_pivots = None
 
     def _pivots_over(self, gaussian):

@@ -491,13 +491,15 @@ class _Fields:
 
         The cleared fields and the span solvers are dropped first.  The table
         goes to LieSuperAlgebra in sorted (a, b) order with the annotations,
-        and weights are assigned when they name a Cartan subalgebra.
+        after known is dropped, and weights are assigned when they name a
+        Cartan subalgebra.
         """
         self._cleared = self._spans = None
         space = SuperSpace([BasisVector(ident, par, d) for ident, par, d, _ in self.gens])
         neg = [n for n, g in enumerate(self.gens) if g[2] < 0]
         _positive_brackets(space, neg, self.known, max_degree, self.coords.field.one)
         table = {(a, b): self.known[a, b] for a, b in sorted(self.known) if a <= b}
+        self.known = None
         alg = LieSuperAlgebra(space, table, truncation=max_degree, field=self.coords.field, **annotations)
         if alg.cartan:
             alg.assign_weights()

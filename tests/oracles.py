@@ -22,7 +22,9 @@ algebra, a prolongation or a contact or pericontact span, with
 VectorField.bracket and compares it with the table.  der0_failures applies
 each derivation's matrix to every bracket of g_minus, and counts der0 by
 parity as the nullity of the dense Leibniz system built from that same
-defect map, by dense_rank_fraction_free.  The
+defect map, by dense_rank_fraction_free.  h2_block_by_full_z2 computes the
+H^2 representatives of one block the long way, from a basis of all of Z^2
+reduced modulo B^2, with the package's sparse elimination.  The
 contact and pericontact forms, the Lie derivative identities they satisfy
 and the composed isomorphism between two Grassmann real forms are checks
 that only the tests run.
@@ -34,7 +36,7 @@ from itertools import product
 
 from superalg.contact import contact_field, pericontact_field
 from superalg.grassmann import CanonicalIso, GrassmannElement
-from superalg.linalg import SpanSolver, kernel_basis
+from superalg.linalg import SpanSolver, kernel_basis, row_space_basis
 from superalg.polyvf import Polynomial, VectorField, add_product, coordinate_field, field_basis_index, mono_parity
 from superalg.scalars import ONE, ZERO, GaussianRational, as_gaussian, common_denominator, gaussian, rational
 
@@ -207,6 +209,27 @@ def differential_entries(g, k, cols, rows):
             if val:
                 out[row, col] = val
     return out
+
+
+def h2_block_by_full_z2(d1, d2):
+    """(reps, dim_z2, dim_b2) of one cohomology block by the full-Z^2 route.
+
+    d1: C^1 -> C^2 and d2: C^2 -> C^3 are the block's differential matrices
+    (SparseMatrix).  Z^2 is kernel_basis of d2 over every C^2 column, each
+    cocycle is reduced modulo B^2, the span of d1's columns, by
+    SpanSolver.reduce, and the representatives are the RREF of the cleared
+    residuals; dim_b2 is the number of rows of the RREF of d1's columns.
+    """
+    d2_rows = [{} for _ in range(d2.rows)]
+    for (r, c), v in d2.entries.items():
+        d2_rows[r][c] = v
+    z2 = kernel_basis(d2_rows, d2.cols)
+    b2 = [{} for _ in range(d1.cols)]
+    for (r, c), v in d1.entries.items():
+        b2[c][r] = v
+    b2_solver = SpanSolver(b2, d1.rows)
+    reps = row_space_basis([b2_solver.reduce(z)[1] for z in z2], d2.cols)
+    return reps, len(z2), len(row_space_basis(b2, d1.rows))
 
 
 def count_admissible_words(parities, k, evens_strict):

@@ -29,7 +29,7 @@ from superalg.prolong import degree_zero_derivations, prolong_nonpositive
 from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
-from oracles import canonical_sha256, dense_rank_fraction_free, differential_entries, s2_0_weights
+from oracles import canonical_sha256, dense_rank_fraction_free, differential_entries, h2_block_by_full_z2, s2_0_weights
 
 
 def mink1_conformal():
@@ -64,25 +64,23 @@ def test_h2_dims_in_degrees_1_to_3(build, dims, sha256):
 
 # The seven algebras of the benchmark's h2_sweep, each with the digest of its
 # report in degrees 1..3.
-H2_SWEEP_ALGEBRAS = pytest.mark.parametrize(
-    "build, sha256",
-    [
-        (lambda: build_complexified_minkowski(2), "d67b27574f675d35da53e8fddb550f89986900457f4b420500d3a5f90cd44c15"),
-        (lambda: build_complexified_minkowski(1), "143b96d03bc2b0eec308bb4a44cd21a8a1dbd65584ecc487234057d817bf1177"),
-        (
-            lambda: prolong_nonpositive(build_minkowski_g0(1, "reduced"), 2).algebra,
-            "77d3767ee941e9a2e1e3823ffeb9a97e2b8907e61b2ff29e9a38833014baaa23",
-        ),
-        (mink1_conformal, "f40b85fa744f0a0976f000c80d0c6405b66d5b66cfdc04f4ad6f9adf447cca9a"),
-        (
-            lambda: realify(contact_algebra(0, 2, 2, field="Q(i)")),
-            "468853083bacc5d00f523c26c264dbd95f4d80be354e6525c732c85bca85dfd9",
-        ),
-        (lambda: contact_algebra(1, 2, 3), "a10e1d9e9c7004cffbe748f302af0e729a32eca82466949c31a197b99f226878"),
-        (lambda: pericontact_algebra(1, 2), "8c75441ecb2cf4739404ff346312c616ff0830c13431f1f7d464c90a79b48d74"),
-    ],
-    ids=["mink2^C", "mink1^C", "mink1-reduced", "mink1-conformal", "k(1|2)^R", "k(3|2)", "m(1|1)"],
-)
+H2_SWEEP = [
+    (lambda: build_complexified_minkowski(2), "d67b27574f675d35da53e8fddb550f89986900457f4b420500d3a5f90cd44c15"),
+    (lambda: build_complexified_minkowski(1), "143b96d03bc2b0eec308bb4a44cd21a8a1dbd65584ecc487234057d817bf1177"),
+    (
+        lambda: prolong_nonpositive(build_minkowski_g0(1, "reduced"), 2).algebra,
+        "77d3767ee941e9a2e1e3823ffeb9a97e2b8907e61b2ff29e9a38833014baaa23",
+    ),
+    (mink1_conformal, "f40b85fa744f0a0976f000c80d0c6405b66d5b66cfdc04f4ad6f9adf447cca9a"),
+    (
+        lambda: realify(contact_algebra(0, 2, 2, field="Q(i)")),
+        "468853083bacc5d00f523c26c264dbd95f4d80be354e6525c732c85bca85dfd9",
+    ),
+    (lambda: contact_algebra(1, 2, 3), "a10e1d9e9c7004cffbe748f302af0e729a32eca82466949c31a197b99f226878"),
+    (lambda: pericontact_algebra(1, 2), "8c75441ecb2cf4739404ff346312c616ff0830c13431f1f7d464c90a79b48d74"),
+]
+H2_SWEEP_IDS = ["mink2^C", "mink1^C", "mink1-reduced", "mink1-conformal", "k(1|2)^R", "k(3|2)", "m(1|1)"]
+H2_SWEEP_ALGEBRAS = pytest.mark.parametrize("build, sha256", H2_SWEEP, ids=H2_SWEEP_IDS)
 
 
 # A document carries no weights; from_document recomputes them from the Cartan
@@ -124,12 +122,12 @@ def test_total_i_pairing_of_realified_complexified_minkowski():
     assert canonical_sha256(report) == "a5329ff8d3004108aa81add8ec026aeab74949569f2b55803b3b4a5502836615"
 
 
-def _blocks(g, neg, z):
+def _blocks(neg, z):
     """Cochain bases of C^1, C^2, C^3 grouped by (parity, weight) block key."""
     out = {}
     for k in (1, 2, 3):
-        for key in cochain_basis(g, neg, k, z):
-            out.setdefault(cochain_block_key(g, neg, key), {1: [], 2: [], 3: []})[k].append(key)
+        for key in cochain_basis(neg, k, z):
+            out.setdefault(cochain_block_key(neg, key), {1: [], 2: [], 3: []})[k].append(key)
     return out
 
 
@@ -138,13 +136,13 @@ def test_block_keys_come_from_one_cached_parity_and_weight_per_word(mink1_reduce
     neg = NegativePart(g)
     for z in (1, 2, 3):
         for k in (1, 2, 3):
-            for word, t in cochain_basis(g, neg, k, z):
+            for word, t in cochain_basis(neg, k, z):
                 # both are on the integer weights, weight_den times the rational ones
                 parity, wt = neg.word_key(word)
                 den = neg.weight_den
                 assert (parity, wt) == (neg.word_parity(word), tuple(x * den for x in neg.word_weight(word)))
                 tw = g.space.basis[t].weight
-                assert cochain_block_key(g, neg, (word, t)) == (
+                assert cochain_block_key(neg, (word, t)) == (
                     (g.parity(t) + parity) % 2,
                     tuple(a * den - b for a, b in zip(tw, wt)),
                 )
@@ -175,7 +173,7 @@ def _check_d_squared_and_h2(g, expected_h2_dims):
     nontrivial = 0
     for z, expected_h2 in zip((1, 2, 3), expected_h2_dims):
         h2 = 0
-        for key, basis in _blocks(g, neg, z).items():
+        for key, basis in _blocks(neg, z).items():
             d1 = differential_matrix(neg, basis[1], basis[2], key[0])
             d2 = differential_matrix(neg, basis[2], basis[3], key[0])
             assert not any(_compose(d2, d1).values()), (z, key)
@@ -289,7 +287,7 @@ def _check_cleared_differential(g, den):
     checked = 0
     gaussian = []
     for z in (1, 2, 3):
-        for key, basis in _blocks(g, neg, z).items():
+        for key, basis in _blocks(neg, z).items():
             for k in (1, 2):
                 m = differential_matrix(neg, basis[k], basis[k + 1], key[0])
                 for v in m.entries.values():
@@ -311,20 +309,52 @@ def test_differential_matrix_is_den_times_d_in_ints():
     assert _check_cleared_differential(mink1_conformal(), 2) == []
 
 
-def test_differential_matrix_over_genuinely_gaussian_constants(mink1_reduced):
-    # the same algebra in the basis with one generator of g_-1 scaled by (1+i)/2
-    doc = mink1_reduced.to_document()
+def _with_gaussian_constants(g):
+    """g over Q(i) in the basis with its first generator of g_-1 scaled by (1+i)/2, without i_op."""
+    doc = g.to_document()
     del doc["i_op"]  # written in the old basis
     doc["field"] = "Q(i)"
-    scaled = mink1_reduced.ident(mink1_reduced.negative_indices()[0])
-    lam = {scaled: gaussian(1, 1) / 2}
+    lam = {g.ident(g.negative_indices()[0]): gaussian(1, 1) / 2}
     doc["brackets"] = [
         [i, j, m, format_scalar(parse_scalar(c) * lam.get(i, 1) * lam.get(j, 1) / lam.get(m, 1))]
         for i, j, m, c in doc["brackets"]
     ]
-    g = LieSuperAlgebra.from_document(doc)
+    return LieSuperAlgebra.from_document(doc)
+
+
+def test_differential_matrix_over_genuinely_gaussian_constants(mink1_reduced):
+    g = _with_gaussian_constants(mink1_reduced)
     assert _check_cleared_differential(g, 2)
     assert h2_by_degree(g, (1, 2, 3))["h2_dims"] == {"1": 4, "2": 6, "3": 8}
+
+
+def _typed(vectors):
+    return [{c: (type(v), v) for c, v in vec.items()} for vec in vectors]
+
+
+# Block takes H^2 from the kernel of d2 on the C^2 columns off B^2's pivots.
+# The full-Z^2 route gives the same representatives, with the same scalar
+# types, and the same dimensions on every block of the h2_sweep algebras and
+# of mink1-reduced with Gaussian constants, whose B^2 solver is realified;
+# blocks with an empty C^1 and with an empty C^3 are among them.
+def test_blocks_agree_with_the_full_z2_route(mink1_reduced):
+    algebras = {name: build for name, (build, _) in zip(H2_SWEEP_IDS, H2_SWEEP)}
+    algebras["mink1-reduced over Q(i)"] = lambda: _with_gaussian_constants(mink1_reduced)
+    seen = {"empty C^1": 0, "empty C^3": 0, "Gaussian B^2": 0}
+    for name, build in algebras.items():
+        neg = NegativePart(build())
+        for z in (1, 2, 3):
+            bases = _blocks(neg, z)
+            for b in DegreeCohomology(neg, z).blocks:
+                c1, c2, c3 = (bases[b.key][k] for k in (1, 2, 3))
+                assert c2 == b.c2basis
+                d1 = differential_matrix(neg, c1, c2, b.parity)
+                reps, dim_z2, dim_b2 = h2_block_by_full_z2(d1, differential_matrix(neg, c2, c3, b.parity))
+                assert (_typed(b.reps), b.dim_z2, b.dim_b2) == (_typed(reps), dim_z2, dim_b2), (name, z, b.key)
+                seen["empty C^1"] += not c1
+                seen["empty C^3"] += not c3
+                seen["Gaussian B^2"] += any(isinstance(v, GaussianRational) for v in d1.entries.values())
+    assert all(seen.values()), seen
 
 
 def test_one_negative_part_per_report(monkeypatch, mink1_reduced):
@@ -514,7 +544,7 @@ def _with_scaled_weights(g, c):
 def _rational_block_order(g, neg, z):
     """(parity, weight) and C^2 keys of each block, grouped on the weights' own scalars, sorted by str."""
     blocks = {}
-    for word, t in cochain_basis(g, neg, 2, z):
+    for word, t in cochain_basis(neg, 2, z):
         wt, tw = neg.word_weight(word), g.space.basis[t].weight
         weight = tuple(a - b for a, b in zip(tw, wt))
         blocks.setdefault(((g.parity(t) + neg.word_parity(word)) % 2, weight), []).append((word, t))
@@ -538,5 +568,5 @@ def test_integer_block_keys_keep_the_rational_block_weights_and_order():
                 assert [str(b.weight) for b in deg.blocks] == [str(w) for (_, w), _ in want]
                 for b in deg.blocks:
                     word, t = b.c2basis[0]
-                    assert b.key == cochain_block_key(gc, neg, (word, t))
+                    assert b.key == cochain_block_key(neg, (word, t))
                     assert b.key[1] == tuple(x * neg.weight_den for x in b.weight)

@@ -391,6 +391,7 @@ def test_integer_span_solver_agrees_with_the_dense_reduction(case):
     solver = SpanSolver(vecs, dim)
     fraction_solver = SpanSolver([as_fractions(v) for v in vecs], dim)
     pivot_cols = dense_rref(vecs, dim)[0]
+    assert solver.pivot_columns == set(pivot_cols)
     assert solver.rank == len(pivot_cols)
     # a query with no entry in any pivot column is its own residual
     queries = queries + [{c: v for c, v in q.items() if c not in pivot_cols} for q in queries]
