@@ -329,6 +329,7 @@ def test_differential_matrix_over_genuinely_gaussian_constants(mink1_reduced):
 
 
 def _typed(vectors):
+    """Each value paired with its type, so that a rational and an equal GaussianRational differ."""
     return [{c: (type(v), v) for c, v in vec.items()} for vec in vectors]
 
 
