@@ -66,6 +66,10 @@ class LieSuperAlgebra:
         self.cartan = list(cartan) if cartan else []
         self.raising = list(raising) if raising else []
         self.lowering = list(lowering) if lowering else []
+        for annotation in ("cartan", "raising", "lowering"):
+            unknown = next((h for h in getattr(self, annotation) if h not in space.index), None)
+            if unknown is not None:
+                raise ValueError(f"{annotation} id {unknown!r} is not a basis id")
         self.i_op = dict(i_op) if i_op else None
         self.field = as_field(field)
         self.name = name

@@ -22,9 +22,15 @@ matrices on the classes (action_matrix, i_matrix).  The i-pairing of each
 weight space runs one loop, _pair_directions, in two modes that differ only
 in the operators it is fed: with a total i (realifications) the induced i
 restricted to the weight classes, with a partial i (real forms) the
-commutant of the g0 action on the submodule the weight classes generate.
-The report's "undetermined" list is always empty; it is kept so that the
-report format stays the same.
+commutant of the g0 action on the submodule M the weight classes generate.
+Every action matrix maps a block into one block, so each RREF basis vector
+of M lies in one block.  The Cartan elements act on each block by its
+weight, which holds whenever the weights come from assign_weights; an even
+element that commutes with them maps each block of M into itself.  So
+_commutant_on takes its unknowns on the slots of M's basis that share a
+block, and reads coordinates on M off M's pivots, since generated_submodule
+returns M closed under the action.  The report's "undetermined" list is
+always empty; it is kept so that the report format stays the same.
 
 The complex runs on integers.  differential_matrix builds den * d from the
 bracket table cleared once per report (LieSuperAlgebra.cleared_table).  The
@@ -215,6 +221,15 @@ def differential_matrix(
     return SparseMatrix(len(rows), len(cols), entries)
 
 
+def _add_entry(vec: dict, i, v):
+    """vec[i] += v in place, dropping the entry if it cancels."""
+    nv = vec.get(i, ZERO) + v
+    if nv:
+        vec[i] = nv
+    else:
+        vec.pop(i, None)
+
+
 def operator_image(
     neg: NegativePart, k: int, coeffs: Dict[CKey, object], parity: int, target, argument, p_op: int
 ) -> Dict[CKey, object]:
@@ -229,19 +244,11 @@ def operator_image(
     by i acts on the values only, so its target is i_op and its argument {}.
     """
     out: Dict[CKey, object] = {}
-
-    def add(key, val):
-        nv = out.get(key, ZERO) + val
-        if nv:
-            out[key] = nv
-        elif key in out:
-            del out[key]
-
     by_word: Dict[Word, list] = {}
     for (word, t), cval in coeffs.items():
         by_word.setdefault(word, []).append((t, cval))
         for tt, v in target.get(t, {}).items():
-            add((word, tt), cval * v)
+            _add_entry(out, (word, tt), cval * v)
     for word in admissible_words(neg.parities, k):
         pref = 0
         for i, w in enumerate(word):
@@ -255,7 +262,7 @@ def operator_image(
                     continue
                 new_word, sigma = res
                 for t, cval in by_word.get(new_word, ()):
-                    add((word, t), -v * cval * sign * sigma)
+                    _add_entry(out, (word, t), -v * cval * sign * sigma)
             pref += neg.parities[w]
     return out
 
@@ -346,13 +353,6 @@ class DegreeCohomology:
         self.dim_b2 = sum(b.dim_b2 for b in self.blocks)
         self._action_cache: Dict[int, dict] = {}
 
-    def classes(self):
-        out = []
-        for bi, b in enumerate(self.blocks):
-            for ri in range(b.dim_h2):
-                out.append((bi, ri))
-        return out
-
     def _induced(self, target, argument, p_op: int) -> dict:
         """Sparse global matrix {(row, col): scalar} of the operator that
         operator_image describes, induced on H^2: column j holds the class
@@ -412,7 +412,7 @@ class DegreeCohomology:
         for bi, b in enumerate(self.blocks):
             if not b.dim_h2:
                 continue
-            vecs = self.operator_kernel_on_block(bi, ops) if ops else [{j: ONE} for j in range(b.dim_h2)]
+            vecs = self.operator_kernel_on_block(bi, ops)
             if vecs:
                 out.append(
                     {
@@ -492,54 +492,44 @@ def _restrict(mat: dict, basis, solver: SpanSolver):
 
 
 def _commutant_on(deg: DegreeCohomology, classes, mats):
-    """The parity-even commutant of the action matrices on the submodule that
+    """The even commutant of the action matrices on the submodule M that
     classes generate, restricted to span(classes); elements that leave that
-    span are dropped."""
-    n = deg.dim_h2
+    span are dropped.
+
+    Each RREF basis vector of M lies in one block, since every action matrix
+    maps a block into one block.  The Cartan elements act on each block by
+    its weight when the weights come from assign_weights, so a commutant
+    element maps each block of M into itself: its unknowns are the slots
+    (r, c) whose module vectors share a block key, or only a parity when g
+    has no Cartan elements.  M is closed under mats by construction, so the
+    coordinates of a vector of M are its entries at M's pivots.
+    """
     M = generated_submodule(deg, classes, mats)
-    m = len(M)
-    msolver = SpanSolver(M, n)
-    # parity of each module basis vector, read off its block support
-    pos_parity = [b.parity for b in deg.blocks for _ in range(b.dim_h2)]
-    par = []
-    for vec in M:
-        ps = {pos_parity[pos] for pos in vec}
-        par.append(ps.pop() if len(ps) == 1 else None)
-    # restricted action matrices, A[(i, j)] = coordinate i of mat M[j]
-    acts = []
-    for mat in mats:
-        R = _restrict(mat, M, msolver)
-        if R is None:
-            raise ValueError("generated module is not action closed")
-        acts.append({(i, j): val for j, sol in enumerate(R) for i, val in sol.items()})
-    # parity-even commutant: unknowns X[(r,c)] with par r == par c
-    slots = [
-        (r, c)
-        for r in range(m)
-        for c in range(m)
-        if par[r] is not None and par[r] == par[c]
-    ]
+    pivots = [min(vec) for vec in M]
+    pos_key = [b.key if deg.g.cartan else b.key[:1] for b in deg.blocks for _ in range(b.dim_h2)]
+    same_key: Dict[tuple, list] = {}
+    for k, p in enumerate(pivots):
+        same_key.setdefault(pos_key[p], []).append(k)
+    peers = [same_key[pos_key[p]] for p in pivots]
+    slots = [(r, c) for r in range(len(M)) for c in peers[r]]
     slot_pos = {rc: q for q, rc in enumerate(slots)}
+
+    def coords(vec):
+        return {k: vec[p] for k, p in enumerate(pivots) if p in vec}
+
     rows = []
-    for A in acts:
-        for r in range(m):
-            for c in range(m):
-                row = {}
-                for k in range(m):
-                    v1 = A.get((r, k))
-                    if v1 and (k, c) in slot_pos:
-                        q = slot_pos[(k, c)]
-                        row[q] = row.get(q, ZERO) + v1
-                    v2 = A.get((k, c))
-                    if v2 and (r, k) in slot_pos:
-                        q = slot_pos[(r, k)]
-                        row[q] = row.get(q, ZERO) - v2
-                row = {q: v for q, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    # the module starts from the classes, so each has coordinates over M
-    wcoords = [msolver.solve(vec) for vec in classes]
-    wsolver = SpanSolver(wcoords, m)
+    for mat in mats:
+        # row (r, c) of AX - XA, with A[i, j] = v the coordinate i of mat M[j]
+        eqs: Dict[Tuple[int, int], dict] = {}
+        for j, vec in enumerate(M):
+            for i, v in coords(_mat_vec(mat, vec)).items():
+                for c in peers[j]:
+                    _add_entry(eqs.setdefault((i, c), {}), slot_pos[(j, c)], v)
+                for r in peers[i]:
+                    _add_entry(eqs.setdefault((r, j), {}), slot_pos[(r, i)], -v)
+        rows += [row for row in eqs.values() if row]
+    wcoords = [coords(vec) for vec in classes]
+    wsolver = SpanSolver(wcoords, len(M))
     restricted = []
     for X in kernel_basis(rows, len(slots)):
         R = _restrict({slots[q]: v for q, v in X.items()}, wcoords, wsolver)
@@ -559,12 +549,8 @@ def _pair_directions(nhw: int, restricted, label):
         unit = {j: ONE}
         if used and SpanSolver(used, nhw).contains(unit):
             continue
-        partner = None
-        for R in restricted:
-            img = R[j]
-            if img and not SpanSolver(used + [unit], nhw).contains(img):
-                partner = img
-                break
+        solver = SpanSolver(used + [unit], nhw)
+        partner = next((R[j] for R in restricted if R[j] and not solver.contains(R[j])), None)
         used.append(unit)
         if partner is None:
             unpaired.append(label(j))
@@ -584,9 +570,7 @@ def _fmt_weight(w):
                 out.append(format_scalar(x))
                 continue
             x = x.re
-        num = int(x.numerator) if hasattr(x, "numerator") else int(x)
-        den = int(x.denominator) if hasattr(x, "denominator") else 1
-        out.append(num if den == 1 else f"{num}/{den}")
+        out.append(x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
     return out
 
 
@@ -604,11 +588,7 @@ def _mat_vec(mat: dict, vec):
     for (r, c), v in mat.items():
         x = vec.get(c)
         if x:
-            nv = out.get(r, ZERO) + v * x
-            if nv:
-                out[r] = nv
-            else:
-                del out[r]
+            _add_entry(out, r, v * x)
     return out
 
 
@@ -696,16 +676,16 @@ def h2_by_degree(g_star: LieSuperAlgebra, degrees: Sequence[int]) -> dict:
         deg = DegreeCohomology(neg, d)
         dims[d] = deg.dim_h2
         reps = []
-        for (bi, ri) in deg.classes():
-            b = deg.blocks[bi]
-            coeffs = {b.c2basis[i]: v for i, v in b.reps[ri].items()}
-            reps.append(
-                {
-                    "weight": _fmt_weight(b.weight),
-                    "parity": b.parity,
-                    "expression": format_cochain(neg, coeffs),
-                }
-            )
+        for b in deg.blocks:
+            for rep in b.reps:
+                coeffs = {b.c2basis[i]: v for i, v in rep.items()}
+                reps.append(
+                    {
+                        "weight": _fmt_weight(b.weight),
+                        "parity": b.parity,
+                        "expression": format_cochain(neg, coeffs),
+                    }
+                )
         entry = {
             "dim_Z2": deg.dim_z2,
             "dim_B2": deg.dim_b2,

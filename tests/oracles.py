@@ -24,7 +24,10 @@ each derivation's matrix to every bracket of g_minus, and counts der0 by
 parity as the nullity of the dense Leibniz system built from that same
 defect map, by dense_rank_fraction_free.  h2_block_by_full_z2 computes the
 H^2 representatives of one block the long way, from a basis of all of Z^2
-reduced modulo B^2, with the package's sparse elimination.  The
+reduced modulo B^2, with the package's sparse elimination.
+dense_commutant_on computes the even commutant of the g0 action on a
+generated submodule the long way: unknowns on every same-parity slot, each
+equation summed over all (r, c, k), coordinates from a SpanSolver.  The
 contact and pericontact forms, the Lie derivative identities they satisfy
 and the composed isomorphism between two Grassmann real forms are checks
 that only the tests run.
@@ -34,6 +37,7 @@ import hashlib
 import json
 from itertools import product
 
+from superalg.cohomology import _restrict, generated_submodule
 from superalg.contact import contact_field, pericontact_field
 from superalg.grassmann import CanonicalIso, GrassmannElement
 from superalg.linalg import SpanSolver, kernel_basis, row_space_basis
@@ -230,6 +234,59 @@ def h2_block_by_full_z2(d1, d2):
     b2_solver = SpanSolver(b2, d1.rows)
     reps = row_space_basis([b2_solver.reduce(z)[1] for z in z2], d2.cols)
     return reps, len(z2), len(row_space_basis(b2, d1.rows))
+
+
+def dense_commutant_on(deg, classes, mats):
+    """The even commutant of mats on the submodule M that classes generate,
+    restricted to span(classes), by the parity route.
+
+    Its unknowns are every slot (r, c) of M's basis whose vectors have one
+    parity, read off their block supports; each equation of [A, X] = 0 is
+    summed over all (r, c, k); M is a SpanSolver, which also checks that M is
+    closed under mats.  Elements that leave span(classes) are dropped.
+    """
+    n = deg.dim_h2
+    M = generated_submodule(deg, classes, mats)
+    m = len(M)
+    msolver = SpanSolver(M, n)
+    pos_parity = [b.parity for b in deg.blocks for _ in range(b.dim_h2)]
+    par = []
+    for vec in M:
+        ps = {pos_parity[pos] for pos in vec}
+        par.append(ps.pop() if len(ps) == 1 else None)
+    acts = []
+    for mat in mats:
+        R = _restrict(mat, M, msolver)
+        if R is None:
+            raise ValueError("generated module is not action closed")
+        acts.append({(i, j): val for j, sol in enumerate(R) for i, val in sol.items()})
+    slots = [(r, c) for r in range(m) for c in range(m) if par[r] is not None and par[r] == par[c]]
+    slot_pos = {rc: q for q, rc in enumerate(slots)}
+    rows = []
+    for A in acts:
+        for r in range(m):
+            for c in range(m):
+                row = {}
+                for k in range(m):
+                    v1 = A.get((r, k))
+                    if v1 and (k, c) in slot_pos:
+                        q = slot_pos[(k, c)]
+                        row[q] = row.get(q, ZERO) + v1
+                    v2 = A.get((k, c))
+                    if v2 and (r, k) in slot_pos:
+                        q = slot_pos[(r, k)]
+                        row[q] = row.get(q, ZERO) - v2
+                row = {q: v for q, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    wcoords = [msolver.solve(vec) for vec in classes]
+    wsolver = SpanSolver(wcoords, m)
+    restricted = []
+    for X in kernel_basis(rows, len(slots)):
+        R = _restrict({slots[q]: v for q, v in X.items()}, wcoords, wsolver)
+        if R is not None:
+            restricted.append(R)
+    return restricted
 
 
 def count_admissible_words(parities, k, evens_strict):

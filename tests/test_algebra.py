@@ -337,6 +337,17 @@ def test_documents_naming_an_unknown_id_are_rejected():
             LieSuperAlgebra.from_document({**doc, "i_op": i_op})
 
 
+# An unknown Cartan id used to fail with a bare KeyError in assign_weights, an
+# unknown raising id only once some degree had H^2 != 0, and an unknown
+# lowering id not at all.
+@pytest.mark.parametrize("annotation", ["cartan", "raising", "lowering"])
+def test_documents_annotating_an_unknown_id_are_rejected(annotation):
+    doc = build_minkowski_g0(1, "reduced").to_document()
+    assert doc[annotation]
+    with pytest.raises(ValueError, match=f"^{annotation} id 'nope' is not a basis id$"):
+        LieSuperAlgebra.from_document({**doc, annotation: [*doc[annotation], "nope"]})
+
+
 def test_matrix_constructors_take_the_field_by_descriptor_or_name():
     for build, label in ((lambda f: build_gl(1, 1, field=f), "gl(1|1;Q)"), (lambda f: build_sl(2, 1, field=f), "sl(2|1;Q)")):
         doc = build(FIELD_Q).to_document()

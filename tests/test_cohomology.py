@@ -7,6 +7,7 @@ from superalg.cohomology import (
     DegreeCohomology,
     NegativePart,
     TruncationShortfall,
+    _commutant_on,
     cochain_basis,
     cochain_block_key,
     differential_matrix,
@@ -29,7 +30,14 @@ from superalg.prolong import degree_zero_derivations, prolong_nonpositive
 from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
 
-from oracles import canonical_sha256, dense_rank_fraction_free, differential_entries, h2_block_by_full_z2, s2_0_weights
+from oracles import (
+    canonical_sha256,
+    dense_commutant_on,
+    dense_rank_fraction_free,
+    differential_entries,
+    h2_block_by_full_z2,
+    s2_0_weights,
+)
 
 
 def mink1_conformal():
@@ -356,6 +364,59 @@ def test_blocks_agree_with_the_full_z2_route(mink1_reduced):
                 seen["empty C^3"] += not c3
                 seen["Gaussian B^2"] += any(isinstance(v, GaussianRational) for v in d1.entries.values())
     assert all(seen.values()), seen
+
+
+# _commutant_on keys its unknowns by the block of each module vector and reads
+# coordinates off the module's pivots; the parity route of dense_commutant_on
+# gives the same restricted operators, with the same scalar types, on every
+# weight entry of these real forms, whose i is partial.
+@pytest.mark.parametrize(
+    "build, degrees",
+    [
+        (lambda: prolong_nonpositive(build_minkowski_g0(1, "conformal"), 0).algebra, (0,)),
+        (lambda: prolong_nonpositive(build_minkowski_g0(1, "reduced"), 0).algebra, (0,)),
+        (lambda: prolong_nonpositive(build_minkowski_g0(2, "conformal"), 2).algebra, (2,)),
+        (lambda: prolong_nonpositive(build_minkowski_g0(1, "reduced"), 2).algebra, (1, 2, 3)),
+    ],
+    ids=["mink1-conformal-0", "mink1-reduced-0", "mink2-conformal-2", "mink1-reduced-1..3"],
+)
+def test_commutant_agrees_with_the_dense_parity_route(build, degrees):
+    g = build()
+    assert any(k not in g.i_op for k in range(len(g)))
+    neg = NegativePart(g)
+    sizes = []
+    for z in degrees:
+        deg = DegreeCohomology(neg, z)
+        ops = [deg.action_matrix(h) for h in g.component_indices(0)]
+        for entry in deg.weight_vectors():
+            lo = deg.offsets[entry["block"]]
+            classes = [{lo + i: v for i, v in vec.items()} for vec in entry["vectors"]]
+            got = _commutant_on(deg, classes, ops)
+            assert [_typed(R) for R in got] == [_typed(R) for R in dense_commutant_on(deg, classes, ops)], (z, entry)
+            sizes.append(len(got))
+    # every case meets a weight space with a non-scalar commutant element
+    assert max(sizes) > 1, sizes
+
+
+# Degree 0 of the real Minkowski algebras, prolonged to degree 0: the dims,
+# the i-pairs, the highest-weight classes and the whole report.
+@pytest.mark.parametrize(
+    "n, case, dim, pairs, unpaired, total, sha256",
+    [
+        (1, "conformal", 16, 1, 0, 2, "4153f150620aa062d2838247048e17d15737b1e612a64094a04f3e480d1d5551"),
+        (1, "reduced", 16, 1, 0, 2, "a914d9dab3663e2654a19f226d7ce0d2efa8f66c054854f68de90e2e60072765"),
+        (2, "conformal", 75, 4, 1, 9, "97a2a4f40fa06509d9dbf96875d6203d32f59ad78de06bae2d7f96883e1e943f"),
+        (2, "reduced", 75, 4, 1, 9, "7a485e1b3d7ab8bdf28f0404c2919dde786f167356e2f53e0d3304d7ab4d5cda"),
+    ],
+    ids=["mink1-conformal", "mink1-reduced", "mink2-conformal", "mink2-reduced"],
+)
+def test_degree_zero_h2_of_real_minkowski(n, case, dim, pairs, unpaired, total, sha256):
+    report = h2_by_degree(prolong_nonpositive(build_minkowski_g0(n, case), 0).algebra, (-1, 0))
+    assert report["h2_dims"] == {"-1": 0, "0": dim}
+    entry = report["degrees"]["0"]
+    assert (entry["i_pairing"]["pair_count"], len(entry["i_pairing"]["unpaired"])) == (pairs, unpaired)
+    assert entry["weight_vector_total"] == total
+    assert canonical_sha256(report) == sha256
 
 
 def test_one_negative_part_per_report(monkeypatch, mink1_reduced):
