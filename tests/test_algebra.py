@@ -337,9 +337,9 @@ def test_documents_naming_an_unknown_id_are_rejected():
             LieSuperAlgebra.from_document({**doc, "i_op": i_op})
 
 
-# An unknown Cartan id used to fail with a bare KeyError in assign_weights, an
-# unknown raising id only once some degree had H^2 != 0, and an unknown
-# lowering id not at all.
+# The annotations are checked where the algebra is built: assign_weights reads
+# the Cartan ids, weight_vectors the raising ids only where H^2 != 0, and
+# nothing reads the lowering ids.
 @pytest.mark.parametrize("annotation", ["cartan", "raising", "lowering"])
 def test_documents_annotating_an_unknown_id_are_rejected(annotation):
     doc = build_minkowski_g0(1, "reduced").to_document()
