@@ -20,12 +20,15 @@ from .linalg import SpanSolver
 from .scalars import (
     FIELD_Q,
     FIELD_QI,
+    GaussianRational,
     ONE,
     ZERO,
     as_field,
     cleared,
     common_denominator,
     format_scalar,
+    inexact,
+    is_rational,
     parse_scalar,
     real_imag,
 )
@@ -113,6 +116,13 @@ class LieSuperAlgebra:
     # -- bracket table ---------------------------------------------------------
 
     def _set_bracket(self, i, j, val):
+        n = len(self.space)
+        for k in (i, j, *val):
+            if type(k) is not int or not 0 <= k < n:
+                raise ValueError(f"bracket ({i!r}, {j!r}): {k!r} is not a basis index in range({n})")
+        for c in val.values():
+            if not (is_rational(c) or isinstance(c, GaussianRational)):
+                raise inexact(c)
         val = {k: c for k, c in val.items() if c}
         odd = self.parity(i) and self.parity(j)
         mirror = {k: c if odd else -c for k, c in val.items()}

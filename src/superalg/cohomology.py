@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import LieSuperAlgebra
-from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis
+from .linalg import SpanSolver, SparseMatrix, kernel_basis, primitive_integer_vector, row_space_basis, rref_rows
 from .scalars import GaussianRational, ONE, ZERO, format_scalar, rational
 from .spaces import admissible_words, sort_word
 
@@ -547,9 +547,10 @@ def _pair_directions(nhw: int, restricted, label):
     used: list = []
     for j in range(nhw):
         unit = {j: ONE}
-        if used and SpanSolver(used, nhw).contains(unit):
-            continue
         solver = SpanSolver(used + [unit], nhw)
+        # used is independent by construction, so e_j lies in its span exactly when the rank does not grow
+        if solver.rank == len(used):
+            continue
         partner = next((R[j] for R in restricted if R[j] and not solver.contains(R[j])), None)
         used.append(unit)
         if partner is None:
@@ -593,20 +594,21 @@ def _mat_vec(mat: dict, vec):
 
 
 def generated_submodule(deg: DegreeCohomology, vectors, mats):
-    """Closure of the span of the vectors under the action matrices."""
+    """Closure of the span of the vectors under the action matrices.
+
+    Each round applies the matrices only to the RREF rows whose pivots are
+    new: they span a complement of the previous span, whose images are
+    already in.  So the closure takes len(result) * len(mats) products.
+    """
     n = deg.dim_h2
-    basis = row_space_basis(vectors, n)
-    while True:
-        new = list(basis)
-        for v in basis:
-            for m in mats:
-                img = _mat_vec(m, v)
-                if img:
-                    new.append(img)
-        nb = row_space_basis(new, n)
-        if len(nb) == len(basis):
-            return nb
-        basis = nb
+    pivots, basis = rref_rows(list(vectors), n)
+    fresh = basis
+    while fresh:
+        images = [img for v in fresh for m in mats if (img := _mat_vec(m, v))]
+        old = set(pivots)
+        pivots, basis = rref_rows(basis + images, n)
+        fresh = [v for c, v in zip(pivots, basis) if c not in old]
+    return basis
 
 
 # -- reports --------------------------------------------------------------------

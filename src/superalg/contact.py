@@ -1,10 +1,25 @@
 """Contact and pericontact vector fields from generating functions.
 
-K_f lives on coordinates (t, p, q, xi, eta [, theta]) and preserves the
-distribution of the odd contact form alpha1 up to the factor K_1(f); M_f lives
-on (q, xi, tau) and preserves the even form alpha0.  The standard grading puts
-t and tau in degree 2 and every other coordinate in degree 1, so K_f has
-degree wt(f) - 2.
+Both fields are one formula.  With E = sum_{v != top} x_v d_v the Euler field
+off the top coordinate and sigma = (-1)^{p(f)},
+
+    X_f = (2 - E)(f) d_top + sum_{(u, v, s, odd)} s sigma^odd (d_u f) d_v
+          + e sigma^odd_e (d_top f) E,
+
+and only the table differs, which the coordinates carry on coords.meta: the
+index top, the pairs (u, v, s, odd) and euler = (e, odd_e).
+
+- Contact, on (t, p, q, ξ, η [, θ]): K_f = (2 - E)(f) d_t - H_f + (d_t f) E.
+  top is t, the pairs are (p_i -> q_i, -1, 0), (q_i -> p_i, +1, 0),
+  (ξ_j -> η_j, +1, 1), (η_j -> ξ_j, +1, 1) and (θ -> θ, -1, 1), and euler
+  is (+1, 0).  K_f preserves the distribution of the odd contact form alpha1
+  up to the factor K_1(f).
+- Pericontact, on (q, ξ, τ): M_f = (2 - E)(f) d_τ + Le_f - sigma (d_τ f) E.
+  top is τ, the pairs are (q_i -> ξ_i, +1, 0) and (ξ_i -> q_i, +1, 1), and
+  euler is (-1, 1).  M_f preserves the distribution of the even form alpha0.
+
+The standard grading puts t and τ in degree 2 and every other coordinate in
+degree 1, so X_f has degree wt(f) - 2.
 
 Spans of contact fields assemble into truncated graded Lie superalgebras
 through prolong.algebra_of_fields, on the record of realized fields that
@@ -17,7 +32,7 @@ span that fails to close raises prolong.ProlongError.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .algebra import LieSuperAlgebra
 from .constructors import check_ints
@@ -27,7 +42,10 @@ from .scalars import FIELD_Q, rational
 
 
 def contact_coords(n: int, m: int, field=FIELD_Q) -> Coords:
-    """Coordinates t, p_i, q_i, xi_j, eta_j and theta for odd m, graded (2,1,..,1)."""
+    """Coordinates t, p_i, q_i, xi_j, eta_j and theta for odd m, graded (2,1,..,1).
+
+    meta holds n, m and the table of K_f: top, pairs and euler.
+    """
     check_ints(n=n, m=m)
     names = ["t"]
     parities = [0]
@@ -49,120 +67,77 @@ def contact_coords(n: int, m: int, field=FIELD_Q) -> Coords:
         parities.append(1)
     degrees = [2] + [1] * (len(names) - 1)
     c = Coords(names, parities, degrees, field=field)
-    c.meta = {"kind": "contact", "n": n, "m": m}
+    p, q, xi, eta = 1, 1 + n, 1 + 2 * n, 1 + 2 * n + k
+    pairs = [(p + i, q + i, -1, 0) for i in range(n)] + [(q + i, p + i, 1, 0) for i in range(n)]
+    pairs += [(xi + j, eta + j, 1, 1) for j in range(k)] + [(eta + j, xi + j, 1, 1) for j in range(k)]
+    if m % 2:
+        # θ takes the parity sign of the ξ-η block, with a minus; pinned by
+        # the L_{K_f} alpha1 = K_1(f) alpha1 identity
+        pairs.append((xi + 2 * k, xi + 2 * k, -1, 1))
+    c.meta = {"kind": "contact", "n": n, "m": m, "top": 0, "pairs": pairs, "euler": (1, 0)}
     return c
 
 
 def pericontact_coords(n: int, field=FIELD_Q) -> Coords:
-    """Coordinates q_i, xi_i and the odd tau of degree 2."""
+    """Coordinates q_i, xi_i and the odd tau of degree 2.
+
+    meta holds n and the table of M_f: top, pairs and euler.
+    """
     check_ints(n=n)
     names = [f"q_{i + 1}" for i in range(n)] + [f"ξ_{i + 1}" for i in range(n)] + ["τ"]
     parities = [0] * n + [1] * n + [1]
     degrees = [1] * (2 * n) + [2]
     c = Coords(names, parities, degrees, field=field)
-    c.meta = {"kind": "pericontact", "n": n}
+    # with left derivatives Le_f = sum (d_q f d_ξ + sigma d_ξ f d_q) enters
+    # with a plus; pinned by the L_{M_f} alpha0 identity on a monomial batch
+    pairs = [(i, n + i, 1, 0) for i in range(n)] + [(n + i, i, 1, 1) for i in range(n)]
+    c.meta = {"kind": "pericontact", "n": n, "top": 2 * n, "pairs": pairs, "euler": (-1, 1)}
     return c
 
 
-def _euler(coords: Coords, skip: str) -> List[int]:
-    out = []
-    for v, name in enumerate(coords.names):
-        if name == skip:
-            continue
-        out.append(v)
-    return out
-
-
-def hamiltonian_field(f: Polynomial, coords: Coords) -> VectorField:
-    """H_f on the non-t coordinates, with the sign rule on the odd pairs."""
-    meta = coords.meta
-    n, m = meta["n"], meta["m"]
-    k = m // 2
-    pf = f.parity()
-    if pf is None:
-        return VectorField(coords)
-    sgn = -1 if pf else 1
-    out = VectorField(coords)
-    for i in range(n):
-        pi = coords.index[f"p_{i + 1}"]
-        qi = coords.index[f"q_{i + 1}"]
-        out = out + VectorField(coords, {qi: f.deriv(pi)}) - VectorField(coords, {pi: f.deriv(qi)})
-    for j in range(k):
-        xj = coords.index[f"ξ_{j + 1}"]
-        ej = coords.index[f"η_{j + 1}"]
-        out = out - VectorField(coords, {ej: f.deriv(xj).scale(sgn), xj: f.deriv(ej).scale(sgn)})
-    if m % 2:
-        # the theta term carries the same parity sign as the xi-eta block;
-        # pinned by the L_{K_f} alpha1 = K_1(f) alpha1 identity
-        th = coords.index["θ"]
-        out = out + VectorField(coords, {th: f.deriv(th).scale(sgn)})
-    return out
-
-
-def contact_field(f: Polynomial, coords: Optional[Coords] = None) -> VectorField:
-    """K_f = (2 - E)(f) d_t - H_f + (df/dt) E."""
+def _generated_field(f: Polynomial, coords: Optional[Coords], kind: str, needs: str) -> VectorField:
+    """X_f on the table of coords.meta, for coordinates of the given kind; see the module docstring."""
+    if not isinstance(f, Polynomial):
+        raise TypeError(f"{kind}_field: f is not a Polynomial: {f!r}")
     if coords is None:
         coords = f.coords
     meta = getattr(coords, "meta", None)
-    if not meta or meta.get("kind") != "contact":
-        raise ValueError("contact_field needs contact coordinates (t, p, q, ξ, η[, θ])")
-    t = coords.index["t"]
-    others = _euler(coords, "t")
-    two_minus_E = f.scale(rational(2))
-    for v in others:
-        xv = coords.var(v)
-        d = f.deriv(v)
-        if d:
-            two_minus_E = two_minus_E - xv * d
-    out = VectorField(coords, {t: two_minus_E})
-    out = out - hamiltonian_field(f, coords)
-    ft = f.deriv(t)
-    if ft:
-        for v in others:
-            out = out + VectorField(coords, {v: ft * coords.var(v)})
-    return out
-
-
-def periplectic_field(f: Polynomial, coords: Coords) -> VectorField:
-    """Le_f = sum (df/dq_i d_xi_i + (-1)^{p(f)} df/dxi_i d_q_i)."""
-    n = coords.meta["n"]
+    if not meta or meta.get("kind") != kind:
+        raise ValueError(f"{kind}_field needs {needs}")
+    if f.coords is not coords:
+        raise ValueError(f"{kind}_field: f is on {f.coords!r}, not on {coords!r}")
     pf = f.parity()
     if pf is None:
         return VectorField(coords)
-    sgn = -1 if pf else 1
-    out = VectorField(coords)
-    for i in range(n):
-        qi = coords.index[f"q_{i + 1}"]
-        xi = coords.index[f"ξ_{i + 1}"]
-        out = out + VectorField(coords, {xi: f.deriv(qi), qi: f.deriv(xi).scale(sgn)})
-    return out
-
-
-def pericontact_field(f: Polynomial, coords: Optional[Coords] = None) -> VectorField:
-    """M_f = (2 - E)(f) d_tau - Le_f - (-1)^{p(f)} (df/dtau) E."""
-    if coords is None:
-        coords = f.coords
-    meta = getattr(coords, "meta", None)
-    if not meta or meta.get("kind") != "pericontact":
-        raise ValueError("pericontact_field needs coordinates (q, ξ, τ)")
-    tau = coords.index["τ"]
-    others = _euler(coords, "τ")
+    sigma = -1 if pf else 1
+    top = meta["top"]
+    others = [v for v in range(len(coords)) if v != top]
     two_minus_E = f.scale(rational(2))
     for v in others:
         d = f.deriv(v)
         if d:
             two_minus_E = two_minus_E - coords.var(v) * d
-    out = VectorField(coords, {tau: two_minus_E})
-    # with left derivatives the periplectic term enters with a plus; pinned by
-    # the L_{M_f} alpha0 identity on a monomial batch
-    out = out + periplectic_field(f, coords)
-    ftau = f.deriv(tau)
-    if ftau:
-        pf = f.parity()
-        sgn = -1 if pf else 1
+    coeffs = {top: two_minus_E}
+    for u, v, s, odd in meta["pairs"]:
+        coeffs[v] = f.deriv(u).scale(s * sigma if odd else s)
+    ftop = f.deriv(top)
+    if ftop:
+        e, odd = meta["euler"]
+        ftop = ftop.scale(e * sigma if odd else e)
+        # every coordinate but top is the target of a pair
         for v in others:
-            out = out - VectorField(coords, {v: ftau * coords.var(v)}).scale(sgn)
-    return out
+            coeffs[v] += ftop * coords.var(v)
+    return VectorField(coords, coeffs)
+
+
+def contact_field(f: Polynomial, coords: Optional[Coords] = None) -> VectorField:
+    """K_f = (2 - E)(f) d_t - H_f + (df/dt) E."""
+    return _generated_field(f, coords, "contact", "contact coordinates (t, p, q, ξ, η[, θ])")
+
+
+def pericontact_field(f: Polynomial, coords: Optional[Coords] = None) -> VectorField:
+    """M_f = (2 - E)(f) d_tau - Le_f - (-1)^{p(f)} (df/dtau) E."""
+    return _generated_field(f, coords, "pericontact", "coordinates (q, ξ, τ)")
 
 
 # -- truncated graded algebras from generating-function spans ---------------------

@@ -500,6 +500,27 @@ _E12, _E21 = ("E12", 1, None, {(0, 1): _UNIT}), ("E21", 1, None, {(1, 0): _UNIT}
 # Each input error of the algebra layer, by the exact message that names it.
 INPUT_ERRORS = [
     ("inconsistent bracket", lambda: _even_pair({(1, 2): {0: _UNIT}, (2, 1): {0: _UNIT}}), "inconsistent bracket for b,a"),
+    # a and b are even, so no parity is read before these indices are checked
+    (
+        "bracket key off the basis",
+        lambda: _even_pair({(1, 5): {0: _UNIT}}),
+        "bracket (1, 5): 5 is not a basis index in range(3)",
+    ),
+    (
+        "term index off the basis",
+        lambda: _even_pair({(1, 2): {-1: _UNIT}}),
+        "bracket (1, 2): -1 is not a basis index in range(3)",
+    ),
+    (
+        "bracket key not an int",
+        lambda: _even_pair({("a", 2): {0: _UNIT}}),
+        "bracket ('a', 2): 'a' is not a basis index in range(3)",
+    ),
+    (
+        "bool term index",
+        lambda: _even_pair({(1, 2): {True: _UNIT}}),
+        "bracket (1, 2): True is not a basis index in range(3)",
+    ),
     ("no i operator", lambda: _even_pair().check_i_op(), "algebra has no i operator"),
     (
         "not a weight basis",
@@ -545,6 +566,16 @@ INPUT_ERRORS = [
 def test_algebra_input_errors_name_the_bad_input(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_a_bracket_constant_that_is_not_exact_is_rejected():
+    with pytest.raises(TypeError, match=r"^0\.5 is not an exact scalar: an int, a rational or a GaussianRational$"):
+        _even_pair({(1, 2): {0: 0.5}})
+    assert _even_pair({(1, 2): {0: 2, 1: rational(1, 2), 2: gaussian(0, 1)}}).bracket_basis(2, 1) == {
+        0: -2,
+        1: rational(-1, 2),
+        2: gaussian(0, -1),
+    }
 
 
 def test_zero_generators_still_make_a_grassmann_algebra():

@@ -2,15 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superalg import cohomology
 from superalg.algebra import LieSuperAlgebra, from_matrices, realify, supercommutator
 from superalg.cohomology import (
     DegreeCohomology,
     NegativePart,
     TruncationShortfall,
     _commutant_on,
+    _pair_directions,
     cochain_basis,
     cochain_block_key,
     differential_matrix,
+    generated_submodule,
     h2_by_degree,
     i_pairing,
 )
@@ -25,7 +28,7 @@ from superalg.constructors import (
     combine_nonpositive,
 )
 from superalg.contact import contact_algebra, pericontact_algebra
-from superalg.linalg import SpanSolver
+from superalg.linalg import SpanSolver, row_space_basis
 from superalg.prolong import degree_zero_derivations, prolong_nonpositive
 from superalg.scalars import FIELD_QI, ONE, ZERO, GaussianRational, format_scalar, gaussian, parse_scalar, rational
 from superalg.spaces import BasisVector, SuperSpace
@@ -417,6 +420,51 @@ def test_degree_zero_h2_of_real_minkowski(n, case, dim, pairs, unpaired, total, 
     assert (entry["i_pairing"]["pair_count"], len(entry["i_pairing"]["unpaired"])) == (pairs, unpaired)
     assert entry["weight_vector_total"] == total
     assert canonical_sha256(report) == sha256
+
+
+# generated_submodule applies the action matrices only to the vectors that
+# each round adds, so every vector of the module it returns is applied once;
+# the module is the closure of the classes under the matrices.
+@pytest.mark.parametrize("n", [1, 2], ids=["mink1-conformal", "mink2-conformal"])
+def test_generated_submodule_applies_each_matrix_once_per_module_vector(monkeypatch, n):
+    g = prolong_nonpositive(build_minkowski_g0(n, "conformal"), 0).algebra
+    deg = DegreeCohomology(NegativePart(g), 0)
+    mats = [deg.action_matrix(h) for h in g.component_indices(0)]
+    mat_vec = cohomology._mat_vec
+    products = []
+    monkeypatch.setattr(cohomology, "_mat_vec", lambda mat, vec: products.append(1) or mat_vec(mat, vec))
+    total = 0
+    for entry in deg.weight_vectors():
+        lo = deg.offsets[entry["block"]]
+        classes = [{lo + i: v for i, v in vec.items()} for vec in entry["vectors"]]
+        products.clear()
+        M = generated_submodule(deg, classes, mats)
+        assert len(products) == len(M) * len(mats)
+        images = [mat_vec(m, v) for v in M for m in mats]
+        assert row_space_basis(M + classes + images, deg.dim_h2) == M
+        total += len(products)
+    assert total == {1: 128, 2: 825}[n]
+
+
+# _pair_directions builds one SpanSolver per direction: e_1 and e_3 lie in
+# the span of the pairs before them and are skipped on its rank alone.
+def test_pair_directions_builds_one_solver_per_direction(monkeypatch):
+    built = []
+
+    class CountingSolver(SpanSolver):
+        def __init__(self, vectors, dim):
+            built.append(len(vectors))
+            super().__init__(vectors, dim)
+
+    monkeypatch.setattr(cohomology, "SpanSolver", CountingSolver)
+    swap = [{1: ONE}, {0: ONE}, {3: ONE}, {2: ONE}]
+    pairs, unpaired = _pair_directions(4, [swap], lambda j: j)
+    assert pairs == [
+        (0, {"partner_combination": ["0", "1", "0", "0"]}),
+        (2, {"partner_combination": ["0", "0", "0", "1"]}),
+    ]
+    assert unpaired == []
+    assert built == [1, 3, 3, 5]
 
 
 def test_one_negative_part_per_report(monkeypatch, mink1_reduced):

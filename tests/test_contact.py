@@ -2,12 +2,15 @@
 
 K_f satisfies L_{K_f}(alpha1) = K_1(f) alpha1 and M_f satisfies
 L_{M_f}(alpha0) = -(-1)^{p(f)} M_1(f) alpha0.  Both identities are checked on
-every generating monomial of weight at most 3; they pin the sign rules of the
-theta term in `hamiltonian_field` and of the periplectic term in
-`pericontact_field`.  The documents of the truncated spans k(1+2n|m) and
-m(n) are pinned by their canonical SHA-256, and every bracket of their
-tables is checked against the bracket of their fields.
+every generating monomial of weight at most 3, over Q and Q(i), against forms
+written from the coordinate names, not from the table the coordinates carry;
+they pin the sign of the θ row of the contact table and of the periplectic
+rows of the pericontact table.  The documents of the truncated spans
+k(1+2n|m) and m(n) are pinned by their canonical SHA-256, and every bracket
+of their tables is checked against the bracket of their fields.
 """
+
+import re
 
 import pytest
 
@@ -33,20 +36,22 @@ def _monomials(coords, max_weight=3):
 
 
 @pytest.mark.parametrize(
-    "n, m, count",
-    [(0, 1, 4), (0, 2, 7), (1, 1, 20), (1, 2, 30)],
-    ids=["k(1|1)", "k(1|2)", "k(3|1)", "k(3|2)"],
+    "n, m, field, count",
+    [(0, 1, "Q", 4), (0, 2, "Q", 7), (1, 1, "Q", 20), (1, 2, "Q", 30), (0, 2, "Q(i)", 7)],
+    ids=["k(1|1)", "k(1|2)", "k(3|1)", "k(3|2)", "k(1|2)^C"],
 )
-def test_contact_field_preserves_the_contact_distribution(n, m, count):
-    coords = contact_coords(n, m)
+def test_contact_field_preserves_the_contact_distribution(n, m, field, count):
+    coords = contact_coords(n, m, field=field)
     fs = _monomials(coords)
     assert len(fs) == count
     assert [str(f) for f in fs if not check_contact_invariance(f, coords)] == []
 
 
-@pytest.mark.parametrize("n, count", [(1, 10), (2, 30)], ids=["m(1)", "m(2)"])
-def test_pericontact_field_preserves_the_pericontact_distribution(n, count):
-    coords = pericontact_coords(n)
+@pytest.mark.parametrize(
+    "n, field, count", [(1, "Q", 10), (2, "Q", 30), (1, "Q(i)", 10)], ids=["m(1)", "m(2)", "m(1)^C"]
+)
+def test_pericontact_field_preserves_the_pericontact_distribution(n, field, count):
+    coords = pericontact_coords(n, field=field)
     fs = _monomials(coords)
     assert len(fs) == count
     assert [str(f) for f in fs if not check_pericontact_invariance(f, coords)] == []
@@ -57,9 +62,9 @@ def _contact_span(n, m, max_degree, field="Q"):
     return contact_algebra(n, m, max_degree, field=field), coords, lambda f: contact_field(f, coords)
 
 
-def _pericontact_span(n, max_degree):
-    coords = pericontact_coords(n)
-    return pericontact_algebra(n, max_degree), coords, lambda f: pericontact_field(f, coords)
+def _pericontact_span(n, max_degree, field="Q"):
+    coords = pericontact_coords(n, field=field)
+    return pericontact_algebra(n, max_degree, field=field), coords, lambda f: pericontact_field(f, coords)
 
 
 # each span as (algebra, coords, the field of a generating function), and its document's digest
@@ -77,6 +82,10 @@ SPANS = {
     ),
     "m(1)_2": (lambda: _pericontact_span(1, 2), "af5f4cbfe2d03f8667bc8c0a6cd2dbea0c14f9c8ac600b16af80b6befa475b96"),
     "m(2)_2": (lambda: _pericontact_span(2, 2), "614f483c34e96ad3816495a4ca3bf1a2b7d8e8b99d93ea1c5094a6e6824cd98d"),
+    "m(1)_2^C": (
+        lambda: _pericontact_span(1, 2, field="Q(i)"),
+        "b330f20f8f6258f88359459b106abe04abf806d9233c9a5b2e12d64e3ca78ada",
+    ),
 }
 
 
@@ -110,3 +119,22 @@ def test_contact_and_pericontact_fields_need_their_own_coordinates():
     for coords in (contact, plain):
         with pytest.raises(ValueError, match=r"^pericontact_field needs coordinates \(q, ξ, τ\)$"):
             pericontact_field(coords.one())
+
+
+
+@pytest.mark.parametrize(
+    "field_of, make_coords",
+    [(contact_field, lambda: contact_coords(1, 1)), (pericontact_field, lambda: pericontact_coords(1))],
+    ids=["contact", "pericontact"],
+)
+def test_contact_and_pericontact_fields_name_a_bad_f_or_a_coordinate_mismatch(field_of, make_coords):
+    name = field_of.__name__
+    with pytest.raises(TypeError, match=rf"^{name}: f is not a Polynomial: 3$"):
+        field_of(3)
+    mine, other = make_coords(), make_coords()
+    message = f"{name}: f is on {other!r}, not on {mine!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        field_of(other.one(), mine)
+    # an empty Coords is falsy: it is taken as given, not replaced by f's coordinates
+    with pytest.raises(ValueError, match=rf"^{name} needs "):
+        field_of(mine.one(), Coords([], []))
