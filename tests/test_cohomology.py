@@ -423,8 +423,8 @@ def test_degree_zero_h2_of_real_minkowski(n, case, dim, pairs, unpaired, total, 
 
 
 # generated_submodule applies the action matrices only to the vectors that
-# each round adds, so every vector of the module it returns is applied once;
-# the module is the closure of the classes under the matrices.
+# each round adds, so it takes len(M) * len(mats) products for its module M;
+# M is the closure of the classes under the matrices.
 @pytest.mark.parametrize("n", [1, 2], ids=["mink1-conformal", "mink2-conformal"])
 def test_generated_submodule_applies_each_matrix_once_per_module_vector(monkeypatch, n):
     g = prolong_nonpositive(build_minkowski_g0(n, "conformal"), 0).algebra

@@ -121,7 +121,6 @@ def test_contact_and_pericontact_fields_need_their_own_coordinates():
             pericontact_field(coords.one())
 
 
-
 @pytest.mark.parametrize(
     "field_of, make_coords",
     [(contact_field, lambda: contact_coords(1, 1)), (pericontact_field, lambda: pericontact_coords(1))],
